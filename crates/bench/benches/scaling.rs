@@ -48,7 +48,12 @@ fn bench_threaded_distributed(c: &mut Criterion) {
     let cfg = scaled_config(m, Scale::Smoke);
     group.bench_with_input(BenchmarkId::new("m", m), &m, |b, _| {
         b.iter(|| {
-            lipiz_runtime::driver::run_distributed_report(&cfg, |_, cfg| digits_data(cfg))
+            lipiz_runtime::run_distributed(
+                &cfg,
+                |_, cfg| digits_data(cfg),
+                lipiz_runtime::DistributedOptions::default(),
+            )
+            .report
         })
     });
     group.finish();

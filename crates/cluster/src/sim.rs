@@ -1,4 +1,15 @@
 //! The bulk-synchronous virtual-time executor.
+//!
+//! The simulated cluster is one host rank of the iteration [`Pipeline`]
+//! (`lipiz_core::pipeline`) that happens to hold every cell, so training is
+//! the same schedule — and the same bytes — as the sequential and
+//! distributed drivers. What is simulated is *time*: [`VirtualExchange`]
+//! charges each allgather to per-rank virtual clocks through the cost
+//! model, and each cell's measured compute (the pipeline's per-step
+//! profile) is charged to its rank's clock afterwards. A scripted kill is
+//! modelled with the pipeline's own rejoin: the victim's engine is swapped
+//! for a restored replacement that catches up solo against the frozen
+//! death-frame and sits out the absence window.
 
 use crate::allocation::Placement;
 use crate::costmodel::CommCost;
@@ -6,31 +17,14 @@ use crate::platform::ClusterSpec;
 use crate::report::{CommStats, SimOutcome};
 use crate::vtime::RankClock;
 use lipiz_core::{
-    CellEngine, CellResult, CellSnapshot, CellState, Grid, Profiler, Routine, TrainConfig,
-    TrainReport,
+    CellEngine, CellResult, CellSnapshot, CellState, Exchange, Grid, Pipeline, Profiler,
+    Routine, TrainConfig, TrainReport,
 };
-use lipiz_mpi::{replacement_schedule, FaultPlan, ReplacementSchedule};
+use lipiz_mpi::{scheduled_replacement, ReplacementSchedule};
 use lipiz_telemetry::{EventKind, SpanKind, Telemetry};
 use lipiz_tensor::{Matrix, Pool};
 use std::path::Path;
-use std::time::Instant;
-
-/// The in-flight replacement the config's fault plan implies, if any —
-/// exactly the arithmetic the distributed master and slaves run (see
-/// [`replacement_schedule`]), so the simulator degrades the same run the
-/// same way. A kill at or before the resume point cannot be modeled (the
-/// frozen death-frame would predate the simulation) and is ignored.
-fn scheduled_fault(cfg: &TrainConfig, start_iter: usize) -> Option<ReplacementSchedule> {
-    let plan = FaultPlan::parse(cfg.fault.plan.as_deref()?).ok()?;
-    let sched = replacement_schedule(
-        &plan,
-        cfg.fault.max_stale_iters,
-        cfg.checkpoint.every,
-        cfg.checkpoint.effective_iterations(cfg.coevolution.iterations),
-        cfg.cells(),
-    )?;
-    (sched.kill_iter > start_iter).then_some(sched)
-}
+use std::time::{Duration, Instant};
 
 /// Simulation knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,384 +99,116 @@ impl SimulatedCluster {
         let host_start = Instant::now();
         let grid = Grid::from_config(&cfg.grid);
         let cells = grid.cell_count();
+        // Slave rank r handles cell r (master is world rank 0 / placement 0;
+        // slaves are placements 1..=cells).
         let placement = Placement::allocate(&self.spec, cells + 1, self.opts.run_seed);
 
         // All simulated slaves run in this one host process, so they share
-        // one resident pool instead of spawning workers per cell.
-        let pool = Pool::new(cfg.training.workers_per_cell);
-        let mut engines: Vec<CellEngine> = match resume {
-            None => (0..cells)
-                .map(|i| CellEngine::with_pool(i, cfg, make_data(i), pool.clone()))
-                .collect(),
-            Some(states) => {
-                lipiz_core::resume::assert_grid_states(states, cells);
-                states
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| CellEngine::from_state(cfg, make_data(i), pool.clone(), s))
-                    .collect()
-            }
-        };
-        let speed_of = |cell: usize| -> f64 {
-            let mut speed = placement.speed_of(cell + 1);
-            if let Some((victim, slowdown)) = self.opts.straggler {
-                if victim == cell {
-                    speed *= slowdown.max(1.0);
-                }
-            }
-            speed
-        };
-        // Slave rank r handles cell r (master is world rank 0 / placement 0;
-        // slaves are placements 1..=cells).
-        let mut clocks = vec![RankClock::new(); cells];
-        let mut profilers: Vec<Profiler> = (0..cells).map(|_| Profiler::new()).collect();
-        let mut comm = CommStats::default();
+        // one resident pool. The pipeline times on the host and journals
+        // nothing: the simulator's journals live on the virtual clocks below.
+        let mut pipeline =
+            Pipeline::whole_grid(cfg, &mut make_data, resume, Telemetry::disabled());
 
-        // Virtual-time telemetry: one recorder per simulated slave rank,
-        // stamped via `record_at` with the rank clock so the exported
-        // timeline lives on the simulated clock — same journal format as
-        // the real drivers (the solo catch-up window is not journaled
-        // per-iteration; it runs on host time inside the kill block).
-        let mut tels: Vec<Telemetry> = (0..cells)
-            .map(|c| {
-                Telemetry::from_gate(
-                    cfg.telemetry.is_enabled(),
-                    (c + 1) as u32,
-                    cfg.telemetry.ring_capacity,
-                )
-            })
-            .collect();
-        let vns = |t: f64| (t.max(0.0) * 1e9) as u64;
-
-        let start_iter = engines.first().map_or(0, |e| e.iterations_done());
+        let start_iter = pipeline.iteration();
         let target = cfg.checkpoint.effective_iterations(cfg.coevolution.iterations);
-        // Scripted fault modeling (mirrors the distributed stack exactly):
-        // the victim dies at the top of iteration `kill_iter` — its last
+        // Scripted fault modeling (mirrors the distributed stack exactly —
+        // the same schedule arithmetic the master and slaves run): the
+        // victim dies at the top of iteration `kill_iter` — its last
         // exchanged snapshot is round kill_iter-1 — and its replacement
         // restores from the newest committed cut (or from scratch), catches
         // up solo against the frozen death-frame, and rejoins the live
         // exchange at `rejoin_round`. Survivors meanwhile train against the
-        // victim's frozen snapshot, which the fan-in root substitutes for
-        // every round of the absence window. Note the replacement's
-        // iteration counter runs ahead of the grid inside the window, so
-        // checkpoint hooks must not commit grid-wide cuts there (the real
-        // drivers' per-cell checkpoints have no such constraint).
-        let fault = scheduled_fault(cfg, start_iter);
+        // victim's frozen snapshot for every round of the absence window.
+        // Note the replacement's iteration counter runs ahead of the grid
+        // inside the window, so checkpoint hooks must not commit grid-wide
+        // cuts there (the real drivers' per-cell checkpoints have no such
+        // constraint). A kill at or before the resume point cannot be
+        // modeled (the death-frame would predate the simulation) and is
+        // ignored.
+        let fault = scheduled_replacement(
+            cfg.fault.plan.as_deref(),
+            cfg.fault.max_stale_iters,
+            cfg.checkpoint.every,
+            target,
+            cfg.cells(),
+        )
+        .filter(|s| s.kill_iter > start_iter);
+        let mut pending_kill = fault;
         let mut victim_cut: Option<CellState> = None;
-        // Recycled snapshot + neighbor fan-out buffers (the virtual clocks
-        // measure host time, so the capture path should stay as cheap as
-        // the real drivers': no genome-sized allocations per iteration).
-        let mut snapshots: Vec<CellSnapshot> = Vec::new();
-        let mut neighbor_scratch: Vec<CellSnapshot> = Vec::new();
 
-        // `--exchange async`: iteration `i ≥ 1` trains against the
-        // generation-`i-1` frame held here (swapped with `snapshots` after
-        // every iteration), exactly like the distributed pipeline and the
-        // sequential trainer. A resumed run re-seeds it from the
-        // checkpointed frame.
-        let async_mode = cfg.exchange.is_async();
-        let mut prev_snapshots: Vec<CellSnapshot> = Vec::new();
-        if async_mode {
-            if let Some(states) = resume {
-                prev_snapshots =
-                    states.first().map(|s| s.exchange_frame.clone()).unwrap_or_default();
-            }
-            assert!(
-                start_iter == 0 || prev_snapshots.len() == cells,
-                "async resume needs the checkpointed exchange frame"
-            );
-        }
-        if async_mode {
-            for t in &mut tels {
-                t.metrics.staleness.set(1);
-            }
-        }
-        // Virtual completion time of the in-flight generation (the frame
-        // the *next* iteration consumes); restarts at zero on resume, like
-        // every other clock. `prev_submit` remembers when each rank posted
-        // the in-flight generation, for the exchange-wall metric.
-        let mut pending_complete = 0.0f64;
-        let mut prev_submit = vec![0.0f64; cells];
-        // The death-frame the fan-in root freezes at the kill: the victim's
-        // slot is substituted from it for every absence round, and under
-        // async the rejoiner's first live iteration consumes the whole
-        // frame (it never received generation `rejoin - 1`).
-        let mut frozen_frame: Vec<CellSnapshot> = Vec::new();
-        for iter in start_iter..target {
-            let absent = |c: usize| {
-                fault.is_some_and(|s| {
-                    c == s.cell && iter >= s.kill_iter && iter < s.rejoin_round
+        let mut vx = VirtualExchange {
+            cost: &self.cost,
+            opts: &self.opts,
+            placement: &placement,
+            fault,
+            async_mode: cfg.exchange.is_async(),
+            clocks: vec![RankClock::new(); cells],
+            profilers: vec![Profiler::new(); cells],
+            // One recorder per simulated slave rank, stamped via
+            // `record_at` with the rank clock — same journal format as the
+            // real drivers (the solo catch-up window is not journaled
+            // per-iteration; it runs on host time inside the kill block).
+            tels: (0..cells)
+                .map(|c| {
+                    let mut tel = Telemetry::from_gate(
+                        cfg.telemetry.is_enabled(),
+                        (c + 1) as u32,
+                        cfg.telemetry.ring_capacity,
+                    );
+                    if cfg.exchange.is_async() {
+                        tel.metrics.staleness.set(1);
+                    }
+                    tel
                 })
-            };
-            if let Some(sched) = fault {
-                if iter == sched.kill_iter {
-                    tels[sched.cell].record_at(
-                        EventKind::Kill,
-                        sched.cell as u32,
-                        iter as u32,
-                        0,
-                        vns(clocks[sched.cell].now()),
-                    );
-                    // The kill lands before this round's snapshot, so the
-                    // round kill_iter-1 payloads — exactly the frozen
-                    // death-frame the fan-in root captures and serves to
-                    // the replacement — sit in `snapshots` (sync) or in
-                    // `prev_snapshots` (async, after the last swap).
-                    let death_frame = if async_mode { &prev_snapshots } else { &snapshots };
-                    frozen_frame = death_frame.clone();
-                    let frozen_neighbors: Vec<CellSnapshot> = grid
-                        .neighbors(sched.cell)
-                        .into_iter()
-                        .map(|n| frozen_frame[n].clone())
-                        .collect();
-                    let mut repl = match &victim_cut {
-                        Some(state) => CellEngine::from_state(
-                            cfg,
-                            make_data(sched.cell),
-                            pool.clone(),
-                            state,
-                        ),
-                        None => CellEngine::with_pool(
-                            sched.cell,
-                            cfg,
-                            make_data(sched.cell),
-                            pool.clone(),
-                        ),
-                    };
-                    // Solo catch-up: the same frozen neighborhood for every
-                    // iteration and no exchanges — a pure function of
-                    // (seed, plan), same as the real replacement process.
-                    let mut catchup = Profiler::new();
-                    while repl.iterations_done() < sched.rejoin_round {
-                        repl.run_iteration(&frozen_neighbors, &mut catchup);
-                    }
-                    profilers[sched.cell].merge(&catchup);
-                    engines[sched.cell] = repl;
-                }
-            }
-            // --- gather: snapshot, allgather (sync point), ingest -------
-            snapshots.resize_with(cells, CellSnapshot::empty);
-            let mut ready = vec![0.0f64; cells];
-            let mut max_bytes = 0usize;
-            for (c, engine) in engines.iter_mut().enumerate() {
-                if absent(c) {
-                    // Dead rank: nothing arrives; the root substitutes its
-                    // cached round-(kill_iter-1) payload. In sync mode the
-                    // recycled slot already holds it; under async the
-                    // buffers alternate, so restore it explicitly.
-                    if async_mode {
-                        snapshots[c].copy_from(&frozen_frame[c]);
-                    }
-                    continue;
-                }
-                let t0 = Instant::now();
-                engine.snapshot_into(&mut snapshots[c]);
-                let host = t0.elapsed().as_secs_f64();
-                let speed = speed_of(c);
-                clocks[c].advance(host * speed + self.opts.per_iteration_overhead);
-                ready[c] = clocks[c].now();
-                max_bytes = max_bytes.max(snapshots[c].wire_size());
-            }
-            // Allgather: every *live* rank waits for the slowest of them,
-            // then pays the transfer cost (a dead rank neither delays the
-            // sync nor counts as the fastest participant).
-            let live =
-                || ready.iter().enumerate().filter(|&(c, _)| !absent(c)).map(|(_, &r)| r);
-            let sync = live().fold(0.0, f64::max);
-            let xfer = self.cost.allgather(cells, max_bytes);
-            comm.allgather_bytes += max_bytes * cells;
-            if let Some(sched) = fault {
-                if absent(sched.cell) {
-                    // The fan-in root (slave rank 1 / cell 0) substitutes
-                    // the victim's frozen payload this round.
-                    tels[0].record_at(
-                        EventKind::Degraded,
-                        sched.cell as u32,
-                        iter as u32,
-                        1,
-                        vns(sync),
-                    );
-                    tels[0].metrics.degraded_iters.inc();
-                }
-            }
-            if !async_mode || iter == 0 {
-                // BSP (and the async bootstrap round, which blocks on its
-                // own generation): wait for the slowest live rank, then pay
-                // the transfer.
-                comm.allgather_seconds += xfer + (sync - live().fold(f64::INFINITY, f64::min));
-                for (c, clock) in clocks.iter_mut().enumerate() {
-                    if absent(c) {
-                        continue;
-                    }
-                    let before = clock.now();
-                    clock.sync_to(sync);
-                    clock.advance(xfer);
-                    // Gather time as a rank perceives it: wait + transfer.
-                    let d = clock.now() - before;
-                    profilers[c].record(Routine::Gather, std::time::Duration::from_secs_f64(d));
-                    let (cell, it) = (c as u32, iter as u32);
-                    tels[c].record_at(
-                        EventKind::ExchangeBegin,
-                        cell,
-                        it,
-                        iter as u64,
-                        vns(before),
-                    );
-                    tels[c].record_at(EventKind::GatherBegin, cell, it, 0, vns(before));
-                    tels[c].record_at(EventKind::GatherEnd, cell, it, vns(d), vns(clock.now()));
-                    tels[c].record_at(
-                        EventKind::ExchangeComplete,
-                        cell,
-                        it,
-                        iter as u64,
-                        vns(clock.now()),
-                    );
-                    tels[c].metrics.gather_ns.observe(vns(d));
-                    tels[c].metrics.exchange_wall_ns.add(vns(d));
-                }
-            } else {
-                // Overlapped exchange: generation `iter` is merely *begun*
-                // here; the rank blocks only until the in-flight generation
-                // `iter-1` completes. The exposed wait is whatever part of
-                // that exchange the previous compute phase failed to hide —
-                // usually nothing.
-                let min_live = live().fold(f64::INFINITY, f64::min);
-                comm.allgather_seconds += (pending_complete - min_live).max(0.0);
-                for (c, clock) in clocks.iter_mut().enumerate() {
-                    if absent(c) {
-                        continue;
-                    }
-                    let before = clock.now();
-                    clock.sync_to(pending_complete);
-                    let d = clock.now() - before;
-                    profilers[c].record(Routine::Gather, std::time::Duration::from_secs_f64(d));
-                    let (cell, it) = (c as u32, iter as u32);
-                    tels[c].record_at(
-                        EventKind::ExchangeBegin,
-                        cell,
-                        it,
-                        iter as u64,
-                        vns(ready[c]),
-                    );
-                    tels[c].record_at(EventKind::GatherBegin, cell, it, 0, vns(before));
-                    tels[c].record_at(EventKind::GatherEnd, cell, it, vns(d), vns(clock.now()));
-                    tels[c].record_at(
-                        EventKind::ExchangeComplete,
-                        cell,
-                        it,
-                        iter.saturating_sub(1) as u64,
-                        vns(clock.now()),
-                    );
-                    tels[c].metrics.gather_ns.observe(vns(d));
-                    tels[c]
-                        .metrics
-                        .exchange_wall_ns
-                        .add(vns(pending_complete - prev_submit[c]));
-                }
-            }
-            if async_mode {
-                // Generation `iter` completes once every contribution is in
-                // and the exchange thread (busy until `pending_complete`)
-                // has shipped it.
-                pending_complete = sync.max(pending_complete) + xfer;
-                for (c, &r) in ready.iter().enumerate() {
-                    if !absent(c) {
-                        prev_submit[c] = r;
-                    }
-                }
-            }
+                .collect(),
+            comm: CommStats::default(),
+            pending_complete: 0.0,
+            prev_submit: vec![0.0; cells],
+        };
 
-            // --- compute phases, measured on the host --------------------
-            for (c, engine) in engines.iter_mut().enumerate() {
-                if absent(c) {
-                    // The replacement already trained through this round in
-                    // its solo catch-up above.
-                    continue;
-                }
-                // Which frame this rank trains against: under async,
-                // iteration `i ≥ 1` consumes the completed generation-`i-1`
-                // frame; the rejoiner's first live iteration consumes the
-                // frozen death-frame instead (it never received generation
-                // `rejoin - 1`), exactly like the distributed pipeline.
-                let frame: &[CellSnapshot] = if async_mode
-                    && fault.is_some_and(|s| c == s.cell && iter == s.rejoin_round)
-                {
-                    &frozen_frame
-                } else if async_mode && iter >= 1 {
-                    &prev_snapshots
-                } else {
-                    &snapshots
+        while pipeline.iteration() < target {
+            let iter = pipeline.iteration();
+            if let Some(sched) = pending_kill.take_if(|s| s.kill_iter == iter) {
+                let cell = sched.cell;
+                let now = vns(vx.clocks[cell].now());
+                vx.tels[cell].record_at(EventKind::Kill, cell as u32, iter as u32, 0, now);
+                let data = make_data(cell);
+                let pool = Pool::new(cfg.training.workers_per_cell);
+                let replacement = match &victim_cut {
+                    Some(state) => CellEngine::from_state(cfg, data, pool, state),
+                    None => CellEngine::with_pool(cell, cfg, data, pool),
                 };
-                let neighbor_ids = grid.neighbors(c);
-                neighbor_scratch.resize_with(neighbor_ids.len(), CellSnapshot::empty);
-                for (slot, n) in neighbor_ids.into_iter().enumerate() {
-                    neighbor_scratch[slot].copy_from(&frame[n]);
+                // The kill lands before this round's snapshot, so the most
+                // recent frame is round kill_iter-1 — exactly the death-frame
+                // the fan-in root freezes and serves to the replacement.
+                let frozen = pipeline.latest_frame().to_vec();
+                pipeline.engines_mut()[cell] = replacement;
+                pipeline.rejoin(cell, sched.rejoin_round, frozen);
+                while pipeline.catching_up() {
+                    pipeline.step(&mut vx);
+                    vx.profilers[cell].merge(pipeline.step_profile(cell));
                 }
-                // Measure this iteration's phases into a scratch profiler,
-                // then charge them (speed-scaled) to the rank clock.
-                let mut scratch = Profiler::new();
-                engine.ingest_neighbors(&neighbor_scratch);
-                scratch.time(Routine::Mutate, || engine.mutate_phase());
-                scratch.time(Routine::Train, || engine.train_phase());
-                scratch.time(Routine::UpdateGenomes, || engine.update_phase());
-                engine.advance_iteration();
-                if fault.is_some_and(|s| c == s.cell && iter == s.rejoin_round) {
-                    tels[c].record_at(
-                        EventKind::Rejoin,
-                        c as u32,
-                        iter as u32,
-                        0,
-                        vns(clocks[c].now()),
-                    );
-                    tels[c].metrics.rejoined.inc();
-                }
-                let speed = speed_of(c);
-                let spans = [
-                    (Routine::Mutate, SpanKind::Mutate),
-                    (Routine::Train, SpanKind::Train),
-                    (Routine::UpdateGenomes, SpanKind::Update),
-                ];
-                for (r, span) in spans {
-                    let host = scratch.total(r).as_secs_f64();
-                    let t0 = clocks[c].now();
-                    clocks[c].advance(host * speed);
-                    profilers[c].record(r, std::time::Duration::from_secs_f64(host * speed));
-                    let d = clocks[c].now() - t0;
-                    let (cell, it) = (c as u32, iter as u32);
-                    tels[c].record_at(span.begin_kind(), cell, it, 0, vns(t0));
-                    tels[c].record_at(span.end_kind(), cell, it, vns(d), vns(clocks[c].now()));
-                    if r == Routine::Train {
-                        tels[c].metrics.train_ns.observe(vns(d));
-                    }
-                }
-                tels[c].metrics.iterations.inc();
             }
-            if let Some(sched) = fault {
+            pipeline.step(&mut vx);
+            for c in 0..cells {
+                if !vx.absent(c, iter) {
+                    vx.charge_compute(iter, c, pipeline.step_profile(c));
+                }
+            }
+            if let Some(sched) = fault.filter(|s| s.resume_cut == Some(iter + 1)) {
                 // The newest checkpoint cut the victim commits before dying
                 // — captured on its *original* trajectory, exactly what the
                 // replacement process restores from disk.
-                if sched.resume_cut == Some(iter + 1) {
-                    let mut state = engines[sched.cell].capture_state();
-                    if async_mode {
-                        // A cut at iteration `iter + 1` must carry the frame
-                        // that iteration consumes: generation `iter`, i.e.
-                        // this round's snapshots (captured before the swap).
-                        state.exchange_frame = snapshots.clone();
-                    }
-                    victim_cut = Some(state);
-                }
+                victim_cut = Some(pipeline.capture_cut(sched.cell, None));
             }
-            if async_mode {
-                // This round's frame becomes next iteration's stale input.
-                std::mem::swap(&mut snapshots, &mut prev_snapshots);
-            }
-            on_iteration(iter, &mut engines, if async_mode { &prev_snapshots } else { &[] });
+            let (engines, frame) = pipeline.engines_and_next_frame();
+            on_iteration(iter, engines, frame);
         }
 
         // Flush the virtual-time journals (same per-rank JSONL layout as
         // the distributed drivers, so `lipizzaner trace` merges either).
         if let Some(dir) = cfg.telemetry.dir.as_deref() {
-            for t in &tels {
+            for t in &vx.tels {
                 let path = Path::new(dir).join(format!("node{:02}.jsonl", t.rank()));
                 if let Err(e) = t.write_journal(&path) {
                     eprintln!("[sim] telemetry journal write failed: {e}");
@@ -492,34 +218,12 @@ impl SimulatedCluster {
 
         // Final result gather to the master (GLOBAL): after the slowest
         // slave finishes.
+        let VirtualExchange { clocks, profilers, mut comm, .. } = vx;
         let end = clocks.iter().map(|c| c.now()).fold(0.0, f64::max);
         let result_bytes = 1024usize; // fitness + mixture + profile rows
-        let final_gather = self.cost.gather(cells + 1, result_bytes);
-        comm.final_gather_seconds = final_gather;
-        let wall = end + final_gather;
+        comm.final_gather_seconds = self.cost.gather(cells + 1, result_bytes);
 
-        // Build the combined report (cells + best, mean per-rank profile).
-        let cell_results: Vec<CellResult> = engines
-            .iter_mut()
-            .enumerate()
-            .map(|(i, e)| {
-                let disc_pop = e.disc_population();
-                CellResult {
-                    cell: i,
-                    coords: grid.coords(i),
-                    gen_fitness: e.best_gen_fitness(),
-                    disc_fitness: disc_pop.members()[disc_pop.best_index()].fitness,
-                    mixture_weights: e.mixture().weights().to_vec(),
-                }
-            })
-            .collect();
-        let best_cell = cell_results
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.gen_fitness.partial_cmp(&b.gen_fitness).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map_or(0, |(i, _)| i);
+        // Mean per-rank profile.
         let mut mean_prof = Profiler::new();
         for p in &profilers {
             mean_prof.merge(p);
@@ -529,24 +233,190 @@ impl SimulatedCluster {
             row.seconds /= cells as f64;
         }
 
-        let report = TrainReport {
-            driver: "cluster-sim".into(),
-            grid: (grid.rows(), grid.cols()),
-            iterations: engines.first().map_or(0, |e| e.iterations_done()),
-            wall_seconds: wall,
+        let report = TrainReport::assemble(
+            "cluster-sim",
+            (grid.rows(), grid.cols()),
+            pipeline.iteration(),
+            end + comm.final_gather_seconds,
             profile,
-            cells: cell_results,
-            best_cell,
-        };
+            pipeline.engines().iter().map(|e| CellResult::of(e, &grid)).collect(),
+        );
         SimOutcome {
             report,
-            placement,
             rank_clocks: clocks.iter().map(|c| c.now()).collect(),
             comm,
             host_seconds: host_start.elapsed().as_secs_f64(),
-            ensembles: engines.iter_mut().map(|e| e.ensemble()).collect(),
+            ensembles: pipeline.engines_mut().iter_mut().map(|e| e.ensemble()).collect(),
+            placement,
         }
     }
+}
+
+/// Virtual seconds as journal nanoseconds.
+fn vns(t: f64) -> u64 {
+    (t.max(0.0) * 1e9) as u64
+}
+
+/// The virtual-time [`Exchange`]: every cell is local to the simulating
+/// host, so a generation's snapshots are already where the pipeline reads
+/// them; what the allgather would *cost* on the cluster is charged to the
+/// rank clocks through the cost model, once per iteration, at `begin`.
+struct VirtualExchange<'a> {
+    cost: &'a CommCost,
+    opts: &'a SimulationOptions,
+    placement: &'a Placement,
+    fault: Option<ReplacementSchedule>,
+    async_mode: bool,
+    clocks: Vec<RankClock>,
+    /// Per-rank Table IV profile on the virtual clock.
+    profilers: Vec<Profiler>,
+    tels: Vec<Telemetry>,
+    comm: CommStats,
+    /// Virtual completion time of the in-flight generation (the frame the
+    /// *next* iteration consumes); restarts at zero on resume, like every
+    /// other clock.
+    pending_complete: f64,
+    /// When each rank posted the in-flight generation, for the
+    /// exchange-wall metric.
+    prev_submit: Vec<f64>,
+}
+
+impl VirtualExchange<'_> {
+    /// Is `cell` the dead rank inside its absence window at `iter`?
+    fn absent(&self, cell: usize, iter: usize) -> bool {
+        self.fault
+            .is_some_and(|s| cell == s.cell && iter >= s.kill_iter && iter < s.rejoin_round)
+    }
+
+    fn speed_of(&self, cell: usize) -> f64 {
+        let mut speed = self.placement.speed_of(cell + 1);
+        if let Some((victim, slowdown)) = self.opts.straggler {
+            if victim == cell {
+                speed *= slowdown.max(1.0);
+            }
+        }
+        speed
+    }
+
+    /// Charge `cell`'s compute phases of iteration `iter` — measured on the
+    /// host by the pipeline — speed-scaled to its rank clock.
+    fn charge_compute(&mut self, iter: usize, cell: usize, measured: &Profiler) {
+        let (c, it) = (cell as u32, iter as u32);
+        let speed = self.speed_of(cell);
+        let tel = &mut self.tels[cell];
+        let clock = &mut self.clocks[cell];
+        if self.fault.is_some_and(|s| cell == s.cell && iter == s.rejoin_round) {
+            tel.record_at(EventKind::Rejoin, c, it, 0, vns(clock.now()));
+            tel.metrics.rejoined.inc();
+        }
+        let spans = [
+            (Routine::Mutate, SpanKind::Mutate),
+            (Routine::Train, SpanKind::Train),
+            (Routine::UpdateGenomes, SpanKind::Update),
+        ];
+        for (r, span) in spans {
+            let virt = measured.total(r).as_secs_f64() * speed;
+            let t0 = clock.now();
+            clock.advance(virt);
+            self.profilers[cell].record(r, Duration::from_secs_f64(virt));
+            let d = clock.now() - t0;
+            tel.record_at(span.begin_kind(), c, it, 0, vns(t0));
+            tel.record_at(span.end_kind(), c, it, vns(d), vns(clock.now()));
+            if r == Routine::Train {
+                tel.metrics.train_ns.observe(vns(d));
+            }
+        }
+        tel.metrics.iterations.inc();
+    }
+}
+
+impl Exchange for VirtualExchange<'_> {
+    /// Gather accounting for iteration `iter`: snapshot cost, then the
+    /// allgather — a sync point in sync mode and at the async bootstrap, the
+    /// exposed wait on the in-flight generation otherwise.
+    fn begin(&mut self, iter: usize, frame: &[CellSnapshot], costs: &[Duration]) {
+        let cells = self.clocks.len();
+        let live: Vec<usize> = (0..cells).filter(|&c| !self.absent(c, iter)).collect();
+        let mut posted_at = vec![0.0f64; cells];
+        let mut max_bytes = 0usize;
+        for &c in &live {
+            let virt = costs[c].as_secs_f64() * self.speed_of(c);
+            self.clocks[c].advance(virt + self.opts.per_iteration_overhead);
+            posted_at[c] = self.clocks[c].now();
+            max_bytes = max_bytes.max(frame[c].wire_size());
+        }
+        // Allgather: every *live* rank waits for the slowest of them, then
+        // pays the transfer cost (a dead rank neither delays the sync nor
+        // counts as the fastest participant).
+        let sync = live.iter().map(|&c| posted_at[c]).fold(0.0, f64::max);
+        let min_live = live.iter().map(|&c| posted_at[c]).fold(f64::INFINITY, f64::min);
+        let xfer = self.cost.allgather(cells, max_bytes);
+        self.comm.allgather_bytes += max_bytes * cells;
+        if let Some(sched) = self.fault.filter(|s| self.absent(s.cell, iter)) {
+            // The fan-in root (slave rank 1 / cell 0) substitutes the
+            // victim's frozen payload this round.
+            self.tels[0].record_at(
+                EventKind::Degraded,
+                sched.cell as u32,
+                iter as u32,
+                1,
+                vns(sync),
+            );
+            self.tels[0].metrics.degraded_iters.inc();
+        }
+        // BSP (and the async bootstrap round, which blocks on its own
+        // generation): wait for the slowest live rank, then pay the
+        // transfer. Overlapped: generation `iter` is merely *begun* here;
+        // the rank blocks only until the in-flight generation `iter-1`
+        // completes — whatever part of that exchange the previous compute
+        // phase failed to hide, usually nothing.
+        let blocking = !self.async_mode || iter == 0;
+        self.comm.allgather_seconds += if blocking {
+            xfer + (sync - min_live)
+        } else {
+            (self.pending_complete - min_live).max(0.0)
+        };
+        for &c in &live {
+            let clock = &mut self.clocks[c];
+            let before = clock.now();
+            let (posted, consumed, exchange_wall) = if blocking {
+                clock.sync_to(sync);
+                clock.advance(xfer);
+                (before, iter, clock.now() - before)
+            } else {
+                clock.sync_to(self.pending_complete);
+                (posted_at[c], iter - 1, self.pending_complete - self.prev_submit[c])
+            };
+            // Gather time as a rank perceives it: wait (+ transfer).
+            let d = clock.now() - before;
+            self.profilers[c].record(Routine::Gather, Duration::from_secs_f64(d));
+            let (cell, it) = (c as u32, iter as u32);
+            let tel = &mut self.tels[c];
+            tel.record_at(EventKind::ExchangeBegin, cell, it, iter as u64, vns(posted));
+            tel.record_at(EventKind::GatherBegin, cell, it, 0, vns(before));
+            tel.record_at(EventKind::GatherEnd, cell, it, vns(d), vns(clock.now()));
+            tel.record_at(
+                EventKind::ExchangeComplete,
+                cell,
+                it,
+                consumed as u64,
+                vns(clock.now()),
+            );
+            tel.metrics.gather_ns.observe(vns(d));
+            tel.metrics.exchange_wall_ns.add(vns(exchange_wall));
+        }
+        if self.async_mode {
+            // Generation `iter` completes once every contribution is in
+            // and the exchange thread (busy until `pending_complete`) has
+            // shipped it.
+            self.pending_complete = sync.max(self.pending_complete) + xfer;
+            for &c in &live {
+                self.prev_submit[c] = posted_at[c];
+            }
+        }
+    }
+
+    fn complete(&mut self, _gen: usize, _frame: &mut Vec<CellSnapshot>, _tel: &mut Telemetry) {}
 }
 
 #[cfg(test)]

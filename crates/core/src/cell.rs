@@ -396,15 +396,6 @@ impl CellEngine {
         self.iteration += 1;
     }
 
-    /// Advance the iteration counter — for drivers that invoke the phases
-    /// individually (the virtual-time simulator times each phase itself)
-    /// instead of through [`CellEngine::run_iteration`]. Must be called
-    /// exactly once per gather/mutate/train/update cycle to keep the
-    /// mixture-evolution schedule aligned with the other drivers.
-    pub fn advance_iteration(&mut self) {
-        self.iteration += 1;
-    }
-
     // ---- phase 1: gather --------------------------------------------------
 
     /// Refresh import slots with the latest neighbor centers.

@@ -32,9 +32,11 @@
 //! [`sequential::SequentialTrainer`] runs every cell in one process — the
 //! "single core" baseline of Table III. The distributed master/slave driver
 //! lives in `lipiz-runtime`, and the virtual-time cluster driver in
-//! `lipiz-cluster`; all three share [`cell::CellEngine`] and are
-//! bit-identical given the same [`config::TrainConfig`] (asserted by
-//! integration tests).
+//! `lipiz-cluster`. All three run the *same* per-iteration schedule —
+//! [`pipeline::Pipeline`] over their own [`pipeline::Exchange`] — around
+//! the same [`cell::CellEngine`], so they are bit-identical given the same
+//! [`config::TrainConfig`] by construction (and the integration tests keep
+//! asserting it).
 //!
 //! # Example
 //!
@@ -57,6 +59,7 @@ pub mod config;
 pub mod individual;
 pub mod mixture;
 pub mod persist;
+pub mod pipeline;
 pub mod profiling;
 pub mod report;
 pub mod resume;
@@ -72,6 +75,7 @@ pub use config::{
 };
 pub use individual::{Individual, SubPopulation};
 pub use mixture::{EnsembleModel, MixtureWeights};
+pub use pipeline::{Exchange, InMemoryExchange, Pipeline};
 pub use profiling::{ProfileReport, Profiler, Routine};
 pub use report::{CellResult, TrainReport};
 pub use resume::CellState;

@@ -1,0 +1,752 @@
+//! The iteration pipeline every driver runs — one schedule, three
+//! transports.
+//!
+//! The paper's method is a single per-iteration schedule (Fig. 3,
+//! Table IV): snapshot the local centers, exchange them with the rest of
+//! the grid, then gather → mutate → train → update each local cell against
+//! the exchanged frame. [`Pipeline`] owns that schedule once — the local
+//! [`CellEngine`]s, the precomputed neighbour table, the two recycled
+//! frame buffers, the frame-selection rule ([`select_frame`]), the frame a
+//! checkpoint cut carries, resume re-entry, and a replacement's solo
+//! catch-up — and talks to the rest of the grid only through the small
+//! [`Exchange`] trait. The sequential trainer plugs in
+//! [`InMemoryExchange`] (every cell is local, nothing moves), the
+//! master/slave runtime a `Comm`-backed exchange, the cluster simulator a
+//! virtual-time one; cross-driver byte-identity holds because there is no
+//! second copy of the schedule to drift.
+//!
+//! ```text
+//!            ┌────────────── step(iter = i) ──────────────┐
+//!  snapshot local cells ─► begin(i) ─► frame for i ─► train local cells
+//!                                        │
+//!      sync, or i = 0 ......... complete(i)   → generation i
+//!      async, i ≥ 1 ........... complete(i-1) → generation i-1  (unless a
+//!                               commit boundary already drained it)
+//!      catch-up, or a rejoiner's
+//!      first live async iteration ........... → the frozen death-frame
+//! ```
+
+use crate::cell::CellEngine;
+use crate::config::{ExchangeMode, TrainConfig};
+use crate::profiling::{Profiler, Routine};
+use crate::resume::CellState;
+use crate::snapshot::CellSnapshot;
+use crate::topology::Grid;
+use lipiz_telemetry::{EventKind, SpanKind, Telemetry, NO_CELL};
+use lipiz_tensor::{Matrix, Pool};
+use std::time::{Duration, Instant};
+
+/// How one generation of center snapshots travels between the ranks of a
+/// run. `begin` and `complete` are called by [`Pipeline::step`] only:
+/// `begin(g)` exactly once per live iteration `g`, in order; `complete(g)`
+/// at most once per generation, after `begin(g)`, and never for a
+/// generation the rank did not begin.
+pub trait Exchange {
+    /// Post generation `gen` without waiting for it. `frame` has one slot
+    /// per grid cell; the slots of this rank's local cells hold their fresh
+    /// snapshots. `costs[k]` is the host time local engine `k` spent
+    /// producing its snapshot — the input of a cost-model exchange;
+    /// transports ignore it.
+    fn begin(&mut self, gen: usize, frame: &[CellSnapshot], costs: &[Duration]);
+
+    /// Block until generation `gen` is complete and leave every cell's
+    /// snapshot in `frame` — the buffer `begin(gen)` saw (a transport may
+    /// replace it wholesale). `tel` is the rank's recorder, for what only
+    /// the transport knows (which ranks it had to substitute).
+    fn complete(&mut self, gen: usize, frame: &mut Vec<CellSnapshot>, tel: &mut Telemetry);
+}
+
+/// The exchange of a rank that hosts the whole grid: every slot is local,
+/// so a generation is complete the moment it is snapshotted.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InMemoryExchange;
+
+impl Exchange for InMemoryExchange {
+    fn begin(&mut self, _gen: usize, _frame: &[CellSnapshot], _costs: &[Duration]) {}
+
+    fn complete(&mut self, _gen: usize, _frame: &mut Vec<CellSnapshot>, _tel: &mut Telemetry) {}
+}
+
+/// Which frame an engine trains against at a given iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameChoice {
+    /// The exchanged snapshots of this generation.
+    Generation(usize),
+    /// The frozen frame of the round before a replaced rank died.
+    DeathFrame,
+}
+
+/// The frame-selection rule — the only copy. `rejoin_round` is `Some` for
+/// a replacement engine: it trains solo against the death-frame until its
+/// counter reaches that round, and under async exchange also on its first
+/// live iteration (it never received generation `rejoin_round - 1`).
+/// Everyone else consumes generation `iter` in sync mode and at the async
+/// bootstrap iteration 0, generation `iter - 1` otherwise.
+pub fn select_frame(
+    mode: ExchangeMode,
+    iter: usize,
+    rejoin_round: Option<usize>,
+) -> FrameChoice {
+    let stale = mode.is_async() && iter >= 1;
+    match rejoin_round {
+        Some(round) if iter < round || (iter == round && stale) => FrameChoice::DeathFrame,
+        _ if stale => FrameChoice::Generation(iter - 1),
+        _ => FrameChoice::Generation(iter),
+    }
+}
+
+/// Capture `engine`'s training state — into `recycled` when the caller has
+/// a spent buffer — and stamp the cut with `frame`, the exchange frame its
+/// next iteration consumes (empty in sync mode, which also clears a stale
+/// frame left in a recycled buffer).
+pub fn capture_with_frame(
+    engine: &mut CellEngine,
+    frame: &[CellSnapshot],
+    recycled: Option<CellState>,
+) -> CellState {
+    let mut state = match recycled {
+        Some(mut state) => {
+            engine.capture_state_into(&mut state);
+            state
+        }
+        None => engine.capture_state(),
+    };
+    state.exchange_frame.resize_with(frame.len(), CellSnapshot::empty);
+    for (dst, src) in state.exchange_frame.iter_mut().zip(frame) {
+        dst.copy_from(src);
+    }
+    state
+}
+
+/// A replacement engine's catch-up: local engine `local` trains against
+/// `frozen` until its counter reaches `round`.
+struct Rejoin {
+    local: usize,
+    round: usize,
+    frozen: Vec<CellSnapshot>,
+}
+
+/// The driver-agnostic iteration state machine (see the module docs).
+pub struct Pipeline {
+    cfg: TrainConfig,
+    engines: Vec<CellEngine>,
+    /// `neighbors[k]`: the frame slots local engine `k` imports, in
+    /// neighbour-slot order.
+    neighbors: Vec<Vec<usize>>,
+    /// Per grid cell: does this rank host it?
+    hosted: Vec<bool>,
+    /// The generation being gathered (and, in sync mode, consumed).
+    cur: Vec<CellSnapshot>,
+    /// Async only: the previous generation — what the next iteration
+    /// consumes, and what a checkpoint cut carries.
+    prev: Vec<CellSnapshot>,
+    /// Is `prev` complete (bootstrap, resume, or a commit-boundary drain)?
+    prev_complete: bool,
+    /// Recycled neighbour fan-out buffer.
+    scratch: Vec<CellSnapshot>,
+    rejoin: Option<Rejoin>,
+    /// Host time of each local engine's last snapshot.
+    snapshot_costs: Vec<Duration>,
+    /// Each local engine's profile of the last step alone.
+    step_profiles: Vec<Profiler>,
+    /// The rank's run profile: every step profile plus the exchange span.
+    profile: Profiler,
+    telemetry: Telemetry,
+    /// Cell the rank-level spans are journaled under.
+    span_cell: u32,
+    /// When the in-flight async generation was posted.
+    inflight_submit: Option<Instant>,
+}
+
+impl Pipeline {
+    /// A pipeline over this rank's local `engines` (any subset of the
+    /// grid, each at the same iteration). `telemetry` is the rank's
+    /// recorder; pass a disabled one to time without journaling.
+    pub fn new(cfg: &TrainConfig, engines: Vec<CellEngine>, mut telemetry: Telemetry) -> Self {
+        let grid = Grid::from_config(&cfg.grid);
+        let neighbors = engines.iter().map(|e| grid.neighbors(e.cell_index())).collect();
+        let mut hosted = vec![false; cfg.cells()];
+        for e in &engines {
+            hosted[e.cell_index()] = true;
+        }
+        let span_cell = match engines.as_slice() {
+            [only] => only.cell_index() as u32,
+            _ => NO_CELL,
+        };
+        if cfg.exchange.is_async() {
+            telemetry.metrics.staleness.set(1);
+        }
+        Self {
+            cfg: cfg.clone(),
+            neighbors,
+            hosted,
+            cur: Vec::new(),
+            prev: Vec::new(),
+            prev_complete: false,
+            scratch: Vec::new(),
+            rejoin: None,
+            snapshot_costs: vec![Duration::ZERO; engines.len()],
+            step_profiles: vec![Profiler::new(); engines.len()],
+            profile: Profiler::new(),
+            engines,
+            telemetry,
+            span_cell,
+            inflight_submit: None,
+        }
+    }
+
+    /// The whole grid as one rank, every engine on one shared worker pool
+    /// (the cells run one after another, so they can share the resident
+    /// threads): fresh engines, or — the resume path — engines restored from
+    /// `resume`, the captured per-cell states in flat grid order, whose
+    /// exchange frame re-primes the pipeline. `make_data` supplies each
+    /// cell's dataset either way.
+    ///
+    /// # Panics
+    /// Panics if `resume` disagrees with the grid: wrong count, out of cell
+    /// order, or a torn iteration cut (see
+    /// [`crate::resume::assert_grid_states`]).
+    pub fn whole_grid(
+        cfg: &TrainConfig,
+        mut make_data: impl FnMut(usize) -> Matrix,
+        resume: Option<&[CellState]>,
+        telemetry: Telemetry,
+    ) -> Self {
+        let pool = Pool::new(cfg.training.workers_per_cell);
+        let Some(states) = resume else {
+            let engines = (0..cfg.cells())
+                .map(|i| CellEngine::with_pool(i, cfg, make_data(i), pool.clone()))
+                .collect();
+            return Self::new(cfg, engines, telemetry);
+        };
+        crate::resume::assert_grid_states(states, cfg.cells());
+        let engines = states
+            .iter()
+            .enumerate()
+            .map(|(i, s)| CellEngine::from_state(cfg, make_data(i), pool.clone(), s))
+            .collect();
+        let mut pipeline = Self::new(cfg, engines, telemetry);
+        // Every cell stored the identical exchange frame.
+        pipeline.resume_from(states[0].exchange_frame.clone());
+        pipeline
+    }
+
+    /// Re-enter the pipeline from a checkpoint cut: `frame` is the cut's
+    /// [`CellState::exchange_frame`] — under async exchange the completed
+    /// generation the first resumed iteration consumes (ignored in sync
+    /// mode, where every iteration gathers its own).
+    ///
+    /// # Panics
+    /// Panics if an async run resumes past iteration 0 without the frame.
+    pub fn resume_from(&mut self, frame: Vec<CellSnapshot>) {
+        if !self.cfg.exchange.is_async() {
+            return;
+        }
+        assert!(
+            self.iteration() == 0 || frame.len() == self.cfg.cells(),
+            "async resume needs the checkpointed exchange frame"
+        );
+        self.prev = frame;
+        self.prev_complete = true;
+    }
+
+    /// Make local engine `local` a replacement: until its counter reaches
+    /// `round`, [`Pipeline::step`] trains it solo against `frozen` (the
+    /// death-frame) and touches no exchange.
+    pub fn rejoin(&mut self, local: usize, round: usize, frozen: Vec<CellSnapshot>) {
+        assert_eq!(frozen.len(), self.cfg.cells(), "death-frame size vs grid");
+        self.rejoin = Some(Rejoin { local, round, frozen });
+    }
+
+    /// Is the next step a replacement's solo catch-up iteration?
+    pub fn catching_up(&self) -> bool {
+        self.rejoin.as_ref().is_some_and(|r| self.engines[r.local].iterations_done() < r.round)
+    }
+
+    /// The iteration the next step runs: the count the slowest local
+    /// engine has completed.
+    pub fn iteration(&self) -> usize {
+        self.engines.iter().map(CellEngine::iterations_done).min().unwrap_or(0)
+    }
+
+    /// Run one iteration: a replacement's solo catch-up iteration while
+    /// [`Pipeline::catching_up`], otherwise the live schedule of the
+    /// module docs over `ex`. A local engine that is ahead of the grid (a
+    /// replacement that already trained through the absence window) sits
+    /// the round out and contributes its death-frame slot.
+    pub fn step<E: Exchange>(&mut self, ex: &mut E) {
+        if self.catching_up() {
+            return self.catch_up_step();
+        }
+        let iter = self.iteration();
+        let it = iter as u32;
+        let cells = self.cfg.cells();
+        let stale = self.cfg.exchange.is_async() && iter >= 1;
+
+        // Everything up to the consumed frame being in hand is the gather
+        // routine, exactly as Table IV charges the allgather.
+        let span = self.telemetry.begin(SpanKind::Gather, self.span_cell, it);
+        self.cur.resize_with(cells, CellSnapshot::empty);
+        // Slots of cells hosted elsewhere are placeholders until `complete`
+        // fills them: release what an earlier generation left there, so a
+        // rank never holds more decoded frames than it reads from.
+        for (slot, _) in self.cur.iter_mut().zip(&self.hosted).filter(|(_, &hosted)| !hosted) {
+            *slot = CellSnapshot::empty();
+        }
+        for (k, engine) in self.engines.iter_mut().enumerate() {
+            let cell = engine.cell_index();
+            if engine.iterations_done() > iter {
+                let frozen =
+                    &self.rejoin.as_ref().expect("only a replacement runs ahead").frozen;
+                self.cur[cell].copy_from(&frozen[cell]);
+                self.snapshot_costs[k] = Duration::ZERO;
+                continue;
+            }
+            let t0 = Instant::now();
+            engine.snapshot_into(&mut self.cur[cell]);
+            self.snapshot_costs[k] = t0.elapsed();
+        }
+        self.telemetry.instant(EventKind::ExchangeBegin, self.span_cell, it, iter as u64);
+        let submit = Instant::now();
+        ex.begin(iter, &self.cur, &self.snapshot_costs);
+        let prev_submit = self.inflight_submit.replace(submit);
+        if !stale {
+            ex.complete(iter, &mut self.cur, &mut self.telemetry);
+        } else if !self.prev_complete && self.consumes_previous(iter) {
+            ex.complete(iter - 1, &mut self.prev, &mut self.telemetry);
+            self.prev_complete = true;
+        }
+        // Submit-to-consume wall of the consumed generation.
+        let since = if stale { prev_submit.unwrap_or(submit) } else { submit };
+        self.telemetry.metrics.exchange_wall_ns.add(since.elapsed().as_nanos() as u64);
+        let consumed = iter - usize::from(stale);
+        self.telemetry.instant(
+            EventKind::ExchangeComplete,
+            self.span_cell,
+            it,
+            consumed as u64,
+        );
+        let elapsed = self.telemetry.end(SpanKind::Gather, self.span_cell, it, span);
+        self.profile.record(Routine::Gather, elapsed);
+
+        for (k, engine) in self.engines.iter_mut().enumerate() {
+            if engine.iterations_done() > iter {
+                continue;
+            }
+            let frame =
+                match select_frame(self.cfg.exchange, iter, rejoin_round(&self.rejoin, k)) {
+                    FrameChoice::Generation(g) if g == iter => &self.cur,
+                    FrameChoice::Generation(_) => &self.prev,
+                    FrameChoice::DeathFrame => &self.rejoin.as_ref().expect("rejoiner").frozen,
+                };
+            assert_eq!(frame.len(), cells, "exchange frame lost a generation");
+            fan_out(frame, &self.neighbors[k], &mut self.scratch);
+            self.step_profiles[k] = Profiler::new();
+            engine.run_iteration_with(
+                &self.scratch,
+                &mut self.step_profiles[k],
+                &mut self.telemetry,
+            );
+            self.profile.merge(&self.step_profiles[k]);
+        }
+
+        if self.cfg.exchange.is_async() {
+            // Generation `iter` becomes what iteration `iter + 1` consumes.
+            std::mem::swap(&mut self.cur, &mut self.prev);
+            self.prev_complete = !stale;
+            // A commit boundary drains the in-flight generation so the cut
+            // can carry it. The drain point is a pure function of the
+            // config, so uninterrupted and resumed runs stay byte-identical.
+            if self.cfg.checkpoint.commits_after(iter) && !self.prev_complete {
+                ex.complete(iter, &mut self.prev, &mut self.telemetry);
+                self.prev_complete = true;
+            }
+        }
+    }
+
+    /// Does any local engine that runs iteration `iter` train against
+    /// generation `iter - 1`?
+    fn consumes_previous(&self, iter: usize) -> bool {
+        self.engines.iter().enumerate().any(|(k, e)| {
+            e.iterations_done() == iter
+                && select_frame(self.cfg.exchange, iter, rejoin_round(&self.rejoin, k))
+                    == FrameChoice::Generation(iter - 1)
+        })
+    }
+
+    /// One solo iteration of the replacement engine against the frozen
+    /// death-frame: no exchange, so the survivors' cadence is never
+    /// perturbed, and the same frame every time keeps the replay a pure
+    /// function of (seed, plan).
+    fn catch_up_step(&mut self) {
+        let r = self.rejoin.as_ref().expect("catching up implies a rejoin");
+        let engine = &mut self.engines[r.local];
+        let cell = engine.cell_index() as u32;
+        let iter = engine.iterations_done() as u32;
+        self.telemetry.instant(EventKind::Degraded, cell, iter, cell as u64);
+        self.telemetry.metrics.degraded_iters.inc();
+        fan_out(&r.frozen, &self.neighbors[r.local], &mut self.scratch);
+        let profile = &mut self.step_profiles[r.local];
+        *profile = Profiler::new();
+        engine.run_iteration_with(&self.scratch, profile, &mut self.telemetry);
+        self.profile.merge(profile);
+        if engine.iterations_done() == r.round {
+            self.telemetry.metrics.rejoined.inc();
+            self.telemetry.instant(EventKind::Rejoin, cell, r.round as u32, 0);
+        }
+    }
+
+    /// The local engines, in construction order.
+    pub fn engines(&self) -> &[CellEngine] {
+        &self.engines
+    }
+
+    /// Mutable access to the local engines.
+    pub fn engines_mut(&mut self) -> &mut [CellEngine] {
+        &mut self.engines
+    }
+
+    /// The local engines together with the frame the next iteration
+    /// consumes — what a per-iteration driver hook sees. The frame is empty
+    /// in sync mode (the next iteration gathers its own) and complete
+    /// whenever the config commits a checkpoint at this boundary.
+    pub fn engines_and_next_frame(&mut self) -> (&mut [CellEngine], &[CellSnapshot]) {
+        let lead = self.iteration();
+        let k = self.engines.iter().position(|e| e.iterations_done() == lead).unwrap_or(0);
+        let frame = next_frame(self.cfg.exchange, &self.rejoin, &self.prev, k, lead);
+        (&mut self.engines, frame)
+    }
+
+    /// The most recently gathered generation (the death-frame a fan-in
+    /// root freezes when a rank dies at the top of the next iteration).
+    pub fn latest_frame(&self) -> &[CellSnapshot] {
+        if self.cfg.exchange.is_async() {
+            &self.prev
+        } else {
+            &self.cur
+        }
+    }
+
+    /// Capture local engine `k` at this iteration boundary as a checkpoint
+    /// cut carrying the frame its next iteration consumes. Charged to the
+    /// "other" routine: capture is the only checkpoint cost on the training
+    /// thread.
+    pub fn capture_cut(&mut self, k: usize, recycled: Option<CellState>) -> CellState {
+        let t0 = Instant::now();
+        let next_iter = self.engines[k].iterations_done();
+        let frame = next_frame(self.cfg.exchange, &self.rejoin, &self.prev, k, next_iter);
+        let state = capture_with_frame(&mut self.engines[k], frame, recycled);
+        self.profile.record(Routine::Other, t0.elapsed());
+        state
+    }
+
+    /// Local engine `k`'s profile of the last step alone (what a
+    /// virtual-time driver charges to that rank's clock).
+    pub fn step_profile(&self, k: usize) -> &Profiler {
+        &self.step_profiles[k]
+    }
+
+    /// The rank's accumulated run profile.
+    pub fn profile(&self) -> &Profiler {
+        &self.profile
+    }
+
+    /// The rank's telemetry recorder.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    /// Mutable recorder access, for a driver that journals its own
+    /// instants (checkpoint commits, a scripted kill) on this timeline.
+    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
+        &mut self.telemetry
+    }
+}
+
+/// The rejoin round of local engine `k`, if it is the replacement.
+fn rejoin_round(rejoin: &Option<Rejoin>, k: usize) -> Option<usize> {
+    rejoin.as_ref().filter(|r| r.local == k).map(|r| r.round)
+}
+
+/// The frame local engine `k` consumes at `next_iter`, as a checkpoint cut
+/// stores it: nothing in sync mode, else the death-frame or the previous
+/// generation.
+fn next_frame<'a>(
+    mode: ExchangeMode,
+    rejoin: &'a Option<Rejoin>,
+    prev: &'a [CellSnapshot],
+    k: usize,
+    next_iter: usize,
+) -> &'a [CellSnapshot] {
+    if !mode.is_async() {
+        return &[];
+    }
+    match select_frame(mode, next_iter, rejoin_round(rejoin, k)) {
+        FrameChoice::DeathFrame => &rejoin.as_ref().expect("rejoiner").frozen,
+        FrameChoice::Generation(_) => prev,
+    }
+}
+
+/// Copy the `slots` of `frame` into the recycled fan-out buffer, in
+/// neighbour-slot order.
+fn fan_out(frame: &[CellSnapshot], slots: &[usize], out: &mut Vec<CellSnapshot>) {
+    out.resize_with(slots.len(), CellSnapshot::empty);
+    for (dst, &n) in out.iter_mut().zip(slots) {
+        dst.copy_from(&frame[n]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lipiz_tensor::Rng64;
+    use Call::{Begin, Complete};
+    use FrameChoice::{DeathFrame, Generation};
+
+    fn toy_data(cfg: &TrainConfig) -> Matrix {
+        let mut rng = Rng64::seed_from(cfg.training.data_seed);
+        rng.uniform_matrix(cfg.training.dataset_size, cfg.network.data_dim, -0.9, 0.9)
+    }
+
+    fn fresh_engine(cfg: &TrainConfig, cell: usize) -> CellEngine {
+        CellEngine::new(cell, cfg, toy_data(cfg))
+    }
+
+    /// The whole 2×2 smoke grid as one rank.
+    fn whole_grid(cfg: &TrainConfig) -> Pipeline {
+        Pipeline::whole_grid(cfg, |_| toy_data(cfg), None, Telemetry::disabled())
+    }
+
+    fn async_cfg() -> TrainConfig {
+        TrainConfig::smoke(2).with_exchange(ExchangeMode::Async)
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Begin(usize),
+        Complete(usize),
+    }
+
+    /// Records the calls the pipeline makes. Every cell is local in these
+    /// tests, so the frames need no filling in.
+    #[derive(Default)]
+    struct Script(Vec<Call>);
+
+    impl Exchange for Script {
+        fn begin(&mut self, gen: usize, frame: &[CellSnapshot], costs: &[Duration]) {
+            assert_eq!((frame.len(), costs.len()), (4, 4));
+            self.0.push(Begin(gen));
+        }
+
+        fn complete(&mut self, gen: usize, _: &mut Vec<CellSnapshot>, _: &mut Telemetry) {
+            self.0.push(Complete(gen));
+        }
+    }
+
+    fn steps(pipeline: &mut Pipeline, script: &mut Script, n: usize) {
+        for _ in 0..n {
+            pipeline.step(script);
+        }
+    }
+
+    fn genomes(pipeline: &mut Pipeline) -> Vec<Vec<Vec<f32>>> {
+        pipeline.engines_mut().iter_mut().map(|e| e.ensemble().genomes).collect()
+    }
+
+    #[test]
+    fn frame_selection_table() {
+        use ExchangeMode::{Async, Sync};
+        // mode × {iteration 0, 1, n} × {live or resumed (no rejoin round),
+        // catching up, rejoiner's first live iteration, rejoiner afterwards}.
+        // A resumed engine is a live one: what differs is only that its
+        // first frame comes from the checkpoint (see the script tests).
+        let table = [
+            (Sync, 0, None, Generation(0)),
+            (Sync, 1, None, Generation(1)),
+            (Sync, 7, None, Generation(7)),
+            (Async, 0, None, Generation(0)),
+            (Async, 1, None, Generation(0)),
+            (Async, 7, None, Generation(6)),
+            (Sync, 0, Some(7), DeathFrame),
+            (Sync, 6, Some(7), DeathFrame),
+            (Async, 0, Some(7), DeathFrame),
+            (Async, 6, Some(7), DeathFrame),
+            (Sync, 7, Some(7), Generation(7)),
+            (Async, 7, Some(7), DeathFrame),
+            (Async, 1, Some(1), DeathFrame),
+            (Sync, 8, Some(7), Generation(8)),
+            (Async, 8, Some(7), Generation(7)),
+        ];
+        for (mode, iter, rejoin_round, want) in table {
+            assert_eq!(
+                select_frame(mode, iter, rejoin_round),
+                want,
+                "{mode:?} iteration {iter} rejoin {rejoin_round:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sync_completes_every_generation_inline() {
+        let mut script = Script::default();
+        steps(&mut whole_grid(&TrainConfig::smoke(2)), &mut script, 3);
+        assert_eq!(
+            script.0,
+            [Begin(0), Complete(0), Begin(1), Complete(1), Begin(2), Complete(2)]
+        );
+    }
+
+    #[test]
+    fn async_consumes_one_generation_behind() {
+        let mut script = Script::default();
+        steps(&mut whole_grid(&async_cfg()), &mut script, 4);
+        let want =
+            [Begin(0), Complete(0), Begin(1), Begin(2), Complete(1), Begin(3), Complete(2)];
+        assert_eq!(script.0, want);
+    }
+
+    #[test]
+    fn async_commit_boundary_drains_the_inflight_generation() {
+        // Cuts after iterations 1 and 3: each drains the generation just
+        // begun, so the iteration after it has nothing left to complete.
+        let cfg = async_cfg().with_checkpoints("never-written", 2);
+        let mut pipeline = whole_grid(&cfg);
+        let mut script = Script::default();
+        steps(&mut pipeline, &mut script, 4);
+        let want = [
+            Begin(0),
+            Complete(0),
+            Begin(1),
+            Complete(1),
+            Begin(2),
+            Begin(3),
+            Complete(2),
+            Complete(3),
+        ];
+        assert_eq!(script.0, want);
+        let (_, frame) = pipeline.engines_and_next_frame();
+        assert_eq!(frame.len(), 4, "an async cut carries the next frame");
+        assert!(frame.iter().enumerate().all(|(c, snap)| snap.cell == c));
+    }
+
+    #[test]
+    fn async_resume_reenters_without_recompleting_the_cut_frame() {
+        let mut cfg = async_cfg().with_checkpoints("never-written", 2);
+        cfg.coevolution.iterations = 4;
+        let mut reference = whole_grid(&cfg);
+        steps(&mut reference, &mut Script::default(), 4);
+
+        let mut first = whole_grid(&cfg);
+        steps(&mut first, &mut Script::default(), 2);
+        let cuts: Vec<CellState> = (0..4).map(|k| first.capture_cut(k, None)).collect();
+        assert!(cuts.iter().all(|s| s.iteration == 2 && s.exchange_frame.len() == 4));
+
+        let mut resumed =
+            Pipeline::whole_grid(&cfg, |_| toy_data(&cfg), Some(&cuts), Telemetry::disabled());
+        let mut script = Script::default();
+        steps(&mut resumed, &mut script, 2);
+        // Iteration 2 trains against the checkpointed generation 1.
+        assert_eq!(script.0, [Begin(2), Begin(3), Complete(2), Complete(3)]);
+        assert_eq!(genomes(&mut resumed), genomes(&mut reference));
+    }
+
+    #[test]
+    #[should_panic(expected = "async resume needs the checkpointed exchange frame")]
+    fn async_resume_without_the_frame_is_refused() {
+        let cfg = async_cfg();
+        let mut first = whole_grid(&cfg);
+        first.step(&mut InMemoryExchange);
+        let engines = (0..4)
+            .map(|k| {
+                let cut = first.capture_cut(k, None);
+                CellEngine::from_state(&cfg, toy_data(&cfg), lipiz_tensor::Pool::new(1), &cut)
+            })
+            .collect();
+        Pipeline::new(&cfg, engines, Telemetry::disabled()).resume_from(Vec::new());
+    }
+
+    /// Replace cell 2 at the top of iteration 3 by a fresh engine that
+    /// rejoins at round 5, and return the calls made from then on through
+    /// iteration 5.
+    fn replace_and_rejoin(cfg: &TrainConfig) -> (Vec<Call>, Vec<Call>) {
+        let mut pipeline = whole_grid(cfg);
+        let mut script = Script::default();
+        steps(&mut pipeline, &mut script, 3);
+        let before = script.0.len();
+
+        let frozen = pipeline.latest_frame().to_vec();
+        pipeline.engines_mut()[2] = fresh_engine(cfg, 2);
+        pipeline.rejoin(2, 5, frozen);
+        let mut solo = 0;
+        while pipeline.catching_up() {
+            pipeline.step(&mut script);
+            solo += 1;
+        }
+        assert_eq!(solo, 5, "the replacement trains iterations 0..5 on its own");
+        let during_catch_up = script.0[before..].to_vec();
+        assert_eq!(pipeline.iteration(), 3, "the survivors never left their cadence");
+
+        let before = script.0.len();
+        steps(&mut pipeline, &mut script, 3);
+        assert_eq!(pipeline.iteration(), 6);
+        assert!(pipeline.engines().iter().all(|e| e.iterations_done() == 6));
+        (during_catch_up, script.0[before..].to_vec())
+    }
+
+    #[test]
+    fn catch_up_touches_no_exchange_and_the_rejoiner_sits_out_the_window() {
+        let (during_catch_up, after) = replace_and_rejoin(&TrainConfig::smoke(2));
+        assert_eq!(during_catch_up, []);
+        assert_eq!(
+            after,
+            [Begin(3), Complete(3), Begin(4), Complete(4), Begin(5), Complete(5)]
+        );
+
+        // Async: iteration 5 still completes generation 4 for the survivors
+        // while the rejoiner consumes the death-frame.
+        let (during_catch_up, after) = replace_and_rejoin(&async_cfg());
+        assert_eq!(during_catch_up, []);
+        assert_eq!(
+            after,
+            [Begin(3), Complete(2), Begin(4), Complete(3), Begin(5), Complete(4)]
+        );
+    }
+
+    #[test]
+    fn a_lone_rejoiner_skips_the_generation_it_never_began() {
+        // One rank of a 2×2 grid, as a replacement slave runs it: catch up
+        // to round 2, then under async consume the death-frame — never
+        // completing generation 1, which this rank did not begin.
+        let cfg = async_cfg();
+        let frozen: Vec<CellSnapshot> =
+            (0..4).map(|c| fresh_engine(&cfg, c).snapshot()).collect();
+        let mut pipeline =
+            Pipeline::new(&cfg, vec![fresh_engine(&cfg, 3)], Telemetry::disabled());
+        pipeline.rejoin(0, 2, frozen.clone());
+
+        /// Stands in for the three other ranks: completes with a fixed frame.
+        struct Peers(Vec<Call>, Vec<CellSnapshot>);
+        impl Exchange for Peers {
+            fn begin(&mut self, gen: usize, _: &[CellSnapshot], _: &[Duration]) {
+                self.0.push(Begin(gen));
+            }
+            fn complete(
+                &mut self,
+                gen: usize,
+                frame: &mut Vec<CellSnapshot>,
+                _: &mut Telemetry,
+            ) {
+                self.0.push(Complete(gen));
+                *frame = self.1.clone();
+            }
+        }
+        let mut peers = Peers(Vec::new(), frozen);
+        for _ in 0..4 {
+            let (_, next) = pipeline.engines_and_next_frame();
+            assert_eq!(next.len(), 4, "iteration {}", peers.0.len());
+            pipeline.step(&mut peers);
+        }
+        assert_eq!(pipeline.iteration(), 4);
+        assert_eq!(peers.0, [Begin(2), Begin(3), Complete(2)]);
+    }
+}

@@ -1,6 +1,8 @@
 //! Training run reports.
 
+use crate::cell::CellEngine;
 use crate::profiling::ProfileReport;
+use crate::topology::Grid;
 use serde::{Deserialize, Serialize};
 
 /// Per-cell outcome summary.
@@ -39,7 +41,49 @@ pub struct TrainReport {
     pub best_cell: usize,
 }
 
+impl CellResult {
+    /// The outcome row of `engine`'s cell.
+    pub fn of(engine: &CellEngine, grid: &Grid) -> Self {
+        let disc_pop = engine.disc_population();
+        Self {
+            cell: engine.cell_index(),
+            coords: grid.coords(engine.cell_index()),
+            gen_fitness: engine.best_gen_fitness(),
+            disc_fitness: disc_pop.members()[disc_pop.best_index()].fitness,
+            mixture_weights: engine.mixture().weights().to_vec(),
+        }
+    }
+}
+
 impl TrainReport {
+    /// Assemble a run's report from its per-cell rows (flat grid order),
+    /// picking the best cell: lowest generator fitness, first on ties.
+    pub fn assemble(
+        driver: &str,
+        grid: (usize, usize),
+        iterations: usize,
+        wall_seconds: f64,
+        profile: ProfileReport,
+        cells: Vec<CellResult>,
+    ) -> Self {
+        let best_cell = cells
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| {
+                a.gen_fitness.partial_cmp(&b.gen_fitness).unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .map_or(0, |(i, _)| i);
+        Self {
+            driver: driver.into(),
+            grid,
+            iterations,
+            wall_seconds,
+            profile,
+            cells,
+            best_cell,
+        }
+    }
+
     /// The best cell's result row.
     pub fn best(&self) -> &CellResult {
         &self.cells[self.best_cell]

@@ -1,72 +1,38 @@
 //! Single-core sequential driver — the baseline column of Table III.
 //!
-//! Runs every grid cell in one process, one after another, with the exact
-//! same per-iteration phase structure as the distributed runtime: at the
-//! start of each iteration all centers are snapshotted (the sequential
-//! analogue of the allgather), then each cell executes
-//! gather → mutate → train → update-genomes against those snapshots.
-//! Bulk-synchronous semantics make the sequential and distributed runs
-//! bit-identical, which the integration suite asserts.
+//! Runs every grid cell in one process, one after another: the whole grid
+//! is one rank of the iteration [`Pipeline`], so every cell is local and
+//! the exchange is [`InMemoryExchange`] — snapshotting all centers *is* the
+//! allgather. The schedule, the sync/async frame rule and the checkpoint
+//! frame are the pipeline's, shared with the distributed runtime and the
+//! cluster simulator, which is why the three are bit-identical. This file
+//! only builds the engines, drives the loop and assembles the report.
 
 use crate::cell::{CellEngine, MixtureScorer};
-use crate::config::{ExchangeMode, TrainConfig};
+use crate::config::TrainConfig;
 use crate::mixture::EnsembleModel;
-use crate::profiling::{Profiler, Routine};
+use crate::pipeline::{InMemoryExchange, Pipeline};
 use crate::report::{CellResult, TrainReport};
 use crate::resume::CellState;
 use crate::snapshot::CellSnapshot;
 use crate::topology::Grid;
-use lipiz_telemetry::{SpanKind, Telemetry, TelemetrySummary, NO_CELL};
-use lipiz_tensor::{Matrix, Pool};
+use lipiz_telemetry::{Telemetry, TelemetrySummary, NO_CELL};
+use lipiz_tensor::Matrix;
 use std::time::Instant;
 
 /// Sequential whole-grid trainer.
 pub struct SequentialTrainer {
     grid: Grid,
     cfg: TrainConfig,
-    engines: Vec<CellEngine>,
-    profiler: Profiler,
-    /// Recycled per-cell center snapshots (the sequential "allgather"
-    /// buffer) — genome buffers are reused across iterations.
-    snapshots: Vec<CellSnapshot>,
-    /// Async-exchange double buffer: the generation-`i-1` frame iteration
-    /// `i` trains against (see [`ExchangeMode::Async`]). Unused (empty) in
-    /// sync mode.
-    prev_snapshots: Vec<CellSnapshot>,
-    /// Recycled neighbor fan-out buffer.
-    neighbor_scratch: Vec<CellSnapshot>,
-    /// Run telemetry (rank 0 — the whole grid is one rank here). Disabled
-    /// unless the config gates it on; the span API measures either way,
-    /// which is how the driver's timing and the journal share one path.
-    telemetry: Telemetry,
+    pipeline: Pipeline,
 }
 
 impl SequentialTrainer {
     /// Build engines for every cell. `make_data` supplies each cell's local
     /// dataset (cells may share content; each engine owns its copy, mirroring
     /// the distributed-memory layout).
-    pub fn new(cfg: &TrainConfig, mut make_data: impl FnMut(usize) -> Matrix) -> Self {
-        let grid = Grid::from_config(&cfg.grid);
-        // One resident pool for the whole grid: every engine gets a clone
-        // (cells run one after another here, so they can share workers).
-        let pool = Pool::new(cfg.training.workers_per_cell);
-        let engines = (0..grid.cell_count())
-            .map(|i| CellEngine::with_pool(i, cfg, make_data(i), pool.clone()))
-            .collect();
-        Self {
-            grid,
-            cfg: cfg.clone(),
-            engines,
-            profiler: Profiler::new(),
-            snapshots: Vec::new(),
-            prev_snapshots: Vec::new(),
-            neighbor_scratch: Vec::new(),
-            telemetry: Telemetry::from_gate(
-                cfg.telemetry.enabled,
-                0,
-                cfg.telemetry.ring_capacity,
-            ),
-        }
+    pub fn new(cfg: &TrainConfig, make_data: impl FnMut(usize) -> Matrix) -> Self {
+        Self::over(cfg, make_data, None)
     }
 
     /// Rebuild a whole-grid trainer from captured per-cell states (flat
@@ -80,38 +46,24 @@ impl SequentialTrainer {
     /// captured at (a torn checkpoint must never resume).
     pub fn from_states(
         cfg: &TrainConfig,
-        mut make_data: impl FnMut(usize) -> Matrix,
+        make_data: impl FnMut(usize) -> Matrix,
         states: &[CellState],
     ) -> Self {
-        let grid = Grid::from_config(&cfg.grid);
-        crate::resume::assert_grid_states(states, grid.cell_count());
-        let pool = Pool::new(cfg.training.workers_per_cell);
-        let engines: Vec<CellEngine> = states
-            .iter()
-            .enumerate()
-            .map(|(i, s)| CellEngine::from_state(cfg, make_data(i), pool.clone(), s))
-            .collect();
-        // Under async exchange the cut carries the frame the next iteration
-        // consumes (generation `iterations_done - 1`); every cell stored
-        // the identical frame, so restore it from the first.
-        let prev_snapshots = if cfg.exchange.is_async() {
-            states.first().map(|s| s.exchange_frame.clone()).unwrap_or_default()
-        } else {
-            Vec::new()
-        };
+        Self::over(cfg, make_data, Some(states))
+    }
+
+    /// The whole grid as rank 0 of the pipeline.
+    fn over(
+        cfg: &TrainConfig,
+        make_data: impl FnMut(usize) -> Matrix,
+        resume: Option<&[CellState]>,
+    ) -> Self {
+        let telemetry =
+            Telemetry::from_gate(cfg.telemetry.enabled, 0, cfg.telemetry.ring_capacity);
         Self {
-            grid,
+            grid: Grid::from_config(&cfg.grid),
             cfg: cfg.clone(),
-            engines,
-            profiler: Profiler::new(),
-            snapshots: Vec::new(),
-            prev_snapshots,
-            neighbor_scratch: Vec::new(),
-            telemetry: Telemetry::from_gate(
-                cfg.telemetry.enabled,
-                0,
-                cfg.telemetry.ring_capacity,
-            ),
+            pipeline: Pipeline::whole_grid(cfg, make_data, resume, telemetry),
         }
     }
 
@@ -120,27 +72,19 @@ impl SequentialTrainer {
     /// exchange every state also carries the frame the next iteration will
     /// consume, so a resume re-enters the pipeline bit-exactly.
     pub fn capture_states(&mut self) -> Vec<CellState> {
-        let frame = &self.prev_snapshots;
-        self.engines
-            .iter_mut()
-            .map(|e| {
-                let mut s = e.capture_state();
-                s.exchange_frame = frame.clone();
-                s
-            })
-            .collect()
+        (0..self.cfg.cells()).map(|k| self.pipeline.capture_cut(k, None)).collect()
     }
 
     /// Iterations completed so far (0 on a fresh trainer, the checkpoint
     /// iteration on a resumed one).
     pub fn iterations_done(&self) -> usize {
-        self.engines.first().map_or(0, |e| e.iterations_done())
+        self.pipeline.iteration()
     }
 
     /// Attach a mixture scorer to every cell (see
     /// [`CellEngine::set_mixture_scorer`]).
     pub fn set_mixture_scorer(&mut self, scorer: MixtureScorer) {
-        for e in &mut self.engines {
+        for e in self.pipeline.engines_mut() {
             e.set_mixture_scorer(scorer.clone());
         }
     }
@@ -152,52 +96,12 @@ impl SequentialTrainer {
 
     /// Access to the per-cell engines (diagnostics/tests).
     pub fn engines_mut(&mut self) -> &mut [CellEngine] {
-        &mut self.engines
+        self.pipeline.engines_mut()
     }
 
     /// Run one bulk-synchronous iteration over all cells.
     pub fn run_one_iteration(&mut self) {
-        // Snapshot every center first (the sequential "allgather"). The
-        // snapshot cost is charged to the gather routine, exactly like the
-        // distributed version charges its allgather. Snapshot and fan-out
-        // buffers are recycled across iterations: steady state performs no
-        // genome-sized allocation anywhere in the driver loop.
-        let iter = self.iterations_done();
-        let span = self.telemetry.begin(SpanKind::Gather, NO_CELL, iter as u32);
-        self.snapshots.resize_with(self.engines.len(), CellSnapshot::empty);
-        for (e, snap) in self.engines.iter_mut().zip(&mut self.snapshots) {
-            e.snapshot_into(snap);
-        }
-        let elapsed = self.telemetry.end(SpanKind::Gather, NO_CELL, iter as u32, span);
-        self.profiler.record(Routine::Gather, elapsed);
-
-        // Async exchange at staleness 1: iteration `i ≥ 1` trains against
-        // the generation-`i-1` frame (iteration 0 bootstraps against its
-        // own fresh snapshots — there is no earlier generation). The frame
-        // choice mirrors the distributed pipeline exactly, which is what
-        // keeps async runs byte-identical across drivers.
-        let stale = self.cfg.exchange == ExchangeMode::Async && iter >= 1;
-        let frame = if stale { &self.prev_snapshots } else { &self.snapshots };
-        assert_eq!(frame.len(), self.engines.len(), "exchange frame lost a generation");
-
-        for idx in 0..self.engines.len() {
-            let neighbors = self.grid.neighbors(idx);
-            self.neighbor_scratch.resize_with(neighbors.len(), CellSnapshot::empty);
-            let frame = if stale { &self.prev_snapshots } else { &self.snapshots };
-            for (slot, n) in neighbors.into_iter().enumerate() {
-                self.neighbor_scratch[slot].copy_from(&frame[n]);
-            }
-            self.engines[idx].run_iteration_with(
-                &self.neighbor_scratch,
-                &mut self.profiler,
-                &mut self.telemetry,
-            );
-        }
-
-        // The generation-`i` frame becomes what iteration `i+1` consumes.
-        if self.cfg.exchange.is_async() {
-            std::mem::swap(&mut self.snapshots, &mut self.prev_snapshots);
-        }
+        self.pipeline.step(&mut InMemoryExchange);
     }
 
     /// Run to the configured iteration count (or the checkpoint pause
@@ -219,19 +123,24 @@ impl SequentialTrainer {
         mut on_iteration: impl FnMut(usize, &mut [CellEngine], &[CellSnapshot]),
     ) -> TrainReport {
         let start = Instant::now();
-        if self.cfg.exchange.is_async() {
-            self.telemetry.metrics.staleness.set(1);
-        }
         let target = self.cfg.checkpoint.effective_iterations(self.cfg.coevolution.iterations);
         while self.iterations_done() < target {
             let iter = self.iterations_done();
             self.run_one_iteration();
-            let frame: &[CellSnapshot] =
-                if self.cfg.exchange.is_async() { &self.prev_snapshots } else { &[] };
-            on_iteration(iter, &mut self.engines, frame);
+            let (engines, frame) = self.pipeline.engines_and_next_frame();
+            on_iteration(iter, engines, frame);
         }
         self.write_journal();
-        self.finish(start.elapsed().as_secs_f64())
+        let cells =
+            self.pipeline.engines().iter().map(|e| CellResult::of(e, &self.grid)).collect();
+        TrainReport::assemble(
+            "sequential",
+            (self.grid.rows(), self.grid.cols()),
+            self.iterations_done(),
+            start.elapsed().as_secs_f64(),
+            self.pipeline.profile().report(),
+            cells,
+        )
     }
 
     /// Flush the journal to `<telemetry.dir>/node00.jsonl` (no-op when
@@ -239,74 +148,30 @@ impl SequentialTrainer {
     fn write_journal(&self) {
         if let Some(dir) = &self.cfg.telemetry.dir {
             let path = std::path::Path::new(dir).join("node00.jsonl");
-            if let Err(e) = self.telemetry.write_journal(&path) {
+            if let Err(e) = self.pipeline.telemetry().write_journal(&path) {
                 eprintln!("telemetry: journal write failed ({}): {e}", path.display());
             }
         }
     }
 
-    /// Mutable telemetry access, for a driving layer that journals its own
-    /// instants (checkpoint commits, pauses) onto this rank's timeline.
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
-    }
-
     /// The run's telemetry aggregate. `iterations` counts grid iterations
     /// (the per-cell counter is normalized by the cell count).
     pub fn telemetry_summary(&self) -> TelemetrySummary {
-        let mut s = self.telemetry.summary(NO_CELL);
+        let mut s = self.pipeline.telemetry().summary(NO_CELL);
         s.iterations = self.iterations_done() as u64;
         s
     }
 
-    /// Build the final report (used by `run` and by the harness when it
-    /// drives iterations manually).
-    pub fn finish(&mut self, wall_seconds: f64) -> TrainReport {
-        let cells: Vec<CellResult> = self
-            .engines
-            .iter_mut()
-            .enumerate()
-            .map(|(i, e)| {
-                let coords = self.grid.coords(i);
-                let gen_fitness = e.best_gen_fitness();
-                let disc_pop = e.disc_population();
-                let disc_fitness = disc_pop.members()[disc_pop.best_index()].fitness;
-                CellResult {
-                    cell: i,
-                    coords,
-                    gen_fitness,
-                    disc_fitness,
-                    mixture_weights: e.mixture().weights().to_vec(),
-                }
-            })
-            .collect();
-        let best_cell = cells
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.gen_fitness.partial_cmp(&b.gen_fitness).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map_or(0, |(i, _)| i);
-        TrainReport {
-            driver: "sequential".into(),
-            grid: (self.grid.rows(), self.grid.cols()),
-            iterations: self.engines.first().map_or(0, |e| e.iterations_done()),
-            wall_seconds,
-            profile: self.profiler.report(),
-            cells,
-            best_cell,
-        }
-    }
-
     /// Final ensembles of every cell (flat grid order).
     pub fn ensembles(&mut self) -> Vec<EnsembleModel> {
-        self.engines.iter_mut().map(|e| e.ensemble()).collect()
+        self.engines_mut().iter_mut().map(|e| e.ensemble()).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiling::Routine;
     use lipiz_tensor::Rng64;
 
     fn toy_data(cfg: &TrainConfig) -> Matrix {

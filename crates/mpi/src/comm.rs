@@ -335,10 +335,10 @@ impl Comm {
 
     /// [`Comm::gather`] whose *root side* can be abandoned: sources are
     /// drained with `poll`-long bounded waits, and `should_abort` is
-    /// checked between polls **with the still-pending group ranks** — so a
-    /// caller can ignore a stale verdict about a rank whose contribution
-    /// already arrived (e.g. a slave that finished, delivered, and went
-    /// quiet). Non-roots behave exactly like `gather` (their contribution
+    /// checked between polls **with the still-pending group ranks, each
+    /// re-probed empty** — so a caller can ignore a stale verdict about a
+    /// rank whose contribution already arrived (e.g. a slave that finished,
+    /// delivered, and went quiet or closed its connection). Non-roots behave exactly like `gather` (their contribution
     /// is fire-and-forget), so the two are wire-compatible — a master may
     /// collect abortably while slaves call plain `gather`.
     ///
@@ -361,44 +361,48 @@ impl Comm {
         let mut slots: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
         slots[root] = Some(T::from_bytes(&value.to_bytes()).expect("self gather"));
         let mut pending: Vec<usize> = (0..self.size()).filter(|&r| r != root).collect();
+        let queued =
+            |src: usize| self.my_mailbox().probe(self.context, Some(src), ReservedTags::GATHER);
         while !pending.is_empty() {
-            // Drain whatever is queued from any pending source, then sleep
-            // one poll interval at most before re-checking the abort flag.
-            pending.retain(|&src| {
-                match self.my_mailbox().recv_timeout(
-                    self.context,
-                    Some(src),
-                    ReservedTags::GATHER,
-                    Duration::ZERO,
-                ) {
-                    Some(env) => {
-                        slots[src] = Some(T::from_bytes(&env.payload).expect("gather decode"));
-                        false
+            // Drain whatever is queued from any pending source, until a
+            // pass receives nothing: decoding one rank's (multi-megabyte)
+            // contribution takes long enough for an earlier rank's to land.
+            loop {
+                let before = pending.len();
+                pending.retain(|&src| {
+                    match self.my_mailbox().recv_timeout(
+                        self.context,
+                        Some(src),
+                        ReservedTags::GATHER,
+                        Duration::ZERO,
+                    ) {
+                        Some(env) => {
+                            slots[src] =
+                                Some(T::from_bytes(&env.payload).expect("gather decode"));
+                            false
+                        }
+                        None => true,
                     }
-                    None => true,
+                });
+                if pending.len() == before {
+                    break;
                 }
-            });
+            }
             if pending.is_empty() {
                 break;
             }
-            if should_abort(&pending) {
-                return Err(pending);
+            // The predicate judges only ranks with nothing queued *now* — a
+            // rank that delivered and then closed its connection is done,
+            // not dead — and an abort verdict stands only if they are still
+            // empty afterwards: a transport delivers a peer's last message
+            // before it marks the peer dead, so whatever the predicate saw
+            // dead has then provably sent nothing. Whether a dead pending
+            // rank dooms the gather stays the caller's call (an elastic
+            // master may be bringing a replacement onto that very rank).
+            if pending.iter().any(|&src| queued(src)) {
+                continue;
             }
-            // A pending source whose transport connection is gone (and has
-            // nothing queued) cannot contribute *right now* — but whether
-            // that dooms the gather is the caller's call: an elastic master
-            // may be bringing a replacement process onto that very rank, in
-            // which case the slot's link comes back to life and the
-            // replacement still delivers. Re-consult the predicate so it
-            // observes the doomed state promptly (well before any heartbeat
-            // deadline can convict); a predicate with no replacement story
-            // aborts here exactly as before. In-process fabrics never mark
-            // peers dead, so this only fires on real transports.
-            let doomed = pending.iter().any(|&src| {
-                self.my_mailbox().peer_is_dead(self.group[src])
-                    && !self.my_mailbox().probe(self.context, Some(src), ReservedTags::GATHER)
-            });
-            if doomed && should_abort(&pending) {
+            if should_abort(&pending) && !pending.iter().any(|&src| queued(src)) {
                 return Err(pending);
             }
             // Block on the *first* pending source for the poll interval —
@@ -469,30 +473,12 @@ impl Comm {
     /// receives the broadcast. Byte-identical traffic to the second half of
     /// [`Comm::allgather_bytes`].
     pub fn allgather_bytes_complete(&self, pending: PendingAllgather) -> Vec<Vec<u8>> {
-        // Gather at 0, then broadcast the concatenation.
-        if self.my_rank == 0 {
-            let mut slots: Vec<Option<Vec<u8>>> = vec![None; self.size()];
-            slots[0] = Some(pending.payload);
-            for src in 1..self.size() {
-                let env = self.recv_live(src, ReservedTags::ALLGATHER);
-                slots[src] = Some(env.payload);
-            }
-            let parts: Vec<Vec<u8>> =
-                slots.into_iter().map(|s| s.expect("allgather slot")).collect();
-            let bytes = parts.to_bytes();
-            for r in 1..self.size() {
-                self.send_raw(r, ReservedTags::ALLGATHER, bytes.clone());
-            }
-            parts
-        } else {
-            let env = self.recv_live(0, ReservedTags::ALLGATHER);
-            Vec::<Vec<u8>>::from_bytes(&env.payload).expect("allgather parts")
-        }
+        self.complete_allgather(pending, None)
     }
 
-    /// [`Comm::allgather_bytes`] whose fan-in root degrades gracefully when
-    /// a contributor goes missing, instead of wedging or tearing the whole
-    /// group down.
+    /// [`Comm::allgather_bytes_complete`] whose fan-in root degrades
+    /// gracefully when a contributor goes missing, instead of wedging or
+    /// tearing the whole group down.
     ///
     /// The collective fans in at group rank 0 and fans out by broadcast, so
     /// only rank 0 ever receives from a non-root peer — degradation is
@@ -515,73 +501,73 @@ impl Comm {
     ///   round pairing; an alive-but-slow peer is never substituted.
     ///
     /// Fault-free rounds send byte-identical traffic to
-    /// [`Comm::allgather_bytes`], which keeps synchronous-mode runs
-    /// byte-identical across drivers.
-    pub fn allgather_bytes_degraded(
-        &self,
-        payload: &[u8],
-        round: usize,
-        ctl: &mut DegradedGather,
-    ) -> Vec<Vec<u8>> {
-        let pending = self.allgather_bytes_split(payload);
-        self.allgather_bytes_complete_degraded(pending, round, ctl)
-    }
-
-    /// Degraded-fan-in *complete* half of a split allgather (see
-    /// [`Comm::allgather_bytes_split`] and
-    /// [`Comm::allgather_bytes_degraded`]): root-side degradation logic over
-    /// the stashed pending contribution; non-roots complete normally.
+    /// [`Comm::allgather_bytes_complete`], which keeps synchronous-mode
+    /// runs byte-identical across drivers.
     pub fn allgather_bytes_complete_degraded(
         &self,
         pending: PendingAllgather,
         round: usize,
         ctl: &mut DegradedGather,
     ) -> Vec<Vec<u8>> {
+        self.complete_allgather(pending, Some((round, ctl)))
+    }
+
+    /// The one completion routine: gather at 0, then broadcast the
+    /// concatenation — through the degradation controller when the root
+    /// has one.
+    fn complete_allgather(
+        &self,
+        pending: PendingAllgather,
+        mut degraded: Option<(usize, &mut DegradedGather)>,
+    ) -> Vec<Vec<u8>> {
         if self.my_rank != 0 {
-            return self.allgather_bytes_complete(pending);
+            let env = self.recv_live(0, ReservedTags::ALLGATHER);
+            return Vec::<Vec<u8>>::from_bytes(&env.payload).expect("allgather parts");
         }
-        assert_eq!(ctl.cache.len(), self.size(), "DegradedGather sized for another group");
-        // Freeze the death-frame — everyone's previous-round payload —
-        // before any of this round's updates, the moment a planned window
-        // opens. A replacement rank later streams this frame to replay its
-        // catch-up deterministically.
-        if ctl.planned_window_opens(round) {
-            let frame: Option<Vec<Vec<u8>>> = ctl.cache.iter().cloned().collect();
-            *ctl.frozen.lock() = Some(frame.expect("full cache at planned window open"));
+        if let Some((round, ctl)) = degraded.as_mut() {
+            assert_eq!(ctl.cache.len(), self.size(), "DegradedGather sized for another group");
+            // Freeze the death-frame — everyone's previous-round payload —
+            // before any of this round's updates, the moment a planned
+            // window opens. A replacement rank later streams this frame to
+            // replay its catch-up deterministically.
+            if ctl.planned_window_opens(*round) {
+                let frame: Option<Vec<Vec<u8>>> = ctl.cache.iter().cloned().collect();
+                *ctl.frozen.lock() = Some(frame.expect("full cache at planned window open"));
+            }
+            ctl.cache[0] = Some(pending.payload.clone());
         }
-        ctl.cache[0] = Some(pending.payload.clone());
-        let mut slots: Vec<Option<Vec<u8>>> = vec![None; self.size()];
-        slots[0] = Some(pending.payload);
+        let mut parts: Vec<Vec<u8>> = Vec::with_capacity(self.size());
+        parts.push(pending.payload);
         for src in 1..self.size() {
-            let part = match ctl.availability(src, round) {
-                Availability::Live => match self.recv_or_detect_death(src, ctl, round) {
-                    Some(part) => {
-                        ctl.note_live(src, round);
-                        ctl.cache[src] = Some(part.clone());
-                        part
-                    }
-                    None => self.substitute_stale(src, ctl, round),
-                },
-                Availability::Absent => self.substitute_stale(src, ctl, round),
-                Availability::Rejoining => {
-                    let part = self.await_rejoin(src, ctl.rejoin_deadline, round);
-                    ctl.note_live(src, round);
-                    ctl.cache[src] = Some(part.clone());
-                    part
-                }
-            };
-            slots[src] = Some(part);
+            parts.push(match degraded.as_mut() {
+                None => self.recv_live(src, ReservedTags::ALLGATHER).payload,
+                Some((round, ctl)) => self.recv_degraded(src, *round, ctl),
+            });
         }
-        let parts: Vec<Vec<u8>> =
-            slots.into_iter().map(|s| s.expect("allgather slot")).collect();
         let bytes = parts.to_bytes();
         for r in 1..self.size() {
-            if ctl.skip_fanout(r, round) {
+            if degraded.as_ref().is_some_and(|(round, ctl)| ctl.skip_fanout(r, *round)) {
                 continue;
             }
             self.send_raw(r, ReservedTags::ALLGATHER, bytes.clone());
         }
         parts
+    }
+
+    /// Root-side: `src`'s contribution for `round`, received or substituted
+    /// as the controller's absence bookkeeping dictates.
+    fn recv_degraded(&self, src: usize, round: usize, ctl: &mut DegradedGather) -> Vec<u8> {
+        let part = match ctl.availability(src, round) {
+            Availability::Live => match self.recv_or_detect_death(src, ctl, round) {
+                Some(part) => part,
+                None => return self.substitute_stale(src, ctl, round),
+            },
+            Availability::Absent => return self.substitute_stale(src, ctl, round),
+            Availability::Rejoining => self.await_rejoin(src, ctl.rejoin_deadline, round),
+        };
+        ctl.note_live(src, round);
+        ctl.cache[src] = Some(part.clone());
+        part
     }
 
     /// Root-side receive of one allgather contribution that detects an
@@ -739,7 +725,7 @@ enum Absence {
     Unplanned,
 }
 
-/// Root-side controller for [`Comm::allgather_bytes_degraded`]: the per-peer
+/// Root-side controller for [`Comm::allgather_bytes_complete_degraded`]: the per-peer
 /// stale cache, absence windows, substitution bounds, and the frozen
 /// death-frame a replacement rank streams for catch-up. Owned by the
 /// exchange caller of the group's rank 0; other ranks never need one.
@@ -969,6 +955,54 @@ mod tests {
     }
 
     #[test]
+    fn abortable_gather_takes_a_result_that_lands_during_another_ranks_decode() {
+        // The false abort at the final gather: rank 1 has nothing queued
+        // when the drain looks at it; its result *and* its EOF land while
+        // rank 2's result is being decoded. It must be gathered, not handed
+        // to the predicate as "pending and dead".
+        use crate::wire::WireError;
+        use std::cell::RefCell;
+        thread_local! {
+            static WHILE_DECODING_22: RefCell<Option<Box<dyn FnOnce()>>> = RefCell::new(None);
+        }
+        struct Slow(u64);
+        impl Wire for Slow {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                self.0.encode(buf);
+            }
+            fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+                let v = u64::decode(buf)?;
+                if v == 22 {
+                    if let Some(arrival) = WHILE_DECODING_22.with(|h| h.borrow_mut().take()) {
+                        arrival();
+                    }
+                }
+                Ok(Slow(v))
+            }
+        }
+        let fabric = Fabric::new(3);
+        let comm = Comm::world(fabric.clone(), 0);
+        let result = |src: usize, v: u64| {
+            Envelope::new(0, src, ReservedTags::GATHER, Slow(v).to_bytes())
+        };
+        fabric.deliver(0, result(2, 22));
+        let late = fabric.clone();
+        WHILE_DECODING_22.with(|h| {
+            *h.borrow_mut() = Some(Box::new(move || {
+                late.deliver(0, result(1, 11));
+                late.mailbox(0).mark_peer_dead(1);
+            }));
+        });
+        // The elastic master's predicate in miniature: a pending rank whose
+        // connection is gone dooms the gather.
+        let got = comm.gather_abortable(0, &Slow(0), Duration::from_millis(10), &|pending| {
+            pending.iter().any(|&r| comm.peer_connection_dead(r))
+        });
+        let values = got.expect("aborted with the result queued").expect("root gathers");
+        assert_eq!(values.iter().map(|s| s.0).collect::<Vec<_>>(), vec![0, 11, 22]);
+    }
+
+    #[test]
     fn allgather_gives_everyone_everything() {
         let results = Universe::run(5, |comm| comm.allgather(&format!("r{}", comm.rank())));
         for r in &results {
@@ -1125,8 +1159,9 @@ mod tests {
                     let frozen = ctl.frozen_frame();
                     let mut seen = Vec::new();
                     for round in 0..rounds {
+                        let pending = comm.allgather_bytes_split(&payload(0, round));
                         let parts =
-                            comm.allgather_bytes_degraded(&payload(0, round), round, &mut ctl);
+                            comm.allgather_bytes_complete_degraded(pending, round, &mut ctl);
                         seen.push(parts[2].clone());
                         assert_eq!(parts[1], payload(1, round), "live rank must stay fresh");
                     }
@@ -1167,8 +1202,12 @@ mod tests {
             if comm.rank() == 0 {
                 let mut ctl = DegradedGather::new(2, 2);
                 for round in 0..5 {
-                    let parts =
-                        comm.allgather_bytes_degraded(&[0, round], round as usize, &mut ctl);
+                    let pending = comm.allgather_bytes_split(&[0, round]);
+                    let parts = comm.allgather_bytes_complete_degraded(
+                        pending,
+                        round as usize,
+                        &mut ctl,
+                    );
                     assert_eq!(parts.len(), 2);
                 }
             } else {
@@ -1194,7 +1233,9 @@ mod tests {
                 let mut ctl = DegradedGather::new(2, 3);
                 let mut got = Vec::new();
                 for round in 0..4usize {
-                    let parts = comm.allgather_bytes_degraded(&[0], round, &mut ctl);
+                    let pending = comm.allgather_bytes_split(&[0]);
+                    let parts =
+                        comm.allgather_bytes_complete_degraded(pending, round, &mut ctl);
                     got.push(parts[1].clone());
                 }
                 // Rounds 0..2 drain the queued pre-death frames; round 3

@@ -381,6 +381,21 @@ pub fn replacement_schedule(
     })
 }
 
+/// [`replacement_schedule`] straight from a run configuration's plan
+/// string (`None`, or a spec that does not parse, scripts nothing) — the
+/// form the master, the slaves, the simulator and the CLI all call, so
+/// none of them carries its own copy of the parse-then-schedule step.
+pub fn scheduled_replacement(
+    plan: Option<&str>,
+    max_stale_iters: usize,
+    checkpoint_every: usize,
+    target_iterations: usize,
+    cells: usize,
+) -> Option<ReplacementSchedule> {
+    let plan = FaultPlan::parse(plan?).ok()?;
+    replacement_schedule(&plan, max_stale_iters, checkpoint_every, target_iterations, cells)
+}
+
 /// What a transport should do with one outgoing envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryFate {

@@ -51,8 +51,8 @@ pub mod wire;
 
 pub use comm::{Comm, DegradedGather, FrozenFrameHandle, PendingAllgather, RecvFrom};
 pub use fault::{
-    enable_process_faults, process_faults_enabled, replacement_schedule, FaultPlan, FaultState,
-    ReplacementSchedule,
+    enable_process_faults, process_faults_enabled, replacement_schedule, scheduled_replacement,
+    FaultPlan, FaultState, ReplacementSchedule,
 };
 pub use message::{Envelope, Tag};
 pub use tcp::TcpFabric;

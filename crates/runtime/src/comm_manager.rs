@@ -19,11 +19,12 @@ use crate::protocol::{
     tags, CacheResponse, NodeAnnouncement, RunTask, SlaveResult, SnapshotMsg, StatusReport,
     TelemetrySummaryMsg,
 };
-use lipiz_core::CellSnapshot;
+use lipiz_core::{CellSnapshot, Exchange, ExchangeMode};
 use lipiz_mpi::wire::Wire;
 use lipiz_mpi::{
     Comm, DegradedGather, FaultPlan, FrozenFrameHandle, PendingAllgather, RecvFrom,
 };
+use lipiz_telemetry::{EventKind, Telemetry};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -258,85 +259,40 @@ impl CommManager {
     // ---- training collectives ----------------------------------------------
 
     /// Slave: per-iteration allgather of center snapshots on LOCAL.
-    /// Returns all cells' snapshots in cell order.
-    ///
-    /// Encodes straight from the snapshot into a scratch buffer owned by
-    /// this manager (no `SnapshotMsg` clone, no fresh wire allocation), so
-    /// the steady-state gather cost is the transport alone.
+    /// Returns all cells' snapshots in cell order — the blocking form of
+    /// the exchange: begin and complete back to back.
     pub fn exchange_centers(&mut self, snapshot: &CellSnapshot) -> Vec<CellSnapshot> {
-        self.snapshot_scratch.clear();
-        SnapshotMsg::encode_snapshot(snapshot, &mut self.snapshot_scratch);
-        self.local()
-            .allgather_bytes(&self.snapshot_scratch)
-            .into_iter()
-            .map(|part| {
-                SnapshotMsg::from_bytes(&part).expect("snapshot decode").into_snapshot()
-            })
-            .collect()
+        let pending = self.begin_exchange(snapshot);
+        complete_exchange(self.local(), pending, 0, None)
     }
 
-    /// [`CommManager::exchange_centers`] through the degraded collective:
-    /// the fan-in root (cell 0) substitutes a missing peer's slot from its
-    /// stale cache under `ctl`'s bounds instead of wedging. Non-root ranks
-    /// send byte-identical traffic either way; `round` is this slave's
-    /// iteration counter, which every healthy rank advances in lockstep.
-    pub fn exchange_centers_degraded(
-        &mut self,
-        snapshot: &CellSnapshot,
-        round: usize,
-        ctl: &mut DegradedGather,
-    ) -> Vec<CellSnapshot> {
-        self.snapshot_scratch.clear();
-        SnapshotMsg::encode_snapshot(snapshot, &mut self.snapshot_scratch);
-        self.local()
-            .allgather_bytes_degraded(&self.snapshot_scratch, round, ctl)
-            .into_iter()
-            .map(|part| {
-                SnapshotMsg::from_bytes(&part).expect("snapshot decode").into_snapshot()
-            })
-            .collect()
-    }
-
-    /// Slave: kick off generation `round`'s snapshot allgather without
-    /// waiting for it — the non-blocking half of the `--exchange async`
-    /// pipeline. The contribution leaves this rank immediately (non-root
-    /// ranks send to the fan-in root; the root just stashes its own part);
-    /// the returned pending collective is handed to the
-    /// [`AsyncExchanger`], whose background thread runs the blocking
-    /// completion while this thread trains.
-    pub fn begin_exchange(&mut self, snapshot: &CellSnapshot) -> PendingAllgather {
+    /// Post this rank's contribution to a generation's snapshot allgather
+    /// without waiting for it (non-root ranks send to the fan-in root; the
+    /// root just stashes its own part). Encodes straight from the snapshot
+    /// into a scratch buffer owned by this manager — no `SnapshotMsg`
+    /// clone, no fresh wire allocation.
+    fn begin_exchange(&mut self, snapshot: &CellSnapshot) -> PendingAllgather {
         self.snapshot_scratch.clear();
         SnapshotMsg::encode_snapshot(snapshot, &mut self.snapshot_scratch);
         self.local().allgather_bytes_split(&self.snapshot_scratch)
     }
 
-    /// Slave: spawn the background exchange thread for `--exchange async`.
-    /// The thread owns a clone of the LOCAL communicator and — on the
-    /// fan-in root under degraded gathers — the [`DegradedGather`] control
-    /// block (clone its frozen-frame handle *before* passing it in if the
-    /// main thread must keep serving death-frame requests).
-    pub fn start_async_exchange(&self, mut ctl: Option<DegradedGather>) -> AsyncExchanger {
-        let comm = self.local().clone();
-        let (job_tx, job_rx) = mpsc::channel::<(PendingAllgather, usize)>();
-        let (done_tx, done_rx) = mpsc::channel::<Vec<CellSnapshot>>();
-        let handle = std::thread::spawn(move || {
-            for (pending, round) in job_rx {
-                let parts = match ctl.as_mut() {
-                    Some(ctl) => comm.allgather_bytes_complete_degraded(pending, round, ctl),
-                    None => comm.allgather_bytes_complete(pending),
-                };
-                let frame: Vec<CellSnapshot> = parts
-                    .into_iter()
-                    .map(|part| {
-                        SnapshotMsg::from_bytes(&part).expect("snapshot decode").into_snapshot()
-                    })
-                    .collect();
-                if done_tx.send(frame).is_err() {
-                    break;
-                }
+    /// Slave: this rank's [`Exchange`] for the iteration pipeline. In sync
+    /// mode every generation completes inline; under `--exchange async` the
+    /// blocking half runs on a background [`AsyncExchanger`] thread so root
+    /// assembly + broadcast overlap the train step. `ctl` is the fan-in
+    /// root's degraded-gather controller, when graceful degradation is on
+    /// (clone its frozen-frame handle *before* passing it in if another
+    /// thread must keep serving death-frame requests).
+    pub fn exchange(&self, mode: ExchangeMode, ctl: Option<DegradedGather>) -> CommExchange {
+        let prev_stale = vec![0; self.num_slaves()];
+        let (ctl, exchanger) = match mode {
+            ExchangeMode::Sync => (ctl, None),
+            ExchangeMode::Async => {
+                (None, Some(AsyncExchanger::start(self.local().clone(), ctl)))
             }
-        });
-        AsyncExchanger { jobs: Some(job_tx), done: done_rx, in_flight: 0, handle: Some(handle) }
+        };
+        CommExchange { cm: self.clone(), pending: None, ctl, exchanger, prev_stale }
     }
 
     /// Fan-in root's main thread: answer one pending death-frame request
@@ -451,19 +407,95 @@ impl CommManager {
     }
 }
 
+/// The blocking half of one generation's exchange on `comm` (a LOCAL
+/// communicator): complete the allgather — through the degraded fan-in
+/// when this rank is the root and holds a controller — and decode the
+/// frame. `round` is the generation's iteration index, which the
+/// controller keys its staleness accounting on.
+fn complete_exchange(
+    comm: &Comm,
+    pending: PendingAllgather,
+    round: usize,
+    ctl: Option<&mut DegradedGather>,
+) -> Vec<CellSnapshot> {
+    let parts = match ctl {
+        Some(ctl) => comm.allgather_bytes_complete_degraded(pending, round, ctl),
+        None => comm.allgather_bytes_complete(pending),
+    };
+    // Consuming iteration: each wire part is freed as soon as it is decoded,
+    // so the frame never coexists with a full second copy of itself.
+    parts
+        .into_iter()
+        .map(|part| SnapshotMsg::from_bytes(&part).expect("snapshot decode").into_snapshot())
+        .collect()
+}
+
+/// The `Comm`-backed [`Exchange`] of one slave rank (see
+/// [`CommManager::exchange`]): `begin` posts the rank's snapshot toward
+/// the fan-in root, `complete` hands back the decoded frame.
+#[derive(Debug)]
+pub struct CommExchange {
+    cm: CommManager,
+    /// Sync: the generation begun and not yet completed.
+    pending: Option<PendingAllgather>,
+    /// Sync fan-in root under graceful degradation (the async controller
+    /// lives on the exchange thread).
+    ctl: Option<DegradedGather>,
+    exchanger: Option<AsyncExchanger>,
+    /// Per-rank stale-run counts as of the previous round, so a round that
+    /// substituted a rank's contribution journals who was absent.
+    prev_stale: Vec<usize>,
+}
+
+impl Exchange for CommExchange {
+    fn begin(&mut self, gen: usize, frame: &[CellSnapshot], _costs: &[Duration]) {
+        let pending = self.cm.begin_exchange(&frame[self.cm.local_rank()]);
+        match self.exchanger.as_mut() {
+            Some(ex) => ex.submit(pending, gen),
+            None => self.pending = Some(pending),
+        }
+    }
+
+    fn complete(&mut self, gen: usize, frame: &mut Vec<CellSnapshot>, tel: &mut Telemetry) {
+        if let Some(ex) = self.exchanger.as_mut() {
+            *frame = ex.retrieve();
+            return;
+        }
+        let pending = self.pending.take().expect("complete follows begin");
+        *frame = complete_exchange(self.cm.local(), pending, gen, self.ctl.as_mut());
+        let Some(ctl) = self.ctl.as_ref() else { return };
+        let cell = self.cm.local_rank() as u32;
+        let mut degraded = false;
+        for (r, prev) in self.prev_stale.iter_mut().enumerate() {
+            let run = ctl.stale_run(r);
+            if run > *prev {
+                tel.instant(EventKind::Degraded, cell, gen as u32, r as u64);
+                degraded = true;
+            }
+            *prev = run;
+        }
+        if degraded {
+            tel.metrics.degraded_iters.inc();
+        }
+    }
+}
+
 /// Background half of the `--exchange async` pipeline (tentpole of the
 /// overlap work): the training thread *begins* generation `i`'s allgather
-/// (a non-blocking contribution send via [`CommManager::begin_exchange`]),
-/// submits the pending collective here, and trains iteration `i` against
-/// the already-completed generation `i-1` while this thread runs the
-/// blocking completion.
+/// (a non-blocking contribution send), submits the pending collective
+/// here, and trains iteration `i` against the already-completed generation
+/// `i-1` while this thread runs the blocking completion.
 ///
 /// Exactly one completion is outstanding at a time and per-(peer, tag)
 /// delivery is FIFO on every transport, so the consumed frames — and
 /// therefore the run's result — are a pure function of (seed, config),
 /// never of how the exchange thread is scheduled.
+///
+/// Dropping the exchanger completes any still-queued collective first and
+/// joins the thread: every rank must finish the final generation or its
+/// peers' completions would wedge mid-broadcast.
 #[derive(Debug)]
-pub struct AsyncExchanger {
+struct AsyncExchanger {
     jobs: Option<mpsc::Sender<(PendingAllgather, usize)>>,
     done: mpsc::Receiver<Vec<CellSnapshot>>,
     in_flight: usize,
@@ -471,11 +503,26 @@ pub struct AsyncExchanger {
 }
 
 impl AsyncExchanger {
-    /// Hand an in-flight collective (from [`CommManager::begin_exchange`])
-    /// to the exchange thread for completion. `round` is the generation's
-    /// iteration index — the degraded fan-in root keys its staleness
-    /// accounting on it.
-    pub fn submit(&mut self, pending: PendingAllgather, round: usize) {
+    /// Spawn the exchange thread over `comm` (a clone of the LOCAL
+    /// communicator); on the fan-in root under degraded gathers it also
+    /// owns the [`DegradedGather`] control block.
+    fn start(comm: Comm, mut ctl: Option<DegradedGather>) -> Self {
+        let (job_tx, job_rx) = mpsc::channel::<(PendingAllgather, usize)>();
+        let (done_tx, done_rx) = mpsc::channel::<Vec<CellSnapshot>>();
+        let handle = std::thread::spawn(move || {
+            for (pending, round) in job_rx {
+                let frame = complete_exchange(&comm, pending, round, ctl.as_mut());
+                if done_tx.send(frame).is_err() {
+                    break;
+                }
+            }
+        });
+        Self { jobs: Some(job_tx), done: done_rx, in_flight: 0, handle: Some(handle) }
+    }
+
+    /// Hand a begun collective to the exchange thread for completion.
+    /// `round` is the generation's iteration index.
+    fn submit(&mut self, pending: PendingAllgather, round: usize) {
         self.jobs
             .as_ref()
             .expect("exchanger not stopped")
@@ -490,43 +537,25 @@ impl AsyncExchanger {
     /// # Panics
     /// Panics when nothing is in flight — the pipeline invariant (begin
     /// generation `i` before retrieving `i-1`) has been broken.
-    pub fn retrieve(&mut self) -> Vec<CellSnapshot> {
+    fn retrieve(&mut self) -> Vec<CellSnapshot> {
         assert!(self.in_flight > 0, "no exchange in flight to retrieve");
         let frame = self.done.recv().expect("exchange thread alive");
         self.in_flight -= 1;
         frame
     }
-
-    /// Number of submitted-but-not-retrieved exchanges (0 or 1 in the
-    /// steady-state pipeline).
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// Shut the exchange thread down, completing any still-queued
-    /// collective first (every rank must finish the final generation or
-    /// its peers' completions would wedge).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.jobs.take();
-        if let Some(handle) = self.handle.take() {
-            handle.join().expect("exchange thread panicked");
-        }
-    }
 }
 
 impl Drop for AsyncExchanger {
     fn drop(&mut self) {
+        self.jobs.take();
         if std::thread::panicking() {
             // Avoid a double panic (and a wedge on a dead peer) while
             // unwinding; leak the thread instead.
-            self.jobs.take();
             return;
         }
-        self.shutdown();
+        if let Some(handle) = self.handle.take() {
+            handle.join().expect("exchange thread panicked");
+        }
     }
 }
 
@@ -609,57 +638,62 @@ mod tests {
     }
 
     #[test]
-    fn async_exchange_consumes_exactly_one_generation_behind() {
-        const ITERS: usize = 5;
-        const DRAIN_AT: usize = 2; // simulated commit boundary mid-run
+    fn async_exchange_completes_generations_in_order_behind_the_begins() {
+        // The call order the pipeline makes under `--exchange async`, with
+        // a commit-boundary drain after iteration 2: every completed frame
+        // must hold exactly the generation asked for, from every cell, no
+        // matter how far the begins have run ahead.
+        use Call::{Begin, Complete};
+        #[derive(Clone, Copy)]
+        enum Call {
+            Begin(usize),
+            Complete(usize),
+        }
+        let script = [
+            Begin(0),
+            Complete(0),
+            Begin(1),
+            Begin(2),
+            Complete(1),
+            Complete(2), // drain
+            Begin(3),
+            Begin(4),
+            Complete(3),
+        ];
         let results = Universe::run(4, |world| {
-            let mut cm = CommManager::new(world);
+            let cm = CommManager::new(world);
             if cm.is_master() {
                 return vec![];
             }
             let cell = cm.local_rank();
-            let snap_at = |iter: usize| CellSnapshot {
-                cell,
-                gen_genome: vec![(cell * 100 + iter) as f32],
-                gen_lr: 1e-4,
-                gen_loss: lipiz_nn::GanLoss::Heuristic,
-                gen_fitness: 0.0,
-                disc_genome: vec![0.0],
-                disc_lr: 1e-4,
-                disc_fitness: 0.0,
-            };
-            let mut ex = cm.start_async_exchange(None);
-            let mut ready: Option<Vec<CellSnapshot>> = None;
-            let mut consumed: Vec<Vec<f32>> = Vec::new();
-            for iter in 0..ITERS {
-                let pending = cm.begin_exchange(&snap_at(iter));
-                ex.submit(pending, iter);
-                let frame = match ready.take() {
-                    Some(f) => f,
-                    None => ex.retrieve(),
-                };
-                consumed.push(frame.iter().map(|s| s.gen_genome[0]).collect());
-                if iter == 0 {
-                    // Generation 0 bootstraps iteration 0 AND feeds
-                    // iteration 1 (the structural staleness starts there).
-                    ready = Some(frame);
-                }
-                if iter == DRAIN_AT && ready.is_none() {
-                    // A commit boundary drains the in-flight generation so
-                    // the checkpoint can carry it; consuming the stashed
-                    // frame next iteration must not change anything.
-                    ready = Some(ex.retrieve());
+            let mut ex = cm.exchange(ExchangeMode::Async, None);
+            let mut tel = Telemetry::disabled();
+            let mut completed: Vec<(usize, Vec<f32>)> = Vec::new();
+            for call in script {
+                match call {
+                    Begin(gen) => {
+                        let mut frame = vec![CellSnapshot::empty(); 3];
+                        frame[cell].gen_genome = vec![(cell * 100 + gen) as f32];
+                        frame[cell].disc_genome = vec![0.0];
+                        ex.begin(gen, &frame, &[]);
+                    }
+                    Complete(gen) => {
+                        let mut frame = Vec::new();
+                        ex.complete(gen, &mut frame, &mut tel);
+                        completed.push((gen, frame.iter().map(|s| s.gen_genome[0]).collect()));
+                    }
                 }
             }
-            ex.stop();
-            consumed
+            // Generation 4 stays with the exchange thread, which must still
+            // complete it — peers block on it in their own final round.
+            drop(ex);
+            completed
         });
-        for (rank, consumed) in results.iter().enumerate().skip(1) {
-            assert_eq!(consumed.len(), ITERS);
-            for (iter, frame) in consumed.iter().enumerate() {
-                let gen = iter.saturating_sub(1);
+        for (rank, completed) in results.iter().enumerate().skip(1) {
+            assert_eq!(completed.len(), 4);
+            for (gen, frame) in completed {
                 let want: Vec<f32> = (0..3).map(|c| (c * 100 + gen) as f32).collect();
-                assert_eq!(frame, &want, "rank {rank} iter {iter}");
+                assert_eq!(frame, &want, "rank {rank} generation {gen}");
             }
         }
     }

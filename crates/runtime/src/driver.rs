@@ -3,10 +3,10 @@
 //! OS process; see [`lipiz_mpi::tcp::TcpFabric`]).
 
 use crate::comm_manager::CommManager;
-use crate::master::{run_master_elastic, run_master_monitored, MasterAbort, MasterOutcome};
+use crate::master::{run_master, MasterAbort, MasterOutcome, Replacer};
 use crate::slave::run_slave;
 use crate::state::SlaveState;
-use lipiz_core::{TrainConfig, TrainReport};
+use lipiz_core::TrainConfig;
 use lipiz_mpi::tcp::TcpFabric;
 use lipiz_mpi::Universe;
 use lipiz_tensor::Matrix;
@@ -57,7 +57,7 @@ pub fn run_distributed(
     let mut outcomes = Universe::run(n, |world| {
         let cm = CommManager::new(world);
         if cm.is_master() {
-            let outcome = run_master_monitored(&cm, cfg, &opts)
+            let outcome = run_master(&cm, cfg, &opts, None)
                 .unwrap_or_else(|e| panic!("in-process distributed run aborted: {e}"));
             Some(outcome)
         } else {
@@ -83,7 +83,7 @@ pub fn run_tcp_master(
     cfg: &TrainConfig,
     opts: DistributedOptions,
 ) -> std::io::Result<MasterOutcome> {
-    run_tcp_master_monitored(listener, cfg, opts)?
+    run_tcp_master_elastic(listener, cfg, opts, None)?
         .map_err(|e| std::io::Error::other(e.to_string()))
 }
 
@@ -92,19 +92,8 @@ pub fn run_tcp_master(
 /// heartbeat-declared slave death) that the caller can recover from by
 /// respawning slaves and rerunning from the last committed checkpoint.
 /// The fabric is shut down on every path before returning.
-pub fn run_tcp_master_monitored(
-    listener: TcpListener,
-    cfg: &TrainConfig,
-    opts: DistributedOptions,
-) -> std::io::Result<Result<MasterOutcome, MasterAbort>> {
-    let fabric = TcpFabric::master(listener, cfg.cells() + 1)?;
-    let cm = CommManager::new(Universe::attach(fabric.clone(), 0));
-    let outcome = run_master_monitored(&cm, cfg, &opts);
-    fabric.shutdown();
-    Ok(outcome)
-}
-
-/// [`run_tcp_master_monitored`] with in-flight rank replacement: when the
+///
+/// With `spawn_replacement`, in-flight rank replacement is armed: when the
 /// config's fault plan scripts a replaceable kill and the heartbeat
 /// convicts that rank, the master calls `spawn_replacement(victim_rank)` —
 /// the caller respawns just that one OS process (pointing it at
@@ -116,16 +105,17 @@ pub fn run_tcp_master_elastic(
     listener: TcpListener,
     cfg: &TrainConfig,
     opts: DistributedOptions,
-    spawn_replacement: impl Fn(usize) -> std::io::Result<()>,
+    spawn_replacement: Option<&dyn Fn(usize) -> std::io::Result<()>>,
 ) -> std::io::Result<Result<MasterOutcome, MasterAbort>> {
     let fabric = TcpFabric::master(listener, cfg.cells() + 1)?;
     let cm = CommManager::new(Universe::attach(fabric.clone(), 0));
-    let rejoin_fabric = fabric.clone();
-    let replacer = move |victim: usize| -> bool {
-        spawn_replacement(victim).is_ok()
-            && rejoin_fabric.accept_rejoin(victim, Duration::from_secs(60)).is_ok()
-    };
-    let outcome = run_master_elastic(&cm, cfg, &opts, Some(&replacer));
+    let replacer = spawn_replacement.map(|spawn| {
+        |victim: usize| -> bool {
+            spawn(victim).is_ok()
+                && fabric.accept_rejoin(victim, Duration::from_secs(60)).is_ok()
+        }
+    });
+    let outcome = run_master(&cm, cfg, &opts, replacer.as_ref().map(|r| r as &Replacer<'_>));
     fabric.shutdown();
     Ok(outcome)
 }
@@ -161,14 +151,6 @@ pub fn run_tcp_slave(
     let state = run_slave(&cm, &make_data, &format!("node{rank:02}"));
     fabric.shutdown_when_drained();
     Ok(state)
-}
-
-/// Convenience wrapper returning only the training report.
-pub fn run_distributed_report(
-    cfg: &TrainConfig,
-    make_data: impl Fn(usize, &TrainConfig) -> Matrix + Send + Sync,
-) -> TrainReport {
-    run_distributed(cfg, make_data, DistributedOptions::default()).report
 }
 
 #[cfg(test)]

@@ -58,39 +58,34 @@ impl HeartbeatLog {
 /// Sentinel for "no slave declared dead yet" in the dead-rank flag.
 pub const NO_DEAD_SLAVE: i64 = -1;
 
-/// Run heartbeat rounds until `stop` is set. Each round polls every slave
-/// with `response_timeout`, waits `interval` between rounds, and records
-/// results. Designed to run on its own thread of the master process.
-pub fn run_heartbeat_loop(
-    cm: &CommManager,
-    interval: Duration,
-    response_timeout: Duration,
-    stop: &AtomicBool,
-) -> HeartbeatLog {
-    let first_dead = AtomicI64::new(NO_DEAD_SLAVE);
-    run_heartbeat_loop_with_deadline(cm, interval, response_timeout, 0, stop, &first_dead, None)
-}
-
-/// [`run_heartbeat_loop`] with a death deadline: a slave that misses
-/// `deadline_misses` *consecutive* rounds is declared dead — its WORLD rank
-/// is published into `first_dead` (first death wins; the flag starts at
-/// [`NO_DEAD_SLAVE`]). `deadline_misses == 0` never declares anyone dead,
-/// reproducing the monitor-only behavior. The loop keeps observing after a
+/// Run heartbeat rounds until `stop` is set — designed to run on its own
+/// thread of the master process. Each round asks every slave still
+/// training for its status, waits up to `response_timeout` for each answer
+/// in turn, records the results, then sleeps `interval`.
+///
+/// A slave that misses `deadline_misses` *consecutive* rounds is declared
+/// dead — its WORLD rank is published into `first_dead` (first death wins;
+/// the flag starts at [`NO_DEAD_SLAVE`]). `deadline_misses == 0` never
+/// declares anyone dead: monitoring only. The loop keeps observing after a
 /// declaration — the master aborts its gather on the flag and stops the
 /// loop itself.
 ///
-/// A slave that ever reported the *finished* state is exempt from
-/// conviction: its communication thread legitimately stops answering once
-/// training ends, while its result may sit in the gather queue for as long
-/// as slower cells keep training. Convicting it would kill healthy runs
-/// with uneven per-cell wall times; a finished slave whose *connection*
-/// actually dies is still caught by the transport's doomed-peer check.
+/// A slave that reported the *finished* state is never polled again: its
+/// communication thread legitimately stops answering once training ends,
+/// while its result may sit in the gather queue for as long as slower
+/// cells keep training — waiting out a time-out on it every round would
+/// only delay the verdict on everyone behind it (its rounds are logged as
+/// finished, not delayed). A finished slave whose *connection* actually
+/// dies is still caught by the transport's doomed-peer check. And `stop`
+/// is honoured between the per-slave waits, so once the run is over the
+/// loop returns within one `response_timeout` instead of waiting out every
+/// slave that has gone quiet.
 ///
-/// The exemption also covers the master clearing a conviction as stale
-/// (the convicted rank's result had already arrived): once cleared, that
-/// rank is never convicted again, so a genuinely wedged rank behind it in
-/// round order still gets its death declared instead of being starved by
-/// an endless convict/clear cycle.
+/// A conviction the master cleared as stale (the convicted rank's result
+/// had already arrived, or the rank was replaced in flight) exempts that
+/// rank for good: once cleared it is never convicted again, so a genuinely
+/// wedged rank behind it in round order still gets its death declared
+/// instead of being starved by an endless convict/clear cycle.
 ///
 /// When `tel` is supplied, every miss and every conviction is journaled on
 /// the master's timeline: a miss event names the suspect rank and its
@@ -108,24 +103,36 @@ pub fn run_heartbeat_loop_with_deadline(
     tel: Option<&SharedTelemetry>,
 ) -> HeartbeatLog {
     let mut log = HeartbeatLog::default();
-    let mut consecutive_misses = vec![0usize; cm.num_slaves() + 1];
-    let mut finished = vec![false; cm.num_slaves() + 1];
-    let mut convicted = vec![false; cm.num_slaves() + 1];
-    let mut last_reported = vec![0u64; cm.num_slaves() + 1];
+    let slaves = cm.num_slaves();
+    let mut consecutive_misses = vec![0usize; slaves + 1];
+    let mut finished = vec![false; slaves + 1];
+    let mut exempt = vec![false; slaves + 1];
+    let mut convicted = vec![false; slaves + 1];
+    let mut last_reported = vec![0u64; slaves + 1];
     while !stop.load(Ordering::Acquire) {
-        let mut round = Vec::with_capacity(cm.num_slaves());
-        for slave in 1..=cm.num_slaves() {
+        let mut round = Vec::with_capacity(slaves);
+        for slave in (1..=slaves).filter(|&s| !finished[s]) {
             cm.request_status(slave);
         }
-        let slaves = consecutive_misses.iter_mut().zip(finished.iter_mut()).enumerate();
-        for (slave, (misses, done)) in slaves.skip(1) {
+        for slave in 1..=slaves {
+            if finished[slave] {
+                round.push(HeartbeatRecord {
+                    slave,
+                    state: Some(SlaveState::Finished),
+                    iterations_done: last_reported[slave],
+                    delayed: false,
+                });
+                continue;
+            }
+            if stop.load(Ordering::Acquire) {
+                return log;
+            }
+            let misses = &mut consecutive_misses[slave];
             match cm.await_status(slave, response_timeout) {
                 Some(status) => {
                     *misses = 0;
                     last_reported[slave] = status.iterations_done;
-                    if status.state == SlaveState::Finished.id() {
-                        *done = true;
-                    }
+                    finished[slave] = status.state == SlaveState::Finished.id();
                     round.push(HeartbeatRecord {
                         slave,
                         state: SlaveState::from_id(status.state),
@@ -145,15 +152,15 @@ pub fn run_heartbeat_loop_with_deadline(
                     }
                     if convicted[slave] && first_dead.load(Ordering::Acquire) != slave as i64 {
                         // We convicted this rank and the master cleared the
-                        // verdict as stale (its result had already arrived —
-                        // it finished and went quiet before a Finished report
-                        // ever landed here). Exempt it permanently:
-                        // re-convicting it every round would win the
-                        // first-death CAS forever and starve the conviction
-                        // of a rank that is genuinely wedged with its
-                        // connection still open.
-                        *done = true;
-                    } else if !*done && deadline_misses > 0 && *misses >= deadline_misses {
+                        // verdict as stale. Re-convicting it every round
+                        // would win the first-death CAS forever and starve
+                        // the conviction of a rank that is genuinely wedged
+                        // with its connection still open.
+                        exempt[slave] = true;
+                    } else if !exempt[slave]
+                        && deadline_misses > 0
+                        && *misses >= deadline_misses
+                    {
                         // First declared death wins; later ones keep the log
                         // but not the flag.
                         if first_dead
@@ -290,6 +297,7 @@ mod tests {
         // the run — the heartbeat deadline bounds every wait, so a silent
         // peer can degrade monitoring but never wedge `run_master`.
         use crate::comm_manager::CommManager;
+        use crate::driver::DistributedOptions;
         use crate::master::run_master;
         use crate::protocol::{ProfileRowMsg, SlaveResult};
         use crate::slave::run_slave;
@@ -307,7 +315,11 @@ mod tests {
         let results = Universe::run(3, |world| {
             let mut cm = CommManager::new(world);
             if cm.is_master() {
-                return Some(run_master(&cm, &cfg, Duration::from_millis(2)));
+                let opts = DistributedOptions {
+                    heartbeat_interval: Duration::from_millis(2),
+                    ..DistributedOptions::default()
+                };
+                return Some(run_master(&cm, &cfg, &opts, None).expect("monitor-only run"));
             }
             if cm.world_rank() == 1 {
                 run_slave(&cm, &|_, cfg: &TrainConfig| toy_data(cfg), "healthy");
@@ -503,7 +515,12 @@ mod tests {
                     stop.store(true, Ordering::Release);
                     handle.join().unwrap()
                 });
-                assert!(log.any_delayed(), "the silent rounds must still be logged");
+                // Once finished it is no longer polled: the silent rounds
+                // log it as finished, never as delayed.
+                assert!(!log.any_delayed(), "a finished slave was waited on");
+                let last = &log.rounds.last().expect("rounds ran")[0];
+                assert_eq!(last.state, Some(SlaveState::Finished));
+                assert_eq!(last.iterations_done, 9);
                 Some(first_dead.load(Ordering::Acquire))
             } else {
                 // Answer exactly one request with Finished, then go silent.
@@ -521,6 +538,59 @@ mod tests {
     }
 
     #[test]
+    fn stopped_loop_returns_without_waiting_out_quiet_slaves() {
+        // The end of every healthy run: the slaves have finished and gone
+        // quiet — two of them after a Finished report, two before the loop
+        // ever saw one — and the master sets `stop` the moment the final
+        // gather lands. The loop must return within one response time-out,
+        // not wait out a time-out per quiet slave.
+        const RESPONSE_TIMEOUT: Duration = Duration::from_millis(150);
+        let results = Universe::run(5, |world| {
+            let cm = CommManager::new(world);
+            if !cm.is_master() {
+                if cm.world_rank() <= 2 {
+                    assert!(cm.poll_status_request(Duration::from_secs(5)));
+                    cm.respond_status(&StatusReport {
+                        state: SlaveState::Finished.id(),
+                        iterations_done: 4,
+                    });
+                }
+                // Quiet from here on; drain requests until the master stops.
+                while cm.poll_status_request(Duration::from_millis(400)) {}
+                return None;
+            }
+            let stop = AtomicBool::new(false);
+            let first_dead = AtomicI64::new(NO_DEAD_SLAVE);
+            std::thread::scope(|s| {
+                let handle = s.spawn(|| {
+                    run_heartbeat_loop_with_deadline(
+                        &cm,
+                        Duration::from_millis(1),
+                        RESPONSE_TIMEOUT,
+                        0,
+                        &stop,
+                        &first_dead,
+                        None,
+                    )
+                });
+                // Round 1 waits out the two slaves that never reported
+                // (2 time-outs); stop lands a third of a time-out into
+                // round 2, where only those two are still being polled.
+                std::thread::sleep(RESPONSE_TIMEOUT * 7 / 3);
+                stop.store(true, Ordering::Release);
+                let stopped = std::time::Instant::now();
+                handle.join().unwrap();
+                Some(stopped.elapsed())
+            })
+        });
+        let teardown = results[0].expect("master measured the teardown");
+        assert!(
+            teardown < 2 * RESPONSE_TIMEOUT,
+            "loop waited out quiet slaves after stop: {teardown:?}"
+        );
+    }
+
+    #[test]
     fn heartbeat_loop_stops_on_flag() {
         let results = Universe::run(2, |world| {
             let cm = CommManager::new(world);
@@ -529,11 +599,14 @@ mod tests {
                 let answered = AtomicU64::new(0);
                 let log = std::thread::scope(|s| {
                     let handle = s.spawn(|| {
-                        run_heartbeat_loop(
+                        run_heartbeat_loop_with_deadline(
                             &cm,
                             Duration::from_millis(10),
                             Duration::from_millis(50),
+                            0,
                             &stop,
+                            &AtomicI64::new(NO_DEAD_SLAVE),
+                            None,
                         )
                     });
                     std::thread::sleep(Duration::from_millis(80));

@@ -27,14 +27,15 @@
 //!
 //! ```
 //! use lipiz_core::TrainConfig;
-//! use lipiz_runtime::driver::run_distributed_report;
+//! use lipiz_runtime::{run_distributed, DistributedOptions};
 //! use lipiz_tensor::Rng64;
 //!
 //! let cfg = TrainConfig::smoke(2); // 2×2 grid -> 4 slave ranks + 1 master
-//! let report = run_distributed_report(&cfg, |_cell, cfg| {
+//! let make_data = |_cell: usize, cfg: &TrainConfig| {
 //!     let mut rng = Rng64::seed_from(cfg.training.data_seed);
 //!     rng.uniform_matrix(cfg.training.dataset_size, cfg.network.data_dim, -0.9, 0.9)
-//! });
+//! };
+//! let report = run_distributed(&cfg, make_data, DistributedOptions::default()).report;
 //! assert_eq!(report.driver, "distributed");
 //! assert_eq!(report.cells.len(), 4);
 //! ```

@@ -14,7 +14,7 @@ use lipiz_core::profiling::{ProfileReport, ProfileRow};
 use lipiz_core::{
     CellResult, EnsembleModel, Grid, MixtureWeights, Routine, TrainConfig, TrainReport,
 };
-use lipiz_mpi::{replacement_schedule, FaultPlan, ReplacementSchedule};
+use lipiz_mpi::scheduled_replacement;
 use lipiz_telemetry::{EventKind, SharedTelemetry, Telemetry, TelemetrySummary, NO_CELL};
 use std::collections::HashMap;
 use std::path::Path;
@@ -111,60 +111,26 @@ pub fn assign_workload(num_slaves: usize) -> Vec<(usize, usize)> {
     (0..num_slaves).map(|cell| (cell + 1, cell)).collect()
 }
 
-/// Run the complete master lifecycle with monitor-only heartbeats (a
-/// silent slave is logged as delayed but never declared dead). Kept as the
-/// simple entry point; the elastic path is [`run_master_monitored`].
-pub fn run_master(
-    cm: &CommManager,
-    cfg: &TrainConfig,
-    heartbeat_interval: Duration,
-) -> MasterOutcome {
-    let opts = DistributedOptions { heartbeat_interval, ..DistributedOptions::default() };
-    run_master_monitored(cm, cfg, &opts)
-        .unwrap_or_else(|e| panic!("unmonitored master run aborted: {e}"))
-}
-
-/// Run the complete master lifecycle, optionally with a death deadline
-/// (`opts.deadline_misses > 0`) and a resume marker for the slaves.
+/// Run the complete master lifecycle.
 ///
-/// On a declared death the final gather is abandoned and
-/// [`MasterAbort::SlaveDead`] names the failed rank — the caller (the
-/// `lipizzaner launch` recovery loop) respawns slaves and reruns from the
-/// last committed checkpoint cut.
-pub fn run_master_monitored(
-    cm: &CommManager,
-    cfg: &TrainConfig,
-    opts: &DistributedOptions,
-) -> Result<MasterOutcome, MasterAbort> {
-    run_master_elastic(cm, cfg, opts, None)
-}
-
-/// The in-flight replacement schedule implied by the config's fault plan,
-/// if its earliest kill is replaceable (same pure arithmetic on every
-/// party — see [`replacement_schedule`]).
-fn scheduled_replacement(cfg: &TrainConfig) -> Option<ReplacementSchedule> {
-    let plan = FaultPlan::parse(cfg.fault.plan.as_deref()?).ok()?;
-    replacement_schedule(
-        &plan,
-        cfg.fault.max_stale_iters,
-        cfg.checkpoint.every,
-        cfg.checkpoint.effective_iterations(cfg.coevolution.iterations),
-        cfg.cells(),
-    )
-}
-
-/// [`run_master_monitored`] with in-flight rank replacement: when the
-/// heartbeat convicts the rank the fault plan scripts to die — and a
-/// `replacer` hook is available — the master respawns *only* that rank
-/// instead of aborting. The replacer brings a fresh process onto the
-/// transport (rejoin handshake included); the master then awaits its
-/// announcement and hands it a [`RunTask`] carrying the dead cell's newest
-/// committed checkpoint cut plus the rejoin round at which it must be back
-/// in the exchange. Survivors never leave iteration cadence: the fan-in
-/// root bridges the gap from its stale cache while the replacement catches
-/// up solo. A failed replacement (spawn, handshake, or announcement) falls
-/// back to the coordinated full-teardown abort.
-pub fn run_master_elastic(
+/// The heartbeat thread monitors the slaves in the background; with a
+/// death deadline (`opts.deadline_misses > 0`) a declared death abandons
+/// the final gather and [`MasterAbort::SlaveDead`] names the failed rank —
+/// the caller (the `lipizzaner launch` recovery loop) respawns slaves and
+/// reruns from the last committed checkpoint cut. With `0` a silent slave
+/// is logged as delayed but never declared dead.
+///
+/// With a `replacer`, the rank the config's fault plan scripts to die is
+/// replaced in flight instead: when the heartbeat convicts it (or its
+/// connection dies) the master respawns *only* that rank. The replacer
+/// brings a fresh process onto the transport (rejoin handshake included);
+/// the master then awaits its announcement and hands it a [`RunTask`]
+/// carrying the dead cell's newest committed checkpoint cut plus the
+/// rejoin round at which it must be back in the exchange. Survivors never
+/// leave iteration cadence: the fan-in root bridges the gap from its stale
+/// cache while the replacement catches up solo. A failed replacement
+/// (spawn, handshake, or announcement) falls back to the abort.
+pub fn run_master(
     cm: &CommManager,
     cfg: &TrainConfig,
     opts: &DistributedOptions,
@@ -231,8 +197,25 @@ pub fn run_master_elastic(
     // Replacement state: the schedule the fault plan implies (if its kill
     // is replaceable) and a once-only latch — a second conviction of the
     // same rank, or of any other rank, aborts the old-fashioned way.
-    let sched = scheduled_replacement(cfg);
+    let sched = scheduled_replacement(
+        cfg.fault.plan.as_deref(),
+        cfg.fault.max_stale_iters,
+        cfg.checkpoint.every,
+        cfg.checkpoint.effective_iterations(cfg.coevolution.iterations),
+        cfg.cells(),
+    );
     let replacement_started = AtomicBool::new(false);
+    // Withdraw a heartbeat verdict (journaled only if it was still standing;
+    // the heartbeat loop then exempts that rank for good).
+    let clear_conviction = |convicted: i64| {
+        if convicted != NO_DEAD_SLAVE
+            && first_dead
+                .compare_exchange(convicted, NO_DEAD_SLAVE, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+        {
+            tel.instant(EventKind::ConvictionCleared, convicted as u32, 0, 0);
+        }
+    };
     let (gathered, heartbeat) = std::thread::scope(|s| {
         let hb_cm = cm.clone();
         let stop_ref = &stop;
@@ -285,17 +268,7 @@ pub fn run_master_elastic(
                     // best-effort: the master only observes that state if a
                     // request lands in the slave's drain window). Clear the
                     // flag so a *real* death can still be recorded.
-                    if first_dead
-                        .compare_exchange(
-                            convicted,
-                            NO_DEAD_SLAVE,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        tel.instant(EventKind::ConvictionCleared, convicted as u32, 0, 0);
-                    }
+                    clear_conviction(convicted);
                     return false;
                 }
                 convicted as usize
@@ -325,18 +298,7 @@ pub fn run_master_elastic(
                         // Otherwise this is a leftover heartbeat conviction
                         // from the death window — clear it (the heartbeat
                         // loop then exempts the rank for good).
-                        if convicted != NO_DEAD_SLAVE
-                            && first_dead
-                                .compare_exchange(
-                                    convicted,
-                                    NO_DEAD_SLAVE,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                )
-                                .is_ok()
-                        {
-                            tel.instant(EventKind::ConvictionCleared, convicted as u32, 0, 0);
-                        }
+                        clear_conviction(convicted);
                         return false;
                     }
                     let connected = replace(sched.victim_world)
@@ -356,18 +318,7 @@ pub fn run_master_elastic(
                                 rejoin_round: Some(sched.rejoin_round),
                             },
                         );
-                        if convicted != NO_DEAD_SLAVE
-                            && first_dead
-                                .compare_exchange(
-                                    convicted,
-                                    NO_DEAD_SLAVE,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                )
-                                .is_ok()
-                        {
-                            tel.instant(EventKind::ConvictionCleared, convicted as u32, 0, 0);
-                        }
+                        clear_conviction(convicted);
                         tel.instant(
                             EventKind::Rejoin,
                             sched.cell as u32,
@@ -456,7 +407,7 @@ pub fn reduce_results(
     wall_seconds: f64,
 ) -> TrainReport {
     let grid = Grid::from_config(&cfg.grid);
-    let cells: Vec<CellResult> = slave_results
+    let cells = slave_results
         .iter()
         .map(|r| CellResult {
             cell: r.cell,
@@ -466,28 +417,17 @@ pub fn reduce_results(
             mixture_weights: r.mixture.clone(),
         })
         .collect();
-    let best_cell = cells
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            a.gen_fitness.partial_cmp(&b.gen_fitness).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map_or(0, |(i, _)| i);
-
     // Distributed profile: the mean across slaves (they run concurrently, so
     // a per-rank view — not the sum — is what Table IV's distributed column
     // reports).
-    let profile = mean_profile(slave_results);
-
-    TrainReport {
-        driver: "distributed".into(),
-        grid: (cfg.grid.rows, cfg.grid.cols),
-        iterations: cfg.coevolution.iterations,
+    TrainReport::assemble(
+        "distributed",
+        (cfg.grid.rows, cfg.grid.cols),
+        cfg.coevolution.iterations,
         wall_seconds,
-        profile,
+        mean_profile(slave_results),
         cells,
-        best_cell,
-    }
+    )
 }
 
 /// Average the slaves' per-routine profiles.
@@ -578,7 +518,7 @@ mod tests {
                     deadline_misses: 3,
                     resume_from: None,
                 };
-                Some(run_master_monitored(&cm, &cfg, &opts))
+                Some(run_master(&cm, &cfg, &opts, None))
             } else {
                 // Take the workload, then die without a word.
                 cm.announce_node("doomed");
@@ -618,7 +558,7 @@ mod tests {
                     deadline_misses: 2, // harsh: ~30ms of silence convicts
                     resume_from: None,
                 };
-                return Some(run_master_monitored(&cm, &cfg, &opts));
+                return Some(run_master(&cm, &cfg, &opts, None));
             }
             cm.announce_node(&format!("node{}", cm.world_rank()));
             let task = cm.recv_run_task();

@@ -3,10 +3,16 @@
 //! Each slave runs two threads, exactly like the paper's design: the *main
 //! thread* is the communication interface with the master (it answers
 //! heartbeat status requests), while the *execution thread* performs the
-//! training. The execution thread also performs the per-iteration LOCAL
-//! allgather with the neighboring slaves — communication with peers
-//! overlaps the master's monitoring traffic without interference because
-//! they use different communicators.
+//! training. The execution thread is one rank of the iteration
+//! [`Pipeline`] (`lipiz_core::pipeline`): it hosts this rank's single cell
+//! and exchanges snapshots with the other slaves through
+//! [`CommManager::exchange`] on the LOCAL communicator — communication with
+//! peers overlaps the master's monitoring traffic without interference
+//! because they use different communicators. The schedule itself (frame
+//! choice, async double-buffer, checkpoint-cut frame, a replacement's solo
+//! catch-up) is the pipeline's; this file wires the rank up — fault plan,
+//! restore, checkpoint writer, journal — drives the loop and ships the
+//! result.
 
 use crate::checkpoint::{self, CheckpointWriter};
 use crate::comm_manager::CommManager;
@@ -14,10 +20,10 @@ use crate::protocol::{
     ProfileRowMsg, SlaveResult, SnapshotMsg, StatusReport, TelemetrySummaryMsg,
 };
 use crate::state::SlaveState;
-use lipiz_core::{CellEngine, CellSnapshot, Grid, Profiler, TrainConfig};
+use lipiz_core::{CellEngine, CellResult, Grid, Pipeline, TrainConfig};
 use lipiz_mpi::wire::Wire;
-use lipiz_mpi::{process_faults_enabled, replacement_schedule, DegradedGather, FaultPlan};
-use lipiz_telemetry::{EventKind, SpanKind, Telemetry};
+use lipiz_mpi::{process_faults_enabled, scheduled_replacement, DegradedGather, FaultPlan};
+use lipiz_telemetry::{EventKind, Telemetry};
 use lipiz_tensor::{Matrix, Pool};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -30,47 +36,6 @@ fn fault_self_kill() -> ! {
     let pid = std::process::id();
     let _ = std::process::Command::new("kill").arg("-9").arg(pid.to_string()).status();
     std::process::abort();
-}
-
-/// Submit an async checkpoint capture if the cadence commits after `iter`.
-///
-/// `frame_for_next` is the gathered frame the *next* iteration will
-/// consume — `Some` only under `--exchange async`, where the cut must
-/// carry it for the resumed run to stay bit-exact (the caller drains the
-/// in-flight generation first so the frame is always available here).
-fn maybe_commit_checkpoint(
-    writer: &Option<CheckpointWriter>,
-    cfg: &TrainConfig,
-    engine: &mut CellEngine,
-    iter: usize,
-    profiler: &mut Profiler,
-    frame_for_next: Option<&[CellSnapshot]>,
-) {
-    let Some(w) = writer else { return };
-    if !cfg.checkpoint.commits_after(iter) {
-        return;
-    }
-    let ckpt_start = Instant::now();
-    let mut state = match w.recycled() {
-        Some(mut recycled) => {
-            engine.capture_state_into(&mut recycled);
-            recycled
-        }
-        None => engine.capture_state(),
-    };
-    match frame_for_next {
-        Some(frame) => {
-            state.exchange_frame.resize_with(frame.len(), CellSnapshot::empty);
-            for (dst, src) in state.exchange_frame.iter_mut().zip(frame) {
-                dst.copy_from(src);
-            }
-        }
-        None => state.exchange_frame.clear(),
-    }
-    w.submit(state);
-    // Charged to "other": capture is the only checkpoint cost on the
-    // training thread.
-    profiler.record(lipiz_core::Routine::Other, ckpt_start.elapsed());
 }
 
 /// How a slave builds its local dataset for an assigned cell ("download
@@ -91,6 +56,7 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
     let resume_from = task.resume_from;
     let rejoin_round = task.rejoin_round;
     state = state.transition(SlaveState::Processing);
+    let target = cfg.checkpoint.effective_iterations(cfg.coevolution.iterations);
 
     // Fault wiring. The plan rides in the config, so every rank arms the
     // same message-level enforcement and derives the same replacement
@@ -99,15 +65,6 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
     if let Some(plan) = fault_plan.clone() {
         cm.install_fault_plan(plan);
     }
-    let sched = fault_plan.as_ref().and_then(|plan| {
-        replacement_schedule(
-            plan,
-            cfg.fault.max_stale_iters,
-            cfg.checkpoint.every,
-            cfg.checkpoint.effective_iterations(cfg.coevolution.iterations),
-            cfg.cells(),
-        )
-    });
     // A scripted kill of this rank is enacted only when each rank is a
     // real OS process (the CLI slave path arms this) and this process is
     // not itself the replacement re-running the victim's rank.
@@ -122,8 +79,15 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
     // threaded runs carrying a kill-bearing plan stay synchronous.
     let mut gather_ctl = (cm.world_rank() == 1 && cfg.fault.degradation_enabled())
         .then(|| DegradedGather::new(cfg.cells(), cfg.fault.max_stale_iters));
-    if let (Some(ctl), Some(sched)) = (gather_ctl.as_mut(), sched) {
-        if process_faults_enabled() {
+    if let Some(ctl) = gather_ctl.as_mut().filter(|_| process_faults_enabled()) {
+        let sched = scheduled_replacement(
+            cfg.fault.plan.as_deref(),
+            cfg.fault.max_stale_iters,
+            cfg.checkpoint.every,
+            target,
+            cfg.cells(),
+        );
+        if let Some(sched) = sched {
             ctl.plan_absence(sched.cell, sched.kill_iter, sched.rejoin_round);
         }
     }
@@ -145,8 +109,8 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
     let journal_file = format!("{node_name}.jsonl");
 
     std::thread::scope(|s| {
-        // Execution thread: training loop with per-iteration allgather.
-        let mut exec_cm = cm.clone();
+        // Execution thread: the training loop.
+        let exec_cm = cm.clone();
         let exec_cfg = cfg.clone();
         let journal_file = journal_file.clone();
         let exec = s.spawn({
@@ -166,19 +130,7 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                 }
                 let _done_on_exit = DoneGuard(done);
 
-                // Run telemetry: free when the config gate is off (no ring,
-                // dead branches), observational-only when on — it never
-                // touches RNG or training state, so the `.lpz` stays
-                // byte-identical either way.
-                let mut tel = Telemetry::from_gate(
-                    exec_cfg.telemetry.enabled,
-                    exec_cm.world_rank() as u32,
-                    exec_cfg.telemetry.ring_capacity,
-                );
                 let cell_u32 = cell_index as u32;
-                if exec_cfg.exchange.is_async() {
-                    tel.metrics.staleness.set(1);
-                }
                 let flush_journal = |tel: &Telemetry| {
                     if let Some(dir) = exec_cfg.telemetry.dir.as_deref() {
                         let path = Path::new(dir).join(&journal_file);
@@ -193,15 +145,13 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
 
                 let start = Instant::now();
                 let data = make_data(cell_index, &exec_cfg);
-                let grid = Grid::from_config(&exec_cfg.grid);
 
                 // Fresh engine, or restore this cell from the committed
                 // checkpoint the master's resume marker names. Restore
                 // failures are fatal and loud — a half-restored slave must
                 // never train.
-                let mut resume_frame: Vec<CellSnapshot> = Vec::new();
-                let mut engine = match resume_from {
-                    None => CellEngine::new(cell_index, &exec_cfg, data),
+                let (engine, resume_frame) = match resume_from {
+                    None => (CellEngine::new(cell_index, &exec_cfg, data), Vec::new()),
                     Some(iter) => {
                         let dir = exec_cfg
                             .checkpoint
@@ -219,10 +169,7 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                         });
                         let pool = Pool::new(exec_cfg.training.workers_per_cell);
                         let engine = CellEngine::from_state(&exec_cfg, data, pool, &state);
-                        // Async runs checkpoint the frame the next
-                        // iteration consumes; carry it into the pipeline.
-                        resume_frame = state.exchange_frame;
-                        engine
+                        (engine, state.exchange_frame)
                     }
                 };
                 iterations_done.store(engine.iterations_done() as u64, Ordering::Release);
@@ -248,272 +195,94 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                     None
                 };
 
-                let mut profiler = Profiler::new();
-                let target =
-                    exec_cfg.checkpoint.effective_iterations(exec_cfg.coevolution.iterations);
-                // Recycled per-iteration buffers: the outgoing center
-                // snapshot and the neighbor fan-out (genome buffers are
-                // reused; the allgather decode itself still owns its
-                // payloads).
-                let mut snapshot = CellSnapshot::empty();
-                let mut neighbors: Vec<CellSnapshot> = Vec::new();
-                let neighbor_ids = grid.neighbors(cell_index);
-
-                let async_mode = exec_cfg.exchange.is_async();
-                // The completed-but-unconsumed frame of the async pipeline:
-                // the frame the next loop iteration trains against. `None`
-                // means it is still in flight on the exchange thread (or,
-                // at a fresh start, not begun yet).
-                let mut ready: Option<Vec<CellSnapshot>> = None;
-
-                // In-flight replacement catch-up: train solo against the
-                // frozen death-frame neighborhood (streamed from the fan-in
-                // root) until this engine's counter reaches the rejoin
-                // round — no exchanges, so the survivors' cadence is never
-                // perturbed, and the same frame for every solo iteration
-                // keeps the replay a pure function of (seed, plan).
-                if let Some(rejoin) = rejoin_round {
-                    let frame = exec_cm
-                        .fetch_frozen_frame(Duration::from_secs(60))
-                        .unwrap_or_else(|| {
-                            panic!("cell {cell_index}: no frozen death-frame to catch up from")
-                        });
-                    let frozen: Vec<CellSnapshot> = frame
-                        .iter()
-                        .map(|part| {
-                            SnapshotMsg::from_bytes(part)
-                                .expect("death-frame decode")
-                                .into_snapshot()
-                        })
-                        .collect();
-                    let frozen_neighbors: Vec<CellSnapshot> =
-                        neighbor_ids.iter().map(|&n| frozen[n].clone()).collect();
-                    while engine.iterations_done() < rejoin {
-                        let iter = engine.iterations_done();
-                        // Catch-up gathers run against the frozen frame.
-                        tel.instant(
-                            EventKind::Degraded,
-                            cell_u32,
-                            iter as u32,
-                            cell_u32 as u64,
-                        );
-                        tel.metrics.degraded_iters.inc();
-                        engine.run_iteration_with(&frozen_neighbors, &mut profiler, &mut tel);
-                        iterations_done.fetch_add(1, Ordering::Release);
-                        maybe_commit_checkpoint(
-                            &writer,
-                            &exec_cfg,
-                            &mut engine,
-                            iter,
-                            &mut profiler,
-                            async_mode.then_some(frozen.as_slice()),
-                        );
-                        if writer.is_some() && exec_cfg.checkpoint.commits_after(iter) {
-                            tel.metrics.checkpoints.inc();
-                            tel.instant(
-                                EventKind::CheckpointCommit,
-                                cell_u32,
-                                iter as u32,
-                                (iter + 1) as u64,
-                            );
-                        }
+                // Run telemetry: free when the config gate is off (no ring,
+                // dead branches), observational-only when on — it never
+                // touches RNG or training state, so the `.lpz` stays
+                // byte-identical either way.
+                let telemetry = Telemetry::from_gate(
+                    exec_cfg.telemetry.enabled,
+                    exec_cm.world_rank() as u32,
+                    exec_cfg.telemetry.ring_capacity,
+                );
+                let mut pipeline = Pipeline::new(&exec_cfg, vec![engine], telemetry);
+                match rejoin_round {
+                    // In-flight replacement: catch up solo against the
+                    // frozen death-frame, streamed from the fan-in root.
+                    Some(rejoin) => {
+                        let frozen = exec_cm
+                            .fetch_frozen_frame(Duration::from_secs(60))
+                            .unwrap_or_else(|| {
+                                panic!(
+                                    "cell {cell_index}: no frozen death-frame to catch up from"
+                                )
+                            })
+                            .iter()
+                            .map(|part| {
+                                SnapshotMsg::from_bytes(part)
+                                    .expect("death-frame decode")
+                                    .into_snapshot()
+                            })
+                            .collect();
+                        pipeline.rejoin(0, rejoin, frozen);
                     }
-                    tel.metrics.rejoined.inc();
-                    tel.instant(EventKind::Rejoin, cell_u32, rejoin as u32, 0);
-                    // Under async the rejoiner never received generation
-                    // `rejoin - 1`; the frozen death-frame stands in as the
-                    // frame its first live iteration consumes — still a
-                    // pure function of (seed, plan).
-                    if async_mode {
-                        ready = Some(frozen);
-                    }
-                } else if async_mode && !resume_frame.is_empty() {
-                    ready = Some(resume_frame);
-                } else if async_mode && resume_from.is_some() {
-                    panic!(
-                        "cell {cell_index}: async resume needs the checkpointed exchange frame"
-                    );
+                    None => pipeline.resume_from(resume_frame),
                 }
+                // The async exchange thread also owns the degraded fan-in
+                // controller — the death-frame handle was cloned for the
+                // main thread before this move.
+                let mut exchange = exec_cm.exchange(exec_cfg.exchange, gather_ctl.take());
 
-                // `--exchange async`: the blocking half of every allgather
-                // runs on a background thread (which also owns the degraded
-                // fan-in controller — the death-frame handle was cloned for
-                // the main thread before this move).
-                let mut exchanger =
-                    async_mode.then(|| exec_cm.start_async_exchange(gather_ctl.take()));
-
-                // Degraded-gather observability (sync fan-in root only: the
-                // async controller lives on the exchange thread): previous
-                // per-rank stale-run counts, so a round that substituted a
-                // rank's contribution journals who was absent.
-                let mut prev_stale: Vec<usize> = vec![0; exec_cfg.cells()];
-                // Submit time of the in-flight async generation (staleness
-                // is fixed at 1, so at most one is pending).
-                let mut inflight_submit: Option<Instant> = None;
-
-                while engine.iterations_done() < target {
-                    let iter = engine.iterations_done();
-                    exec_cm.tick_fault_clock(iter);
-                    if my_kill == Some(iter) {
-                        // Die exactly at the scripted boundary: the last
-                        // exchanged round was `iter - 1`, exactly `iter`
-                        // iterations are complete, and every committed
-                        // cadence cut is durable first so the replacement
-                        // can restore from it.
-                        if let Some(w) = writer.take() {
-                            w.finish().unwrap_or_else(|e| {
-                                panic!("cell {cell_index}: checkpoint commit failed: {e}")
-                            });
+                while pipeline.iteration() < target {
+                    let iter = pipeline.iteration();
+                    if !pipeline.catching_up() {
+                        exec_cm.tick_fault_clock(iter);
+                        if my_kill == Some(iter) {
+                            // Die exactly at the scripted boundary: the last
+                            // exchanged round was `iter - 1`, exactly `iter`
+                            // iterations are complete, and every committed
+                            // cadence cut is durable first so the replacement
+                            // can restore from it.
+                            if let Some(w) = writer.take() {
+                                w.finish().unwrap_or_else(|e| {
+                                    panic!("cell {cell_index}: checkpoint commit failed: {e}")
+                                });
+                            }
+                            // Last words: journal the scripted death and
+                            // flush — SIGKILL runs no destructors, so the
+                            // file must be durable before the signal.
+                            let tel = pipeline.telemetry_mut();
+                            tel.instant(EventKind::Kill, cell_u32, iter as u32, 0);
+                            flush_journal(tel);
+                            fault_self_kill();
                         }
-                        // Last words: journal the scripted death and flush —
-                        // SIGKILL runs no destructors, so the file must be
-                        // durable before the signal.
-                        tel.instant(EventKind::Kill, cell_u32, iter as u32, 0);
-                        flush_journal(&tel);
-                        fault_self_kill();
                     }
-                    // Gather: allgather my center, pick my neighbors. In
-                    // async mode, begin generation `iter`'s gather and train
-                    // against the completed generation `iter - 1` (gen 0
-                    // bootstraps iteration 0 synchronously); only the
-                    // exposed (non-overlapped) wait is paid here.
-                    let gather_span = tel.begin(SpanKind::Gather, cell_u32, iter as u32);
-                    engine.snapshot_into(&mut snapshot);
-                    let all = match exchanger.as_mut() {
-                        Some(ex) => {
-                            let pending = exec_cm.begin_exchange(&snapshot);
-                            ex.submit(pending, iter);
-                            tel.instant(
-                                EventKind::ExchangeBegin,
-                                cell_u32,
-                                iter as u32,
-                                iter as u64,
-                            );
-                            let prev_submit = inflight_submit.replace(Instant::now());
-                            let frame = match ready.take() {
-                                Some(frame) => frame,
-                                None => ex.retrieve(),
-                            };
-                            // Submit-to-consume wall of the generation just
-                            // consumed (`iter - 1`; gen 0 bootstraps itself).
-                            let consumed = iter.saturating_sub(1);
-                            let since = prev_submit.unwrap_or_else(|| {
-                                inflight_submit.expect("submit recorded above")
-                            });
-                            tel.metrics.exchange_wall_ns.add(since.elapsed().as_nanos() as u64);
-                            tel.instant(
-                                EventKind::ExchangeComplete,
-                                cell_u32,
-                                iter as u32,
-                                consumed as u64,
-                            );
-                            frame
-                        }
-                        None => {
-                            tel.instant(
-                                EventKind::ExchangeBegin,
-                                cell_u32,
-                                iter as u32,
-                                iter as u64,
-                            );
-                            let t0 = Instant::now();
-                            let all = match gather_ctl.as_mut() {
-                                Some(ctl) => {
-                                    let all =
-                                        exec_cm.exchange_centers_degraded(&snapshot, iter, ctl);
-                                    // Journal which ranks this round had to
-                                    // substitute with stale frames.
-                                    let mut degraded = false;
-                                    for (r, prev) in prev_stale.iter_mut().enumerate() {
-                                        let run = ctl.stale_run(r);
-                                        if run > *prev {
-                                            tel.instant(
-                                                EventKind::Degraded,
-                                                cell_u32,
-                                                iter as u32,
-                                                r as u64,
-                                            );
-                                            degraded = true;
-                                        }
-                                        *prev = run;
-                                    }
-                                    if degraded {
-                                        tel.metrics.degraded_iters.inc();
-                                    }
-                                    all
-                                }
-                                None => exec_cm.exchange_centers(&snapshot),
-                            };
-                            tel.metrics.exchange_wall_ns.add(t0.elapsed().as_nanos() as u64);
-                            tel.instant(
-                                EventKind::ExchangeComplete,
-                                cell_u32,
-                                iter as u32,
-                                iter as u64,
-                            );
-                            all
-                        }
-                    };
-                    neighbors.resize_with(neighbor_ids.len(), CellSnapshot::empty);
-                    for (slot, &n) in neighbor_ids.iter().enumerate() {
-                        neighbors[slot].copy_from(&all[n]);
-                    }
-                    profiler.record(
-                        lipiz_core::Routine::Gather,
-                        tel.end(SpanKind::Gather, cell_u32, iter as u32, gather_span),
-                    );
-                    engine.run_iteration_with(&neighbors, &mut profiler, &mut tel);
+                    pipeline.step(&mut exchange);
                     iterations_done.fetch_add(1, Ordering::Release);
-                    if exchanger.is_some() && iter == 0 {
-                        // The structural staleness starts here: generation 0
-                        // also feeds iteration 1.
-                        ready = Some(all);
+                    let Some(w) = writer.as_ref() else { continue };
+                    if !exec_cfg.checkpoint.commits_after(iter) {
+                        continue;
                     }
-                    if let Some(ex) = exchanger.as_mut() {
-                        // A commit boundary drains the in-flight generation
-                        // so the cut can carry the frame the next iteration
-                        // consumes. The drain point is a pure function of
-                        // the config, so uninterrupted and resumed runs
-                        // stay byte-identical.
-                        if writer.is_some()
-                            && exec_cfg.checkpoint.commits_after(iter)
-                            && ready.is_none()
-                        {
-                            ready = Some(ex.retrieve());
-                        }
-                    }
-                    maybe_commit_checkpoint(
-                        &writer,
-                        &exec_cfg,
-                        &mut engine,
-                        iter,
-                        &mut profiler,
-                        if async_mode { ready.as_deref() } else { None },
+                    w.submit(pipeline.capture_cut(0, w.recycled()));
+                    let tel = pipeline.telemetry_mut();
+                    tel.metrics.checkpoints.inc();
+                    tel.instant(
+                        EventKind::CheckpointCommit,
+                        cell_u32,
+                        iter as u32,
+                        (iter + 1) as u64,
                     );
-                    if writer.is_some() && exec_cfg.checkpoint.commits_after(iter) {
-                        tel.metrics.checkpoints.inc();
-                        tel.instant(
-                            EventKind::CheckpointCommit,
-                            cell_u32,
-                            iter as u32,
-                            (iter + 1) as u64,
-                        );
-                        // Commit boundaries double as reporting boundaries:
-                        // ship the running aggregate so the master's status
-                        // line tracks the fleet live.
-                        if tel.is_enabled() {
-                            exec_cm.send_telemetry(&TelemetrySummaryMsg::from(
-                                &tel.summary(cell_u32),
-                            ));
-                        }
+                    // Commit boundaries double as reporting boundaries:
+                    // ship the running aggregate so the master's status
+                    // line tracks the fleet live.
+                    if tel.is_enabled() {
+                        exec_cm
+                            .send_telemetry(&TelemetrySummaryMsg::from(&tel.summary(cell_u32)));
                     }
                 }
-                if let Some(ex) = exchanger.take() {
-                    // Finish the final generation collectively — every rank
-                    // must complete it or its peers' exchange threads would
-                    // wedge mid-broadcast.
-                    ex.stop();
-                }
+                // Finish the final generation collectively — every rank
+                // must complete it or its peers' exchange threads would
+                // wedge mid-broadcast.
+                drop(exchange);
                 if let Some(w) = writer.take() {
                     // Drain the queue so every committed cut is durable
                     // before the result ships; a failed commit is fatal.
@@ -523,21 +292,20 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                 }
                 state_atomic.store(SlaveState::Finished.id(), Ordering::Release);
                 done.store(true, Ordering::Release);
-                flush_journal(&tel);
+                let tel = pipeline.telemetry();
+                flush_journal(tel);
                 let telemetry =
                     tel.is_enabled().then(|| TelemetrySummaryMsg::from(&tel.summary(cell_u32)));
-                let disc_pop = engine.disc_population();
-                let disc_fitness = disc_pop.members()[disc_pop.best_index()].fitness;
-                let ensemble = engine.ensemble();
+                let profile = pipeline.profile().report().rows;
+                let engine = &mut pipeline.engines_mut()[0];
+                let row = CellResult::of(engine, &Grid::from_config(&exec_cfg.grid));
                 SlaveResult {
                     cell: cell_index,
-                    gen_fitness: engine.best_gen_fitness(),
-                    disc_fitness,
-                    mixture: ensemble.weights.weights().to_vec(),
-                    ensemble: ensemble.genomes,
-                    profile: profiler
-                        .report()
-                        .rows
+                    gen_fitness: row.gen_fitness,
+                    disc_fitness: row.disc_fitness,
+                    mixture: row.mixture_weights,
+                    ensemble: engine.ensemble().genomes,
+                    profile: profile
                         .into_iter()
                         .map(|r| ProfileRowMsg {
                             routine: r.routine,

@@ -12,14 +12,15 @@
 //! lipizzaner trace  --journals telemetry/ --out trace.json   # Perfetto timeline
 //! ```
 
+use lipizzaner::core::pipeline::capture_with_frame;
 use lipizzaner::core::{persist, CellState, TransportKind};
 use lipizzaner::data::image;
-use lipizzaner::mpi::{enable_process_faults, replacement_schedule, FaultPlan};
+use lipizzaner::mpi::{enable_process_faults, scheduled_replacement};
 use lipizzaner::prelude::*;
 use lipizzaner::runtime::checkpoint;
 use lipizzaner::runtime::checkpoint::CheckpointWriter;
 use lipizzaner::runtime::driver::{
-    run_tcp_master_elastic, run_tcp_master_monitored, run_tcp_rejoin_slave, run_tcp_slave,
+    run_tcp_master_elastic, run_tcp_rejoin_slave, run_tcp_slave,
 };
 use lipizzaner::runtime::master::MasterOutcome;
 use std::collections::BTreeMap;
@@ -172,19 +173,6 @@ fn apply_fault_flags(cfg: &mut TrainConfig, args: &[String]) {
     if let Some(misses) = flag_value(args, "--heartbeat-misses").and_then(|v| v.parse().ok()) {
         cfg.fault.heartbeat_misses = misses;
     }
-}
-
-/// The in-flight replacement schedule implied by the config's fault plan,
-/// if its earliest kill is replaceable.
-fn cli_replacement_schedule(cfg: &TrainConfig) -> Option<lipizzaner::mpi::ReplacementSchedule> {
-    let plan = FaultPlan::parse(cfg.fault.plan.as_deref()?).ok()?;
-    replacement_schedule(
-        &plan,
-        cfg.fault.max_stale_iters,
-        cfg.checkpoint.every,
-        cfg.checkpoint.effective_iterations(cfg.coevolution.iterations),
-        cfg.cells(),
-    )
 }
 
 /// Checkpoint knobs shared by `train`, `launch` and `resume`: cadence, the
@@ -352,7 +340,7 @@ fn run_training(cfg: TrainConfig, args: &[String], resume_from: Option<usize>) -
             // Synthesize the dataset once; cells share it (or their shard).
             let full = cli_full_data(&cfg);
             let mut t = sequential_trainer(&cfg, &full, resume_states.as_deref());
-            let report = run_sequential_driver(&mut t, &cfg);
+            let report = with_checkpoint_commits(&cfg, |hook| t.run_hooked(hook));
             let telemetry = cfg.telemetry.is_enabled().then(|| t.telemetry_summary());
             let mut ensembles = t.ensembles();
             let best = ensembles.swap_remove(report.best_cell);
@@ -361,22 +349,15 @@ fn run_training(cfg: TrainConfig, args: &[String], resume_from: Option<usize>) -
         "cluster-sim" => {
             let full = cli_full_data(&cfg);
             let sim = SimulatedCluster::cluster_uy(SimulationOptions::default());
-            let mut outcome = run_sim_driver(&sim, &cfg, &full, resume_states.as_deref());
-            let best = if cfg.fault.plan.is_some() {
-                // A faulted run degrades: the victim's replacement trains
-                // against the frozen death-frame, so only the sim's own
-                // engines hold the right genomes.
-                outcome.ensembles.swap_remove(outcome.report.best_cell)
-            } else {
-                // Rebuild the winning ensemble with a sequential pass (the
-                // sim reports fitness; ensembles live in its engines).
-                // Bit-identical to the sim's own engines — the drivers
-                // agree exactly.
-                let mut t = sequential_trainer(&cfg, &full, resume_states.as_deref());
-                t.run();
-                let mut ensembles = t.ensembles();
-                ensembles.swap_remove(outcome.report.best_cell)
-            };
+            let mut outcome = with_checkpoint_commits(&cfg, |hook| {
+                sim.run_resumable(
+                    &cfg,
+                    |cell| cli_slice(&full, &cfg, cell),
+                    resume_states.as_deref(),
+                    hook,
+                )
+            });
+            let best = outcome.ensembles.swap_remove(outcome.report.best_cell);
             // The sim writes its virtual-time journals itself; there is no
             // wire aggregation to merge into a summary.
             (outcome.report, best, None)
@@ -495,91 +476,30 @@ fn sequential_trainer(
     }
 }
 
-/// Write the run manifest and start the async checkpoint writer (the CLI
-/// is the coordinator for the in-process drivers).
-fn start_checkpoint_writer(cfg: &TrainConfig) -> CheckpointWriter {
+/// Per-iteration hook of the in-process drivers: `(iter, engines, frame)`.
+type IterationHook<'a> = &'a mut dyn FnMut(usize, &mut [CellEngine], &[CellSnapshot]);
+
+/// Run an in-process driver with the CLI as its checkpoint coordinator:
+/// `drive` receives the per-iteration hook, which — when checkpointing is
+/// on — commits every cell's cut (stamped with the frame its next
+/// iteration consumes) on the configured cadence through the async writer.
+fn with_checkpoint_commits<R>(cfg: &TrainConfig, drive: impl FnOnce(IterationHook) -> R) -> R {
+    if !cfg.checkpoint.enabled() {
+        return drive(&mut |_, _, _| {});
+    }
     let dir = PathBuf::from(cfg.checkpoint.dir.as_deref().expect("enabled has dir"));
     checkpoint::write_manifest(&dir, cfg)
         .unwrap_or_else(|e| fail(&format!("writing checkpoint manifest: {e}")));
-    CheckpointWriter::to_dir(&dir, cfg.cells())
-}
-
-/// Drive the sequential trainer, committing checkpoints on the configured
-/// cadence through the async writer.
-fn run_sequential_driver(t: &mut SequentialTrainer, cfg: &TrainConfig) -> TrainReport {
-    if !cfg.checkpoint.enabled() {
-        return t.run();
-    }
-    let writer = start_checkpoint_writer(cfg);
-    let report = t.run_hooked(|iter, engines, frame| {
+    let writer = CheckpointWriter::to_dir(&dir, cfg.cells());
+    let outcome = drive(&mut |iter, engines, frame| {
         if cfg.checkpoint.commits_after(iter) {
             for e in engines.iter_mut() {
-                writer.submit(capture_with_frame(&writer, e, frame));
+                writer.submit(capture_with_frame(e, frame, writer.recycled()));
             }
         }
     });
     writer.finish().unwrap_or_else(|e| fail(&format!("checkpoint commit failed: {e}")));
-    report
-}
-
-/// Drive the virtual cluster, with the same checkpoint semantics as the
-/// sequential driver.
-fn run_sim_driver(
-    sim: &SimulatedCluster,
-    cfg: &TrainConfig,
-    full: &Matrix,
-    resume: Option<&[CellState]>,
-) -> lipizzaner::cluster::SimOutcome {
-    if !cfg.checkpoint.enabled() {
-        return sim.run_resumable(cfg, |cell| cli_slice(full, cfg, cell), resume, |_, _, _| {});
-    }
-    let writer = start_checkpoint_writer(cfg);
-    let outcome = sim.run_resumable(
-        cfg,
-        |cell| cli_slice(full, cfg, cell),
-        resume,
-        |iter, engines, frame| {
-            if cfg.checkpoint.commits_after(iter) {
-                for e in engines.iter_mut() {
-                    writer.submit(capture_with_frame(&writer, e, frame));
-                }
-            }
-        },
-    );
-    writer.finish().unwrap_or_else(|e| fail(&format!("checkpoint commit failed: {e}")));
     outcome
-}
-
-/// Capture a cell state through the writer's recycle lane when a spent
-/// buffer is available (the double-buffered zero-allocation path the slave
-/// uses), falling back to a fresh capture otherwise.
-fn capture_recycled(
-    writer: &CheckpointWriter,
-    e: &mut lipizzaner::core::CellEngine,
-) -> CellState {
-    match writer.recycled() {
-        Some(mut recycled) => {
-            e.capture_state_into(&mut recycled);
-            recycled
-        }
-        None => e.capture_state(),
-    }
-}
-
-/// [`capture_recycled`], then stamp the cut with the exchange frame its
-/// next iteration will consume (empty in sync mode — which also clears any
-/// stale frame left in a recycled buffer).
-fn capture_with_frame(
-    writer: &CheckpointWriter,
-    e: &mut lipizzaner::core::CellEngine,
-    frame: &[CellSnapshot],
-) -> CellState {
-    let mut state = capture_recycled(writer, e);
-    state.exchange_frame.resize_with(frame.len(), CellSnapshot::empty);
-    for (dst, src) in state.exchange_frame.iter_mut().zip(frame) {
-        dst.copy_from(src);
-    }
-    state
 }
 
 fn fail(msg: &str) -> ! {
@@ -712,7 +632,15 @@ fn launch_tcp_run(
     // replaceable kill and this process can respawn the victim. The master
     // then replaces just that rank mid-run; full-teardown recovery stays
     // the fallback for everything else.
-    let in_flight = spawn_slaves && cli_replacement_schedule(cfg).is_some();
+    let in_flight = spawn_slaves
+        && scheduled_replacement(
+            cfg.fault.plan.as_deref(),
+            cfg.fault.max_stale_iters,
+            cfg.checkpoint.every,
+            cfg.checkpoint.effective_iterations(cfg.coevolution.iterations),
+            cfg.cells(),
+        )
+        .is_some();
     let mut resume_from = base_opts.resume_from;
     let attempts = if elastic { MAX_RECOVERY_ATTEMPTS } else { 1 };
 
@@ -751,18 +679,20 @@ fn launch_tcp_run(
             resume_from,
             ..base_opts
         };
-        let run = if in_flight {
-            let addr_str = addr.to_string();
-            run_tcp_master_elastic(listener.try_clone()?, cfg, opts, |victim| {
-                println!("replacing slave world rank {victim} in-flight");
-                let exe = exe.as_ref().expect("in-flight implies spawned slaves");
-                let child = SlaveChild::spawn(exe, &addr_str, true)?;
-                children.lock().expect("children").push(child);
-                Ok(())
-            })
-        } else {
-            run_tcp_master_monitored(listener.try_clone()?, cfg, opts)
+        let addr_str = addr.to_string();
+        let spawn_replacement = |victim: usize| -> std::io::Result<()> {
+            println!("replacing slave world rank {victim} in-flight");
+            let exe = exe.as_ref().expect("in-flight implies spawned slaves");
+            let child = SlaveChild::spawn(exe, &addr_str, true)?;
+            children.lock().expect("children").push(child);
+            Ok(())
         };
+        let run = run_tcp_master_elastic(
+            listener.try_clone()?,
+            cfg,
+            opts,
+            in_flight.then_some(&spawn_replacement),
+        );
         let children = children.into_inner().expect("children");
         let run = match run {
             Ok(run) => run,

@@ -7,7 +7,11 @@
 //! fakes and logits, the mixture-ES candidate), then asserts that further
 //! iterations allocate nothing at all — through the gather, mutate, train
 //! and update-genomes phases, including the per-iteration mixture
-//! evolution (`mixture_every = 1` in the smoke config).
+//! evolution (`mixture_every = 1` in the smoke config). The same holds one
+//! level up, for the driver loop around the engines: a whole-grid
+//! [`Pipeline`] step over the in-memory exchange — snapshot, frame choice,
+//! neighbour fan-out, every cell's iteration — allocates nothing either,
+//! in sync and async mode, with telemetry on and off.
 //!
 //! The binary runs with `harness = false` (see the root `Cargo.toml`): the
 //! allocator counter is process-global, and libtest's runner thread lazily
@@ -16,7 +20,9 @@
 //! flake. Without the harness, the only threads in the process are the
 //! ones this file creates, so the measured window is quiet by construction.
 
-use lipizzaner::core::{CellEngine, CellSnapshot, Profiler, TrainConfig};
+use lipizzaner::core::{
+    CellEngine, CellSnapshot, ExchangeMode, InMemoryExchange, Pipeline, Profiler, TrainConfig,
+};
 use lipizzaner::telemetry::Telemetry;
 use lipizzaner::tensor::{Matrix, Pool, Rng64};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -91,6 +97,7 @@ fn allocations_over_traced(
 fn main() {
     steady_state_iteration_allocates_nothing();
     steady_state_with_telemetry_allocates_nothing();
+    steady_state_pipeline_step_allocates_nothing();
     println!("zero_alloc: steady-state training iterations allocate nothing — ok");
 }
 
@@ -133,7 +140,11 @@ fn steady_state_iteration_allocates_nothing() {
     // host; the job hand-off is a condvar wake, not an allocation.)
     let mut pooled = CellEngine::with_pool(0, &cfg, data, Pool::uncapped(2));
     let psnaps: Vec<CellSnapshot> = (0..4).map(|_| pooled.snapshot()).collect();
-    allocations_over(&mut pooled, &psnaps, 4);
+    // A long warm-up: the kernels' pack buffers are thread-local, and which
+    // worker draws which chunk is up to the scheduler — on a multi-core host
+    // a worker can meet its largest panel late. (With 4 warm-up iterations
+    // this assertion failed about every third run on two cores.)
+    allocations_over(&mut pooled, &psnaps, 64);
     let steady = allocations_over(&mut pooled, &psnaps, 6);
     assert_eq!(
         steady, 0,
@@ -170,10 +181,44 @@ fn steady_state_with_telemetry_allocates_nothing() {
     let mut pooled = CellEngine::with_pool(0, &cfg, data, Pool::uncapped(2));
     let psnaps: Vec<CellSnapshot> = (0..4).map(|_| pooled.snapshot()).collect();
     let mut ptel = Telemetry::enabled(1, 64);
-    allocations_over_traced(&mut pooled, &psnaps, 4, &mut ptel);
+    allocations_over_traced(&mut pooled, &psnaps, 64, &mut ptel); // see the untraced pooled case
     let steady = allocations_over_traced(&mut pooled, &psnaps, 6, &mut ptel);
     assert_eq!(
         steady, 0,
         "steady-state pooled iterations with telemetry enabled must perform zero heap allocations"
     );
+}
+
+/// The loop around the engines: a steady-state [`Pipeline::step`] of the
+/// whole grid over [`InMemoryExchange`] performs zero allocations — the
+/// neighbour table is precomputed and both frame buffers are recycled.
+fn steady_state_pipeline_step_allocates_nothing() {
+    for mode in [ExchangeMode::Sync, ExchangeMode::Async] {
+        for traced in [false, true] {
+            let mut cfg = TrainConfig::smoke(2).with_exchange(mode);
+            cfg.coevolution.iterations = 64; // never reached; stepped manually
+            let data = toy_data(&cfg);
+            let engines =
+                (0..cfg.cells()).map(|c| CellEngine::new(c, &cfg, data.clone())).collect();
+            // A small ring, so the overwrite path is inside the window too.
+            let tel = if traced { Telemetry::enabled(0, 64) } else { Telemetry::disabled() };
+            let mut pipeline = Pipeline::new(&cfg, engines, tel);
+            // Warm-up sizes both frame buffers (async alternates them), the
+            // fan-out scratch and every engine's workspace.
+            for _ in 0..4 {
+                pipeline.step(&mut InMemoryExchange);
+            }
+            let before = allocations();
+            for _ in 0..6 {
+                pipeline.step(&mut InMemoryExchange);
+            }
+            assert_eq!(
+                allocations() - before,
+                0,
+                "steady-state pipeline steps must not allocate ({mode:?}, telemetry {traced})"
+            );
+            assert_eq!(pipeline.iteration(), 10);
+            assert_eq!(pipeline.telemetry().is_enabled(), traced);
+        }
+    }
 }
