@@ -1,8 +1,9 @@
 //! Machine-readable kernel + communication microbenchmarks.
 //!
-//! Runs the hot-path kernels (the three Table-I matmul shapes, the two
-//! backprop products, the pooled variants across worker counts) plus the
-//! snapshot-exchange micro-costs, and writes `BENCH_kernels.json` with
+//! Runs the hot-path kernels (the three Table-I forward shapes and the two
+//! backprop products, through the three production kernels with recycled
+//! outputs) plus the train steps and the snapshot-exchange micro-costs,
+//! and writes `BENCH_kernels.json` with
 //! ns/op per entry. CI runs `--smoke` on every PR and uploads the file as
 //! an artifact, so kernel regressions are visible per-change; full runs
 //! seed the repo's perf trajectory in the committed JSON.
@@ -19,7 +20,7 @@ use lipiz_mpi::{Comm, Universe};
 use lipiz_nn::mlp::Grads;
 use lipiz_nn::{gan, Adam, Discriminator, GanLoss, Generator, NetworkConfig, TrainWorkspace};
 use lipiz_runtime::protocol::SnapshotMsg;
-use lipiz_tensor::{ops, Pool, Rng64};
+use lipiz_tensor::{ops, ActKind, Matrix, Pool, Rng64};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -64,43 +65,52 @@ fn push(
     entries.push(Entry { group, name, ns_per_op: ns, reps });
 }
 
+/// The three kernels training runs, called the way `Mlp` calls them: fused
+/// forward with the Table I tanh epilogue, weight gradient into a flat
+/// slice, input gradient against a flat weight view — serial pool, outputs
+/// recycled across calls.
 fn kernel_benches(entries: &mut Vec<Entry>, reps: usize) {
     let mut rng = Rng64::seed_from(1);
+    let pool = Pool::serial();
     // The three shapes of one Table I generator forward pass (batch 100).
     for &(m, k, n) in &[(100usize, 64usize, 256usize), (100, 256, 256), (100, 256, 784)] {
         let a = rng.uniform_matrix(m, k, -1.0, 1.0);
-        let b = rng.uniform_matrix(k, n, -1.0, 1.0);
+        let w = rng.uniform_matrix(k, n, -1.0, 1.0);
+        let bias = vec![0.0f32; n];
+        let mut out = Matrix::default();
         push(entries, "matmul_serial", format!("{m}x{k}x{n}"), reps, || {
-            black_box(ops::matmul(black_box(&a), black_box(&b)));
+            ops::matmul_bias_act_into(
+                black_box(&a),
+                black_box(w.as_slice()),
+                n,
+                &bias,
+                ActKind::Tanh,
+                &mut out,
+                &pool,
+            );
+            black_box(out.as_slice());
         });
     }
     // Backprop shapes at the heaviest layer (256→784, batch 100).
     let x = rng.uniform_matrix(100, 256, -1.0, 1.0);
     let delta = rng.uniform_matrix(100, 784, -1.0, 1.0);
     let w = rng.uniform_matrix(256, 784, -1.0, 1.0);
+    let mut dw = vec![0.0f32; 256 * 784];
     push(entries, "backprop_serial", "at_b_100x256x784", reps, || {
-        black_box(ops::matmul_at_b(black_box(&x), black_box(&delta)));
+        ops::matmul_at_b_slice_into(black_box(&x), black_box(&delta), &mut dw, &pool);
+        black_box(dw.as_slice());
     });
+    let mut dx = Matrix::default();
     push(entries, "backprop_serial", "a_bt_100x784x256", reps, || {
-        black_box(ops::matmul_a_bt(black_box(&delta), black_box(&w)));
+        ops::matmul_a_bt_view_into(
+            black_box(&delta),
+            black_box(w.as_slice()),
+            256,
+            &mut dx,
+            &pool,
+        );
+        black_box(dx.as_slice());
     });
-
-    // Pooled scaling on the discriminator-sized product (256×256×784) and
-    // the two backprop shapes.
-    let pa = rng.uniform_matrix(256, 256, -1.0, 1.0);
-    let pb = rng.uniform_matrix(256, 784, -1.0, 1.0);
-    for workers in [1usize, 2, 4, 8] {
-        let pool = Pool::new(workers);
-        push(entries, "matmul_pooled_256x256x784", format!("workers_{workers}"), reps, || {
-            black_box(ops::matmul_pooled(black_box(&pa), black_box(&pb), &pool));
-        });
-        push(entries, "at_b_pooled_100x256x784", format!("workers_{workers}"), reps, || {
-            black_box(ops::matmul_at_b_pooled(black_box(&x), black_box(&delta), &pool));
-        });
-        push(entries, "a_bt_pooled_100x784x256", format!("workers_{workers}"), reps, || {
-            black_box(ops::matmul_a_bt_pooled(black_box(&delta), black_box(&w), &pool));
-        });
-    }
 }
 
 /// Step-level benchmarks: one full generator / discriminator Adam step at
@@ -190,9 +200,6 @@ fn communication_benches(entries: &mut Vec<Entry>, reps: usize, smoke: bool) {
         SnapshotMsg::encode_snapshot(black_box(&snap), &mut scratch);
         black_box(scratch.len());
     });
-    push(entries, "snapshot", "encode_fresh_alloc", reps.max(10), || {
-        black_box(SnapshotMsg::from(black_box(&snap)).to_bytes());
-    });
 
     // Generic Wire scratch reuse on a genome-sized payload.
     let genome = vec![0.25f32; genome_len];
@@ -200,9 +207,6 @@ fn communication_benches(entries: &mut Vec<Entry>, reps: usize, smoke: bool) {
     push(entries, "wire", "genome_to_bytes_into", reps.max(10), || {
         black_box(&genome).to_bytes_into(&mut wire_scratch);
         black_box(wire_scratch.len());
-    });
-    push(entries, "wire", "genome_to_bytes", reps.max(10), || {
-        black_box(black_box(&genome).to_bytes());
     });
 
     // The per-iteration LOCAL allgather at the paper's 3×3 grid size,

@@ -3,10 +3,9 @@
 use crate::platform::ClusterSpec;
 use lipiz_core::TrainConfig;
 use lipiz_tensor::Rng64;
-use serde::{Deserialize, Serialize};
 
 /// Where one rank landed and how fast its core runs this job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankPlacement {
     /// WORLD rank (0 = master).
     pub rank: usize,
@@ -20,7 +19,7 @@ pub struct RankPlacement {
 }
 
 /// A complete placement of `ranks` onto the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Per-rank placements, rank order.
     pub ranks: Vec<RankPlacement>,

@@ -1,10 +1,8 @@
 //! Hockney-model communication costs.
 
-use serde::{Deserialize, Serialize};
-
 /// α + βn point-to-point cost model with flat-tree collectives — the
 /// standard first-order model for MPI performance on commodity clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommCost {
     /// Per-message latency in seconds (includes software stack overhead).
     pub alpha: f64,

@@ -1,9 +1,7 @@
 //! Cluster hardware description.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a compute cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Human-readable platform name.
     pub name: String,

@@ -2,10 +2,9 @@
 
 use crate::allocation::Placement;
 use lipiz_core::{EnsembleModel, TrainReport};
-use serde::{Deserialize, Serialize};
 
 /// Communication statistics of a simulated run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommStats {
     /// Total virtual seconds spent in allgather (max across ranks).
     pub allgather_seconds: f64,

@@ -3,7 +3,7 @@
 //! The simulated cluster is one host rank of the iteration [`Pipeline`]
 //! (`lipiz_core::pipeline`) that happens to hold every cell, so training is
 //! the same schedule — and the same bytes — as the sequential and
-//! distributed drivers. What is simulated is *time*: [`VirtualExchange`]
+//! distributed drivers. What is simulated is *time*: `VirtualExchange`
 //! charges each allgather to per-rank virtual clocks through the cost
 //! model, and each cell's measured compute (the pipeline's per-step
 //! profile) is charged to its rank's clock afterwards. A scripted kill is

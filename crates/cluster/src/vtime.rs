@@ -1,9 +1,7 @@
 //! Per-rank virtual clocks.
 
-use serde::{Deserialize, Serialize};
-
 /// A rank's virtual clock, in seconds since job start.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RankClock {
     t: f64,
 }

@@ -289,7 +289,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::test_runner::TestRng;
 
-    /// Inclusive length bounds for [`vec`].
+    /// Inclusive length bounds for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

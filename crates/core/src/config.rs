@@ -1,13 +1,12 @@
 //! Training configuration (Table I of the paper).
 
 use lipiz_nn::{Activation, GanLoss, NetworkConfig};
-use serde::{Deserialize, Serialize};
 
 /// Neighborhood shape; re-exported through [`crate::topology`].
 pub use crate::topology::NeighborhoodPattern;
 
 /// Grid dimensions and neighborhood pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridConfig {
     /// Grid rows.
     pub rows: usize,
@@ -34,7 +33,7 @@ impl GridConfig {
 /// The training semantics are transport-independent (the runtime proves the
 /// two backends byte-identical), so this lives beside — not inside — the
 /// [`TrainConfig`] that travels over the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// Every rank is a thread of one OS process (in-memory mailboxes).
     #[default]
@@ -70,7 +69,7 @@ impl std::fmt::Display for TransportKind {
 /// rides inside the [`TrainConfig`] that travels over the wire: every rank
 /// (and every driver) derives the same exchange behavior from the config
 /// alone, which is what keeps each mode's determinism contract intact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExchangeMode {
     /// Iteration `i` trains against generation-`i` neighbor snapshots —
     /// the exchange completes before compute starts. Byte-identical to the
@@ -114,7 +113,7 @@ impl std::fmt::Display for ExchangeMode {
 }
 
 /// How the trainer picks adversaries from the sub-population each batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdversaryStrategy {
     /// Tournament selection of one adversary per batch (Table I:
     /// tournament size 2).
@@ -125,7 +124,7 @@ pub enum AdversaryStrategy {
 }
 
 /// Generator loss handling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossMode {
     /// Fixed loss every step — plain Lipizzaner (BCE ⇒ heuristic G loss).
     Fixed(WireGanLoss),
@@ -133,8 +132,8 @@ pub enum LossMode {
     Mutate,
 }
 
-/// Serializable mirror of [`GanLoss`] (the nn crate stays serde-free).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Mirror of [`GanLoss`] carried in the training config.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireGanLoss {
     /// Saturating minimax loss.
     Minimax,
@@ -165,7 +164,7 @@ impl From<GanLoss> for WireGanLoss {
 }
 
 /// Coevolutionary settings (Table I, middle block).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoevolutionConfig {
     /// Training iterations (Table I: 200).
     pub iterations: usize,
@@ -182,7 +181,7 @@ pub struct CoevolutionConfig {
 }
 
 /// Hyperparameter-mutation settings (Table I, "Hyperparameter mutation").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MutationConfig {
     /// Initial Adam learning rate (Table I: 2e-4).
     pub initial_lr: f32,
@@ -195,7 +194,7 @@ pub struct MutationConfig {
 }
 
 /// Data/batching settings (Table I, "Training settings").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrainingConfig {
     /// Mini-batch size (Table I: 100).
     pub batch_size: usize,
@@ -230,7 +229,7 @@ pub struct TrainingConfig {
 }
 
 /// Serializable mirror of the network topology (Table I, top block).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkSettings {
     /// Latent dimension (input neurons; Table I: 64).
     pub latent_dim: usize,
@@ -263,7 +262,7 @@ impl NetworkSettings {
 /// target directory from the wire config alone (the same reasoning as
 /// `shard_data`). On multi-machine runs `dir` must resolve to a shared
 /// filesystem path visible to every host.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CheckpointConfig {
     /// Commit a checkpoint every this many iterations (`0` = off).
     pub every: usize,
@@ -307,7 +306,7 @@ impl CheckpointConfig {
 /// failure behavior from the wire config alone: the fan-in root arms the
 /// same absence windows the victim's own process enforces, and a degraded
 /// run stays a pure function of `(seed, plan)`.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultConfig {
     /// Milliseconds between master heartbeat rounds (`0` = driver default).
     pub heartbeat_interval_ms: u64,
@@ -339,7 +338,7 @@ impl FaultConfig {
 /// It still rides in the training configuration (not per-host state) so
 /// every rank of a distributed run derives the same gate, journal
 /// directory, and ring capacity from the wire config alone.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
     /// Master switch. Off (the default) costs nothing: no ring is
     /// allocated and every record call is a dead branch.
@@ -362,7 +361,7 @@ impl TelemetryConfig {
 }
 
 /// Complete training configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Grid shape.
     pub grid: GridConfig,
@@ -612,19 +611,6 @@ mod tests {
         let b = a.clone();
         a.seed = 99;
         assert_ne!(a.cell_seed(0), b.cell_seed(0));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let cfg = TrainConfig::paper_table1();
-        let json = serde_json_like(&cfg);
-        assert!(json.contains("iterations"));
-    }
-
-    // serde_json is not in the offline set; smoke-test Serialize via the
-    // debug formatter of the serialize impl using a minimal sink.
-    fn serde_json_like(cfg: &TrainConfig) -> String {
-        format!("{cfg:?}")
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the ensemble's quality score.
 
 use lipiz_nn::{Generator, NetworkConfig};
-use lipiz_tensor::{Matrix, Rng64};
+use lipiz_tensor::{Matrix, Pool, Rng64};
 
 /// Normalized mixture weights over a sub-population.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,13 +190,16 @@ impl EnsembleModel {
             assignment.push(self.weights.sample_component(rng));
         }
         let mut out = Matrix::zeros(n, self.network.data_dim);
+        let pool = Pool::serial();
+        let (mut z, mut images, mut scratch) =
+            (Matrix::default(), Matrix::default(), Matrix::default());
         for (c, gen) in gens.iter().enumerate() {
             let rows: Vec<usize> = (0..n).filter(|&i| assignment[i] == c).collect();
             if rows.is_empty() {
                 continue;
             }
-            let z = lipiz_nn::gan::latent_batch(rng, rows.len(), self.network.latent_dim);
-            let images = gen.generate(&z);
+            lipiz_nn::gan::latent_batch_into(rng, rows.len(), self.network.latent_dim, &mut z);
+            gen.generate_into(&z, &mut images, &mut scratch, &pool);
             for (bi, &row) in rows.iter().enumerate() {
                 out.row_mut(row).copy_from_slice(images.row(bi));
             }

@@ -6,11 +6,10 @@
 //! [`Profiler`] through the cell engine so the same instrumentation powers
 //! the single-core and distributed columns of Table IV.
 
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// The profiled routines, in the paper's Table IV order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Routine {
     /// Neighbor-center exchange (MPI allgather in the distributed version).
     Gather,
@@ -129,7 +128,7 @@ impl Profiler {
 }
 
 /// One row of the profile report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileRow {
     /// Routine label.
     pub routine: String,
@@ -140,7 +139,7 @@ pub struct ProfileRow {
 }
 
 /// Serializable profile summary (the data behind Table IV / Fig. 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// Rows in [`Routine::ALL`] order.
     pub rows: Vec<ProfileRow>,

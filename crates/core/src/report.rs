@@ -3,10 +3,9 @@
 use crate::cell::CellEngine;
 use crate::profiling::ProfileReport;
 use crate::topology::Grid;
-use serde::{Deserialize, Serialize};
 
 /// Per-cell outcome summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     /// Flat grid index.
     pub cell: usize,
@@ -21,7 +20,7 @@ pub struct CellResult {
 }
 
 /// Result of a full training run, common to all three drivers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Which driver produced this report ("sequential", "distributed",
     /// "cluster-sim").

@@ -62,7 +62,7 @@ impl CellSnapshot {
         self.disc_fitness = src.disc_fitness;
     }
 
-    /// Serialized payload size in bytes (used by the comm cost model):
+    /// Encoded payload size in bytes (used by the comm cost model):
     /// 4 bytes per f32 plus fixed header fields.
     pub fn wire_size(&self) -> usize {
         let floats = self.gen_genome.len() + self.disc_genome.len();

@@ -5,10 +5,8 @@
 //! Lipizzaner lacked, §III-C), and is deliberately decoupled from the
 //! communication layer so different comm backends can drive it.
 
-use serde::{Deserialize, Serialize};
-
 /// Neighborhood shape on the torus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NeighborhoodPattern {
     /// Center + North/South/West/East — the paper's five-cell neighborhood
     /// (called "Moore" in the paper, von Neumann r=1 in the CA literature).
@@ -42,7 +40,7 @@ impl NeighborhoodPattern {
 }
 
 /// A toroidal cell grid with a reconfigurable neighborhood pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grid {
     rows: usize,
     cols: usize,

@@ -2,7 +2,7 @@
 //! data.
 //!
 //! "Data dieting in GAN training" (Toutouh, Hemberg, O'Reilly, 2020 — the
-//! paper's reference [20]) trains Lipizzaner cells on reduced data. The
+//! paper's reference \[20\]) trains Lipizzaner cells on reduced data. The
 //! schemes here plug into any driver's `make_data` closure:
 //!
 //! ```

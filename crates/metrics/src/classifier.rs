@@ -5,8 +5,8 @@
 //! and mode-coverage statistics; its penultimate layer feeds the FID.
 
 use lipiz_data::{SynthDigits, IMAGE_DIM, NUM_CLASSES};
-use lipiz_nn::{Activation, Adam, Mlp};
-use lipiz_tensor::{reduce, Matrix, Rng64};
+use lipiz_nn::{Activation, Adam, DeltaScratch, Grads, LayerCache, Mlp};
+use lipiz_tensor::{reduce, Matrix, Pool, Rng64};
 
 /// Width of the penultimate (feature) layer.
 pub const FEATURE_DIM: usize = 64;
@@ -21,7 +21,11 @@ impl Classifier {
     /// Train a classifier on `data` for `epochs` passes with batch 100.
     ///
     /// Training is deterministic given `(data, epochs, seed)`.
+    ///
+    /// # Panics
+    /// Panics if `data` is empty.
     pub fn train(data: &SynthDigits, epochs: usize, seed: u64) -> Self {
+        assert!(!data.is_empty(), "cannot train a classifier on an empty reference set");
         let mut rng = Rng64::seed_from(seed);
         let mut net = Mlp::from_dims(
             &[IMAGE_DIM, FEATURE_DIM, NUM_CLASSES],
@@ -32,11 +36,15 @@ impl Classifier {
         let mut adam = Adam::new(net.param_count());
         let n = data.len();
         let batch = 100.min(n);
+        let pool = Pool::serial();
+        let mut cache = LayerCache::default();
+        let mut grads = Grads::default();
+        let mut scratch = DeltaScratch::default();
         for _ in 0..epochs {
             let order = rng.permutation(n);
             for chunk in order.chunks(batch) {
                 let x = data.images.gather_rows(chunk);
-                let cache = net.forward_cached(&x);
+                net.forward_cached_ws(&x, &mut cache, &pool);
                 let probs = softmax_rows(cache.output());
                 // d(cross-entropy)/d(logits) = (p - onehot) / m
                 let mut d_out = probs;
@@ -49,28 +57,35 @@ impl Classifier {
                         *v /= m;
                     }
                 }
-                let (grads, _) = net.backward(&cache, &d_out);
+                net.backward_ws(&x, &cache, &d_out, &mut grads, &mut scratch, None, &pool);
                 adam.step(&mut net, &grads, 1e-3);
             }
         }
         Self { net }
     }
 
+    /// Class logits `(n, 10)` for an image batch.
+    fn logits(&self, images: &Matrix) -> Matrix {
+        let (mut out, mut scratch) = (Matrix::default(), Matrix::default());
+        self.net.forward_into(images, &mut out, &mut scratch, &Pool::serial());
+        out
+    }
+
     /// Class probabilities `(n, 10)` for an image batch.
     pub fn probabilities(&self, images: &Matrix) -> Matrix {
-        softmax_rows(&self.net.forward(images))
+        softmax_rows(&self.logits(images))
     }
 
     /// Penultimate-layer features `(n, FEATURE_DIM)`.
     pub fn features(&self, images: &Matrix) -> Matrix {
-        let cache = self.net.forward_cached(images);
-        // activations[0] = input, [1] = hidden layer output.
-        cache.activations[1].clone()
+        let mut cache = LayerCache::default();
+        self.net.forward_cached_ws(images, &mut cache, &Pool::serial());
+        cache.layer(0).clone()
     }
 
     /// Predicted class of each row.
     pub fn predict(&self, images: &Matrix) -> Vec<usize> {
-        reduce::row_argmax(&self.net.forward(images))
+        reduce::row_argmax(&self.logits(images))
     }
 
     /// Accuracy on a labelled dataset.
@@ -153,6 +168,13 @@ mod tests {
         let a = Classifier::train(&data, 1, 24);
         let b = Classifier::train(&data, 1, 24);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty reference set")]
+    fn training_on_an_empty_set_is_refused() {
+        let (_, empty) = SynthDigits::generate(10, 15).split(10);
+        Classifier::train(&empty, 1, 26);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct Envelope {
     pub src: usize,
     /// User or reserved tag.
     pub tag: Tag,
-    /// Serialized payload.
+    /// Encoded payload.
     pub payload: Vec<u8>,
 }
 

@@ -270,8 +270,20 @@ pub fn step_slice_scalar(adam: &mut Adam, params: &mut [f32], g: &[f32], lr: f32
 mod tests {
     use super::*;
     use crate::activation::Activation;
-    use crate::mlp::Mlp;
-    use lipiz_tensor::Rng64;
+    use crate::mlp::{Grads, Mlp};
+    use crate::test_util::{backward, cached_forward, forward};
+    use lipiz_tensor::{Matrix, Pool, Rng64};
+
+    /// Gradients of `L = scale · ½·Σ out²` through fresh buffers.
+    fn quadratic_grads(net: &Mlp, x: &Matrix, scale: f32) -> Grads {
+        let pool = Pool::serial();
+        let cache = cached_forward(net, x, &pool);
+        let mut d_out = cache.output().clone();
+        for v in d_out.as_mut_slice() {
+            *v *= scale;
+        }
+        backward(net, x, &cache, &d_out, &pool).0
+    }
 
     /// Adam should minimize a simple quadratic fit much faster than no
     /// training at all: fit y = 0 from random weights.
@@ -284,18 +296,13 @@ mod tests {
         let x = rng.uniform_matrix(16, 4, -1.0, 1.0);
 
         let loss_of = |net: &Mlp| -> f32 {
-            let y = net.forward(&x);
+            let y = forward(net, &x, &Pool::serial());
             y.as_slice().iter().map(|v| 0.5 * v * v).sum::<f32>() / 16.0
         };
 
         let initial = loss_of(&net);
         for _ in 0..200 {
-            let cache = net.forward_cached(&x);
-            let mut d_out = cache.output().clone();
-            for v in d_out.as_mut_slice() {
-                *v /= 16.0;
-            }
-            let (grads, _) = net.backward(&cache, &d_out);
+            let grads = quadratic_grads(&net, &x, 1.0 / 16.0);
             adam.step(&mut net, &grads, 1e-2);
         }
         let final_loss = loss_of(&net);
@@ -372,9 +379,7 @@ mod tests {
         let mut adam = Adam::with_betas(net.param_count(), 0.8, 0.95);
         let x = rng.uniform_matrix(8, 3, -1.0, 1.0);
         let step = |net: &mut Mlp, adam: &mut Adam| {
-            let cache = net.forward_cached(&x);
-            let d_out = cache.output().clone();
-            let (grads, _) = net.backward(&cache, &d_out);
+            let grads = quadratic_grads(net, &x, 1.0);
             adam.step(net, &grads, 3e-3);
         };
         for _ in 0..5 {

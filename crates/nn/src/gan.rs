@@ -17,8 +17,9 @@ use lipiz_tensor::{Matrix, Pool, Rng64};
 /// (every buffer resizes in place), so a cell engine owns exactly one.
 /// After the first step at a given shape, a training step performs **zero
 /// heap allocations** — asserted by the workspace's counting-allocator
-/// integration test. The workspace-reusing steps are bit-identical to the
-/// allocating ones (property-tested).
+/// integration test. A recycled workspace never changes a result: a step
+/// over a dirty workspace is bit-identical to the same step over a fresh
+/// one (property-tested).
 #[derive(Debug, Clone, Default)]
 pub struct TrainWorkspace {
     /// Forward cache of the first network in the step (G in a generator
@@ -118,19 +119,9 @@ impl Generator {
         self.latent_dim
     }
 
-    /// Generate images from a latent batch.
-    pub fn generate(&self, z: &Matrix) -> Matrix {
-        self.net.forward(z)
-    }
-
-    /// [`Generator::generate`] with pooled matrix products (bit-identical).
-    pub fn generate_pooled(&self, z: &Matrix, pool: &Pool) -> Matrix {
-        self.net.forward_pooled(z, pool)
-    }
-
-    /// [`Generator::generate_pooled`] into recycled buffers: the images
-    /// land in `out`, `scratch` holds intermediate activations. Zero
-    /// allocations once warmed up; bit-identical results.
+    /// Generate images from a latent batch into recycled buffers: the
+    /// images land in `out`, `scratch` holds intermediate activations. Zero
+    /// allocations once warmed up; bit-identical for every worker count.
     pub fn generate_into(
         &self,
         z: &Matrix,
@@ -141,10 +132,13 @@ impl Generator {
         self.net.forward_into(z, out, scratch, pool);
     }
 
-    /// Draw `n` latent vectors and generate images.
+    /// Draw `n` latent vectors and generate images — the one allocating
+    /// convenience, for examples and the CLI.
     pub fn sample(&self, n: usize, rng: &mut Rng64) -> Matrix {
         let z = latent_batch(rng, n, self.latent_dim);
-        self.generate(&z)
+        let (mut out, mut scratch) = (Matrix::default(), Matrix::default());
+        self.generate_into(&z, &mut out, &mut scratch, &Pool::serial());
+        out
     }
 }
 
@@ -167,41 +161,11 @@ impl Discriminator {
         Self { net }
     }
 
-    /// Real/fake logits for a data batch: `(batch, 1)`.
-    pub fn logits(&self, x: &Matrix) -> Matrix {
-        self.net.forward(x)
-    }
-
-    /// [`Discriminator::logits`] with pooled matrix products
-    /// (bit-identical).
-    pub fn logits_pooled(&self, x: &Matrix, pool: &Pool) -> Matrix {
-        self.net.forward_pooled(x, pool)
-    }
-
-    /// [`Discriminator::logits_pooled`] into recycled buffers (zero
-    /// allocations once warmed up; bit-identical results).
+    /// Real/fake logits `(batch, 1)` for a data batch, into recycled
+    /// buffers (zero allocations once warmed up; bit-identical for every
+    /// worker count).
     pub fn logits_into(&self, x: &Matrix, out: &mut Matrix, scratch: &mut Matrix, pool: &Pool) {
         self.net.forward_into(x, out, scratch, pool);
-    }
-}
-
-/// A generator/discriminator pair (one GAN, the unit placed in each grid
-/// cell).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Gan {
-    /// Generator half.
-    pub generator: Generator,
-    /// Discriminator half.
-    pub discriminator: Discriminator,
-}
-
-impl Gan {
-    /// Fresh pair for `cfg`.
-    pub fn new(cfg: &NetworkConfig, rng: &mut Rng64) -> Self {
-        Self {
-            generator: Generator::new(cfg, rng),
-            discriminator: Discriminator::new(cfg, rng),
-        }
     }
 }
 
@@ -216,36 +180,11 @@ pub fn latent_batch_into(rng: &mut Rng64, n: usize, dim: usize, out: &mut Matrix
     rng.fill_normal(out, n, dim, 0.0, 1.0);
 }
 
-/// One discriminator SGD/Adam step against a batch of real samples and a
-/// batch of fake samples. Returns the BCE loss before the update.
-pub fn train_discriminator_step(
-    d: &mut Discriminator,
-    adam: &mut Adam,
-    real: &Matrix,
-    fake: &Matrix,
-    lr: f32,
-) -> f32 {
-    train_discriminator_step_pooled(d, adam, real, fake, lr, &Pool::serial())
-}
-
-/// [`train_discriminator_step`] with every matrix product fanned out to
-/// `pool` (the paper's two-level parallelism, now covering the backward
-/// pass). Bit-identical to the serial step for every worker count.
-pub fn train_discriminator_step_pooled(
-    d: &mut Discriminator,
-    adam: &mut Adam,
-    real: &Matrix,
-    fake: &Matrix,
-    lr: f32,
-    pool: &Pool,
-) -> f32 {
-    let mut ws = TrainWorkspace::default();
-    train_discriminator_step_ws(d, adam, real, fake, lr, &mut ws, pool)
-}
-
-/// [`train_discriminator_step_pooled`] over a recycled [`TrainWorkspace`]:
-/// the zero-allocation steady-state path of the training loop.
-/// Bit-identical to the allocating step.
+/// One discriminator Adam step against a batch of real samples and a batch
+/// of fake samples, over a recycled [`TrainWorkspace`] (zero allocations in
+/// steady state). Every matrix product fans out to `pool` (the paper's
+/// two-level parallelism); the result is bit-identical for every worker
+/// count. Returns the BCE loss before the update.
 pub fn train_discriminator_step_ws(
     d: &mut Discriminator,
     adam: &mut Adam,
@@ -286,41 +225,15 @@ pub fn train_discriminator_step_ws(
     loss_val
 }
 
-/// One generator step against a (frozen) discriminator for the latent batch
-/// `z`, under the given loss variant. Returns the generator loss before the
-/// update.
-pub fn train_generator_step(
-    g: &mut Generator,
-    d: &Discriminator,
-    adam: &mut Adam,
-    z: &Matrix,
-    lr: f32,
-    kind: GanLoss,
-) -> f32 {
-    train_generator_step_pooled(g, d, adam, z, lr, kind, &Pool::serial())
-}
-
-/// [`train_generator_step`] with every matrix product fanned out to `pool`.
-/// Bit-identical to the serial step for every worker count.
-pub fn train_generator_step_pooled(
-    g: &mut Generator,
-    d: &Discriminator,
-    adam: &mut Adam,
-    z: &Matrix,
-    lr: f32,
-    kind: GanLoss,
-    pool: &Pool,
-) -> f32 {
-    let mut ws = TrainWorkspace::default();
-    train_generator_step_ws(g, d, adam, z, lr, kind, &mut ws, pool)
-}
-
-/// [`train_generator_step_pooled`] over a recycled [`TrainWorkspace`]: the
-/// zero-allocation steady-state path. Backprop through the frozen
-/// discriminator uses the input-gradient-only pass — its weight gradients
-/// were always discarded, so skipping the `xᵀ·δ` product of every D layer
-/// changes nothing observable and removes ~a third of the step's flops.
-#[allow(clippy::too_many_arguments)] // mirrors the allocating step + workspace
+/// One generator Adam step against a (frozen) discriminator for the latent
+/// batch `z`, under the given loss variant, over a recycled
+/// [`TrainWorkspace`] (zero allocations in steady state; bit-identical for
+/// every worker count of `pool`). Returns the generator loss before the
+/// update. Backprop through the frozen discriminator uses the
+/// input-gradient-only pass — its weight gradients would be discarded, so
+/// skipping the `xᵀ·δ` product of every D layer changes nothing observable
+/// and removes ~a third of the step's flops.
+#[allow(clippy::too_many_arguments)] // the full surface of one step: two nets, optimizer, batch, workspace
 pub fn train_generator_step_ws(
     g: &mut Generator,
     d: &Discriminator,
@@ -341,24 +254,27 @@ pub fn train_generator_step_ws(
     loss_val
 }
 
-/// Discriminator BCE loss on given batches without updating anything
-/// (used for fitness evaluation).
-pub fn discriminator_loss(d: &Discriminator, real: &Matrix, fake: &Matrix) -> f32 {
-    let z_real = d.logits(real);
-    let z_fake = d.logits(fake);
-    loss::d_bce_loss(&z_real, &z_fake).0
-}
-
-/// Generator loss against a discriminator without updating anything.
-pub fn generator_loss(g: &Generator, d: &Discriminator, z: &Matrix, kind: GanLoss) -> f32 {
-    let fake = g.generate(z);
-    let logits = d.logits(&fake);
-    loss::g_loss(kind, &logits).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn logits(d: &Discriminator, x: &Matrix) -> Matrix {
+        let (mut out, mut scratch) = (Matrix::default(), Matrix::default());
+        d.logits_into(x, &mut out, &mut scratch, &Pool::serial());
+        out
+    }
+
+    /// Discriminator BCE loss on given batches without updating anything.
+    fn discriminator_loss(d: &Discriminator, real: &Matrix, fake: &Matrix) -> f32 {
+        loss::d_bce_loss_value(&logits(d, real), &logits(d, fake))
+    }
+
+    /// Generator loss against a discriminator without updating anything.
+    fn generator_loss(g: &Generator, d: &Discriminator, z: &Matrix, kind: GanLoss) -> f32 {
+        let (mut fake, mut scratch) = (Matrix::default(), Matrix::default());
+        g.generate_into(z, &mut fake, &mut scratch, &Pool::serial());
+        loss::g_loss_value(kind, &logits(d, &fake))
+    }
 
     #[test]
     fn paper_config_matches_table1() {
@@ -384,7 +300,7 @@ mod tests {
         let cfg = NetworkConfig::tiny(16);
         let d = Discriminator::new(&cfg, &mut rng);
         let x = rng.uniform_matrix(7, 16, -1.0, 1.0);
-        assert_eq!(d.logits(&x).shape(), (7, 1));
+        assert_eq!(logits(&d, &x).shape(), (7, 1));
     }
 
     /// The discriminator must learn to separate two trivially separable
@@ -397,9 +313,10 @@ mod tests {
         let mut adam = Adam::new(d.net.param_count());
         let real = Matrix::full(32, 8, 0.8);
         let fake = Matrix::full(32, 8, -0.8);
+        let (mut ws, pool) = (TrainWorkspace::default(), Pool::serial());
         let initial = discriminator_loss(&d, &real, &fake);
         for _ in 0..200 {
-            train_discriminator_step(&mut d, &mut adam, &real, &fake, 1e-2);
+            train_discriminator_step_ws(&mut d, &mut adam, &real, &fake, 1e-2, &mut ws, &pool);
         }
         let trained = discriminator_loss(&d, &real, &fake);
         assert!(trained < initial * 0.2, "D failed to learn: {initial} -> {trained}");
@@ -415,8 +332,17 @@ mod tests {
         // Teach D that "real" = +0.8 constant vectors.
         let real = Matrix::full(32, 8, 0.8);
         let noise = rng.uniform_matrix(32, 8, -1.0, 1.0);
+        let (mut ws, pool) = (TrainWorkspace::default(), Pool::serial());
         for _ in 0..200 {
-            train_discriminator_step(&mut d, &mut d_adam, &real, &noise, 1e-2);
+            train_discriminator_step_ws(
+                &mut d,
+                &mut d_adam,
+                &real,
+                &noise,
+                1e-2,
+                &mut ws,
+                &pool,
+            );
         }
         // Now train G against frozen D.
         let mut g = Generator::new(&cfg, &mut rng);
@@ -425,7 +351,16 @@ mod tests {
         let initial = generator_loss(&g, &d, &z, GanLoss::Heuristic);
         for _ in 0..300 {
             let zb = latent_batch(&mut rng, 32, cfg.latent_dim);
-            train_generator_step(&mut g, &d, &mut g_adam, &zb, 1e-2, GanLoss::Heuristic);
+            train_generator_step_ws(
+                &mut g,
+                &d,
+                &mut g_adam,
+                &zb,
+                1e-2,
+                GanLoss::Heuristic,
+                &mut ws,
+                &pool,
+            );
         }
         let trained = generator_loss(&g, &d, &z, GanLoss::Heuristic);
         assert!(trained < initial, "G failed to reduce its loss: {initial} -> {trained}");
@@ -445,7 +380,16 @@ mod tests {
         let d_genome_before = d.net.genome().to_vec();
         let mut adam = Adam::new(g.net.param_count());
         let z = latent_batch(&mut rng, 8, cfg.latent_dim);
-        train_generator_step(&mut g, &d, &mut adam, &z, 1e-3, GanLoss::Heuristic);
+        train_generator_step_ws(
+            &mut g,
+            &d,
+            &mut adam,
+            &z,
+            1e-3,
+            GanLoss::Heuristic,
+            &mut TrainWorkspace::default(),
+            &Pool::serial(),
+        );
         assert_eq!(d.net.genome(), d_genome_before.as_slice());
     }
 
@@ -461,11 +405,9 @@ mod tests {
     fn gan_pair_has_consistent_dims() {
         let mut rng = Rng64::seed_from(7);
         let cfg = NetworkConfig::paper_mnist();
-        let gan = Gan::new(&cfg, &mut rng);
-        assert_eq!(gan.generator.net.output_dim(), gan.discriminator.net.input_dim());
-        assert_eq!(
-            gan.generator.net.param_count(),
-            64 * 256 + 256 + 256 * 256 + 256 + 256 * 784 + 784
-        );
+        let g = Generator::new(&cfg, &mut rng);
+        let d = Discriminator::new(&cfg, &mut rng);
+        assert_eq!(g.net.output_dim(), d.net.input_dim());
+        assert_eq!(g.net.param_count(), 64 * 256 + 256 + 256 * 256 + 256 + 256 * 784 + 784);
     }
 }

@@ -13,7 +13,13 @@
 //! * [`adam::Adam`] — the Adam optimizer over a network's flat parameter
 //!   (genome) vector,
 //! * [`gan`] — generator/discriminator factories matching Table I, latent
-//!   sampling, and the [`gan::Gan`] pair used by the trainer.
+//!   sampling, and the two training steps.
+//!
+//! Every forward, backward and training step takes its buffers from the
+//! caller ([`LayerCache`], [`Grads`], [`DeltaScratch`], or a whole
+//! [`TrainWorkspace`]) and a [`lipiz_tensor::Pool`] for the matrix products:
+//! one entry point per step, zero allocations once the buffers are warm, and
+//! results that are bit-identical for every worker count.
 //!
 //! Networks expose their parameters as a flat `Vec<f32>` *genome*: the
 //! coevolutionary layer (crate `lipiz-core`) treats networks as individuals,
@@ -23,8 +29,9 @@
 //! # Example
 //!
 //! ```
-//! use lipiz_nn::{gan, Adam, Discriminator, GanLoss, Generator, NetworkConfig};
-//! use lipiz_tensor::Rng64;
+//! use lipiz_nn::{gan, loss, Adam, Discriminator, GanLoss, Generator, NetworkConfig};
+//! use lipiz_nn::TrainWorkspace;
+//! use lipiz_tensor::{Matrix, Pool, Rng64};
 //!
 //! let mut rng = Rng64::seed_from(1);
 //! let cfg = NetworkConfig::tiny(8);
@@ -33,11 +40,18 @@
 //! let z = gan::latent_batch(&mut rng, 16, g.latent_dim());
 //! let mut adam = Adam::new(g.net.param_count());
 //!
-//! let before = gan::generator_loss(&g, &d, &z, GanLoss::Heuristic);
+//! // One workspace and one pool serve every step; the caller owns both.
+//! let (mut ws, pool) = (TrainWorkspace::default(), Pool::serial());
+//! let kind = GanLoss::Heuristic;
+//! let before = gan::train_generator_step_ws(&mut g, &d, &mut adam, &z, 1e-2, kind, &mut ws, &pool);
 //! for _ in 0..20 {
-//!     gan::train_generator_step(&mut g, &d, &mut adam, &z, 1e-2, GanLoss::Heuristic);
+//!     gan::train_generator_step_ws(&mut g, &d, &mut adam, &z, 1e-2, kind, &mut ws, &pool);
 //! }
-//! let after = gan::generator_loss(&g, &d, &z, GanLoss::Heuristic);
+//! // Evaluate without updating: generate and score into recycled buffers.
+//! let (mut fake, mut logits, mut scratch) = (Matrix::default(), Matrix::default(), Matrix::default());
+//! g.generate_into(&z, &mut fake, &mut scratch, &pool);
+//! d.logits_into(&fake, &mut logits, &mut scratch, &pool);
+//! let after = loss::g_loss_value(kind, &logits);
 //! assert!(after < before, "G failed to fool the frozen D: {before} -> {after}");
 //! ```
 
@@ -48,9 +62,11 @@ pub mod gradcheck;
 pub mod init;
 pub mod loss;
 pub mod mlp;
+#[cfg(test)]
+mod test_util;
 
 pub use activation::Activation;
 pub use adam::{Adam, AdamState};
-pub use gan::{Discriminator, Gan, Generator, NetworkConfig, TrainWorkspace};
+pub use gan::{Discriminator, Generator, NetworkConfig, TrainWorkspace};
 pub use loss::GanLoss;
 pub use mlp::{DeltaScratch, Grads, LayerCache, LayerSpec, Mlp};

@@ -60,18 +60,9 @@ impl GanLoss {
 
 /// Discriminator BCE loss and logit gradients.
 ///
-/// `z_real`/`z_fake` are `(batch, 1)` logit matrices. Returns
-/// `(loss, d_z_real, d_z_fake)` where the gradients are already divided by
-/// the respective batch sizes (mean reduction).
-pub fn d_bce_loss(z_real: &Matrix, z_fake: &Matrix) -> (f32, Matrix, Matrix) {
-    let mut d_real = Matrix::default();
-    let mut d_fake = Matrix::default();
-    let loss = d_bce_loss_into(z_real, z_fake, &mut d_real, &mut d_fake);
-    (loss, d_real, d_fake)
-}
-
-/// [`d_bce_loss`] into recycled gradient buffers (the zero-allocation path
-/// of the training loop). Same values, bit for bit.
+/// `z_real`/`z_fake` are `(batch, 1)` logit matrices. Returns the loss and
+/// writes the gradients into the recycled buffers `d_real`/`d_fake`, already
+/// divided by the respective batch sizes (mean reduction).
 pub fn d_bce_loss_into(
     z_real: &Matrix,
     z_fake: &Matrix,
@@ -96,7 +87,7 @@ pub fn d_bce_loss_into(
     loss
 }
 
-/// The loss value of [`d_bce_loss`] without materializing the gradients —
+/// The loss value of [`d_bce_loss_into`] without materializing the gradients —
 /// the fitness-evaluation path (identical accumulation order, so the value
 /// matches the gradient-producing version bit for bit).
 pub fn d_bce_loss_value(z_real: &Matrix, z_fake: &Matrix) -> f32 {
@@ -112,38 +103,10 @@ pub fn d_bce_loss_value(z_real: &Matrix, z_fake: &Matrix) -> f32 {
     loss
 }
 
-/// Discriminator least-squares loss (ablation option): probabilities are
-/// pushed toward 1 for real and 0 for fake samples.
-pub fn d_ls_loss(z_real: &Matrix, z_fake: &Matrix) -> (f32, Matrix, Matrix) {
-    let mr = z_real.rows().max(1) as f32;
-    let mf = z_fake.rows().max(1) as f32;
-    let mut loss = 0.0f32;
-    let mut d_real = z_real.clone();
-    for v in d_real.as_mut_slice() {
-        let p = sigmoid(*v);
-        loss += 0.5 * (p - 1.0) * (p - 1.0) / mr;
-        *v = (p - 1.0) * p * (1.0 - p) / mr;
-    }
-    let mut d_fake = z_fake.clone();
-    for v in d_fake.as_mut_slice() {
-        let p = sigmoid(*v);
-        loss += 0.5 * p * p / mf;
-        *v = p * p * (1.0 - p) / mf;
-    }
-    (loss, d_real, d_fake)
-}
-
 /// Generator loss and logit gradient for fake-sample logits `z_fake`.
 ///
-/// Returns `(loss, d_z_fake)` with mean reduction.
-pub fn g_loss(kind: GanLoss, z_fake: &Matrix) -> (f32, Matrix) {
-    let mut d = Matrix::default();
-    let loss = g_loss_into(kind, z_fake, &mut d);
-    (loss, d)
-}
-
-/// [`g_loss`] into a recycled gradient buffer (the zero-allocation path of
-/// the training loop). Same values, bit for bit.
+/// Returns the loss and writes the gradient into the recycled buffer `d`,
+/// with mean reduction.
 pub fn g_loss_into(kind: GanLoss, z_fake: &Matrix, d: &mut Matrix) -> f32 {
     let m = z_fake.rows().max(1) as f32;
     let mut loss = 0.0f32;
@@ -177,7 +140,7 @@ pub fn g_loss_into(kind: GanLoss, z_fake: &Matrix, d: &mut Matrix) -> f32 {
     loss
 }
 
-/// The loss value of [`g_loss`] without materializing the gradient —
+/// The loss value of [`g_loss_into`] without materializing the gradient —
 /// the fitness-evaluation path (identical accumulation order, so the value
 /// matches the gradient-producing version bit for bit).
 pub fn g_loss_value(kind: GanLoss, z_fake: &Matrix) -> f32 {
@@ -208,6 +171,18 @@ pub fn g_loss_value(kind: GanLoss, z_fake: &Matrix) -> f32 {
 mod tests {
     use super::*;
     use lipiz_tensor::Rng64;
+
+    fn d_bce_loss(z_real: &Matrix, z_fake: &Matrix) -> (f32, Matrix, Matrix) {
+        let (mut d_real, mut d_fake) = (Matrix::default(), Matrix::default());
+        let loss = d_bce_loss_into(z_real, z_fake, &mut d_real, &mut d_fake);
+        (loss, d_real, d_fake)
+    }
+
+    fn g_loss(kind: GanLoss, z_fake: &Matrix) -> (f32, Matrix) {
+        let mut d = Matrix::default();
+        let loss = g_loss_into(kind, z_fake, &mut d);
+        (loss, d)
+    }
 
     /// Finite-difference check of a scalar-logit gradient.
     fn check_grad(f: impl Fn(&Matrix) -> (f32, Matrix), z0: f32) {
@@ -252,26 +227,6 @@ mod tests {
             for &z in &[-3.0f32, -0.5, 0.0, 0.5, 3.0] {
                 check_grad(|zf| g_loss(kind, zf), z);
             }
-        }
-    }
-
-    #[test]
-    fn d_ls_gradients_match_finite_differences() {
-        for &z in &[-1.5f32, 0.0, 1.5] {
-            check_grad(
-                |zr| {
-                    let (l, dr, _) = d_ls_loss(zr, &Matrix::full(1, 1, 0.3));
-                    (l, dr)
-                },
-                z,
-            );
-            check_grad(
-                |zf| {
-                    let (l, _, df) = d_ls_loss(&Matrix::full(1, 1, -0.4), zf);
-                    (l, df)
-                },
-                z,
-            );
         }
     }
 

@@ -33,27 +33,13 @@ pub struct Mlp {
     offsets: Vec<(usize, usize)>,
 }
 
-/// Per-layer activations cached by [`Mlp::forward_cached`] for the backward
-/// pass. `activations[0]` is the input batch; `activations[i + 1]` is the
-/// output of layer `i`.
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    pub activations: Vec<Matrix>,
-}
-
-impl ForwardCache {
-    /// The network output (last activation).
-    pub fn output(&self) -> &Matrix {
-        self.activations.last().expect("empty forward cache")
-    }
-}
-
-/// Reusable per-layer output activations for the workspace training path.
+/// Reusable per-layer output activations, filled by
+/// [`Mlp::forward_cached_ws`] for the backward pass.
 ///
-/// Unlike [`ForwardCache`] this does **not** store a copy of the input
-/// batch (the backward pass receives it by reference), and its buffers are
-/// recycled across steps: after the first use at a given shape,
-/// [`Mlp::forward_cached_ws`] performs zero heap allocations.
+/// It does **not** store a copy of the input batch (the backward pass
+/// receives it by reference), and its buffers are recycled across steps:
+/// after the first use at a given shape, [`Mlp::forward_cached_ws`] performs
+/// zero heap allocations.
 #[derive(Debug, Clone, Default)]
 pub struct LayerCache {
     /// `outs[i]` is the activated output of layer `i`.
@@ -67,6 +53,14 @@ impl LayerCache {
     /// Panics if no forward pass has filled the cache yet.
     pub fn output(&self) -> &Matrix {
         self.outs.last().expect("empty layer cache")
+    }
+
+    /// The activated output of layer `i` (hidden-layer features).
+    ///
+    /// # Panics
+    /// Panics if the last forward pass had no layer `i`.
+    pub fn layer(&self, i: usize) -> &Matrix {
+        &self.outs[i]
     }
 }
 
@@ -212,24 +206,11 @@ impl Mlp {
         &self.offsets
     }
 
-    /// Forward pass without caching (inference).
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        self.forward_pooled(x, &Pool::serial())
-    }
-
-    /// Forward pass using `pool` for the matrix products (two-level
-    /// parallelism inside a rank).
-    pub fn forward_pooled(&self, x: &Matrix, pool: &Pool) -> Matrix {
-        let mut out = Matrix::default();
-        let mut scratch = Matrix::default();
-        self.forward_into(x, &mut out, &mut scratch, pool);
-        out
-    }
-
-    /// Forward pass into recycled buffers: the result lands in `out`,
-    /// `scratch` holds intermediate activations (ping-pong). Performs zero
-    /// heap allocations once both buffers have warmed up to the network's
-    /// widest layer.
+    /// Forward pass without caching (inference) into recycled buffers: the
+    /// result lands in `out`, `scratch` holds intermediate activations
+    /// (ping-pong). `pool` fans the matrix products out (two-level
+    /// parallelism inside a rank). Performs zero heap allocations once both
+    /// buffers have warmed up to the network's widest layer.
     pub fn forward_into(
         &self,
         x: &Matrix,
@@ -266,26 +247,10 @@ impl Mlp {
         );
     }
 
-    /// Forward pass that caches every activation for [`Mlp::backward`].
-    pub fn forward_cached(&self, x: &Matrix) -> ForwardCache {
-        self.forward_cached_pooled(x, &Pool::serial())
-    }
-
-    /// Caching forward pass with pooled matrix products. Bit-identical to
-    /// [`Mlp::forward_cached`] for every worker count.
-    pub fn forward_cached_pooled(&self, x: &Matrix, pool: &Pool) -> ForwardCache {
-        let mut cache = LayerCache::default();
-        self.forward_cached_ws(x, &mut cache, pool);
-        let mut activations = Vec::with_capacity(self.specs.len() + 1);
-        activations.push(x.clone());
-        activations.extend(cache.outs);
-        ForwardCache { activations }
-    }
-
-    /// Caching forward pass into a recycled [`LayerCache`] — the
-    /// zero-allocation path of the training loop. Bit-identical to
-    /// [`Mlp::forward_cached`]; the input batch is *not* copied (pass it to
-    /// [`Mlp::backward_ws`] alongside the cache).
+    /// Forward pass that caches every layer's activation in a recycled
+    /// [`LayerCache`] for [`Mlp::backward_ws`]. The input batch is *not*
+    /// copied (pass it to the backward pass alongside the cache).
+    /// Bit-identical for every worker count of `pool`.
     pub fn forward_cached_ws(&self, x: &Matrix, cache: &mut LayerCache, pool: &Pool) {
         assert_eq!(x.cols(), self.input_dim(), "input width");
         let ln = self.specs.len();
@@ -297,42 +262,17 @@ impl Mlp {
         }
     }
 
-    /// Backward pass.
+    /// Backward pass into recycled buffers.
     ///
-    /// `d_out` is `∂L/∂output` (same shape as the network output). Returns
-    /// the flat parameter gradients and `∂L/∂input` (needed to continue
-    /// backpropagation into the generator when training through the
-    /// discriminator).
-    pub fn backward(&self, cache: &ForwardCache, d_out: &Matrix) -> (Grads, Matrix) {
-        self.backward_pooled(cache, d_out, &Pool::serial())
-    }
-
-    /// Backward pass with pooled matrix products (the two transposed
-    /// gradient products dominate the train routine — Table IV). Gradients
-    /// are bit-identical to [`Mlp::backward`] for every worker count.
-    pub fn backward_pooled(
-        &self,
-        cache: &ForwardCache,
-        d_out: &Matrix,
-        pool: &Pool,
-    ) -> (Grads, Matrix) {
-        assert_eq!(
-            cache.activations.len(),
-            self.specs.len() + 1,
-            "cache does not match network depth"
-        );
-        let (x, outs) = cache.activations.split_first().expect("non-empty cache");
-        let mut grads = Grads::default();
-        let mut scratch = DeltaScratch::default();
-        let mut dx = Matrix::default();
-        self.backward_core(x, outs, d_out, &mut grads, &mut scratch, Some(&mut dx), pool);
-        (grads, dx)
-    }
-
-    /// Backward pass into recycled buffers — the zero-allocation training
-    /// path. `x` is the input batch the cache was filled from. When `dx` is
-    /// `Some`, `∂L/∂input` is written into it. Bit-identical to
-    /// [`Mlp::backward`].
+    /// `x` is the input batch the cache was filled from and `d_out` is
+    /// `∂L/∂output` (same shape as the network output). Each layer's
+    /// gradient block is written directly at its genome offset in `grads`
+    /// (weight gradients land in place via the slice kernel — no
+    /// intermediate matrix, no copy). When `dx` is `Some`, `∂L/∂input` is
+    /// written into it (needed to continue backpropagation into another
+    /// network). The two transposed gradient products dominate the train
+    /// routine (Table IV); they fan out to `pool` and are bit-identical for
+    /// every worker count.
     ///
     /// # Panics
     /// Panics if the cache depth does not match the network.
@@ -344,60 +284,11 @@ impl Mlp {
         d_out: &Matrix,
         grads: &mut Grads,
         scratch: &mut DeltaScratch,
-        dx: Option<&mut Matrix>,
-        pool: &Pool,
-    ) {
-        assert_eq!(cache.outs.len(), self.specs.len(), "cache does not match network depth");
-        self.backward_core(x, &cache.outs, d_out, grads, scratch, dx, pool);
-    }
-
-    /// Input-gradient-only backward pass: computes `∂L/∂input` without
-    /// materializing any parameter gradients. This is what the generator
-    /// step needs from the (frozen) discriminator — skipping the weight
-    /// gradients drops the `xᵀ·δ` product of every layer. The produced `dx`
-    /// is bit-identical to the one [`Mlp::backward`] returns.
-    pub fn backward_input_ws(
-        &self,
-        cache: &LayerCache,
-        d_out: &Matrix,
-        scratch: &mut DeltaScratch,
-        dx: &mut Matrix,
-        pool: &Pool,
-    ) {
-        assert_eq!(cache.outs.len(), self.specs.len(), "cache does not match network depth");
-        scratch.cur.copy_from(d_out);
-        for i in (0..self.specs.len()).rev() {
-            self.specs[i].act.scale_by_derivative(&cache.outs[i], &mut scratch.cur);
-            let spec = self.specs[i];
-            if i > 0 {
-                ops::matmul_a_bt_view_into(
-                    &scratch.cur,
-                    self.weight(i),
-                    spec.fan_in,
-                    &mut scratch.next,
-                    pool,
-                );
-                std::mem::swap(&mut scratch.cur, &mut scratch.next);
-            } else {
-                ops::matmul_a_bt_view_into(&scratch.cur, self.weight(0), spec.fan_in, dx, pool);
-            }
-        }
-    }
-
-    /// Shared backward walk: writes each layer's gradient block directly at
-    /// its genome offset (weight gradients land in place via the slice
-    /// kernel — no intermediate matrix, no copy).
-    #[allow(clippy::too_many_arguments)] // internal: the ws entry points repackage this
-    fn backward_core(
-        &self,
-        x: &Matrix,
-        outs: &[Matrix],
-        d_out: &Matrix,
-        grads: &mut Grads,
-        scratch: &mut DeltaScratch,
         mut dx: Option<&mut Matrix>,
         pool: &Pool,
     ) {
+        assert_eq!(cache.outs.len(), self.specs.len(), "cache does not match network depth");
+        let outs = &cache.outs;
         grads.flat.resize(self.param_count(), 0.0);
         scratch.cur.copy_from(d_out);
         for i in (0..self.specs.len()).rev() {
@@ -437,6 +328,39 @@ impl Mlp {
         }
     }
 
+    /// Input-gradient-only backward pass: computes `∂L/∂input` without
+    /// materializing any parameter gradients. This is what the generator
+    /// step needs from the (frozen) discriminator — skipping the weight
+    /// gradients drops the `xᵀ·δ` product of every layer. The produced `dx`
+    /// is bit-identical to the one [`Mlp::backward_ws`] writes.
+    pub fn backward_input_ws(
+        &self,
+        cache: &LayerCache,
+        d_out: &Matrix,
+        scratch: &mut DeltaScratch,
+        dx: &mut Matrix,
+        pool: &Pool,
+    ) {
+        assert_eq!(cache.outs.len(), self.specs.len(), "cache does not match network depth");
+        scratch.cur.copy_from(d_out);
+        for i in (0..self.specs.len()).rev() {
+            self.specs[i].act.scale_by_derivative(&cache.outs[i], &mut scratch.cur);
+            let spec = self.specs[i];
+            if i > 0 {
+                ops::matmul_a_bt_view_into(
+                    &scratch.cur,
+                    self.weight(i),
+                    spec.fan_in,
+                    &mut scratch.next,
+                    pool,
+                );
+                std::mem::swap(&mut scratch.cur, &mut scratch.next);
+            } else {
+                ops::matmul_a_bt_view_into(&scratch.cur, self.weight(0), spec.fan_in, dx, pool);
+            }
+        }
+    }
+
     /// The flat parameter vector in genome order — **zero-copy**: snapshot,
     /// checkpoint capture, and selection exchange borrow this directly.
     pub fn genome(&self) -> &[f32] {
@@ -456,16 +380,6 @@ impl Mlp {
     pub fn load_genome(&mut self, genome: &[f32]) {
         assert_eq!(genome.len(), self.param_count(), "genome length");
         self.params.copy_from_slice(genome);
-    }
-
-    /// Visit every parameter mutably in genome order; `f(index, param)`.
-    ///
-    /// Kept for gradient-check tooling; the optimizer now updates the flat
-    /// slice directly ([`Mlp::params_mut`]).
-    pub fn visit_params_mut(&mut self, mut f: impl FnMut(usize, &mut f32)) {
-        for (i, v) in self.params.iter_mut().enumerate() {
-            f(i, v);
-        }
     }
 
     /// True when every parameter is finite.
@@ -491,11 +405,25 @@ fn compute_offsets(specs: &[LayerSpec]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::{backward, cached_forward, forward};
     use lipiz_tensor::reduce;
 
     fn tiny_net(seed: u64) -> Mlp {
         let mut rng = Rng64::seed_from(seed);
         Mlp::from_dims(&[3, 5, 2], Activation::Tanh, Activation::Identity, &mut rng)
+    }
+
+    /// Cached forward + full backward through fresh buffers:
+    /// `(output, grads, dx)`.
+    fn forward_backward(
+        net: &Mlp,
+        x: &Matrix,
+        d_out: impl Fn(&Matrix) -> Matrix,
+        pool: &Pool,
+    ) -> (Matrix, Grads, Matrix) {
+        let cache = cached_forward(net, x, pool);
+        let (grads, dx) = backward(net, x, &cache, &d_out(cache.output()), pool);
+        (cache.output().clone(), grads, dx)
     }
 
     #[test]
@@ -538,10 +466,13 @@ mod tests {
         let net = tiny_net(2);
         let mut rng = Rng64::seed_from(3);
         let x = rng.uniform_matrix(4, 3, -1.0, 1.0);
-        let y = net.forward(&x);
-        let cache = net.forward_cached(&x);
+        let y = forward(&net, &x, &Pool::serial());
+        let mut cache = LayerCache::default();
+        net.forward_cached_ws(&x, &mut cache, &Pool::serial());
         assert!(y.max_abs_diff(cache.output()) < 1e-7);
         assert_eq!(y.shape(), (4, 2));
+        assert_eq!(cache.layer(0).shape(), (4, 5));
+        assert_eq!(cache.layer(1).as_slice(), cache.output().as_slice());
     }
 
     #[test]
@@ -550,8 +481,8 @@ mod tests {
         let net =
             Mlp::from_dims(&[32, 64, 16], Activation::Tanh, Activation::Identity, &mut rng);
         let x = rng.uniform_matrix(32, 32, -1.0, 1.0);
-        let serial = net.forward(&x);
-        let pooled = net.forward_pooled(&x, &Pool::uncapped(3));
+        let serial = forward(&net, &x, &Pool::serial());
+        let pooled = forward(&net, &x, &Pool::uncapped(3));
         assert!(serial.max_abs_diff(&pooled) < 1e-6);
     }
 
@@ -563,24 +494,21 @@ mod tests {
         let net =
             Mlp::from_dims(&[24, 48, 32], Activation::Tanh, Activation::Identity, &mut rng);
         let x = rng.uniform_matrix(16, 24, -1.0, 1.0);
-        let cache = net.forward_cached(&x);
-        let d_out = cache.output().clone();
-        let (grads, dx) = net.backward(&cache, &d_out);
+        let (out, grads, dx) = forward_backward(&net, &x, Matrix::clone, &Pool::serial());
         for workers in 1..=4 {
             let pool = Pool::uncapped(workers);
-            let pooled_cache = net.forward_cached_pooled(&x, &pool);
-            assert_eq!(pooled_cache.output().as_slice(), cache.output().as_slice());
-            let (pg, pdx) = net.backward_pooled(&pooled_cache, &d_out, &pool);
+            let (pout, pg, pdx) = forward_backward(&net, &x, Matrix::clone, &pool);
+            assert_eq!(pout.as_slice(), out.as_slice());
             assert_eq!(pg.as_slice(), grads.as_slice(), "grads drift at {workers} workers");
             assert_eq!(pdx.as_slice(), dx.as_slice(), "dx drift at {workers} workers");
         }
     }
 
     #[test]
-    fn workspace_paths_match_allocating_paths() {
+    fn recycled_workspace_matches_fresh_buffers() {
         // forward_cached_ws / backward_ws / backward_input_ws over recycled
-        // buffers must be bit-identical to the allocating API, including on
-        // the second use of the same (dirty) workspace.
+        // (dirty) buffers must be bit-identical to the same passes over
+        // fresh ones, round after round.
         let mut rng = Rng64::seed_from(13);
         let net = Mlp::from_dims(&[6, 9, 4], Activation::Tanh, Activation::Sigmoid, &mut rng);
         let pool = Pool::serial();
@@ -590,20 +518,20 @@ mod tests {
         let mut dx = Matrix::default();
         for round in 0..3 {
             let x = rng.uniform_matrix(5, 6, -1.0, 1.0);
-            let alloc_cache = net.forward_cached(&x);
-            let d_out = alloc_cache.output().clone();
-            let (alloc_grads, alloc_dx) = net.backward(&alloc_cache, &d_out);
+            let (fresh_out, fresh_grads, fresh_dx) =
+                forward_backward(&net, &x, Matrix::clone, &pool);
+            let d_out = fresh_out.clone();
 
             net.forward_cached_ws(&x, &mut cache, &pool);
-            assert_eq!(cache.output().as_slice(), alloc_cache.output().as_slice(), "{round}");
+            assert_eq!(cache.output().as_slice(), fresh_out.as_slice(), "{round}");
             net.backward_ws(&x, &cache, &d_out, &mut grads, &mut scratch, Some(&mut dx), &pool);
-            assert_eq!(grads.as_slice(), alloc_grads.as_slice(), "round {round} grads");
-            assert_eq!(dx.as_slice(), alloc_dx.as_slice(), "round {round} dx");
+            assert_eq!(grads.as_slice(), fresh_grads.as_slice(), "round {round} grads");
+            assert_eq!(dx.as_slice(), fresh_dx.as_slice(), "round {round} dx");
 
             // Input-only backward must reproduce the same dx.
             let mut dx2 = Matrix::default();
             net.backward_input_ws(&cache, &d_out, &mut scratch, &mut dx2, &pool);
-            assert_eq!(dx2.as_slice(), alloc_dx.as_slice(), "round {round} dx-only");
+            assert_eq!(dx2.as_slice(), fresh_dx.as_slice(), "round {round} dx-only");
         }
     }
 
@@ -613,11 +541,10 @@ mod tests {
         for dims in [vec![4, 3], vec![4, 5, 3], vec![4, 6, 5, 3], vec![4, 2, 6, 5, 3]] {
             let net = Mlp::from_dims(&dims, Activation::Tanh, Activation::Identity, &mut rng);
             let x = rng.uniform_matrix(3, 4, -1.0, 1.0);
-            let expect = net.forward(&x);
-            let mut out = Matrix::default();
-            let mut scratch = Matrix::default();
-            net.forward_into(&x, &mut out, &mut scratch, &Pool::serial());
-            assert_eq!(out.as_slice(), expect.as_slice(), "depth {}", dims.len() - 1);
+            let mut cache = LayerCache::default();
+            net.forward_cached_ws(&x, &mut cache, &Pool::serial());
+            let out = forward(&net, &x, &Pool::serial());
+            assert_eq!(out.as_slice(), cache.output().as_slice(), "depth {}", dims.len() - 1);
         }
     }
 
@@ -633,19 +560,8 @@ mod tests {
         // Identical genomes => identical outputs.
         let mut rng = Rng64::seed_from(5);
         let x = rng.uniform_matrix(2, 3, -1.0, 1.0);
-        assert!(net.forward(&x).max_abs_diff(&other.forward(&x)) < 1e-7);
-    }
-
-    #[test]
-    fn visit_params_matches_genome_order() {
-        let mut net = tiny_net(6);
-        let g = net.genome().to_vec();
-        let mut seen = vec![];
-        net.visit_params_mut(|i, v| {
-            assert_eq!(seen.len(), i);
-            seen.push(*v);
-        });
-        assert_eq!(seen, g);
+        let pool = Pool::serial();
+        assert!(forward(&net, &x, &pool).max_abs_diff(&forward(&other, &x, &pool)) < 1e-7);
     }
 
     /// Finite-difference check of the full backward pass: the analytic
@@ -657,12 +573,11 @@ mod tests {
         let mut rng = Rng64::seed_from(8);
         let x = rng.uniform_matrix(3, 3, -1.0, 1.0);
 
-        let cache = net.forward_cached(&x);
-        let d_out = cache.output().clone(); // dL/dout for L = 0.5*sum(out^2)
-        let (grads, _dx) = net.backward(&cache, &d_out);
+        // dL/dout = out for L = 0.5*sum(out^2)
+        let (_, grads, dx) = forward_backward(&net, &x, Matrix::clone, &Pool::serial());
 
         let loss = |net: &Mlp| -> f64 {
-            let y = net.forward(&x);
+            let y = forward(net, &x, &Pool::serial());
             y.as_slice().iter().map(|&v| 0.5 * (v as f64) * (v as f64)).sum()
         };
 
@@ -672,16 +587,8 @@ mod tests {
         for idx in (0..n).step_by(7) {
             let mut plus = net.clone();
             let mut minus = net.clone();
-            plus.visit_params_mut(|i, v| {
-                if i == idx {
-                    *v += eps;
-                }
-            });
-            minus.visit_params_mut(|i, v| {
-                if i == idx {
-                    *v -= eps;
-                }
-            });
+            plus.params_mut()[idx] += eps;
+            minus.params_mut()[idx] -= eps;
             let numeric = (loss(&plus) - loss(&minus)) / (2.0 * eps as f64);
             let analytic = grads.as_slice()[idx] as f64;
             assert!(
@@ -690,10 +597,9 @@ mod tests {
             );
         }
         // The returned dx must also match perturbing the input.
-        let (_, dx) = net.backward(&cache, &d_out);
         let mut x2 = x.clone();
         x2[(1, 2)] += eps;
-        let y2 = net.forward(&x2);
+        let y2 = forward(&net, &x2, &Pool::serial());
         let l2: f64 = y2.as_slice().iter().map(|&v| 0.5 * (v as f64) * (v as f64)).sum();
         let numeric = (l2 - loss(&net)) / eps as f64;
         assert!((numeric - dx[(1, 2)] as f64).abs() < 5e-3);
@@ -722,9 +628,8 @@ mod tests {
             &mut rng,
         );
         let x = rng.uniform_matrix(5, 4, -1.0, 1.0);
-        let cache = net.forward_cached(&x);
-        let d_out = Matrix::full(5, 2, 1.0);
-        let (grads, dx) = net.backward(&cache, &d_out);
+        let (_, grads, dx) =
+            forward_backward(&net, &x, |_| Matrix::full(5, 2, 1.0), &Pool::serial());
         assert!(grads.norm() > 0.0, "gradient vanished entirely");
         assert_eq!(dx.shape(), (5, 4));
         assert!(reduce::norm2(dx.as_slice()) > 0.0);

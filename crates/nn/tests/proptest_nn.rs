@@ -2,11 +2,30 @@
 
 use lipiz_nn::adam::step_slice_scalar;
 use lipiz_nn::{
-    gan, loss, Activation, Adam, Discriminator, GanLoss, Generator, Mlp, NetworkConfig,
-    TrainWorkspace,
+    gan, loss, Activation, Adam, DeltaScratch, Discriminator, GanLoss, Generator, Grads,
+    LayerCache, Mlp, NetworkConfig, TrainWorkspace,
 };
 use lipiz_tensor::{Matrix, Pool, Rng64};
 use proptest::prelude::*;
+
+/// Inference forward pass through fresh buffers.
+fn forward(net: &Mlp, x: &Matrix, pool: &Pool) -> Matrix {
+    let (mut out, mut scratch) = (Matrix::default(), Matrix::default());
+    net.forward_into(x, &mut out, &mut scratch, pool);
+    out
+}
+
+fn g_loss(kind: GanLoss, logits: &Matrix) -> (f32, Matrix) {
+    let mut d = Matrix::default();
+    let l = loss::g_loss_into(kind, logits, &mut d);
+    (l, d)
+}
+
+fn d_bce_loss(z_real: &Matrix, z_fake: &Matrix) -> (f32, Matrix, Matrix) {
+    let (mut d_real, mut d_fake) = (Matrix::default(), Matrix::default());
+    let l = loss::d_bce_loss_into(z_real, z_fake, &mut d_real, &mut d_fake);
+    (l, d_real, d_fake)
+}
 
 fn dims_strategy() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(1usize..10, 2..5)
@@ -40,7 +59,7 @@ proptest! {
         let mut rng = Rng64::seed_from(seed);
         let net = Mlp::from_dims(&dims, Activation::Tanh, Activation::Sigmoid, &mut rng);
         let x = rng.uniform_matrix(batch, dims[0], -1.0, 1.0);
-        let y = net.forward(&x);
+        let y = forward(&net, &x, &Pool::serial());
         prop_assert_eq!(y.shape(), (batch, *dims.last().unwrap()));
         prop_assert!(y.all_finite());
         // Sigmoid output bounds.
@@ -52,9 +71,15 @@ proptest! {
         let mut rng = Rng64::seed_from(seed);
         let net = Mlp::from_dims(&dims, Activation::LeakyRelu(0.2), Activation::Tanh, &mut rng);
         let x = rng.uniform_matrix(3, dims[0], -1.0, 1.0);
-        let cache = net.forward_cached(&x);
+        let pool = Pool::serial();
+        let mut cache = LayerCache::default();
+        net.forward_cached_ws(&x, &mut cache, &pool);
         let d_out = rng.uniform_matrix(3, *dims.last().unwrap(), -1.0, 1.0);
-        let (grads, dx) = net.backward(&cache, &d_out);
+        let (mut grads, mut dx) = (Grads::default(), Matrix::default());
+        let mut scratch = DeltaScratch::default();
+        net.backward_ws(&x, &cache, &d_out, &mut grads, &mut scratch, Some(&mut dx), &pool);
+        prop_assert_eq!(grads.as_slice().len(), net.param_count());
+        prop_assert_eq!(dx.shape(), x.shape());
         prop_assert!(grads.as_slice().iter().all(|v| v.is_finite()));
         prop_assert!(dx.all_finite());
     }
@@ -65,11 +90,11 @@ proptest! {
     ) {
         let logits = Matrix::from_vec(z.len(), 1, z).unwrap();
         for kind in GanLoss::ALL {
-            let (l, g) = loss::g_loss(kind, &logits);
+            let (l, g) = g_loss(kind, &logits);
             prop_assert!(l.is_finite(), "{kind:?} loss not finite");
             prop_assert!(g.all_finite(), "{kind:?} grad not finite");
         }
-        let (l, gr, gf) = loss::d_bce_loss(&logits, &logits);
+        let (l, gr, gf) = d_bce_loss(&logits, &logits);
         prop_assert!(l.is_finite());
         prop_assert!(gr.all_finite() && gf.all_finite());
     }
@@ -77,7 +102,7 @@ proptest! {
     #[test]
     fn d_loss_is_nonnegative(z in proptest::collection::vec(-20.0f32..20.0, 1..8)) {
         let logits = Matrix::from_vec(z.len(), 1, z).unwrap();
-        let (l, _, _) = loss::d_bce_loss(&logits, &logits);
+        let (l, _, _) = d_bce_loss(&logits, &logits);
         prop_assert!(l >= 0.0, "BCE must be non-negative: {l}");
     }
 
@@ -90,19 +115,20 @@ proptest! {
         let fooled = Matrix::full(4, 1, fooled_logit);
         let caught = Matrix::full(4, 1, caught_logit);
         for kind in GanLoss::ALL {
-            let (lf, _) = loss::g_loss(kind, &fooled);
-            let (lc, _) = loss::g_loss(kind, &caught);
+            let (lf, _) = g_loss(kind, &fooled);
+            let (lc, _) = g_loss(kind, &caught);
             prop_assert!(lf < lc, "{kind:?}: fooled {lf} !< caught {lc}");
         }
     }
 
-    /// Tentpole property: full GAN training steps through a *recycled*
-    /// workspace are bit-identical to the allocating steps, for arbitrary
-    /// topologies, batch sizes, seeds and worker counts — after several
-    /// steps, so buffer reuse across steps is covered, and with one shared
-    /// (dirty) workspace serving both networks.
+    /// Full GAN training steps through one *recycled* workspace are
+    /// bit-identical to the same steps through a fresh
+    /// `TrainWorkspace::default()` each, for arbitrary topologies, batch
+    /// sizes, seeds and worker counts — after several steps, so buffer reuse
+    /// across steps is covered, and with one shared (dirty) workspace
+    /// serving both networks.
     #[test]
-    fn workspace_train_steps_are_bit_identical_to_allocating_steps(
+    fn reused_workspace_train_steps_are_bit_identical_to_fresh_workspace_steps(
         cfg in net_cfg_strategy(),
         batch in 1usize..9,
         seed in 0u64..1000,
@@ -110,14 +136,14 @@ proptest! {
     ) {
         let pool = Pool::uncapped(workers);
         let mut rng = Rng64::seed_from(seed);
-        let mut g_alloc = Generator::new(&cfg, &mut rng);
-        let mut d_alloc = Discriminator::new(&cfg, &mut rng);
-        let mut g_ws = g_alloc.clone();
-        let mut d_ws = d_alloc.clone();
-        let mut adam_g_alloc = Adam::new(g_alloc.net.param_count());
-        let mut adam_d_alloc = Adam::new(d_alloc.net.param_count());
-        let mut adam_g_ws = adam_g_alloc.clone();
-        let mut adam_d_ws = adam_d_alloc.clone();
+        let mut g_fresh = Generator::new(&cfg, &mut rng);
+        let mut d_fresh = Discriminator::new(&cfg, &mut rng);
+        let mut g_ws = g_fresh.clone();
+        let mut d_ws = d_fresh.clone();
+        let mut adam_g_fresh = Adam::new(g_fresh.net.param_count());
+        let mut adam_d_fresh = Adam::new(d_fresh.net.param_count());
+        let mut adam_g_ws = adam_g_fresh.clone();
+        let mut adam_d_ws = adam_d_fresh.clone();
         let mut ws = TrainWorkspace::default();
 
         for step in 0..3 {
@@ -126,19 +152,21 @@ proptest! {
             let fake = rng.uniform_matrix(batch, cfg.data_dim, -0.9, 0.9);
             let kind = GanLoss::ALL[step % GanLoss::ALL.len()];
 
-            let lg_alloc = gan::train_generator_step_pooled(
-                &mut g_alloc, &d_alloc, &mut adam_g_alloc, &z, 1e-3, kind, &pool);
+            let lg_fresh = gan::train_generator_step_ws(
+                &mut g_fresh, &d_fresh, &mut adam_g_fresh, &z, 1e-3, kind,
+                &mut TrainWorkspace::default(), &pool);
             let lg_ws = gan::train_generator_step_ws(
                 &mut g_ws, &d_ws, &mut adam_g_ws, &z, 1e-3, kind, &mut ws, &pool);
-            prop_assert_eq!(lg_alloc.to_bits(), lg_ws.to_bits(), "G loss, step {}", step);
-            prop_assert_eq!(g_alloc.net.genome(), g_ws.net.genome(), "G genome, step {}", step);
+            prop_assert_eq!(lg_fresh.to_bits(), lg_ws.to_bits(), "G loss, step {}", step);
+            prop_assert_eq!(g_fresh.net.genome(), g_ws.net.genome(), "G genome, step {}", step);
 
-            let ld_alloc = gan::train_discriminator_step_pooled(
-                &mut d_alloc, &mut adam_d_alloc, &real, &fake, 1e-3, &pool);
+            let ld_fresh = gan::train_discriminator_step_ws(
+                &mut d_fresh, &mut adam_d_fresh, &real, &fake, 1e-3,
+                &mut TrainWorkspace::default(), &pool);
             let ld_ws = gan::train_discriminator_step_ws(
                 &mut d_ws, &mut adam_d_ws, &real, &fake, 1e-3, &mut ws, &pool);
-            prop_assert_eq!(ld_alloc.to_bits(), ld_ws.to_bits(), "D loss, step {}", step);
-            prop_assert_eq!(d_alloc.net.genome(), d_ws.net.genome(), "D genome, step {}", step);
+            prop_assert_eq!(ld_fresh.to_bits(), ld_ws.to_bits(), "D loss, step {}", step);
+            prop_assert_eq!(d_fresh.net.genome(), d_ws.net.genome(), "D genome, step {}", step);
         }
     }
 
@@ -192,7 +220,7 @@ proptest! {
             spec.act.apply_inplace(&mut next);
             a = next;
         }
-        let fused = net.forward_pooled(&x, &Pool::uncapped(workers));
+        let fused = forward(&net, &x, &Pool::uncapped(workers));
         prop_assert_eq!(fused.as_slice(), a.as_slice());
     }
 

@@ -459,7 +459,7 @@ pub fn read_manifest(dir: &Path) -> Result<TrainConfig, CheckpointError> {
 
 // ---- cell state files ------------------------------------------------------
 
-/// Serialize `state` into `scratch` in the on-disk frame (scratch capacity
+/// Encode `state` into `scratch` in the on-disk frame (scratch capacity
 /// is reused across commits) and commit it atomically under `dir`.
 pub fn write_cell_state_with(
     dir: &Path,
@@ -604,7 +604,7 @@ pub trait CheckpointSink: Send + 'static {
 
 /// The production sink: atomic per-cell files under a directory, with a
 /// reusable encode scratch and pruning of old iterations. Pruning keeps
-/// the newest [`KEEP_ITERATIONS_PER_CELL`] files per cell **and** never
+/// the newest `KEEP_ITERATIONS_PER_CELL` files per cell **and** never
 /// deletes anything at or above the newest *grid-consistent* cut — each
 /// cell's writer drains its queue at its own pace, so a purely per-cell
 /// retention window could momentarily leave no iteration at which every

@@ -279,7 +279,7 @@ impl CommManager {
 
     /// Slave: this rank's [`Exchange`] for the iteration pipeline. In sync
     /// mode every generation completes inline; under `--exchange async` the
-    /// blocking half runs on a background [`AsyncExchanger`] thread so root
+    /// blocking half runs on a background `AsyncExchanger` thread so root
     /// assembly + broadcast overlap the train step. `ctl` is the fan-in
     /// root's degraded-gather controller, when graceful degradation is on
     /// (clone its frozen-frame handle *before* passing it in if another

@@ -50,7 +50,7 @@ wire_struct!(NodeAnnouncement { rank, node_name });
 /// grid cell this slave owns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTask {
-    /// Serialized training configuration.
+    /// Wire-encoded training configuration.
     pub config: ConfigMsg,
     /// Flat grid index assigned to this slave.
     pub cell_index: usize,

@@ -31,7 +31,7 @@ pub struct RankJournal {
     pub events: Vec<Event>,
 }
 
-/// Serialize a journal to its JSONL text.
+/// Render a journal as its JSONL text.
 pub fn journal_to_string<'a>(
     rank: u32,
     dropped: u64,

@@ -23,9 +23,13 @@
 //! let b = rng.uniform_matrix(3, 5, -1.0, 1.0);
 //! let c = ops::matmul(&a, &b);
 //! assert_eq!(c.shape(), (4, 5));
-//! // The pooled kernel is bit-identical to the serial one.
-//! let pooled = ops::matmul_pooled(&a, &b, &Pool::new(2));
-//! assert_eq!(pooled.as_slice(), c.as_slice());
+//! // The training kernels write into caller-owned buffers and take a pool;
+//! // the result is bit-identical for every worker count.
+//! let (mut serial, mut pooled) = (Matrix::default(), Matrix::default());
+//! ops::matmul_a_bt_view_into(&c, b.as_slice(), 3, &mut serial, &Pool::serial());
+//! ops::matmul_a_bt_view_into(&c, b.as_slice(), 3, &mut pooled, &Pool::new(2));
+//! assert_eq!(serial.shape(), (4, 3));
+//! assert_eq!(pooled.as_slice(), serial.as_slice());
 //! ```
 
 pub mod error;

@@ -48,7 +48,6 @@
 //! AVX2 micro-kernels use separate `vmulps`/`vaddps` — never FMA — for the
 //! same reason.
 
-use crate::error::ShapeError;
 use crate::matrix::Matrix;
 use crate::pool::Pool;
 use std::cell::RefCell;
@@ -319,59 +318,21 @@ fn pack_transpose_slice_into(src: &[f32], rows: usize, cols: usize, dst: &mut Ve
 
 // ---- plain products ---------------------------------------------------------
 
-/// `out = a · b`, checked. `a: (m,k)`, `b: (k,n)` → `(m,n)`.
-pub fn try_matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, ShapeError> {
-    if a.cols() != b.rows() {
-        return Err(ShapeError::new("matmul", a.shape(), b.shape()));
-    }
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    matmul_into(a, b, &mut out);
-    Ok(out)
-}
-
-/// `a · b`, panicking on shape mismatch.
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    try_matmul(a, b).expect("matmul shape mismatch")
-}
-
-/// `out += a · b` for a pre-zeroed or accumulating output.
+/// `a · b`: `a: (m,k)`, `b: (k,n)` → `(m,n)` — the one plain product, for
+/// evaluation code and as the unfused reference the fused kernel is tested
+/// against. Training never calls it (see the three `_into` kernels below).
 ///
 /// # Panics
-/// Panics if shapes do not line up.
-pub fn matmul_acc_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(a.cols(), b.rows(), "matmul inner dim");
-    assert_eq!(out.shape(), (a.rows(), b.cols()), "matmul out shape");
+/// Panics if `a.cols() != b.rows()`.
+pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(a.cols(), b.rows(), "matmul shape mismatch");
     let (m, k) = a.shape();
     let n = b.cols();
+    let mut out = Matrix::zeros(m, n);
     with_pack_bufs(|at, _| {
         pack_transpose_into(a, at);
         blocked_tn(k, m, n, at, b.as_slice(), 0, m, out.as_mut_slice());
     });
-}
-
-/// `out = a · b`, overwriting `out`.
-pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    out.fill_zero();
-    matmul_acc_into(a, b, out);
-}
-
-/// `aᵀ · b`: `a: (k,m)`, `b: (k,n)` → `(m,n)`.
-///
-/// This is the weight-gradient product `xᵀ · δ` of a dense layer. Both
-/// operands are already in the canonical `k×·` layout, so no packing at all.
-pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    matmul_at_b_slice_into(a, b, out.as_mut_slice(), &Pool::serial());
-    out
-}
-
-/// `a · bᵀ`: `a: (m,k)`, `b: (n,k)` → `(m,n)`.
-///
-/// This is the input-gradient product `δ · Wᵀ` of a dense layer; both
-/// operands are packed into canonical `k×·` panels first.
-pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    matmul_a_bt_view_into(a, b.as_slice(), b.rows(), &mut out, &Pool::serial());
     out
 }
 
@@ -894,103 +855,7 @@ pub fn matmul_a_bt_view_into(
     });
 }
 
-// ---- pooled products --------------------------------------------------------
-
-/// Parallel `a · b` using `pool` to split the rows of the output across
-/// workers. Bit-identical to [`matmul`] for every worker count.
-///
-/// Falls back to the serial kernel when the effective fan-out is one or the
-/// problem is too small to amortize the hand-off cost (see
-/// [`MIN_MADDS_PER_WORKER`]: the fan-out is additionally capped so every
-/// chunk keeps at least that much work).
-pub fn matmul_pooled(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul inner dim");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    with_pack_bufs(|at, _| {
-        pack_transpose_into(a, at);
-        let limit = chunk_limit(m * k * n);
-        pool.run_rows_limited(m, n, out.as_mut_slice(), limit, &|r0, rows, chunk| {
-            blocked_tn(k, m, n, at, b.as_slice(), r0, rows, chunk);
-        });
-    });
-    out
-}
-
-/// Parallel `aᵀ · b` (weight-gradient shape). Bit-identical to
-/// [`matmul_at_b`] for every worker count and subject to the same work-size
-/// gate as [`matmul_pooled`].
-pub fn matmul_at_b_pooled(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    matmul_at_b_slice_into(a, b, out.as_mut_slice(), pool);
-    out
-}
-
-/// Parallel `a · bᵀ` (input-gradient shape). Bit-identical to
-/// [`matmul_a_bt`] for every worker count and subject to the same work-size
-/// gate as [`matmul_pooled`].
-pub fn matmul_a_bt_pooled(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
-    assert_eq!(a.cols(), b.cols(), "matmul_a_bt shared dim");
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    matmul_a_bt_view_into(a, b.as_slice(), b.rows(), &mut out, pool);
-    out
-}
-
 // ---- elementwise kernels ---------------------------------------------------
-
-/// Elementwise `a + b` (checked).
-pub fn try_add(a: &Matrix, b: &Matrix) -> Result<Matrix, ShapeError> {
-    if a.shape() != b.shape() {
-        return Err(ShapeError::new("add", a.shape(), b.shape()));
-    }
-    let mut out = a.clone();
-    add_assign(&mut out, b);
-    Ok(out)
-}
-
-/// `a += b` elementwise.
-///
-/// # Panics
-/// Panics on shape mismatch.
-pub fn add_assign(a: &mut Matrix, b: &Matrix) {
-    assert_eq!(a.shape(), b.shape(), "add_assign shape");
-    for (x, y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x += y;
-    }
-}
-
-/// `a -= b` elementwise.
-pub fn sub_assign(a: &mut Matrix, b: &Matrix) {
-    assert_eq!(a.shape(), b.shape(), "sub_assign shape");
-    for (x, y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x -= y;
-    }
-}
-
-/// Elementwise `a - b` (panicking).
-pub fn sub(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = a.clone();
-    sub_assign(&mut out, b);
-    out
-}
-
-/// Elementwise Hadamard product `a ⊙ b` (panicking).
-pub fn hadamard(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.shape(), b.shape(), "hadamard shape");
-    let mut out = a.clone();
-    for (x, y) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x *= y;
-    }
-    out
-}
-
-/// `a *= s` for a scalar.
-pub fn scale_assign(a: &mut Matrix, s: f32) {
-    for x in a.as_mut_slice() {
-        *x *= s;
-    }
-}
 
 /// `y += alpha * x` on raw slices (the SGD update primitive).
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
@@ -1059,30 +924,40 @@ mod tests {
     }
 
     #[test]
-    fn acc_into_accumulates_on_top() {
-        let mut rng = Rng64::seed_from(41);
-        let a = rng.uniform_matrix(6, 9, -1.0, 1.0);
-        let b = rng.uniform_matrix(9, 5, -1.0, 1.0);
-        let mut out = Matrix::full(6, 5, 2.0);
-        matmul_acc_into(&a, &b, &mut out);
-        let mut expect = Matrix::full(6, 5, 2.0);
-        for i in 0..6 {
-            for j in 0..5 {
-                let mut s = expect[(i, j)];
-                for p in 0..9 {
-                    s += a[(i, p)] * b[(p, j)];
-                }
-                expect[(i, j)] = s;
-            }
-        }
-        assert_eq!(out.as_slice(), expect.as_slice());
+    #[should_panic(expected = "matmul shape mismatch")]
+    fn matmul_shape_mismatch_panics() {
+        matmul(&Matrix::zeros(2, 3), &Matrix::zeros(4, 2));
     }
 
-    #[test]
-    fn matmul_shape_error() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(4, 2);
-        assert!(try_matmul(&a, &b).is_err());
+    /// `aᵀ · b` through the production slice kernel, into a dirty buffer.
+    fn at_b(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
+        let mut out = vec![9.9f32; a.cols() * b.cols()];
+        matmul_at_b_slice_into(a, b, &mut out, pool);
+        Matrix::from_vec(a.cols(), b.cols(), out).unwrap()
+    }
+
+    /// `a · bᵀ` through the production view kernel, into a dirty buffer.
+    fn a_bt(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
+        let mut out = Matrix::full(2, 3, 9.9);
+        matmul_a_bt_view_into(a, b.as_slice(), b.rows(), &mut out, pool);
+        out
+    }
+
+    /// `a · b` through the production forward kernel (zero bias, identity
+    /// epilogue), into a dirty buffer.
+    fn ab_fused(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
+        let mut out = Matrix::full(2, 3, 9.9);
+        let bias = vec![0.0; b.cols()];
+        matmul_bias_act_into(
+            a,
+            b.as_slice(),
+            b.cols(),
+            &bias,
+            ActKind::Identity,
+            &mut out,
+            pool,
+        );
+        out
     }
 
     fn naive_matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
@@ -1118,7 +993,10 @@ mod tests {
         let mut rng = Rng64::seed_from(20);
         let a = rng.uniform_matrix(9, 5, -1.0, 1.0);
         let b = rng.uniform_matrix(9, 7, -1.0, 1.0);
-        assert_eq!(matmul_at_b(&a, &b).as_slice(), naive_matmul_at_b(&a, &b).as_slice());
+        assert_eq!(
+            at_b(&a, &b, &Pool::serial()).as_slice(),
+            naive_matmul_at_b(&a, &b).as_slice()
+        );
     }
 
     #[test]
@@ -1126,7 +1004,10 @@ mod tests {
         let mut rng = Rng64::seed_from(21);
         let a = rng.uniform_matrix(6, 8, -1.0, 1.0);
         let b = rng.uniform_matrix(5, 8, -1.0, 1.0);
-        assert_eq!(matmul_a_bt(&a, &b).as_slice(), naive_matmul_a_bt(&a, &b).as_slice());
+        assert_eq!(
+            a_bt(&a, &b, &Pool::serial()).as_slice(),
+            naive_matmul_a_bt(&a, &b).as_slice()
+        );
     }
 
     /// The fused forward kernel must reproduce the unfused three-step
@@ -1175,24 +1056,7 @@ mod tests {
     }
 
     #[test]
-    fn slice_products_match_matrix_products() {
-        let mut rng = Rng64::seed_from(51);
-        let x = rng.uniform_matrix(9, 6, -1.0, 1.0);
-        let delta = rng.uniform_matrix(9, 4, -1.0, 1.0);
-        let w = rng.uniform_matrix(5, 6, -1.0, 1.0);
-        // dw into a flat slice == matmul_at_b.
-        let mut dw = vec![9.9f32; 6 * 4];
-        matmul_at_b_slice_into(&x, &delta, &mut dw, &Pool::serial());
-        assert_eq!(&dw, matmul_at_b(&x, &delta).as_slice());
-        // dx against a weight view == matmul_a_bt.
-        let d2 = rng.uniform_matrix(7, 6, -1.0, 1.0);
-        let mut dx = Matrix::zeros(0, 0);
-        matmul_a_bt_view_into(&d2, w.as_slice(), 5, &mut dx, &Pool::serial());
-        assert_eq!(dx.as_slice(), matmul_a_bt(&d2, &w).as_slice());
-    }
-
-    #[test]
-    fn pooled_matmul_is_bit_exact_for_any_worker_count() {
+    fn pooled_forward_kernel_is_bit_exact_for_any_worker_count() {
         // Determinism, not mere closeness: the distributed drivers assert
         // bit-identical genomes, so the row-partitioned kernel must produce
         // exactly the serial result regardless of pool size or run order.
@@ -1203,9 +1067,8 @@ mod tests {
         for workers in 1..=4 {
             let pool = Pool::uncapped(workers);
             for _ in 0..3 {
-                let pooled = matmul_pooled(&a, &b, &pool);
                 assert_eq!(
-                    pooled.as_slice(),
+                    ab_fused(&a, &b, &pool).as_slice(),
                     serial.as_slice(),
                     "bit drift with {workers} workers"
                 );
@@ -1219,12 +1082,12 @@ mod tests {
         let x = rng.uniform_matrix(64, 48, -1.0, 1.0);
         let delta = rng.uniform_matrix(64, 56, -1.0, 1.0);
         let w = rng.uniform_matrix(48, 56, -1.0, 1.0);
-        let at_b = matmul_at_b(&x, &delta);
-        let a_bt = matmul_a_bt(&delta, &w);
+        let serial_at_b = at_b(&x, &delta, &Pool::serial());
+        let serial_a_bt = a_bt(&delta, &w, &Pool::serial());
         for workers in 1..=4 {
             let pool = Pool::uncapped(workers);
-            assert_eq!(matmul_at_b_pooled(&x, &delta, &pool).as_slice(), at_b.as_slice());
-            assert_eq!(matmul_a_bt_pooled(&delta, &w, &pool).as_slice(), a_bt.as_slice());
+            assert_eq!(at_b(&x, &delta, &pool).as_slice(), serial_at_b.as_slice());
+            assert_eq!(a_bt(&delta, &w, &pool).as_slice(), serial_a_bt.as_slice());
         }
     }
 
@@ -1237,7 +1100,7 @@ mod tests {
         let a = rng.uniform_matrix(8, 8, -1.0, 1.0);
         let b = rng.uniform_matrix(8, 8, -1.0, 1.0);
         let pool = Pool::uncapped(4);
-        assert_eq!(matmul_pooled(&a, &b, &pool).as_slice(), matmul(&a, &b).as_slice());
+        assert_eq!(ab_fused(&a, &b, &pool).as_slice(), matmul(&a, &b).as_slice());
         assert_eq!(chunk_limit(8 * 8 * 8), 1, "tiny product must stay inline");
         assert!(chunk_limit(100 * 784 * 256) > 1, "paper-scale product may fan out");
     }
@@ -1247,7 +1110,7 @@ mod tests {
         let mut rng = Rng64::seed_from(8);
         let a = rng.uniform_matrix(6, 4, -1.0, 1.0);
         let b = rng.uniform_matrix(6, 5, -1.0, 1.0);
-        let fast = matmul_at_b(&a, &b);
+        let fast = at_b(&a, &b, &Pool::serial());
         let slow = matmul(&a.transpose(), &b);
         assert!(fast.max_abs_diff(&slow) < 1e-5);
     }
@@ -1257,20 +1120,9 @@ mod tests {
         let mut rng = Rng64::seed_from(9);
         let a = rng.uniform_matrix(4, 6, -1.0, 1.0);
         let b = rng.uniform_matrix(3, 6, -1.0, 1.0);
-        let fast = matmul_a_bt(&a, &b);
+        let fast = a_bt(&a, &b, &Pool::serial());
         let slow = matmul(&a, &b.transpose());
         assert!(fast.max_abs_diff(&slow) < 1e-5);
-    }
-
-    #[test]
-    fn pooled_matmul_matches_serial() {
-        let mut rng = Rng64::seed_from(10);
-        let a = rng.uniform_matrix(64, 96, -1.0, 1.0);
-        let b = rng.uniform_matrix(96, 80, -1.0, 1.0);
-        let pool = Pool::uncapped(3);
-        let par = matmul_pooled(&a, &b, &pool);
-        let ser = matmul(&a, &b);
-        assert!(par.max_abs_diff(&ser) < 1e-5);
     }
 
     #[test]
@@ -1288,7 +1140,7 @@ mod tests {
         let b = Matrix::zeros(4, 3);
         assert_eq!(matmul(&a, &b).shape(), (0, 3));
         let at = Matrix::zeros(4, 0);
-        assert_eq!(matmul_at_b(&at, &b).shape(), (0, 3));
+        assert_eq!(at_b(&at, &b, &Pool::serial()).shape(), (0, 3));
     }
 
     #[test]
@@ -1304,21 +1156,6 @@ mod tests {
             assert_eq!(out[(r, 0)], ActKind::Tanh.apply(0.5));
             assert_eq!(out[(r, 1)], ActKind::Tanh.apply(-0.25));
         }
-    }
-
-    #[test]
-    fn elementwise_ops() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::full(2, 2, 2.0);
-        let sum = try_add(&a, &b).unwrap();
-        assert_eq!(sum[(1, 1)], 6.0);
-        let d = sub(&sum, &b);
-        assert!(d.max_abs_diff(&a) < 1e-7);
-        let h = hadamard(&a, &b);
-        assert_eq!(h[(1, 0)], 6.0);
-        let mut s = a.clone();
-        scale_assign(&mut s, 0.5);
-        assert_eq!(s[(0, 1)], 1.0);
     }
 
     #[test]

@@ -17,13 +17,12 @@
 //! worker count.
 
 use parking_lot::{Condvar, Mutex};
-use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// A fixed-width fork/join helper backed by resident threads.
 ///
-/// `Pool::new(1)` (or [`Pool::serial`]) makes every `run_*` call execute
+/// `Pool::new(1)` (or [`Pool::serial`]) makes every dispatch execute
 /// inline. Cloning a pool shares the same resident workers; the threads shut
 /// down when the last clone is dropped.
 ///
@@ -199,12 +198,6 @@ impl Pool {
         Self::new(1)
     }
 
-    /// Pool sized to the host's available parallelism.
-    pub fn host() -> Self {
-        let n = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::new(n)
-    }
-
     /// Number of worker threads this pool fans out to.
     #[inline]
     pub fn workers(&self) -> usize {
@@ -278,28 +271,18 @@ impl Pool {
         }
     }
 
-    /// Split `rows` rows of a `row_width`-wide output buffer across workers.
+    /// Split `rows` rows of a `row_width`-wide output buffer across workers,
+    /// into at most `max_chunks` chunks.
     ///
     /// `f(start_row, n_rows, chunk)` receives a disjoint mutable chunk of
-    /// `out` covering rows `[start_row, start_row + n_rows)`.
+    /// `out` covering rows `[start_row, start_row + n_rows)`. `max_chunks`
+    /// is the work-size gate of the pooled kernels: a caller that knows the
+    /// job is only worth so many ways of parallelism (e.g. from a flop
+    /// count) passes it here, and a ceiling of one runs the whole job inline
+    /// with zero synchronization.
     ///
     /// # Panics
     /// Panics if `out.len() != rows * row_width`.
-    pub fn run_rows(
-        &self,
-        rows: usize,
-        row_width: usize,
-        out: &mut [f32],
-        f: &(dyn Fn(usize, usize, &mut [f32]) + Sync),
-    ) {
-        self.run_rows_limited(rows, row_width, out, usize::MAX, f);
-    }
-
-    /// [`Pool::run_rows`] with an additional ceiling on the number of
-    /// chunks — the work-size gate of the pooled kernels: a caller that
-    /// knows the job is only worth `max_chunks` ways of parallelism (e.g.
-    /// from a flop count) passes it here, and a ceiling of one runs the
-    /// whole job inline with zero synchronization.
     pub fn run_rows_limited(
         &self,
         rows: usize,
@@ -327,22 +310,6 @@ impl Pool {
                 )
             };
             f(start, take, chunk);
-        });
-    }
-
-    /// Run `f` over disjoint index ranges covering `0..n` in parallel.
-    ///
-    /// Useful for read-only sweeps (e.g. evaluating several adversaries).
-    pub fn run_ranges(&self, n: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
-        let nchunks = self.fanout().min(n);
-        if nchunks <= 1 {
-            f(0..n);
-            return;
-        }
-        let bounds = chunk_bounds(n, nchunks);
-        self.execute(nchunks, &|c| {
-            let (start, take) = bounds(c);
-            f(start..start + take);
         });
     }
 }
@@ -409,11 +376,29 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Ungated dispatch: as many chunks as the pool's fan-out allows.
+    fn run_rows(
+        pool: &Pool,
+        rows: usize,
+        row_width: usize,
+        out: &mut [f32],
+        f: &(dyn Fn(usize, usize, &mut [f32]) + Sync),
+    ) {
+        pool.run_rows_limited(rows, row_width, out, usize::MAX, f);
+    }
+
+    /// Dispatch `n` unit-width rows and count how many each chunk was handed.
+    fn count_rows(pool: &Pool, n: usize, hits: &AtomicUsize) {
+        run_rows(pool, n, 1, &mut vec![0.0; n], &|_, rows, _| {
+            hits.fetch_add(rows, Ordering::SeqCst);
+        });
+    }
+
     #[test]
     fn serial_pool_runs_inline() {
         let pool = Pool::serial();
         let mut out = vec![0.0; 6];
-        pool.run_rows(3, 2, &mut out, &|r0, rows, chunk| {
+        run_rows(&pool, 3, 2, &mut out, &|r0, rows, chunk| {
             for (i, row) in chunk.chunks_exact_mut(2).enumerate() {
                 row[0] = (r0 + i) as f32;
                 row[1] = rows as f32;
@@ -428,7 +413,7 @@ mod tests {
         let rows = 13;
         let width = 3;
         let mut out = vec![0.0; rows * width];
-        pool.run_rows(rows, width, &mut out, &|r0, _rows, chunk| {
+        run_rows(&pool, rows, width, &mut out, &|r0, _rows, chunk| {
             for (i, row) in chunk.chunks_exact_mut(width).enumerate() {
                 for v in row.iter_mut() {
                     *v += (r0 + i) as f32 + 1.0;
@@ -443,20 +428,22 @@ mod tests {
     }
 
     #[test]
-    fn run_ranges_partitions_exactly() {
-        let pool = Pool::uncapped(3);
-        let hits = AtomicUsize::new(0);
-        pool.run_ranges(10, &|range| {
-            hits.fetch_add(range.len(), Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 10);
+    fn chunk_ceiling_caps_the_fan_out() {
+        let pool = Pool::uncapped(4);
+        for (max_chunks, expect) in [(0, 1), (1, 1), (2, 2), (usize::MAX, 4)] {
+            let calls = AtomicUsize::new(0);
+            pool.run_rows_limited(12, 1, &mut [0.0; 12], max_chunks, &|_, _, _| {
+                calls.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(calls.load(Ordering::SeqCst), expect, "max_chunks {max_chunks}");
+        }
     }
 
     #[test]
     fn more_workers_than_rows() {
         let pool = Pool::uncapped(8);
         let mut out = vec![0.0; 2];
-        pool.run_rows(2, 1, &mut out, &|r0, _n, chunk| {
+        run_rows(&pool, 2, 1, &mut out, &|r0, _n, chunk| {
             for (i, v) in chunk.iter_mut().enumerate() {
                 *v = (r0 + i) as f32;
             }
@@ -468,8 +455,9 @@ mod tests {
     fn zero_rows_is_noop() {
         let pool = Pool::uncapped(2);
         let mut out: Vec<f32> = vec![];
-        pool.run_rows(0, 4, &mut out, &|_, _, _| {});
-        pool.run_ranges(0, &|r| assert!(r.is_empty()));
+        run_rows(&pool, 0, 4, &mut out, &|_, rows, chunk| {
+            assert_eq!((rows, chunk.len()), (0, 0));
+        });
     }
 
     #[test]
@@ -479,9 +467,7 @@ mod tests {
         let pool = Pool::uncapped(3);
         let hits = AtomicUsize::new(0);
         for _ in 0..2000 {
-            pool.run_ranges(7, &|range| {
-                hits.fetch_add(range.len(), Ordering::SeqCst);
-            });
+            count_rows(&pool, 7, &hits);
         }
         assert_eq!(hits.load(Ordering::SeqCst), 7 * 2000);
     }
@@ -490,13 +476,13 @@ mod tests {
     fn nested_jobs_run_inline_without_deadlock() {
         let pool = Pool::uncapped(2);
         let hits = AtomicUsize::new(0);
-        pool.run_ranges(4, &|outer| {
+        run_rows(&pool, 4, 1, &mut [0.0; 4], &|_, outer_rows, _| {
             // A pooled call from inside a pooled call must not deadlock.
-            pool.run_ranges(3, &|inner| {
-                hits.fetch_add(outer.len() * inner.len(), Ordering::SeqCst);
-            });
+            for _ in 0..outer_rows {
+                count_rows(&pool, 3, &hits);
+            }
         });
-        // Σ over outer chunks of (outer_len * 3) = 4 * 3.
+        // One inner sweep of 3 rows per outer row.
         assert_eq!(hits.load(Ordering::SeqCst), 12);
     }
 
@@ -506,14 +492,10 @@ mod tests {
         let clone = pool.clone();
         assert_eq!(pool, clone);
         let hits = AtomicUsize::new(0);
-        clone.run_ranges(9, &|r| {
-            hits.fetch_add(r.len(), Ordering::SeqCst);
-        });
+        count_rows(&clone, 9, &hits);
         drop(clone);
         // Original still works after a clone is dropped.
-        pool.run_ranges(9, &|r| {
-            hits.fetch_add(r.len(), Ordering::SeqCst);
-        });
+        count_rows(&pool, 9, &hits);
         assert_eq!(hits.load(Ordering::SeqCst), 18);
     }
 

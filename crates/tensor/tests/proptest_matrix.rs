@@ -1,6 +1,6 @@
 //! Property tests for the matrix substrate.
 
-use lipiz_tensor::{ops, reduce, Matrix, Pool, Rng64};
+use lipiz_tensor::{ops, reduce, ActKind, Matrix, Pool, Rng64};
 use proptest::prelude::*;
 
 fn matrix(max_r: usize, max_c: usize) -> impl Strategy<Value = Matrix> {
@@ -56,6 +56,37 @@ fn reference_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// `a · b` through the production forward kernel (zero bias, identity
+/// epilogue) into a dirty buffer.
+fn forward_kernel(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
+    let mut out = Matrix::full(2, 3, 7.7);
+    let bias = vec![0.0; b.cols()];
+    ops::matmul_bias_act_into(
+        a,
+        b.as_slice(),
+        b.cols(),
+        &bias,
+        ActKind::Identity,
+        &mut out,
+        pool,
+    );
+    out
+}
+
+/// `aᵀ · b` through the production weight-gradient kernel into a dirty slice.
+fn at_b_kernel(a: &Matrix, b: &Matrix, pool: &Pool) -> Vec<f32> {
+    let mut out = vec![7.7f32; a.cols() * b.cols()];
+    ops::matmul_at_b_slice_into(a, b, &mut out, pool);
+    out
+}
+
+/// `a · bᵀ` through the production input-gradient kernel into a dirty buffer.
+fn a_bt_kernel(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
+    let mut out = Matrix::full(2, 3, 7.7);
+    ops::matmul_a_bt_view_into(a, b.as_slice(), b.rows(), &mut out, pool);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -84,7 +115,7 @@ proptest! {
         let a = rng.uniform_matrix(17, 23, -1.0, 1.0);
         let b = rng.uniform_matrix(23, 11, -1.0, 1.0);
         let serial = ops::matmul(&a, &b);
-        let pooled = ops::matmul_pooled(&a, &b, &Pool::uncapped(workers));
+        let pooled = forward_kernel(&a, &b, &Pool::uncapped(workers));
         prop_assert!(serial.max_abs_diff(&pooled) < 1e-5);
     }
 
@@ -101,7 +132,7 @@ proptest! {
     }
 
     #[test]
-    fn blocked_and_pooled_at_b_are_bit_exact(
+    fn at_b_is_bit_exact_for_any_shape_and_workers(
         seed in 0u64..10_000, k in 1usize..40, m in 1usize..40, n in 1usize..40,
         workers in 1usize..5,
     ) {
@@ -109,9 +140,8 @@ proptest! {
         let a = rng.uniform_matrix(k, m, -1.0, 1.0);
         let b = rng.uniform_matrix(k, n, -1.0, 1.0);
         let reference = reference_at_b(&a, &b);
-        prop_assert_eq!(ops::matmul_at_b(&a, &b).as_slice(), reference.as_slice());
-        let pooled = ops::matmul_at_b_pooled(&a, &b, &Pool::uncapped(workers));
-        prop_assert_eq!(pooled.as_slice(), reference.as_slice());
+        prop_assert_eq!(at_b_kernel(&a, &b, &Pool::serial()), reference.as_slice());
+        prop_assert_eq!(at_b_kernel(&a, &b, &Pool::uncapped(workers)), reference.as_slice());
     }
 
     /// Fused bias+activation epilogues must match the unfused pipeline
@@ -122,7 +152,6 @@ proptest! {
         seed in 0u64..10_000, m in 1usize..40, k in 0usize..40, n in 1usize..40,
         workers in 1usize..5, act_id in 0usize..4,
     ) {
-        use lipiz_tensor::ActKind;
         let act = [
             ActKind::Identity,
             ActKind::Tanh,
@@ -152,7 +181,7 @@ proptest! {
 
     /// The slice-writing gradient kernels (weight gradients landing
     /// directly in genome storage, input gradients against a flat weight
-    /// view) must be bit-exact against the matrix-returning kernels.
+    /// view) must be bit-exact against the references.
     #[test]
     fn slice_kernels_are_bit_exact(
         seed in 0u64..10_000, m in 1usize..24, k in 1usize..24, n in 1usize..24,
@@ -174,7 +203,7 @@ proptest! {
     }
 
     #[test]
-    fn blocked_and_pooled_a_bt_are_bit_exact(
+    fn a_bt_is_bit_exact_for_any_shape_and_workers(
         seed in 0u64..10_000, m in 1usize..40, k in 1usize..40, n in 1usize..40,
         workers in 1usize..5,
     ) {
@@ -182,8 +211,8 @@ proptest! {
         let a = rng.uniform_matrix(m, k, -1.0, 1.0);
         let b = rng.uniform_matrix(n, k, -1.0, 1.0);
         let reference = reference_a_bt(&a, &b);
-        prop_assert_eq!(ops::matmul_a_bt(&a, &b).as_slice(), reference.as_slice());
-        let pooled = ops::matmul_a_bt_pooled(&a, &b, &Pool::uncapped(workers));
+        prop_assert_eq!(a_bt_kernel(&a, &b, &Pool::serial()).as_slice(), reference.as_slice());
+        let pooled = a_bt_kernel(&a, &b, &Pool::uncapped(workers));
         prop_assert_eq!(pooled.as_slice(), reference.as_slice());
     }
 
@@ -195,7 +224,7 @@ proptest! {
         let mut rng = Rng64::seed_from(seed);
         let a = rng.uniform_matrix(m, k, -1.0, 1.0);
         let b = rng.uniform_matrix(k, n, -1.0, 1.0);
-        let pooled = ops::matmul_pooled(&a, &b, &Pool::uncapped(workers));
+        let pooled = forward_kernel(&a, &b, &Pool::uncapped(workers));
         prop_assert_eq!(pooled.as_slice(), reference_matmul(&a, &b).as_slice());
     }
 

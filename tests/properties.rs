@@ -11,7 +11,7 @@ use lipizzaner::mpi::{FaultPlan, Universe};
 use lipizzaner::nn::{Activation, AdamState, GanLoss, Mlp};
 use lipizzaner::runtime::checkpoint;
 use lipizzaner::runtime::checkpoint::CellStateMsg;
-use lipizzaner::tensor::{ops, reduce, Matrix, Rng64, Rng64State};
+use lipizzaner::tensor::{ops, reduce, Matrix, Pool, Rng64, Rng64State};
 use proptest::prelude::*;
 
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -41,10 +41,12 @@ proptest! {
         let b = rng.uniform_matrix(k, n, -2.0, 2.0);
         let c = rng.uniform_matrix(k, n, -2.0, 2.0);
         // A(B + C) == AB + AC up to f32 rounding.
-        let bc = ops::try_add(&b, &c).unwrap();
-        let lhs = ops::matmul(&a, &bc);
-        let mut rhs = ops::matmul(&a, &b);
-        ops::add_assign(&mut rhs, &ops::matmul(&a, &c));
+        let add = |x: &Matrix, y: &Matrix| {
+            let sum = x.as_slice().iter().zip(y.as_slice()).map(|(p, q)| p + q).collect();
+            Matrix::from_vec(x.rows(), x.cols(), sum).unwrap()
+        };
+        let lhs = ops::matmul(&a, &add(&b, &c));
+        let rhs = add(&ops::matmul(&a, &b), &ops::matmul(&a, &c));
         prop_assert!(lhs.max_abs_diff(&rhs) < 1e-3);
     }
 
@@ -53,7 +55,9 @@ proptest! {
         let mut rng = Rng64::seed_from(seed);
         let a = rng.uniform_matrix(4, 6, -1.0, 1.0);
         let b = rng.uniform_matrix(4, 5, -1.0, 1.0);
-        let fast = ops::matmul_at_b(&a, &b);
+        let mut fast = vec![0.0f32; 6 * 5];
+        ops::matmul_at_b_slice_into(&a, &b, &mut fast, &Pool::serial());
+        let fast = Matrix::from_vec(6, 5, fast).unwrap();
         let slow = ops::matmul(&a.transpose(), &b);
         prop_assert!(fast.max_abs_diff(&slow) < 1e-4);
     }
@@ -182,12 +186,17 @@ proptest! {
         let mut rng = Rng64::seed_from(seed);
         let net = Mlp::from_dims(&[3, 6, 2], Activation::Tanh, Activation::Identity, &mut rng);
         let x = rng.uniform_matrix(4, 3, -1.0, 1.0);
-        let y = net.forward(&x);
+        let forward = |net: &Mlp| {
+            let (mut out, mut scratch) = (Matrix::default(), Matrix::default());
+            net.forward_into(&x, &mut out, &mut scratch, &Pool::serial());
+            out
+        };
+        let y = forward(&net);
         let genome = net.genome();
         let mut other =
             Mlp::from_dims(&[3, 6, 2], Activation::Tanh, Activation::Identity, &mut rng);
         other.load_genome(genome);
-        prop_assert!(other.forward(&x).max_abs_diff(&y) < 1e-7);
+        prop_assert!(forward(&other).max_abs_diff(&y) < 1e-7);
     }
 
     #[test]
