@@ -209,12 +209,13 @@ fn communication_benches(entries: &mut Vec<Entry>, reps: usize, smoke: bool) {
         black_box(wire_scratch.len());
     });
 
-    // The per-iteration LOCAL allgather at the paper's 3×3 grid size,
-    // timed *inside* a resident universe so thread spawn/join cost stays
-    // out of the figure (the whole point is catching collective-path
+    // The per-iteration LOCAL allgather at the paper's 3×3 grid size and
+    // Table I snapshot size (generator 283,920 + discriminator 267,009
+    // floats), timed *inside* a resident universe so thread spawn/join cost
+    // stays out of the figure (the whole point is catching collective-path
     // regressions, not measuring `Universe::run` setup).
     let slaves = 9usize;
-    let floats = if smoke { 284 } else { 28_392 };
+    let floats = if smoke { 284 } else { TABLE1_SNAPSHOT_FLOATS };
     let inner_reps = reps.max(4);
     let mut best = f64::INFINITY;
     for _ in 0..BATCHES {
@@ -234,19 +235,22 @@ fn communication_benches(entries: &mut Vec<Entry>, reps: usize, smoke: bool) {
     println!("bench allgather/{name:<40} {best:>12.0} ns/op (best of {BATCHES}x{inner_reps})");
     entries.push(Entry { group: "allgather", name, ns_per_op: best, reps: inner_reps });
 
-    overlap_benches(entries, reps);
+    overlap_benches(entries, reps, smoke);
 }
 
+/// One Table I center snapshot in `f32`s: the generator's 283,920
+/// parameters plus the discriminator's 267,009.
+const TABLE1_SNAPSHOT_FLOATS: usize = 283_920 + 267_009;
+
 /// `--exchange async` overlap at paper scale: one full iteration — a
-/// 9-rank allgather of a paper-sized snapshot plus a ~7 ms train step —
-/// with the exchange either *ahead* of the compute (sync: blocking gather,
-/// then train) or *behind* it (async: begin the gather, train, then
-/// complete it). The gap between the two rows is the exchange time the
-/// overlap hides. Same workload in smoke and full mode (only the rep count
-/// differs), so `--check` gates this group against the committed baseline.
-fn overlap_benches(entries: &mut Vec<Entry>, reps: usize) {
+/// 9-rank allgather of a Table I snapshot plus a ~7 ms train step — with
+/// the exchange either *ahead* of the compute (sync: blocking gather, then
+/// train) or *behind* it (async: begin the gather, train, then complete
+/// it). The gap between the two rows is the exchange time the overlap
+/// hides. Smoke runs a twentieth of the payload, under a name of its own.
+fn overlap_benches(entries: &mut Vec<Entry>, reps: usize, smoke: bool) {
     let slaves = 9usize;
-    let floats = 28_392usize;
+    let floats = if smoke { 28_392 } else { TABLE1_SNAPSHOT_FLOATS };
     // Stand-in for the measured ~7 ms Table-I train step: sleeping (rather
     // than burning the ALU) keeps the figure stable on small CI hosts where
     // nine busy ranks would contend for two cores — the overlap being
@@ -320,7 +324,7 @@ fn json_escape(s: &str) -> String {
 /// Groups whose workload depends on `--smoke` (payload sizes differ between
 /// modes), so a smoke run cannot be compared against the committed
 /// full-mode baseline.
-const MODE_DEPENDENT_GROUPS: &[&str] = &["snapshot", "wire", "allgather"];
+const MODE_DEPENDENT_GROUPS: &[&str] = &["snapshot", "wire", "allgather", "allgather_overlap"];
 
 /// Regression gate: any baseline group slower by more than this factor
 /// (geometric mean over matching entries) fails the check.

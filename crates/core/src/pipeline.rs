@@ -50,9 +50,12 @@ pub trait Exchange {
     fn begin(&mut self, gen: usize, frame: &[CellSnapshot], costs: &[Duration]);
 
     /// Block until generation `gen` is complete and leave every cell's
-    /// snapshot in `frame` — the buffer `begin(gen)` saw (a transport may
-    /// replace it wholesale). `tel` is the rank's recorder, for what only
-    /// the transport knows (which ranks it had to substitute).
+    /// snapshot in `frame` — the buffer `begin(gen)` saw, its slots still
+    /// holding whatever generation they held last, genome buffers
+    /// included: a transport decodes into them in place (or swaps the whole
+    /// buffer for one it filled elsewhere) instead of allocating a frame.
+    /// `tel` is the rank's recorder, for what only the transport knows
+    /// (which ranks it had to substitute).
     fn complete(&mut self, gen: usize, frame: &mut Vec<CellSnapshot>, tel: &mut Telemetry);
 }
 
@@ -133,8 +136,6 @@ pub struct Pipeline {
     /// `neighbors[k]`: the frame slots local engine `k` imports, in
     /// neighbour-slot order.
     neighbors: Vec<Vec<usize>>,
-    /// Per grid cell: does this rank host it?
-    hosted: Vec<bool>,
     /// The generation being gathered (and, in sync mode, consumed).
     cur: Vec<CellSnapshot>,
     /// Async only: the previous generation — what the next iteration
@@ -165,10 +166,6 @@ impl Pipeline {
     pub fn new(cfg: &TrainConfig, engines: Vec<CellEngine>, mut telemetry: Telemetry) -> Self {
         let grid = Grid::from_config(&cfg.grid);
         let neighbors = engines.iter().map(|e| grid.neighbors(e.cell_index())).collect();
-        let mut hosted = vec![false; cfg.cells()];
-        for e in &engines {
-            hosted[e.cell_index()] = true;
-        }
         let span_cell = match engines.as_slice() {
             [only] => only.cell_index() as u32,
             _ => NO_CELL,
@@ -179,7 +176,6 @@ impl Pipeline {
         Self {
             cfg: cfg.clone(),
             neighbors,
-            hosted,
             cur: Vec::new(),
             prev: Vec::new(),
             prev_complete: false,
@@ -286,13 +282,9 @@ impl Pipeline {
         // Everything up to the consumed frame being in hand is the gather
         // routine, exactly as Table IV charges the allgather.
         let span = self.telemetry.begin(SpanKind::Gather, self.span_cell, it);
+        // Slots of cells hosted elsewhere keep the generation they held
+        // last: `complete` overwrites them in place, reusing their buffers.
         self.cur.resize_with(cells, CellSnapshot::empty);
-        // Slots of cells hosted elsewhere are placeholders until `complete`
-        // fills them: release what an earlier generation left there, so a
-        // rank never holds more decoded frames than it reads from.
-        for (slot, _) in self.cur.iter_mut().zip(&self.hosted).filter(|(_, &hosted)| !hosted) {
-            *slot = CellSnapshot::empty();
-        }
         for (k, engine) in self.engines.iter_mut().enumerate() {
             let cell = engine.cell_index();
             if engine.iterations_done() > iter {

@@ -2,9 +2,10 @@
 
 use crate::endpoint::Mailbox;
 use crate::fault::{DeliveryFate, FaultPlan, FaultState};
-use crate::message::{Envelope, ReservedTags, Tag};
+use crate::message::{Envelope, Payload, ReservedTags, Tag};
 use crate::transport::Transport;
-use crate::wire::Wire;
+use crate::wire::{sequence_len, Wire, WireError};
+use bytes::Buf;
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -12,7 +13,7 @@ use std::time::{Duration, Instant};
 /// Shared handle to a frozen death-frame (see [`DegradedGather::frozen_frame`]):
 /// one encoded payload per group rank, `None` until a planned absence window
 /// has opened.
-pub type FrozenFrameHandle = Arc<Mutex<Option<Vec<Vec<u8>>>>>;
+pub type FrozenFrameHandle = Arc<Mutex<Option<Vec<Payload>>>>;
 
 /// The in-process delivery fabric: one mailbox per world rank, delivery is
 /// a queue push. The reference [`Transport`] implementation.
@@ -186,7 +187,7 @@ impl Comm {
         self.send_raw(dst, tag, value.to_bytes());
     }
 
-    fn send_raw(&self, dst: usize, tag: Tag, payload: Vec<u8>) {
+    fn send_raw(&self, dst: usize, tag: Tag, payload: impl Into<Payload>) {
         let world_dst = self.group[dst];
         if let Some(faults) = self.transport.fault_state() {
             let world_src = self.group[self.my_rank];
@@ -204,7 +205,8 @@ impl Comm {
                 DeliveryFate::Deliver => {}
             }
         }
-        let env = Envelope::new(self.context, self.my_rank, tag, payload);
+        let env =
+            Envelope { context: self.context, src: self.my_rank, tag, payload: payload.into() };
         self.transport.deliver(world_dst, env);
     }
 
@@ -298,7 +300,7 @@ impl Comm {
     pub fn bcast<T: Wire>(&self, root: usize, value: Option<T>) -> T {
         if self.my_rank == root {
             let v = value.expect("root must provide the broadcast value");
-            let bytes = v.to_bytes();
+            let bytes = Payload::from(v.to_bytes());
             for r in 0..self.size() {
                 if r != root {
                     self.send_raw(r, ReservedTags::BCAST, bytes.clone());
@@ -426,24 +428,26 @@ impl Comm {
     /// group-rank order. This is the §III-D "gather operations performed
     /// between slaves to collect partial results" primitive.
     pub fn allgather<T: Wire>(&self, value: &T) -> Vec<T> {
-        self.allgather_bytes(&value.to_bytes())
+        self.allgather_bytes(value.to_bytes())
             .iter()
             .map(|p| T::from_bytes(p).expect("allgather decode"))
             .collect()
     }
 
     /// Raw-payload allgather: every rank receives all ranks' payloads in
-    /// group-rank order. Callers that maintain a reusable encode buffer
-    /// (the per-iteration snapshot exchange) use this to skip the typed
-    /// wrapper's per-exchange encode allocation; the transport itself still
-    /// takes one owned copy of `payload`, since the mailbox keeps the bytes
+    /// group-rank order, each a slice of the one broadcast body (see
+    /// [`Comm::allgather_bytes_complete`] for who holds that body and for
+    /// how long). `payload` is handed to the transport as a [`Payload`]: an
+    /// owned `Vec<u8>` moves in without a copy (the per-iteration snapshot
+    /// exchange encodes straight into the buffer it passes here), a
+    /// borrowed slice is copied once, since the mailbox keeps the bytes
     /// after the call returns.
     ///
     /// Implemented as [`Comm::allgather_bytes_split`] +
     /// [`Comm::allgather_bytes_complete`] back to back, so the synchronous
     /// path and the overlapped async-exchange path send byte-identical
     /// traffic.
-    pub fn allgather_bytes(&self, payload: &[u8]) -> Vec<Vec<u8>> {
+    pub fn allgather_bytes(&self, payload: impl Into<Payload>) -> Vec<Payload> {
         let pending = self.allgather_bytes_split(payload);
         self.allgather_bytes_complete(pending)
     }
@@ -459,12 +463,12 @@ impl Comm {
     /// per-(src, tag) FIFO mailbox matching keeps a begin posted for
     /// generation `i` from crossing a complete still draining generation
     /// `i-1`.
-    pub fn allgather_bytes_split(&self, payload: &[u8]) -> PendingAllgather {
+    pub fn allgather_bytes_split(&self, payload: impl Into<Payload>) -> PendingAllgather {
         if self.my_rank == 0 {
-            PendingAllgather { payload: payload.to_vec() }
+            PendingAllgather { payload: Some(payload.into()) }
         } else {
-            self.send_raw(0, ReservedTags::ALLGATHER, payload.to_vec());
-            PendingAllgather { payload: Vec::new() }
+            self.send_raw(0, ReservedTags::ALLGATHER, payload);
+            PendingAllgather { payload: None }
         }
     }
 
@@ -472,7 +476,17 @@ impl Comm {
     /// every contribution and broadcasts the concatenation; a non-root
     /// receives the broadcast. Byte-identical traffic to the second half of
     /// [`Comm::allgather_bytes`].
-    pub fn allgather_bytes_complete(&self, pending: PendingAllgather) -> Vec<Vec<u8>> {
+    ///
+    /// Every snapshot byte moves once per hop. The root copies each
+    /// contribution once into the broadcast body and hands that one buffer
+    /// to every destination — by reference count on the in-process fabric,
+    /// as the payload of a vectored write on a socket — and every rank,
+    /// root included, gets its parts back as slices of the body it holds.
+    /// The body therefore lives until the last rank has dropped its parts
+    /// (and, on a socket transport, until the last write of it returned);
+    /// nobody may hold it longer than that, or a 3×3 Table-I grid keeps
+    /// 20 MB per generation alive.
+    pub fn allgather_bytes_complete(&self, pending: PendingAllgather) -> Vec<Payload> {
         self.complete_allgather(pending, None)
     }
 
@@ -508,7 +522,7 @@ impl Comm {
         pending: PendingAllgather,
         round: usize,
         ctl: &mut DegradedGather,
-    ) -> Vec<Vec<u8>> {
+    ) -> Vec<Payload> {
         self.complete_allgather(pending, Some((round, ctl)))
     }
 
@@ -519,11 +533,12 @@ impl Comm {
         &self,
         pending: PendingAllgather,
         mut degraded: Option<(usize, &mut DegradedGather)>,
-    ) -> Vec<Vec<u8>> {
+    ) -> Vec<Payload> {
         if self.my_rank != 0 {
             let env = self.recv_live(0, ReservedTags::ALLGATHER);
-            return Vec::<Vec<u8>>::from_bytes(&env.payload).expect("allgather parts");
+            return split_parts(&env.payload).expect("allgather parts");
         }
+        let own = pending.payload.expect("the root stashed its own part at begin");
         if let Some((round, ctl)) = degraded.as_mut() {
             assert_eq!(ctl.cache.len(), self.size(), "DegradedGather sized for another group");
             // Freeze the death-frame — everyone's previous-round payload —
@@ -531,32 +546,36 @@ impl Comm {
             // window opens. A replacement rank later streams this frame to
             // replay its catch-up deterministically.
             if ctl.planned_window_opens(*round) {
-                let frame: Option<Vec<Vec<u8>>> = ctl.cache.iter().cloned().collect();
+                let frame: Option<Vec<Payload>> = ctl.cache.iter().cloned().collect();
                 *ctl.frozen.lock() = Some(frame.expect("full cache at planned window open"));
             }
-            ctl.cache[0] = Some(pending.payload.clone());
+            ctl.cache[0] = Some(own.clone());
         }
-        let mut parts: Vec<Vec<u8>> = Vec::with_capacity(self.size());
-        parts.push(pending.payload);
+        let mut parts: Vec<Payload> = Vec::with_capacity(self.size());
+        parts.push(own);
         for src in 1..self.size() {
             parts.push(match degraded.as_mut() {
                 None => self.recv_live(src, ReservedTags::ALLGATHER).payload,
                 Some((round, ctl)) => self.recv_degraded(src, *round, ctl),
             });
         }
-        let bytes = parts.to_bytes();
+        // The one copy of this hop: every contribution into the body, which
+        // is sized up front and then shared, never cloned.
+        let mut body = Vec::with_capacity(4 + parts.iter().map(|p| 4 + p.len()).sum::<usize>());
+        parts.encode(&mut body);
+        let body = Payload::from(body);
         for r in 1..self.size() {
             if degraded.as_ref().is_some_and(|(round, ctl)| ctl.skip_fanout(r, *round)) {
                 continue;
             }
-            self.send_raw(r, ReservedTags::ALLGATHER, bytes.clone());
+            self.send_raw(r, ReservedTags::ALLGATHER, body.clone());
         }
-        parts
+        split_parts(&body).expect("the root's own body")
     }
 
     /// Root-side: `src`'s contribution for `round`, received or substituted
     /// as the controller's absence bookkeeping dictates.
-    fn recv_degraded(&self, src: usize, round: usize, ctl: &mut DegradedGather) -> Vec<u8> {
+    fn recv_degraded(&self, src: usize, round: usize, ctl: &mut DegradedGather) -> Payload {
         let part = match ctl.availability(src, round) {
             Availability::Live => match self.recv_or_detect_death(src, ctl, round) {
                 Some(part) => part,
@@ -579,7 +598,7 @@ impl Comm {
         src: usize,
         ctl: &mut DegradedGather,
         round: usize,
-    ) -> Option<Vec<u8>> {
+    ) -> Option<Payload> {
         loop {
             if let Some(env) = self.my_mailbox().recv_timeout(
                 self.context,
@@ -599,7 +618,7 @@ impl Comm {
     }
 
     /// Substitute `src`'s slot from the stale cache, enforcing the bound.
-    fn substitute_stale(&self, src: usize, ctl: &mut DegradedGather, round: usize) -> Vec<u8> {
+    fn substitute_stale(&self, src: usize, ctl: &mut DegradedGather, round: usize) -> Payload {
         let world = self.group[src];
         ctl.note_stale(src, world, round);
         ctl.cache[src].clone().unwrap_or_else(|| {
@@ -615,7 +634,7 @@ impl Comm {
     /// left set until the link swap cannot misfire as [`PeerLost`].
     ///
     /// [`PeerLost`]: crate::endpoint::PeerLost
-    fn await_rejoin(&self, src: usize, deadline: Duration, round: usize) -> Vec<u8> {
+    fn await_rejoin(&self, src: usize, deadline: Duration, round: usize) -> Payload {
         let give_up = Instant::now() + deadline;
         loop {
             if let Some(env) = self.my_mailbox().recv_timeout(
@@ -698,9 +717,31 @@ impl Comm {
 #[derive(Debug)]
 #[must_use = "an in-flight split allgather must be completed"]
 pub struct PendingAllgather {
-    /// The root's own contribution (empty on non-root ranks, whose
+    /// The root's own contribution (`None` on non-root ranks, whose
     /// contribution was already posted to the root at begin).
-    payload: Vec<u8>,
+    payload: Option<Payload>,
+}
+
+/// The parts of an allgather broadcast body — `Vec<Payload>` on the wire —
+/// as slices of `body`: no part is copied out. Refuses what
+/// `Vec::<Vec<u8>>::from_bytes` refuses (a count or a part length the
+/// remaining bytes cannot back, a truncated prefix, trailing bytes), and
+/// sizes its table by the bytes that are there, not by the count claimed.
+fn split_parts(body: &Payload) -> Result<Vec<Payload>, WireError> {
+    let mut buf: &[u8] = body;
+    // Every part needs at least its own 4-byte length prefix.
+    let count = sequence_len(&mut buf, 4)?;
+    let mut parts = Vec::with_capacity(count);
+    for _ in 0..count {
+        let len = sequence_len(&mut buf, 1)?;
+        let at = body.len() - buf.remaining();
+        parts.push(body.slice(at..at + len));
+        buf.advance(len);
+    }
+    if !buf.is_empty() {
+        return Err(WireError::new("trailing bytes"));
+    }
+    Ok(parts)
 }
 
 /// Why a contributor is (or is not) awaited this round.
@@ -729,10 +770,18 @@ enum Absence {
 /// stale cache, absence windows, substitution bounds, and the frozen
 /// death-frame a replacement rank streams for catch-up. Owned by the
 /// exchange caller of the group's rank 0; other ranks never need one.
+///
+/// Cache and death-frame hold [`Payload`] handles on the ranks' individual
+/// contributions — the buffers they arrived in — so keeping a round costs
+/// no copy, freezing a frame is one reference-count bump per rank, and
+/// neither ever pins a broadcast body (which would be the whole
+/// generation, not one rank's share of it).
 #[derive(Debug)]
 pub struct DegradedGather {
-    /// Last-known payload per group rank.
-    cache: Vec<Option<Vec<u8>>>,
+    /// Last-known payload per group rank: a handle on the very buffer the
+    /// rank's contribution arrived in (caching a round is a reference-count
+    /// bump per rank, not a copy).
+    cache: Vec<Option<Payload>>,
     /// Consecutive substitutions per group rank.
     stale_runs: Vec<usize>,
     absences: Vec<Option<Absence>>,
@@ -745,7 +794,7 @@ pub struct DegradedGather {
     /// first planned window opened. Shared (`Arc`) so another thread — the
     /// slave's communication thread — can serve it to a catching-up
     /// replacement while this controller is mid-collective.
-    frozen: Arc<Mutex<Option<Vec<Vec<u8>>>>>,
+    frozen: FrozenFrameHandle,
 }
 
 impl DegradedGather {
@@ -1159,7 +1208,7 @@ mod tests {
                     let frozen = ctl.frozen_frame();
                     let mut seen = Vec::new();
                     for round in 0..rounds {
-                        let pending = comm.allgather_bytes_split(&payload(0, round));
+                        let pending = comm.allgather_bytes_split(payload(0, round));
                         let parts =
                             comm.allgather_bytes_complete_degraded(pending, round, &mut ctl);
                         seen.push(parts[2].clone());
@@ -1177,7 +1226,7 @@ mod tests {
                 }
                 1 => {
                     for round in 0..rounds {
-                        let parts = comm.allgather_bytes(&payload(1, round));
+                        let parts = comm.allgather_bytes(payload(1, round));
                         // Survivors transparently consume the substituted slot.
                         let expect2 = if round == 2 || round == 3 { 1 } else { round as u8 };
                         assert_eq!(parts[2], vec![2u8, expect2]);
@@ -1185,7 +1234,7 @@ mod tests {
                 }
                 2 => {
                     for round in [0usize, 1, 4, 5] {
-                        let parts = comm.allgather_bytes(&payload(2, round));
+                        let parts = comm.allgather_bytes(payload(2, round));
                         assert_eq!(parts[0], payload(0, round));
                     }
                 }

@@ -54,7 +54,7 @@ pub use fault::{
     enable_process_faults, process_faults_enabled, replacement_schedule, scheduled_replacement,
     FaultPlan, FaultState, ReplacementSchedule,
 };
-pub use message::{Envelope, Tag};
+pub use message::{Envelope, Payload, Tag};
 pub use tcp::TcpFabric;
 pub use topology::CartGrid;
 pub use transport::Transport;

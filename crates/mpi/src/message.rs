@@ -1,7 +1,10 @@
-//! Message envelope and tag space.
+//! Message envelope, its shared payload buffer, and the tag space.
 
 use crate::wire::{Wire, WireError};
 use bytes::{Buf, BufMut};
+use std::fmt;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 /// Message tag (user tags live below [`ReservedTags::RESERVED_BASE`]).
 pub type Tag = u32;
@@ -24,6 +27,102 @@ impl ReservedTags {
     pub const REDUCE: Tag = Self::RESERVED_BASE + 4;
 }
 
+/// An immutable byte buffer shared by reference count: a view (`start..end`)
+/// into one heap buffer that any number of handles keep alive. Cloning and
+/// [`Payload::slice`] bump the count and copy nothing, which is what lets a
+/// broadcast body be assembled once and handed to every destination, and
+/// lets a receiver keep the parts of that body without copying them out.
+/// The buffer is freed when its last handle drops. Dereferences to `[u8]`.
+#[derive(Clone)]
+pub struct Payload {
+    buf: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
+}
+
+impl Payload {
+    /// A handle on `range` of this view (indices relative to the view),
+    /// sharing the same buffer.
+    ///
+    /// # Panics
+    /// Panics if `range` does not lie inside the view.
+    pub fn slice(&self, range: Range<usize>) -> Payload {
+        assert!(range.start <= range.end && range.end <= self.len(), "slice out of range");
+        Payload {
+            buf: Arc::clone(&self.buf),
+            start: self.start + range.start,
+            end: self.start + range.end,
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+}
+
+/// Takes ownership of the buffer — no byte is copied.
+impl From<Vec<u8>> for Payload {
+    fn from(bytes: Vec<u8>) -> Self {
+        let end = bytes.len();
+        Payload { buf: Arc::new(bytes), start: 0, end }
+    }
+}
+
+/// Copies the bytes into a fresh buffer (the one copy a borrowed payload
+/// costs, since the transport keeps it after the caller returns).
+impl From<&[u8]> for Payload {
+    fn from(bytes: &[u8]) -> Self {
+        bytes.to_vec().into()
+    }
+}
+
+impl From<&Vec<u8>> for Payload {
+    fn from(bytes: &Vec<u8>) -> Self {
+        bytes.as_slice().into()
+    }
+}
+
+impl<const N: usize> From<&[u8; N]> for Payload {
+    fn from(bytes: &[u8; N]) -> Self {
+        bytes.as_slice().into()
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Payloads run to megabytes; a dump shows how much, not what.
+        write!(f, "Payload({} B)", self.len())
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+impl PartialEq<Vec<u8>> for Payload {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        **self == **other
+    }
+}
+
+/// Same bytes on the wire as `Vec<u8>`; decoding copies into a buffer of
+/// its own.
+impl Wire for Payload {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        u8::encode_slice(self, buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Vec::<u8>::decode(buf).map(Payload::from)
+    }
+}
+
 /// One message in flight between two ranks of a communicator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
@@ -34,13 +133,13 @@ pub struct Envelope {
     /// User or reserved tag.
     pub tag: Tag,
     /// Encoded payload.
-    pub payload: Vec<u8>,
+    pub payload: Payload,
 }
 
 impl Envelope {
-    /// Build an envelope.
+    /// Build an envelope around an owned buffer (moved in, not copied).
     pub fn new(context: u16, src: usize, tag: Tag, payload: Vec<u8>) -> Self {
-        Self { context, src, tag, payload }
+        Self { context, src, tag, payload: payload.into() }
     }
 
     /// Does this envelope match a receive posted for `(context, src, tag)`?
@@ -50,28 +149,49 @@ impl Envelope {
     }
 }
 
+impl Envelope {
+    /// Wire size of everything that precedes the payload bytes: context,
+    /// source rank, tag, payload length.
+    pub(crate) const HEADER_LEN: usize = 2 + 8 + 4 + 4;
+
+    /// The [`Envelope::HEADER_LEN`] bytes that precede the payload.
+    pub(crate) fn header(&self) -> [u8; Self::HEADER_LEN] {
+        let mut h = [0u8; Self::HEADER_LEN];
+        h[..2].copy_from_slice(&self.context.to_le_bytes());
+        h[2..10].copy_from_slice(&(self.src as u64).to_le_bytes());
+        h[10..14].copy_from_slice(&self.tag.to_le_bytes());
+        h[14..].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        h
+    }
+
+    /// Decode a header: `(context, src, tag, payload length)`.
+    pub(crate) fn decode_header(
+        buf: &mut &[u8],
+    ) -> Result<(u16, usize, Tag, usize), WireError> {
+        Ok((
+            u16::decode(buf)?,
+            usize::decode(buf)?,
+            Tag::decode(buf)?,
+            u32::decode(buf)? as usize,
+        ))
+    }
+}
+
 /// Envelopes cross process boundaries on socket transports, so they encode
-/// with the same little-endian codec as every payload. The payload gets a
-/// `u32` length prefix and is copied as one slice (not element-wise) — this
-/// is the hot path of the TCP transport.
+/// with the same little-endian codec as every payload: the header, then the
+/// payload copied as one slice.
 impl Wire for Envelope {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.context.encode(buf);
-        self.src.encode(buf);
-        self.tag.encode(buf);
-        (self.payload.len() as u32).encode(buf);
+        buf.put_slice(&self.header());
         buf.put_slice(&self.payload);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let context = u16::decode(buf)?;
-        let src = usize::decode(buf)?;
-        let tag = Tag::decode(buf)?;
-        let len = u32::decode(buf)? as usize;
+        let (context, src, tag, len) = Self::decode_header(buf)?;
         if buf.remaining() < len {
             return Err(WireError::new("envelope payload"));
         }
-        let payload = buf[..len].to_vec();
+        let payload = Payload::from(&buf[..len]);
         buf.advance(len);
         Ok(Self { context, src, tag, payload })
     }
@@ -89,6 +209,49 @@ mod tests {
         assert!(!env.matches(4, Some(2), 7), "wrong context");
         assert!(!env.matches(3, Some(1), 7), "wrong source");
         assert!(!env.matches(3, Some(2), 8), "wrong tag");
+    }
+
+    #[test]
+    fn payload_shares_one_buffer_across_clones_and_slices() {
+        let bytes: Vec<u8> = (0..32).collect();
+        let at = bytes.as_ptr();
+        let whole = Payload::from(bytes);
+        assert_eq!(whole.as_ptr(), at, "From<Vec<u8>> must take the buffer, not copy it");
+        let copy = whole.clone();
+        let mid = whole.slice(8..24);
+        let inner = mid.slice(4..8);
+        assert_eq!(copy.as_ptr(), at);
+        assert_eq!(mid.as_ptr(), at.wrapping_add(8));
+        assert_eq!(inner, vec![12u8, 13, 14, 15]);
+        assert!(whole.slice(32..32).is_empty());
+        // The views outlive the handle they were cut from.
+        drop((whole, copy, mid));
+        assert_eq!(inner[0], 12);
+        // A borrowed source is copied: the transport keeps it.
+        let local = [1u8, 2, 3];
+        assert_ne!(Payload::from(&local).as_ptr(), local.as_ptr());
+    }
+
+    #[test]
+    #[should_panic(expected = "slice out of range")]
+    fn payload_slice_is_bounds_checked() {
+        let _ = Payload::from(vec![0u8; 4]).slice(2..5);
+    }
+
+    #[test]
+    fn payload_is_vec_u8_on_the_wire() {
+        for bytes in [vec![], vec![7u8], (0..200).collect::<Vec<u8>>()] {
+            let wire = bytes.to_bytes();
+            assert_eq!(Payload::from(bytes.clone()).to_bytes(), wire);
+            assert_eq!(Payload::from_bytes(&wire).unwrap(), bytes);
+            // A view encodes its own bytes, not the buffer it sits in.
+            let padded: Vec<u8> = [&[9u8; 3][..], &bytes, &[9u8; 2]].concat();
+            let view = Payload::from(padded).slice(3..3 + bytes.len());
+            assert_eq!(view.to_bytes(), wire);
+        }
+        let mut hostile = Vec::new();
+        0x8000_0000u32.encode(&mut hostile);
+        assert!(Payload::from_bytes(&hostile).is_err());
     }
 
     #[test]

@@ -29,11 +29,11 @@
 use crate::endpoint::Mailbox;
 use crate::fault::{FaultPlan, FaultState};
 use crate::message::Envelope;
-use crate::transport::{encode_frame, FrameDecoder, Transport};
+use crate::transport::{frame_header, FrameDecoder, Transport, MAX_FRAME_LEN};
 use crate::wire::Wire;
 use crate::wire_struct;
 use parking_lot::{Mutex, RwLock};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -108,7 +108,7 @@ fn bad_data(what: &str) -> io::Error {
 }
 
 /// Write one length-prefixed frame carrying `body` (handshake helper; data
-/// frames go through the per-peer scratch buffer instead).
+/// frames go through [`PeerLink::send`] instead).
 fn write_frame(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
     let mut out = Vec::with_capacity(4 + body.len());
     (body.len() as u32).encode(&mut out);
@@ -207,29 +207,57 @@ fn check_protocol(magic: u32, version: u32) -> io::Result<()> {
     Ok(())
 }
 
-/// One connected peer: the write half (framed, mutex-serialized so both
-/// rank threads can send) plus a reusable frame-encode scratch buffer.
+/// One connected peer: the write half, mutex-serialized so both rank
+/// threads can send whole frames.
 #[derive(Debug)]
 struct PeerLink {
-    stream: Mutex<(TcpStream, Vec<u8>)>,
+    /// World rank at the other end.
+    peer: usize,
+    stream: Mutex<TcpStream>,
 }
 
 impl PeerLink {
-    fn new(stream: TcpStream) -> Self {
-        Self { stream: Mutex::new((stream, Vec::new())) }
+    fn new(peer: usize, stream: TcpStream) -> Self {
+        Self { peer, stream: Mutex::new(stream) }
     }
 
-    /// Frame and send `env`; returns false when the peer is gone.
+    /// Frame and send `env`; returns false when the peer is gone. The
+    /// frame is never assembled: its header and the (shared) payload go to
+    /// the socket as one vectored write, so a broadcast body is read in
+    /// place by every link it is sent on. The bytes on the wire are
+    /// [`crate::transport::encode_frame`]'s.
+    ///
+    /// # Panics
+    /// Panics — before a byte is written — if the frame body exceeds
+    /// [`MAX_FRAME_LEN`]: the receiver would drop the connection on the
+    /// length prefix and this side would only ever see "peer lost".
     fn send(&self, env: &Envelope) -> bool {
-        let mut guard = self.stream.lock();
-        let (stream, scratch) = &mut *guard;
-        scratch.clear();
-        encode_frame(env, scratch);
-        stream.write_all(scratch).is_ok()
+        let header = frame_header(env).unwrap_or_else(|len| {
+            panic!(
+                "frame body of {len} B for world rank {} exceeds MAX_FRAME_LEN \
+                 ({MAX_FRAME_LEN} B)",
+                self.peer
+            )
+        });
+        let (mut head, mut body): (&[u8], &[u8]) = (&header, &env.payload);
+        let mut stream = self.stream.lock();
+        while !head.is_empty() || !body.is_empty() {
+            match stream.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    let from_head = n.min(head.len());
+                    head = &head[from_head..];
+                    body = &body[n - from_head..];
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        true
     }
 
     fn shutdown(&self, how: Shutdown) {
-        let _ = self.stream.lock().0.shutdown(how);
+        let _ = self.stream.lock().shutdown(how);
     }
 }
 
@@ -310,9 +338,10 @@ impl TcpFabric {
         }
         let peers = streams
             .into_iter()
-            .map(|s| {
+            .enumerate()
+            .map(|(i, s)| {
                 s.set_read_timeout(None)?;
-                Ok(Some(PeerLink::new(s)))
+                Ok(Some(PeerLink::new(i + 1, s)))
             })
             .collect::<io::Result<Vec<_>>>()?;
         let mut peers_with_self = vec![None];
@@ -370,7 +399,7 @@ impl TcpFabric {
         master.set_read_timeout(None)?;
 
         let mut peers: Vec<Option<PeerLink>> = (0..world_size).map(|_| None).collect();
-        peers[0] = Some(PeerLink::new(master));
+        peers[0] = Some(PeerLink::new(0, master));
 
         // Dial every lower slave rank — or, on a rejoin, *every* other
         // slave: survivors only ever accept a replacement, never dial it.
@@ -389,7 +418,7 @@ impl TcpFabric {
             )?;
             stream.set_nodelay(true)?;
             send_msg(&mut stream, &PeerHello { magic: MAGIC, version: VERSION, rank })?;
-            peers[peer_rank] = Some(PeerLink::new(stream));
+            peers[peer_rank] = Some(PeerLink::new(peer_rank, stream));
         }
         listener.set_nonblocking(true)?;
         if !rejoining {
@@ -408,7 +437,7 @@ impl TcpFabric {
                     continue; // confused or duplicate peer: drop, keep accepting
                 }
                 stream.set_read_timeout(None)?;
-                peers[hello.rank] = Some(PeerLink::new(stream));
+                peers[hello.rank] = Some(PeerLink::new(hello.rank, stream));
                 accepted += 1;
             }
         }
@@ -454,7 +483,7 @@ impl TcpFabric {
 
     /// Spawn the reader thread serving one peer link.
     fn spawn_reader(self: &Arc<Self>, peer_rank: usize, link: Arc<PeerLink>) {
-        let stream = link.stream.lock().0.try_clone().expect("clone stream read half");
+        let stream = link.stream.lock().try_clone().expect("clone stream read half");
         let mailbox = Arc::clone(&self.mailbox);
         let fabric = Arc::downgrade(self);
         let handle =
@@ -469,7 +498,7 @@ impl TcpFabric {
     fn install_link(self: &Arc<Self>, peer_rank: usize, stream: TcpStream) -> io::Result<()> {
         stream.set_read_timeout(None)?;
         stream.set_nodelay(true)?;
-        let link = Arc::new(PeerLink::new(stream));
+        let link = Arc::new(PeerLink::new(peer_rank, stream));
         *self.peers[peer_rank].write() = Some(Arc::clone(&link));
         self.mailbox.clear_peer_dead(peer_rank);
         self.spawn_reader(peer_rank, link);
@@ -758,6 +787,8 @@ fn local_bind_addr(master: &SocketAddr) -> SocketAddr {
 mod tests {
     use super::*;
     use crate::comm::{Comm, RecvFrom};
+    use crate::message::Payload;
+    use crate::transport::encode_frame;
 
     /// Spin up an in-test TCP universe of `n` ranks (each rank a thread of
     /// this test process, but all traffic over real localhost sockets) and
@@ -792,6 +823,54 @@ mod tests {
             results.sort_by_key(|(rank, _)| *rank);
             results.into_iter().map(|(_, r)| r).collect()
         })
+    }
+
+    /// A connected localhost socket pair.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let near = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (far, _) = listener.accept().expect("accept");
+        (near, far)
+    }
+
+    #[test]
+    fn a_sent_frame_is_byte_identical_to_encode_frame() {
+        // The golden test of the vectored send: what `PeerLink::send` puts
+        // on a socket is exactly `encode_frame`'s output — for an empty
+        // payload, a small one, a view into a larger shared buffer, and one
+        // big enough to need several partial writes.
+        let shared = Payload::from((0..=255u8).cycle().take(3 << 20).collect::<Vec<u8>>());
+        let envelopes = [
+            Envelope::new(0, 0, 0, Vec::new()),
+            Envelope::new(7, 3, 0xF000_0003, vec![1, 2, 3]),
+            Envelope { context: 2, src: 8, tag: 9, payload: shared.slice(5..1000) },
+            Envelope { context: u16::MAX, src: usize::MAX, tag: u32::MAX, payload: shared },
+        ];
+        let mut golden = Vec::new();
+        for env in &envelopes {
+            encode_frame(env, &mut golden);
+        }
+        let (near, mut far) = socket_pair();
+        let want = golden.len();
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0u8; want];
+            far.read_exact(&mut got).expect("read the frames");
+            got
+        });
+        let link = PeerLink::new(1, near);
+        for env in &envelopes {
+            assert!(link.send(env));
+        }
+        assert!(reader.join().expect("reader thread") == golden, "wire bytes differ");
+    }
+
+    #[test]
+    #[should_panic(expected = "for world rank 5 exceeds MAX_FRAME_LEN (1073741824 B)")]
+    fn an_oversize_frame_panics_on_the_sending_side_naming_the_destination() {
+        let (near, _far) = socket_pair();
+        // Zeroed pages are never touched: nothing is written.
+        let env = Envelope::new(0, 1, 2, vec![0u8; MAX_FRAME_LEN]);
+        PeerLink::new(5, near).send(&env);
     }
 
     #[test]

@@ -13,11 +13,23 @@
 //! slave runtime — is transport-agnostic, which is what lets the
 //! `driver_equivalence` and `distributed_process` suites prove the two
 //! backends byte-identical.
+//!
+//! # Framing, and how a payload byte moves through it
+//!
+//! A frame is `[u32-le body length][envelope header][payload]`
+//! ([`encode_frame`] is the definition). An envelope's payload is a shared
+//! [`crate::message::Payload`], and neither side of a socket stages a
+//! frame: the sender writes the 22 header bytes and the payload — wherever
+//! it lives, typically inside a broadcast body other links are sending too
+//! — with one vectored write, and [`FrameDecoder`] copies arriving payload
+//! bytes straight into the buffer the decoded envelope will own, growing it
+//! only as bytes arrive. [`MAX_FRAME_LEN`] is enforced by both ends.
 
 use crate::endpoint::Mailbox;
 use crate::fault::FaultState;
 use crate::message::Envelope;
 use crate::wire::{Wire, WireError};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// An envelope-delivery substrate for one universe of world ranks.
@@ -62,20 +74,54 @@ pub trait Transport: fmt::Debug + Send + Sync {
     fn install_fault_plan(&self, _plan: crate::fault::FaultPlan) {}
 }
 
-/// Upper bound on a frame body, rejecting hostile length prefixes before
-/// any allocation happens (a full Table-I genome snapshot is ~1 MiB; this
-/// leaves three orders of magnitude of headroom).
+/// Upper bound on a frame body, enforced on both sides: a sender refuses to
+/// write a larger frame ([`encode_frame`] panics) and a receiver rejects a
+/// larger length prefix before buffering anything for it. The frame that
+/// matters is the snapshot exchange's broadcast body — one 2,203,757-byte
+/// Table-I snapshot per cell — so this ceiling is a 22×22 grid (484 cells,
+/// 1.07 GB would be the 23×23 body).
 pub const MAX_FRAME_LEN: usize = 1 << 30;
+
+/// Bytes of a frame that precede the payload: the `u32` body length, then
+/// the envelope header.
+pub(crate) const FRAME_HEADER_LEN: usize = 4 + Envelope::HEADER_LEN;
+
+/// The [`FRAME_HEADER_LEN`] bytes that open `env`'s frame, or the body
+/// length when it exceeds [`MAX_FRAME_LEN`] (nothing may be written then:
+/// the receiver would drop the connection and the sender never learn why).
+pub(crate) fn frame_header(env: &Envelope) -> Result<[u8; FRAME_HEADER_LEN], usize> {
+    let body_len = Envelope::HEADER_LEN + env.payload.len();
+    if body_len > MAX_FRAME_LEN {
+        return Err(body_len);
+    }
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    header[4..].copy_from_slice(&env.header());
+    Ok(header)
+}
 
 /// Append one length-prefixed frame carrying `env` to `out`:
 /// `[u32-le body length][body = Envelope wire encoding]`.
+///
+/// # Panics
+/// Panics if the body exceeds [`MAX_FRAME_LEN`].
 pub fn encode_frame(env: &Envelope, out: &mut Vec<u8>) {
-    let header_at = out.len();
-    0u32.encode(out);
-    let body_at = out.len();
-    env.encode(out);
-    let body_len = (out.len() - body_at) as u32;
-    out[header_at..body_at].copy_from_slice(&body_len.to_le_bytes());
+    let header = frame_header(env).unwrap_or_else(|len| {
+        panic!("frame body of {len} B exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN} B)")
+    });
+    out.extend_from_slice(&header);
+    out.extend_from_slice(&env.payload);
+}
+
+/// The frame whose payload is still arriving.
+#[derive(Debug)]
+struct PartialFrame {
+    context: u16,
+    src: usize,
+    tag: crate::message::Tag,
+    payload: Vec<u8>,
+    /// Payload length the header announced.
+    want: usize,
 }
 
 /// Incremental frame decoder: feed arbitrary stream chunks with
@@ -83,11 +129,20 @@ pub fn encode_frame(env: &Envelope, out: &mut Vec<u8>) {
 /// [`FrameDecoder::next_frame`]. Tolerates any chunking of the byte stream —
 /// 1-byte reads, frames split across reads, many frames coalesced into one
 /// read — which the property suite exercises adversarially.
+///
+/// Payload bytes go straight from the chunk into the buffer the envelope
+/// will own — a frame is never staged whole and copied out. That buffer
+/// grows with the bytes actually received (at most doubling), never to the
+/// length an untrusted header merely announces.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf`; compacted once it outgrows the live tail.
-    start: usize,
+    /// Header bytes of the next frame, until all of them are in.
+    header: Vec<u8>,
+    filling: Option<PartialFrame>,
+    /// Complete envelopes not yet popped.
+    ready: VecDeque<Envelope>,
+    /// The stream is corrupt from here on; reported once `ready` drains.
+    corrupt: Option<WireError>,
 }
 
 impl FrameDecoder {
@@ -96,20 +151,57 @@ impl FrameDecoder {
         Self::default()
     }
 
-    /// Append raw stream bytes.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        // Compact before growing: keeps the buffer bounded by the largest
-        // in-flight frame rather than the whole stream history.
-        if self.start > 0 && self.start >= self.buf.len().saturating_sub(self.start) {
-            self.buf.drain(..self.start);
-            self.start = 0;
+    /// Append raw stream bytes. Bytes after a corrupt header are dropped:
+    /// frame boundaries cannot be re-synchronized.
+    pub fn extend(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() && self.corrupt.is_none() {
+            let Some(frame) = self.filling.as_mut() else {
+                // The length prefix is judged the moment it is complete,
+                // the rest of the header once that is.
+                let goal = if self.header.len() < 4 { 4 } else { FRAME_HEADER_LEN };
+                let take = (goal - self.header.len()).min(bytes.len());
+                self.header.extend_from_slice(&bytes[..take]);
+                bytes = &bytes[take..];
+                if self.header.len() == goal {
+                    match parse_frame_header(&self.header) {
+                        Ok(Some(frame)) => {
+                            self.filling = Some(frame);
+                            self.header.clear();
+                            self.finish_if_full();
+                        }
+                        Ok(None) => {}
+                        Err(e) => self.corrupt = Some(e),
+                    }
+                }
+                continue;
+            };
+            let missing = frame.want - frame.payload.len();
+            let take = missing.min(bytes.len());
+            if frame.payload.capacity() - frame.payload.len() < take {
+                // Double, but never past the announced length and never
+                // by more than this chunk makes necessary.
+                let grow = frame.payload.len().max(take).min(missing);
+                frame.payload.reserve_exact(grow);
+            }
+            frame.payload.extend_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            self.finish_if_full();
         }
-        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Move the frame being filled to the ready queue once its payload is
+    /// complete (immediately, for an empty payload).
+    fn finish_if_full(&mut self) {
+        if self.filling.as_ref().is_some_and(|f| f.payload.len() == f.want) {
+            let f = self.filling.take().expect("checked above");
+            self.ready.push_back(Envelope::new(f.context, f.src, f.tag, f.payload));
+        }
     }
 
     /// Bytes buffered but not yet decoded into a frame.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
+        self.header.len()
+            + self.filling.as_ref().map_or(0, |f| FRAME_HEADER_LEN + f.payload.len())
     }
 
     /// Decode the next complete frame, if one is fully buffered.
@@ -118,21 +210,34 @@ impl FrameDecoder {
     /// corrupt (bad length prefix or malformed envelope) and the connection
     /// must be torn down — frame boundaries cannot be re-synchronized.
     pub fn next_frame(&mut self) -> Result<Option<Envelope>, WireError> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
-            return Ok(None);
+        match self.ready.pop_front() {
+            Some(env) => Ok(Some(env)),
+            None => self.corrupt.clone().map_or(Ok(None), Err),
         }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("4-byte slice")) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::new("frame length"));
-        }
-        if avail.len() < 4 + len {
-            return Ok(None);
-        }
-        let env = Envelope::from_bytes(&avail[4..4 + len])?;
-        self.start += 4 + len;
-        Ok(Some(env))
     }
+}
+
+/// Validate as much of a frame header as has arrived: the body length (the
+/// first four bytes) must respect [`MAX_FRAME_LEN`], and — once all
+/// [`FRAME_HEADER_LEN`] bytes are in — be exactly the envelope header plus
+/// the payload length that header announces. `Ok(None)` asks for the rest.
+fn parse_frame_header(header: &[u8]) -> Result<Option<PartialFrame>, WireError> {
+    let mut buf = header;
+    let body_len = u32::decode(&mut buf)? as usize;
+    if body_len > MAX_FRAME_LEN {
+        return Err(WireError::new("frame length"));
+    }
+    if body_len < Envelope::HEADER_LEN {
+        return Err(WireError::new("envelope header"));
+    }
+    if buf.is_empty() {
+        return Ok(None);
+    }
+    let (context, src, tag, want) = Envelope::decode_header(&mut buf)?;
+    if body_len != Envelope::HEADER_LEN + want {
+        return Err(WireError::new("envelope payload"));
+    }
+    Ok(Some(PartialFrame { context, src, tag, payload: Vec::new(), want }))
 }
 
 #[cfg(test)]
@@ -206,6 +311,57 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.extend(&stream[..last]);
         assert!(dec.next_frame().is_err());
+    }
+
+    #[test]
+    fn decoder_never_reserves_what_it_has_not_received() {
+        // A header announcing a 512 MiB payload, followed by 1000 bytes of
+        // it: the buffer being filled may hold (at most double) what has
+        // arrived, never what was announced.
+        let announced = 512 << 20;
+        let mut stream = Vec::new();
+        ((Envelope::HEADER_LEN + announced) as u32).encode(&mut stream);
+        stream.extend_from_slice(&Envelope::new(1, 2, 3, Vec::new()).header());
+        let len_at = stream.len() - 4;
+        stream[len_at..].copy_from_slice(&(announced as u32).to_le_bytes());
+        let mut dec = FrameDecoder::new();
+        dec.extend(&stream);
+        for chunk in [&[0xABu8; 600][..], &[0xCD; 400]] {
+            dec.extend(chunk);
+            assert_eq!(dec.next_frame().unwrap(), None);
+        }
+        let filling = dec.filling.as_ref().expect("payload still arriving");
+        assert_eq!(filling.payload.len(), 1000);
+        assert!(filling.payload.capacity() <= 2000, "{}", filling.payload.capacity());
+        assert_eq!(dec.pending(), FRAME_HEADER_LEN + 1000);
+    }
+
+    #[test]
+    fn frames_before_a_corrupt_one_still_come_out() {
+        let mut stream = Vec::new();
+        encode_frame(&env(1, 2, 3), &mut stream);
+        stream.extend_from_slice(&3u32.to_le_bytes()); // body shorter than a header
+        let mut dec = FrameDecoder::new();
+        dec.extend(&stream);
+        assert_eq!(dec.next_frame().unwrap(), Some(env(1, 2, 3)));
+        assert!(dec.next_frame().is_err());
+        dec.extend(&[0; 64]);
+        assert!(dec.next_frame().is_err(), "a corrupt stream stays corrupt");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_FRAME_LEN (1073741824 B)")]
+    fn oversize_frames_are_refused_by_the_sender() {
+        // Zeroed pages are never touched: the header check comes first.
+        let e = Envelope::new(0, 1, 2, vec![0u8; MAX_FRAME_LEN - Envelope::HEADER_LEN + 1]);
+        encode_frame(&e, &mut Vec::new());
+    }
+
+    #[test]
+    fn the_largest_legal_frame_header_is_accepted() {
+        let e = Envelope::new(0, 1, 2, vec![0u8; MAX_FRAME_LEN - Envelope::HEADER_LEN]);
+        let header = frame_header(&e).expect("exactly at the limit");
+        assert_eq!(header[..4], (MAX_FRAME_LEN as u32).to_le_bytes());
     }
 
     #[test]

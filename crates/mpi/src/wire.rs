@@ -63,10 +63,49 @@ pub trait Wire: Sized {
         }
         Ok(v)
     }
+
+    /// Append `items` as one length-prefixed sequence — the encoding of
+    /// `Vec<Self>`, which calls this. The default encodes element by
+    /// element; `u8` and `f32` (payload bodies and genomes, the bytes that
+    /// dominate every snapshot exchange) override it with one bulk copy
+    /// producing the identical bytes.
+    fn encode_slice(items: &[Self], buf: &mut Vec<u8>) {
+        (items.len() as u32).encode(buf);
+        for item in items {
+            item.encode(buf);
+        }
+    }
+
+    /// Decode one length-prefixed sequence from the front of `buf` into
+    /// `out`, replacing its contents but keeping its capacity — the
+    /// decoding of `Vec<Self>`, which calls this with an empty vector. A
+    /// length the remaining bytes cannot back is refused before anything
+    /// is reserved for it. On error `out` holds an unspecified prefix.
+    fn decode_into(buf: &mut &[u8], out: &mut Vec<Self>) -> Result<(), WireError> {
+        // Each element needs ≥ 1 byte.
+        let len = sequence_len(buf, 1)?;
+        out.clear();
+        out.reserve(len);
+        for _ in 0..len {
+            out.push(Self::decode(buf)?);
+        }
+        Ok(())
+    }
+}
+
+/// Read a sequence's `u32` length prefix and refuse it unless `len`
+/// elements of `elem_size` bytes each are actually there — the guard
+/// against hostile lengths, checked before any allocation.
+pub(crate) fn sequence_len(buf: &mut &[u8], elem_size: usize) -> Result<usize, WireError> {
+    let len = u32::decode(buf)? as usize;
+    match len.checked_mul(elem_size) {
+        Some(bytes) if bytes <= buf.remaining() => Ok(len),
+        _ => Err(WireError::new("vec length")),
+    }
 }
 
 macro_rules! impl_wire_primitive {
-    ($ty:ty, $put:ident, $get:ident, $size:expr) => {
+    ($ty:ty, $put:ident, $get:ident, $size:expr $(, { $($bulk:tt)* })?) => {
         impl Wire for $ty {
             fn encode(&self, buf: &mut Vec<u8>) {
                 buf.$put(*self);
@@ -77,17 +116,53 @@ macro_rules! impl_wire_primitive {
                 }
                 Ok(buf.$get())
             }
+            $($($bulk)*)?
         }
     };
 }
 
-impl_wire_primitive!(u8, put_u8, get_u8, 1);
+impl_wire_primitive!(u8, put_u8, get_u8, 1, {
+    fn encode_slice(items: &[Self], buf: &mut Vec<u8>) {
+        (items.len() as u32).encode(buf);
+        buf.put_slice(items);
+    }
+    fn decode_into(buf: &mut &[u8], out: &mut Vec<Self>) -> Result<(), WireError> {
+        let len = sequence_len(buf, 1)?;
+        out.clear();
+        out.extend_from_slice(&buf[..len]);
+        buf.advance(len);
+        Ok(())
+    }
+});
 impl_wire_primitive!(u16, put_u16_le, get_u16_le, 2);
 impl_wire_primitive!(u32, put_u32_le, get_u32_le, 4);
 impl_wire_primitive!(u64, put_u64_le, get_u64_le, 8);
 impl_wire_primitive!(i32, put_i32_le, get_i32_le, 4);
 impl_wire_primitive!(i64, put_i64_le, get_i64_le, 8);
-impl_wire_primitive!(f32, put_f32_le, get_f32_le, 4);
+impl_wire_primitive!(f32, put_f32_le, get_f32_le, 4, {
+    fn encode_slice(items: &[Self], buf: &mut Vec<u8>) {
+        (items.len() as u32).encode(buf);
+        // Size the tail once, then convert in fixed-width chunks: the loop
+        // compiles to a straight copy on little-endian hosts and keeps
+        // every bit pattern (NaN payloads, -0.0, subnormals) as it is.
+        let at = buf.len();
+        buf.resize(at + items.len() * 4, 0);
+        for (dst, v) in buf[at..].chunks_exact_mut(4).zip(items) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+    fn decode_into(buf: &mut &[u8], out: &mut Vec<Self>) -> Result<(), WireError> {
+        let len = sequence_len(buf, 4)?;
+        out.clear();
+        out.extend(
+            buf[..len * 4]
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+        );
+        buf.advance(len * 4);
+        Ok(())
+    }
+});
 impl_wire_primitive!(f64, put_f64_le, get_f64_le, 8);
 
 impl Wire for bool {
@@ -131,21 +206,11 @@ impl Wire for String {
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let len = u32::decode(buf)? as usize;
-        // Guard against hostile lengths: each element needs ≥ 1 byte.
-        if len > buf.remaining() {
-            return Err(WireError::new("vec length"));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
+        let mut out = Vec::new();
+        T::decode_into(buf, &mut out)?;
         Ok(out)
     }
 }
@@ -330,6 +395,111 @@ mod tests {
         assert_eq!(scratch, v.to_bytes());
         assert_eq!(scratch.capacity(), cap);
         assert_eq!(scratch.as_ptr(), ptr, "scratch was reallocated");
+    }
+
+    /// Encodes and decodes through `T`'s element codec only, so sequences
+    /// of it take the provided (per-element) `encode_slice`/`decode_into` —
+    /// the reference the bulk overrides must match byte for byte.
+    #[derive(Debug, Clone, PartialEq)]
+    struct PerElement<T>(T);
+
+    impl<T: Wire> Wire for PerElement<T> {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            self.0.encode(buf);
+        }
+        fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+            T::decode(buf).map(PerElement)
+        }
+    }
+
+    fn per_element<T: Clone>(v: &[T]) -> Vec<PerElement<T>> {
+        v.iter().cloned().map(PerElement).collect()
+    }
+
+    #[test]
+    fn bulk_codecs_match_the_per_element_bytes() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        assert_eq!(bytes.to_bytes(), per_element(&bytes).to_bytes());
+        // Every class of bit pattern: quiet and signalling NaNs with
+        // payloads, infinities, both zeros, subnormals. `fast_tanh`
+        // propagates NaN on purpose; the codec must not launder it.
+        let bits = [
+            0x7FC0_0001u32,
+            0xFFC0_1234,
+            0x7F80_0001,
+            0x7F80_0000,
+            0xFF80_0000,
+            0x8000_0000,
+            0,
+            1,
+            0x807F_FFFF,
+            0x3F80_0000,
+        ];
+        let floats: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let wire = floats.to_bytes();
+        assert_eq!(wire, per_element(&floats).to_bytes());
+        let back = Vec::<f32>::from_bytes(&wire).unwrap();
+        assert_eq!(back.iter().map(|f| f.to_bits()).collect::<Vec<_>>(), bits);
+        let nested = vec![vec![1u8, 2], vec![], vec![3], vec![]];
+        let reference: Vec<_> = nested.iter().map(|p| PerElement(per_element(p))).collect();
+        assert_eq!(nested.to_bytes(), reference.to_bytes());
+        assert_eq!(Vec::<Vec<u8>>::from_bytes(&nested.to_bytes()).unwrap(), nested);
+    }
+
+    #[test]
+    fn hostile_lengths_are_refused_before_anything_is_reserved() {
+        // Claims 2^31 elements over a 4-byte body: bulk and per-element
+        // paths both refuse, and the caller's vector was never grown.
+        let mut wire = Vec::new();
+        0x8000_0000u32.encode(&mut wire);
+        wire.extend_from_slice(&[0; 4]);
+        fn refused<T: Wire>(wire: &[u8]) {
+            let mut out: Vec<T> = Vec::new();
+            assert!(T::decode_into(&mut &wire[..], &mut out).is_err());
+            assert_eq!(out.capacity(), 0, "reserved for a length that was never backed");
+        }
+        refused::<u8>(&wire);
+        refused::<f32>(&wire);
+        refused::<PerElement<u8>>(&wire);
+        refused::<Vec<u8>>(&wire);
+        // Two f32s announced, seven bytes there.
+        let mut short = vec![1.0f32, 2.0].to_bytes();
+        short.pop();
+        refused::<f32>(&short);
+    }
+
+    #[test]
+    fn every_truncation_of_a_sequence_is_refused() {
+        fn all_cuts_fail<T: Wire + fmt::Debug>(v: &T) {
+            let wire = v.to_bytes();
+            for cut in 0..wire.len() {
+                assert!(T::from_bytes(&wire[..cut]).is_err(), "{v:?} cut at {cut}");
+            }
+        }
+        all_cuts_fail(&vec![7u8; 9]);
+        all_cuts_fail(&vec![1.5f32, -2.5, f32::NAN]);
+        all_cuts_fail(&vec![vec![1u8, 2, 3], vec![], vec![4]]);
+    }
+
+    #[test]
+    fn decode_into_a_dirty_larger_vec_leaves_exactly_the_decoded_contents() {
+        let floats = vec![0.25f32, -1.0, 3.5];
+        let mut out = vec![9.0f32; 64];
+        let (ptr, cap) = (out.as_ptr(), out.capacity());
+        let mut wire = floats.to_bytes();
+        wire.push(0xEE); // the cursor stops at the sequence's end
+        let mut buf = &wire[..];
+        f32::decode_into(&mut buf, &mut out).unwrap();
+        assert_eq!(out, floats);
+        assert_eq!(buf, [0xEE]);
+        assert_eq!((out.as_ptr(), out.capacity()), (ptr, cap), "buffer was not reused");
+
+        let mut out = vec![0xAAu8; 64];
+        u8::decode_into(&mut &vec![1u8, 2, 3].to_bytes()[..], &mut out).unwrap();
+        assert_eq!(out, [1, 2, 3]);
+        let mut out = vec![PerElement(0u8); 64];
+        PerElement::<u8>::decode_into(&mut &vec![4u8, 5].to_bytes()[..], &mut out).unwrap();
+        assert_eq!(out, per_element(&[4u8, 5]));
     }
 
     #[test]

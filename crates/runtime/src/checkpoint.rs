@@ -38,7 +38,7 @@
 
 use crate::protocol::{ConfigMsg, SnapshotMsg};
 use lipiz_core::resume::StateError;
-use lipiz_core::{CellSnapshot, CellState, Individual, TrainConfig};
+use lipiz_core::{CellState, Individual, TrainConfig};
 use lipiz_data::BatchLoaderState;
 use lipiz_mpi::wire::{Wire, WireError};
 use lipiz_mpi::wire_struct;
@@ -285,22 +285,6 @@ wire_struct!(CellStateMsg {
     exchange_frame,
 });
 
-/// Fallible [`SnapshotMsg`] → [`CellSnapshot`] conversion for the disk
-/// path: an invalid loss id in a checkpoint is a decode error, not a
-/// protocol-bug panic.
-fn snapshot_from_msg(m: SnapshotMsg) -> Result<CellSnapshot, WireError> {
-    Ok(CellSnapshot {
-        cell: m.cell,
-        gen_genome: m.gen_genome,
-        gen_lr: m.gen_lr,
-        gen_loss: GanLoss::from_id(m.gen_loss).ok_or(WireError::new("gan loss id"))?,
-        gen_fitness: m.gen_fitness,
-        disc_genome: m.disc_genome,
-        disc_lr: m.disc_lr,
-        disc_fitness: m.disc_fitness,
-    })
-}
-
 impl From<&CellState> for CellStateMsg {
     fn from(s: &CellState) -> Self {
         Self {
@@ -349,8 +333,8 @@ impl CellStateMsg {
             exchange_frame: self
                 .exchange_frame
                 .into_iter()
-                .map(snapshot_from_msg)
-                .collect::<Result<_, _>>()?,
+                .map(SnapshotMsg::into_snapshot)
+                .collect(),
         })
     }
 }

@@ -14,15 +14,25 @@
 //! touches raw tags or payload encoding, which is what lets a real MPI
 //! binding replace the in-process fabric without touching master/slave
 //! logic (the decoupling the paper calls out).
+//!
+//! The per-iteration snapshot exchange ([`CommExchange`]) is the one path
+//! here that moves megabytes, and it copies each snapshot byte once per
+//! hop: `begin` encodes straight into the buffer the transport takes
+//! ownership of, the fan-in root copies every contribution once into the
+//! broadcast body that all ranks then share, and `complete` decodes each
+//! part — a slice of that body — in place into a frame slot that keeps its
+//! genome buffers from generation to generation. Frames are never
+//! allocated per generation: sync mode refills the pipeline's own buffer,
+//! async mode rotates three frames between the training thread and the
+//! exchange thread (README, "Where a snapshot byte is copied").
 
 use crate::protocol::{
     tags, CacheResponse, NodeAnnouncement, RunTask, SlaveResult, SnapshotMsg, StatusReport,
     TelemetrySummaryMsg,
 };
 use lipiz_core::{CellSnapshot, Exchange, ExchangeMode};
-use lipiz_mpi::wire::Wire;
 use lipiz_mpi::{
-    Comm, DegradedGather, FaultPlan, FrozenFrameHandle, PendingAllgather, RecvFrom,
+    Comm, DegradedGather, FaultPlan, FrozenFrameHandle, Payload, PendingAllgather, RecvFrom,
 };
 use lipiz_telemetry::{EventKind, Telemetry};
 use std::sync::mpsc;
@@ -48,10 +58,9 @@ pub struct CommManager {
     world: Comm,
     local: Option<Comm>,
     global: Comm,
-    /// Reusable encode buffer for the per-iteration snapshot allgather —
-    /// grows to genome size once, then every exchange reuses it instead of
-    /// allocating a fresh wire buffer.
-    snapshot_scratch: Vec<u8>,
+    /// The frame [`CommManager::exchange_centers`] decodes into, recycled
+    /// from call to call.
+    centers: Vec<CellSnapshot>,
 }
 
 impl CommManager {
@@ -67,7 +76,7 @@ impl CommManager {
         let local = world.subgroup(&slaves);
         let all: Vec<usize> = (0..n).collect();
         let global = world.subgroup(&all).expect("every rank is in GLOBAL");
-        Self { world, local, global, snapshot_scratch: Vec::new() }
+        Self { world, local, global, centers: Vec::new() }
     }
 
     /// Is this rank the master?
@@ -260,21 +269,24 @@ impl CommManager {
 
     /// Slave: per-iteration allgather of center snapshots on LOCAL.
     /// Returns all cells' snapshots in cell order — the blocking form of
-    /// the exchange: begin and complete back to back.
-    pub fn exchange_centers(&mut self, snapshot: &CellSnapshot) -> Vec<CellSnapshot> {
+    /// the exchange: begin and complete back to back. The returned frame is
+    /// this manager's own, refilled in place by the next call.
+    pub fn exchange_centers(&mut self, snapshot: &CellSnapshot) -> &[CellSnapshot] {
         let pending = self.begin_exchange(snapshot);
-        complete_exchange(self.local(), pending, 0, None)
+        let local = self.local.as_ref().expect("master has no LOCAL communicator");
+        complete_exchange(local, pending, 0, None, &mut self.centers, &mut Vec::new());
+        &self.centers
     }
 
     /// Post this rank's contribution to a generation's snapshot allgather
     /// without waiting for it (non-root ranks send to the fan-in root; the
-    /// root just stashes its own part). Encodes straight from the snapshot
-    /// into a scratch buffer owned by this manager — no `SnapshotMsg`
-    /// clone, no fresh wire allocation.
-    fn begin_exchange(&mut self, snapshot: &CellSnapshot) -> PendingAllgather {
-        self.snapshot_scratch.clear();
-        SnapshotMsg::encode_snapshot(snapshot, &mut self.snapshot_scratch);
-        self.local().allgather_bytes_split(&self.snapshot_scratch)
+    /// root just stashes its own part). The snapshot is encoded once,
+    /// straight into the buffer the transport takes ownership of — the one
+    /// allocation a steady-state exchange costs a non-root rank.
+    fn begin_exchange(&self, snapshot: &CellSnapshot) -> PendingAllgather {
+        let mut wire = Vec::with_capacity(snapshot.wire_size());
+        SnapshotMsg::encode_snapshot(snapshot, &mut wire);
+        self.local().allgather_bytes_split(wire)
     }
 
     /// Slave: this rank's [`Exchange`] for the iteration pipeline. In sync
@@ -292,7 +304,14 @@ impl CommManager {
                 (None, Some(AsyncExchanger::start(self.local().clone(), ctl)))
             }
         };
-        CommExchange { cm: self.clone(), pending: None, ctl, exchanger, prev_stale }
+        CommExchange {
+            cm: self.clone(),
+            pending: None,
+            ctl,
+            exchanger,
+            stale_runs: Vec::new(),
+            prev_stale,
+        }
     }
 
     /// Fan-in root's main thread: answer one pending death-frame request
@@ -323,7 +342,7 @@ impl CommManager {
     /// sleep run past the deadline and would take a frame that arrived
     /// after it, so the fetch could overshoot its budget by whole poll
     /// rounds.)
-    pub fn fetch_frozen_frame(&self, timeout: Duration) -> Option<Vec<Vec<u8>>> {
+    pub fn fetch_frozen_frame(&self, timeout: Duration) -> Option<Vec<Payload>> {
         const ROOT_WORLD: usize = 1;
         let deadline = Instant::now() + timeout;
         loop {
@@ -409,40 +428,58 @@ impl CommManager {
 
 /// The blocking half of one generation's exchange on `comm` (a LOCAL
 /// communicator): complete the allgather — through the degraded fan-in
-/// when this rank is the root and holds a controller — and decode the
-/// frame. `round` is the generation's iteration index, which the
-/// controller keys its staleness accounting on.
+/// when this rank is the root and holds a controller — and decode every
+/// part **in place** into `frame`, whose slots keep their genome buffers
+/// from the generation they held before. `round` is the generation's
+/// iteration index, which the controller keys its staleness accounting on;
+/// `stale_runs` receives the controller's per-rank consecutive-substitution
+/// counts after this round (left empty without a controller).
+///
+/// The parts are slices of the one broadcast body; dropping them on return
+/// is this rank letting go of that body.
 fn complete_exchange(
     comm: &Comm,
     pending: PendingAllgather,
     round: usize,
     ctl: Option<&mut DegradedGather>,
-) -> Vec<CellSnapshot> {
+    frame: &mut Vec<CellSnapshot>,
+    stale_runs: &mut Vec<usize>,
+) {
+    stale_runs.clear();
     let parts = match ctl {
-        Some(ctl) => comm.allgather_bytes_complete_degraded(pending, round, ctl),
+        Some(ctl) => {
+            let parts = comm.allgather_bytes_complete_degraded(pending, round, ctl);
+            stale_runs.extend((0..parts.len()).map(|r| ctl.stale_run(r)));
+            parts
+        }
         None => comm.allgather_bytes_complete(pending),
     };
-    // Consuming iteration: each wire part is freed as soon as it is decoded,
-    // so the frame never coexists with a full second copy of itself.
-    parts
-        .into_iter()
-        .map(|part| SnapshotMsg::from_bytes(&part).expect("snapshot decode").into_snapshot())
-        .collect()
+    frame.resize_with(parts.len(), CellSnapshot::empty);
+    for (part, slot) in parts.iter().zip(frame.iter_mut()) {
+        SnapshotMsg::decode_snapshot_into(part, slot).expect("snapshot decode");
+    }
 }
 
 /// The `Comm`-backed [`Exchange`] of one slave rank (see
 /// [`CommManager::exchange`]): `begin` posts the rank's snapshot toward
-/// the fan-in root, `complete` hands back the decoded frame.
+/// the fan-in root, `complete` decodes the generation into the frame slots
+/// it is given (sync) or swaps in the frame the exchange thread decoded
+/// into and sends the spent one back to be refilled (async) — either way no
+/// frame is allocated once the first generations have sized the buffers.
 #[derive(Debug)]
 pub struct CommExchange {
     cm: CommManager,
     /// Sync: the generation begun and not yet completed.
     pending: Option<PendingAllgather>,
     /// Sync fan-in root under graceful degradation (the async controller
-    /// lives on the exchange thread).
+    /// lives on the exchange thread, which reports its stale runs with
+    /// every generation).
     ctl: Option<DegradedGather>,
     exchanger: Option<AsyncExchanger>,
-    /// Per-rank stale-run counts as of the previous round, so a round that
+    /// Per-rank stale-run counts after the generation just completed
+    /// (empty on a rank without a controller).
+    stale_runs: Vec<usize>,
+    /// The same counts as of the generation before, so a round that
     /// substituted a rank's contribution journals who was absent.
     prev_stale: Vec<usize>,
 }
@@ -457,17 +494,17 @@ impl Exchange for CommExchange {
     }
 
     fn complete(&mut self, gen: usize, frame: &mut Vec<CellSnapshot>, tel: &mut Telemetry) {
-        if let Some(ex) = self.exchanger.as_mut() {
-            *frame = ex.retrieve();
-            return;
+        match self.exchanger.as_mut() {
+            Some(ex) => ex.retrieve(frame, &mut self.stale_runs),
+            None => {
+                let pending = self.pending.take().expect("complete follows begin");
+                let (local, ctl) = (self.cm.local(), self.ctl.as_mut());
+                complete_exchange(local, pending, gen, ctl, frame, &mut self.stale_runs);
+            }
         }
-        let pending = self.pending.take().expect("complete follows begin");
-        *frame = complete_exchange(self.cm.local(), pending, gen, self.ctl.as_mut());
-        let Some(ctl) = self.ctl.as_ref() else { return };
         let cell = self.cm.local_rank() as u32;
         let mut degraded = false;
-        for (r, prev) in self.prev_stale.iter_mut().enumerate() {
-            let run = ctl.stale_run(r);
+        for (r, (prev, &run)) in self.prev_stale.iter_mut().zip(&self.stale_runs).enumerate() {
             if run > *prev {
                 tel.instant(EventKind::Degraded, cell, gen as u32, r as u64);
                 degraded = true;
@@ -478,6 +515,16 @@ impl Exchange for CommExchange {
             tel.metrics.degraded_iters.inc();
         }
     }
+}
+
+/// One completed generation as it crosses from the exchange thread to the
+/// training thread — and, spent, back again to be refilled.
+#[derive(Debug, Default)]
+struct Generation {
+    /// Every cell's snapshot, in cell order.
+    frame: Vec<CellSnapshot>,
+    /// See [`complete_exchange`].
+    stale_runs: Vec<usize>,
 }
 
 /// Background half of the `--exchange async` pipeline (tentpole of the
@@ -491,13 +538,21 @@ impl Exchange for CommExchange {
 /// therefore the run's result — are a pure function of (seed, config),
 /// never of how the exchange thread is scheduled.
 ///
+/// One [`Generation`] of buffers belongs to the thread. It decodes into
+/// them, hands them over, and takes its next job only once
+/// [`AsyncExchanger::retrieve`] has swapped the frame out and sent the
+/// spent buffers back — so three decoded frames exist per rank (the
+/// pipeline's two and this one) and they rotate instead of being allocated
+/// per generation.
+///
 /// Dropping the exchanger completes any still-queued collective first and
 /// joins the thread: every rank must finish the final generation or its
 /// peers' completions would wedge mid-broadcast.
 #[derive(Debug)]
 struct AsyncExchanger {
     jobs: Option<mpsc::Sender<(PendingAllgather, usize)>>,
-    done: mpsc::Receiver<Vec<CellSnapshot>>,
+    done: mpsc::Receiver<Generation>,
+    spent: Option<mpsc::Sender<Generation>>,
     in_flight: usize,
     handle: Option<JoinHandle<()>>,
 }
@@ -508,16 +563,28 @@ impl AsyncExchanger {
     /// owns the [`DegradedGather`] control block.
     fn start(comm: Comm, mut ctl: Option<DegradedGather>) -> Self {
         let (job_tx, job_rx) = mpsc::channel::<(PendingAllgather, usize)>();
-        let (done_tx, done_rx) = mpsc::channel::<Vec<CellSnapshot>>();
+        let (done_tx, done_rx) = mpsc::channel::<Generation>();
+        let (spent_tx, spent_rx) = mpsc::channel::<Generation>();
         let handle = std::thread::spawn(move || {
+            let mut gen = Generation::default();
             for (pending, round) in job_rx {
-                let frame = complete_exchange(&comm, pending, round, ctl.as_mut());
-                if done_tx.send(frame).is_err() {
+                let (frame, stale_runs) = (&mut gen.frame, &mut gen.stale_runs);
+                complete_exchange(&comm, pending, round, ctl.as_mut(), frame, stale_runs);
+                if done_tx.send(gen).is_err() {
                     break;
                 }
+                // A closed channel is the exchanger being dropped with the
+                // final generation unconsumed: nothing reads what follows.
+                gen = spent_rx.recv().unwrap_or_default();
             }
         });
-        Self { jobs: Some(job_tx), done: done_rx, in_flight: 0, handle: Some(handle) }
+        Self {
+            jobs: Some(job_tx),
+            done: done_rx,
+            spent: Some(spent_tx),
+            in_flight: 0,
+            handle: Some(handle),
+        }
     }
 
     /// Hand a begun collective to the exchange thread for completion.
@@ -531,23 +598,32 @@ impl AsyncExchanger {
         self.in_flight += 1;
     }
 
-    /// Block until the oldest submitted exchange completes and return its
-    /// frame (all cells' snapshots in cell order).
+    /// Block until the oldest submitted exchange completes, swap its frame
+    /// (all cells' snapshots in cell order) into `frame` and copy its stale
+    /// runs into `stale_runs`; the frame swapped out goes back to the
+    /// exchange thread as the buffers of its next generation.
     ///
     /// # Panics
     /// Panics when nothing is in flight — the pipeline invariant (begin
     /// generation `i` before retrieving `i-1`) has been broken.
-    fn retrieve(&mut self) -> Vec<CellSnapshot> {
+    fn retrieve(&mut self, frame: &mut Vec<CellSnapshot>, stale_runs: &mut Vec<usize>) {
         assert!(self.in_flight > 0, "no exchange in flight to retrieve");
-        let frame = self.done.recv().expect("exchange thread alive");
+        let mut gen = self.done.recv().expect("exchange thread alive");
         self.in_flight -= 1;
-        frame
+        std::mem::swap(frame, &mut gen.frame);
+        stale_runs.clone_from(&gen.stale_runs);
+        self.spent
+            .as_ref()
+            .expect("exchanger not stopped")
+            .send(gen)
+            .expect("exchange thread alive");
     }
 }
 
 impl Drop for AsyncExchanger {
     fn drop(&mut self) {
         self.jobs.take();
+        self.spent.take();
         if std::thread::panicking() {
             // Avoid a double panic (and a wedge on a dead peer) while
             // unwinding; leak the thread instead.
@@ -627,10 +703,7 @@ mod tests {
                 disc_lr: 1e-4,
                 disc_fitness: 0.0,
             };
-            cm.exchange_centers(&snap)
-                .into_iter()
-                .map(|s| s.gen_genome[0])
-                .collect::<Vec<f32>>()
+            cm.exchange_centers(&snap).iter().map(|s| s.gen_genome[0]).collect::<Vec<f32>>()
         });
         for r in results.iter().skip(1) {
             assert_eq!(r, &[0.0, 1.0, 2.0, 3.0]);
@@ -698,6 +771,130 @@ mod tests {
         }
     }
 
+    /// A one-float-per-genome snapshot of `cell` at generation `gen`.
+    fn marked(cell: usize, gen: usize) -> CellSnapshot {
+        let mut snap = CellSnapshot::empty();
+        snap.cell = cell;
+        snap.gen_genome = vec![(cell * 100 + gen) as f32];
+        snap.disc_genome = vec![-(gen as f32); cell + 1];
+        snap
+    }
+
+    #[test]
+    fn exchange_centers_through_one_recycled_frame_equals_fresh_decodes() {
+        let results = Universe::run(4, |world| {
+            let mut cm = CommManager::new(world);
+            if cm.is_master() {
+                return true;
+            }
+            let cell = cm.local_rank();
+            (0..4).all(|gen| {
+                // Genome sizes change between generations, so a slot that
+                // kept a stale tail or a stale length would show.
+                let shrink = if gen % 2 == 0 { 0 } else { 1 };
+                let mut mine = marked(cell, gen);
+                mine.disc_genome.truncate(mine.disc_genome.len() - shrink);
+                let fresh: Vec<CellSnapshot> = (0..3)
+                    .map(|c| {
+                        let mut s = marked(c, gen);
+                        s.disc_genome.truncate(s.disc_genome.len() - shrink);
+                        s
+                    })
+                    .collect();
+                cm.exchange_centers(&mine) == fresh
+            })
+        });
+        assert!(results.iter().all(|ok| *ok));
+    }
+
+    #[test]
+    fn substituted_rounds_are_journaled_in_sync_and_async_mode() {
+        // LOCAL rank 2 is absent for rounds 2..4 and rejoins at round 4
+        // (here: the same thread coming back with a fresh exchange). The
+        // fan-in root must journal one `Degraded` event per substituted
+        // round naming the absent rank — whether its controller sits on the
+        // training thread (sync) or on the exchange thread (async).
+        const ROUNDS: usize = 6;
+        /// Drive `ex` through rounds `from..ROUNDS` in the pipeline's call
+        /// order; returns `(gen, slot values)` of every completed frame.
+        fn drive(
+            ex: &mut CommExchange,
+            mode: ExchangeMode,
+            cell: usize,
+            rounds: std::ops::Range<usize>,
+            tel: &mut Telemetry,
+        ) -> Vec<(usize, Vec<f32>)> {
+            let mut frame = vec![CellSnapshot::empty(); 3];
+            let mut seen = Vec::new();
+            let mut next = rounds.start;
+            for gen in rounds {
+                frame[cell] = marked(cell, gen);
+                ex.begin(gen, &frame, &[]);
+                let complete = match mode {
+                    ExchangeMode::Sync => Some(gen),
+                    ExchangeMode::Async if gen == 0 => Some(0),
+                    ExchangeMode::Async => (next < gen).then_some(next),
+                };
+                if let Some(g) = complete {
+                    ex.complete(g, &mut frame, tel);
+                    seen.push((g, frame.iter().map(|s| s.gen_genome[0]).collect()));
+                    next = g + 1;
+                }
+            }
+            seen
+        }
+        for mode in [ExchangeMode::Sync, ExchangeMode::Async] {
+            let results = Universe::run(4, |world| {
+                let cm = CommManager::new(world);
+                if cm.is_master() {
+                    return None;
+                }
+                let cell = cm.local_rank();
+                let mut tel = Telemetry::enabled(cm.world_rank() as u32, 256);
+                let seen = match cell {
+                    0 => {
+                        let mut ctl = DegradedGather::new(3, 2);
+                        ctl.plan_absence(2, 2, 4);
+                        let mut ex = cm.exchange(mode, Some(ctl));
+                        drive(&mut ex, mode, cell, 0..ROUNDS, &mut tel)
+                    }
+                    1 => drive(&mut cm.exchange(mode, None), mode, cell, 0..ROUNDS, &mut tel),
+                    _ => {
+                        let mut seen =
+                            drive(&mut cm.exchange(mode, None), mode, cell, 0..2, &mut tel);
+                        seen.extend(drive(
+                            &mut cm.exchange(mode, None),
+                            mode,
+                            cell,
+                            4..ROUNDS,
+                            &mut tel,
+                        ));
+                        seen
+                    }
+                };
+                let degraded: Vec<(u32, u32, u64)> = tel
+                    .events()
+                    .filter(|e| e.kind == EventKind::Degraded)
+                    .map(|e| (e.cell, e.iter, e.arg))
+                    .collect();
+                Some((seen, degraded, tel.metrics.degraded_iters.get()))
+            });
+            let (seen, degraded, degraded_iters) = results[1].as_ref().expect("root");
+            assert_eq!(degraded, &[(0, 2, 2), (0, 3, 2)], "{mode:?}");
+            assert_eq!(*degraded_iters, 2, "{mode:?}");
+            for (gen, slots) in seen {
+                // Rounds 2 and 3 carry the victim's round-1 snapshot.
+                let stale = if (2..4).contains(gen) { 1 } else { *gen };
+                let want = [*gen as f32, (100 + gen) as f32, (200 + stale) as f32];
+                assert_eq!(slots, &want, "{mode:?} generation {gen}");
+            }
+            for r in &results[2..] {
+                let (_, degraded, degraded_iters) = r.as_ref().expect("slave");
+                assert!(degraded.is_empty() && *degraded_iters == 0, "only the root journals");
+            }
+        }
+    }
+
     #[test]
     fn frozen_frame_fetch_respects_its_deadline() {
         let results = Universe::run(3, |world| {
@@ -717,7 +914,7 @@ mod tests {
                             break;
                         };
                         std::thread::sleep(Duration::from_millis(if i == 0 { 30 } else { 80 }));
-                        let frame = (i > 0).then(|| vec![vec![1u8, 2, 3]]);
+                        let frame = (i > 0).then(|| vec![Payload::from(vec![1u8, 2, 3])]);
                         cm.world.send(src, tags::CACHE_RESP, &CacheResponse { frame });
                     }
                     None

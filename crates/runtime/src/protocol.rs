@@ -11,10 +11,8 @@ use lipiz_core::{
     FaultConfig, GridConfig, LossMode, MutationConfig, NeighborhoodPattern, ProfileReport,
     TelemetryConfig, TrainConfig, TrainingConfig,
 };
-#[allow(unused_imports)]
-use lipiz_mpi::wire::Wire;
-use lipiz_mpi::wire::WireError;
-use lipiz_mpi::wire_struct;
+use lipiz_mpi::wire::{Wire, WireError};
+use lipiz_mpi::{wire_struct, Payload};
 use lipiz_nn::GanLoss;
 
 /// User-tag allocations on the WORLD communicator.
@@ -74,7 +72,7 @@ wire_struct!(RunTask { config, cell_index, resume_from, rejoin_round });
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheResponse {
     /// Encoded per-cell snapshots, or `None` when nothing is frozen.
-    pub frame: Option<Vec<Vec<u8>>>,
+    pub frame: Option<Vec<Payload>>,
 }
 wire_struct!(CacheResponse { frame });
 
@@ -88,59 +86,49 @@ pub struct StatusReport {
 }
 wire_struct!(StatusReport { state, iterations_done });
 
-/// Wire mirror of [`CellSnapshot`] (the LOCAL allgather payload).
+/// Wire form of a [`CellSnapshot`] (the LOCAL allgather payload, and the
+/// exchange frame inside a checkpoint). The per-iteration exchange never
+/// builds one: it encodes with [`SnapshotMsg::encode_snapshot`] and decodes
+/// with [`SnapshotMsg::decode_snapshot_into`], which this type's [`Wire`]
+/// impl is a thin wrapper over — one encoder, one decoder.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotMsg {
-    /// Originating cell.
-    pub cell: usize,
-    /// Generator genome.
-    pub gen_genome: Vec<f32>,
-    /// Generator learning rate.
-    pub gen_lr: f32,
-    /// Generator loss id.
-    pub gen_loss: u8,
-    /// Generator fitness.
-    pub gen_fitness: f64,
-    /// Discriminator genome.
-    pub disc_genome: Vec<f32>,
-    /// Discriminator learning rate.
-    pub disc_lr: f32,
-    /// Discriminator fitness.
-    pub disc_fitness: f64,
-}
-wire_struct!(SnapshotMsg {
-    cell,
-    gen_genome,
-    gen_lr,
-    gen_loss,
-    gen_fitness,
-    disc_genome,
-    disc_lr,
-    disc_fitness,
-});
+pub struct SnapshotMsg(CellSnapshot);
 
 impl From<&CellSnapshot> for SnapshotMsg {
     fn from(s: &CellSnapshot) -> Self {
-        Self {
-            cell: s.cell,
-            gen_genome: s.gen_genome.clone(),
-            gen_lr: s.gen_lr,
-            gen_loss: s.gen_loss.id(),
-            gen_fitness: s.gen_fitness,
-            disc_genome: s.disc_genome.clone(),
-            disc_lr: s.disc_lr,
-            disc_fitness: s.disc_fitness,
-        }
+        Self(s.clone())
     }
 }
 
+impl Wire for SnapshotMsg {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        Self::encode_snapshot(&self.0, buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let mut snap = CellSnapshot::empty();
+        decode_snapshot_fields(buf, &mut snap)?;
+        Ok(Self(snap))
+    }
+}
+
+/// Decode one snapshot from the front of `buf` into `snap`, reusing both
+/// genome buffers.
+fn decode_snapshot_fields(buf: &mut &[u8], snap: &mut CellSnapshot) -> Result<(), WireError> {
+    snap.cell = usize::decode(buf)?;
+    f32::decode_into(buf, &mut snap.gen_genome)?;
+    snap.gen_lr = f32::decode(buf)?;
+    snap.gen_loss = GanLoss::from_id(u8::decode(buf)?).ok_or(WireError::new("gan loss id"))?;
+    snap.gen_fitness = f64::decode(buf)?;
+    f32::decode_into(buf, &mut snap.disc_genome)?;
+    snap.disc_lr = f32::decode(buf)?;
+    snap.disc_fitness = f64::decode(buf)?;
+    Ok(())
+}
+
 impl SnapshotMsg {
-    /// Encode a [`CellSnapshot`] directly into `buf` in `SnapshotMsg` wire
-    /// order, without materializing the message struct — the per-iteration
-    /// allgather used to clone both genomes into a `SnapshotMsg` and then
-    /// serialize that copy; this writes the one wire buffer straight from
-    /// the snapshot. Byte-identical to `SnapshotMsg::from(s).to_bytes()`
-    /// appended to `buf`.
+    /// Encode a [`CellSnapshot`] directly into `buf`, appending — the
+    /// per-iteration allgather writes its one wire buffer straight from the
+    /// snapshot.
     pub fn encode_snapshot(s: &CellSnapshot, buf: &mut Vec<u8>) {
         s.cell.encode(buf);
         s.gen_genome.encode(buf);
@@ -152,21 +140,27 @@ impl SnapshotMsg {
         s.disc_fitness.encode(buf);
     }
 
-    /// Convert back into the core type.
-    ///
-    /// # Panics
-    /// Panics on an invalid loss id (protocol bug).
-    pub fn into_snapshot(self) -> CellSnapshot {
-        CellSnapshot {
-            cell: self.cell,
-            gen_genome: self.gen_genome,
-            gen_lr: self.gen_lr,
-            gen_loss: GanLoss::from_id(self.gen_loss).expect("valid loss id"),
-            gen_fitness: self.gen_fitness,
-            disc_genome: self.disc_genome,
-            disc_lr: self.disc_lr,
-            disc_fitness: self.disc_fitness,
+    /// Decode `bytes` — one complete encoded snapshot — into `snap`,
+    /// overwriting every field and reusing both genome buffers, so a frame
+    /// slot that has held a snapshot before is refilled without allocating.
+    /// `SnapshotMsg::from_bytes(bytes)?.into_snapshot()` is this routine
+    /// applied to [`CellSnapshot::empty`]. Truncated input, trailing bytes,
+    /// a genome length the bytes cannot back and an invalid loss id are
+    /// errors; `snap` is unspecified after one.
+    pub fn decode_snapshot_into(
+        mut bytes: &[u8],
+        snap: &mut CellSnapshot,
+    ) -> Result<(), WireError> {
+        decode_snapshot_fields(&mut bytes, snap)?;
+        if !bytes.is_empty() {
+            return Err(WireError::new("trailing bytes"));
         }
+        Ok(())
+    }
+
+    /// Convert back into the core type.
+    pub fn into_snapshot(self) -> CellSnapshot {
+        self.0
     }
 }
 
@@ -649,6 +643,81 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_decode_into_recycled_equals_fresh_decode() {
+        let big = CellSnapshot {
+            cell: 1,
+            gen_genome: (0..40).map(|i| i as f32 * 0.5).collect(),
+            gen_lr: 1e-3,
+            gen_loss: GanLoss::Heuristic,
+            gen_fitness: 9.0,
+            disc_genome: vec![f32::NAN; 30],
+            disc_lr: 2e-3,
+            disc_fitness: -9.0,
+        };
+        let small = CellSnapshot {
+            cell: 6,
+            gen_genome: vec![-0.0, f32::MIN_POSITIVE / 2.0],
+            gen_lr: 3e-4,
+            gen_loss: GanLoss::LeastSquares,
+            gen_fitness: 0.125,
+            disc_genome: Vec::new(),
+            disc_lr: 4e-4,
+            disc_fitness: 0.5,
+        };
+        let wire = |s: &CellSnapshot| SnapshotMsg::from(s).to_bytes();
+        let bits = |g: &[f32]| g.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        // One slot, refilled by a bigger, a smaller, then the bigger
+        // snapshot again: always exactly the fresh decode, never a leftover.
+        let mut slot = CellSnapshot::empty();
+        for snap in [&big, &small, &big] {
+            SnapshotMsg::decode_snapshot_into(&wire(snap), &mut slot).unwrap();
+            let fresh = SnapshotMsg::from_bytes(&wire(snap)).unwrap().into_snapshot();
+            assert_eq!(bits(&slot.gen_genome), bits(&fresh.gen_genome));
+            assert_eq!(bits(&slot.disc_genome), bits(&snap.disc_genome));
+            let scalars = |s: &CellSnapshot| {
+                (s.cell, s.gen_lr, s.gen_loss, s.gen_fitness, s.disc_lr, s.disc_fitness)
+            };
+            assert_eq!(scalars(&slot), scalars(snap));
+        }
+        // The third decode reused the buffers the first one sized.
+        let (gen_at, disc_at) = (slot.gen_genome.as_ptr(), slot.disc_genome.as_ptr());
+        SnapshotMsg::decode_snapshot_into(&wire(&big), &mut slot).unwrap();
+        assert_eq!((slot.gen_genome.as_ptr(), slot.disc_genome.as_ptr()), (gen_at, disc_at));
+    }
+
+    #[test]
+    fn malformed_snapshots_are_refused() {
+        let snap = CellSnapshot {
+            cell: 2,
+            gen_genome: vec![1.0; 5],
+            gen_lr: 1e-4,
+            gen_loss: GanLoss::Minimax,
+            gen_fitness: 0.0,
+            disc_genome: vec![2.0; 3],
+            disc_lr: 1e-4,
+            disc_fitness: 0.0,
+        };
+        let wire = SnapshotMsg::from(&snap).to_bytes();
+        let mut slot = CellSnapshot::empty();
+        for cut in 0..wire.len() {
+            assert!(SnapshotMsg::decode_snapshot_into(&wire[..cut], &mut slot).is_err());
+            assert!(SnapshotMsg::from_bytes(&wire[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut trailing = wire.clone();
+        trailing.push(0);
+        assert!(SnapshotMsg::decode_snapshot_into(&trailing, &mut slot).is_err());
+        // The loss id sits after the cell, the generator genome and its lr.
+        let mut bad_loss = wire.clone();
+        bad_loss[8 + 4 + 5 * 4 + 4] = 0xEE;
+        assert!(SnapshotMsg::decode_snapshot_into(&bad_loss, &mut slot).is_err());
+        assert!(SnapshotMsg::from_bytes(&bad_loss).is_err());
+        // A genome length the bytes cannot back.
+        let mut hostile = wire;
+        hostile[8..12].copy_from_slice(&0x4000_0000u32.to_le_bytes());
+        assert!(SnapshotMsg::decode_snapshot_into(&hostile, &mut slot).is_err());
+    }
+
+    #[test]
     fn direct_snapshot_encode_matches_message_encode() {
         // The scratch-buffer fast path must stay byte-identical to the
         // struct-based encoding, or mixed-version ranks would diverge.
@@ -690,7 +759,10 @@ mod tests {
     #[test]
     fn cache_response_round_trips() {
         for frame in [None, Some(vec![vec![1u8, 2, 3], vec![], vec![9u8; 5]])] {
+            let as_vecs = frame.clone().to_bytes();
+            let frame = frame.map(|parts| parts.into_iter().map(Payload::from).collect());
             let resp = CacheResponse { frame };
+            assert_eq!(resp.to_bytes(), as_vecs, "same bytes as Option<Vec<Vec<u8>>>");
             assert_eq!(CacheResponse::from_bytes(&resp.to_bytes()).unwrap(), resp);
         }
     }

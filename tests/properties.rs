@@ -7,7 +7,7 @@ use lipizzaner::core::{
 use lipizzaner::data::BatchLoaderState;
 use lipizzaner::mpi::comm::Fabric;
 use lipizzaner::mpi::wire::Wire;
-use lipizzaner::mpi::{FaultPlan, Universe};
+use lipizzaner::mpi::{FaultPlan, Payload, Universe};
 use lipizzaner::nn::{Activation, AdamState, GanLoss, Mlp};
 use lipizzaner::runtime::checkpoint;
 use lipizzaner::runtime::checkpoint::CellStateMsg;
@@ -324,9 +324,9 @@ fn async_pipeline_results(fabric: std::sync::Arc<Fabric>, iters: usize) -> Vec<u
             }
         });
         let mut state: u64 = comm.rank() as u64 + 1;
-        let mut ready: Option<Vec<Vec<u8>>> = None;
+        let mut ready: Option<Vec<Payload>> = None;
         for iter in 0..iters {
-            job_tx.send(comm.allgather_bytes_split(&state.to_bytes())).expect("worker alive");
+            job_tx.send(comm.allgather_bytes_split(state.to_bytes())).expect("worker alive");
             // Generation `iter-1` (bootstrap: generation 0, consumed twice).
             let frame = match ready.take() {
                 Some(frame) => frame,

@@ -13,6 +13,15 @@
 //! neighbour fan-out, every cell's iteration — allocates nothing either,
 //! in sync and async mode, with telemetry on and off.
 //!
+//! And one level further out, where snapshots really move: a 2×2 grid of
+//! rank threads over the in-process `Fabric`, each a one-cell pipeline on a
+//! `CommExchange`. There an iteration cannot be free — the rank's encoded
+//! snapshot has to live in a buffer the transport owns — but that buffer
+//! (plus, on the fan-in root, the one broadcast body) is all a steady-state
+//! exchange may allocate: frames are decoded in place, payloads and the
+//! body travel by reference count, and the async exchange thread rotates
+//! its frames instead of allocating one per generation.
+//!
 //! The binary runs with `harness = false` (see the root `Cargo.toml`): the
 //! allocator counter is process-global, and libtest's runner thread lazily
 //! allocates its completion-channel context while the test thread is
@@ -21,32 +30,53 @@
 //! ones this file creates, so the measured window is quiet by construction.
 
 use lipizzaner::core::{
-    CellEngine, CellSnapshot, ExchangeMode, InMemoryExchange, Pipeline, Profiler, TrainConfig,
+    CellEngine, CellSnapshot, Exchange, ExchangeMode, InMemoryExchange, Pipeline, Profiler,
+    TrainConfig,
 };
+use lipizzaner::mpi::comm::Fabric;
+use lipizzaner::mpi::{Comm, Payload};
+use lipizzaner::runtime::comm_manager::{CommExchange, CommManager};
 use lipizzaner::telemetry::Telemetry;
 use lipizzaner::tensor::{Matrix, Pool, Rng64};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
+use std::time::Duration;
 
-/// Counts every allocation request (alloc / alloc_zeroed / realloc) made by
-/// any thread in the process; frees are not counted.
+/// Counts every allocation request (alloc / alloc_zeroed / realloc) and the
+/// bytes it asked for — process-wide and per thread; frees are not counted.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// `(requests, bytes)` of this thread. Const-initialised and without a
+    /// destructor, so touching it from inside the allocator allocates
+    /// nothing and is safe for as long as the thread runs.
+    static MINE: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let _ = MINE.try_with(|m| m.set((m.get().0 + 1, m.get().1 + bytes as u64)));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -60,6 +90,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCS.load(Ordering::SeqCst)
+}
+
+/// `(requests, bytes)` made by the calling thread so far.
+fn my_allocations() -> (u64, u64) {
+    MINE.with(Cell::get)
 }
 
 fn toy_data(cfg: &TrainConfig) -> Matrix {
@@ -98,6 +133,7 @@ fn main() {
     steady_state_iteration_allocates_nothing();
     steady_state_with_telemetry_allocates_nothing();
     steady_state_pipeline_step_allocates_nothing();
+    steady_state_exchange_allocates_one_payload_per_rank();
     println!("zero_alloc: steady-state training iterations allocate nothing — ok");
 }
 
@@ -219,6 +255,149 @@ fn steady_state_pipeline_step_allocates_nothing() {
             );
             assert_eq!(pipeline.iteration(), 10);
             assert_eq!(pipeline.telemetry().is_enabled(), traced);
+        }
+    }
+}
+
+/// A [`CommExchange`] that tallies what the calling (training) thread
+/// allocates inside `complete`.
+struct Metered {
+    inner: CommExchange,
+    in_complete: (u64, u64),
+}
+
+impl Exchange for Metered {
+    fn begin(&mut self, gen: usize, frame: &[CellSnapshot], costs: &[Duration]) {
+        self.inner.begin(gen, frame, costs);
+    }
+
+    fn complete(&mut self, gen: usize, frame: &mut Vec<CellSnapshot>, tel: &mut Telemetry) {
+        let before = my_allocations();
+        self.inner.complete(gen, frame, tel);
+        let after = my_allocations();
+        self.in_complete.0 += after.0 - before.0;
+        self.in_complete.1 += after.1 - before.1;
+    }
+}
+
+/// The distributed exchange in steady state: four rank threads (a 2×2
+/// grid) over the in-process fabric, each stepping a one-cell pipeline on
+/// its `CommExchange`. Per iteration a rank may allocate its one outgoing
+/// payload, the fan-in root additionally the one broadcast body; the only
+/// other allocations left are bookkeeping a few dozen bytes wide — the
+/// payload's reference count and the table of part handles a completed
+/// allgather returns — and, in async mode, a channel block every 31
+/// messages. Nothing is allocated per decoded frame or per snapshot byte
+/// received.
+fn steady_state_exchange_allocates_one_payload_per_rank() {
+    const WARM: usize = 8;
+    const WINDOW: u64 = 8;
+    for mode in [ExchangeMode::Sync, ExchangeMode::Async] {
+        for traced in [false, true] {
+            // Wide enough that a payload (tens of kilobytes) dwarfs the
+            // bookkeeping, so the byte budgets below mean something.
+            let mut cfg = TrainConfig::smoke(2).with_exchange(mode);
+            cfg.network.hidden_units = 64;
+            cfg.network.data_dim = 64;
+            cfg.coevolution.iterations = 64; // never reached; stepped manually
+            let cells = cfg.cells();
+            let data = toy_data(&cfg);
+            let wire = CellEngine::new(0, &cfg, data.clone()).snapshot().wire_size() as u64;
+            let body = 4 + cells as u64 * (4 + wire);
+            let table = (cells * std::mem::size_of::<Payload>()) as u64;
+            assert!(wire > 100 * table, "payload too small for the budgets to bite");
+
+            // World rank 0 is the (absent) master; the slaves never talk to it.
+            let fabric = Fabric::new(cells + 1);
+            let barrier = Barrier::new(cells);
+            let window_total = AtomicU64::new(0);
+            let per_rank: Vec<((u64, u64), (u64, u64))> = std::thread::scope(|s| {
+                let ranks: Vec<_> = (0..cells)
+                    .map(|cell| {
+                        let (cfg, data, fabric) = (&cfg, &data, fabric.clone());
+                        let (barrier, window_total) = (&barrier, &window_total);
+                        s.spawn(move || {
+                            let cm = CommManager::new(Comm::world(fabric, cell + 1));
+                            let tel = if traced {
+                                Telemetry::enabled(cell as u32 + 1, 64)
+                            } else {
+                                Telemetry::disabled()
+                            };
+                            let engine = CellEngine::new(cell, cfg, data.clone());
+                            let mut pipeline = Pipeline::new(cfg, vec![engine], tel);
+                            let mut ex =
+                                Metered { inner: cm.exchange(mode, None), in_complete: (0, 0) };
+                            for _ in 0..WARM {
+                                pipeline.step(&mut ex);
+                            }
+                            // Every rank is warm before the window opens,
+                            // and still inside it until every rank is done.
+                            barrier.wait();
+                            if cell == 0 {
+                                window_total
+                                    .store(BYTES.load(Ordering::SeqCst), Ordering::SeqCst);
+                            }
+                            barrier.wait();
+                            ex.in_complete = (0, 0);
+                            let before = my_allocations();
+                            for _ in 0..WINDOW {
+                                pipeline.step(&mut ex);
+                            }
+                            let after = my_allocations();
+                            barrier.wait();
+                            if cell == 0 {
+                                let opened = window_total.load(Ordering::SeqCst);
+                                window_total.store(
+                                    BYTES.load(Ordering::SeqCst) - opened,
+                                    Ordering::SeqCst,
+                                );
+                            }
+                            barrier.wait();
+                            ((after.0 - before.0, after.1 - before.1), ex.in_complete)
+                        })
+                    })
+                    .collect();
+                ranks.into_iter().map(|h| h.join().expect("rank thread")).collect()
+            });
+
+            let what = format!("({mode:?}, telemetry {traced})");
+            for (cell, ((allocs, bytes), in_complete)) in per_rank.iter().enumerate() {
+                // The training thread: its payload and that payload's
+                // reference count — plus, on the sync fan-in root, the body
+                // it assembles itself (buffer and count) and a second part
+                // table (the contributions gathered, the body split).
+                let sync_root = cell == 0 && !mode.is_async();
+                let (per_iter, root_body) = if sync_root { (6, body) } else { (3, 0) };
+                assert!(
+                    *bytes * 10 <= WINDOW * (wire + root_body) * 11,
+                    "cell {cell} allocated {bytes} B over {WINDOW} iterations {what}"
+                );
+                assert!(
+                    *allocs <= WINDOW * per_iter + 2,
+                    "cell {cell}: {allocs} allocations over {WINDOW} iterations {what}"
+                );
+                // Inside `complete`, a non-root rank allocates no frame and
+                // no payload: in sync mode the table of part handles, in
+                // async mode (where the exchange thread does the receiving)
+                // at most a channel block.
+                if cell != 0 {
+                    let budget =
+                        if mode.is_async() { (1, 4096) } else { (WINDOW, WINDOW * table) };
+                    assert!(
+                        in_complete.0 <= budget.0 && in_complete.1 <= budget.1,
+                        "cell {cell} allocated {in_complete:?} inside complete {what}"
+                    );
+                }
+            }
+            // Every thread of every rank together — the async exchange
+            // threads included, with a generation of slack for the one in
+            // flight when the window closes: one payload per rank and one
+            // body per generation.
+            let total = window_total.load(Ordering::SeqCst);
+            assert!(
+                total * 10 <= (WINDOW + 1) * (cells as u64 * wire + body) * 11,
+                "the grid allocated {total} B over {WINDOW} iterations {what}"
+            );
         }
     }
 }
