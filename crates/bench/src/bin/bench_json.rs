@@ -19,7 +19,6 @@ use lipiz_mpi::wire::Wire;
 use lipiz_mpi::{Comm, Universe};
 use lipiz_nn::mlp::Grads;
 use lipiz_nn::{gan, Adam, Discriminator, GanLoss, Generator, NetworkConfig, TrainWorkspace};
-use lipiz_runtime::protocol::SnapshotMsg;
 use lipiz_tensor::{ops, ActKind, Matrix, Pool, Rng64};
 use std::hint::black_box;
 use std::time::Instant;
@@ -197,7 +196,7 @@ fn communication_benches(entries: &mut Vec<Entry>, reps: usize, smoke: bool) {
     let mut scratch = Vec::new();
     push(entries, "snapshot", "encode_scratch_reuse", reps.max(10), || {
         scratch.clear();
-        SnapshotMsg::encode_snapshot(black_box(&snap), &mut scratch);
+        black_box(&snap).encode(&mut scratch);
         black_box(scratch.len());
     });
 

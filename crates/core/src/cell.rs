@@ -147,7 +147,7 @@ impl CellEngine {
         let adam_d = Adam::new(disc.net.param_count());
 
         let initial_loss = match cfg.mutation.loss_mode {
-            LossMode::Fixed(l) => l.into(),
+            LossMode::Fixed(l) => l,
             LossMode::Mutate => GanLoss::Heuristic,
         };
         let imports = cfg.subpopulation_size() - 1;

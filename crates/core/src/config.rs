@@ -1,6 +1,7 @@
 //! Training configuration (Table I of the paper).
 
 use lipiz_nn::{Activation, GanLoss, NetworkConfig};
+use lipiz_wire::{wire_struct, Wire, WireError};
 
 /// Neighborhood shape; re-exported through [`crate::topology`].
 pub use crate::topology::NeighborhoodPattern;
@@ -15,6 +16,7 @@ pub struct GridConfig {
     /// Neighborhood pattern (paper: five-cell, s = 5).
     pub pattern: NeighborhoodPattern,
 }
+wire_struct!(GridConfig { rows, cols, pattern });
 
 impl GridConfig {
     /// Square `m × m` grid with the paper's five-cell neighborhood.
@@ -84,6 +86,24 @@ pub enum ExchangeMode {
     Async,
 }
 
+/// One byte on the wire; an id this build does not know is a decode error.
+impl Wire for ExchangeMode {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let id: u8 = match self {
+            ExchangeMode::Sync => 0,
+            ExchangeMode::Async => 1,
+        };
+        id.encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::decode(buf)? {
+            0 => Ok(ExchangeMode::Sync),
+            1 => Ok(ExchangeMode::Async),
+            _ => Err(WireError::new("exchange mode id")),
+        }
+    }
+}
+
 impl ExchangeMode {
     /// Is the background-exchange pipeline active?
     pub fn is_async(&self) -> bool {
@@ -123,42 +143,55 @@ pub enum AdversaryStrategy {
     All,
 }
 
-/// Generator loss handling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LossMode {
-    /// Fixed loss every step — plain Lipizzaner (BCE ⇒ heuristic G loss).
-    Fixed(WireGanLoss),
-    /// Mustangs: mutate the loss per iteration over the three-variant set.
-    Mutate,
-}
-
-/// Mirror of [`GanLoss`] carried in the training config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireGanLoss {
-    /// Saturating minimax loss.
-    Minimax,
-    /// Non-saturating heuristic loss.
-    Heuristic,
-    /// Least-squares loss.
-    LeastSquares,
-}
-
-impl From<WireGanLoss> for GanLoss {
-    fn from(w: WireGanLoss) -> Self {
-        match w {
-            WireGanLoss::Minimax => GanLoss::Minimax,
-            WireGanLoss::Heuristic => GanLoss::Heuristic,
-            WireGanLoss::LeastSquares => GanLoss::LeastSquares,
+/// Two fixed slots on the wire, `kind: u8` then `k: usize` (zero for
+/// [`AdversaryStrategy::All`]), so every config encodes to the same length.
+impl Wire for AdversaryStrategy {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let (kind, k) = match *self {
+            AdversaryStrategy::Tournament(k) => (0u8, k),
+            AdversaryStrategy::All => (1u8, 0),
+        };
+        kind.encode(buf);
+        k.encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let (kind, k) = (u8::decode(buf)?, usize::decode(buf)?);
+        match kind {
+            0 => Ok(AdversaryStrategy::Tournament(k)),
+            1 => Ok(AdversaryStrategy::All),
+            _ => Err(WireError::new("adversary kind")),
         }
     }
 }
 
-impl From<GanLoss> for WireGanLoss {
-    fn from(g: GanLoss) -> Self {
-        match g {
-            GanLoss::Minimax => WireGanLoss::Minimax,
-            GanLoss::Heuristic => WireGanLoss::Heuristic,
-            GanLoss::LeastSquares => WireGanLoss::LeastSquares,
+/// Generator loss handling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LossMode {
+    /// Fixed loss every step — plain Lipizzaner (BCE ⇒ heuristic G loss).
+    Fixed(GanLoss),
+    /// Mustangs: mutate the loss per iteration over the three-variant set.
+    Mutate,
+}
+
+/// Two fixed slots on the wire, `kind: u8` then the fixed loss's id (zero
+/// for [`LossMode::Mutate`]).
+impl Wire for LossMode {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let (kind, loss) = match *self {
+            LossMode::Fixed(loss) => (0u8, loss.id()),
+            LossMode::Mutate => (1u8, 0),
+        };
+        kind.encode(buf);
+        loss.encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let (kind, loss) = (u8::decode(buf)?, u8::decode(buf)?);
+        match kind {
+            0 => GanLoss::from_id(loss)
+                .map(LossMode::Fixed)
+                .ok_or(WireError::new("fixed loss id")),
+            1 => Ok(LossMode::Mutate),
+            _ => Err(WireError::new("loss mode")),
         }
     }
 }
@@ -179,6 +212,14 @@ pub struct CoevolutionConfig {
     /// Adversary selection strategy for gradient steps.
     pub adversary: AdversaryStrategy,
 }
+wire_struct!(CoevolutionConfig {
+    iterations,
+    population_per_cell,
+    tournament_size,
+    mixture_sigma,
+    mixture_every,
+    adversary,
+});
 
 /// Hyperparameter-mutation settings (Table I, "Hyperparameter mutation").
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,6 +233,7 @@ pub struct MutationConfig {
     /// Generator loss handling (Lipizzaner fixed vs Mustangs mutation).
     pub loss_mode: LossMode,
 }
+wire_struct!(MutationConfig { initial_lr, rate, probability, loss_mode });
 
 /// Data/batching settings (Table I, "Training settings").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,6 +269,16 @@ pub struct TrainingConfig {
     /// wire config alone.
     pub shard_data: bool,
 }
+wire_struct!(TrainingConfig {
+    batch_size,
+    batches_per_iteration,
+    skip_disc_steps,
+    dataset_size,
+    data_seed,
+    eval_batch,
+    workers_per_cell,
+    shard_data,
+});
 
 /// Serializable mirror of the network topology (Table I, top block).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,6 +292,7 @@ pub struct NetworkSettings {
     /// Output neurons / data dimension (Table I: 784).
     pub data_dim: usize,
 }
+wire_struct!(NetworkSettings { latent_dim, hidden_layers, hidden_units, data_dim });
 
 impl NetworkSettings {
     /// Convert to the nn crate's runtime config (tanh activation,
@@ -273,6 +326,7 @@ pub struct CheckpointConfig {
     /// "interrupt at iteration k" lever the resume-equivalence suite uses.
     pub pause_after: Option<usize>,
 }
+wire_struct!(CheckpointConfig { every, dir, pause_after });
 
 impl CheckpointConfig {
     /// Is periodic checkpointing active?
@@ -322,6 +376,7 @@ pub struct FaultConfig {
     /// `"kill:3@2;delay:1>2:*@4:50"`). `None` = fault-free run.
     pub plan: Option<String>,
 }
+wire_struct!(FaultConfig { heartbeat_interval_ms, heartbeat_misses, max_stale_iters, plan });
 
 impl FaultConfig {
     /// Is stale-snapshot degradation armed?
@@ -352,6 +407,7 @@ pub struct TelemetryConfig {
     /// drop counter.
     pub ring_capacity: usize,
 }
+wire_struct!(TelemetryConfig { enabled, dir, ring_capacity });
 
 impl TelemetryConfig {
     /// Is telemetry recording active?
@@ -389,6 +445,18 @@ pub struct TrainConfig {
     /// coordinates, which is what makes all three drivers bit-identical.
     pub seed: u64,
 }
+wire_struct!(TrainConfig {
+    grid,
+    network,
+    coevolution,
+    mutation,
+    training,
+    checkpoint,
+    fault,
+    exchange,
+    telemetry,
+    seed,
+});
 
 impl TrainConfig {
     /// The exact Table I configuration (MNIST-scale).
@@ -413,7 +481,7 @@ impl TrainConfig {
                 initial_lr: 2e-4,
                 rate: 1e-4,
                 probability: 0.5,
-                loss_mode: LossMode::Fixed(WireGanLoss::Heuristic),
+                loss_mode: LossMode::Fixed(GanLoss::Heuristic),
             },
             training: TrainingConfig {
                 batch_size: 100,
@@ -456,7 +524,7 @@ impl TrainConfig {
                 initial_lr: 2e-4,
                 rate: 1e-4,
                 probability: 0.5,
-                loss_mode: LossMode::Fixed(WireGanLoss::Heuristic),
+                loss_mode: LossMode::Fixed(GanLoss::Heuristic),
             },
             training: TrainingConfig {
                 batch_size: 8,
@@ -716,11 +784,52 @@ mod tests {
     }
 
     #[test]
-    fn wire_loss_round_trip() {
-        for w in [WireGanLoss::Minimax, WireGanLoss::Heuristic, WireGanLoss::LeastSquares] {
-            let g: GanLoss = w.into();
-            let back: WireGanLoss = g.into();
-            assert_eq!(back, w);
+    fn config_round_trips_exactly() {
+        for cfg in [
+            TrainConfig::paper_table1(),
+            TrainConfig::smoke(2),
+            TrainConfig::smoke(3).with_mustangs(),
+            TrainConfig::smoke(2).with_workers(4),
+            TrainConfig::smoke(2).with_shards(true),
+            TrainConfig::smoke(2).with_checkpoints("/tmp/ckpt", 3).with_pause_after(1),
+            TrainConfig::smoke(2).with_fault_plan("kill:3@2;delay:1>2:*@4:50", 2),
+            TrainConfig::smoke(2).with_heartbeat(25, 4),
+            TrainConfig::smoke(2).with_exchange(ExchangeMode::Async),
+            TrainConfig::smoke(2).with_telemetry("tel/run1", 4096),
+        ] {
+            assert_eq!(TrainConfig::from_bytes(&cfg.to_bytes()).unwrap(), cfg);
         }
+    }
+
+    #[test]
+    fn config_with_all_strategy_round_trips() {
+        let mut cfg = TrainConfig::smoke(2);
+        cfg.coevolution.adversary = AdversaryStrategy::All;
+        cfg.grid.pattern = NeighborhoodPattern::Moore9;
+        assert_eq!(TrainConfig::from_bytes(&cfg.to_bytes()).unwrap(), cfg);
+    }
+
+    #[test]
+    fn corrupted_config_is_rejected() {
+        let bytes = TrainConfig::smoke(2).to_bytes();
+        assert!(TrainConfig::from_bytes(&bytes[..bytes.len() - 3]).is_err());
+    }
+
+    #[test]
+    fn enum_slots_keep_their_fixed_width_and_refuse_unknown_ids() {
+        // `All` and `Mutate` still write their (zeroed) argument slot, so
+        // every config has the same length and field offsets on disk.
+        assert_eq!(AdversaryStrategy::All.to_bytes(), [1, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(AdversaryStrategy::Tournament(2).to_bytes(), [0, 2, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(LossMode::Mutate.to_bytes(), [1, 0]);
+        assert_eq!(LossMode::Fixed(GanLoss::LeastSquares).to_bytes(), [0, 2]);
+        assert_eq!(ExchangeMode::Async.to_bytes(), [1]);
+        assert_eq!(NeighborhoodPattern::Isolated.to_bytes(), [2]);
+
+        assert!(AdversaryStrategy::from_bytes(&[2, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
+        assert!(LossMode::from_bytes(&[2, 0]).is_err());
+        assert!(LossMode::from_bytes(&[0, 3]).is_err(), "fixed loss id");
+        assert!(ExchangeMode::from_bytes(&[2]).is_err());
+        assert!(NeighborhoodPattern::from_bytes(&[3]).is_err());
     }
 }

@@ -18,6 +18,7 @@ pub struct Individual {
     /// Last evaluated fitness (adversarial loss; lower is better).
     pub fitness: f64,
 }
+lipiz_wire::wire_struct!(Individual { genome, lr, loss, fitness });
 
 impl Individual {
     /// Build a fresh individual around a genome.

@@ -8,11 +8,12 @@
 
 use crate::mixture::{EnsembleModel, MixtureWeights};
 use lipiz_nn::{Activation, NetworkConfig};
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use lipiz_wire::{Wire, WireError};
+use std::io;
 use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"LPZ1";
+/// `"LPZ1"`, read and written as a little-endian word.
+const MAGIC: u32 = u32::from_le_bytes(*b"LPZ1");
 const FORMAT_VERSION: u32 = 1;
 
 /// Errors from loading a persisted model.
@@ -47,95 +48,82 @@ impl From<io::Error> for PersistError {
     }
 }
 
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+/// Every decode below fails only by running out of bytes, which stays the
+/// I/O error it was when the file was read field by field.
+impl From<WireError> for PersistError {
+    fn from(e: WireError) -> Self {
+        PersistError::Io(io::Error::new(io::ErrorKind::UnexpectedEof, e))
+    }
 }
 
-fn write_f32(w: &mut impl Write, v: f32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32(r: &mut impl Read) -> Result<u32, PersistError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_f32(r: &mut impl Read) -> Result<f32, PersistError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(f32::from_le_bytes(buf))
-}
-
-/// Save an ensemble to `path` (atomic-ish: write then flush).
+/// Save an ensemble to `path`: the whole file is encoded in memory and
+/// written with one call.
 pub fn save_ensemble(path: &Path, model: &EnsembleModel) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(MAGIC)?;
-    write_u32(&mut w, FORMAT_VERSION)?;
+    // Header (8 words) plus, per component, a weight, a length and the body.
+    let len: usize = model.genomes.iter().map(|g| 8 + 4 * g.len()).sum();
+    let mut out = Vec::with_capacity(32 + len);
+    MAGIC.encode(&mut out);
+    FORMAT_VERSION.encode(&mut out);
     // Network config (activation is fixed tanh per Table I; stored as id
     // for forward compatibility).
-    write_u32(&mut w, model.network.latent_dim as u32)?;
-    write_u32(&mut w, model.network.hidden_layers as u32)?;
-    write_u32(&mut w, model.network.hidden_units as u32)?;
-    write_u32(&mut w, model.network.data_dim as u32)?;
-    write_u32(&mut w, activation_id(model.network.activation))?;
-    // Components.
-    write_u32(&mut w, model.genomes.len() as u32)?;
-    for (genome, &weight) in model.genomes.iter().zip(model.weights.weights()) {
-        write_f32(&mut w, weight)?;
-        write_u32(&mut w, genome.len() as u32)?;
-        for &p in genome {
-            write_f32(&mut w, p)?;
-        }
+    for dim in [
+        model.network.latent_dim,
+        model.network.hidden_layers,
+        model.network.hidden_units,
+        model.network.data_dim,
+    ] {
+        (dim as u32).encode(&mut out);
     }
-    w.flush()
+    activation_id(model.network.activation).encode(&mut out);
+    // Components: the bytes of a `Vec<(f32, Vec<f32>)>`, written from the
+    // model's own buffers.
+    (model.genomes.len() as u32).encode(&mut out);
+    for (genome, weight) in model.genomes.iter().zip(model.weights.weights()) {
+        weight.encode(&mut out);
+        genome.encode(&mut out);
+    }
+    std::fs::write(path, out)
 }
 
 /// Load an ensemble saved by [`save_ensemble`].
 pub fn load_ensemble(path: &Path) -> Result<EnsembleModel, PersistError> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    let bytes = std::fs::read(path)?;
+    let mut buf = &bytes[..];
+    if u32::decode(&mut buf)? != MAGIC {
         return Err(PersistError::BadMagic);
     }
-    let version = read_u32(&mut r)?;
+    let version = u32::decode(&mut buf)?;
     if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    let latent_dim = read_u32(&mut r)? as usize;
-    let hidden_layers = read_u32(&mut r)? as usize;
-    let hidden_units = read_u32(&mut r)? as usize;
-    let data_dim = read_u32(&mut r)? as usize;
-    let activation =
-        activation_from_id(read_u32(&mut r)?).ok_or(PersistError::Corrupt("activation id"))?;
+    let latent_dim = u32::decode(&mut buf)? as usize;
+    let hidden_layers = u32::decode(&mut buf)? as usize;
+    let hidden_units = u32::decode(&mut buf)? as usize;
+    let data_dim = u32::decode(&mut buf)? as usize;
+    let activation = activation_from_id(u32::decode(&mut buf)?)
+        .ok_or(PersistError::Corrupt("activation id"))?;
     let network =
         NetworkConfig { latent_dim, hidden_layers, hidden_units, data_dim, activation };
 
-    let components = read_u32(&mut r)? as usize;
+    let components = u32::decode(&mut buf)? as usize;
     if components == 0 || components > 4096 {
         return Err(PersistError::Corrupt("component count"));
     }
-    // Validate genome length against the declared topology.
+    // Validate genome length against the declared topology, before the
+    // genome's body is decoded.
     let dims = network.generator_dims();
     let expected: usize = dims.windows(2).map(|w| w[0] * w[1] + w[1]).sum();
     let mut weights = Vec::with_capacity(components);
     let mut genomes = Vec::with_capacity(components);
     for _ in 0..components {
-        weights.push(read_f32(&mut r)?);
-        let len = read_u32(&mut r)? as usize;
-        if len != expected {
+        weights.push(f32::decode(&mut buf)?);
+        if u32::decode(&mut &buf[..])? as usize != expected {
             return Err(PersistError::Corrupt("genome length vs topology"));
         }
-        let mut genome = vec![0.0f32; len];
-        for g in &mut genome {
-            *g = read_f32(&mut r)?;
-        }
-        genomes.push(genome);
+        genomes.push(Vec::<f32>::decode(&mut buf)?);
     }
     // Reject trailing garbage.
-    let mut probe = [0u8; 1];
-    if r.read(&mut probe)? != 0 {
+    if !buf.is_empty() {
         return Err(PersistError::Corrupt("trailing bytes"));
     }
     Ok(EnsembleModel::new(network, genomes, MixtureWeights::from_raw(&weights)))

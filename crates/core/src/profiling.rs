@@ -137,6 +137,7 @@ pub struct ProfileRow {
     /// Call count.
     pub calls: u64,
 }
+lipiz_wire::wire_struct!(ProfileRow { routine, seconds, calls });
 
 /// Serializable profile summary (the data behind Table IV / Fig. 4).
 #[derive(Debug, Clone, PartialEq)]
@@ -144,6 +145,7 @@ pub struct ProfileReport {
     /// Rows in [`Routine::ALL`] order.
     pub rows: Vec<ProfileRow>,
 }
+lipiz_wire::wire_struct!(ProfileReport { rows });
 
 impl ProfileReport {
     /// Seconds recorded for a routine by name; 0 if absent.

@@ -9,10 +9,13 @@
 //! itself is *not* captured — every rank re-derives it from the
 //! configuration, exactly as it does at run start.
 //!
-//! The serialization of this state (versioned `Wire` encoding, atomic
-//! commit, the async background writer) lives in `lipiz-runtime`'s
-//! checkpoint module; this module owns the *semantic* state and its
-//! validation. The proof obligation is the repo's signature one: a run
+//! The state's encoding is declared here, on the type (`CellState: Wire`,
+//! composed from the `Wire` impls of the state types it holds), next to
+//! its validation: bytes that decode are only structurally a state, and
+//! [`CellState::validate`] is what makes them one for a given config. The
+//! file around those bytes (version, checksum, atomic commit, the async
+//! background writer) is `lipiz-runtime`'s checkpoint module. The proof
+//! obligation is the repo's signature one: a run
 //! checkpointed at iteration `k` and resumed must produce a byte-identical
 //! `.lpz` to the uninterrupted run, across all four drivers.
 
@@ -76,6 +79,21 @@ pub struct CellState {
     /// sync mode (the next iteration gathers its own frame).
     pub exchange_frame: Vec<CellSnapshot>,
 }
+lipiz_wire::wire_struct!(CellState {
+    cell,
+    iteration,
+    batch_counter,
+    gen_members,
+    disc_members,
+    mixture,
+    adam_g,
+    adam_d,
+    rng_mutate,
+    rng_train,
+    rng_mixture,
+    loader,
+    exchange_frame,
+});
 
 impl CellState {
     /// Check the state against the configuration it claims to belong to.

@@ -5,6 +5,8 @@
 //! Lipizzaner lacked, §III-C), and is deliberately decoupled from the
 //! communication layer so different comm backends can drive it.
 
+use lipiz_wire::{Wire, WireError};
+
 /// Neighborhood shape on the torus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NeighborhoodPattern {
@@ -16,6 +18,26 @@ pub enum NeighborhoodPattern {
     Moore9,
     /// Center only: no migration — the "isolated islands" degenerate case.
     Isolated,
+}
+
+/// One byte on the wire; an id this build does not know is a decode error.
+impl Wire for NeighborhoodPattern {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let id: u8 = match self {
+            NeighborhoodPattern::Cross5 => 0,
+            NeighborhoodPattern::Moore9 => 1,
+            NeighborhoodPattern::Isolated => 2,
+        };
+        id.encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::decode(buf)? {
+            0 => Ok(NeighborhoodPattern::Cross5),
+            1 => Ok(NeighborhoodPattern::Moore9),
+            2 => Ok(NeighborhoodPattern::Isolated),
+            _ => Err(WireError::new("neighborhood pattern id")),
+        }
+    }
 }
 
 impl NeighborhoodPattern {

@@ -18,6 +18,7 @@ pub struct BatchLoaderState {
     /// Shuffle-RNG stream state.
     pub rng: Rng64State,
 }
+lipiz_wire::wire_struct!(BatchLoaderState { order, cursor, epoch, rng });
 
 /// Cycles through a dataset in shuffled mini-batches (Table I: batch 100).
 ///

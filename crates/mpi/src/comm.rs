@@ -5,7 +5,6 @@ use crate::fault::{DeliveryFate, FaultPlan, FaultState};
 use crate::message::{Envelope, Payload, ReservedTags, Tag};
 use crate::transport::Transport;
 use crate::wire::{sequence_len, Wire, WireError};
-use bytes::Buf;
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -734,9 +733,9 @@ fn split_parts(body: &Payload) -> Result<Vec<Payload>, WireError> {
     let mut parts = Vec::with_capacity(count);
     for _ in 0..count {
         let len = sequence_len(&mut buf, 1)?;
-        let at = body.len() - buf.remaining();
+        let at = body.len() - buf.len();
         parts.push(body.slice(at..at + len));
-        buf.advance(len);
+        buf = &buf[len..];
     }
     if !buf.is_empty() {
         return Err(WireError::new("trailing bytes"));

@@ -47,16 +47,17 @@ pub mod tcp;
 pub mod topology;
 pub mod transport;
 pub mod universe;
-pub mod wire;
 
 pub use comm::{Comm, DegradedGather, FrozenFrameHandle, PendingAllgather, RecvFrom};
 pub use fault::{
     enable_process_faults, process_faults_enabled, replacement_schedule, scheduled_replacement,
     FaultPlan, FaultState, ReplacementSchedule,
 };
+/// The wire codec, [`lipiz_wire`], under the path rank code imports it by.
+pub use lipiz_wire as wire;
 pub use message::{Envelope, Payload, Tag};
 pub use tcp::TcpFabric;
 pub use topology::CartGrid;
 pub use transport::Transport;
 pub use universe::Universe;
-pub use wire::{Wire, WireError};
+pub use wire::{wire_struct, Wire, WireError};

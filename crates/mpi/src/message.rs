@@ -1,7 +1,6 @@
 //! Message envelope, its shared payload buffer, and the tag space.
 
 use crate::wire::{Wire, WireError};
-use bytes::{Buf, BufMut};
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -182,17 +181,16 @@ impl Envelope {
 /// payload copied as one slice.
 impl Wire for Envelope {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_slice(&self.header());
-        buf.put_slice(&self.payload);
+        buf.extend_from_slice(&self.header());
+        buf.extend_from_slice(&self.payload);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let (context, src, tag, len) = Self::decode_header(buf)?;
-        if buf.remaining() < len {
-            return Err(WireError::new("envelope payload"));
-        }
-        let payload = Payload::from(&buf[..len]);
-        buf.advance(len);
+        let (body, rest) =
+            buf.split_at_checked(len).ok_or(WireError::new("envelope payload"))?;
+        *buf = rest;
+        let payload = Payload::from(body);
         Ok(Self { context, src, tag, payload })
     }
 }

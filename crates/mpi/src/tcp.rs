@@ -44,11 +44,12 @@ use std::time::{Duration, Instant};
 const MAGIC: u32 = 0x4C50_5A54;
 /// Handshake protocol version. Bump whenever any post-handshake wire
 /// layout changes, so mixed builds are rejected at connect time ("version
-/// skew") instead of panicking mid-run on a decode mismatch. v2: ConfigMsg
+/// skew") instead of panicking mid-run on a decode mismatch. v2: the config
 /// gained the checkpoint fields and RunTask the resume marker. v3: the
-/// Welcome carries the rejoin marker and ConfigMsg the failure-semantics
-/// block.
-const VERSION: u32 = 3;
+/// Welcome carries the rejoin marker and the config the failure-semantics
+/// block. v4: telemetry summaries carry their histogram buckets as a fixed
+/// array, without the length prefix.
+const VERSION: u32 = 4;
 /// Deadline for every handshake read (a stuck bootstrap fails loudly
 /// instead of hanging the suite).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);

@@ -23,6 +23,7 @@ pub struct AdamState {
     /// Numerical-stability epsilon.
     pub eps: f32,
 }
+lipiz_wire::wire_struct!(AdamState { m, v, t, beta1, beta2, eps });
 
 /// Adam state (Kingma & Ba, 2015) for one network.
 ///

@@ -11,6 +11,7 @@
 
 use crate::activation::{sigmoid, softplus};
 use lipiz_tensor::Matrix;
+use lipiz_wire::{Wire, WireError};
 
 /// Generator objective variants (the Mustangs mutation set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,6 +56,16 @@ impl GanLoss {
             2 => Some(GanLoss::LeastSquares),
             _ => None,
         }
+    }
+}
+
+/// One byte on the wire: the variant's [`GanLoss::id`].
+impl Wire for GanLoss {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.id().encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        GanLoss::from_id(u8::decode(buf)?).ok_or(WireError::new("gan loss id"))
     }
 }
 

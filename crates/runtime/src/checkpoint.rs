@@ -36,14 +36,9 @@
 //! Corrupt, truncated, or mismatched checkpoints fail loudly with a typed
 //! [`CheckpointError`] — never a partial restore.
 
-use crate::protocol::{ConfigMsg, SnapshotMsg};
 use lipiz_core::resume::StateError;
-use lipiz_core::{CellState, Individual, TrainConfig};
-use lipiz_data::BatchLoaderState;
+use lipiz_core::{CellState, TrainConfig};
 use lipiz_mpi::wire::{Wire, WireError};
-use lipiz_mpi::wire_struct;
-use lipiz_nn::{AdamState, GanLoss};
-use lipiz_tensor::Rng64State;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write as _};
@@ -63,7 +58,9 @@ const MANIFEST_MAGIC: &[u8; 4] = b"LPZM";
 /// bit-exactly; older versions fail loudly as
 /// [`CheckpointError::UnsupportedVersion`].
 /// v4: the config grew the telemetry block (enabled flag, journal dir,
-/// ring capacity), widening the embedded [`ConfigMsg`].
+/// ring capacity). The payloads are the [`Wire`] encodings of
+/// [`TrainConfig`] and [`CellState`], so a field added to either (or to a
+/// type they hold) changes the bytes and needs a bump here.
 const FORMAT_VERSION: u32 = 4;
 /// Manifest file name inside a checkpoint directory.
 pub const MANIFEST_NAME: &str = "manifest.lpzm";
@@ -141,204 +138,6 @@ impl From<StateError> for CheckpointError {
     }
 }
 
-// ---- wire mirrors ---------------------------------------------------------
-
-/// Wire mirror of [`Rng64State`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RngStateMsg {
-    w0: u64,
-    w1: u64,
-    w2: u64,
-    w3: u64,
-    spare_gauss: Option<f64>,
-}
-wire_struct!(RngStateMsg { w0, w1, w2, w3, spare_gauss });
-
-impl From<Rng64State> for RngStateMsg {
-    fn from(s: Rng64State) -> Self {
-        Self {
-            w0: s.words[0],
-            w1: s.words[1],
-            w2: s.words[2],
-            w3: s.words[3],
-            spare_gauss: s.spare_gauss,
-        }
-    }
-}
-
-impl From<RngStateMsg> for Rng64State {
-    fn from(m: RngStateMsg) -> Self {
-        Rng64State { words: [m.w0, m.w1, m.w2, m.w3], spare_gauss: m.spare_gauss }
-    }
-}
-
-/// Wire mirror of [`AdamState`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdamStateMsg {
-    m: Vec<f32>,
-    v: Vec<f32>,
-    t: u64,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-}
-wire_struct!(AdamStateMsg { m, v, t, beta1, beta2, eps });
-
-impl From<&AdamState> for AdamStateMsg {
-    fn from(s: &AdamState) -> Self {
-        Self {
-            m: s.m.clone(),
-            v: s.v.clone(),
-            t: s.t,
-            beta1: s.beta1,
-            beta2: s.beta2,
-            eps: s.eps,
-        }
-    }
-}
-
-impl From<AdamStateMsg> for AdamState {
-    fn from(m: AdamStateMsg) -> Self {
-        AdamState { m: m.m, v: m.v, t: m.t, beta1: m.beta1, beta2: m.beta2, eps: m.eps }
-    }
-}
-
-/// Wire mirror of one [`Individual`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemberMsg {
-    genome: Vec<f32>,
-    lr: f32,
-    loss: u8,
-    fitness: f64,
-}
-wire_struct!(MemberMsg { genome, lr, loss, fitness });
-
-impl From<&Individual> for MemberMsg {
-    fn from(i: &Individual) -> Self {
-        Self { genome: i.genome.clone(), lr: i.lr, loss: i.loss.id(), fitness: i.fitness }
-    }
-}
-
-impl MemberMsg {
-    fn into_individual(self) -> Result<Individual, WireError> {
-        Ok(Individual {
-            genome: self.genome,
-            lr: self.lr,
-            loss: GanLoss::from_id(self.loss).ok_or(WireError::new("gan loss id"))?,
-            fitness: self.fitness,
-        })
-    }
-}
-
-/// Wire mirror of [`BatchLoaderState`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoaderStateMsg {
-    order: Vec<usize>,
-    cursor: usize,
-    epoch: u64,
-    rng: RngStateMsg,
-}
-wire_struct!(LoaderStateMsg { order, cursor, epoch, rng });
-
-impl From<&BatchLoaderState> for LoaderStateMsg {
-    fn from(s: &BatchLoaderState) -> Self {
-        Self { order: s.order.clone(), cursor: s.cursor, epoch: s.epoch, rng: s.rng.into() }
-    }
-}
-
-impl From<LoaderStateMsg> for BatchLoaderState {
-    fn from(m: LoaderStateMsg) -> Self {
-        BatchLoaderState { order: m.order, cursor: m.cursor, epoch: m.epoch, rng: m.rng.into() }
-    }
-}
-
-/// Wire mirror of a full [`CellState`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellStateMsg {
-    cell: usize,
-    iteration: usize,
-    batch_counter: u64,
-    gen_members: Vec<MemberMsg>,
-    disc_members: Vec<MemberMsg>,
-    mixture: Vec<f32>,
-    adam_g: AdamStateMsg,
-    adam_d: AdamStateMsg,
-    rng_mutate: RngStateMsg,
-    rng_train: RngStateMsg,
-    rng_mixture: RngStateMsg,
-    loader: LoaderStateMsg,
-    exchange_frame: Vec<SnapshotMsg>,
-}
-wire_struct!(CellStateMsg {
-    cell,
-    iteration,
-    batch_counter,
-    gen_members,
-    disc_members,
-    mixture,
-    adam_g,
-    adam_d,
-    rng_mutate,
-    rng_train,
-    rng_mixture,
-    loader,
-    exchange_frame,
-});
-
-impl From<&CellState> for CellStateMsg {
-    fn from(s: &CellState) -> Self {
-        Self {
-            cell: s.cell,
-            iteration: s.iteration,
-            batch_counter: s.batch_counter,
-            gen_members: s.gen_members.iter().map(MemberMsg::from).collect(),
-            disc_members: s.disc_members.iter().map(MemberMsg::from).collect(),
-            mixture: s.mixture.clone(),
-            adam_g: (&s.adam_g).into(),
-            adam_d: (&s.adam_d).into(),
-            rng_mutate: s.rng_mutate.into(),
-            rng_train: s.rng_train.into(),
-            rng_mixture: s.rng_mixture.into(),
-            loader: (&s.loader).into(),
-            exchange_frame: s.exchange_frame.iter().map(SnapshotMsg::from).collect(),
-        }
-    }
-}
-
-impl CellStateMsg {
-    /// Convert back to the core type (invalid enum ids are decode errors,
-    /// not panics — checkpoints come from disk, not from trusted peers).
-    pub fn into_state(self) -> Result<CellState, WireError> {
-        Ok(CellState {
-            cell: self.cell,
-            iteration: self.iteration,
-            batch_counter: self.batch_counter,
-            gen_members: self
-                .gen_members
-                .into_iter()
-                .map(MemberMsg::into_individual)
-                .collect::<Result<_, _>>()?,
-            disc_members: self
-                .disc_members
-                .into_iter()
-                .map(MemberMsg::into_individual)
-                .collect::<Result<_, _>>()?,
-            mixture: self.mixture,
-            adam_g: self.adam_g.into(),
-            adam_d: self.adam_d.into(),
-            rng_mutate: self.rng_mutate.into(),
-            rng_train: self.rng_train.into(),
-            rng_mixture: self.rng_mixture.into(),
-            loader: self.loader.into(),
-            exchange_frame: self
-                .exchange_frame
-                .into_iter()
-                .map(SnapshotMsg::into_snapshot)
-                .collect(),
-        })
-    }
-}
-
 // ---- framing --------------------------------------------------------------
 
 /// FNV-1a 64-bit hash (payload integrity check).
@@ -351,14 +150,15 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Frame `payload` as `magic ∥ version ∥ payload ∥ fnv1a64(payload)` into
-/// `out` (cleared first; capacity is reused across commits).
-fn frame_into(magic: &[u8; 4], payload_of: impl FnOnce(&mut Vec<u8>), out: &mut Vec<u8>) {
+/// Frame `payload`'s encoding as `magic ∥ version ∥ payload ∥
+/// fnv1a64(payload)` into `out` (cleared first; capacity is reused across
+/// commits).
+fn frame_into(magic: &[u8; 4], payload: &impl Wire, out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(magic);
     FORMAT_VERSION.encode(out);
     let body_start = out.len();
-    payload_of(out);
+    payload.encode(out);
     let checksum = fnv1a64(&out[body_start..]);
     checksum.encode(out);
 }
@@ -430,7 +230,7 @@ fn parse_cell_file_name(name: &str) -> Option<(usize, usize)> {
 pub fn write_manifest(dir: &Path, cfg: &TrainConfig) -> Result<(), CheckpointError> {
     fs::create_dir_all(dir)?;
     let mut bytes = Vec::new();
-    frame_into(MANIFEST_MAGIC, |out| ConfigMsg::from(cfg).encode(out), &mut bytes);
+    frame_into(MANIFEST_MAGIC, cfg, &mut bytes);
     write_atomic(&dir.join(MANIFEST_NAME), &bytes)
 }
 
@@ -438,7 +238,7 @@ pub fn write_manifest(dir: &Path, cfg: &TrainConfig) -> Result<(), CheckpointErr
 pub fn read_manifest(dir: &Path) -> Result<TrainConfig, CheckpointError> {
     let bytes = fs::read(dir.join(MANIFEST_NAME))?;
     let payload = unframe(MANIFEST_MAGIC, &bytes)?;
-    Ok(ConfigMsg::from_bytes(payload)?.into_config())
+    Ok(TrainConfig::from_bytes(payload)?)
 }
 
 // ---- cell state files ------------------------------------------------------
@@ -451,7 +251,7 @@ pub fn write_cell_state_with(
     scratch: &mut Vec<u8>,
 ) -> Result<PathBuf, CheckpointError> {
     fs::create_dir_all(dir)?;
-    frame_into(CELL_MAGIC, |out| CellStateMsg::from(state).encode(out), scratch);
+    frame_into(CELL_MAGIC, state, scratch);
     let path = dir.join(cell_file_name(state.cell, state.iteration));
     write_atomic(&path, scratch)?;
     Ok(path)
@@ -467,7 +267,7 @@ pub fn write_cell_state(dir: &Path, state: &CellState) -> Result<PathBuf, Checkp
 pub fn read_cell_state(path: &Path, cfg: &TrainConfig) -> Result<CellState, CheckpointError> {
     let bytes = fs::read(path)?;
     let payload = unframe(CELL_MAGIC, &bytes)?;
-    let state = CellStateMsg::from_bytes(payload)?.into_state()?;
+    let state = CellState::from_bytes(payload)?;
     state.validate(cfg)?;
     Ok(state)
 }
@@ -788,6 +588,44 @@ mod tests {
         let cfg = TrainConfig::smoke(3).with_mustangs().with_checkpoints("x", 2);
         write_manifest(&dir, &cfg).unwrap();
         assert_eq!(read_manifest(&dir).unwrap(), cfg);
+    }
+
+    #[test]
+    fn manifest_with_an_unknown_enum_id_is_a_typed_decode_error() {
+        // The checksum vouches for the bytes, not for their meaning: a
+        // manifest from a build with one more enum variant frames fine.
+        let cfg = TrainConfig::smoke(2);
+        let dir = tmpdir("hostile_enum");
+        write_manifest(&dir, &cfg).unwrap();
+        let path = dir.join(MANIFEST_NAME);
+        let original = fs::read(&path).unwrap();
+        let body = 8..original.len() - 8;
+
+        let grid = cfg.grid.to_bytes().len();
+        let coevolution =
+            grid + cfg.network.to_bytes().len() + cfg.coevolution.to_bytes().len();
+        let mutation = coevolution + cfg.mutation.to_bytes().len();
+        let exchange = mutation
+            + cfg.training.to_bytes().len()
+            + cfg.checkpoint.to_bytes().len()
+            + cfg.fault.to_bytes().len();
+        for (what, at) in [
+            ("neighborhood pattern id", grid - 1),
+            ("adversary kind", coevolution - 9),
+            ("loss mode", mutation - 2),
+            ("fixed loss id", mutation - 1),
+            ("exchange mode id", exchange),
+        ] {
+            let mut bytes = original.clone();
+            bytes[body.start + at] = 9;
+            let checksum = fnv1a64(&bytes[body.clone()]);
+            bytes[body.end..].copy_from_slice(&checksum.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            match read_manifest(&dir) {
+                Err(CheckpointError::Decode(e)) => assert_eq!(e.what, what),
+                other => panic!("{what}: expected a decode error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -27,14 +27,14 @@
 //! exchange thread (README, "Where a snapshot byte is copied").
 
 use crate::protocol::{
-    tags, CacheResponse, NodeAnnouncement, RunTask, SlaveResult, SnapshotMsg, StatusReport,
-    TelemetrySummaryMsg,
+    tags, CacheResponse, NodeAnnouncement, RunTask, SlaveResult, StatusReport,
 };
 use lipiz_core::{CellSnapshot, Exchange, ExchangeMode};
 use lipiz_mpi::{
     Comm, DegradedGather, FaultPlan, FrozenFrameHandle, Payload, PendingAllgather, RecvFrom,
+    Wire,
 };
-use lipiz_telemetry::{EventKind, Telemetry};
+use lipiz_telemetry::{EventKind, Telemetry, TelemetrySummary};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -255,13 +255,13 @@ impl CommManager {
     /// Slave: ship a telemetry summary to the master (fire-and-forget; the
     /// master drains [`tags::TELEMETRY`] opportunistically while waiting on
     /// the result gather).
-    pub fn send_telemetry(&self, msg: &TelemetrySummaryMsg) {
+    pub fn send_telemetry(&self, msg: &TelemetrySummary) {
         self.world.send(Self::MASTER, tags::TELEMETRY, msg);
     }
 
     /// Master: drain one pending telemetry summary, if any arrived within
     /// `timeout` (pass [`Duration::ZERO`] for a pure poll).
-    pub fn try_recv_telemetry(&self, timeout: Duration) -> Option<TelemetrySummaryMsg> {
+    pub fn try_recv_telemetry(&self, timeout: Duration) -> Option<TelemetrySummary> {
         self.world.recv_timeout(RecvFrom::Any, tags::TELEMETRY, timeout).map(|(m, _)| m)
     }
 
@@ -285,7 +285,7 @@ impl CommManager {
     /// allocation a steady-state exchange costs a non-root rank.
     fn begin_exchange(&self, snapshot: &CellSnapshot) -> PendingAllgather {
         let mut wire = Vec::with_capacity(snapshot.wire_size());
-        SnapshotMsg::encode_snapshot(snapshot, &mut wire);
+        snapshot.encode(&mut wire);
         self.local().allgather_bytes_split(wire)
     }
 
@@ -456,7 +456,7 @@ fn complete_exchange(
     };
     frame.resize_with(parts.len(), CellSnapshot::empty);
     for (part, slot) in parts.iter().zip(frame.iter_mut()) {
-        SnapshotMsg::decode_snapshot_into(part, slot).expect("snapshot decode");
+        slot.decode_from(part).expect("snapshot decode");
     }
 }
 
@@ -638,7 +638,6 @@ impl Drop for AsyncExchanger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ConfigMsg;
     use lipiz_core::TrainConfig;
     use lipiz_mpi::Universe;
 
@@ -665,7 +664,7 @@ mod tests {
                 for (i, a) in announcements.iter().enumerate() {
                     assert_eq!(a.rank, i + 1);
                     let task = RunTask {
-                        config: ConfigMsg::from(&TrainConfig::smoke(2)),
+                        config: TrainConfig::smoke(2),
                         cell_index: i,
                         resume_from: None,
                         rejoin_round: None,
@@ -677,7 +676,7 @@ mod tests {
                 cm.announce_node(&format!("node{:02}", cm.world_rank()));
                 let task = cm.recv_run_task();
                 assert_eq!(task.cell_index, cm.world_rank() - 1);
-                assert_eq!(task.config.clone().into_config(), TrainConfig::smoke(2));
+                assert_eq!(task.config, TrainConfig::smoke(2));
                 0
             }
         });
@@ -968,7 +967,7 @@ mod tests {
                     disc_fitness: 0.0,
                     mixture: vec![1.0],
                     ensemble: vec![vec![0.5; 3]],
-                    profile: vec![],
+                    profile: lipiz_core::ProfileReport { rows: vec![] },
                     wall_seconds: 0.0,
                     telemetry: None,
                 }));

@@ -299,9 +299,11 @@ mod tests {
         use crate::comm_manager::CommManager;
         use crate::driver::DistributedOptions;
         use crate::master::run_master;
-        use crate::protocol::{ProfileRowMsg, SlaveResult};
+        use crate::protocol::SlaveResult;
         use crate::slave::run_slave;
-        use lipiz_core::{CellEngine, CellSnapshot, Grid, Profiler, TrainConfig};
+        use lipiz_core::{
+            CellEngine, CellSnapshot, Grid, ProfileReport, Profiler, TrainConfig,
+        };
 
         let mut cfg = TrainConfig::smoke(2);
         cfg.grid.rows = 1;
@@ -330,7 +332,7 @@ mod tests {
             // guaranteed to land (and expire) mid-training.
             cm.announce_node("deaf");
             let task = cm.recv_run_task();
-            let slave_cfg = task.config.into_config();
+            let slave_cfg = task.config;
             let grid = Grid::from_config(&slave_cfg.grid);
             let mut engine = CellEngine::new(task.cell_index, &slave_cfg, toy_data(&slave_cfg));
             let mut profiler = Profiler::new();
@@ -353,7 +355,7 @@ mod tests {
                 disc_fitness: disc_pop.members()[disc_pop.best_index()].fitness,
                 mixture: ensemble.weights.weights().to_vec(),
                 ensemble: ensemble.genomes,
-                profile: Vec::<ProfileRowMsg>::new(),
+                profile: ProfileReport { rows: Vec::new() },
                 wall_seconds: 0.0,
                 telemetry: None,
             }));

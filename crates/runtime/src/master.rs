@@ -9,7 +9,7 @@ use crate::checkpoint::{self, CheckpointError};
 use crate::comm_manager::CommManager;
 use crate::driver::DistributedOptions;
 use crate::heartbeat::{run_heartbeat_loop_with_deadline, HeartbeatLog, NO_DEAD_SLAVE};
-use crate::protocol::{ConfigMsg, NodeAnnouncement, RunTask, SlaveResult};
+use crate::protocol::{NodeAnnouncement, RunTask, SlaveResult};
 use lipiz_core::profiling::{ProfileReport, ProfileRow};
 use lipiz_core::{
     CellResult, EnsembleModel, Grid, MixtureWeights, Routine, TrainConfig, TrainReport,
@@ -174,12 +174,11 @@ pub fn run_master(
     let assignment = assign_workload(cm.num_slaves());
 
     // iv) share the parameter configuration and launch the slaves.
-    let config_msg = ConfigMsg::from(cfg);
     for &(rank, cell) in &assignment {
         cm.send_run_task(
             rank,
             &RunTask {
-                config: config_msg.clone(),
+                config: cfg.clone(),
                 cell_index: cell,
                 resume_from: opts.resume_from,
                 rejoin_round: None,
@@ -240,8 +239,7 @@ pub fn run_master(
             // telemetry is on, so the drain is free otherwise).
             if tel.is_enabled() {
                 let mut drained = false;
-                while let Some(msg) = cm.try_recv_telemetry(Duration::ZERO) {
-                    let s = msg.into_summary();
+                while let Some(s) = cm.try_recv_telemetry(Duration::ZERO) {
                     live.lock().expect("telemetry live map").insert(s.rank, s);
                     drained = true;
                 }
@@ -312,7 +310,7 @@ pub fn run_master(
                         cm.send_run_task(
                             sched.victim_world,
                             &RunTask {
-                                config: config_msg.clone(),
+                                config: cfg.clone(),
                                 cell_index: sched.cell,
                                 resume_from: sched.resume_cut,
                                 rejoin_round: Some(sched.rejoin_round),
@@ -390,8 +388,8 @@ fn merge_telemetry(
     }
     let mut merged = TelemetrySummary::empty();
     for r in slave_results {
-        if let Some(msg) = &r.telemetry {
-            merged.merge(&msg.clone().into_summary());
+        if let Some(summary) = &r.telemetry {
+            merged.merge(summary);
         }
     }
     merged.cell = NO_CELL;
@@ -438,7 +436,7 @@ pub fn mean_profile(slave_results: &[SlaveResult]) -> ProfileReport {
         .map(|r| {
             let (mut secs, mut calls) = (0.0f64, 0u64);
             for s in slave_results {
-                for row in &s.profile {
+                for row in &s.profile.rows {
                     if row.routine == r.name() {
                         secs += row.seconds;
                         calls = calls.max(row.calls);
@@ -454,7 +452,6 @@ pub fn mean_profile(slave_results: &[SlaveResult]) -> ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ProfileRowMsg;
 
     fn result(cell: usize, fit: f64, train_secs: f64) -> SlaveResult {
         SlaveResult {
@@ -463,11 +460,13 @@ mod tests {
             disc_fitness: 0.5,
             mixture: vec![1.0],
             ensemble: vec![vec![0.0; 4]],
-            profile: vec![ProfileRowMsg {
-                routine: "train".into(),
-                seconds: train_secs,
-                calls: 4,
-            }],
+            profile: ProfileReport {
+                rows: vec![ProfileRow {
+                    routine: "train".into(),
+                    seconds: train_secs,
+                    calls: 4,
+                }],
+            },
             wall_seconds: 1.0,
             telemetry: None,
         }

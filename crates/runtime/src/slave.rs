@@ -16,11 +16,9 @@
 
 use crate::checkpoint::{self, CheckpointWriter};
 use crate::comm_manager::CommManager;
-use crate::protocol::{
-    ProfileRowMsg, SlaveResult, SnapshotMsg, StatusReport, TelemetrySummaryMsg,
-};
+use crate::protocol::{SlaveResult, StatusReport};
 use crate::state::SlaveState;
-use lipiz_core::{CellEngine, CellResult, Grid, Pipeline, TrainConfig};
+use lipiz_core::{CellEngine, CellResult, CellSnapshot, Grid, Pipeline, TrainConfig};
 use lipiz_mpi::wire::Wire;
 use lipiz_mpi::{process_faults_enabled, scheduled_replacement, DegradedGather, FaultPlan};
 use lipiz_telemetry::{EventKind, Telemetry};
@@ -51,7 +49,7 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
     // Fig. 3: announce the node, then wait for the workload.
     cm.announce_node(node_name);
     let task = cm.recv_run_task();
-    let cfg = task.config.into_config();
+    let cfg = task.config;
     let cell_index = task.cell_index;
     let resume_from = task.resume_from;
     let rejoin_round = task.rejoin_round;
@@ -218,9 +216,7 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                             })
                             .iter()
                             .map(|part| {
-                                SnapshotMsg::from_bytes(part)
-                                    .expect("death-frame decode")
-                                    .into_snapshot()
+                                CellSnapshot::from_bytes(part).expect("death-frame decode")
                             })
                             .collect();
                         pipeline.rejoin(0, rejoin, frozen);
@@ -275,8 +271,7 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                     // ship the running aggregate so the master's status
                     // line tracks the fleet live.
                     if tel.is_enabled() {
-                        exec_cm
-                            .send_telemetry(&TelemetrySummaryMsg::from(&tel.summary(cell_u32)));
+                        exec_cm.send_telemetry(&tel.summary(cell_u32));
                     }
                 }
                 // Finish the final generation collectively — every rank
@@ -294,9 +289,8 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                 done.store(true, Ordering::Release);
                 let tel = pipeline.telemetry();
                 flush_journal(tel);
-                let telemetry =
-                    tel.is_enabled().then(|| TelemetrySummaryMsg::from(&tel.summary(cell_u32)));
-                let profile = pipeline.profile().report().rows;
+                let telemetry = tel.is_enabled().then(|| tel.summary(cell_u32));
+                let profile = pipeline.profile().report();
                 let engine = &mut pipeline.engines_mut()[0];
                 let row = CellResult::of(engine, &Grid::from_config(&exec_cfg.grid));
                 SlaveResult {
@@ -305,14 +299,7 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                     disc_fitness: row.disc_fitness,
                     mixture: row.mixture_weights,
                     ensemble: engine.ensemble().genomes,
-                    profile: profile
-                        .into_iter()
-                        .map(|r| ProfileRowMsg {
-                            routine: r.routine,
-                            seconds: r.seconds,
-                            calls: r.calls,
-                        })
-                        .collect(),
+                    profile,
                     wall_seconds: start.elapsed().as_secs_f64(),
                     telemetry,
                 }

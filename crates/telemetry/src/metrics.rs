@@ -58,6 +58,7 @@ pub struct LogHistogram {
     /// Sum of observed values (for means and overlap accounting).
     pub sum: u64,
 }
+lipiz_wire::wire_struct!(LogHistogram { buckets, count, sum });
 
 impl Default for LogHistogram {
     fn default() -> Self {

@@ -37,6 +37,20 @@ pub struct TelemetrySummary {
     /// Journal records lost to ring overwrites.
     pub dropped_events: u64,
 }
+lipiz_wire::wire_struct!(TelemetrySummary {
+    rank,
+    cell,
+    iterations,
+    gather_ns,
+    train_ns,
+    exchange_wall_ns,
+    checkpoints,
+    degraded_iters,
+    staleness,
+    rejoined,
+    replaced_ranks,
+    dropped_events,
+});
 
 impl TelemetrySummary {
     /// An all-zero summary to merge into.

@@ -36,6 +36,7 @@ pub struct Rng64State {
     /// Cached second output of the last Box–Muller draw, if any.
     pub spare_gauss: Option<f64>,
 }
+lipiz_wire::wire_struct!(Rng64State { words, spare_gauss });
 
 impl Rng64 {
     /// Construct from a 64-bit seed.

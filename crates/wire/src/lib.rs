@@ -1,12 +1,12 @@
 //! Binary wire codec.
 //!
-//! Every payload that crosses a rank boundary implements [`Wire`]. The
-//! format is little-endian, length-prefixed, and self-contained — the moral
-//! equivalent of an MPI derived datatype. Implementations exist for the
-//! primitives and containers the runtime needs; composite protocol structs
-//! implement `Wire` field-by-field (see `lipiz-runtime`).
+//! Every value that crosses a rank boundary or lands in a checkpoint
+//! implements [`Wire`]. The format is little-endian, length-prefixed, and
+//! self-contained — the moral equivalent of an MPI derived datatype. This
+//! crate holds the trait and its impls for primitives and containers and
+//! depends on nothing, so every other crate of the workspace can declare a
+//! type's encoding next to the type itself (usually with [`wire_struct!`]).
 
-use bytes::{Buf, BufMut};
 use std::fmt;
 
 /// Decoding error: truncated or malformed buffer.
@@ -47,9 +47,7 @@ pub trait Wire: Sized {
 
     /// Encode into a reusable scratch buffer: clears `buf` but keeps its
     /// capacity. The scratch-reuse counterpart of [`Wire::to_bytes`] for
-    /// callers that encode the same message type repeatedly (the snapshot
-    /// allgather goes one step further and encodes straight from the core
-    /// type — see `SnapshotMsg::encode_snapshot` in `lipiz-runtime`).
+    /// callers that encode the same message type repeatedly.
     fn to_bytes_into(&self, buf: &mut Vec<u8>) {
         buf.clear();
         self.encode(buf);
@@ -96,50 +94,54 @@ pub trait Wire: Sized {
 /// Read a sequence's `u32` length prefix and refuse it unless `len`
 /// elements of `elem_size` bytes each are actually there — the guard
 /// against hostile lengths, checked before any allocation.
-pub(crate) fn sequence_len(buf: &mut &[u8], elem_size: usize) -> Result<usize, WireError> {
+pub fn sequence_len(buf: &mut &[u8], elem_size: usize) -> Result<usize, WireError> {
     let len = u32::decode(buf)? as usize;
     match len.checked_mul(elem_size) {
-        Some(bytes) if bytes <= buf.remaining() => Ok(len),
+        Some(bytes) if bytes <= buf.len() => Ok(len),
         _ => Err(WireError::new("vec length")),
     }
 }
 
+/// Split `n` bytes off the front of `buf`, or refuse with `what`.
+fn take<'a>(buf: &mut &'a [u8], n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
+    let (head, tail) = buf.split_at_checked(n).ok_or(WireError::new(what))?;
+    *buf = tail;
+    Ok(head)
+}
+
 macro_rules! impl_wire_primitive {
-    ($ty:ty, $put:ident, $get:ident, $size:expr $(, { $($bulk:tt)* })?) => {
+    ($ty:ty $(, { $($bulk:tt)* })?) => {
         impl Wire for $ty {
             fn encode(&self, buf: &mut Vec<u8>) {
-                buf.$put(*self);
+                buf.extend_from_slice(&self.to_le_bytes());
             }
             fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-                if buf.remaining() < $size {
-                    return Err(WireError::new(stringify!($ty)));
-                }
-                Ok(buf.$get())
+                let bytes = take(buf, size_of::<$ty>(), stringify!($ty))?;
+                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("sized by take")))
             }
             $($($bulk)*)?
         }
     };
 }
 
-impl_wire_primitive!(u8, put_u8, get_u8, 1, {
+impl_wire_primitive!(u8, {
     fn encode_slice(items: &[Self], buf: &mut Vec<u8>) {
         (items.len() as u32).encode(buf);
-        buf.put_slice(items);
+        buf.extend_from_slice(items);
     }
     fn decode_into(buf: &mut &[u8], out: &mut Vec<Self>) -> Result<(), WireError> {
         let len = sequence_len(buf, 1)?;
         out.clear();
-        out.extend_from_slice(&buf[..len]);
-        buf.advance(len);
+        out.extend_from_slice(take(buf, len, "vec length")?);
         Ok(())
     }
 });
-impl_wire_primitive!(u16, put_u16_le, get_u16_le, 2);
-impl_wire_primitive!(u32, put_u32_le, get_u32_le, 4);
-impl_wire_primitive!(u64, put_u64_le, get_u64_le, 8);
-impl_wire_primitive!(i32, put_i32_le, get_i32_le, 4);
-impl_wire_primitive!(i64, put_i64_le, get_i64_le, 8);
-impl_wire_primitive!(f32, put_f32_le, get_f32_le, 4, {
+impl_wire_primitive!(u16);
+impl_wire_primitive!(u32);
+impl_wire_primitive!(u64);
+impl_wire_primitive!(i32);
+impl_wire_primitive!(i64);
+impl_wire_primitive!(f32, {
     fn encode_slice(items: &[Self], buf: &mut Vec<u8>) {
         (items.len() as u32).encode(buf);
         // Size the tail once, then convert in fixed-width chunks: the loop
@@ -155,19 +157,18 @@ impl_wire_primitive!(f32, put_f32_le, get_f32_le, 4, {
         let len = sequence_len(buf, 4)?;
         out.clear();
         out.extend(
-            buf[..len * 4]
+            take(buf, len * 4, "vec length")?
                 .chunks_exact(4)
                 .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
         );
-        buf.advance(len * 4);
         Ok(())
     }
 });
-impl_wire_primitive!(f64, put_f64_le, get_f64_le, 8);
+impl_wire_primitive!(f64);
 
 impl Wire for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u8(u8::from(*self));
+        u8::from(*self).encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         match u8::decode(buf)? {
@@ -180,7 +181,7 @@ impl Wire for bool {
 
 impl Wire for usize {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u64_le(*self as u64);
+        (*self as u64).encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let v = u64::decode(buf)?;
@@ -190,16 +191,11 @@ impl Wire for usize {
 
 impl Wire for String {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
-        buf.put_slice(self.as_bytes());
+        u8::encode_slice(self.as_bytes(), buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let len = u32::decode(buf)? as usize;
-        if buf.remaining() < len {
-            return Err(WireError::new("string body"));
-        }
-        let bytes = buf[..len].to_vec();
-        buf.advance(len);
+        let bytes = take(buf, len, "string body")?.to_vec();
         String::from_utf8(bytes).map_err(|_| WireError::new("string utf8"))
     }
 }
@@ -218,9 +214,9 @@ impl<T: Wire> Wire for Vec<T> {
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(v) => {
-                buf.put_u8(1);
+                buf.push(1);
                 v.encode(buf);
             }
         }
@@ -231,6 +227,24 @@ impl<T: Wire> Wire for Option<T> {
             1 => Ok(Some(T::decode(buf)?)),
             _ => Err(WireError::new("option discriminant")),
         }
+    }
+}
+
+/// Fixed-size word arrays (RNG state words, histogram buckets) encode as
+/// their elements back to back: the length is part of the type, so no
+/// prefix is written.
+impl<const N: usize> Wire for [u64; N] {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        for word in self {
+            word.encode(buf);
+        }
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let mut words = [0u64; N];
+        for word in &mut words {
+            *word = u64::decode(buf)?;
+        }
+        Ok(words)
     }
 }
 
@@ -265,8 +279,7 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 /// Implement [`Wire`] for a plain struct by encoding fields in order.
 ///
 /// ```
-/// use lipiz_mpi::wire::Wire;
-/// use lipiz_mpi::wire_struct;
+/// use lipiz_wire::{wire_struct, Wire};
 ///
 /// #[derive(Debug, PartialEq)]
 /// struct Point { x: f32, y: f32 }
@@ -278,13 +291,13 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 #[macro_export]
 macro_rules! wire_struct {
     ($name:ident { $($field:ident),+ $(,)? }) => {
-        impl $crate::wire::Wire for $name {
+        impl $crate::Wire for $name {
             fn encode(&self, buf: &mut Vec<u8>) {
-                $(self.$field.encode(buf);)+
+                $($crate::Wire::encode(&self.$field, buf);)+
             }
-            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::wire::WireError> {
+            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::WireError> {
                 Ok(Self {
-                    $($field: $crate::wire::Wire::decode(buf)?,)+
+                    $($field: $crate::Wire::decode(buf)?,)+
                 })
             }
         }
@@ -328,6 +341,16 @@ mod tests {
         round_trip((1u32, 2.5f64));
         round_trip((1u8, "x".to_string(), vec![3u64]));
         round_trip(vec![vec![1u8, 2], vec![], vec![3]]);
+    }
+
+    #[test]
+    fn word_arrays_encode_without_a_prefix() {
+        let words = [1u64, u64::MAX, 0, 0xDEAD_BEEF];
+        round_trip(words);
+        let by_hand: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(words.to_bytes(), by_hand);
+        assert!(<[u64; 4]>::from_bytes(&by_hand[..31]).is_err());
+        round_trip([0u64; 0]);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! structures and invariants.
 
 use lipizzaner::core::{
-    CellSnapshot, CellState, Grid, Individual, MixtureWeights, NeighborhoodPattern, TrainConfig,
+    AdversaryStrategy, CellSnapshot, CellState, ExchangeMode, Grid, Individual, LossMode,
+    MixtureWeights, NeighborhoodPattern, TrainConfig,
 };
 use lipizzaner::data::BatchLoaderState;
 use lipizzaner::mpi::comm::Fabric;
@@ -10,7 +11,6 @@ use lipizzaner::mpi::wire::Wire;
 use lipizzaner::mpi::{FaultPlan, Payload, Universe};
 use lipizzaner::nn::{Activation, AdamState, GanLoss, Mlp};
 use lipizzaner::runtime::checkpoint;
-use lipizzaner::runtime::checkpoint::CellStateMsg;
 use lipizzaner::tensor::{ops, reduce, Matrix, Pool, Rng64, Rng64State};
 use proptest::prelude::*;
 
@@ -219,14 +219,55 @@ proptest! {
         order_len in 1usize..30,
     ) {
         let state = arb_cell_state(seed, pop, gen_len, disc_len, order_len);
-        let bytes = CellStateMsg::from(&state).to_bytes();
-        let back = CellStateMsg::from_bytes(&bytes)
-            .expect("decode")
-            .into_state()
-            .expect("valid loss ids");
+        let back = CellState::from_bytes(&state.to_bytes()).expect("decode");
         // Bit-exact: every float compared through its raw bits.
         prop_assert_eq!(state_bits(&back), state_bits(&state));
         prop_assert_eq!(back, state);
+    }
+
+    #[test]
+    fn config_encoding_round_trips_every_variant_and_optional(
+        (rows, cols, k) in (1usize..9, 1usize..9, any::<usize>()),
+        (lr, probability, data_seed, seed) in (any::<f32>(), 0.0f64..1.0, any::<u64>(), any::<u64>()),
+        (dir, pause_after) in (proptest::option::of(".{0,24}"), proptest::option::of(any::<usize>())),
+        (plan, telemetry_dir) in (proptest::option::of(".{0,24}"), proptest::option::of(".{0,24}")),
+        (shard_data, telemetry_on) in (any::<bool>(), any::<bool>()),
+    ) {
+        let mut cfg = TrainConfig::smoke(2);
+        cfg.grid.rows = rows;
+        cfg.grid.cols = cols;
+        // NaN never equals itself; every other bit pattern must survive.
+        cfg.mutation.initial_lr = if lr.is_nan() { 0.0 } else { lr };
+        cfg.mutation.probability = probability;
+        cfg.training.data_seed = data_seed;
+        cfg.training.shard_data = shard_data;
+        cfg.checkpoint.dir = dir;
+        cfg.checkpoint.pause_after = pause_after;
+        cfg.fault.plan = plan;
+        cfg.telemetry.enabled = telemetry_on;
+        cfg.telemetry.dir = telemetry_dir;
+        cfg.seed = seed;
+        let patterns =
+            [NeighborhoodPattern::Cross5, NeighborhoodPattern::Moore9, NeighborhoodPattern::Isolated];
+        let adversaries = [AdversaryStrategy::Tournament(k), AdversaryStrategy::All];
+        let losses = GanLoss::ALL.map(LossMode::Fixed).into_iter().chain([LossMode::Mutate]);
+        let len = cfg.to_bytes().len();
+        for loss_mode in losses {
+            for pattern in patterns {
+                for adversary in adversaries {
+                    for exchange in [ExchangeMode::Sync, ExchangeMode::Async] {
+                        cfg.mutation.loss_mode = loss_mode;
+                        cfg.grid.pattern = pattern;
+                        cfg.coevolution.adversary = adversary;
+                        cfg.exchange = exchange;
+                        let wire = cfg.to_bytes();
+                        prop_assert_eq!(&TrainConfig::from_bytes(&wire).expect("decode"), &cfg);
+                        // The variant never changes the encoded length.
+                        prop_assert_eq!(wire.len(), len);
+                    }
+                }
+            }
+        }
     }
 
     // ---- async exchange pipeline ---------------------------------------------
@@ -303,6 +344,24 @@ proptest! {
                 prop_assert!(false, "a flipped byte must never read back cleanly");
             }
         }
+    }
+}
+
+#[test]
+fn every_truncation_of_a_state_or_a_config_is_refused() {
+    let state = arb_cell_state(11, 2, 5, 3, 4);
+    let wire = state.to_bytes();
+    for cut in 0..wire.len() {
+        assert!(CellState::from_bytes(&wire[..cut]).is_err(), "state cut at {cut}");
+    }
+    let cfg = TrainConfig::smoke(2)
+        .with_checkpoints("ck", 2)
+        .with_pause_after(3)
+        .with_fault_plan("kill:3@2", 1)
+        .with_telemetry("tel", 64);
+    let wire = cfg.to_bytes();
+    for cut in 0..wire.len() {
+        assert!(TrainConfig::from_bytes(&wire[..cut]).is_err(), "config cut at {cut}");
     }
 }
 

@@ -61,9 +61,8 @@ fn per_slave_profiles_cover_all_routines() {
     let cfg = TrainConfig::smoke(2);
     let outcome = run_distributed(&cfg, |_, cfg| toy_data(cfg), DistributedOptions::default());
     for sr in &outcome.slave_results {
-        let report = sr.profile_report();
-        assert!(report.seconds(Routine::Train) > 0.0, "cell {} train time", sr.cell);
-        assert!(report.seconds(Routine::Gather) >= 0.0, "cell {} gather time", sr.cell);
+        assert!(sr.profile.seconds(Routine::Train) > 0.0, "cell {} train time", sr.cell);
+        assert!(sr.profile.seconds(Routine::Gather) >= 0.0, "cell {} gather time", sr.cell);
         assert!(sr.wall_seconds > 0.0);
     }
 }

@@ -22,6 +22,11 @@
 //! body travel by reference count, and the async exchange thread rotates
 //! its frames instead of allocating one per generation.
 //!
+//! Last, the checkpoint commit: with its scratch warm it encodes the
+//! captured state by reference, so what it allocates is paths and file
+//! handles — less than one genome, where a copy of the state would be `2·s`
+//! genomes and four Adam vectors.
+//!
 //! The binary runs with `harness = false` (see the root `Cargo.toml`): the
 //! allocator counter is process-global, and libtest's runner thread lazily
 //! allocates its completion-channel context while the test thread is
@@ -35,6 +40,7 @@ use lipizzaner::core::{
 };
 use lipizzaner::mpi::comm::Fabric;
 use lipizzaner::mpi::{Comm, Payload};
+use lipizzaner::runtime::checkpoint::write_cell_state_with;
 use lipizzaner::runtime::comm_manager::{CommExchange, CommManager};
 use lipizzaner::telemetry::Telemetry;
 use lipizzaner::tensor::{Matrix, Pool, Rng64};
@@ -134,6 +140,7 @@ fn main() {
     steady_state_with_telemetry_allocates_nothing();
     steady_state_pipeline_step_allocates_nothing();
     steady_state_exchange_allocates_one_payload_per_rank();
+    checkpoint_commit_encodes_the_state_in_place();
     println!("zero_alloc: steady-state training iterations allocate nothing — ok");
 }
 
@@ -400,4 +407,26 @@ fn steady_state_exchange_allocates_one_payload_per_rank() {
             );
         }
     }
+}
+
+fn checkpoint_commit_encodes_the_state_in_place() {
+    let cfg = TrainConfig::smoke(2).with_exchange(ExchangeMode::Async);
+    let mut engine = CellEngine::new(0, &cfg, toy_data(&cfg));
+    let mut state = engine.capture_state();
+    state.exchange_frame = (0..cfg.cells()).map(|_| engine.snapshot()).collect();
+    let genome_bytes =
+        4 * state.gen_members[0].genome.len().min(state.disc_members[0].genome.len());
+
+    let dir = std::env::temp_dir().join("lipiz_zero_alloc_ckpt");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut scratch = Vec::new();
+    write_cell_state_with(&dir, &state, &mut scratch).expect("warm-up commit");
+    let before = my_allocations();
+    write_cell_state_with(&dir, &state, &mut scratch).expect("measured commit");
+    let bytes = my_allocations().1 - before.1;
+    assert!(
+        bytes < genome_bytes as u64,
+        "a warm checkpoint commit allocated {bytes} B; one genome is {genome_bytes} B"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
