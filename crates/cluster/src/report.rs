@@ -57,7 +57,7 @@ impl SimOutcome {
 mod tests {
     use super::*;
     use crate::platform::ClusterSpec;
-    use lipiz_core::profiling::Profiler;
+    use lipiz_core::ProfileReport;
 
     #[test]
     fn imbalance_of_uniform_clocks_is_one() {
@@ -67,7 +67,7 @@ mod tests {
                 grid: (2, 2),
                 iterations: 1,
                 wall_seconds: 4.0,
-                profile: Profiler::new().report(),
+                profile: ProfileReport::of(&Default::default()),
                 cells: vec![],
                 best_cell: 0,
             },

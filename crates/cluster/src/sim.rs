@@ -5,11 +5,13 @@
 //! the same schedule — and the same bytes — as the sequential and
 //! distributed drivers. What is simulated is *time*: `VirtualExchange`
 //! charges each allgather to per-rank virtual clocks through the cost
-//! model, and each cell's measured compute (the pipeline's per-step
-//! profile) is charged to its rank's clock afterwards. A scripted kill is
-//! modelled with the pipeline's own rejoin: the victim's engine is swapped
-//! for a restored replacement that catches up solo against the frozen
-//! death-frame and sits out the absence window.
+//! model, and each cell's measured compute (the pipeline's per-step phase
+//! durations) is scaled onto its rank's clock afterwards — every span
+//! through `Telemetry::span_at`, so Table IV, histograms and journal are one
+//! feed on the virtual clock. A scripted kill is modelled with the
+//! pipeline's own rejoin: the victim's engine is swapped for a restored
+//! replacement that catches up solo against the frozen death-frame (charged
+//! to the victim rank's clock like any compute) and sits out the window.
 
 use crate::allocation::Placement;
 use crate::costmodel::CommCost;
@@ -17,11 +19,11 @@ use crate::platform::ClusterSpec;
 use crate::report::{CommStats, SimOutcome};
 use crate::vtime::RankClock;
 use lipiz_core::{
-    CellEngine, CellResult, CellSnapshot, CellState, Exchange, Grid, Pipeline, Profiler,
+    CellEngine, CellResult, CellSnapshot, CellState, Exchange, Grid, Pipeline, ProfileReport,
     Routine, TrainConfig, TrainReport,
 };
 use lipiz_mpi::{scheduled_replacement, ReplacementSchedule};
-use lipiz_telemetry::{EventKind, SpanKind, Telemetry};
+use lipiz_telemetry::{EventKind, Telemetry, TelemetrySummary};
 use lipiz_tensor::{Matrix, Pool};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -92,10 +94,23 @@ impl SimulatedCluster {
     pub fn run_resumable(
         &self,
         cfg: &TrainConfig,
+        make_data: impl FnMut(usize) -> Matrix,
+        resume: Option<&[CellState]>,
+        on_iteration: impl FnMut(usize, &mut [CellEngine], &[CellSnapshot]),
+    ) -> SimOutcome {
+        self.simulate(cfg, make_data, resume, on_iteration).0
+    }
+
+    /// [`SimulatedCluster::run_resumable`], plus each simulated slave
+    /// rank's final telemetry summary (cell order) — what a real slave
+    /// ships to the master, and what the report's profile is the mean of.
+    fn simulate(
+        &self,
+        cfg: &TrainConfig,
         mut make_data: impl FnMut(usize) -> Matrix,
         resume: Option<&[CellState]>,
         mut on_iteration: impl FnMut(usize, &mut [CellEngine], &[CellSnapshot]),
-    ) -> SimOutcome {
+    ) -> (SimOutcome, Vec<TelemetrySummary>) {
         let host_start = Instant::now();
         let grid = Grid::from_config(&cfg.grid);
         let cells = grid.cell_count();
@@ -104,8 +119,8 @@ impl SimulatedCluster {
         let placement = Placement::allocate(&self.spec, cells + 1, self.opts.run_seed);
 
         // All simulated slaves run in this one host process, so they share
-        // one resident pool. The pipeline times on the host and journals
-        // nothing: the simulator's journals live on the virtual clocks below.
+        // one resident pool. The pipeline's own recorder goes unread: the
+        // simulator's ledgers and journals live on the virtual clocks below.
         let mut pipeline =
             Pipeline::whole_grid(cfg, &mut make_data, resume, Telemetry::disabled());
 
@@ -143,11 +158,8 @@ impl SimulatedCluster {
             fault,
             async_mode: cfg.exchange.is_async(),
             clocks: vec![RankClock::new(); cells],
-            profilers: vec![Profiler::new(); cells],
-            // One recorder per simulated slave rank, stamped via
-            // `record_at` with the rank clock — same journal format as the
-            // real drivers (the solo catch-up window is not journaled
-            // per-iteration; it runs on host time inside the kill block).
+            // One recorder per simulated slave rank, stamped with the rank
+            // clock — the real drivers' journal format and Table IV ledger.
             tels: (0..cells)
                 .map(|c| {
                     let mut tel = Telemetry::from_gate(
@@ -185,14 +197,15 @@ impl SimulatedCluster {
                 pipeline.engines_mut()[cell] = replacement;
                 pipeline.rejoin(cell, sched.rejoin_round, frozen);
                 while pipeline.catching_up() {
+                    let solo = pipeline.engines()[cell].iterations_done();
                     pipeline.step(&mut vx);
-                    vx.profilers[cell].merge(pipeline.step_profile(cell));
+                    vx.charge_compute(solo, cell, pipeline.step_phases(cell));
                 }
             }
             pipeline.step(&mut vx);
             for c in 0..cells {
                 if !vx.absent(c, iter) {
-                    vx.charge_compute(iter, c, pipeline.step_profile(c));
+                    vx.charge_compute(iter, c, pipeline.step_phases(c));
                 }
             }
             if let Some(sched) = fault.filter(|s| s.resume_cut == Some(iter + 1)) {
@@ -218,37 +231,30 @@ impl SimulatedCluster {
 
         // Final result gather to the master (GLOBAL): after the slowest
         // slave finishes.
-        let VirtualExchange { clocks, profilers, mut comm, .. } = vx;
+        let VirtualExchange { clocks, tels, mut comm, .. } = vx;
         let end = clocks.iter().map(|c| c.now()).fold(0.0, f64::max);
-        let result_bytes = 1024usize; // fitness + mixture + profile rows
+        let result_bytes = 1024usize; // fitness + mixture + routine totals
         comm.final_gather_seconds = self.cost.gather(cells + 1, result_bytes);
 
-        // Mean per-rank profile.
-        let mut mean_prof = Profiler::new();
-        for p in &profilers {
-            mean_prof.merge(p);
-        }
-        let mut profile = mean_prof.report();
-        for row in &mut profile.rows {
-            row.seconds /= cells as f64;
-        }
-
+        let summaries: Vec<TelemetrySummary> =
+            tels.iter().enumerate().map(|(c, t)| t.summary(c as u32)).collect();
         let report = TrainReport::assemble(
             "cluster-sim",
             (grid.rows(), grid.cols()),
             pipeline.iteration(),
             end + comm.final_gather_seconds,
-            profile,
+            ProfileReport::rank_mean(&summaries),
             pipeline.engines().iter().map(|e| CellResult::of(e, &grid)).collect(),
         );
-        SimOutcome {
+        let outcome = SimOutcome {
             report,
             rank_clocks: clocks.iter().map(|c| c.now()).collect(),
             comm,
             host_seconds: host_start.elapsed().as_secs_f64(),
             ensembles: pipeline.engines_mut().iter_mut().map(|e| e.ensemble()).collect(),
             placement,
-        }
+        };
+        (outcome, summaries)
     }
 }
 
@@ -268,8 +274,7 @@ struct VirtualExchange<'a> {
     fault: Option<ReplacementSchedule>,
     async_mode: bool,
     clocks: Vec<RankClock>,
-    /// Per-rank Table IV profile on the virtual clock.
-    profilers: Vec<Profiler>,
+    /// Per-rank recorders on the virtual clock (journal + Table IV totals).
     tels: Vec<Telemetry>,
     comm: CommStats,
     /// Virtual completion time of the in-flight generation (the frame the
@@ -298,9 +303,9 @@ impl VirtualExchange<'_> {
         speed
     }
 
-    /// Charge `cell`'s compute phases of iteration `iter` — measured on the
-    /// host by the pipeline — speed-scaled to its rank clock.
-    fn charge_compute(&mut self, iter: usize, cell: usize, measured: &Profiler) {
+    /// Charge `cell`'s compute phases of iteration `iter` — the host
+    /// durations of [`Pipeline::step_phases`] — speed-scaled to its rank clock.
+    fn charge_compute(&mut self, iter: usize, cell: usize, measured: [Duration; 4]) {
         let (c, it) = (cell as u32, iter as u32);
         let speed = self.speed_of(cell);
         let tel = &mut self.tels[cell];
@@ -309,24 +314,14 @@ impl VirtualExchange<'_> {
             tel.record_at(EventKind::Rejoin, c, it, 0, vns(clock.now()));
             tel.metrics.rejoined.inc();
         }
-        let spans = [
-            (Routine::Mutate, SpanKind::Mutate),
-            (Routine::Train, SpanKind::Train),
-            (Routine::UpdateGenomes, SpanKind::Update),
-        ];
-        for (r, span) in spans {
-            let virt = measured.total(r).as_secs_f64() * speed;
-            let t0 = clock.now();
-            clock.advance(virt);
-            self.profilers[cell].record(r, Duration::from_secs_f64(virt));
-            let d = clock.now() - t0;
-            tel.record_at(span.begin_kind(), c, it, 0, vns(t0));
-            tel.record_at(span.end_kind(), c, it, vns(d), vns(clock.now()));
-            if r == Routine::Train {
-                tel.metrics.train_ns.observe(vns(d));
-            }
+        // The ingest copy (`measured[0]`) is not charged: on the cluster the
+        // gathered frame is consumed where the allgather left it.
+        let compute = [Routine::Mutate, Routine::Train, Routine::UpdateGenomes];
+        for (routine, host) in compute.into_iter().zip(&measured[1..]) {
+            let t0 = vns(clock.now());
+            clock.advance(host.as_secs_f64() * speed);
+            tel.span_at(routine, c, it, t0, vns(clock.now()) - t0);
         }
-        tel.metrics.iterations.inc();
     }
 }
 
@@ -388,21 +383,12 @@ impl Exchange for VirtualExchange<'_> {
                 (posted_at[c], iter - 1, self.pending_complete - self.prev_submit[c])
             };
             // Gather time as a rank perceives it: wait (+ transfer).
-            let d = clock.now() - before;
-            self.profilers[c].record(Routine::Gather, Duration::from_secs_f64(d));
+            let (t0, t1) = (vns(before), vns(clock.now()));
             let (cell, it) = (c as u32, iter as u32);
             let tel = &mut self.tels[c];
             tel.record_at(EventKind::ExchangeBegin, cell, it, iter as u64, vns(posted));
-            tel.record_at(EventKind::GatherBegin, cell, it, 0, vns(before));
-            tel.record_at(EventKind::GatherEnd, cell, it, vns(d), vns(clock.now()));
-            tel.record_at(
-                EventKind::ExchangeComplete,
-                cell,
-                it,
-                consumed as u64,
-                vns(clock.now()),
-            );
-            tel.metrics.gather_ns.observe(vns(d));
+            tel.span_at(Routine::Gather, cell, it, t0, t1 - t0);
+            tel.record_at(EventKind::ExchangeComplete, cell, it, consumed as u64, t1);
             tel.metrics.exchange_wall_ns.add(vns(exchange_wall));
         }
         if self.async_mode {
@@ -693,6 +679,108 @@ mod tests {
         );
         assert!(j.events.iter().any(|e| e.kind == lipiz_telemetry::EventKind::TrainEnd));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Run `cfg` traced into a fresh directory; returns the outcome, the
+    /// per-rank summaries and the per-rank journals (rank order).
+    fn traced(
+        cfg: &TrainConfig,
+        tag: &str,
+    ) -> (SimOutcome, Vec<TelemetrySummary>, Vec<lipiz_telemetry::RankJournal>) {
+        let dir = std::env::temp_dir().join(format!("lipiz_sim_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = cfg.clone().with_telemetry(dir.to_str().unwrap(), 0);
+        let sim = SimulatedCluster::cluster_uy(SimulationOptions::default());
+        let (outcome, summaries) = sim.simulate(&cfg, |_| toy_data(&cfg), None, |_, _, _| {});
+        let journals = lipiz_telemetry::read_journal_dir(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        (outcome, summaries, journals)
+    }
+
+    /// Per rank and routine, the view's totals are the journal's span pairs.
+    fn assert_view_equals_journals(
+        summaries: &[TelemetrySummary],
+        journals: &[lipiz_telemetry::RankJournal],
+    ) {
+        assert_eq!(summaries.len(), journals.len());
+        for (s, j) in summaries.iter().zip(journals) {
+            assert_eq!((s.rank, j.dropped), (j.rank, 0));
+            for r in Routine::ALL {
+                let ends = j.events.iter().filter(|e| e.kind == r.end_kind());
+                let (calls, ns) = ends.fold((0, 0), |(n, ns), e| (n + 1, ns + e.arg));
+                let begins = j.events.iter().filter(|e| e.kind == r.begin_kind()).count();
+                assert_eq!(
+                    (s.routine_calls[r as usize], s.routine_ns[r as usize], begins as u64),
+                    (calls, ns, calls),
+                    "rank {} {r:?}",
+                    s.rank
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sample_counts_match_the_sequential_driver() {
+        // One gather latency sample per rank-iteration and one train sample
+        // per cell-iteration, whichever driver runs the grid.
+        for cfg in [
+            TrainConfig::smoke(2),
+            TrainConfig::smoke(2).with_exchange(lipiz_core::ExchangeMode::Async),
+        ] {
+            let mut seq_cfg = cfg.clone();
+            seq_cfg.telemetry.enabled = true;
+            let mut seq =
+                lipiz_core::sequential::SequentialTrainer::new(&seq_cfg, |_| toy_data(&cfg));
+            seq.run();
+            let seq = seq.telemetry_summary();
+            let (_, ranks, _) = traced(&cfg, "counts");
+            let iterations = cfg.coevolution.iterations as u64;
+            assert_eq!(seq.gather_ns.count, iterations, "{:?}", cfg.exchange);
+            for rank in &ranks {
+                assert_eq!(rank.gather_ns.count, seq.gather_ns.count, "{:?}", cfg.exchange);
+            }
+            let sim_trains: u64 = ranks.iter().map(|r| r.train_ns.count).sum();
+            assert_eq!(sim_trains, seq.train_ns.count, "{:?}", cfg.exchange);
+            assert_eq!(sim_trains, cfg.cells() as u64 * iterations);
+        }
+    }
+
+    #[test]
+    fn profile_view_equals_the_virtual_journals() {
+        let cfg = TrainConfig::smoke(2);
+        let (outcome, summaries, journals) = traced(&cfg, "view");
+        assert_view_equals_journals(&summaries, &journals);
+        // The report is the per-rank mean of those totals; `calls` is one
+        // rank's count, not the grid's sum.
+        let profile = &outcome.report.profile;
+        assert_eq!(*profile, ProfileReport::rank_mean(&summaries));
+        let iterations = cfg.coevolution.iterations as u64;
+        for r in [Routine::Gather, Routine::Mutate, Routine::Train, Routine::UpdateGenomes] {
+            assert_eq!(profile.rows[r as usize].calls, iterations, "{r:?}");
+        }
+        let mean_gather_ns =
+            summaries.iter().map(|s| s.routine_ns[0]).sum::<u64>() as f64 / 4.0;
+        assert!((profile.seconds(Routine::Gather) * 1e9 - mean_gather_ns).abs() < 1.0);
+    }
+
+    #[test]
+    fn profile_and_journal_both_hold_a_replacement_catch_up() {
+        // kill:3@2 with two stale rounds, no checkpoints: cell 2's
+        // replacement retrains iterations 0..4 solo, sits out rounds 2–3
+        // and rejoins at round 4. The catch-up is charged to the victim
+        // rank's virtual clock, so it lands in the view and the journal
+        // alike: 2 live + 4 solo + 2 live train spans against 6 on a
+        // survivor, and 4 gathers (the live rounds) against 6.
+        let mut cfg = TrainConfig::smoke(2).with_fault_plan("kill:3@2", 2);
+        cfg.coevolution.iterations = 6;
+        let (_, summaries, journals) = traced(&cfg, "catchup");
+        assert_view_equals_journals(&summaries, &journals);
+        let (train, gather) = (Routine::Train as usize, Routine::Gather as usize);
+        let calls =
+            |c: usize| (summaries[c].routine_calls[train], summaries[c].routine_calls[gather]);
+        assert_eq!(calls(2), (8, 4));
+        assert_eq!(calls(0), (6, 6));
+        assert_eq!(summaries[2].rejoined, 1);
     }
 
     #[test]

@@ -64,6 +64,20 @@ pub mod test_runner {
             (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
         }
     }
+
+    /// Held across one case by `proptest!`: if the case panics, names the
+    /// property and the case on the way out. Cases are seeded by their index
+    /// ([`TestRng::for_case`]), so that line is all a replay needs.
+    #[doc(hidden)]
+    pub struct CaseGuard(pub &'static str, pub u32);
+
+    impl Drop for CaseGuard {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("property {} failed at case {}", self.0, self.1);
+            }
+        }
+    }
 }
 
 pub mod strategy {
@@ -393,6 +407,7 @@ macro_rules! __proptest_impl {
                 let __config: $crate::test_runner::ProptestConfig = $cfg;
                 for __case in 0..__config.cases {
                     let mut __rng = $crate::test_runner::TestRng::for_case(u64::from(__case));
+                    let __guard = $crate::test_runner::CaseGuard(stringify!($name), __case);
                     // The case body runs in a closure so prop_assume! can
                     // abandon the *case* (via `return`) even from inside a
                     // loop in the test body.
@@ -495,6 +510,17 @@ mod tests {
             if let Some(v) = o {
                 prop_assert!((0..3).contains(&v));
             }
+        }
+    }
+
+    proptest! {
+        // Fails first at case 1 (the draws are fixed per case); the guard
+        // names it on stderr — "property a_failing_case_is_named failed at
+        // case 1" — and the original assertion still propagates.
+        #[test]
+        #[should_panic(expected = "draw was")]
+        fn a_failing_case_is_named(n in 0u64..1000) {
+            prop_assert!(n % 4 != 0 || n == 0, "draw was {n}");
         }
     }
 

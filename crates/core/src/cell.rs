@@ -4,16 +4,17 @@
 use crate::config::{AdversaryStrategy, LossMode, TrainConfig};
 use crate::individual::{Individual, SubPopulation};
 use crate::mixture::{EnsembleModel, MixtureWeights};
-use crate::profiling::{Profiler, Routine};
+use crate::profiling::Routine;
 use crate::resume::CellState;
 use crate::snapshot::CellSnapshot;
 use lipiz_data::BatchLoader;
 use lipiz_nn::{
     gan, loss, Adam, Discriminator, GanLoss, Generator, NetworkConfig, TrainWorkspace,
 };
-use lipiz_telemetry::{SpanKind, Telemetry};
+use lipiz_telemetry::Telemetry;
 use lipiz_tensor::{Matrix, Pool, Rng64};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Optional external scorer for mixture evolution (lower is better). The
 /// drivers plug a FID-based scorer in here; without one the engine falls
@@ -356,44 +357,36 @@ impl CellEngine {
     }
 
     /// Run one full training iteration given this round's neighbor
-    /// snapshots (in neighbor-slot order). Timing lands in `profiler`
-    /// under the Table IV routine names.
-    pub fn run_iteration(&mut self, neighbors: &[CellSnapshot], profiler: &mut Profiler) {
-        self.run_iteration_with(neighbors, profiler, &mut Telemetry::disabled());
-    }
-
-    /// [`CellEngine::run_iteration`] with telemetry: each Table IV phase
-    /// runs under a telemetry span whose measured duration also feeds
-    /// `profiler`, so all drivers time the iteration through one code
-    /// path. With a disabled recorder this is exactly `run_iteration`
-    /// (the span API still measures, records nothing, allocates nothing).
-    pub fn run_iteration_with(
+    /// snapshots (in neighbor-slot order). Each Table IV phase runs under a
+    /// span of `tel` — the rank's recorder, or `Telemetry::disabled()` when
+    /// nobody reads the timing — and the measured host time of the four
+    /// phases comes back in execution order: ingest (the cell's share of
+    /// *gather*), mutate, train, update genomes.
+    pub fn run_iteration(
         &mut self,
         neighbors: &[CellSnapshot],
-        profiler: &mut Profiler,
         tel: &mut Telemetry,
-    ) {
-        let cell = self.cell_index as u32;
-        let iter = self.iteration as u32;
-        let phases: [(SpanKind, Routine); 4] = [
-            (SpanKind::Gather, Routine::Gather),
-            (SpanKind::Mutate, Routine::Mutate),
-            (SpanKind::Train, Routine::Train),
-            (SpanKind::Update, Routine::UpdateGenomes),
+    ) -> [Duration; 4] {
+        let (cell, iter) = (self.cell_index as u32, self.iteration as u32);
+        // The ingest copy is gather time but not a gather latency sample:
+        // that is the rank's blocking exchange wait alone.
+        let start = tel.begin(Routine::Gather, cell, iter).unsampled();
+        self.ingest_neighbors(neighbors);
+        let phases = [
+            tel.end(Routine::Gather, cell, iter, start),
+            self.timed(tel, Routine::Mutate, Self::mutate_phase),
+            self.timed(tel, Routine::Train, Self::train_phase),
+            self.timed(tel, Routine::UpdateGenomes, Self::update_phase),
         ];
-        for (span, routine) in phases {
-            let start = tel.begin(span, cell, iter);
-            match routine {
-                Routine::Gather => self.ingest_neighbors(neighbors),
-                Routine::Mutate => self.mutate_phase(),
-                Routine::Train => self.train_phase(),
-                Routine::UpdateGenomes => self.update_phase(),
-                Routine::Other => unreachable!(),
-            }
-            profiler.record(routine, tel.end(span, cell, iter, start));
-        }
-        tel.metrics.iterations.inc();
         self.iteration += 1;
+        phases
+    }
+
+    fn timed(&mut self, tel: &mut Telemetry, kind: Routine, phase: fn(&mut Self)) -> Duration {
+        let (cell, iter) = (self.cell_index as u32, self.iteration as u32);
+        let start = tel.begin(kind, cell, iter);
+        phase(self);
+        tel.end(kind, cell, iter, start)
     }
 
     // ---- phase 1: gather --------------------------------------------------
@@ -772,14 +765,16 @@ mod tests {
     fn iteration_advances_and_stays_finite() {
         let mut e = smoke_engine(0);
         let snaps = neighbor_snaps(&mut e, 4);
-        let mut prof = Profiler::new();
-        e.run_iteration(&snaps, &mut prof);
+        let mut tel = Telemetry::disabled();
+        let phases = e.run_iteration(&snaps, &mut tel);
         assert_eq!(e.iterations_done(), 1);
         assert!(e.gen.net.all_finite(), "generator diverged");
         assert!(e.disc.net.all_finite(), "discriminator diverged");
-        // All four phases recorded time.
-        for r in [Routine::Gather, Routine::Mutate, Routine::Train, Routine::UpdateGenomes] {
-            assert_eq!(prof.calls(r), 1, "{r:?} not recorded");
+        // All four phases recorded their time, in execution order.
+        let order = [Routine::Gather, Routine::Mutate, Routine::Train, Routine::UpdateGenomes];
+        for (r, took) in order.into_iter().zip(phases) {
+            assert_eq!(tel.metrics.routine_calls[r as usize], 1, "{r:?} not recorded");
+            assert_eq!(tel.metrics.routine_ns[r as usize], took.as_nanos() as u64, "{r:?}");
         }
     }
 
@@ -795,9 +790,8 @@ mod tests {
             // even when the test host has fewer cores than `workers`.
             let mut e = CellEngine::with_pool(0, &cfg, data, Pool::uncapped(workers));
             let snaps = neighbor_snaps(&mut e, 4);
-            let mut prof = Profiler::new();
-            e.run_iteration(&snaps, &mut prof);
-            e.run_iteration(&snaps, &mut prof);
+            e.run_iteration(&snaps, &mut Telemetry::disabled());
+            e.run_iteration(&snaps, &mut Telemetry::disabled());
             e.snapshot()
         };
         let serial = run_with(1);
@@ -811,9 +805,8 @@ mod tests {
         let run = || {
             let mut e = smoke_engine(0);
             let snaps = neighbor_snaps(&mut e, 4);
-            let mut prof = Profiler::new();
-            e.run_iteration(&snaps, &mut prof);
-            e.run_iteration(&snaps, &mut prof);
+            e.run_iteration(&snaps, &mut Telemetry::disabled());
+            e.run_iteration(&snaps, &mut Telemetry::disabled());
             e.snapshot()
         };
         let a = run();
@@ -826,8 +819,7 @@ mod tests {
         let snap_of = |off: u64| {
             let mut e = smoke_engine(off);
             let snaps = neighbor_snaps(&mut e, 4);
-            let mut prof = Profiler::new();
-            e.run_iteration(&snaps, &mut prof);
+            e.run_iteration(&snaps, &mut Telemetry::disabled());
             e.snapshot()
         };
         assert_ne!(snap_of(0).gen_genome, snap_of(1).gen_genome);
@@ -838,8 +830,7 @@ mod tests {
         let mut e = smoke_engine(0);
         let before = e.snapshot().gen_genome;
         let snaps = neighbor_snaps(&mut e, 4);
-        let mut prof = Profiler::new();
-        e.run_iteration(&snaps, &mut prof);
+        e.run_iteration(&snaps, &mut Telemetry::disabled());
         let after = e.snapshot().gen_genome;
         assert_ne!(before, after, "training was a no-op");
     }
@@ -851,15 +842,14 @@ mod tests {
         // different, trained genome.
         let mut donor = smoke_engine(7);
         let donor_snaps = neighbor_snaps(&mut donor, 4);
-        let mut prof = Profiler::new();
         for _ in 0..3 {
-            donor.run_iteration(&donor_snaps, &mut prof);
+            donor.run_iteration(&donor_snaps, &mut Telemetry::disabled());
         }
         let donor_snap = donor.snapshot();
         // Feed the donor as all four neighbors; if it evaluates better it
         // must be promoted to center.
         let snaps = vec![donor_snap.clone(); 4];
-        e.run_iteration(&snaps, &mut prof);
+        e.run_iteration(&snaps, &mut Telemetry::disabled());
         let center = e.gen_population().center();
         let donor_fit = e.gen_population().members()[1].fitness;
         assert!(
@@ -959,7 +949,6 @@ mod tests {
         // uninterrupted one's.
         let cfg = TrainConfig::smoke(2);
         let make_engine = || CellEngine::new(0, &cfg, toy_data(&cfg));
-        let mut prof = Profiler::new();
 
         // Uninterrupted reference: 4 iterations against a fixed donor snap.
         let mut donor = {
@@ -970,19 +959,19 @@ mod tests {
         let snaps = vec![donor; 4];
         let mut reference = make_engine();
         for _ in 0..4 {
-            reference.run_iteration(&snaps, &mut prof);
+            reference.run_iteration(&snaps, &mut Telemetry::disabled());
         }
 
         // Interrupted run: 2 iterations, capture, restore, 2 more.
         let mut first_half = make_engine();
-        first_half.run_iteration(&snaps, &mut prof);
-        first_half.run_iteration(&snaps, &mut prof);
+        first_half.run_iteration(&snaps, &mut Telemetry::disabled());
+        first_half.run_iteration(&snaps, &mut Telemetry::disabled());
         let state = first_half.capture_state();
         drop(first_half);
         let mut resumed = CellEngine::from_state(&cfg, toy_data(&cfg), Pool::new(1), &state);
         assert_eq!(resumed.iterations_done(), 2);
-        resumed.run_iteration(&snaps, &mut prof);
-        resumed.run_iteration(&snaps, &mut prof);
+        resumed.run_iteration(&snaps, &mut Telemetry::disabled());
+        resumed.run_iteration(&snaps, &mut Telemetry::disabled());
 
         // Snapshots (genomes, lrs, fitness) and final states must agree
         // bit-for-bit.
@@ -995,11 +984,10 @@ mod tests {
     fn capture_into_reuses_buffers_and_matches_fresh_capture() {
         let mut e = smoke_engine(0);
         let snaps = neighbor_snaps(&mut e, 4);
-        let mut prof = Profiler::new();
-        e.run_iteration(&snaps, &mut prof);
+        e.run_iteration(&snaps, &mut Telemetry::disabled());
         let mut recycled = e.capture_state();
         let genome_ptr = recycled.gen_members[0].genome.as_ptr();
-        e.run_iteration(&snaps, &mut prof);
+        e.run_iteration(&snaps, &mut Telemetry::disabled());
         e.capture_state_into(&mut recycled);
         assert_eq!(recycled, e.capture_state(), "recycled capture drifted");
         assert_eq!(
@@ -1033,8 +1021,7 @@ mod tests {
         let data = SynthDigits::generate(40, cfg.training.data_seed).images;
         let mut e = CellEngine::new(0, &cfg, data);
         let snaps: Vec<CellSnapshot> = (0..4).map(|_| e.snapshot()).collect();
-        let mut prof = Profiler::new();
-        e.run_iteration(&snaps, &mut prof);
+        e.run_iteration(&snaps, &mut Telemetry::disabled());
         assert!(e.best_gen_fitness().is_finite());
     }
 }

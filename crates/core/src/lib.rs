@@ -76,7 +76,7 @@ pub use config::{
 pub use individual::{Individual, SubPopulation};
 pub use mixture::{EnsembleModel, MixtureWeights};
 pub use pipeline::{Exchange, InMemoryExchange, Pipeline};
-pub use profiling::{ProfileReport, Profiler, Routine};
+pub use profiling::{ProfileReport, Routine};
 pub use report::{CellResult, TrainReport};
 pub use resume::CellState;
 pub use snapshot::CellSnapshot;

@@ -28,11 +28,11 @@
 
 use crate::cell::CellEngine;
 use crate::config::{ExchangeMode, TrainConfig};
-use crate::profiling::{Profiler, Routine};
+use crate::profiling::Routine;
 use crate::resume::CellState;
 use crate::snapshot::CellSnapshot;
 use crate::topology::Grid;
-use lipiz_telemetry::{EventKind, SpanKind, Telemetry, NO_CELL};
+use lipiz_telemetry::{EventKind, Telemetry, NO_CELL};
 use lipiz_tensor::{Matrix, Pool};
 use std::time::{Duration, Instant};
 
@@ -148,10 +148,11 @@ pub struct Pipeline {
     rejoin: Option<Rejoin>,
     /// Host time of each local engine's last snapshot.
     snapshot_costs: Vec<Duration>,
-    /// Each local engine's profile of the last step alone.
-    step_profiles: Vec<Profiler>,
-    /// The rank's run profile: every step profile plus the exchange span.
-    profile: Profiler,
+    /// What [`CellEngine::run_iteration`] measured for each local engine
+    /// in the last step it ran.
+    step_phases: Vec<[Duration; 4]>,
+    /// The rank's recorder — and, through its routine totals, the rank's
+    /// Table IV profile.
     telemetry: Telemetry,
     /// Cell the rank-level spans are journaled under.
     span_cell: u32,
@@ -162,7 +163,7 @@ pub struct Pipeline {
 impl Pipeline {
     /// A pipeline over this rank's local `engines` (any subset of the
     /// grid, each at the same iteration). `telemetry` is the rank's
-    /// recorder; pass a disabled one to time without journaling.
+    /// recorder; pass a disabled one to total without journaling.
     pub fn new(cfg: &TrainConfig, engines: Vec<CellEngine>, mut telemetry: Telemetry) -> Self {
         let grid = Grid::from_config(&cfg.grid);
         let neighbors = engines.iter().map(|e| grid.neighbors(e.cell_index())).collect();
@@ -182,8 +183,7 @@ impl Pipeline {
             scratch: Vec::new(),
             rejoin: None,
             snapshot_costs: vec![Duration::ZERO; engines.len()],
-            step_profiles: vec![Profiler::new(); engines.len()],
-            profile: Profiler::new(),
+            step_phases: vec![[Duration::ZERO; 4]; engines.len()],
             engines,
             telemetry,
             span_cell,
@@ -281,7 +281,7 @@ impl Pipeline {
 
         // Everything up to the consumed frame being in hand is the gather
         // routine, exactly as Table IV charges the allgather.
-        let span = self.telemetry.begin(SpanKind::Gather, self.span_cell, it);
+        let span = self.telemetry.begin(Routine::Gather, self.span_cell, it);
         // Slots of cells hosted elsewhere keep the generation they held
         // last: `complete` overwrites them in place, reusing their buffers.
         self.cur.resize_with(cells, CellSnapshot::empty);
@@ -318,8 +318,7 @@ impl Pipeline {
             it,
             consumed as u64,
         );
-        let elapsed = self.telemetry.end(SpanKind::Gather, self.span_cell, it, span);
-        self.profile.record(Routine::Gather, elapsed);
+        self.telemetry.end(Routine::Gather, self.span_cell, it, span);
 
         for (k, engine) in self.engines.iter_mut().enumerate() {
             if engine.iterations_done() > iter {
@@ -333,13 +332,7 @@ impl Pipeline {
                 };
             assert_eq!(frame.len(), cells, "exchange frame lost a generation");
             fan_out(frame, &self.neighbors[k], &mut self.scratch);
-            self.step_profiles[k] = Profiler::new();
-            engine.run_iteration_with(
-                &self.scratch,
-                &mut self.step_profiles[k],
-                &mut self.telemetry,
-            );
-            self.profile.merge(&self.step_profiles[k]);
+            self.step_phases[k] = engine.run_iteration(&self.scratch, &mut self.telemetry);
         }
 
         if self.cfg.exchange.is_async() {
@@ -378,10 +371,7 @@ impl Pipeline {
         self.telemetry.instant(EventKind::Degraded, cell, iter, cell as u64);
         self.telemetry.metrics.degraded_iters.inc();
         fan_out(&r.frozen, &self.neighbors[r.local], &mut self.scratch);
-        let profile = &mut self.step_profiles[r.local];
-        *profile = Profiler::new();
-        engine.run_iteration_with(&self.scratch, profile, &mut self.telemetry);
-        self.profile.merge(profile);
+        self.step_phases[r.local] = engine.run_iteration(&self.scratch, &mut self.telemetry);
         if engine.iterations_done() == r.round {
             self.telemetry.metrics.rejoined.inc();
             self.telemetry.instant(EventKind::Rejoin, cell, r.round as u32, 0);
@@ -420,30 +410,27 @@ impl Pipeline {
     }
 
     /// Capture local engine `k` at this iteration boundary as a checkpoint
-    /// cut carrying the frame its next iteration consumes. Charged to the
-    /// "other" routine: capture is the only checkpoint cost on the training
-    /// thread.
+    /// cut carrying the frame its next iteration consumes. An "other"
+    /// span: capture is the only checkpoint cost on the training thread.
     pub fn capture_cut(&mut self, k: usize, recycled: Option<CellState>) -> CellState {
-        let t0 = Instant::now();
-        let next_iter = self.engines[k].iterations_done();
+        let engine = &mut self.engines[k];
+        let (cell, next_iter) = (engine.cell_index() as u32, engine.iterations_done());
+        let span = self.telemetry.begin(Routine::Other, cell, next_iter as u32);
         let frame = next_frame(self.cfg.exchange, &self.rejoin, &self.prev, k, next_iter);
-        let state = capture_with_frame(&mut self.engines[k], frame, recycled);
-        self.profile.record(Routine::Other, t0.elapsed());
+        let state = capture_with_frame(engine, frame, recycled);
+        self.telemetry.end(Routine::Other, cell, next_iter as u32, span);
         state
     }
 
-    /// Local engine `k`'s profile of the last step alone (what a
-    /// virtual-time driver charges to that rank's clock).
-    pub fn step_profile(&self, k: usize) -> &Profiler {
-        &self.step_profiles[k]
+    /// Host time of local engine `k`'s phases in the last step it ran
+    /// (ingest, mutate, train, update genomes — what a virtual-time driver
+    /// scales onto that rank's clock).
+    pub fn step_phases(&self, k: usize) -> [Duration; 4] {
+        self.step_phases[k]
     }
 
-    /// The rank's accumulated run profile.
-    pub fn profile(&self) -> &Profiler {
-        &self.profile
-    }
-
-    /// The rank's telemetry recorder.
+    /// The rank's telemetry recorder; its routine totals are the rank's
+    /// Table IV profile ([`crate::ProfileReport::of`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }

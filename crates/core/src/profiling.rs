@@ -1,156 +1,68 @@
-//! Routine-level profiling (Table IV / Fig. 4 instrumentation).
+//! Routine-level profile (Table IV / Fig. 4) — a view, not a timer.
 //!
 //! The paper profiles four routines: *gather* (neighbor exchange), *train*
 //! (gradient steps), *update genomes* (fitness evaluation + replacement)
-//! and *mutate* (hyperparameter mutation). Every driver threads a
-//! [`Profiler`] through the cell engine so the same instrumentation powers
-//! the single-core and distributed columns of Table IV.
+//! and *mutate* (hyperparameter mutation). Every driver times them through
+//! its rank's [`Telemetry`](lipiz_telemetry::Telemetry) spans, which book
+//! each duration once into [`RankMetrics`]' per-routine totals (always on,
+//! with or without `--telemetry`); a [`ProfileReport`] only *reads* that
+//! ledger, so the single-core and distributed columns of Table IV, the
+//! journal and the latency histograms cannot disagree.
 
-use std::time::{Duration, Instant};
+use lipiz_telemetry::{RankMetrics, TelemetrySummary};
 
-/// The profiled routines, in the paper's Table IV order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Routine {
-    /// Neighbor-center exchange (MPI allgather in the distributed version).
-    Gather,
-    /// Adversarial gradient steps.
-    Train,
-    /// Fitness evaluation, center replacement, mixture evolution.
-    UpdateGenomes,
-    /// Hyperparameter / loss mutation.
-    Mutate,
-    /// Everything else (setup, scoring, reporting).
-    Other,
-}
-
-impl Routine {
-    /// All routines in display order.
-    pub const ALL: [Routine; 5] = [
-        Routine::Gather,
-        Routine::Train,
-        Routine::UpdateGenomes,
-        Routine::Mutate,
-        Routine::Other,
-    ];
-
-    /// Table IV row label.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Routine::Gather => "gather",
-            Routine::Train => "train",
-            Routine::UpdateGenomes => "update genomes",
-            Routine::Mutate => "mutate",
-            Routine::Other => "other",
-        }
-    }
-
-    fn index(&self) -> usize {
-        match self {
-            Routine::Gather => 0,
-            Routine::Train => 1,
-            Routine::UpdateGenomes => 2,
-            Routine::Mutate => 3,
-            Routine::Other => 4,
-        }
-    }
-}
-
-/// Accumulated wall time and call counts per routine.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Profiler {
-    acc: [Duration; 5],
-    calls: [u64; 5],
-}
-
-impl Profiler {
-    /// Fresh profiler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Time a closure under `routine`.
-    pub fn time<R>(&mut self, routine: Routine, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let out = f();
-        self.record(routine, start.elapsed());
-        out
-    }
-
-    /// Record an externally measured duration.
-    pub fn record(&mut self, routine: Routine, d: Duration) {
-        let i = routine.index();
-        self.acc[i] += d;
-        self.calls[i] += 1;
-    }
-
-    /// Total accumulated time for a routine.
-    pub fn total(&self, routine: Routine) -> Duration {
-        self.acc[routine.index()]
-    }
-
-    /// Number of recorded calls for a routine.
-    pub fn calls(&self, routine: Routine) -> u64 {
-        self.calls[routine.index()]
-    }
-
-    /// Merge another profiler into this one (summing; used when combining
-    /// per-cell profilers in the sequential driver).
-    pub fn merge(&mut self, other: &Profiler) {
-        for i in 0..5 {
-            self.acc[i] += other.acc[i];
-            self.calls[i] += other.calls[i];
-        }
-    }
-
-    /// Keep the *maximum* per routine instead of the sum — the right
-    /// combination for concurrent ranks, where wall time is dominated by
-    /// the slowest rank.
-    pub fn merge_max(&mut self, other: &Profiler) {
-        for i in 0..5 {
-            self.acc[i] = self.acc[i].max(other.acc[i]);
-            self.calls[i] = self.calls[i].max(other.calls[i]);
-        }
-    }
-
-    /// Snapshot into a serializable report.
-    pub fn report(&self) -> ProfileReport {
-        ProfileReport {
-            rows: Routine::ALL
-                .iter()
-                .map(|r| ProfileRow {
-                    routine: r.name().to_string(),
-                    seconds: self.total(*r).as_secs_f64(),
-                    calls: self.calls(*r),
-                })
-                .collect(),
-        }
-    }
-}
+/// The profiled routines, in the paper's Table IV order — the telemetry
+/// span enum itself, so a routine *is* its span kind.
+pub use lipiz_telemetry::SpanKind as Routine;
 
 /// One row of the profile report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileRow {
-    /// Routine label.
-    pub routine: String,
+    /// The routine.
+    pub routine: Routine,
     /// Accumulated seconds.
     pub seconds: f64,
-    /// Call count.
+    /// Spans closed.
     pub calls: u64,
 }
-lipiz_wire::wire_struct!(ProfileRow { routine, seconds, calls });
 
-/// Serializable profile summary (the data behind Table IV / Fig. 4).
+/// The data behind Table IV / Fig. 4: per-routine time and call counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// Rows in [`Routine::ALL`] order.
-    pub rows: Vec<ProfileRow>,
+    pub rows: [ProfileRow; 5],
 }
-lipiz_wire::wire_struct!(ProfileReport { rows });
 
 impl ProfileReport {
-    /// Seconds recorded for a routine by name; 0 if absent.
+    /// The view of one rank's routine totals.
+    pub fn of(metrics: &RankMetrics) -> Self {
+        Self::view(&metrics.routine_ns, &metrics.routine_calls, 1)
+    }
+
+    /// The per-rank mean of several ranks' totals — ranks run concurrently,
+    /// so the mean (not the sum) is what Table IV's distributed column
+    /// reports. `calls` is the mean per-rank count, rounded to nearest.
+    pub fn rank_mean<'a>(ranks: impl IntoIterator<Item = &'a TelemetrySummary>) -> Self {
+        let (mut sum, mut n) = (TelemetrySummary::empty(), 0);
+        for rank in ranks {
+            sum.merge(rank);
+            n += 1;
+        }
+        Self::view(&sum.routine_ns, &sum.routine_calls, n.max(1))
+    }
+
+    fn view(ns: &[u64; 5], calls: &[u64; 5], ranks: u64) -> Self {
+        let rows = Routine::ALL.map(|routine| ProfileRow {
+            routine,
+            seconds: ns[routine as usize] as f64 / 1e9 / ranks as f64,
+            calls: (calls[routine as usize] + ranks / 2) / ranks,
+        });
+        Self { rows }
+    }
+
+    /// Seconds recorded for a routine.
     pub fn seconds(&self, routine: Routine) -> f64 {
-        self.rows.iter().find(|r| r.routine == routine.name()).map_or(0.0, |r| r.seconds)
+        self.rows[routine as usize].seconds
     }
 
     /// Sum of all routine times.
@@ -162,52 +74,46 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_accumulates_and_counts() {
-        let mut p = Profiler::new();
-        let v = p.time(Routine::Train, || {
-            std::thread::sleep(Duration::from_millis(5));
-            42
-        });
-        assert_eq!(v, 42);
-        assert!(p.total(Routine::Train) >= Duration::from_millis(4));
-        assert_eq!(p.calls(Routine::Train), 1);
-        assert_eq!(p.calls(Routine::Gather), 0);
-    }
-
-    #[test]
-    fn record_and_merge_sum() {
-        let mut a = Profiler::new();
-        a.record(Routine::Gather, Duration::from_millis(10));
-        let mut b = Profiler::new();
-        b.record(Routine::Gather, Duration::from_millis(5));
-        b.record(Routine::Mutate, Duration::from_millis(1));
-        a.merge(&b);
-        assert_eq!(a.total(Routine::Gather), Duration::from_millis(15));
-        assert_eq!(a.total(Routine::Mutate), Duration::from_millis(1));
-        assert_eq!(a.calls(Routine::Gather), 2);
-    }
-
-    #[test]
-    fn merge_max_keeps_slowest() {
-        let mut a = Profiler::new();
-        a.record(Routine::Train, Duration::from_millis(30));
-        let mut b = Profiler::new();
-        b.record(Routine::Train, Duration::from_millis(50));
-        a.merge_max(&b);
-        assert_eq!(a.total(Routine::Train), Duration::from_millis(50));
-    }
+    use lipiz_telemetry::Telemetry;
 
     #[test]
     fn report_round_trip() {
-        let mut p = Profiler::new();
-        p.record(Routine::UpdateGenomes, Duration::from_millis(20));
-        let report = p.report();
-        assert!((report.seconds(Routine::UpdateGenomes) - 0.02).abs() < 1e-6);
+        let mut tel = Telemetry::disabled();
+        tel.span_at(Routine::UpdateGenomes, 0, 0, 0, 20_000_000);
+        let report = ProfileReport::of(&tel.metrics);
+        assert!((report.seconds(Routine::UpdateGenomes) - 0.02).abs() < 1e-12);
         assert_eq!(report.seconds(Routine::Train), 0.0);
-        assert!((report.total_seconds() - 0.02).abs() < 1e-6);
-        assert_eq!(report.rows.len(), 5);
+        assert!((report.total_seconds() - 0.02).abs() < 1e-12);
+        assert_eq!(report.rows[Routine::UpdateGenomes as usize].calls, 1);
+        for (row, routine) in report.rows.iter().zip(Routine::ALL) {
+            assert_eq!(row.routine, routine, "rows are indexed by routine");
+        }
+    }
+
+    #[test]
+    fn profile_rank_mean_is_per_rank_in_seconds_and_calls() {
+        // Two ranks, three train spans each: the mean is one rank's worth —
+        // neither the sum nor the max of the ranks.
+        let rank = |train_ns: u64| {
+            let mut tel = Telemetry::disabled();
+            for i in 0..3 {
+                tel.span_at(Routine::Train, 0, i, 0, train_ns);
+            }
+            tel.summary(0)
+        };
+        let ranks = [rank(2_000_000_000), rank(4_000_000_000)];
+        let mean = ProfileReport::rank_mean(&ranks);
+        assert!((mean.seconds(Routine::Train) - 9.0).abs() < 1e-9);
+        assert_eq!(mean.rows[Routine::Train as usize].calls, 3);
+        assert_eq!(mean.seconds(Routine::Gather), 0.0);
+        // A mean of one is that rank's own view.
+        let mut tel = Telemetry::disabled();
+        tel.span_at(Routine::Gather, 0, 0, 5, 7);
+        assert_eq!(
+            ProfileReport::rank_mean([&tel.summary(0)]),
+            ProfileReport::of(&tel.metrics)
+        );
+        assert_eq!(ProfileReport::rank_mean([]).total_seconds(), 0.0);
     }
 
     #[test]

@@ -97,7 +97,6 @@ impl TrainReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiling::Profiler;
 
     fn dummy_report(wall: f64) -> TrainReport {
         TrainReport {
@@ -105,7 +104,7 @@ mod tests {
             grid: (2, 2),
             iterations: 3,
             wall_seconds: wall,
-            profile: Profiler::new().report(),
+            profile: ProfileReport::of(&Default::default()),
             cells: vec![
                 CellResult {
                     cell: 0,

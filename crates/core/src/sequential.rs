@@ -12,6 +12,7 @@ use crate::cell::{CellEngine, MixtureScorer};
 use crate::config::TrainConfig;
 use crate::mixture::EnsembleModel;
 use crate::pipeline::{InMemoryExchange, Pipeline};
+use crate::profiling::ProfileReport;
 use crate::report::{CellResult, TrainReport};
 use crate::resume::CellState;
 use crate::snapshot::CellSnapshot;
@@ -138,7 +139,7 @@ impl SequentialTrainer {
             (self.grid.rows(), self.grid.cols()),
             self.iterations_done(),
             start.elapsed().as_secs_f64(),
-            self.pipeline.profile().report(),
+            ProfileReport::of(&self.pipeline.telemetry().metrics),
             cells,
         )
     }
@@ -292,11 +293,51 @@ mod tests {
         assert_eq!(plain.ensembles(), observed.ensembles(), "telemetry changed training");
         let s = observed.telemetry_summary();
         assert_eq!(s.iterations, 2);
-        // 2 iterations × (1 allgather + 4 per-cell ingests) gather spans.
-        assert_eq!(s.gather_ns.count, 10);
+        // One blocking exchange wait per rank-iteration (the 8 per-cell
+        // ingest copies are gather *time*, not latency samples) and one
+        // train sample per cell-iteration.
+        assert_eq!(s.gather_ns.count, 2);
         assert_eq!(s.train_ns.count, 8);
         assert_eq!(s.dropped_events, 0);
-        assert!(plain.telemetry_summary().gather_ns.is_empty());
+        // Telemetry off: no histograms, but the Table IV totals are there.
+        let off = plain.telemetry_summary();
+        assert!(off.gather_ns.is_empty() && off.train_ns.is_empty());
+        assert_eq!(off.routine_calls, s.routine_calls);
+    }
+
+    #[test]
+    fn profile_view_equals_the_journal() {
+        // The report is a view of the same spans the journal holds: per
+        // routine, its seconds are the sum of the `*_end` durations and its
+        // calls the number of begin/end pairs — capture's "other" spans and
+        // the per-cell ingest copies inside "gather" included.
+        let mut cfg = TrainConfig::smoke(2);
+        cfg.telemetry.enabled = true;
+        let mut t = SequentialTrainer::new(&cfg, |_| toy_data(&cfg));
+        let report = t.run();
+        t.capture_states();
+        let report_after_capture = ProfileReport::of(&t.pipeline.telemetry().metrics);
+        assert_eq!(report.profile.seconds(Routine::Other), 0.0);
+
+        let tel = t.pipeline.telemetry();
+        assert_eq!(tel.dropped(), 0);
+        for r in Routine::ALL {
+            let begins = tel.events().filter(|e| e.kind == r.begin_kind()).count() as u64;
+            let ends: Vec<u64> =
+                tel.events().filter(|e| e.kind == r.end_kind()).map(|e| e.arg).collect();
+            let row = report_after_capture.rows[r as usize];
+            assert_eq!((row.calls, begins), (ends.len() as u64, ends.len() as u64), "{r:?}");
+            let journal_ns = ends.iter().sum::<u64>() as f64;
+            assert!(
+                (row.seconds * 1e9 - journal_ns).abs() <= ends.len() as f64,
+                "{r:?}: view {} ns vs journal {journal_ns} ns",
+                row.seconds * 1e9
+            );
+        }
+        // 2 iterations × (1 exchange wait + 4 ingests); 4 captures.
+        assert_eq!(report_after_capture.rows[Routine::Gather as usize].calls, 10);
+        assert_eq!(report_after_capture.rows[Routine::Other as usize].calls, 4);
+        assert!(report.profile.seconds(Routine::Gather) > 0.0);
     }
 
     #[test]

@@ -48,8 +48,10 @@ const MAGIC: u32 = 0x4C50_5A54;
 /// gained the checkpoint fields and RunTask the resume marker. v3: the
 /// Welcome carries the rejoin marker and the config the failure-semantics
 /// block. v4: telemetry summaries carry their histogram buckets as a fixed
-/// array, without the length prefix.
-const VERSION: u32 = 4;
+/// array, without the length prefix. v5: a slave's result ships one
+/// aggregate — the telemetry summary, now with the routine totals — in
+/// place of a profile report plus an optional summary.
+const VERSION: u32 = 5;
 /// Deadline for every handshake read (a stuck bootstrap fails loudly
 /// instead of hanging the suite).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);

@@ -538,11 +538,10 @@ mod tests {
 
     fn captured(cfg: &TrainConfig, cell: usize, iters: usize) -> CellState {
         let mut engine = CellEngine::new(cell, cfg, toy_data(cfg));
-        let mut prof = lipiz_core::Profiler::new();
         let snaps: Vec<_> =
             (0..cfg.subpopulation_size() - 1).map(|_| engine.snapshot()).collect();
         for _ in 0..iters {
-            engine.run_iteration(&snaps, &mut prof);
+            engine.run_iteration(&snaps, &mut lipiz_telemetry::Telemetry::disabled());
         }
         engine.capture_state()
     }

@@ -967,9 +967,8 @@ mod tests {
                     disc_fitness: 0.0,
                     mixture: vec![1.0],
                     ensemble: vec![vec![0.5; 3]],
-                    profile: lipiz_core::ProfileReport { rows: vec![] },
                     wall_seconds: 0.0,
-                    telemetry: None,
+                    telemetry: lipiz_telemetry::TelemetrySummary::empty(),
                 }));
                 None
             }

@@ -301,9 +301,8 @@ mod tests {
         use crate::master::run_master;
         use crate::protocol::SlaveResult;
         use crate::slave::run_slave;
-        use lipiz_core::{
-            CellEngine, CellSnapshot, Grid, ProfileReport, Profiler, TrainConfig,
-        };
+        use lipiz_core::{CellEngine, CellSnapshot, Grid, TrainConfig};
+        use lipiz_telemetry::Telemetry;
 
         let mut cfg = TrainConfig::smoke(2);
         cfg.grid.rows = 1;
@@ -335,7 +334,7 @@ mod tests {
             let slave_cfg = task.config;
             let grid = Grid::from_config(&slave_cfg.grid);
             let mut engine = CellEngine::new(task.cell_index, &slave_cfg, toy_data(&slave_cfg));
-            let mut profiler = Profiler::new();
+            let mut tel = Telemetry::disabled();
             for _ in 0..slave_cfg.coevolution.iterations {
                 std::thread::sleep(Duration::from_millis(60));
                 let snapshot = engine.snapshot();
@@ -345,7 +344,7 @@ mod tests {
                     .into_iter()
                     .map(|n| all[n].clone())
                     .collect();
-                engine.run_iteration(&neighbors, &mut profiler);
+                engine.run_iteration(&neighbors, &mut tel);
             }
             let ensemble = engine.ensemble();
             let disc_pop = engine.disc_population();
@@ -355,9 +354,8 @@ mod tests {
                 disc_fitness: disc_pop.members()[disc_pop.best_index()].fitness,
                 mixture: ensemble.weights.weights().to_vec(),
                 ensemble: ensemble.genomes,
-                profile: ProfileReport { rows: Vec::new() },
                 wall_seconds: 0.0,
-                telemetry: None,
+                telemetry: tel.summary(task.cell_index as u32),
             }));
             None
         });

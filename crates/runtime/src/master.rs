@@ -10,12 +10,11 @@ use crate::comm_manager::CommManager;
 use crate::driver::DistributedOptions;
 use crate::heartbeat::{run_heartbeat_loop_with_deadline, HeartbeatLog, NO_DEAD_SLAVE};
 use crate::protocol::{NodeAnnouncement, RunTask, SlaveResult};
-use lipiz_core::profiling::{ProfileReport, ProfileRow};
 use lipiz_core::{
-    CellResult, EnsembleModel, Grid, MixtureWeights, Routine, TrainConfig, TrainReport,
+    CellResult, EnsembleModel, Grid, MixtureWeights, ProfileReport, TrainConfig, TrainReport,
 };
 use lipiz_mpi::scheduled_replacement;
-use lipiz_telemetry::{EventKind, SharedTelemetry, Telemetry, TelemetrySummary, NO_CELL};
+use lipiz_telemetry::{EventKind, SharedTelemetry, Telemetry, TelemetrySummary};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -388,11 +387,8 @@ fn merge_telemetry(
     }
     let mut merged = TelemetrySummary::empty();
     for r in slave_results {
-        if let Some(summary) = &r.telemetry {
-            merged.merge(summary);
-        }
+        merged.merge(&r.telemetry);
     }
-    merged.cell = NO_CELL;
     merged.replaced_ranks += u64::from(replaced);
     Some(merged)
 }
@@ -415,60 +411,36 @@ pub fn reduce_results(
             mixture_weights: r.mixture.clone(),
         })
         .collect();
-    // Distributed profile: the mean across slaves (they run concurrently, so
-    // a per-rank view — not the sum — is what Table IV's distributed column
-    // reports).
+    // Distributed profile: the per-rank mean of the totals each slave
+    // shipped in its one aggregate.
     TrainReport::assemble(
         "distributed",
         (cfg.grid.rows, cfg.grid.cols),
         cfg.coevolution.iterations,
         wall_seconds,
-        mean_profile(slave_results),
+        ProfileReport::rank_mean(slave_results.iter().map(|r| &r.telemetry)),
         cells,
     )
-}
-
-/// Average the slaves' per-routine profiles.
-pub fn mean_profile(slave_results: &[SlaveResult]) -> ProfileReport {
-    let n = slave_results.len().max(1) as f64;
-    let rows = Routine::ALL
-        .iter()
-        .map(|r| {
-            let (mut secs, mut calls) = (0.0f64, 0u64);
-            for s in slave_results {
-                for row in &s.profile.rows {
-                    if row.routine == r.name() {
-                        secs += row.seconds;
-                        calls = calls.max(row.calls);
-                    }
-                }
-            }
-            ProfileRow { routine: r.name().to_string(), seconds: secs / n, calls }
-        })
-        .collect();
-    ProfileReport { rows }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lipiz_core::Routine;
 
     fn result(cell: usize, fit: f64, train_secs: f64) -> SlaveResult {
+        let mut tel = Telemetry::disabled();
+        for iter in 0..4 {
+            tel.span_at(Routine::Train, cell as u32, iter, 0, (train_secs * 0.25e9) as u64);
+        }
         SlaveResult {
             cell,
             gen_fitness: fit,
             disc_fitness: 0.5,
             mixture: vec![1.0],
             ensemble: vec![vec![0.0; 4]],
-            profile: ProfileReport {
-                rows: vec![ProfileRow {
-                    routine: "train".into(),
-                    seconds: train_secs,
-                    calls: 4,
-                }],
-            },
             wall_seconds: 1.0,
-            telemetry: None,
+            telemetry: tel.summary(cell as u32),
         }
     }
 
@@ -491,11 +463,16 @@ mod tests {
     }
 
     #[test]
-    fn mean_profile_averages_across_slaves() {
+    fn reduced_profile_is_the_per_rank_mean_and_telemetry_stays_off() {
+        let cfg = lipiz_core::TrainConfig::smoke(2);
         let results = vec![result(0, 0.0, 2.0), result(1, 0.0, 4.0)];
-        let profile = mean_profile(&results);
+        let profile = reduce_results(&cfg, &results, 1.0).profile;
         assert!((profile.seconds(Routine::Train) - 3.0).abs() < 1e-9);
+        assert_eq!(profile.rows[Routine::Train as usize].calls, 4, "per rank, not summed");
         assert_eq!(profile.seconds(Routine::Gather), 0.0);
+        // The totals always ride the result; the merged summary is still
+        // only produced when telemetry is on.
+        assert_eq!(merge_telemetry(&cfg, &results, false), None);
     }
 
     #[test]

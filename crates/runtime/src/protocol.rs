@@ -5,11 +5,11 @@
 //! [`NodeAnnouncement`] and a [`RunTask`] at start-up, [`StatusReport`]
 //! heartbeats, a [`CacheResponse`] when a replacement rank bootstraps from
 //! the frozen death-frame, and the final [`SlaveResult`]. What they carry —
-//! [`TrainConfig`], [`ProfileReport`], [`TelemetrySummary`], snapshots —
-//! travels as the real type: each declares its own [`Wire`] encoding where
+//! [`TrainConfig`], [`TelemetrySummary`], snapshots — travels as the real
+//! type: each declares its own [`Wire`] encoding where
 //! it is defined, so this module defines no copies of them.
 
-use lipiz_core::{CellSnapshot, ProfileReport, TrainConfig};
+use lipiz_core::{CellSnapshot, TrainConfig};
 use lipiz_mpi::wire::{Wire, WireError};
 use lipiz_mpi::{wire_struct, Payload};
 use lipiz_telemetry::TelemetrySummary;
@@ -127,12 +127,12 @@ pub struct SlaveResult {
     /// ensemble without re-deriving it locally (on a real multi-machine
     /// run the master has nothing else to derive it from).
     pub ensemble: Vec<Vec<f32>>,
-    /// Per-routine profile (Table IV rows).
-    pub profile: ProfileReport,
     /// Wall seconds this slave spent in the training loop.
     pub wall_seconds: f64,
-    /// Final telemetry summary (`None` when telemetry is off).
-    pub telemetry: Option<TelemetrySummary>,
+    /// The rank's one final aggregate. Its routine totals — the slave's
+    /// Table IV rows, `ProfileReport::rank_mean` is the view — are always
+    /// populated; the histograms only when telemetry is on.
+    pub telemetry: TelemetrySummary,
 }
 wire_struct!(SlaveResult {
     cell,
@@ -140,7 +140,6 @@ wire_struct!(SlaveResult {
     disc_fitness,
     mixture,
     ensemble,
-    profile,
     wall_seconds,
     telemetry,
 });
@@ -148,7 +147,6 @@ wire_struct!(SlaveResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lipiz_core::profiling::ProfileRow;
     use lipiz_nn::GanLoss;
 
     #[test]
@@ -207,16 +205,13 @@ mod tests {
         }
     }
 
-    fn result_with(telemetry: Option<TelemetrySummary>) -> SlaveResult {
+    fn result_with(telemetry: TelemetrySummary) -> SlaveResult {
         SlaveResult {
             cell: 2,
             gen_fitness: 0.5,
             disc_fitness: 0.75,
             mixture: vec![0.2, 0.8],
             ensemble: vec![vec![1.0, -2.0, 3.0], vec![0.5; 4]],
-            profile: ProfileReport {
-                rows: vec![ProfileRow { routine: "train".into(), seconds: 1.5, calls: 10 }],
-            },
             wall_seconds: 2.25,
             telemetry,
         }
@@ -224,11 +219,9 @@ mod tests {
 
     #[test]
     fn slave_result_round_trips() {
-        let r = result_with(None);
+        let r = result_with(TelemetrySummary::empty());
         let back = SlaveResult::from_bytes(&r.to_bytes()).unwrap();
         assert_eq!(back, r);
-        assert_eq!(back.profile.rows.len(), 1);
-        assert_eq!(back.profile.rows[0].routine, "train");
     }
 
     #[test]
@@ -245,6 +238,8 @@ mod tests {
         s.rank = 3;
         s.cell = 2;
         s.iterations = 6;
+        s.routine_ns = [901_500, 4_000_000, 7, 0, u64::MAX];
+        s.routine_calls = [2, 1, 1, 0, 3];
         s.gather_ns.observe(1_500);
         s.gather_ns.observe(900_000);
         s.train_ns.observe(4_000_000);
@@ -256,11 +251,14 @@ mod tests {
         s.dropped_events = 9;
         let wire = s.to_bytes();
         assert_eq!(TelemetrySummary::from_bytes(&wire).unwrap(), s);
-        // A malformed report is a decode error, never a panic in the master.
-        assert!(TelemetrySummary::from_bytes(&wire[..wire.len() - 1]).is_err());
+        // A malformed report is a decode error, never a panic in the master:
+        // every truncation is refused.
+        for cut in 0..wire.len() {
+            assert!(TelemetrySummary::from_bytes(&wire[..cut]).is_err(), "cut at {cut}");
+        }
 
         // A result carrying a summary round-trips too.
-        let r = result_with(Some(s));
+        let r = result_with(s);
         assert_eq!(SlaveResult::from_bytes(&r.to_bytes()).unwrap(), r);
     }
 

@@ -289,8 +289,7 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                 done.store(true, Ordering::Release);
                 let tel = pipeline.telemetry();
                 flush_journal(tel);
-                let telemetry = tel.is_enabled().then(|| tel.summary(cell_u32));
-                let profile = pipeline.profile().report();
+                let telemetry = tel.summary(cell_u32);
                 let engine = &mut pipeline.engines_mut()[0];
                 let row = CellResult::of(engine, &Grid::from_config(&exec_cfg.grid));
                 SlaveResult {
@@ -299,7 +298,6 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                     disc_fitness: row.disc_fitness,
                     mixture: row.mixture_weights,
                     ensemble: engine.ensemble().genomes,
-                    profile,
                     wall_seconds: start.elapsed().as_secs_f64(),
                     telemetry,
                 }

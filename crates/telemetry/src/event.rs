@@ -114,54 +114,61 @@ impl EventKind {
     /// For a span-begin kind, the name of the span it opens (the Table IV
     /// routine name); `None` for end markers and instants.
     pub fn span_open(self) -> Option<&'static str> {
-        match self {
-            EventKind::GatherBegin => Some("gather"),
-            EventKind::MutateBegin => Some("mutate"),
-            EventKind::TrainBegin => Some("train"),
-            EventKind::UpdateBegin => Some("update genomes"),
-            EventKind::OtherBegin => Some("other"),
-            _ => None,
-        }
+        SpanKind::ALL.into_iter().find(|s| s.begin_kind() == self).map(SpanKind::name)
     }
 
     /// For a span-end kind, the name of the span it closes.
     pub fn span_close(self) -> Option<&'static str> {
-        match self {
-            EventKind::GatherEnd => Some("gather"),
-            EventKind::MutateEnd => Some("mutate"),
-            EventKind::TrainEnd => Some("train"),
-            EventKind::UpdateEnd => Some("update genomes"),
-            EventKind::OtherEnd => Some("other"),
-            _ => None,
-        }
+        SpanKind::ALL.into_iter().find(|s| s.end_kind() == self).map(SpanKind::name)
     }
 }
 
-/// The five Table IV span kinds, mirroring `lipiz_core::Routine` (this
-/// crate sits below core in the dependency graph, so it defines its own
-/// copy; core maps between the two).
+/// The five profiled routines, in the paper's Table IV order — the one
+/// routine enum of the workspace (`lipiz_core::Routine` is this type). The
+/// discriminant indexes [`crate::RankMetrics::routine_ns`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
-    /// Neighbor gather / snapshot refresh.
+    /// Neighbor-center exchange (MPI allgather in the distributed
+    /// version) plus each cell's ingest of the gathered frame.
     Gather,
-    /// Hyperparameter mutation.
-    Mutate,
-    /// Mini-batch adversarial training.
+    /// Adversarial gradient steps.
     Train,
-    /// Genome re-evaluation and replacement.
-    Update,
+    /// Fitness evaluation, center replacement, mixture evolution.
+    UpdateGenomes,
+    /// Hyperparameter / loss mutation.
+    Mutate,
     /// Everything else (checkpoint capture, bookkeeping).
     Other,
 }
 
 impl SpanKind {
+    /// All routines in display order.
+    pub const ALL: [SpanKind; 5] = [
+        SpanKind::Gather,
+        SpanKind::Train,
+        SpanKind::UpdateGenomes,
+        SpanKind::Mutate,
+        SpanKind::Other,
+    ];
+
+    /// Table IV row label (also the span name in an exported trace).
+    pub fn name(self) -> &'static str {
+        match self {
+            SpanKind::Gather => "gather",
+            SpanKind::Train => "train",
+            SpanKind::UpdateGenomes => "update genomes",
+            SpanKind::Mutate => "mutate",
+            SpanKind::Other => "other",
+        }
+    }
+
     /// The event kind that opens this span.
     pub fn begin_kind(self) -> EventKind {
         match self {
             SpanKind::Gather => EventKind::GatherBegin,
             SpanKind::Mutate => EventKind::MutateBegin,
             SpanKind::Train => EventKind::TrainBegin,
-            SpanKind::Update => EventKind::UpdateBegin,
+            SpanKind::UpdateGenomes => EventKind::UpdateBegin,
             SpanKind::Other => EventKind::OtherBegin,
         }
     }
@@ -172,7 +179,7 @@ impl SpanKind {
             SpanKind::Gather => EventKind::GatherEnd,
             SpanKind::Mutate => EventKind::MutateEnd,
             SpanKind::Train => EventKind::TrainEnd,
-            SpanKind::Update => EventKind::UpdateEnd,
+            SpanKind::UpdateGenomes => EventKind::UpdateEnd,
             SpanKind::Other => EventKind::OtherEnd,
         }
     }
@@ -224,13 +231,7 @@ mod tests {
 
     #[test]
     fn span_kinds_pair_up() {
-        for s in [
-            SpanKind::Gather,
-            SpanKind::Mutate,
-            SpanKind::Train,
-            SpanKind::Update,
-            SpanKind::Other,
-        ] {
+        for s in SpanKind::ALL {
             let open = s.begin_kind().span_open().expect("begin opens");
             let close = s.end_kind().span_close().expect("end closes");
             assert_eq!(open, close);

@@ -1,11 +1,13 @@
 //! Run telemetry for the lipizzaner drivers.
 //!
-//! Training already *times* itself (the 5-routine `Profiler` in
-//! `lipiz-core` accumulates Table IV totals), but totals cannot explain
-//! *when* things happened: async-exchange overlap, degraded gathers,
-//! in-flight rank replacement, and checkpoint commits are invisible at
-//! runtime. This crate is the observability substrate every driver
-//! threads through:
+//! This crate is the run's one stopwatch. Every routine duration in the
+//! tree is measured by a [`Telemetry`] span and booked once, into
+//! [`RankMetrics`]' per-routine totals — the ledger the Table IV report
+//! (`lipiz_core::ProfileReport`) is a view of, always on. Totals cannot
+//! explain *when* things happened (async-exchange overlap, degraded
+//! gathers, in-flight rank replacement, checkpoint commits), so the same
+//! spans also feed, when telemetry is enabled, the journal and the latency
+//! histograms. The pieces every driver threads through:
 //!
 //! * [`Event`] / [`EventRing`] — a fixed-capacity, allocation-free
 //!   per-rank event journal. Each event is a fixed-size record stamped
@@ -13,16 +15,16 @@
 //!   full the oldest record is overwritten and a drop counter ticks —
 //!   the ring never resizes, so hot-path recording preserves the
 //!   workspace's steady-state zero-allocation guarantee.
-//! * [`metrics`] — a small metrics registry: [`metrics::Counter`],
-//!   [`metrics::Gauge`], and fixed-bucket log2 [`metrics::LogHistogram`]s
-//!   for per-iteration gather/train latency (p50/p99 without storing
-//!   samples).
+//! * [`metrics`] — a small metrics registry: the per-routine totals,
+//!   [`metrics::Counter`], [`metrics::Gauge`], and fixed-bucket log2
+//!   [`metrics::LogHistogram`]s for per-iteration gather/train latency
+//!   (p50/p99 without storing samples).
 //! * [`Telemetry`] — the per-rank recorder combining both, with a span
-//!   API ([`Telemetry::begin`] / [`Telemetry::end`]) that measures a
-//!   Table IV routine *and* journals its begin/end, so ad-hoc
-//!   `Instant::now()` timing collapses onto one code path. A disabled
-//!   recorder still measures (the `Profiler` needs durations either way)
-//!   but records nothing — telemetry off is free.
+//!   API ([`Telemetry::begin`] / [`Telemetry::end`], and
+//!   [`Telemetry::span_at`] on the simulator's virtual clock) that
+//!   measures a Table IV routine ([`SpanKind`]), books it *and* journals
+//!   its begin/end in one call. A disabled recorder still measures and
+//!   totals but journals nothing — telemetry off costs two adds a span.
 //! * [`TelemetrySummary`] — the compact mergeable aggregate slaves ship
 //!   to the master at commit boundaries (and with the final result), so
 //!   the master can print a live status line and persist a merged run

@@ -128,12 +128,17 @@ impl LogHistogram {
 /// The concrete per-rank registry every driver records into.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RankMetrics {
-    /// Per-iteration blocking gather latency (ns).
+    /// Accumulated nanoseconds per Table IV routine, indexed by
+    /// `SpanKind as usize` — the ledger Table IV is a view of, fed by every
+    /// closed span whether or not the recorder journals.
+    pub routine_ns: [u64; 5],
+    /// Spans closed per routine (same indexing; train spans = iterations).
+    pub routine_calls: [u64; 5],
+    /// Blocking exchange wait per rank-iteration (ns); the per-cell ingest
+    /// copy counts into `routine_ns` only. Journaling recorders only.
     pub gather_ns: LogHistogram,
-    /// Per-iteration train-phase latency (ns).
+    /// Per-cell-iteration train latency (ns). Journaling recorders only.
     pub train_ns: LogHistogram,
-    /// Iterations completed.
-    pub iterations: Counter,
     /// Checkpoint cuts committed.
     pub checkpoints: Counter,
     /// Iterations that gathered against a frozen death-frame.

@@ -8,13 +8,22 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Token returned by [`Telemetry::begin`]; carries the span's start time
-/// so [`Telemetry::end`] can both journal the span and hand the duration
-/// to the `Profiler`.
+/// Token returned by [`Telemetry::begin`]: the span's start on the
+/// recorder's clock, so [`Telemetry::end`] can measure, book and journal it.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanStart {
-    at: Instant,
     t_ns: u64,
+    sampled: bool,
+}
+
+impl SpanStart {
+    /// Mark the span as one part of a routine's time but not a latency
+    /// sample of its own — a cell's ingest of the gathered frame: still
+    /// booked and journaled, kept out of the histograms, so `gather_ns`
+    /// holds exactly the blocking exchange waits.
+    pub fn unsampled(self) -> Self {
+        Self { sampled: false, ..self }
+    }
 }
 
 /// One rank's telemetry state. Exactly one per rank, owned by the
@@ -22,9 +31,10 @@ pub struct SpanStart {
 /// stores, no locks, no allocation.
 ///
 /// A *disabled* recorder (the default when `--telemetry` is off) still
-/// measures spans — the Table IV `Profiler` needs the durations either
-/// way, which is what lets the drivers route all their timing through
-/// this one API — but journals nothing and keeps no metrics.
+/// measures spans and books them into the per-routine totals — Table IV
+/// is printed with telemetry off too, which is what lets the drivers
+/// route all their timing through this one API — but journals nothing and
+/// keeps no latency histograms.
 #[derive(Debug)]
 pub struct Telemetry {
     rank: u32,
@@ -35,8 +45,8 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// A recorder that measures but records nothing. Free: no ring is
-    /// allocated and every record call is a no-op branch.
+    /// A recorder that measures and totals but journals nothing. Free: no
+    /// ring is allocated and every record call is a no-op branch.
     pub fn disabled() -> Self {
         Self { rank: 0, origin: Instant::now(), ring: None, metrics: RankMetrics::default() }
     }
@@ -83,30 +93,42 @@ impl Telemetry {
         if self.ring.is_some() {
             self.push(Event { t_ns, kind: kind.begin_kind(), cell, iter, arg: 0 });
         }
-        SpanStart { at: Instant::now(), t_ns }
+        SpanStart { t_ns, sampled: true }
     }
 
-    /// Close a span opened by [`Telemetry::begin`], journal it, feed the
-    /// gather/train latency histograms, and return the measured duration
-    /// for the caller's `Profiler`.
+    /// Close a span opened by [`Telemetry::begin`]: book it into the
+    /// routine totals, journal it, feed the gather/train latency
+    /// histograms, and return the measured duration.
     pub fn end(&mut self, kind: SpanKind, cell: u32, iter: u32, start: SpanStart) -> Duration {
-        let elapsed = start.at.elapsed();
+        let ns = self.now_ns().saturating_sub(start.t_ns);
+        let end = Event { t_ns: start.t_ns + ns, kind: kind.end_kind(), cell, iter, arg: ns };
+        self.close(kind, start.sampled, end);
+        Duration::from_nanos(ns)
+    }
+
+    /// A whole span at explicit timestamps — the cluster simulator's entry
+    /// point, which stamps virtual nanoseconds so the view, the histograms
+    /// and the exported timeline all live on the simulated clock.
+    pub fn span_at(&mut self, kind: SpanKind, cell: u32, iter: u32, t0_ns: u64, dur_ns: u64) {
+        self.record_at(kind.begin_kind(), cell, iter, 0, t0_ns);
+        let end =
+            Event { t_ns: t0_ns + dur_ns, kind: kind.end_kind(), cell, iter, arg: dur_ns };
+        self.close(kind, true, end);
+    }
+
+    /// The one feed: every span reaches the totals, the journal and the
+    /// histograms through here, as its end record (`arg` = duration).
+    fn close(&mut self, kind: SpanKind, sampled: bool, end: Event) {
+        self.metrics.routine_ns[kind as usize] += end.arg;
+        self.metrics.routine_calls[kind as usize] += 1;
         if self.ring.is_some() {
-            let ns = elapsed.as_nanos() as u64;
-            self.push(Event {
-                t_ns: start.t_ns + ns,
-                kind: kind.end_kind(),
-                cell,
-                iter,
-                arg: ns,
-            });
+            self.push(end);
             match kind {
-                SpanKind::Gather => self.metrics.gather_ns.observe(ns),
-                SpanKind::Train => self.metrics.train_ns.observe(ns),
+                SpanKind::Gather if sampled => self.metrics.gather_ns.observe(end.arg),
+                SpanKind::Train if sampled => self.metrics.train_ns.observe(end.arg),
                 _ => {}
             }
         }
-        elapsed
     }
 
     /// Journal an instant event at the current time.
@@ -117,9 +139,9 @@ impl Telemetry {
         }
     }
 
-    /// Journal an event at an explicit timestamp — the cluster
-    /// simulator's entry point, which stamps virtual nanoseconds so the
-    /// exported timeline lives on the simulated clock.
+    /// Journal an instant event at an explicit timestamp (the cluster
+    /// simulator's virtual nanoseconds; spans go through
+    /// [`Telemetry::span_at`]).
     pub fn record_at(&mut self, kind: EventKind, cell: u32, iter: u32, arg: u64, t_ns: u64) {
         if self.ring.is_some() {
             self.push(Event { t_ns, kind, cell, iter, arg });
@@ -147,7 +169,9 @@ impl Telemetry {
         TelemetrySummary {
             rank: self.rank,
             cell,
-            iterations: self.metrics.iterations.get(),
+            iterations: self.metrics.routine_calls[SpanKind::Train as usize],
+            routine_ns: self.metrics.routine_ns,
+            routine_calls: self.metrics.routine_calls,
             gather_ns: self.metrics.gather_ns,
             train_ns: self.metrics.train_ns,
             exchange_wall_ns: self.metrics.exchange_wall_ns.get(),
@@ -203,16 +227,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_recorder_measures_but_records_nothing() {
+    fn disabled_recorder_measures_and_totals_but_journals_nothing() {
         let mut tel = Telemetry::disabled();
         let s = tel.begin(SpanKind::Train, 0, 0);
         std::thread::sleep(Duration::from_millis(2));
         let d = tel.end(SpanKind::Train, 0, 0, s);
         assert!(d >= Duration::from_millis(2), "span must still measure");
+        tel.span_at(SpanKind::Train, 0, 1, 10, 5);
         tel.instant(EventKind::Kill, 0, 0, 0);
+        // Table IV exists with telemetry off: the totals are always on.
+        let train = SpanKind::Train as usize;
+        assert_eq!(tel.metrics.routine_ns[train], d.as_nanos() as u64 + 5);
+        assert_eq!(tel.metrics.routine_calls[train], 2);
         assert_eq!(tel.events().count(), 0);
         assert!(tel.metrics.train_ns.is_empty());
         assert!(!tel.is_enabled());
+    }
+
+    #[test]
+    fn virtual_and_unsampled_spans_share_the_one_feed() {
+        let mut tel = Telemetry::enabled(1, 16);
+        tel.span_at(SpanKind::Gather, 2, 7, 1_000, 250);
+        let s = tel.begin(SpanKind::Gather, 2, 7);
+        let ingest = tel.end(SpanKind::Gather, 2, 7, s.unsampled()).as_nanos() as u64;
+        let events: Vec<Event> = tel.events().copied().collect();
+        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+        use EventKind::{GatherBegin, GatherEnd};
+        assert_eq!(kinds, [GatherBegin, GatherEnd, GatherBegin, GatherEnd]);
+        assert_eq!((events[0].t_ns, events[1].t_ns, events[1].arg), (1_000, 1_250, 250));
+        assert_eq!(events[3].arg, ingest);
+        // Both spans are gather time; only the exchange wait is a sample.
+        let gather = SpanKind::Gather as usize;
+        assert_eq!(tel.metrics.routine_ns[gather], 250 + ingest);
+        assert_eq!(tel.metrics.routine_calls[gather], 2);
+        assert_eq!((tel.metrics.gather_ns.count, tel.metrics.gather_ns.sum), (1, 250));
+        assert_eq!(tel.summary(2).routine_ns, tel.metrics.routine_ns);
     }
 
     #[test]
@@ -235,7 +284,9 @@ mod tests {
     #[test]
     fn summary_reflects_metrics() {
         let mut tel = Telemetry::enabled(2, 16);
-        tel.metrics.iterations.add(6);
+        for iter in 0..6 {
+            tel.span_at(SpanKind::Train, 1, iter, 0, 1);
+        }
         tel.metrics.checkpoints.add(3);
         tel.metrics.staleness.set(1);
         let s = tel.summary(1);

@@ -10,7 +10,7 @@ pub const MERGED_RANK: u32 = u32::MAX;
 /// mergeable across ranks. Slaves ship one at every checkpoint commit
 /// boundary and with the final result; the master folds them into the
 /// live status line and the run summary persisted next to the `.lpz`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetrySummary {
     /// Reporting world rank ([`MERGED_RANK`] once merged).
     pub rank: u32,
@@ -18,9 +18,15 @@ pub struct TelemetrySummary {
     pub cell: u32,
     /// Iterations completed (max across ranks when merged).
     pub iterations: u64,
-    /// Per-iteration blocking gather latency histogram (ns).
+    /// Accumulated nanoseconds per Table IV routine, indexed by
+    /// `SpanKind as usize` (sum when merged) — what the Table IV report is
+    /// a view of; populated with telemetry on or off.
+    pub routine_ns: [u64; 5],
+    /// Spans closed per routine (same indexing; sum when merged).
+    pub routine_calls: [u64; 5],
+    /// Blocking exchange wait per rank-iteration, histogram (ns).
     pub gather_ns: LogHistogram,
-    /// Per-iteration train-phase latency histogram (ns).
+    /// Per-cell-iteration train-phase latency histogram (ns).
     pub train_ns: LogHistogram,
     /// Total wall ns between posting an exchange and consuming its frame.
     pub exchange_wall_ns: u64,
@@ -41,6 +47,8 @@ lipiz_wire::wire_struct!(TelemetrySummary {
     rank,
     cell,
     iterations,
+    routine_ns,
+    routine_calls,
     gather_ns,
     train_ns,
     exchange_wall_ns,
@@ -55,20 +63,7 @@ lipiz_wire::wire_struct!(TelemetrySummary {
 impl TelemetrySummary {
     /// An all-zero summary to merge into.
     pub fn empty() -> Self {
-        Self {
-            rank: MERGED_RANK,
-            cell: crate::NO_CELL,
-            iterations: 0,
-            gather_ns: LogHistogram::new(),
-            train_ns: LogHistogram::new(),
-            exchange_wall_ns: 0,
-            checkpoints: 0,
-            degraded_iters: 0,
-            staleness: 0,
-            rejoined: 0,
-            replaced_ranks: 0,
-            dropped_events: 0,
-        }
+        Self { rank: MERGED_RANK, cell: crate::NO_CELL, ..Self::default() }
     }
 
     /// Fold another rank's summary into this one.
@@ -76,6 +71,10 @@ impl TelemetrySummary {
         self.rank = MERGED_RANK;
         self.cell = crate::NO_CELL;
         self.iterations = self.iterations.max(other.iterations);
+        for i in 0..5 {
+            self.routine_ns[i] += other.routine_ns[i];
+            self.routine_calls[i] += other.routine_calls[i];
+        }
         self.gather_ns.merge(&other.gather_ns);
         self.train_ns.merge(&other.train_ns);
         self.exchange_wall_ns += other.exchange_wall_ns;
@@ -182,6 +181,8 @@ mod tests {
     fn sample(rank: u32) -> TelemetrySummary {
         let mut s = TelemetrySummary { rank, cell: rank - 1, ..TelemetrySummary::empty() };
         s.iterations = 6;
+        s.routine_ns = [2_500_000, 7_000_000, 0, 0, 40];
+        s.routine_calls = [2, 1, 0, 0, 1];
         s.gather_ns.observe(2_000_000);
         s.train_ns.observe(7_000_000);
         s.exchange_wall_ns = 8_000_000;
@@ -197,6 +198,8 @@ mod tests {
         m.merge(&sample(2));
         assert_eq!(m.rank, MERGED_RANK);
         assert_eq!(m.iterations, 6);
+        assert_eq!(m.routine_ns, [5_000_000, 14_000_000, 0, 0, 80]);
+        assert_eq!(m.routine_calls, [4, 2, 0, 0, 2]);
         assert_eq!(m.gather_ns.count, 2);
         assert_eq!(m.checkpoints, 6);
         assert_eq!(m.exchange_wall_ns, 16_000_000);

@@ -82,6 +82,13 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
+/// The value of numeric flag `name`, if given. A value that does not parse
+/// is a usage error naming the flag — never a silently applied default.
+fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let value = flag_value(args, name)?;
+    Some(value.parse().unwrap_or_else(|_| fail(&format!("{name}: not a number: {value:?}"))))
+}
+
 fn flag_present(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
@@ -92,16 +99,13 @@ fn flag_present(args: &[String], name: &str) -> bool {
 /// config (Table I shape, reduced capacity). Non-square grids come from
 /// `--rows`/`--cols`, which override `--grid`.
 fn cli_config(args: &[String]) -> TrainConfig {
-    let grid: usize = flag_value(args, "--grid").and_then(|v| v.parse().ok()).unwrap_or(2);
-    let rows: usize = flag_value(args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(grid);
-    let cols: usize = flag_value(args, "--cols").and_then(|v| v.parse().ok()).unwrap_or(grid);
+    let grid: usize = parsed_flag(args, "--grid").unwrap_or(2);
+    let rows: usize = parsed_flag(args, "--rows").unwrap_or(grid);
+    let cols: usize = parsed_flag(args, "--cols").unwrap_or(grid);
     let tiny = flag_present(args, "--tiny");
-    let iterations: usize = flag_value(args, "--iterations")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if tiny { 2 } else { 6 });
-    let batches: usize = flag_value(args, "--batches")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if tiny { 2 } else { 4 });
+    let iterations: usize =
+        parsed_flag(args, "--iterations").unwrap_or(if tiny { 2 } else { 6 });
+    let batches: usize = parsed_flag(args, "--batches").unwrap_or(if tiny { 2 } else { 4 });
 
     let mut cfg = TrainConfig::smoke(2);
     if !tiny {
@@ -147,8 +151,7 @@ fn apply_telemetry_flags(cfg: &mut TrainConfig, args: &[String]) {
         return;
     }
     let dir = flag_value(args, "--telemetry-dir").unwrap_or("telemetry");
-    let ring: usize =
-        flag_value(args, "--telemetry-ring").and_then(|v| v.parse().ok()).unwrap_or(0);
+    let ring: usize = parsed_flag(args, "--telemetry-ring").unwrap_or(0);
     *cfg = cfg.clone().with_telemetry(dir, ring);
 }
 
@@ -158,19 +161,16 @@ fn apply_telemetry_flags(cfg: &mut TrainConfig, args: &[String]) {
 /// hand-started slave on another machine — derives identical failure
 /// behavior from the wire config alone.
 fn apply_fault_flags(cfg: &mut TrainConfig, args: &[String]) {
-    let max_stale: Option<usize> =
-        flag_value(args, "--max-stale-iters").and_then(|v| v.parse().ok());
+    let max_stale: Option<usize> = parsed_flag(args, "--max-stale-iters");
     if let Some(plan) = flag_value(args, "--fault-plan") {
         *cfg = cfg.clone().with_fault_plan(plan, max_stale.unwrap_or(1));
     } else if let Some(m) = max_stale {
         cfg.fault.max_stale_iters = m;
     }
-    if let Some(interval) =
-        flag_value(args, "--heartbeat-interval-ms").and_then(|v| v.parse().ok())
-    {
+    if let Some(interval) = parsed_flag(args, "--heartbeat-interval-ms") {
         cfg.fault.heartbeat_interval_ms = interval;
     }
-    if let Some(misses) = flag_value(args, "--heartbeat-misses").and_then(|v| v.parse().ok()) {
+    if let Some(misses) = parsed_flag(args, "--heartbeat-misses") {
         cfg.fault.heartbeat_misses = misses;
     }
 }
@@ -181,11 +181,10 @@ fn apply_fault_flags(cfg: &mut TrainConfig, args: &[String]) {
 /// checkpoint behavior from the wire config alone.
 fn apply_checkpoint_flags(cfg: &mut TrainConfig, args: &[String]) {
     if let Some(dir) = flag_value(args, "--checkpoint-dir") {
-        let every: usize =
-            flag_value(args, "--checkpoint-every").and_then(|v| v.parse().ok()).unwrap_or(1);
+        let every: usize = parsed_flag(args, "--checkpoint-every").unwrap_or(1);
         *cfg = cfg.clone().with_checkpoints(dir, every);
     }
-    if let Some(k) = flag_value(args, "--pause-after").and_then(|v| v.parse().ok()) {
+    if let Some(k) = parsed_flag(args, "--pause-after") {
         *cfg = cfg.clone().with_pause_after(k);
     }
 }
@@ -248,7 +247,7 @@ fn cmd_resume(args: &[String]) -> ExitCode {
     // unless a new pause point is given.
     cfg.checkpoint.dir = Some(from.to_string());
     cfg.checkpoint.pause_after = None;
-    if let Some(k) = flag_value(args, "--pause-after").and_then(|v| v.parse().ok()) {
+    if let Some(k) = parsed_flag(args, "--pause-after") {
         cfg = cfg.with_pause_after(k);
     }
     // The manifest carries the interrupted run's telemetry settings; fresh
@@ -449,7 +448,9 @@ fn write_run_summary(
         let _ = write!(
             out,
             "{{\"routine\":\"{}\",\"seconds\":{:.9},\"calls\":{}}}",
-            row.routine, row.seconds, row.calls
+            row.routine.name(),
+            row.seconds,
+            row.calls
         );
     }
     out.push(']');
@@ -809,7 +810,7 @@ fn cmd_sample(args: &[String]) -> ExitCode {
         eprintln!("sample requires --model FILE.lpz");
         return ExitCode::FAILURE;
     };
-    let count: usize = flag_value(args, "--count").and_then(|v| v.parse().ok()).unwrap_or(4);
+    let count: usize = parsed_flag(args, "--count").unwrap_or(4);
     let model = match persist::load_ensemble(std::path::Path::new(model_path)) {
         Ok(m) => m,
         Err(e) => {
@@ -817,8 +818,7 @@ fn cmd_sample(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut rng =
-        Rng64::seed_from(flag_value(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(42));
+    let mut rng = Rng64::seed_from(parsed_flag(args, "--seed").unwrap_or(42));
     let samples = model.sample(count, &mut rng);
     if model.network.data_dim == lipizzaner::data::IMAGE_DIM {
         println!("{}", image::to_ascii_28(samples.row(0)));

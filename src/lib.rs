@@ -51,8 +51,8 @@ pub mod prelude {
     pub use lipiz_cluster::{ClusterSpec, CommCost, SimulatedCluster, SimulationOptions};
     pub use lipiz_core::sequential::SequentialTrainer;
     pub use lipiz_core::{
-        CellEngine, CellSnapshot, EnsembleModel, Grid, LossMode, NeighborhoodPattern, Profiler,
-        Routine, TrainConfig, TrainReport, TransportKind,
+        CellEngine, CellSnapshot, EnsembleModel, Grid, LossMode, NeighborhoodPattern, Routine,
+        TrainConfig, TrainReport, TransportKind,
     };
     pub use lipiz_data::{BatchLoader, DataPartition, RingDataset, SynthDigits};
     pub use lipiz_metrics::ScoreService;

@@ -9,8 +9,16 @@
 //! 3. **Trace export**: `lipizzaner trace` merges the journals into a
 //!    Chrome trace-event document (one track per rank, balanced span
 //!    begin/end pairs) that Perfetto loads directly.
+//! 4. **One stopwatch**: the Table IV report is a view of the same spans
+//!    the journals hold, the gather histogram holds exactly one sample per
+//!    rank-iteration on the threaded and TCP drivers, and a checkpoint
+//!    capture shows up as an "other" span.
+//! 5. **Flags**: a malformed numeric flag is refused, not defaulted.
 
-use lipizzaner::telemetry::{parse_journal, EventKind, RankJournal};
+use lipizzaner::core::{ExchangeMode, Routine, TrainConfig};
+use lipizzaner::runtime::{run_distributed, DistributedOptions};
+use lipizzaner::telemetry::{parse_journal, read_journal_dir, EventKind, RankJournal};
+use lipizzaner::tensor::{Matrix, Rng64};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -193,4 +201,133 @@ fn trace_subcommand_fails_cleanly_without_journals() {
         dir.join("trace.json").to_str().unwrap(),
     ]);
     assert!(!out.status.success(), "trace succeeded against a missing journal dir");
+}
+
+fn toy_data(cfg: &TrainConfig) -> Matrix {
+    let mut rng = Rng64::seed_from(cfg.training.data_seed);
+    rng.uniform_matrix(cfg.training.dataset_size, cfg.network.data_dim, -0.9, 0.9)
+}
+
+/// `(pairs, summed *_end durations)` of routine `r` in one rank's journal.
+fn journal_totals(journal: &RankJournal, r: Routine) -> (u64, u64) {
+    let begins = journal.events.iter().filter(|e| e.kind == r.begin_kind()).count() as u64;
+    let ends = journal.events.iter().filter(|e| e.kind == r.end_kind());
+    let (calls, ns) = ends.fold((0, 0), |(n, ns), e| (n + 1, ns + e.arg));
+    assert_eq!(begins, calls, "rank {} {r:?}: unbalanced span pairs", journal.rank);
+    (calls, ns)
+}
+
+#[test]
+fn distributed_profile_view_is_the_per_rank_mean_of_the_journals() {
+    // Threaded 2×2 with one commit per iteration, sync and async: the
+    // master's report equals the per-rank mean of the slaves' journaled
+    // spans, `calls` is one rank's count, every rank's gather histogram
+    // holds one sample per iteration, and every checkpoint capture is an
+    // "other" span the trace can show.
+    for mode in [ExchangeMode::Sync, ExchangeMode::Async] {
+        let dir = workdir(&format!("view_{mode:?}"));
+        let ckpt = dir.join("ckpt");
+        let mut cfg = TrainConfig::smoke(2)
+            .with_exchange(mode)
+            .with_checkpoints(ckpt.to_str().unwrap(), 1)
+            .with_telemetry(dir.join("tel").to_str().unwrap(), 0);
+        cfg.coevolution.iterations = 3;
+        let outcome =
+            run_distributed(&cfg, |_, cfg| toy_data(cfg), DistributedOptions::default());
+        let journals: Vec<RankJournal> = read_journal_dir(&dir.join("tel"))
+            .expect("journals")
+            .into_iter()
+            .filter(|j| j.rank > 0)
+            .collect();
+        assert_eq!(journals.len(), 4, "one journal per slave rank");
+        assert!(journals.iter().all(|j| j.dropped == 0));
+
+        let iterations = cfg.coevolution.iterations as u64;
+        for r in Routine::ALL {
+            let totals: Vec<(u64, u64)> =
+                journals.iter().map(|j| journal_totals(j, r)).collect();
+            let spans: u64 = totals.iter().map(|t| t.0).sum();
+            let mean_ns = totals.iter().map(|t| t.1).sum::<u64>() as f64 / 4.0;
+            let row = outcome.report.profile.rows[r as usize];
+            assert!(
+                (row.seconds * 1e9 - mean_ns).abs() <= spans as f64,
+                "{mode:?} {r:?}: view {} ns vs journals {mean_ns} ns",
+                row.seconds * 1e9
+            );
+            // Per rank: one exchange wait + one ingest per iteration under
+            // gather, one capture per commit under other, one span each for
+            // the compute phases.
+            let per_rank = if r == Routine::Gather { 2 * iterations } else { iterations };
+            assert_eq!(row.calls, per_rank, "{mode:?} {r:?} calls");
+            assert!(totals.iter().all(|t| t.0 == per_rank), "{mode:?} {r:?}: {totals:?}");
+        }
+        for (result, journal) in outcome.slave_results.iter().zip(&journals) {
+            assert_eq!(result.telemetry.gather_ns.count, iterations, "{mode:?}");
+            assert_eq!(result.telemetry.train_ns.count, iterations, "{mode:?}");
+            let commits =
+                journal.events.iter().filter(|e| e.kind == EventKind::CheckpointCommit).count();
+            assert_eq!(journal_totals(journal, Routine::Other).0, commits as u64);
+            assert_eq!(commits as u64, iterations);
+        }
+        let merged = outcome.telemetry.expect("telemetry is on");
+        assert_eq!(merged.gather_ns.count, 4 * iterations);
+    }
+}
+
+/// The `"count"` of histogram `name` in a run-summary sidecar.
+fn sidecar_hist_count(summary: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\":{{\"count\":");
+    let at = summary.find(&key).unwrap_or_else(|| panic!("{name} missing: {summary}"));
+    let digits: String =
+        summary[at + key.len()..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("histogram count")
+}
+
+#[test]
+fn tcp_ranks_sample_one_gather_wait_per_iteration() {
+    // Real slave processes over sockets, sync and async: the merged
+    // histogram the master persists holds cells × iterations blocking
+    // exchange waits — the per-cell ingest copies are not in it.
+    for exchange in ["sync", "async"] {
+        let dir = workdir(&format!("tcp_{exchange}"));
+        let lpz = dir.join("tcp.lpz");
+        let mut args = vec![
+            "launch",
+            "--exchange",
+            exchange,
+            "--out",
+            lpz.to_str().unwrap(),
+            "--telemetry",
+            "--telemetry-dir",
+            dir.to_str().unwrap(),
+        ];
+        args.extend_from_slice(&FLAGS);
+        run(&args);
+        let sidecar = PathBuf::from(format!("{}.summary.json", lpz.display()));
+        let summary = String::from_utf8(read(&sidecar)).expect("summary is UTF-8");
+        assert_eq!(sidecar_hist_count(&summary, "gather_ns"), 4 * 3, "{exchange}");
+        assert_eq!(sidecar_hist_count(&summary, "train_ns"), 4 * 3, "{exchange}");
+    }
+}
+
+#[test]
+fn malformed_numeric_flags_are_refused_not_defaulted() {
+    let dir = workdir("bad_flags");
+    let out = dir.join("x.lpz");
+    for (flag, value) in [("--iterations", "abc"), ("--heartbeat-interval-ms", "-5")] {
+        let done = spawn_to_completion(&[
+            "train",
+            "--tiny",
+            "--grid",
+            "2",
+            flag,
+            value,
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert!(!done.status.success(), "`{flag} {value}` trained anyway: {stderr}");
+        assert!(stderr.contains(flag) && stderr.contains(value), "unhelpful: {stderr}");
+        assert!(!out.exists(), "`{flag} {value}` still wrote a model");
+    }
 }

@@ -35,8 +35,7 @@
 //! ones this file creates, so the measured window is quiet by construction.
 
 use lipizzaner::core::{
-    CellEngine, CellSnapshot, Exchange, ExchangeMode, InMemoryExchange, Pipeline, Profiler,
-    TrainConfig,
+    CellEngine, CellSnapshot, Exchange, ExchangeMode, InMemoryExchange, Pipeline, TrainConfig,
 };
 use lipizzaner::mpi::comm::Fabric;
 use lipizzaner::mpi::{Comm, Payload};
@@ -108,29 +107,19 @@ fn toy_data(cfg: &TrainConfig) -> Matrix {
     rng.uniform_matrix(cfg.training.dataset_size, cfg.network.data_dim, -0.9, 0.9)
 }
 
-/// Run `iters` full iterations against fixed neighbor snapshots and return
-/// the allocation count observed across them.
-fn allocations_over(engine: &mut CellEngine, snaps: &[CellSnapshot], iters: usize) -> u64 {
-    let mut prof = Profiler::new();
-    let before = allocations();
-    for _ in 0..iters {
-        engine.run_iteration(snaps, &mut prof);
-    }
-    allocations() - before
-}
-
-/// Like [`allocations_over`], but recording every iteration into an
-/// *enabled* telemetry journal (span events + latency histograms).
-fn allocations_over_traced(
+/// Run `iters` full iterations against fixed neighbor snapshots, timing
+/// into `tel` — a disabled recorder (totals only), or an *enabled* one
+/// (span events + latency histograms) — and return the allocation count
+/// observed across them.
+fn allocations_over(
     engine: &mut CellEngine,
     snaps: &[CellSnapshot],
     iters: usize,
     tel: &mut Telemetry,
 ) -> u64 {
-    let mut prof = Profiler::new();
     let before = allocations();
     for _ in 0..iters {
-        engine.run_iteration_with(snaps, &mut prof, tel);
+        engine.run_iteration(snaps, tel);
     }
     allocations() - before
 }
@@ -157,10 +146,10 @@ fn steady_state_iteration_allocates_nothing() {
     let snaps: Vec<CellSnapshot> = (0..4).map(|_| engine.snapshot()).collect();
 
     // Warmup sizes every recycled buffer (and crosses a loader epoch).
-    let warm = allocations_over(&mut engine, &snaps, 4);
+    let warm = allocations_over(&mut engine, &snaps, 4, &mut Telemetry::disabled());
     assert!(warm > 0, "warmup pass should have sized the workspace buffers");
 
-    let steady = allocations_over(&mut engine, &snaps, 6);
+    let steady = allocations_over(&mut engine, &snaps, 6, &mut Telemetry::disabled());
     assert_eq!(
         steady, 0,
         "steady-state serial training iterations must perform zero heap allocations"
@@ -187,8 +176,8 @@ fn steady_state_iteration_allocates_nothing() {
     // worker draws which chunk is up to the scheduler — on a multi-core host
     // a worker can meet its largest panel late. (With 4 warm-up iterations
     // this assertion failed about every third run on two cores.)
-    allocations_over(&mut pooled, &psnaps, 64);
-    let steady = allocations_over(&mut pooled, &psnaps, 6);
+    allocations_over(&mut pooled, &psnaps, 64, &mut Telemetry::disabled());
+    let steady = allocations_over(&mut pooled, &psnaps, 6, &mut Telemetry::disabled());
     assert_eq!(
         steady, 0,
         "steady-state pooled training iterations must perform zero heap allocations"
@@ -207,8 +196,8 @@ fn steady_state_with_telemetry_allocates_nothing() {
     let mut engine = CellEngine::new(0, &cfg, data.clone());
     let snaps: Vec<CellSnapshot> = (0..4).map(|_| engine.snapshot()).collect();
     let mut tel = Telemetry::enabled(1, 64); // small ring: overwrites mid-window
-    allocations_over_traced(&mut engine, &snaps, 4, &mut tel);
-    let steady = allocations_over_traced(&mut engine, &snaps, 6, &mut tel);
+    allocations_over(&mut engine, &snaps, 4, &mut tel);
+    let steady = allocations_over(&mut engine, &snaps, 6, &mut tel);
     assert_eq!(
         steady, 0,
         "steady-state iterations with telemetry enabled must perform zero heap allocations"
@@ -224,8 +213,8 @@ fn steady_state_with_telemetry_allocates_nothing() {
     let mut pooled = CellEngine::with_pool(0, &cfg, data, Pool::uncapped(2));
     let psnaps: Vec<CellSnapshot> = (0..4).map(|_| pooled.snapshot()).collect();
     let mut ptel = Telemetry::enabled(1, 64);
-    allocations_over_traced(&mut pooled, &psnaps, 64, &mut ptel); // see the untraced pooled case
-    let steady = allocations_over_traced(&mut pooled, &psnaps, 6, &mut ptel);
+    allocations_over(&mut pooled, &psnaps, 64, &mut ptel); // see the untraced pooled case
+    let steady = allocations_over(&mut pooled, &psnaps, 6, &mut ptel);
     assert_eq!(
         steady, 0,
         "steady-state pooled iterations with telemetry enabled must perform zero heap allocations"
