@@ -83,8 +83,10 @@ impl SimulatedCluster {
     /// the same iteration), and invoke `on_iteration(iter, engines, frame)`
     /// after every completed iteration so a driver can commit checkpoints
     /// on its cadence (`frame` is the exchange frame the *next* iteration
-    /// will consume — empty in sync mode; a committing driver must persist
-    /// it under `--exchange async`). Virtual-time accounting restarts at
+    /// will consume — empty in sync mode; a committing driver stamps each
+    /// cell's cut with it through `lipiz_core::pipeline::capture_with_frame`,
+    /// which keeps the slots that cell reads, exactly as a slave's own cut
+    /// does). Virtual-time accounting restarts at
     /// zero for a resumed run (wall clocks are not part of the training
     /// state).
     ///
@@ -534,11 +536,7 @@ mod tests {
                     assert_eq!(frame.len(), 4, "async hook must expose the frame");
                     states = engines
                         .iter_mut()
-                        .map(|e| {
-                            let mut s = e.capture_state();
-                            s.exchange_frame = frame.to_vec();
-                            s
-                        })
+                        .map(|e| lipiz_core::pipeline::capture_with_frame(e, frame, None))
                         .collect();
                 }
             },

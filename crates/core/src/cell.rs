@@ -7,6 +7,7 @@ use crate::mixture::{EnsembleModel, MixtureWeights};
 use crate::profiling::Routine;
 use crate::resume::CellState;
 use crate::snapshot::CellSnapshot;
+use crate::topology::Grid;
 use lipiz_data::BatchLoader;
 use lipiz_nn::{
     gan, loss, Adam, Discriminator, GanLoss, Generator, NetworkConfig, TrainWorkspace,
@@ -310,6 +311,12 @@ impl CellEngine {
         self.cell_index
     }
 
+    /// The exchange-frame slots this cell imports — its grid neighbours, in
+    /// neighbour-slot order, wrap-around duplicates preserved.
+    pub fn neighbor_slots(&self) -> Vec<usize> {
+        Grid::from_config(&self.cfg.grid).neighbors(self.cell_index)
+    }
+
     /// Iterations completed so far.
     pub fn iterations_done(&self) -> usize {
         self.iteration
@@ -357,21 +364,23 @@ impl CellEngine {
     }
 
     /// Run one full training iteration given this round's neighbor
-    /// snapshots (in neighbor-slot order). Each Table IV phase runs under a
-    /// span of `tel` — the rank's recorder, or `Telemetry::disabled()` when
-    /// nobody reads the timing — and the measured host time of the four
-    /// phases comes back in execution order: ingest (the cell's share of
-    /// *gather*), mutate, train, update genomes.
-    pub fn run_iteration(
-        &mut self,
-        neighbors: &[CellSnapshot],
-        tel: &mut Telemetry,
-    ) -> [Duration; 4] {
+    /// snapshots (in neighbor-slot order) — a contiguous slice, or the
+    /// pipeline's view of the exchange-frame slots this cell reads, imported
+    /// straight from the frame. Each Table IV phase runs under a span of
+    /// `tel` — the rank's recorder, or `Telemetry::disabled()` when nobody
+    /// reads the timing — and the measured host time of the four phases
+    /// comes back in execution order: ingest (the cell's share of *gather*),
+    /// mutate, train, update genomes.
+    pub fn run_iteration<'a, I>(&mut self, neighbors: I, tel: &mut Telemetry) -> [Duration; 4]
+    where
+        I: IntoIterator<Item = &'a CellSnapshot>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let (cell, iter) = (self.cell_index as u32, self.iteration as u32);
         // The ingest copy is gather time but not a gather latency sample:
         // that is the rank's blocking exchange wait alone.
         let start = tel.begin(Routine::Gather, cell, iter).unsampled();
-        self.ingest_neighbors(neighbors);
+        self.ingest(neighbors.into_iter());
         let phases = [
             tel.end(Routine::Gather, cell, iter, start),
             self.timed(tel, Routine::Mutate, Self::mutate_phase),
@@ -391,17 +400,34 @@ impl CellEngine {
 
     // ---- phase 1: gather --------------------------------------------------
 
-    /// Refresh import slots with the latest neighbor centers.
+    /// Refresh import slots with the latest neighbor centers — the
+    /// contiguous-slice form of the one ingest routine.
     ///
     /// # Panics
-    /// Panics if the number of snapshots does not match the neighborhood.
+    /// Panics if the number of snapshots does not match the neighborhood,
+    /// or one of them is empty or mis-sized.
     pub fn ingest_neighbors(&mut self, neighbors: &[CellSnapshot]) {
+        self.ingest(neighbors.iter());
+    }
+
+    /// The one ingest routine: one copy of each neighbor's center pair into
+    /// its import slot. A snapshot that is not a full center pair — above
+    /// all the empty shell a frame slot outside the rank's read set holds —
+    /// is refused here, before it could train as a silent all-zero import.
+    fn ingest<'a>(&mut self, neighbors: impl ExactSizeIterator<Item = &'a CellSnapshot>) {
         assert_eq!(
             neighbors.len(),
             self.gen_pop.len() - 1,
             "snapshot count vs neighborhood size"
         );
-        for (slot, snap) in neighbors.iter().enumerate() {
+        let gen_len = self.gen_pop.center().genome.len();
+        let disc_len = self.disc_pop.center().genome.len();
+        for (slot, snap) in neighbors.enumerate() {
+            assert!(
+                snap.gen_genome.len() == gen_len && snap.disc_genome.len() == disc_len,
+                "cell {}: neighbour slot {slot} of the exchange frame is empty or mis-sized",
+                self.cell_index
+            );
             self.gen_pop.assign_import(
                 slot + 1,
                 &snap.gen_genome,
@@ -868,6 +894,17 @@ mod tests {
             e.ingest_neighbors(&snaps)
         }));
         assert!(result.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 0: neighbour slot 2 of the exchange frame is empty")]
+    fn ingest_refuses_an_empty_frame_slot() {
+        // What a frame slot outside the rank's read set holds: importing it
+        // would train against an all-zero-length genome without a word.
+        let mut e = smoke_engine(0);
+        let mut frame = neighbor_snaps(&mut e, 4);
+        frame[2] = CellSnapshot::empty();
+        e.run_iteration([0, 1, 2, 3].map(|slot| &frame[slot]), &mut Telemetry::disabled());
     }
 
     #[test]

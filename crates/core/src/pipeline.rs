@@ -5,15 +5,15 @@
 //! Table IV): snapshot the local centers, exchange them with the rest of
 //! the grid, then gather → mutate → train → update each local cell against
 //! the exchanged frame. [`Pipeline`] owns that schedule once — the local
-//! [`CellEngine`]s, the precomputed neighbour table, the two recycled
-//! frame buffers, the frame-selection rule ([`select_frame`]), the frame a
-//! checkpoint cut carries, resume re-entry, and a replacement's solo
-//! catch-up — and talks to the rest of the grid only through the small
-//! [`Exchange`] trait. The sequential trainer plugs in
-//! [`InMemoryExchange`] (every cell is local, nothing moves), the
-//! master/slave runtime a `Comm`-backed exchange, the cluster simulator a
-//! virtual-time one; cross-driver byte-identity holds because there is no
-//! second copy of the schedule to drift.
+//! [`CellEngine`]s, the precomputed neighbour table and the rank's read
+//! set, the two recycled frame buffers, the frame-selection rule
+//! ([`select_frame`]), the frame a checkpoint cut carries, resume
+//! re-entry, and a replacement's solo catch-up — and talks to the rest of
+//! the grid only through the small [`Exchange`] trait. The sequential
+//! trainer plugs in [`InMemoryExchange`] (every cell is local, nothing
+//! moves), the master/slave runtime a `Comm`-backed exchange, the cluster
+//! simulator a virtual-time one; cross-driver byte-identity holds because
+//! there is no second copy of the schedule to drift.
 //!
 //! ```text
 //!            ┌────────────── step(iter = i) ──────────────┐
@@ -25,22 +25,38 @@
 //!      catch-up, or a rejoiner's
 //!      first live async iteration ........... → the frozen death-frame
 //! ```
+//!
+//! # What a rank holds
+//!
+//! A cell only ever reads its neighbourhood (§III-B), so a frame is
+//! neighbourhood-scoped end to end: it has one slot per grid cell, but a
+//! rank populates only its **read set** ([`Pipeline::read_set`], the union
+//! of its engines' neighbour slots — a function of `(grid, local cells)`)
+//! plus the slots of its own cells, which it posts. Every other slot stays
+//! [`CellSnapshot::empty`] for the life of the run: the exchange decodes
+//! nothing into it, a checkpoint cut does not carry it, and each engine
+//! imports `frame[slot]` straight from the frame — one decode and one
+//! ingest copy per neighbour, no fan-out buffer in between. A rank's memory
+//! is therefore its engines plus `(|read set| + local cells) × snapshot ×
+//! {1 frame sync, 3 frames async}` (the pipeline's two and the exchange
+//! thread's one), whatever the size of the grid.
 
 use crate::cell::CellEngine;
 use crate::config::{ExchangeMode, TrainConfig};
 use crate::profiling::Routine;
 use crate::resume::CellState;
 use crate::snapshot::CellSnapshot;
-use crate::topology::Grid;
 use lipiz_telemetry::{EventKind, Telemetry, NO_CELL};
 use lipiz_tensor::{Matrix, Pool};
 use std::time::{Duration, Instant};
 
 /// How one generation of center snapshots travels between the ranks of a
-/// run. `begin` and `complete` are called by [`Pipeline::step`] only:
-/// `begin(g)` exactly once per live iteration `g`, in order; `complete(g)`
-/// at most once per generation, after `begin(g)`, and never for a
-/// generation the rank did not begin.
+/// run. An exchange serves one rank and is built for that rank's read set
+/// ([`Pipeline::read_set`]): the slots it delivers are the slots the rank's
+/// cells read, nothing else. `begin` and `complete` are called by
+/// [`Pipeline::step`] only: `begin(g)` exactly once per live iteration `g`,
+/// in order; `complete(g)` at most once per generation, after `begin(g)`,
+/// and never for a generation the rank did not begin.
 pub trait Exchange {
     /// Post generation `gen` without waiting for it. `frame` has one slot
     /// per grid cell; the slots of this rank's local cells hold their fresh
@@ -49,11 +65,14 @@ pub trait Exchange {
     /// transports ignore it.
     fn begin(&mut self, gen: usize, frame: &[CellSnapshot], costs: &[Duration]);
 
-    /// Block until generation `gen` is complete and leave every cell's
-    /// snapshot in `frame` — the buffer `begin(gen)` saw, its slots still
-    /// holding whatever generation they held last, genome buffers
-    /// included: a transport decodes into them in place (or swaps the whole
-    /// buffer for one it filled elsewhere) instead of allocating a frame.
+    /// Block until generation `gen` is complete and leave the snapshot of
+    /// every cell in the rank's read set in its slot of `frame` — the
+    /// buffer `begin(gen)` saw, its slots still holding whatever generation
+    /// they held last, genome buffers included: a transport decodes into
+    /// them in place (or swaps the whole buffer for one it filled
+    /// elsewhere) instead of allocating a frame. Slots outside the read set
+    /// are not the exchange's to fill: a transport leaves them as they are
+    /// — empty, but for the rank's own posted snapshots.
     /// `tel` is the rank's recorder, for what only the transport knows
     /// (which ranks it had to substitute).
     fn complete(&mut self, gen: usize, frame: &mut Vec<CellSnapshot>, tel: &mut Telemetry);
@@ -99,9 +118,15 @@ pub fn select_frame(
 }
 
 /// Capture `engine`'s training state — into `recycled` when the caller has
-/// a spent buffer — and stamp the cut with `frame`, the exchange frame its
-/// next iteration consumes (empty in sync mode, which also clears a stale
-/// frame left in a recycled buffer).
+/// a spent buffer — and stamp the cut with the frame its next iteration
+/// consumes: of `frame` exactly the slots the cell reads (`Grid::neighbors`
+/// of its index), every other slot empty, so a cell's cut holds the same
+/// bytes whichever driver — and however large a frame — it was taken from.
+/// `frame` is empty in sync mode, which also clears a stale frame left in a
+/// recycled buffer.
+///
+/// # Panics
+/// Panics if a non-empty `frame` lacks a slot the cell reads.
 pub fn capture_with_frame(
     engine: &mut CellEngine,
     frame: &[CellSnapshot],
@@ -114,9 +139,17 @@ pub fn capture_with_frame(
         }
         None => engine.capture_state(),
     };
+    let reads = engine.neighbor_slots();
+    if !frame.is_empty() {
+        assert_covers(frame, &reads, "the frame of a checkpoint cut");
+    }
     state.exchange_frame.resize_with(frame.len(), CellSnapshot::empty);
-    for (dst, src) in state.exchange_frame.iter_mut().zip(frame) {
-        dst.copy_from(src);
+    for (slot, (dst, src)) in state.exchange_frame.iter_mut().zip(frame).enumerate() {
+        if reads.contains(&slot) {
+            dst.copy_from(src);
+        } else if !dst.is_empty() {
+            *dst = CellSnapshot::empty();
+        }
     }
     state
 }
@@ -136,6 +169,8 @@ pub struct Pipeline {
     /// `neighbors[k]`: the frame slots local engine `k` imports, in
     /// neighbour-slot order.
     neighbors: Vec<Vec<usize>>,
+    /// The union of `neighbors`, ascending: every slot this rank reads.
+    read_set: Vec<usize>,
     /// The generation being gathered (and, in sync mode, consumed).
     cur: Vec<CellSnapshot>,
     /// Async only: the previous generation — what the next iteration
@@ -143,8 +178,6 @@ pub struct Pipeline {
     prev: Vec<CellSnapshot>,
     /// Is `prev` complete (bootstrap, resume, or a commit-boundary drain)?
     prev_complete: bool,
-    /// Recycled neighbour fan-out buffer.
-    scratch: Vec<CellSnapshot>,
     rejoin: Option<Rejoin>,
     /// Host time of each local engine's last snapshot.
     snapshot_costs: Vec<Duration>,
@@ -165,8 +198,11 @@ impl Pipeline {
     /// grid, each at the same iteration). `telemetry` is the rank's
     /// recorder; pass a disabled one to total without journaling.
     pub fn new(cfg: &TrainConfig, engines: Vec<CellEngine>, mut telemetry: Telemetry) -> Self {
-        let grid = Grid::from_config(&cfg.grid);
-        let neighbors = engines.iter().map(|e| grid.neighbors(e.cell_index())).collect();
+        let neighbors: Vec<Vec<usize>> =
+            engines.iter().map(CellEngine::neighbor_slots).collect();
+        let mut read_set = neighbors.concat();
+        read_set.sort_unstable();
+        read_set.dedup();
         let span_cell = match engines.as_slice() {
             [only] => only.cell_index() as u32,
             _ => NO_CELL,
@@ -177,10 +213,10 @@ impl Pipeline {
         Self {
             cfg: cfg.clone(),
             neighbors,
+            read_set,
             cur: Vec::new(),
             prev: Vec::new(),
             prev_complete: false,
-            scratch: Vec::new(),
             rejoin: None,
             snapshot_costs: vec![Duration::ZERO; engines.len()],
             step_phases: vec![[Duration::ZERO; 4]; engines.len()],
@@ -195,8 +231,9 @@ impl Pipeline {
     /// (the cells run one after another, so they can share the resident
     /// threads): fresh engines, or — the resume path — engines restored from
     /// `resume`, the captured per-cell states in flat grid order, whose
-    /// exchange frame re-primes the pipeline. `make_data` supplies each
-    /// cell's dataset either way.
+    /// exchange frames — each holding the slots its own cell reads —
+    /// merged re-prime the pipeline. `make_data` supplies each cell's
+    /// dataset either way.
     ///
     /// # Panics
     /// Panics if `resume` disagrees with the grid: wrong count, out of cell
@@ -222,26 +259,45 @@ impl Pipeline {
             .map(|(i, s)| CellEngine::from_state(cfg, make_data(i), pool.clone(), s))
             .collect();
         let mut pipeline = Self::new(cfg, engines, telemetry);
-        // Every cell stored the identical exchange frame.
-        pipeline.resume_from(states[0].exchange_frame.clone());
+        // Each cut carries the slots its cell reads, all of one generation.
+        let mut frame = vec![CellSnapshot::empty(); states[0].exchange_frame.len()];
+        for state in states {
+            for (dst, src) in frame.iter_mut().zip(&state.exchange_frame) {
+                if dst.is_empty() && !src.is_empty() {
+                    dst.copy_from(src);
+                }
+            }
+        }
+        pipeline.resume_from(frame);
         pipeline
     }
 
     /// Re-enter the pipeline from a checkpoint cut: `frame` is the cut's
     /// [`CellState::exchange_frame`] — under async exchange the completed
     /// generation the first resumed iteration consumes (ignored in sync
-    /// mode, where every iteration gathers its own).
+    /// mode, where every iteration gathers its own). Slots outside the
+    /// read set (a cut of an older build carries them all) are dropped.
     ///
     /// # Panics
-    /// Panics if an async run resumes past iteration 0 without the frame.
-    pub fn resume_from(&mut self, frame: Vec<CellSnapshot>) {
+    /// Panics if an async run resumes past iteration 0 without a frame
+    /// that covers the read set.
+    pub fn resume_from(&mut self, mut frame: Vec<CellSnapshot>) {
         if !self.cfg.exchange.is_async() {
             return;
         }
-        assert!(
-            self.iteration() == 0 || frame.len() == self.cfg.cells(),
-            "async resume needs the checkpointed exchange frame"
-        );
+        if self.iteration() > 0 {
+            assert_eq!(
+                frame.len(),
+                self.cfg.cells(),
+                "async resume needs the checkpointed exchange frame"
+            );
+            assert_covers(&frame, &self.read_set, "checkpointed exchange frame");
+        }
+        for (slot, snap) in frame.iter_mut().enumerate() {
+            if !snap.is_empty() && self.read_set.binary_search(&slot).is_err() {
+                *snap = CellSnapshot::empty();
+            }
+        }
         self.prev = frame;
         self.prev_complete = true;
     }
@@ -249,14 +305,32 @@ impl Pipeline {
     /// Make local engine `local` a replacement: until its counter reaches
     /// `round`, [`Pipeline::step`] trains it solo against `frozen` (the
     /// death-frame) and touches no exchange.
+    ///
+    /// # Panics
+    /// Panics if `frozen` is not grid-sized or lacks a slot the engine reads.
     pub fn rejoin(&mut self, local: usize, round: usize, frozen: Vec<CellSnapshot>) {
         assert_eq!(frozen.len(), self.cfg.cells(), "death-frame size vs grid");
+        assert_covers(&frozen, &self.neighbors[local], "death-frame");
         self.rejoin = Some(Rejoin { local, round, frozen });
     }
 
     /// Is the next step a replacement's solo catch-up iteration?
     pub fn catching_up(&self) -> bool {
         self.rejoin.as_ref().is_some_and(|r| self.engines[r.local].iterations_done() < r.round)
+    }
+
+    /// Every frame slot this rank reads — the union of its engines'
+    /// neighbour slots, ascending. What the rank's [`Exchange`] is built
+    /// to deliver, and the only slots (besides the local cells' own) any
+    /// frame of this pipeline ever populates.
+    pub fn read_set(&self) -> &[usize] {
+        &self.read_set
+    }
+
+    /// The frame buffers this pipeline owns (the second is unused in sync
+    /// mode) — for memory accounting.
+    pub fn frames(&self) -> [&[CellSnapshot]; 2] {
+        [&self.cur, &self.prev]
     }
 
     /// The iteration the next step runs: the count the slowest local
@@ -282,14 +356,16 @@ impl Pipeline {
         // Everything up to the consumed frame being in hand is the gather
         // routine, exactly as Table IV charges the allgather.
         let span = self.telemetry.begin(Routine::Gather, self.span_cell, it);
-        // Slots of cells hosted elsewhere keep the generation they held
-        // last: `complete` overwrites them in place, reusing their buffers.
+        // Slots in the read set keep the generation they held last:
+        // `complete` overwrites them in place, reusing their buffers. No
+        // other slot of a cell hosted elsewhere is ever filled.
         self.cur.resize_with(cells, CellSnapshot::empty);
         for (k, engine) in self.engines.iter_mut().enumerate() {
             let cell = engine.cell_index();
             if engine.iterations_done() > iter {
                 let frozen =
                     &self.rejoin.as_ref().expect("only a replacement runs ahead").frozen;
+                assert!(!frozen[cell].is_empty(), "death-frame lacks the rejoiner's own slot");
                 self.cur[cell].copy_from(&frozen[cell]);
                 self.snapshot_costs[k] = Duration::ZERO;
                 continue;
@@ -331,8 +407,8 @@ impl Pipeline {
                     FrameChoice::DeathFrame => &self.rejoin.as_ref().expect("rejoiner").frozen,
                 };
             assert_eq!(frame.len(), cells, "exchange frame lost a generation");
-            fan_out(frame, &self.neighbors[k], &mut self.scratch);
-            self.step_phases[k] = engine.run_iteration(&self.scratch, &mut self.telemetry);
+            let imports = self.neighbors[k].iter().map(|&slot| &frame[slot]);
+            self.step_phases[k] = engine.run_iteration(imports, &mut self.telemetry);
         }
 
         if self.cfg.exchange.is_async() {
@@ -370,8 +446,8 @@ impl Pipeline {
         let iter = engine.iterations_done() as u32;
         self.telemetry.instant(EventKind::Degraded, cell, iter, cell as u64);
         self.telemetry.metrics.degraded_iters.inc();
-        fan_out(&r.frozen, &self.neighbors[r.local], &mut self.scratch);
-        self.step_phases[r.local] = engine.run_iteration(&self.scratch, &mut self.telemetry);
+        let imports = self.neighbors[r.local].iter().map(|&slot| &r.frozen[slot]);
+        self.step_phases[r.local] = engine.run_iteration(imports, &mut self.telemetry);
         if engine.iterations_done() == r.round {
             self.telemetry.metrics.rejoined.inc();
             self.telemetry.instant(EventKind::Rejoin, cell, r.round as u32, 0);
@@ -399,8 +475,9 @@ impl Pipeline {
         (&mut self.engines, frame)
     }
 
-    /// The most recently gathered generation (the death-frame a fan-in
-    /// root freezes when a rank dies at the top of the next iteration).
+    /// The most recently gathered generation, as far as this rank reads it
+    /// — all of it on a rank that hosts the whole grid, where it is the
+    /// death-frame of a rank dying at the top of the next iteration.
     pub fn latest_frame(&self) -> &[CellSnapshot] {
         if self.cfg.exchange.is_async() {
             &self.prev
@@ -466,12 +543,13 @@ fn next_frame<'a>(
     }
 }
 
-/// Copy the `slots` of `frame` into the recycled fan-out buffer, in
-/// neighbour-slot order.
-fn fan_out(frame: &[CellSnapshot], slots: &[usize], out: &mut Vec<CellSnapshot>) {
-    out.resize_with(slots.len(), CellSnapshot::empty);
-    for (dst, &n) in out.iter_mut().zip(slots) {
-        dst.copy_from(&frame[n]);
+/// Assert `frame` holds a snapshot in every one of `slots`.
+fn assert_covers(frame: &[CellSnapshot], slots: &[usize], what: &str) {
+    for &slot in slots {
+        assert!(
+            frame.get(slot).is_some_and(|snap| !snap.is_empty()),
+            "{what} lacks slot {slot}, which this rank reads"
+        );
     }
 }
 
@@ -519,6 +597,21 @@ mod tests {
 
         fn complete(&mut self, gen: usize, _: &mut Vec<CellSnapshot>, _: &mut Telemetry) {
             self.0.push(Complete(gen));
+        }
+    }
+
+    /// Stands in for the other ranks of a lone rank's grid: completes with a
+    /// fixed frame.
+    struct Peers(Vec<Call>, Vec<CellSnapshot>);
+
+    impl Exchange for Peers {
+        fn begin(&mut self, gen: usize, _: &[CellSnapshot], _: &[Duration]) {
+            self.0.push(Begin(gen));
+        }
+
+        fn complete(&mut self, gen: usize, frame: &mut Vec<CellSnapshot>, _: &mut Telemetry) {
+            self.0.push(Complete(gen));
+            *frame = self.1.clone();
         }
     }
 
@@ -703,22 +796,6 @@ mod tests {
             Pipeline::new(&cfg, vec![fresh_engine(&cfg, 3)], Telemetry::disabled());
         pipeline.rejoin(0, 2, frozen.clone());
 
-        /// Stands in for the three other ranks: completes with a fixed frame.
-        struct Peers(Vec<Call>, Vec<CellSnapshot>);
-        impl Exchange for Peers {
-            fn begin(&mut self, gen: usize, _: &[CellSnapshot], _: &[Duration]) {
-                self.0.push(Begin(gen));
-            }
-            fn complete(
-                &mut self,
-                gen: usize,
-                frame: &mut Vec<CellSnapshot>,
-                _: &mut Telemetry,
-            ) {
-                self.0.push(Complete(gen));
-                *frame = self.1.clone();
-            }
-        }
         let mut peers = Peers(Vec::new(), frozen);
         for _ in 0..4 {
             let (_, next) = pipeline.engines_and_next_frame();
@@ -727,5 +804,98 @@ mod tests {
         }
         assert_eq!(pipeline.iteration(), 4);
         assert_eq!(peers.0, [Begin(2), Begin(3), Complete(2)]);
+    }
+
+    /// Generation 0 of a 4×4 async grid — every cell's initial snapshot —
+    /// and the grid one iteration in, holding it as its next frame.
+    fn grid_4x4_after_one_iteration() -> (TrainConfig, Pipeline, Vec<CellSnapshot>) {
+        let cfg = TrainConfig::smoke(4).with_exchange(ExchangeMode::Async);
+        let mut grid = whole_grid(&cfg);
+        grid.step(&mut InMemoryExchange);
+        let full = grid.latest_frame().to_vec();
+        assert!(full.iter().all(|snap| !snap.is_empty()), "a whole grid reads every slot");
+        (cfg, grid, full)
+    }
+
+    /// `frame` with every slot outside `keep` emptied.
+    fn only(frame: &[CellSnapshot], keep: &[usize]) -> Vec<CellSnapshot> {
+        let sparse = |(slot, snap): (usize, &CellSnapshot)| {
+            if keep.contains(&slot) {
+                snap.clone()
+            } else {
+                CellSnapshot::empty()
+            }
+        };
+        frame.iter().enumerate().map(sparse).collect()
+    }
+
+    #[test]
+    fn a_cut_carries_exactly_the_slots_its_cell_reads_whoever_takes_it() {
+        let (cfg, mut grid, full) = grid_4x4_after_one_iteration();
+        for k in [0, 5, 15] {
+            let reads = crate::topology::Grid::from_config(&cfg.grid).neighbors(k);
+            let cut = grid.capture_cut(k, None);
+            assert_eq!(cut.exchange_frame, only(&full, &reads), "cell {k}");
+            assert_eq!(cut.validate(&cfg), Ok(()));
+
+            // The hook form the sequential and simulated drivers commit
+            // through, into a recycled buffer that held all sixteen slots.
+            let mut recycled = cut.clone();
+            recycled.exchange_frame = full.clone();
+            let (engines, frame) = grid.engines_and_next_frame();
+            assert_eq!(capture_with_frame(&mut engines[k], frame, Some(recycled)), cut);
+
+            // One rank of the same grid, as a slave runs it: its frames never
+            // hold more than the read set, and its cut is the same bytes.
+            let mut rank =
+                Pipeline::new(&cfg, vec![fresh_engine(&cfg, k)], Telemetry::disabled());
+            assert_eq!(rank.read_set(), {
+                let mut sorted = reads.clone();
+                sorted.sort_unstable();
+                sorted
+            });
+            rank.step(&mut Peers(Vec::new(), only(&full, &reads)));
+            assert_eq!(rank.capture_cut(0, None), cut, "cell {k}: lone rank vs whole grid");
+        }
+    }
+
+    #[test]
+    fn whole_grid_resume_merges_the_sparse_cuts_of_its_cells() {
+        let (cfg, mut grid, full) = grid_4x4_after_one_iteration();
+        let cuts: Vec<CellState> = (0..16).map(|k| grid.capture_cut(k, None)).collect();
+        assert!(cuts.iter().all(|cut| cut.exchange_frame != full), "no cut is the whole frame");
+        let resumed =
+            Pipeline::whole_grid(&cfg, |_| toy_data(&cfg), Some(&cuts), Telemetry::disabled());
+        assert_eq!(resumed.latest_frame(), full);
+    }
+
+    #[test]
+    fn resume_drops_the_slots_an_older_cut_carries_beyond_the_read_set() {
+        let (cfg, mut grid, full) = grid_4x4_after_one_iteration();
+        let cut = grid.capture_cut(5, None);
+        let engine = CellEngine::from_state(&cfg, toy_data(&cfg), Pool::new(1), &cut);
+        let mut rank = Pipeline::new(&cfg, vec![engine], Telemetry::disabled());
+        rank.resume_from(full.clone());
+        assert_eq!(rank.latest_frame(), only(&full, rank.read_set()));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "checkpointed exchange frame lacks slot 9, which this rank reads"
+    )]
+    fn resume_refuses_a_frame_that_lacks_a_read_slot() {
+        let (cfg, mut grid, full) = grid_4x4_after_one_iteration();
+        let cut = grid.capture_cut(5, None);
+        let engine = CellEngine::from_state(&cfg, toy_data(&cfg), Pool::new(1), &cut);
+        let mut rank = Pipeline::new(&cfg, vec![engine], Telemetry::disabled());
+        rank.resume_from(only(&full, &[1, 4, 6]));
+    }
+
+    #[test]
+    #[should_panic(expected = "death-frame lacks slot 9, which this rank reads")]
+    fn rejoin_refuses_a_death_frame_that_lacks_a_read_slot() {
+        let (cfg, _, full) = grid_4x4_after_one_iteration();
+        let mut rank = Pipeline::new(&cfg, vec![fresh_engine(&cfg, 5)], Telemetry::disabled());
+        rank.rejoin(0, 2, only(&full, &[1, 4, 6]));
     }
 }

@@ -22,6 +22,7 @@
 use crate::config::TrainConfig;
 use crate::individual::Individual;
 use crate::snapshot::CellSnapshot;
+use crate::topology::Grid;
 use lipiz_data::BatchLoaderState;
 use lipiz_nn::AdamState;
 use lipiz_tensor::Rng64State;
@@ -32,14 +33,28 @@ use std::fmt;
 /// A state that fails validation must never be restored partially — the
 /// checkpoint layer surfaces this as a typed load error.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StateError {
-    /// Which invariant was violated.
-    pub what: &'static str,
+pub enum StateError {
+    /// A structural invariant of the state is violated.
+    Invariant(&'static str),
+    /// The exchange frame lacks — empty, or mis-sized — slot `slot`, which
+    /// cell `cell` reads: resuming would train against nothing.
+    MissingNeighbor {
+        /// The cell the state belongs to.
+        cell: usize,
+        /// The neighbour's frame slot (its flat grid index).
+        slot: usize,
+    },
 }
 
 impl fmt::Display for StateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid cell state: {}", self.what)
+        match self {
+            StateError::Invariant(what) => write!(f, "invalid cell state: {what}"),
+            StateError::MissingNeighbor { cell, slot } => write!(
+                f,
+                "invalid cell state: exchange frame lacks neighbour slot {slot} of cell {cell}"
+            ),
+        }
     }
 }
 
@@ -75,7 +90,10 @@ pub struct CellState {
     pub loader: BatchLoaderState,
     /// The neighbor-exchange frame the *next* iteration will consume:
     /// under `--exchange async` the run is one snapshot generation behind,
-    /// so a checkpoint cut must carry the completed frame along. Empty in
+    /// so a checkpoint cut must carry the completed frame along — one slot
+    /// per grid cell, of which exactly the slots this cell reads
+    /// ([`crate::Grid::neighbors`]) are populated and the rest are
+    /// [`CellSnapshot::empty`], whichever driver wrote the cut. Empty in
     /// sync mode (the next iteration gathers its own frame).
     pub exchange_frame: Vec<CellSnapshot>,
 }
@@ -101,7 +119,7 @@ impl CellState {
     /// here, so a corrupted or mismatched checkpoint fails loudly instead
     /// of restoring a half-consistent engine.
     pub fn validate(&self, cfg: &TrainConfig) -> Result<(), StateError> {
-        let err = |what| Err(StateError { what });
+        let err = |what| Err(StateError::Invariant(what));
         if self.cell >= cfg.cells() {
             return err("cell index outside the grid");
         }
@@ -140,11 +158,17 @@ impl CellState {
             if self.exchange_frame.len() != cfg.cells() {
                 return err("exchange frame size vs grid");
             }
-            if self
-                .exchange_frame
-                .iter()
-                .any(|s| s.gen_genome.len() != gen_params || s.disc_genome.len() != disc_params)
-            {
+            let sized = |s: &CellSnapshot| {
+                s.gen_genome.len() == gen_params && s.disc_genome.len() == disc_params
+            };
+            for slot in Grid::from_config(&cfg.grid).neighbors(self.cell) {
+                if !sized(&self.exchange_frame[slot]) {
+                    return Err(StateError::MissingNeighbor { cell: self.cell, slot });
+                }
+            }
+            // Slots the cell does not read are empty in a cut of this build
+            // and populated in one an older build wrote; either is fine.
+            if !self.exchange_frame.iter().all(|s| s.is_empty() || sized(s)) {
                 return err("exchange frame genome length vs topology");
             }
         }
@@ -233,6 +257,46 @@ mod tests {
             mutate(&mut state);
             assert!(state.validate(&cfg).is_err(), "corruption not caught: {label}");
         }
+    }
+
+    /// Cell 1 of the 2×2 smoke grid reads slots 3 (N, S) and 0 (W, E).
+    fn async_cut(populated: &[usize]) -> (TrainConfig, CellState) {
+        let (cfg, mut state) = captured_state();
+        let snap = CellEngine::new(0, &cfg, toy_data(&cfg)).snapshot();
+        state.exchange_frame = vec![CellSnapshot::empty(); cfg.cells()];
+        for &slot in populated {
+            state.exchange_frame[slot] = snap.clone();
+        }
+        (cfg, state)
+    }
+
+    #[test]
+    fn a_frame_holding_exactly_the_read_slots_validates_and_so_does_a_full_one() {
+        for populated in [&[0, 3][..], &[0, 1, 2, 3]] {
+            let (cfg, state) = async_cut(populated);
+            assert_eq!(state.validate(&cfg), Ok(()), "slots {populated:?}");
+        }
+    }
+
+    #[test]
+    fn a_frame_lacking_a_slot_the_cell_reads_is_a_typed_error() {
+        let missing = StateError::MissingNeighbor { cell: 1, slot: 3 };
+        let (cfg, state) = async_cut(&[0, 1, 2]);
+        assert_eq!(state.validate(&cfg), Err(missing.clone()), "empty read slot");
+        let (cfg, mut state) = async_cut(&[0, 3]);
+        state.exchange_frame[3].gen_genome.pop();
+        assert_eq!(state.validate(&cfg), Err(missing.clone()), "mis-sized read slot");
+        assert_eq!(
+            missing.to_string(),
+            "invalid cell state: exchange frame lacks neighbour slot 3 of cell 1"
+        );
+        // A slot nobody reads may be empty, but not half a snapshot.
+        let (cfg, mut state) = async_cut(&[0, 2, 3]);
+        state.exchange_frame[2].disc_genome.clear();
+        assert_eq!(
+            state.validate(&cfg),
+            Err(StateError::Invariant("exchange frame genome length vs topology"))
+        );
     }
 
     #[test]

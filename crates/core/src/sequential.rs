@@ -70,8 +70,9 @@ impl SequentialTrainer {
 
     /// Capture every cell's full training state (flat grid order), for the
     /// checkpoint layer. Call at an iteration boundary. Under async
-    /// exchange every state also carries the frame the next iteration will
-    /// consume, so a resume re-enters the pipeline bit-exactly.
+    /// exchange every state also carries the slots its cell reads of the
+    /// frame the next iteration will consume, so a resume re-enters the
+    /// pipeline bit-exactly.
     pub fn capture_states(&mut self) -> Vec<CellState> {
         (0..self.cfg.cells()).map(|k| self.pipeline.capture_cut(k, None)).collect()
     }
@@ -118,7 +119,9 @@ impl SequentialTrainer {
     /// it ran) so a driver can commit checkpoints on its cadence. `frame`
     /// is the exchange frame the *next* iteration will consume — empty in
     /// sync mode, the generation-`iter` snapshots under async (a committing
-    /// driver must persist it for the resumed run to stay bit-exact).
+    /// driver stamps each cell's cut with it through
+    /// [`crate::pipeline::capture_with_frame`], which keeps the slots that
+    /// cell reads — the same cut a distributed rank writes for the cell).
     pub fn run_hooked(
         &mut self,
         mut on_iteration: impl FnMut(usize, &mut [CellEngine], &[CellSnapshot]),

@@ -94,6 +94,13 @@ impl CellSnapshot {
         }
     }
 
+    /// True for a snapshot that holds no genomes: the shell
+    /// [`CellSnapshot::empty`] returns, which is what every exchange-frame
+    /// slot a rank does not read stays for the life of the run.
+    pub fn is_empty(&self) -> bool {
+        self.gen_genome.is_empty() && self.disc_genome.is_empty()
+    }
+
     /// Overwrite `self` with `src`, reusing both genome buffers — the
     /// zero-allocation analogue of `clone` for snapshot fan-out in the
     /// drivers.

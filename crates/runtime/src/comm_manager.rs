@@ -19,9 +19,10 @@
 //! here that moves megabytes, and it copies each snapshot byte once per
 //! hop: `begin` encodes straight into the buffer the transport takes
 //! ownership of, the fan-in root copies every contribution once into the
-//! broadcast body that all ranks then share, and `complete` decodes each
-//! part — a slice of that body — in place into a frame slot that keeps its
-//! genome buffers from generation to generation. Frames are never
+//! broadcast body that all ranks then share, and `complete` decodes the
+//! parts the rank's cells read — slices of that body, and only those — in
+//! place into frame slots that keep their genome buffers from generation
+//! to generation; every other slot stays an empty shell. Frames are never
 //! allocated per generation: sync mode refills the pipeline's own buffer,
 //! async mode rotates three frames between the training thread and the
 //! exchange thread (README, "Where a snapshot byte is copied").
@@ -274,7 +275,8 @@ impl CommManager {
     pub fn exchange_centers(&mut self, snapshot: &CellSnapshot) -> &[CellSnapshot] {
         let pending = self.begin_exchange(snapshot);
         let local = self.local.as_ref().expect("master has no LOCAL communicator");
-        complete_exchange(local, pending, 0, None, &mut self.centers, &mut Vec::new());
+        let every: Vec<usize> = (0..local.size()).collect();
+        complete_exchange(local, pending, 0, None, &every, &mut self.centers, &mut Vec::new());
         &self.centers
     }
 
@@ -289,23 +291,32 @@ impl CommManager {
         self.local().allgather_bytes_split(wire)
     }
 
-    /// Slave: this rank's [`Exchange`] for the iteration pipeline. In sync
-    /// mode every generation completes inline; under `--exchange async` the
-    /// blocking half runs on a background `AsyncExchanger` thread so root
-    /// assembly + broadcast overlap the train step. `ctl` is the fan-in
-    /// root's degraded-gather controller, when graceful degradation is on
-    /// (clone its frozen-frame handle *before* passing it in if another
-    /// thread must keep serving death-frame requests).
-    pub fn exchange(&self, mode: ExchangeMode, ctl: Option<DegradedGather>) -> CommExchange {
+    /// Slave: this rank's [`Exchange`] for the iteration pipeline,
+    /// delivering the frame slots `reads` (the pipeline's
+    /// `Pipeline::read_set`) and no others. In sync mode every generation
+    /// completes inline; under `--exchange async` the blocking half runs on
+    /// a background `AsyncExchanger` thread so root assembly + broadcast
+    /// overlap the train step. `ctl` is the fan-in root's degraded-gather
+    /// controller, when graceful degradation is on (clone its frozen-frame
+    /// handle *before* passing it in if another thread must keep serving
+    /// death-frame requests).
+    pub fn exchange(
+        &self,
+        mode: ExchangeMode,
+        ctl: Option<DegradedGather>,
+        reads: &[usize],
+    ) -> CommExchange {
         let prev_stale = vec![0; self.num_slaves()];
         let (ctl, exchanger) = match mode {
             ExchangeMode::Sync => (ctl, None),
             ExchangeMode::Async => {
-                (None, Some(AsyncExchanger::start(self.local().clone(), ctl)))
+                let comm = self.local().clone();
+                (None, Some(AsyncExchanger::start(comm, ctl, reads.to_vec())))
             }
         };
         CommExchange {
             cm: self.clone(),
+            reads: reads.to_vec(),
             pending: None,
             ctl,
             exchanger,
@@ -331,9 +342,10 @@ impl CommManager {
     }
 
     /// Replacement slave: fetch the frozen death-frame from the fan-in root
-    /// (WORLD rank 1), polling until the root has frozen one or `timeout`
-    /// passes. One request is answered by exactly one response, so the
-    /// request/response pairing never skews.
+    /// (WORLD rank 1) — every cell's encoded snapshot, of which the caller
+    /// decodes the ones it reads — polling until the root has frozen one or
+    /// `timeout` passes. One request is answered by exactly one response,
+    /// so the request/response pairing never skews.
     ///
     /// The deadline is authoritative: every wait below is capped at the
     /// time remaining, and nothing — not a response poll, not the retry
@@ -428,12 +440,12 @@ impl CommManager {
 
 /// The blocking half of one generation's exchange on `comm` (a LOCAL
 /// communicator): complete the allgather — through the degraded fan-in
-/// when this rank is the root and holds a controller — and decode every
-/// part **in place** into `frame`, whose slots keep their genome buffers
-/// from the generation they held before. `round` is the generation's
-/// iteration index, which the controller keys its staleness accounting on;
-/// `stale_runs` receives the controller's per-rank consecutive-substitution
-/// counts after this round (left empty without a controller).
+/// when this rank is the root and holds a controller — and decode the parts
+/// `reads` names into `frame` ([`decode_slots`]). `round` is the
+/// generation's iteration index, which the controller keys its staleness
+/// accounting on; `stale_runs` receives the controller's per-rank
+/// consecutive-substitution counts after this round (left empty without a
+/// controller).
 ///
 /// The parts are slices of the one broadcast body; dropping them on return
 /// is this rank letting go of that body.
@@ -442,6 +454,7 @@ fn complete_exchange(
     pending: PendingAllgather,
     round: usize,
     ctl: Option<&mut DegradedGather>,
+    reads: &[usize],
     frame: &mut Vec<CellSnapshot>,
     stale_runs: &mut Vec<usize>,
 ) {
@@ -454,21 +467,38 @@ fn complete_exchange(
         }
         None => comm.allgather_bytes_complete(pending),
     };
+    decode_slots(&parts, reads, frame);
+}
+
+/// Decode the encoded snapshots `reads` names — `parts[slot]` for each, and
+/// no other part — **in place** into their slots of `frame`, which keep
+/// their genome buffers from the generation they held before. `frame` is
+/// sized to one slot per part; a slot outside `reads` is left as it is,
+/// an empty shell on a frame that was never anything else. The one decode
+/// of the exchange: a live generation and a replacement's death-frame
+/// alike.
+///
+/// # Panics
+/// Panics on a part that is not an encoded snapshot.
+pub(crate) fn decode_slots(parts: &[Payload], reads: &[usize], frame: &mut Vec<CellSnapshot>) {
     frame.resize_with(parts.len(), CellSnapshot::empty);
-    for (part, slot) in parts.iter().zip(frame.iter_mut()) {
-        slot.decode_from(part).expect("snapshot decode");
+    for &slot in reads {
+        frame[slot].decode_from(&parts[slot]).expect("snapshot decode");
     }
 }
 
 /// The `Comm`-backed [`Exchange`] of one slave rank (see
 /// [`CommManager::exchange`]): `begin` posts the rank's snapshot toward
-/// the fan-in root, `complete` decodes the generation into the frame slots
-/// it is given (sync) or swaps in the frame the exchange thread decoded
-/// into and sends the spent one back to be refilled (async) — either way no
-/// frame is allocated once the first generations have sized the buffers.
+/// the fan-in root, `complete` decodes the generation's read slots into the
+/// frame it is given (sync) or swaps in the frame the exchange thread
+/// decoded them into and sends the spent one back to be refilled (async) —
+/// either way no frame is allocated once the first generations have sized
+/// the buffers, and no slot outside the read set is ever filled.
 #[derive(Debug)]
 pub struct CommExchange {
     cm: CommManager,
+    /// The frame slots this rank's cells read.
+    reads: Vec<usize>,
     /// Sync: the generation begun and not yet completed.
     pending: Option<PendingAllgather>,
     /// Sync fan-in root under graceful degradation (the async controller
@@ -499,7 +529,8 @@ impl Exchange for CommExchange {
             None => {
                 let pending = self.pending.take().expect("complete follows begin");
                 let (local, ctl) = (self.cm.local(), self.ctl.as_mut());
-                complete_exchange(local, pending, gen, ctl, frame, &mut self.stale_runs);
+                let stale_runs = &mut self.stale_runs;
+                complete_exchange(local, pending, gen, ctl, &self.reads, frame, stale_runs);
             }
         }
         let cell = self.cm.local_rank() as u32;
@@ -521,7 +552,7 @@ impl Exchange for CommExchange {
 /// training thread — and, spent, back again to be refilled.
 #[derive(Debug, Default)]
 struct Generation {
-    /// Every cell's snapshot, in cell order.
+    /// One slot per cell, the rank's read set decoded.
     frame: Vec<CellSnapshot>,
     /// See [`complete_exchange`].
     stale_runs: Vec<usize>,
@@ -538,12 +569,12 @@ struct Generation {
 /// therefore the run's result — are a pure function of (seed, config),
 /// never of how the exchange thread is scheduled.
 ///
-/// One [`Generation`] of buffers belongs to the thread. It decodes into
-/// them, hands them over, and takes its next job only once
-/// [`AsyncExchanger::retrieve`] has swapped the frame out and sent the
-/// spent buffers back — so three decoded frames exist per rank (the
-/// pipeline's two and this one) and they rotate instead of being allocated
-/// per generation.
+/// One [`Generation`] of buffers belongs to the thread. It decodes the
+/// rank's read set into them, hands them over, and takes its next job only
+/// once [`AsyncExchanger::retrieve`] has swapped the frame out and sent the
+/// spent buffers back — so three frames exist per rank (the pipeline's two
+/// and this one), each holding the read set and nothing else of the grid,
+/// and they rotate instead of being allocated per generation.
 ///
 /// Dropping the exchanger completes any still-queued collective first and
 /// joins the thread: every rank must finish the final generation or its
@@ -559,9 +590,10 @@ struct AsyncExchanger {
 
 impl AsyncExchanger {
     /// Spawn the exchange thread over `comm` (a clone of the LOCAL
-    /// communicator); on the fan-in root under degraded gathers it also
-    /// owns the [`DegradedGather`] control block.
-    fn start(comm: Comm, mut ctl: Option<DegradedGather>) -> Self {
+    /// communicator), decoding the frame slots `reads`; on the fan-in root
+    /// under degraded gathers it also owns the [`DegradedGather`] control
+    /// block.
+    fn start(comm: Comm, mut ctl: Option<DegradedGather>, reads: Vec<usize>) -> Self {
         let (job_tx, job_rx) = mpsc::channel::<(PendingAllgather, usize)>();
         let (done_tx, done_rx) = mpsc::channel::<Generation>();
         let (spent_tx, spent_rx) = mpsc::channel::<Generation>();
@@ -569,7 +601,15 @@ impl AsyncExchanger {
             let mut gen = Generation::default();
             for (pending, round) in job_rx {
                 let (frame, stale_runs) = (&mut gen.frame, &mut gen.stale_runs);
-                complete_exchange(&comm, pending, round, ctl.as_mut(), frame, stale_runs);
+                complete_exchange(
+                    &comm,
+                    pending,
+                    round,
+                    ctl.as_mut(),
+                    &reads,
+                    frame,
+                    stale_runs,
+                );
                 if done_tx.send(gen).is_err() {
                     break;
                 }
@@ -599,9 +639,9 @@ impl AsyncExchanger {
     }
 
     /// Block until the oldest submitted exchange completes, swap its frame
-    /// (all cells' snapshots in cell order) into `frame` and copy its stale
-    /// runs into `stale_runs`; the frame swapped out goes back to the
-    /// exchange thread as the buffers of its next generation.
+    /// (the read set's snapshots, each in its cell's slot) into `frame` and
+    /// copy its stale runs into `stale_runs`; the frame swapped out goes
+    /// back to the exchange thread as the buffers of its next generation.
     ///
     /// # Panics
     /// Panics when nothing is in flight — the pipeline invariant (begin
@@ -738,7 +778,7 @@ mod tests {
                 return vec![];
             }
             let cell = cm.local_rank();
-            let mut ex = cm.exchange(ExchangeMode::Async, None);
+            let mut ex = cm.exchange(ExchangeMode::Async, None, &[0, 1, 2]);
             let mut tel = Telemetry::disabled();
             let mut completed: Vec<(usize, Vec<f32>)> = Vec::new();
             for call in script {
@@ -766,6 +806,74 @@ mod tests {
             for (gen, frame) in completed {
                 let want: Vec<f32> = (0..3).map(|c| (c * 100 + gen) as f32).collect();
                 assert_eq!(frame, &want, "rank {rank} generation {gen}");
+            }
+        }
+    }
+
+    #[test]
+    fn exchange_frames_hold_exactly_the_read_set_on_a_4x4_grid() {
+        // Sixteen one-cell ranks, three pipeline steps each. Every frame a
+        // rank owns — the pipeline's, and under async the exchange thread's —
+        // holds a snapshot in the four slots its cell reads, at most its own
+        // posted one besides, and not one byte of the other eleven cells.
+        use lipiz_core::{CellEngine, Grid, Pipeline};
+        for mode in [ExchangeMode::Sync, ExchangeMode::Async] {
+            let cfg = TrainConfig::smoke(4).with_exchange(mode);
+            let grid = Grid::from_config(&cfg.grid);
+            let mut rng = lipiz_tensor::Rng64::seed_from(cfg.training.data_seed);
+            let (rows, cols) = (cfg.training.dataset_size, cfg.network.data_dim);
+            let data = rng.uniform_matrix(rows, cols, -0.9, 0.9);
+            let results = Universe::run(17, |world| {
+                let cm = CommManager::new(world);
+                if cm.is_master() {
+                    return None;
+                }
+                let cell = cm.local_rank();
+                let mut engine = CellEngine::new(cell, &cfg, data.clone());
+                let snapshot_bytes = {
+                    let snap = engine.snapshot();
+                    4 * (snap.gen_genome.len() + snap.disc_genome.len())
+                };
+                let mut pipeline = Pipeline::new(&cfg, vec![engine], Telemetry::disabled());
+                let mut ex = cm.exchange(mode, None, pipeline.read_set());
+                for _ in 0..3 {
+                    pipeline.step(&mut ex);
+                }
+                // Under async, generation 2 is still with the exchange
+                // thread: take the frame it decoded into.
+                let mut third = Vec::new();
+                if mode.is_async() {
+                    ex.complete(2, &mut third, &mut Telemetry::disabled());
+                }
+                drop(ex);
+                let [cur, prev] = pipeline.frames();
+                let account = |frame: &[CellSnapshot]| {
+                    let held: Vec<usize> =
+                        (0..frame.len()).filter(|&slot| !frame[slot].is_empty()).collect();
+                    let floats =
+                        |s: &CellSnapshot| s.gen_genome.capacity() + s.disc_genome.capacity();
+                    (held, 4 * frame.iter().map(floats).sum::<usize>())
+                };
+                Some(([cur, prev, &third].map(account), snapshot_bytes))
+            });
+            for (cell, result) in results.iter().skip(1).enumerate() {
+                let (frames, snapshot_bytes) = result.as_ref().expect("slave");
+                let mut reads = grid.neighbors(cell);
+                reads.sort_unstable();
+                assert_eq!(reads.len(), 4, "4×4 Cross5 has four distinct neighbours");
+                let mut in_use = 0;
+                for (held, heap) in frames {
+                    assert_eq!(*heap, held.len() * snapshot_bytes, "cell {cell} {mode:?}");
+                    if held.is_empty() {
+                        continue;
+                    }
+                    in_use += 1;
+                    let others: Vec<usize> =
+                        held.iter().copied().filter(|&slot| slot != cell).collect();
+                    assert_eq!(others, reads, "cell {cell} {mode:?}: slots held {held:?}");
+                }
+                // One frame in sync mode, three rotating under async.
+                assert_eq!(in_use, if mode.is_async() { 3 } else { 1 }, "cell {cell} {mode:?}");
             }
         }
     }
@@ -814,6 +922,8 @@ mod tests {
         // round naming the absent rank — whether its controller sits on the
         // training thread (sync) or on the exchange thread (async).
         const ROUNDS: usize = 6;
+        /// Every rank reads every slot here.
+        const ALL: &[usize] = &[0, 1, 2];
         /// Drive `ex` through rounds `from..ROUNDS` in the pipeline's call
         /// order; returns `(gen, slot values)` of every completed frame.
         fn drive(
@@ -854,15 +964,26 @@ mod tests {
                     0 => {
                         let mut ctl = DegradedGather::new(3, 2);
                         ctl.plan_absence(2, 2, 4);
-                        let mut ex = cm.exchange(mode, Some(ctl));
+                        let mut ex = cm.exchange(mode, Some(ctl), ALL);
                         drive(&mut ex, mode, cell, 0..ROUNDS, &mut tel)
                     }
-                    1 => drive(&mut cm.exchange(mode, None), mode, cell, 0..ROUNDS, &mut tel),
+                    1 => drive(
+                        &mut cm.exchange(mode, None, ALL),
+                        mode,
+                        cell,
+                        0..ROUNDS,
+                        &mut tel,
+                    ),
                     _ => {
-                        let mut seen =
-                            drive(&mut cm.exchange(mode, None), mode, cell, 0..2, &mut tel);
+                        let mut seen = drive(
+                            &mut cm.exchange(mode, None, ALL),
+                            mode,
+                            cell,
+                            0..2,
+                            &mut tel,
+                        );
                         seen.extend(drive(
-                            &mut cm.exchange(mode, None),
+                            &mut cm.exchange(mode, None, ALL),
                             mode,
                             cell,
                             4..ROUNDS,

@@ -15,11 +15,10 @@
 //! result.
 
 use crate::checkpoint::{self, CheckpointWriter};
-use crate::comm_manager::CommManager;
+use crate::comm_manager::{decode_slots, CommManager};
 use crate::protocol::{SlaveResult, StatusReport};
 use crate::state::SlaveState;
-use lipiz_core::{CellEngine, CellResult, CellSnapshot, Grid, Pipeline, TrainConfig};
-use lipiz_mpi::wire::Wire;
+use lipiz_core::{CellEngine, CellResult, Grid, Pipeline, TrainConfig};
 use lipiz_mpi::{process_faults_enabled, scheduled_replacement, DegradedGather, FaultPlan};
 use lipiz_telemetry::{EventKind, Telemetry};
 use lipiz_tensor::{Matrix, Pool};
@@ -205,20 +204,18 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                 let mut pipeline = Pipeline::new(&exec_cfg, vec![engine], telemetry);
                 match rejoin_round {
                     // In-flight replacement: catch up solo against the
-                    // frozen death-frame, streamed from the fan-in root.
+                    // frozen death-frame, streamed from the fan-in root —
+                    // of which this rank decodes the slots its cell reads.
                     Some(rejoin) => {
-                        let frozen = exec_cm
+                        let parts = exec_cm
                             .fetch_frozen_frame(Duration::from_secs(60))
                             .unwrap_or_else(|| {
                                 panic!(
                                     "cell {cell_index}: no frozen death-frame to catch up from"
                                 )
-                            })
-                            .iter()
-                            .map(|part| {
-                                CellSnapshot::from_bytes(part).expect("death-frame decode")
-                            })
-                            .collect();
+                            });
+                        let mut frozen = Vec::new();
+                        decode_slots(&parts, pipeline.read_set(), &mut frozen);
                         pipeline.rejoin(0, rejoin, frozen);
                     }
                     None => pipeline.resume_from(resume_frame),
@@ -226,7 +223,8 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                 // The async exchange thread also owns the degraded fan-in
                 // controller — the death-frame handle was cloned for the
                 // main thread before this move.
-                let mut exchange = exec_cm.exchange(exec_cfg.exchange, gather_ctl.take());
+                let mut exchange =
+                    exec_cm.exchange(exec_cfg.exchange, gather_ctl.take(), pipeline.read_set());
 
                 while pipeline.iteration() < target {
                     let iter = pipeline.iteration();

@@ -482,8 +482,9 @@ type IterationHook<'a> = &'a mut dyn FnMut(usize, &mut [CellEngine], &[CellSnaps
 
 /// Run an in-process driver with the CLI as its checkpoint coordinator:
 /// `drive` receives the per-iteration hook, which — when checkpointing is
-/// on — commits every cell's cut (stamped with the frame its next
-/// iteration consumes) on the configured cadence through the async writer.
+/// on — commits every cell's cut (stamped with the slots that cell reads of
+/// the frame its next iteration consumes) on the configured cadence through
+/// the async writer.
 fn with_checkpoint_commits<R>(cfg: &TrainConfig, drive: impl FnOnce(IterationHook) -> R) -> R {
     if !cfg.checkpoint.enabled() {
         return drive(&mut |_, _, _| {});

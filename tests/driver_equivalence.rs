@@ -109,3 +109,75 @@ fn different_seeds_change_results() {
     let same = a.cells.iter().zip(&b.cells).all(|(x, y)| x.gen_fitness == y.gen_fitness);
     assert!(!same, "different master seeds produced identical runs");
 }
+
+/// Run the compiled `lipizzaner` binary to completion (a wedged process
+/// fails the test instead of hanging it) and return the `.lpz` it saved.
+fn lpz_from_cli(args: &[&str], out: &std::path::Path) -> Vec<u8> {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+    const DEADLINE: Duration = Duration::from_secs(60);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lipizzaner"))
+        .args(args)
+        .args(["--out", out.to_str().unwrap()])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn lipizzaner binary");
+    let start = Instant::now();
+    while child.try_wait().expect("poll child").is_none() {
+        if start.elapsed() > DEADLINE {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`lipizzaner {}` exceeded the {DEADLINE:?} deadline", args.join(" "));
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let output = child.wait_with_output().expect("collect output");
+    assert!(
+        output.status.success(),
+        "`lipizzaner {}` failed:\n{}",
+        args.join(" "),
+        String::from_utf8_lossy(&output.stderr)
+    );
+    std::fs::read(out).unwrap_or_else(|e| panic!("read {}: {e}", out.display()))
+}
+
+#[test]
+fn four_drivers_save_the_same_lpz_on_every_grid_shape_sync_and_async() {
+    // A rank holds only the frame slots its cell reads, so the shapes that
+    // matter are the ones where that set is odd: 1×2 (a cell is its own N/S
+    // neighbour), 2×2 and 2×3 (wrap-around duplicates), 3×3 (four distinct
+    // neighbours out of eight peers) and 4×4 (eleven cells a rank never
+    // decodes). Sequential, threaded, TCP processes and the simulator must
+    // save byte-identical ensembles on every one, sync and async.
+    let dir = std::env::temp_dir().join("lipiz_driver_equivalence_grids");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create test workdir");
+    let drivers: [(&str, &[&str]); 4] = [
+        ("sequential", &["train", "--driver", "sequential"]),
+        ("threaded", &["train", "--driver", "distributed"]),
+        ("cluster-sim", &["train", "--driver", "cluster-sim"]),
+        ("tcp", &["launch"]),
+    ];
+    for (rows, cols) in [(1, 2), (2, 2), (2, 3), (3, 3), (4, 4)] {
+        for exchange in ["sync", "async"] {
+            let (rows_s, cols_s) = (rows.to_string(), cols.to_string());
+            let mut reference: Option<Vec<u8>> = None;
+            for (name, command) in drivers {
+                let mut args = command.to_vec();
+                args.extend_from_slice(&["--tiny", "--rows", &rows_s, "--cols", &cols_s]);
+                args.extend_from_slice(&["--iterations", "3", "--batches", "1"]);
+                args.extend_from_slice(&["--exchange", exchange]);
+                let out = dir.join(format!("{name}_{rows}x{cols}_{exchange}.lpz"));
+                let lpz = lpz_from_cli(&args, &out);
+                match &reference {
+                    None => reference = Some(lpz),
+                    Some(reference) => assert!(
+                        &lpz == reference,
+                        "{rows}x{cols} {exchange}: {name} differs from sequential"
+                    ),
+                }
+            }
+        }
+    }
+}

@@ -246,3 +246,74 @@ fn resume_refuses_an_empty_directory() {
         .expect("run binary");
     assert!(!out.status.success(), "resume from an empty dir must fail");
 }
+
+#[test]
+fn async_cut_is_the_same_bytes_from_every_driver_and_resumes_on_any() {
+    // A cell's cut carries the frame slots that cell reads and no others,
+    // whichever driver wrote it: on 3×3 that is four of nine, so the
+    // threaded, sequential and simulated drivers must commit identical
+    // cell files — and a whole-grid driver resuming from the threaded
+    // run's files has to merge nine sparse frames back into one.
+    use lipizzaner::runtime::checkpoint::{read_cell_state, read_manifest};
+    let dir = workdir("async_cross_driver");
+    let flags = ["--tiny", "--grid", "3", "--iterations", "4", "--batches", "2"];
+    let reference = dir.join("reference.lpz");
+    let mut args = vec!["train", "--driver", "sequential", "--exchange", "async"];
+    args.extend_from_slice(&["--out", reference.to_str().unwrap()]);
+    args.extend_from_slice(&flags);
+    run(&args);
+    let reference = read(&reference);
+
+    let cell_files = |ckpt: &Path| {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(ckpt)
+            .expect("list checkpoint dir")
+            .map(|entry| entry.expect("dir entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "ckpt"))
+            .map(|path| (path.file_name().unwrap().to_string_lossy().into_owned(), read(&path)))
+            .collect();
+        files.sort();
+        files
+    };
+    let pause_on = |driver: &str| {
+        let ckpt = dir.join(format!("ckpt_{driver}"));
+        let paused = dir.join(format!("paused_{driver}.lpz"));
+        let mut args = vec!["train", "--driver", driver, "--exchange", "async"];
+        args.extend_from_slice(&["--checkpoint-dir", ckpt.to_str().unwrap()]);
+        args.extend_from_slice(&["--checkpoint-every", "1", "--pause-after", PAUSE_AT]);
+        args.extend_from_slice(&["--out", paused.to_str().unwrap()]);
+        args.extend_from_slice(&flags);
+        run(&args);
+        ckpt
+    };
+    let threaded_ckpt = &pause_on("distributed");
+    let threaded_files = &cell_files(threaded_ckpt);
+    assert!(threaded_files.len() >= 9, "one committed cut per cell at least");
+    for driver in ["sequential", "cluster-sim"] {
+        let files = &cell_files(&pause_on(driver));
+        assert!(files == threaded_files, "{driver} wrote different cell files than threaded");
+    }
+
+    // The cut really is sparse: the centre cell's frame holds its four
+    // neighbours' slots and nothing else.
+    let cfg = read_manifest(threaded_ckpt).expect("manifest");
+    let (name, _) =
+        threaded_files.iter().rfind(|(name, _)| name.starts_with("cell_0004")).unwrap();
+    let state = read_cell_state(&threaded_ckpt.join(name), &cfg).expect("cell 4 state");
+    let held: Vec<usize> =
+        (0..9).filter(|&slot| !state.exchange_frame[slot].is_empty()).collect();
+    assert_eq!(held, [1, 3, 5, 7], "cell 4 of a 3×3 torus reads N, W, E, S");
+
+    for driver in ["sequential", "cluster-sim", "distributed"] {
+        // Each resume gets its own copy: a resumed run commits new cuts.
+        let copy = dir.join(format!("resume_on_{driver}"));
+        std::fs::create_dir_all(&copy).unwrap();
+        for entry in std::fs::read_dir(threaded_ckpt).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
+        }
+        let resumed = dir.join(format!("resumed_{driver}.lpz"));
+        let (copy_s, resumed_s) = (copy.to_str().unwrap(), resumed.to_str().unwrap());
+        run(&["resume", "--from", copy_s, "--driver", driver, "--out", resumed_s]);
+        assert!(read(&resumed) == reference, "threaded async cut resumed on {driver} diverged");
+    }
+}

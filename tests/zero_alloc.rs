@@ -10,7 +10,7 @@
 //! evolution (`mixture_every = 1` in the smoke config). The same holds one
 //! level up, for the driver loop around the engines: a whole-grid
 //! [`Pipeline`] step over the in-memory exchange — snapshot, frame choice,
-//! neighbour fan-out, every cell's iteration — allocates nothing either,
+//! every cell's iteration straight off the frame — allocates nothing either,
 //! in sync and async mode, with telemetry on and off.
 //!
 //! And one level further out, where snapshots really move: a 2×2 grid of
@@ -235,8 +235,8 @@ fn steady_state_pipeline_step_allocates_nothing() {
             // A small ring, so the overwrite path is inside the window too.
             let tel = if traced { Telemetry::enabled(0, 64) } else { Telemetry::disabled() };
             let mut pipeline = Pipeline::new(&cfg, engines, tel);
-            // Warm-up sizes both frame buffers (async alternates them), the
-            // fan-out scratch and every engine's workspace.
+            // Warm-up sizes both frame buffers (async alternates them) and
+            // every engine's workspace.
             for _ in 0..4 {
                 pipeline.step(&mut InMemoryExchange);
             }
@@ -321,8 +321,10 @@ fn steady_state_exchange_allocates_one_payload_per_rank() {
                             };
                             let engine = CellEngine::new(cell, cfg, data.clone());
                             let mut pipeline = Pipeline::new(cfg, vec![engine], tel);
-                            let mut ex =
-                                Metered { inner: cm.exchange(mode, None), in_complete: (0, 0) };
+                            let mut ex = Metered {
+                                inner: cm.exchange(mode, None, pipeline.read_set()),
+                                in_complete: (0, 0),
+                            };
                             for _ in 0..WARM {
                                 pipeline.step(&mut ex);
                             }
