@@ -149,6 +149,7 @@ impl SimulatedCluster {
             target,
             cfg.cells(),
         )
+        .unwrap_or_else(|e| panic!("cfg.fault.plan: {e}"))
         .filter(|s| s.kill_iter > start_iter);
         let mut pending_kill = fault;
         let mut victim_cut: Option<CellState> = None;

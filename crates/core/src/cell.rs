@@ -14,13 +14,7 @@ use lipiz_nn::{
 };
 use lipiz_telemetry::Telemetry;
 use lipiz_tensor::{Matrix, Pool, Rng64};
-use std::sync::Arc;
 use std::time::Duration;
-
-/// Optional external scorer for mixture evolution (lower is better). The
-/// drivers plug a FID-based scorer in here; without one the engine falls
-/// back to a discriminator-loss proxy.
-pub type MixtureScorer = Arc<dyn Fn(&Matrix) -> f64 + Send + Sync>;
 
 /// One grid cell's complete training state.
 ///
@@ -49,7 +43,6 @@ pub struct CellEngine {
     rng_mutate: Rng64,
     rng_train: Rng64,
     rng_mixture: Rng64,
-    scorer: Option<MixtureScorer>,
     batch_counter: u64,
     iteration: usize,
     /// Intra-rank worker pool: every matrix product of the iteration —
@@ -187,7 +180,6 @@ impl CellEngine {
             rng_mutate,
             rng_train,
             rng_mixture,
-            scorer: None,
             batch_counter: 0,
             iteration: 0,
             pool,
@@ -245,7 +237,6 @@ impl CellEngine {
             rng_mutate: Rng64::from_state(state.rng_mutate),
             rng_train: Rng64::from_state(state.rng_train),
             rng_mixture: Rng64::from_state(state.rng_mixture),
-            scorer: None,
             batch_counter: state.batch_counter,
             iteration: state.iteration,
             pool,
@@ -299,11 +290,6 @@ impl CellEngine {
         state.rng_train = self.rng_train.state();
         state.rng_mixture = self.rng_mixture.state();
         self.loader.state_into(&mut state.loader);
-    }
-
-    /// Attach an external mixture scorer (e.g. FID against real features).
-    pub fn set_mixture_scorer(&mut self, scorer: MixtureScorer) {
-        self.scorer = Some(scorer);
     }
 
     /// This cell's flat grid index.
@@ -667,9 +653,8 @@ impl CellEngine {
     }
 
     /// One ES step on the mixture weights over the update phase's fake
-    /// batches. With an external scorer the candidate mixtures are scored
-    /// by it (e.g. FID); otherwise by how well the blended batch fools the
-    /// center discriminator.
+    /// batches: candidate mixtures are scored by how well the blended
+    /// batch fools the center discriminator.
     fn evolve_mixture(&mut self) {
         let sigma = self.cfg.coevolution.mixture_sigma;
         let n = self.scratch.fakes[0].rows();
@@ -677,7 +662,6 @@ impl CellEngine {
         // Pre-draw one component assignment stream per candidate scoring so
         // both candidates see the same randomness (common random numbers).
         let assignment_seed = self.rng_mixture.derive(self.iteration as u64);
-        let scorer = self.scorer.clone();
         let fakes = &self.scratch.fakes;
         let disc = &self.disc;
         let pool = &self.pool;
@@ -691,13 +675,8 @@ impl CellEngine {
                 let c = w.sample_component(&mut rng);
                 blended.row_mut(r).copy_from_slice(fakes[c].row(r));
             }
-            match &scorer {
-                Some(s) => s(blended),
-                None => {
-                    disc.logits_into(blended, logits, fwd_scratch, pool);
-                    loss::g_loss_value(GanLoss::Heuristic, logits) as f64
-                }
-            }
+            disc.logits_into(blended, logits, fwd_scratch, pool);
+            loss::g_loss_value(GanLoss::Heuristic, logits) as f64
         };
         self.mixture.es_step_with(
             sigma,
@@ -726,11 +705,6 @@ impl CellEngine {
         let genomes: Vec<Vec<f32>> =
             self.gen_pop.members().iter().map(|m| m.genome.clone()).collect();
         EnsembleModel::new(self.net_cfg, genomes, self.mixture.clone())
-    }
-
-    /// Sample images from the center generator only (diagnostics).
-    pub fn sample_center(&self, n: usize, rng: &mut Rng64) -> Matrix {
-        self.gen.sample(n, rng)
     }
 
     /// Best (lowest) generator fitness currently in the sub-population.

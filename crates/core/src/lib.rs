@@ -25,7 +25,8 @@
 //!
 //! The final model of a cell is a *mixture ensemble* of its sub-population
 //! generators weighted by the evolved mixture weights; the grid's answer is
-//! the best cell by score (inception score / FID via `lipiz-metrics`).
+//! the cell with the lowest generator fitness (`lipiz-metrics` measures the
+//! result from outside; it is not on the training path).
 //!
 //! # Drivers
 //!

@@ -35,8 +35,7 @@ pub struct TrainReport {
     pub profile: ProfileReport,
     /// Per-cell outcomes, in flat grid order.
     pub cells: Vec<CellResult>,
-    /// Index into `cells` of the best cell (lowest generator fitness, or
-    /// external score when a scorer ran).
+    /// Index into `cells` of the best cell (lowest generator fitness).
     pub best_cell: usize,
 }
 

@@ -8,7 +8,7 @@
 //! cluster simulator, which is why the three are bit-identical. This file
 //! only builds the engines, drives the loop and assembles the report.
 
-use crate::cell::{CellEngine, MixtureScorer};
+use crate::cell::CellEngine;
 use crate::config::TrainConfig;
 use crate::mixture::EnsembleModel;
 use crate::pipeline::{InMemoryExchange, Pipeline};
@@ -81,14 +81,6 @@ impl SequentialTrainer {
     /// iteration on a resumed one).
     pub fn iterations_done(&self) -> usize {
         self.pipeline.iteration()
-    }
-
-    /// Attach a mixture scorer to every cell (see
-    /// [`CellEngine::set_mixture_scorer`]).
-    pub fn set_mixture_scorer(&mut self, scorer: MixtureScorer) {
-        for e in self.pipeline.engines_mut() {
-            e.set_mixture_scorer(scorer.clone());
-        }
     }
 
     /// The grid topology.

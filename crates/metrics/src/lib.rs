@@ -14,11 +14,14 @@
 //! * [`fid`] — Fréchet distance between Gaussian fits of feature
 //!   activations, with the required symmetric matrix square root computed by
 //!   the Jacobi eigensolver in [`eigen`],
-//! * [`kid::kernel_inception_distance`] — unbiased kernel inception
-//!   distance (polynomial-kernel MMD²), the small-sample complement to FID,
 //! * [`coverage`] — mode-coverage statistics (total variation distance to
 //!   the real class histogram, number of dominated/missing modes),
-//! * [`score::ScoreService`] — the bundle the trainer consumes.
+//! * [`score::ScoreService`] — the bundle that scores a batch in one call.
+//!
+//! Nothing here is on the training path: the trainer evolves mixtures and
+//! picks its best cell by discriminator loss. These metrics measure a
+//! finished ensemble from outside (`tests/end_to_end_digits.rs`,
+//! `examples/mnist_grid.rs`).
 //!
 //! # Example
 //!
@@ -40,7 +43,6 @@ pub mod coverage;
 pub mod eigen;
 pub mod fid;
 pub mod inception;
-pub mod kid;
 pub mod score;
 
 pub use classifier::Classifier;

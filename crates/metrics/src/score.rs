@@ -1,9 +1,9 @@
-//! The score service consumed by the trainer.
+//! The score service: quality scores of a generated batch in one call.
 //!
 //! Bundles the classifier, the real-data feature statistics, and the real
-//! class histogram so that scoring a generator is a single call. The trainer
-//! uses it for (1+1)-ES mixture-weight evolution and for the final
-//! best-cell selection (§II-B).
+//! class histogram. It measures a finished ensemble after the run; the
+//! trainer itself does not use it (mixture evolution and best-cell
+//! selection go by discriminator loss).
 
 use crate::classifier::Classifier;
 use crate::coverage::{self, CoverageReport};

@@ -255,10 +255,10 @@ impl Comm {
         self.my_mailbox().probe(self.context, src.as_option(), tag)
     }
 
-    /// Is group rank `r`'s transport connection known to be gone? Always
-    /// `false` on in-process fabrics (which never mark peers dead). Lets a
-    /// caller that abandoned a collective name the *actual* casualty
-    /// instead of guessing from the pending set.
+    /// Is group rank `r`'s transport connection known to be gone? (On the
+    /// in-process fabric: has its thread panicked, or a scripted sever cut
+    /// the link.) Lets a caller that abandoned a collective name the
+    /// *actual* casualty instead of guessing from the pending set.
     pub fn peer_connection_dead(&self, r: usize) -> bool {
         self.my_mailbox().peer_is_dead(self.group[r])
     }
@@ -291,47 +291,23 @@ impl Comm {
         }
     }
 
-    /// Broadcast from `root`. The root passes `Some(value)`; everyone
-    /// (including the root) gets the value back.
-    ///
-    /// # Panics
-    /// Panics if the root passes `None` or a non-root passes `Some`.
-    pub fn bcast<T: Wire>(&self, root: usize, value: Option<T>) -> T {
-        if self.my_rank == root {
-            let v = value.expect("root must provide the broadcast value");
-            let bytes = Payload::from(v.to_bytes());
-            for r in 0..self.size() {
-                if r != root {
-                    self.send_raw(r, ReservedTags::BCAST, bytes.clone());
-                }
-            }
-            v
-        } else {
-            assert!(value.is_none(), "non-root must pass None to bcast");
-            let env = self.recv_live(root, ReservedTags::BCAST);
-            T::from_bytes(&env.payload).expect("bcast decode")
-        }
-    }
-
     /// Gather one value per rank at `root` (group-rank order). Non-roots get
     /// `None`.
+    ///
+    /// # Panics
+    /// Panics on the root if a contributor's connection dies with nothing
+    /// from it queued (see [`Comm::recv`] on why death must panic).
     pub fn gather<T: Wire>(&self, root: usize, value: &T) -> Option<Vec<T>> {
-        if self.my_rank == root {
-            let mut slots: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
-            slots[root] = Some(T::from_bytes(&value.to_bytes()).expect("self gather"));
-            for src in 0..self.size() {
-                if src == root {
-                    continue;
-                }
-                let env = self.recv_live(src, ReservedTags::GATHER);
-                let v = T::from_bytes(&env.payload).expect("gather decode");
-                slots[src] = Some(v);
-            }
-            Some(slots.into_iter().map(|s| s.expect("gather slot")).collect())
-        } else {
-            self.send_raw(root, ReservedTags::GATHER, value.to_bytes());
-            None
-        }
+        let lost = |pending: &[usize]| pending.iter().any(|&r| self.peer_connection_dead(r));
+        self.gather_abortable(root, value, Duration::from_millis(25), &lost).unwrap_or_else(
+            |pending| {
+                panic!(
+                    "rank {} (context {}) gather failed: a connection was lost with group \
+                     ranks {pending:?} still to contribute",
+                    self.my_rank, self.context
+                )
+            },
+        )
     }
 
     /// [`Comm::gather`] whose *root side* can be abandoned: sources are
@@ -423,18 +399,9 @@ impl Comm {
         Ok(Some(slots.into_iter().map(|s| s.expect("gather slot")).collect()))
     }
 
-    /// Allgather: every rank receives the vector of all ranks' values, in
-    /// group-rank order. This is the §III-D "gather operations performed
-    /// between slaves to collect partial results" primitive.
-    pub fn allgather<T: Wire>(&self, value: &T) -> Vec<T> {
-        self.allgather_bytes(value.to_bytes())
-            .iter()
-            .map(|p| T::from_bytes(p).expect("allgather decode"))
-            .collect()
-    }
-
-    /// Raw-payload allgather: every rank receives all ranks' payloads in
-    /// group-rank order, each a slice of the one broadcast body (see
+    /// Allgather — the §III-D "gather operations performed between slaves to
+    /// collect partial results" primitive: every rank receives all ranks'
+    /// payloads in group-rank order, each a slice of the one broadcast body (see
     /// [`Comm::allgather_bytes_complete`] for who holds that body and for
     /// how long). `payload` is handed to the transport as a [`Payload`]: an
     /// owned `Vec<u8>` moves in without a copy (the per-iteration snapshot
@@ -504,9 +471,8 @@ impl Comm {
     ///   substituted from the per-peer stale cache, and the fan-out skips
     ///   it. Substitution is plan-driven, not timing-driven, so a degraded
     ///   run is a pure function of (seed, plan).
-    /// * at a planned window's end the root blocks — up to
-    ///   `rejoin_deadline` — for the replacement rank's contribution, then
-    ///   resumes treating it as live.
+    /// * at a planned window's end the root blocks — up to 90 s — for the
+    ///   replacement rank's contribution, then resumes treating it as live.
     /// * an **unplanned** death (connection gone, nothing queued) degrades
     ///   the same way, bounded by `max_stale` consecutive substitutions
     ///   before the root escalates with a panic naming the world rank.
@@ -581,7 +547,7 @@ impl Comm {
                 None => return self.substitute_stale(src, ctl, round),
             },
             Availability::Absent => return self.substitute_stale(src, ctl, round),
-            Availability::Rejoining => self.await_rejoin(src, ctl.rejoin_deadline, round),
+            Availability::Rejoining => self.await_rejoin(src, round),
         };
         ctl.note_live(src, round);
         ctl.cache[src] = Some(part.clone());
@@ -628,13 +594,13 @@ impl Comm {
         })
     }
 
-    /// Block — bounded by `deadline` — for the replacement of `src` to make
-    /// its rendezvous contribution. Polls the raw mailbox so a dead-flag
-    /// left set until the link swap cannot misfire as [`PeerLost`].
+    /// Block — bounded by [`REJOIN_DEADLINE`] — for the replacement of `src`
+    /// to make its rendezvous contribution. Polls the raw mailbox so a
+    /// dead-flag left set until the link swap cannot misfire as [`PeerLost`].
     ///
     /// [`PeerLost`]: crate::endpoint::PeerLost
-    fn await_rejoin(&self, src: usize, deadline: Duration, round: usize) -> Payload {
-        let give_up = Instant::now() + deadline;
+    fn await_rejoin(&self, src: usize, round: usize) -> Payload {
+        let give_up = Instant::now() + REJOIN_DEADLINE;
         loop {
             if let Some(env) = self.my_mailbox().recv_timeout(
                 self.context,
@@ -651,39 +617,6 @@ impl Comm {
                 );
             }
         }
-    }
-
-    /// Reduce all ranks' values at `root` with a binary combiner (applied in
-    /// group-rank order, so non-commutative combiners are deterministic).
-    pub fn reduce<T: Wire>(
-        &self,
-        root: usize,
-        value: &T,
-        combine: impl Fn(T, T) -> T,
-    ) -> Option<T> {
-        if self.my_rank == root {
-            let mut slots: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
-            slots[root] = Some(T::from_bytes(&value.to_bytes()).expect("self reduce"));
-            for src in 0..self.size() {
-                if src == root {
-                    continue;
-                }
-                let env = self.recv_live(src, ReservedTags::REDUCE);
-                slots[src] = Some(T::from_bytes(&env.payload).expect("reduce decode"));
-            }
-            let mut it = slots.into_iter().map(|s| s.expect("reduce slot"));
-            let first = it.next().expect("non-empty group");
-            Some(it.fold(first, &combine))
-        } else {
-            self.send_raw(root, ReservedTags::REDUCE, value.to_bytes());
-            None
-        }
-    }
-
-    /// Allreduce = reduce at 0 + broadcast.
-    pub fn allreduce<T: Wire>(&self, value: &T, combine: impl Fn(T, T) -> T) -> T {
-        let reduced = self.reduce(0, value, combine);
-        self.bcast(0, reduced)
     }
 
     // ---- fault injection -------------------------------------------------
@@ -743,6 +676,10 @@ fn split_parts(body: &Payload) -> Result<Vec<Payload>, WireError> {
     Ok(parts)
 }
 
+/// How long the root waits at a planned window's end for the replacement's
+/// rendezvous contribution.
+const REJOIN_DEADLINE: Duration = Duration::from_secs(90);
+
 /// Why a contributor is (or is not) awaited this round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Availability {
@@ -786,9 +723,6 @@ pub struct DegradedGather {
     absences: Vec<Option<Absence>>,
     /// Bound on consecutive substitutions for one rank before escalation.
     max_stale: usize,
-    /// How long the root waits at a planned window's end for the
-    /// replacement's rendezvous contribution.
-    rejoin_deadline: Duration,
     /// The death-frame: every rank's payload from the round before the
     /// first planned window opened. Shared (`Arc`) so another thread — the
     /// slave's communication thread — can serve it to a catching-up
@@ -806,14 +740,8 @@ impl DegradedGather {
             stale_runs: vec![0; size],
             absences: vec![None; size],
             max_stale,
-            rejoin_deadline: Duration::from_secs(90),
             frozen: Arc::new(Mutex::new(None)),
         }
-    }
-
-    /// Override the rendezvous deadline (tests shrink it).
-    pub fn set_rejoin_deadline(&mut self, d: Duration) {
-        self.rejoin_deadline = d;
     }
 
     /// Script a planned absence: group rank `r` contributes nothing for
@@ -947,15 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn bcast_distributes_root_value() {
-        let results = Universe::run(4, |comm| {
-            let v = if comm.rank() == 2 { Some("hello".to_string()) } else { None };
-            comm.bcast(2, v)
-        });
-        assert!(results.iter().all(|r| r == "hello"));
-    }
-
-    #[test]
     fn gather_collects_in_rank_order() {
         let results = Universe::run(4, |comm| comm.gather(0, &(comm.rank() as u64 * 10)));
         assert_eq!(results[0], Some(vec![0, 10, 20, 30]));
@@ -1052,9 +971,12 @@ mod tests {
 
     #[test]
     fn allgather_gives_everyone_everything() {
-        let results = Universe::run(5, |comm| comm.allgather(&format!("r{}", comm.rank())));
+        let results = Universe::run(5, |comm| {
+            comm.allgather_bytes(format!("r{}", comm.rank()).as_bytes())
+        });
         for r in &results {
-            assert_eq!(r, &["r0", "r1", "r2", "r3", "r4"]);
+            let names: Vec<&[u8]> = r.iter().map(|p| &p[..]).collect();
+            assert_eq!(names, [b"r0", b"r1", b"r2", b"r3", b"r4"]);
         }
     }
 
@@ -1117,25 +1039,14 @@ mod tests {
     #[test]
     fn consecutive_allgathers_do_not_cross_talk() {
         let results = Universe::run(3, |comm| {
-            let a = comm.allgather(&(comm.rank() as u32));
-            let b = comm.allgather(&(comm.rank() as u32 + 100));
+            let a = comm.allgather_bytes(&[comm.rank() as u8]);
+            let b = comm.allgather_bytes(&[comm.rank() as u8 + 100]);
             (a, b)
         });
         for (a, b) in &results {
-            assert_eq!(a, &[0, 1, 2]);
-            assert_eq!(b, &[100, 101, 102]);
+            assert_eq!(a, &[vec![0u8], vec![1], vec![2]]);
+            assert_eq!(b, &[vec![100u8], vec![101], vec![102]]);
         }
-    }
-
-    #[test]
-    fn reduce_and_allreduce() {
-        let results = Universe::run(4, |comm| {
-            let sum = comm.reduce(0, &(comm.rank() as i64 + 1), |a, b| a + b);
-            let max = comm.allreduce(&(comm.rank() as i64), i64::max);
-            (sum, max)
-        });
-        assert_eq!(results[0].0, Some(10));
-        assert!(results.iter().all(|(_, m)| *m == 3));
     }
 
     #[test]
@@ -1149,14 +1060,14 @@ mod tests {
                 (wr, Some(local)) => {
                     assert_eq!(local.size(), 3);
                     assert_eq!(local.rank(), wr - 1);
-                    local.allgather(&(wr as u32))
+                    local.allgather_bytes(&[wr as u8])
                 }
                 _ => unreachable!(),
             }
         });
-        assert_eq!(results[0], Vec::<u32>::new());
+        assert!(results[0].is_empty());
         for r in results.iter().skip(1) {
-            assert_eq!(r, &vec![1, 2, 3]);
+            assert_eq!(r, &[vec![1u8], vec![2], vec![3]]);
         }
     }
 

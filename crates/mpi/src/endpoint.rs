@@ -35,8 +35,8 @@ pub struct Mailbox {
     queue: Mutex<VecDeque<Envelope>>,
     arrived: Condvar,
     /// World ranks whose transport connection is gone (multi-process
-    /// backends mark these from their reader threads; the in-process fabric
-    /// never does). Queued envelopes from a dead peer remain receivable —
+    /// backends mark these from their reader threads; the in-process
+    /// universe marks a rank whose thread panicked). Queued envelopes from a dead peer remain receivable —
     /// death only means nothing *new* can arrive.
     dead_peers: Mutex<HashSet<usize>>,
 }

@@ -22,7 +22,7 @@
 //! ```
 //!
 //! `T` is a decimal tag, `*` (any tag), or a collective name
-//! (`barrier`/`bcast`/`gather`/`allgather`/`reduce`).
+//! (`barrier`/`gather`/`allgather`).
 
 use crate::message::{ReservedTags, Tag};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -70,10 +70,8 @@ impl TagSel {
         Ok(match s {
             "*" => TagSel::Any,
             "barrier" => TagSel::Exact(ReservedTags::BARRIER),
-            "bcast" => TagSel::Exact(ReservedTags::BCAST),
             "gather" => TagSel::Exact(ReservedTags::GATHER),
             "allgather" => TagSel::Exact(ReservedTags::ALLGATHER),
-            "reduce" => TagSel::Exact(ReservedTags::REDUCE),
             n => TagSel::Exact(n.parse().map_err(|_| FaultSpecError::bad("tag", n))?),
         })
     }
@@ -82,10 +80,8 @@ impl TagSel {
         match self {
             TagSel::Any => "*".to_string(),
             TagSel::Exact(t) if t == ReservedTags::BARRIER => "barrier".to_string(),
-            TagSel::Exact(t) if t == ReservedTags::BCAST => "bcast".to_string(),
             TagSel::Exact(t) if t == ReservedTags::GATHER => "gather".to_string(),
             TagSel::Exact(t) if t == ReservedTags::ALLGATHER => "allgather".to_string(),
-            TagSel::Exact(t) if t == ReservedTags::REDUCE => "reduce".to_string(),
             TagSel::Exact(t) => t.to_string(),
         }
     }
@@ -382,18 +378,21 @@ pub fn replacement_schedule(
 }
 
 /// [`replacement_schedule`] straight from a run configuration's plan
-/// string (`None`, or a spec that does not parse, scripts nothing) — the
-/// form the master, the slaves, the simulator and the CLI all call, so
-/// none of them carries its own copy of the parse-then-schedule step.
+/// string (`None` scripts nothing) — the form the master, the simulator and
+/// the CLI call, so none of them carries its own copy of the
+/// parse-then-schedule step (a slave holds the parsed plan already). A spec that does not parse is an error,
+/// never an empty plan: a run asked to replay a fault must not quietly run
+/// fault-free.
 pub fn scheduled_replacement(
     plan: Option<&str>,
     max_stale_iters: usize,
     checkpoint_every: usize,
     target_iterations: usize,
     cells: usize,
-) -> Option<ReplacementSchedule> {
-    let plan = FaultPlan::parse(plan?).ok()?;
-    replacement_schedule(&plan, max_stale_iters, checkpoint_every, target_iterations, cells)
+) -> Result<Option<ReplacementSchedule>, FaultSpecError> {
+    let Some(spec) = plan else { return Ok(None) };
+    let plan = FaultPlan::parse(spec)?;
+    Ok(replacement_schedule(&plan, max_stale_iters, checkpoint_every, target_iterations, cells))
 }
 
 /// What a transport should do with one outgoing envelope.
@@ -439,12 +438,6 @@ impl FaultState {
     /// `rank`'s current logical iteration.
     pub fn clock(&self, rank: usize) -> usize {
         self.clocks[rank].load(Ordering::Acquire)
-    }
-
-    /// Should `rank` die now, per its own clock? (The rank enforces its own
-    /// kill — a process cannot be killed by a value, only told to die.)
-    pub fn should_die(&self, rank: usize) -> bool {
-        self.plan.kill_iteration(rank).is_some_and(|at| self.clock(rank) >= at)
     }
 
     /// Fate of an outgoing envelope, judged at the sender's clock.
@@ -510,7 +503,7 @@ mod tests {
         assert!(plan.blackholed(0, 1, ReservedTags::ALLGATHER, 2));
         assert!(plan.blackholed(0, 1, ReservedTags::ALLGATHER, 4));
         assert!(!plan.blackholed(0, 1, ReservedTags::ALLGATHER, 5));
-        assert!(!plan.blackholed(0, 1, ReservedTags::BCAST, 3));
+        assert!(!plan.blackholed(0, 1, ReservedTags::GATHER, 3));
         assert!(!plan.blackholed(1, 0, ReservedTags::ALLGATHER, 3));
     }
 
@@ -561,9 +554,7 @@ mod tests {
         st.tick(0, 3);
         assert_eq!(st.outgoing(0, 1, 9), DeliveryFate::Drop);
         assert_eq!(st.outgoing(1, 0, 9), DeliveryFate::Delay(Duration::from_millis(25)));
-        assert!(!st.should_die(2));
         st.tick(2, 5);
-        assert!(st.should_die(2));
         // Clocks are monotonic: a stale tick cannot rewind.
         st.tick(2, 1);
         assert_eq!(st.clock(2), 5);

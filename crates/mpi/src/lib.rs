@@ -19,8 +19,12 @@
 //! | `MPI_COMM_WORLD`                  | [`universe::Universe::run`]'s root [`comm::Comm`] |
 //! | WORLD/LOCAL/GLOBAL communicators  | [`comm::Comm::subgroup`] context splits |
 //! | p2p send/recv with tags           | [`comm::Comm::send`] / [`comm::Comm::recv`] |
-//! | collective gather/allgather/bcast | [`comm::Comm`] collectives             |
-//! | `MPI_CART_CREATE`                 | [`topology::CartGrid`]                 |
+//! | slave-to-slave gather of partial results | [`comm::Comm::allgather_bytes`] and its split halves |
+//! | final gather at the master        | [`comm::Comm::gather`] / [`comm::Comm::gather_abortable`] |
+//!
+//! That is the whole collective surface: the crate exports the calls the
+//! runtime makes, not an MPI look-alike (the grid topology lives in
+//! `lipiz-core`).
 //!
 //! Threading rules follow MPI: any thread of a rank may use a communicator
 //! (clone the `Comm`), but collectives on one communicator must not be
@@ -32,11 +36,9 @@
 //! ```
 //! use lipiz_mpi::{Comm, Universe};
 //!
-//! // Three ranks, each contributing rank+1; allreduce sums across ranks.
-//! let results = Universe::run(3, |comm: Comm| {
-//!     comm.allreduce(&(comm.rank() as u64 + 1), |a, b| a + b)
-//! });
-//! assert_eq!(results, vec![6, 6, 6]);
+//! // Three ranks, each contributing one byte; every rank receives all three.
+//! let results = Universe::run(3, |comm: Comm| comm.allgather_bytes(&[comm.rank() as u8 + 1]));
+//! assert!(results.iter().all(|parts| parts == &[vec![1u8], vec![2], vec![3]]));
 //! ```
 
 pub mod comm;
@@ -44,7 +46,6 @@ pub mod endpoint;
 pub mod fault;
 pub mod message;
 pub mod tcp;
-pub mod topology;
 pub mod transport;
 pub mod universe;
 
@@ -57,7 +58,6 @@ pub use fault::{
 pub use lipiz_wire as wire;
 pub use message::{Envelope, Payload, Tag};
 pub use tcp::TcpFabric;
-pub use topology::CartGrid;
 pub use transport::Transport;
 pub use universe::Universe;
 pub use wire::{wire_struct, Wire, WireError};

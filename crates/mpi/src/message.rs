@@ -16,14 +16,10 @@ impl ReservedTags {
     pub const RESERVED_BASE: Tag = 0xF000_0000;
     /// Barrier fan-in/fan-out.
     pub const BARRIER: Tag = Self::RESERVED_BASE;
-    /// Broadcast payloads.
-    pub const BCAST: Tag = Self::RESERVED_BASE + 1;
     /// Gather fan-in.
     pub const GATHER: Tag = Self::RESERVED_BASE + 2;
-    /// Allgather = gather + bcast second phase.
+    /// Allgather: fan-in to group rank 0, then its broadcast of the body.
     pub const ALLGATHER: Tag = Self::RESERVED_BASE + 3;
-    /// Reduce fan-in.
-    pub const REDUCE: Tag = Self::RESERVED_BASE + 4;
 }
 
 /// An immutable byte buffer shared by reference count: a view (`start..end`)
@@ -274,13 +270,7 @@ mod tests {
 
     #[test]
     fn reserved_tags_are_distinct_and_high() {
-        let tags = [
-            ReservedTags::BARRIER,
-            ReservedTags::BCAST,
-            ReservedTags::GATHER,
-            ReservedTags::ALLGATHER,
-            ReservedTags::REDUCE,
-        ];
+        let tags = [ReservedTags::BARRIER, ReservedTags::GATHER, ReservedTags::ALLGATHER];
         for (i, a) in tags.iter().enumerate() {
             assert!(*a >= ReservedTags::RESERVED_BASE);
             for b in &tags[i + 1..] {

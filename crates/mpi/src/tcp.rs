@@ -906,13 +906,13 @@ mod tests {
             let mut comm = comm;
             let local = comm.subgroup(&[1, 2, 3]);
             match local {
-                Some(local) => local.allgather(&(comm.rank() as u32 * 11)),
+                Some(local) => local.allgather_bytes(&[comm.rank() as u8 * 11]),
                 None => vec![],
             }
         });
-        assert_eq!(results[0], Vec::<u32>::new());
+        assert!(results[0].is_empty());
         for r in &results[1..] {
-            assert_eq!(r, &[11, 22, 33]);
+            assert_eq!(r, &[vec![11u8], vec![22], vec![33]]);
         }
     }
 
@@ -920,13 +920,14 @@ mod tests {
     fn collectives_match_in_process_semantics() {
         let results = tcp_universe(3, |comm, _| {
             comm.barrier();
-            let sum = comm.allreduce(&(comm.rank() as i64 + 1), |a, b| a + b);
-            let all = comm.allgather(&format!("r{}", comm.rank()));
-            (sum, all)
+            let at_root = comm.gather(0, &(comm.rank() as i64 + 1));
+            let all = comm.allgather_bytes(format!("r{}", comm.rank()).as_bytes());
+            (at_root, all)
         });
-        for (sum, all) in &results {
-            assert_eq!(*sum, 6);
-            assert_eq!(all, &["r0", "r1", "r2"]);
+        assert_eq!(results[0].0, Some(vec![1, 2, 3]));
+        for (rank, (at_root, all)) in results.iter().enumerate() {
+            assert_eq!(at_root.is_none(), rank != 0);
+            assert_eq!(all, &[b"r0".to_vec(), b"r1".to_vec(), b"r2".to_vec()]);
         }
     }
 

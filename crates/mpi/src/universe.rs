@@ -2,7 +2,36 @@
 
 use crate::comm::{Comm, Fabric};
 use crate::transport::Transport;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Marks a rank dead in every mailbox if its thread unwinds, so peers
+/// blocked on it fail with `PeerLost` — as a TCP reader does for a torn
+/// connection — instead of waiting forever for a rank that is gone.
+struct DeathNotice<'a> {
+    fabric: &'a Fabric,
+    rank: usize,
+    /// The first rank to panic (`usize::MAX` while none has): the cause,
+    /// as opposed to the peers its death then fails.
+    first: &'a AtomicUsize,
+}
+
+impl Drop for DeathNotice<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let _ = self.first.compare_exchange(
+            usize::MAX,
+            self.rank,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
+        for r in 0..self.fabric.world_size() {
+            self.fabric.mailbox(r).mark_peer_dead(self.rank);
+        }
+    }
+}
 
 /// Entry point: runs `n` ranks as threads, each receiving its WORLD
 /// communicator (the analogue of `mpiexec -n <n>`).
@@ -19,9 +48,10 @@ impl Universe {
     }
     /// Run `f` on `n` ranks and return their results in rank order.
     ///
-    /// Panics in any rank are propagated (with the rank number) after all
-    /// other ranks have been joined, so a failing test names the guilty
-    /// rank instead of deadlocking.
+    /// A panic in any rank is propagated (with the rank number) after all
+    /// ranks have been joined. A panicking rank is marked dead in every
+    /// mailbox, so peers blocked on it fail too instead of deadlocking; the
+    /// panic re-raised is that of the rank that failed first.
     pub fn run<R, F>(n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -41,26 +71,28 @@ impl Universe {
         let n = fabric.world_size();
         assert!(n > 0, "need at least one rank");
         let f = &f;
+        let first = &AtomicUsize::new(usize::MAX);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .map(|rank| {
                     let comm = Comm::world(fabric.clone(), rank);
-                    s.spawn(move || f(comm))
+                    let fabric = &*fabric;
+                    s.spawn(move || {
+                        let _notice = DeathNotice { fabric, rank, first };
+                        f(comm)
+                    })
                 })
                 .collect();
             let mut results = Vec::with_capacity(n);
-            let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
+            let mut panics = Vec::new();
             for (rank, h) in handles.into_iter().enumerate() {
                 match h.join() {
                     Ok(r) => results.push(r),
-                    Err(p) => {
-                        if first_panic.is_none() {
-                            first_panic = Some((rank, p));
-                        }
-                    }
+                    Err(p) => panics.push((rank, p)),
                 }
             }
-            if let Some((rank, p)) = first_panic {
+            let first = first.load(Ordering::SeqCst);
+            if let Some((rank, p)) = panics.into_iter().find(|(rank, _)| *rank == first) {
                 let msg = p
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
@@ -88,9 +120,10 @@ mod tests {
         let results = Universe::run(1, |comm| {
             assert_eq!(comm.size(), 1);
             comm.barrier(); // degenerate barrier must not hang
-            comm.allgather(&7u8)
+            assert_eq!(comm.gather(0, &7u8), Some(vec![7]));
+            comm.allgather_bytes(&[7u8])
         });
-        assert_eq!(results[0], vec![7]);
+        assert_eq!(results[0], vec![vec![7u8]]);
     }
 
     #[test]
@@ -100,6 +133,20 @@ mod tests {
             if comm.rank() == 2 {
                 panic!("deliberate failure");
             }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 2 panicked: deliberate failure")]
+    fn panicking_rank_fails_its_blocked_peers_and_is_the_one_named() {
+        // Ranks 0 and 1 block in a collective rank 2 never joins: they must
+        // fail instead of hanging, and the re-raised panic is the cause's,
+        // not that of the lowest-numbered rank it took down.
+        Universe::run(3, |comm| {
+            if comm.rank() == 2 {
+                panic!("deliberate failure");
+            }
+            comm.allgather_bytes(&[comm.rank() as u8]);
         });
     }
 

@@ -17,14 +17,16 @@ use std::time::Duration;
 /// configuration proper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistributedOptions {
-    /// Delay between heartbeat rounds ("Wait X seconds" in Fig. 3).
+    /// Delay between heartbeat rounds ("Wait X seconds" in Fig. 3) where
+    /// the config's `fault.heartbeat_interval_ms` is unset.
     pub heartbeat_interval: Duration,
     /// Per-round heartbeat response deadline; `None` derives
     /// `max(heartbeat_interval, 50ms)`.
     pub response_timeout: Option<Duration>,
     /// Consecutive missed heartbeat rounds after which a slave is declared
-    /// dead and the run aborts for recovery. `0` (the default) never
-    /// declares death — monitoring only, the pre-elastic behavior.
+    /// dead and the run aborts for recovery, where the config's
+    /// `fault.heartbeat_misses` is unset. `0` (the default) never declares
+    /// death — monitoring only, the pre-elastic behavior.
     pub deadline_misses: usize,
     /// Start every slave from this committed checkpoint iteration instead
     /// of initializing fresh (the config's checkpoint directory names the
@@ -296,6 +298,15 @@ mod tests {
         assert_eq!(outcome.report.best_cell, seq_report.best_cell);
         let shipped = outcome.best_ensemble(&cfg);
         assert_eq!(shipped, seq.ensembles().swap_remove(seq_report.best_cell));
+    }
+
+    #[test]
+    #[should_panic(expected = "unusable fault plan: fault spec: bad rank: \"banana\"")]
+    fn unparseable_fault_plan_is_refused_before_any_slave_is_given_work() {
+        // The master's refusal is the panic reported; the slaves, still
+        // waiting for their task, fail with it instead of wedging the run.
+        let cfg = TrainConfig::smoke(2).with_fault_plan("kill:banana@x", 2);
+        run_distributed(&cfg, toy_data, DistributedOptions::default());
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::protocol::{NodeAnnouncement, RunTask, SlaveResult};
 use lipiz_core::{
     CellResult, EnsembleModel, Grid, MixtureWeights, ProfileReport, TrainConfig, TrainReport,
 };
+use lipiz_mpi::fault::FaultSpecError;
 use lipiz_mpi::scheduled_replacement;
 use lipiz_telemetry::{EventKind, SharedTelemetry, Telemetry, TelemetrySummary};
 use std::collections::HashMap;
@@ -51,6 +52,8 @@ pub enum MasterAbort {
     },
     /// The run's checkpoint manifest could not be written.
     Checkpoint(CheckpointError),
+    /// The config's fault plan does not parse; no slave was given work.
+    FaultPlan(FaultSpecError),
 }
 
 impl std::fmt::Display for MasterAbort {
@@ -61,6 +64,7 @@ impl std::fmt::Display for MasterAbort {
                 "slave world rank {world_rank} (cell {cell}) missed its heartbeat deadline"
             ),
             MasterAbort::Checkpoint(e) => write!(f, "checkpoint setup failed: {e}"),
+            MasterAbort::FaultPlan(e) => write!(f, "unusable fault plan: {e}"),
         }
     }
 }
@@ -113,11 +117,13 @@ pub fn assign_workload(num_slaves: usize) -> Vec<(usize, usize)> {
 /// Run the complete master lifecycle.
 ///
 /// The heartbeat thread monitors the slaves in the background; with a
-/// death deadline (`opts.deadline_misses > 0`) a declared death abandons
-/// the final gather and [`MasterAbort::SlaveDead`] names the failed rank —
-/// the caller (the `lipizzaner launch` recovery loop) respawns slaves and
+/// death deadline of `n > 0` missed rounds a declared death abandons the
+/// final gather and [`MasterAbort::SlaveDead`] names the failed rank — the
+/// caller (the `lipizzaner launch` recovery loop) respawns slaves and
 /// reruns from the last committed checkpoint cut. With `0` a silent slave
-/// is logged as delayed but never declared dead.
+/// is logged as delayed but never declared dead. Cadence and deadline are
+/// the config's (`cfg.fault.heartbeat_*`, which ride the wire) where it
+/// sets them, `opts`' otherwise.
 ///
 /// With a `replacer`, the rank the config's fault plan scripts to die is
 /// replaced in flight instead: when the heartbeat convicts it (or its
@@ -142,6 +148,28 @@ pub fn run_master(
     );
     let start = Instant::now();
 
+    // Replacement state: the schedule the fault plan implies (if its kill
+    // is replaceable). A plan that does not parse is refused here, before
+    // any slave is given work — every rank parses the same string and may
+    // rely on it.
+    let sched = scheduled_replacement(
+        cfg.fault.plan.as_deref(),
+        cfg.fault.max_stale_iters,
+        cfg.checkpoint.every,
+        cfg.checkpoint.effective_iterations(cfg.coevolution.iterations),
+        cfg.cells(),
+    )
+    .map_err(MasterAbort::FaultPlan)?;
+
+    let heartbeat_interval = match cfg.fault.heartbeat_interval_ms {
+        0 => opts.heartbeat_interval,
+        ms => Duration::from_millis(ms),
+    };
+    let deadline_misses = match cfg.fault.heartbeat_misses {
+        0 => opts.deadline_misses,
+        misses => misses,
+    };
+
     // Master-side telemetry: the heartbeat thread journals misses and
     // convictions, the gather thread journals cleared verdicts, and the
     // tag-16 drain below folds live slave summaries into a status line.
@@ -162,7 +190,7 @@ pub fn run_master(
     // announces (the heartbeat thread does not exist yet) aborts here with
     // its rank instead of wedging the master.
     let announcements = cm
-        .collect_announcements_monitored(opts.heartbeat_interval.max(Duration::from_millis(10)))
+        .collect_announcements_monitored(heartbeat_interval.max(Duration::from_millis(10)))
         .map_err(|world_rank| MasterAbort::SlaveDead {
             world_rank,
             cell: world_rank - 1,
@@ -189,19 +217,11 @@ pub fn run_master(
     // for the final gather; the gather aborts once a death is declared.
     let response_timeout = opts
         .response_timeout
-        .unwrap_or_else(|| opts.heartbeat_interval.max(Duration::from_millis(50)));
+        .unwrap_or_else(|| heartbeat_interval.max(Duration::from_millis(50)));
     let stop = AtomicBool::new(false);
     let first_dead = AtomicI64::new(NO_DEAD_SLAVE);
-    // Replacement state: the schedule the fault plan implies (if its kill
-    // is replaceable) and a once-only latch — a second conviction of the
-    // same rank, or of any other rank, aborts the old-fashioned way.
-    let sched = scheduled_replacement(
-        cfg.fault.plan.as_deref(),
-        cfg.fault.max_stale_iters,
-        cfg.checkpoint.every,
-        cfg.checkpoint.effective_iterations(cfg.coevolution.iterations),
-        cfg.cells(),
-    );
+    // Once-only replacement latch — a second conviction of the same rank,
+    // or of any other rank, aborts the old-fashioned way.
     let replacement_started = AtomicBool::new(false);
     // Withdraw a heartbeat verdict (journaled only if it was still standing;
     // the heartbeat loop then exempts that rank for good).
@@ -218,20 +238,19 @@ pub fn run_master(
         let hb_cm = cm.clone();
         let stop_ref = &stop;
         let dead_ref = &first_dead;
-        let hb_opts = *opts;
         let tel_ref = &tel;
         let hb = s.spawn(move || {
             run_heartbeat_loop_with_deadline(
                 &hb_cm,
-                hb_opts.heartbeat_interval,
+                heartbeat_interval,
                 response_timeout,
-                hb_opts.deadline_misses,
+                deadline_misses,
                 stop_ref,
                 dead_ref,
                 Some(tel_ref),
             )
         });
-        let poll = opts.heartbeat_interval.max(Duration::from_millis(10));
+        let poll = heartbeat_interval.max(Duration::from_millis(10));
         let results = cm.gather_results_abortable(poll, &|pending: &[usize]| {
             // Fold any summaries slaves shipped at checkpoint boundaries
             // into the live status line (tag 16 is only ever sent when

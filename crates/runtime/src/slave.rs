@@ -19,7 +19,7 @@ use crate::comm_manager::{decode_slots, CommManager};
 use crate::protocol::{SlaveResult, StatusReport};
 use crate::state::SlaveState;
 use lipiz_core::{CellEngine, CellResult, Grid, Pipeline, TrainConfig};
-use lipiz_mpi::{process_faults_enabled, scheduled_replacement, DegradedGather, FaultPlan};
+use lipiz_mpi::{process_faults_enabled, replacement_schedule, DegradedGather, FaultPlan};
 use lipiz_telemetry::{EventKind, Telemetry};
 use lipiz_tensor::{Matrix, Pool};
 use std::path::Path;
@@ -58,7 +58,9 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
     // Fault wiring. The plan rides in the config, so every rank arms the
     // same message-level enforcement and derives the same replacement
     // schedule without exchanging a byte.
-    let fault_plan = cfg.fault.plan.as_deref().and_then(|s| FaultPlan::parse(s).ok());
+    let fault_plan = cfg.fault.plan.as_deref().map(|s| {
+        FaultPlan::parse(s).expect("the master refuses a fault plan that does not parse")
+    });
     if let Some(plan) = fault_plan.clone() {
         cm.install_fault_plan(plan);
     }
@@ -77,13 +79,15 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
     let mut gather_ctl = (cm.world_rank() == 1 && cfg.fault.degradation_enabled())
         .then(|| DegradedGather::new(cfg.cells(), cfg.fault.max_stale_iters));
     if let Some(ctl) = gather_ctl.as_mut().filter(|_| process_faults_enabled()) {
-        let sched = scheduled_replacement(
-            cfg.fault.plan.as_deref(),
-            cfg.fault.max_stale_iters,
-            cfg.checkpoint.every,
-            target,
-            cfg.cells(),
-        );
+        let sched = fault_plan.as_ref().and_then(|plan| {
+            replacement_schedule(
+                plan,
+                cfg.fault.max_stale_iters,
+                cfg.checkpoint.every,
+                target,
+                cfg.cells(),
+            )
+        });
         if let Some(sched) = sched {
             ctl.plan_absence(sched.cell, sched.kill_iter, sched.rejoin_round);
         }
@@ -326,7 +330,9 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                 iterations_done: iterations_done.load(Ordering::Acquire),
             });
         }
-        result_slot = Some(exec.join().expect("execution thread panicked"));
+        // Unwind with the execution thread's own panic, so whoever joins
+        // this rank reads why it failed.
+        result_slot = Some(exec.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
     });
 
     state = state.transition(SlaveState::Finished);

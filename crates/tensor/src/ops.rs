@@ -336,27 +336,6 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Dot product of two equal-length slices (unchecked length in release).
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    // 4-wide manual unroll: reliable vectorization without unsafe.
-    let mut acc = [0.0f32; 4];
-    let chunks = a.len() / 4;
-    for c in 0..chunks {
-        let i = c * 4;
-        acc[0] += a[i] * b[i];
-        acc[1] += a[i + 1] * b[i + 1];
-        acc[2] += a[i + 2] * b[i + 2];
-        acc[3] += a[i + 3] * b[i + 3];
-    }
-    let mut s = acc[0] + acc[1] + acc[2] + acc[3];
-    for i in chunks * 4..a.len() {
-        s += a[i] * b[i];
-    }
-    s
-}
-
 // ---- blocked canonical kernel ----------------------------------------------
 
 /// Canonical blocked product over output rows `[r0, r0 + rows)`:
@@ -1173,13 +1152,6 @@ mod tests {
         let mut y = [1.0, 1.0, 1.0];
         axpy(0.5, &x, &mut y);
         assert_eq!(y, [1.5, 2.0, 2.5]);
-    }
-
-    #[test]
-    fn dot_handles_remainder() {
-        let a: Vec<f32> = (0..7).map(|i| i as f32).collect();
-        let b = vec![2.0f32; 7];
-        assert_eq!(dot(&a, &b), 2.0 * (0..7).sum::<i32>() as f32);
     }
 
     #[test]

@@ -67,17 +67,6 @@ pub fn col_covariance(m: &Matrix) -> Matrix {
     cov
 }
 
-/// Per-row sum: `(rows, cols)` → vector of length `rows`.
-pub fn row_sum(m: &Matrix) -> Vec<f32> {
-    m.rows_iter().map(|r| r.iter().sum()).collect()
-}
-
-/// Per-row mean.
-pub fn row_mean(m: &Matrix) -> Vec<f32> {
-    let inv = if m.cols() == 0 { 0.0 } else { 1.0 / m.cols() as f32 };
-    row_sum(m).into_iter().map(|s| s * inv).collect()
-}
-
 /// Index of the maximum element of each row (first on ties).
 pub fn row_argmax(m: &Matrix) -> Vec<usize> {
     m.rows_iter()
@@ -104,12 +93,6 @@ pub fn norm2(x: &[f32]) -> f32 {
     x.iter().map(|v| v * v).sum::<f32>().sqrt()
 }
 
-/// Squared Euclidean distance between two equal-length slices.
-pub fn dist2_sq(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,8 +102,6 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(sum(&m), 10.0);
         assert_eq!(mean(&m), 2.5);
-        assert_eq!(row_sum(&m), vec![3.0, 7.0]);
-        assert_eq!(row_mean(&m), vec![1.5, 3.5]);
         assert_eq!(col_mean(&m), vec![2.0, 3.0]);
     }
 
@@ -158,6 +139,5 @@ mod tests {
     #[test]
     fn norms() {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-7);
-        assert_eq!(dist2_sq(&[1.0, 1.0], &[1.0, 3.0]), 4.0);
     }
 }

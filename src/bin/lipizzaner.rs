@@ -163,6 +163,9 @@ fn apply_telemetry_flags(cfg: &mut TrainConfig, args: &[String]) {
 fn apply_fault_flags(cfg: &mut TrainConfig, args: &[String]) {
     let max_stale: Option<usize> = parsed_flag(args, "--max-stale-iters");
     if let Some(plan) = flag_value(args, "--fault-plan") {
+        if let Err(e) = lipizzaner::mpi::FaultPlan::parse(plan) {
+            fail(&format!("--fault-plan {plan:?}: {e}"));
+        }
         *cfg = cfg.clone().with_fault_plan(plan, max_stale.unwrap_or(1));
     } else if let Some(m) = max_stale {
         cfg.fault.max_stale_iters = m;
@@ -362,14 +365,7 @@ fn run_training(cfg: TrainConfig, args: &[String], resume_from: Option<usize>) -
             (outcome.report, best, None)
         }
         "distributed" => {
-            let mut opts = DistributedOptions { resume_from, ..DistributedOptions::default() };
-            if cfg.fault.heartbeat_interval_ms > 0 {
-                opts.heartbeat_interval =
-                    std::time::Duration::from_millis(cfg.fault.heartbeat_interval_ms);
-            }
-            if cfg.fault.heartbeat_misses > 0 {
-                opts.deadline_misses = cfg.fault.heartbeat_misses;
-            }
+            let opts = DistributedOptions { resume_from, ..DistributedOptions::default() };
             let outcome = match transport {
                 TransportKind::InProcess => {
                     lipizzaner::runtime::run_distributed(&cfg, cli_make_data, opts)
@@ -642,6 +638,7 @@ fn launch_tcp_run(
             cfg.checkpoint.effective_iterations(cfg.coevolution.iterations),
             cfg.cells(),
         )
+        .map_err(std::io::Error::other)?
         .is_some();
     let mut resume_from = base_opts.resume_from;
     let attempts = if elastic { MAX_RECOVERY_ATTEMPTS } else { 1 };
@@ -671,13 +668,8 @@ fn launch_tcp_run(
         }
 
         let opts = DistributedOptions {
-            deadline_misses: if cfg.fault.heartbeat_misses > 0 {
-                cfg.fault.heartbeat_misses
-            } else if elastic || in_flight {
-                ELASTIC_DEADLINE_MISSES
-            } else {
-                0
-            },
+            // The default where the config's `heartbeat_misses` is unset.
+            deadline_misses: if elastic || in_flight { ELASTIC_DEADLINE_MISSES } else { 0 },
             resume_from,
             ..base_opts
         };

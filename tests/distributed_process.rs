@@ -8,54 +8,11 @@
 //! Every child carries a hard deadline: a wedged process fails the test
 //! instead of hanging the suite.
 
-use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
+mod common;
+
+use common::{read, run, workdir, BIN, DEADLINE};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-
-const BIN: &str = env!("CARGO_BIN_EXE_lipizzaner");
-/// Per-invocation deadline; the whole suite stays well under a minute.
-const DEADLINE: Duration = Duration::from_secs(45);
-
-fn workdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("lipiz_distributed_process").join(name);
-    std::fs::create_dir_all(&dir).expect("create test workdir");
-    dir
-}
-
-/// Run the binary with `args`, enforcing the deadline.
-fn run(args: &[&str]) -> Output {
-    let mut child = Command::new(BIN)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn lipizzaner binary");
-    let start = Instant::now();
-    loop {
-        match child.try_wait().expect("poll child") {
-            Some(_) => break,
-            None if start.elapsed() > DEADLINE => {
-                let _ = child.kill();
-                let _ = child.wait();
-                panic!("`lipizzaner {}` exceeded the {DEADLINE:?} deadline", args.join(" "));
-            }
-            None => std::thread::sleep(Duration::from_millis(25)),
-        }
-    }
-    let out = child.wait_with_output().expect("collect output");
-    assert!(
-        out.status.success(),
-        "`lipizzaner {}` failed: {}\n{}",
-        args.join(" "),
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
-    );
-    out
-}
-
-fn read(path: &PathBuf) -> Vec<u8> {
-    std::fs::read(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
 
 #[test]
 fn tcp_processes_match_sequential_byte_for_byte() {

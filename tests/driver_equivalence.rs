@@ -3,12 +3,10 @@
 //! simulator all execute the *same* deterministic training and must agree
 //! bit-for-bit on the results — only their notion of time differs.
 
-use lipizzaner::prelude::*;
+mod common;
 
-fn toy_data(cfg: &TrainConfig) -> Matrix {
-    let mut rng = Rng64::seed_from(cfg.training.data_seed);
-    rng.uniform_matrix(cfg.training.dataset_size, cfg.network.data_dim, -0.9, 0.9)
-}
+use common::toy_data;
+use lipizzaner::prelude::*;
 
 fn assert_reports_equal(a: &TrainReport, b: &TrainReport, label: &str) {
     assert_eq!(a.cells.len(), b.cells.len(), "{label}: cell counts");
@@ -110,36 +108,13 @@ fn different_seeds_change_results() {
     assert!(!same, "different master seeds produced identical runs");
 }
 
-/// Run the compiled `lipizzaner` binary to completion (a wedged process
-/// fails the test instead of hanging it) and return the `.lpz` it saved.
+/// Run the compiled `lipizzaner` binary with `args` and return the `.lpz`
+/// it saved.
 fn lpz_from_cli(args: &[&str], out: &std::path::Path) -> Vec<u8> {
-    use std::process::{Command, Stdio};
-    use std::time::{Duration, Instant};
-    const DEADLINE: Duration = Duration::from_secs(60);
-    let mut child = Command::new(env!("CARGO_BIN_EXE_lipizzaner"))
-        .args(args)
-        .args(["--out", out.to_str().unwrap()])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn lipizzaner binary");
-    let start = Instant::now();
-    while child.try_wait().expect("poll child").is_none() {
-        if start.elapsed() > DEADLINE {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("`lipizzaner {}` exceeded the {DEADLINE:?} deadline", args.join(" "));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let output = child.wait_with_output().expect("collect output");
-    assert!(
-        output.status.success(),
-        "`lipizzaner {}` failed:\n{}",
-        args.join(" "),
-        String::from_utf8_lossy(&output.stderr)
-    );
-    std::fs::read(out).unwrap_or_else(|e| panic!("read {}: {e}", out.display()))
+    let mut args = args.to_vec();
+    args.extend(["--out", out.to_str().unwrap()]);
+    common::run(&args);
+    common::read(out)
 }
 
 #[test]

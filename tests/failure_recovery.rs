@@ -5,24 +5,19 @@
 //! completes with a valid ensemble, byte-identical to a run nothing ever
 //! interrupted.
 
+mod common;
+
+use common::{workdir, BIN};
 use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use lipizzaner::core::persist;
 
-const BIN: &str = env!("CARGO_BIN_EXE_lipizzaner");
 /// Whole-scenario deadline: detection + relaunch + the resumed run.
 const DEADLINE: Duration = Duration::from_secs(120);
-
-fn workdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("lipiz_failure_recovery").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create test workdir");
-    dir
-}
 
 fn wait_with_deadline(child: &mut std::process::Child, what: &str) -> std::process::ExitStatus {
     let start = Instant::now();

@@ -15,25 +15,17 @@
 //!    the saved ensemble must be byte-identical across a rerun *and* to
 //!    the virtual cluster's model of the same faulted run.
 
+mod common;
+
+use common::{read, run, spawn_to_completion, toy_data, workdir};
 use lipizzaner::cluster::{SimulatedCluster, SimulationOptions};
-use lipizzaner::core::TrainConfig;
+use lipizzaner::core::{ExchangeMode, TrainConfig};
+use lipizzaner::data::DataPartition;
 use lipizzaner::mpi::{replacement_schedule, FaultPlan};
+use lipizzaner::runtime::{run_distributed, DistributedOptions};
 use lipizzaner::telemetry::{parse_journal, EventKind, RankJournal};
-use lipizzaner::tensor::{Matrix, Rng64};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
-
-const BIN: &str = env!("CARGO_BIN_EXE_lipizzaner");
-/// Per-invocation deadline: a wedged degraded run fails instead of hanging
-/// the suite.
-const DEADLINE: Duration = Duration::from_secs(60);
-
-fn toy_data(cfg: &TrainConfig) -> Matrix {
-    let mut rng = Rng64::seed_from(cfg.training.data_seed);
-    rng.uniform_matrix(cfg.training.dataset_size, cfg.network.data_dim, -0.9, 0.9)
-}
 
 fn faulted_config(
     victim: usize,
@@ -123,49 +115,62 @@ proptest! {
     }
 }
 
-// ------------------------------------------------------- real processes
+// ------------------------------------------- a rank that panics, not dies
 
-fn workdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("lipiz_fault_injection").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create test workdir");
-    dir
+/// `--tiny --rows 2 --cols 3 --shards`: 64 samples sharded six ways leave
+/// every cell fewer rows than the eval batch, so every engine refuses its
+/// dataset — a config error found on the slave ranks, after launch.
+fn undersized_shards(exchange: ExchangeMode) -> TrainConfig {
+    let mut cfg = TrainConfig::smoke(2).with_shards(true).with_exchange(exchange);
+    cfg.grid.rows = 2;
+    cfg.grid.cols = 3;
+    cfg
 }
 
-/// Run the binary with `args`, enforcing the deadline.
-fn run(args: &[&str]) -> Output {
-    let mut child = Command::new(BIN)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn lipizzaner binary");
-    let start = Instant::now();
-    loop {
-        match child.try_wait().expect("poll child") {
-            Some(_) => break,
-            None if start.elapsed() > DEADLINE => {
-                let _ = child.kill();
-                let _ = child.wait();
-                panic!("`lipizzaner {}` exceeded the {DEADLINE:?} deadline", args.join(" "));
-            }
-            None => std::thread::sleep(Duration::from_millis(25)),
-        }
+#[test]
+fn panicking_slave_fails_the_threaded_run_instead_of_wedging_it() {
+    for exchange in [ExchangeMode::Sync, ExchangeMode::Async] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cfg = undersized_shards(exchange);
+            let run = std::panic::catch_unwind(|| {
+                let shard = |cell: usize, cfg: &TrainConfig| {
+                    DataPartition::Shards.slice_for_cell(&toy_data(cfg), cfg.cells(), cell, 0)
+                };
+                run_distributed(&cfg, shard, DistributedOptions::default())
+            });
+            let _ = tx.send(run.map(|_| ()));
+        });
+        let panic = match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(Err(panic)) => panic,
+            Ok(Ok(())) => panic!("{exchange:?}: trained on an undersized shard"),
+            Err(_) => panic!("{exchange:?}: still running after 5 s — the run is wedged"),
+        };
+        // The message is the failing rank's own, not a peer's "lost rank N".
+        let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("dataset smaller than eval batch"), "{exchange:?}: {msg}");
     }
-    let out = child.wait_with_output().expect("collect output");
-    assert!(
-        out.status.success(),
-        "`lipizzaner {}` failed: {}\n{}",
-        args.join(" "),
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
-    );
-    out
 }
 
-fn read(path: &PathBuf) -> Vec<u8> {
-    std::fs::read(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+#[test]
+fn undersized_shards_exit_nonzero_on_every_in_process_driver() {
+    for driver in ["sequential", "distributed", "cluster-sim"] {
+        let start = Instant::now();
+        let done = spawn_to_completion(&[
+            "train", "--tiny", "--rows", "2", "--cols", "3", "--shards", "--driver", driver,
+        ]);
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert!(!done.status.success(), "{driver}: trained anyway: {stderr}");
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "{driver}: took {:?}",
+            start.elapsed()
+        );
+        assert!(stderr.contains("dataset smaller than eval batch"), "{driver}: {stderr}");
+    }
 }
+
+// ------------------------------------------------------- real processes
 
 /// Parse `survivor rank N iterations: a b c ...` lines and assert that no
 /// surviving rank's counter sequence ever decreases (a full-teardown

@@ -11,60 +11,15 @@
 //! the sequential baseline, matching that one reference closes the square:
 //! interrupt + resume is invisible on every driver.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
-use std::time::{Duration, Instant};
+mod common;
 
-const BIN: &str = env!("CARGO_BIN_EXE_lipizzaner");
-/// Per-invocation deadline; a wedged process fails the test, never hangs it.
-const DEADLINE: Duration = Duration::from_secs(60);
+use common::{read, run, spawn_to_completion, workdir};
+use std::path::Path;
 
 /// The shared run shape: 2×2 grid, 4 iterations, interrupted after 2.
 const FLAGS: [&str; 7] = ["--tiny", "--grid", "2", "--iterations", "4", "--batches", "2"];
 const PAUSE_AT: &str = "2";
 
-fn workdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("lipiz_resume_equivalence").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create test workdir");
-    dir
-}
-
-fn run(args: &[&str]) -> Output {
-    let mut child = Command::new(BIN)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn lipizzaner binary");
-    let start = Instant::now();
-    loop {
-        match child.try_wait().expect("poll child") {
-            Some(_) => break,
-            None if start.elapsed() > DEADLINE => {
-                let _ = child.kill();
-                let _ = child.wait();
-                panic!("`lipizzaner {}` exceeded the {DEADLINE:?} deadline", args.join(" "));
-            }
-            None => std::thread::sleep(Duration::from_millis(25)),
-        }
-    }
-    let out = child.wait_with_output().expect("collect output");
-    assert!(
-        out.status.success(),
-        "`lipizzaner {}` failed:\n{}\n{}",
-        args.join(" "),
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
-    );
-    out
-}
-
-fn read(path: &Path) -> Vec<u8> {
-    std::fs::read(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-/// Uninterrupted sequential reference ensemble for the shared run shape.
 fn reference(dir: &Path) -> Vec<u8> {
     let out = dir.join("reference.lpz");
     let mut args = vec!["train", "--driver", "sequential", "--out", out.to_str().unwrap()];
@@ -240,10 +195,7 @@ fn async_tcp_multi_process_resume_is_byte_identical() {
 fn resume_refuses_an_empty_directory() {
     let dir = workdir("empty");
     std::fs::create_dir_all(dir.join("nothing")).unwrap();
-    let out = Command::new(BIN)
-        .args(["resume", "--from", dir.join("nothing").to_str().unwrap()])
-        .output()
-        .expect("run binary");
+    let out = spawn_to_completion(&["resume", "--from", dir.join("nothing").to_str().unwrap()]);
     assert!(!out.status.success(), "resume from an empty dir must fail");
 }
 

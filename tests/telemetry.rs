@@ -15,63 +15,15 @@
 //!    capture shows up as an "other" span.
 //! 5. **Flags**: a malformed numeric flag is refused, not defaulted.
 
+mod common;
+
+use common::{read, run, spawn_to_completion, toy_data, workdir};
 use lipizzaner::core::{ExchangeMode, Routine, TrainConfig};
 use lipizzaner::runtime::{run_distributed, DistributedOptions};
 use lipizzaner::telemetry::{parse_journal, read_journal_dir, EventKind, RankJournal};
-use lipizzaner::tensor::{Matrix, Rng64};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
-use std::time::{Duration, Instant};
 
-const BIN: &str = env!("CARGO_BIN_EXE_lipizzaner");
-const DEADLINE: Duration = Duration::from_secs(60);
 const FLAGS: [&str; 7] = ["--tiny", "--grid", "2", "--iterations", "3", "--batches", "2"];
-
-fn workdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("lipiz_telemetry").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create test workdir");
-    dir
-}
-
-/// Run the binary with `args`, enforcing the deadline and success.
-fn run(args: &[&str]) -> Output {
-    let out = spawn_to_completion(args);
-    assert!(
-        out.status.success(),
-        "`lipizzaner {}` failed: {}\n{}",
-        args.join(" "),
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
-    );
-    out
-}
-
-fn spawn_to_completion(args: &[&str]) -> Output {
-    let mut child = Command::new(BIN)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn lipizzaner binary");
-    let start = Instant::now();
-    loop {
-        match child.try_wait().expect("poll child") {
-            Some(_) => break,
-            None if start.elapsed() > DEADLINE => {
-                let _ = child.kill();
-                let _ = child.wait();
-                panic!("`lipizzaner {}` exceeded the {DEADLINE:?} deadline", args.join(" "));
-            }
-            None => std::thread::sleep(Duration::from_millis(25)),
-        }
-    }
-    child.wait_with_output().expect("collect output")
-}
-
-fn read(path: &Path) -> Vec<u8> {
-    std::fs::read(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
 
 fn read_journal(path: &Path) -> RankJournal {
     let text = std::fs::read_to_string(path)
@@ -203,11 +155,6 @@ fn trace_subcommand_fails_cleanly_without_journals() {
     assert!(!out.status.success(), "trace succeeded against a missing journal dir");
 }
 
-fn toy_data(cfg: &TrainConfig) -> Matrix {
-    let mut rng = Rng64::seed_from(cfg.training.data_seed);
-    rng.uniform_matrix(cfg.training.dataset_size, cfg.network.data_dim, -0.9, 0.9)
-}
-
 /// `(pairs, summed *_end durations)` of routine `r` in one rank's journal.
 fn journal_totals(journal: &RankJournal, r: Routine) -> (u64, u64) {
     let begins = journal.events.iter().filter(|e| e.kind == r.begin_kind()).count() as u64;
@@ -314,12 +261,18 @@ fn tcp_ranks_sample_one_gather_wait_per_iteration() {
 fn malformed_numeric_flags_are_refused_not_defaulted() {
     let dir = workdir("bad_flags");
     let out = dir.join("x.lpz");
-    for (flag, value) in [("--iterations", "abc"), ("--heartbeat-interval-ms", "-5")] {
+    for (flag, value) in [
+        ("--iterations", "abc"),
+        ("--heartbeat-interval-ms", "-5"),
+        ("--fault-plan", "kill:banana@x"),
+    ] {
         let done = spawn_to_completion(&[
             "train",
             "--tiny",
             "--grid",
             "2",
+            "--driver",
+            "distributed",
             flag,
             value,
             "--out",

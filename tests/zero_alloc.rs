@@ -34,6 +34,9 @@
 //! flake. Without the harness, the only threads in the process are the
 //! ones this file creates, so the measured window is quiet by construction.
 
+mod common;
+
+use common::toy_data;
 use lipizzaner::core::{
     CellEngine, CellSnapshot, Exchange, ExchangeMode, InMemoryExchange, Pipeline, TrainConfig,
 };
@@ -42,7 +45,7 @@ use lipizzaner::mpi::{Comm, Payload};
 use lipizzaner::runtime::checkpoint::write_cell_state_with;
 use lipizzaner::runtime::comm_manager::{CommExchange, CommManager};
 use lipizzaner::telemetry::Telemetry;
-use lipizzaner::tensor::{Matrix, Pool, Rng64};
+use lipizzaner::tensor::Pool;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,11 +103,6 @@ fn allocations() -> u64 {
 /// `(requests, bytes)` made by the calling thread so far.
 fn my_allocations() -> (u64, u64) {
     MINE.with(Cell::get)
-}
-
-fn toy_data(cfg: &TrainConfig) -> Matrix {
-    let mut rng = Rng64::seed_from(cfg.training.data_seed);
-    rng.uniform_matrix(cfg.training.dataset_size, cfg.network.data_dim, -0.9, 0.9)
 }
 
 /// Run `iters` full iterations against fixed neighbor snapshots, timing
