@@ -45,14 +45,6 @@ impl CommCost {
         }
         (p - 1) as f64 * self.p2p(bytes_each)
     }
-
-    /// Broadcast of `bytes` from the root to `p - 1` ranks (flat).
-    pub fn bcast(&self, p: usize, bytes: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        (p - 1) as f64 * self.p2p(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -71,7 +63,6 @@ mod tests {
         let c = CommCost::cluster_uy();
         assert_eq!(c.gather(1, 1000), 0.0);
         assert_eq!(c.allgather(1, 1000), 0.0);
-        assert_eq!(c.bcast(1, 1000), 0.0);
     }
 
     #[test]

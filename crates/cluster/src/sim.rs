@@ -159,6 +159,7 @@ impl SimulatedCluster {
             opts: &self.opts,
             placement: &placement,
             fault,
+            grid,
             async_mode: cfg.exchange.is_async(),
             clocks: vec![RankClock::new(); cells],
             // One recorder per simulated slave rank, stamped with the rank
@@ -195,7 +196,7 @@ impl SimulatedCluster {
                 };
                 // The kill lands before this round's snapshot, so the most
                 // recent frame is round kill_iter-1 — exactly the death-frame
-                // the fan-in root freezes and serves to the replacement.
+                // the victim's readers freeze and serve to the replacement.
                 let frozen = pipeline.latest_frame().to_vec();
                 pipeline.engines_mut()[cell] = replacement;
                 pipeline.rejoin(cell, sched.rejoin_round, frozen);
@@ -275,6 +276,7 @@ struct VirtualExchange<'a> {
     opts: &'a SimulationOptions,
     placement: &'a Placement,
     fault: Option<ReplacementSchedule>,
+    grid: Grid,
     async_mode: bool,
     clocks: Vec<RankClock>,
     /// Per-rank recorders on the virtual clock (journal + Table IV totals).
@@ -351,16 +353,16 @@ impl Exchange for VirtualExchange<'_> {
         let xfer = self.cost.allgather(cells, max_bytes);
         self.comm.allgather_bytes += max_bytes * cells;
         if let Some(sched) = self.fault.filter(|s| self.absent(s.cell, iter)) {
-            // The fan-in root (slave rank 1 / cell 0) substitutes the
-            // victim's frozen payload this round.
-            self.tels[0].record_at(
-                EventKind::Degraded,
-                sched.cell as u32,
-                iter as u32,
-                1,
-                vns(sync),
-            );
-            self.tels[0].metrics.degraded_iters.inc();
+            // Each cell that reads the victim substitutes its cached
+            // snapshot this round, as a real rank does.
+            let (victim, at) = (sched.cell, vns(sync));
+            for c in
+                (0..cells).filter(|&c| c != victim && self.grid.neighbors(c).contains(&victim))
+            {
+                let tel = &mut self.tels[c];
+                tel.record_at(EventKind::Degraded, c as u32, iter as u32, victim as u64, at);
+                tel.metrics.degraded_iters.inc();
+            }
         }
         // BSP (and the async bootstrap round, which blocks on its own
         // generation): wait for the slowest live rank, then pay the

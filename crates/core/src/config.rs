@@ -357,9 +357,9 @@ impl CheckpointConfig {
 ///
 /// Like checkpointing, these ride in the training configuration — not in
 /// per-host state — so every rank of a distributed run derives the same
-/// failure behavior from the wire config alone: the fan-in root arms the
-/// same absence windows the victim's own process enforces, and a degraded
-/// run stays a pure function of `(seed, plan)`.
+/// failure behavior from the wire config alone: each of the victim's
+/// readers arms the same absence window the victim's own process enforces,
+/// and a degraded run stays a pure function of `(seed, plan)`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultConfig {
     /// Milliseconds between master heartbeat rounds (`0` = driver default).

@@ -322,6 +322,26 @@ mod tests {
     }
 
     #[test]
+    fn neighbors_are_symmetric_for_every_pattern_and_shape() {
+        // The snapshot exchange posts to the cells a cell reads, trusting
+        // that they are exactly the cells that read it.
+        use NeighborhoodPattern::{Cross5, Isolated, Moore9};
+        for pattern in [Cross5, Moore9, Isolated] {
+            for (rows, cols) in [(1, 1), (1, 2), (1, 5), (5, 1), (2, 2), (2, 3), (3, 3)] {
+                let g = Grid::new(rows, cols, pattern);
+                for a in 0..g.cell_count() {
+                    for b in g.neighbors(a) {
+                        assert!(
+                            g.neighbors(b).contains(&a),
+                            "{pattern:?} {rows}x{cols}: {a} reads {b}, {b} does not read {a}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn single_cell_grid_all_slots_point_home() {
         let g = Grid::new(1, 1, NeighborhoodPattern::Cross5);
         assert_eq!(g.neighbors(0), vec![0, 0, 0, 0]);

@@ -1,4 +1,5 @@
-//! Communicators: point-to-point messaging and collectives.
+//! Communicators: point-to-point messaging, the neighbour exchange, and
+//! collectives.
 
 use crate::endpoint::Mailbox;
 use crate::fault::{DeliveryFate, FaultPlan, FaultState};
@@ -9,10 +10,11 @@ use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Shared handle to a frozen death-frame (see [`DegradedGather::frozen_frame`]):
-/// one encoded payload per group rank, `None` until a planned absence window
-/// has opened.
-pub type FrozenFrameHandle = Arc<Mutex<Option<Vec<Payload>>>>;
+/// Shared handle to a rank's share of a frozen death-frame (see
+/// [`DegradedGather::frozen_frame`]): one slot per group rank, holding a
+/// payload where this rank froze one — its own contribution and its cached
+/// copy of the victim's, once a planned absence window has opened.
+pub type FrozenFrameHandle = Arc<Mutex<Vec<Option<Payload>>>>;
 
 /// The in-process delivery fabric: one mailbox per world rank, delivery is
 /// a queue push. The reference [`Transport`] implementation.
@@ -399,36 +401,169 @@ impl Comm {
         Ok(Some(slots.into_iter().map(|s| s.expect("gather slot")).collect()))
     }
 
-    /// Allgather — the §III-D "gather operations performed between slaves to
-    /// collect partial results" primitive: every rank receives all ranks'
-    /// payloads in group-rank order, each a slice of the one broadcast body (see
-    /// [`Comm::allgather_bytes_complete`] for who holds that body and for
-    /// how long). `payload` is handed to the transport as a [`Payload`]: an
-    /// owned `Vec<u8>` moves in without a copy (the per-iteration snapshot
-    /// exchange encodes straight into the buffer it passes here), a
-    /// borrowed slice is copied once, since the mailbox keeps the bytes
-    /// after the call returns.
+    // ---- neighbour exchange ----------------------------------------------
+
+    /// Post `part` — this rank's contribution to exchange round `round` —
+    /// to each group rank in `readers`: the §III-D "gather operations
+    /// performed between slaves", which involve no rank that does not read
+    /// this one. Every reader gets the same buffer: by reference count on
+    /// the in-process fabric, as the payload of one vectored write per link
+    /// on a socket.
     ///
-    /// Implemented as [`Comm::allgather_bytes_split`] +
-    /// [`Comm::allgather_bytes_complete`] back to back, so the synchronous
-    /// path and the overlapped async-exchange path send byte-identical
-    /// traffic.
+    /// Under a controller a reader that is not live this round is skipped:
+    /// one inside an absence window is not listening, and one rejoining at
+    /// this round is posted to by [`Comm::exchange_complete`] only once its
+    /// own contribution has arrived — on a socket transport that arrival
+    /// proves the replacement's link is swapped in, and a send before the
+    /// swap would be lost.
+    pub fn exchange_post(
+        &self,
+        readers: &[usize],
+        part: &Payload,
+        round: usize,
+        ctl: Option<&DegradedGather>,
+    ) {
+        for &r in readers {
+            if ctl.is_none_or(|ctl| ctl.availability(r, round) == Availability::Live) {
+                self.send_raw(r, ReservedTags::ALLGATHER, part.clone());
+            }
+        }
+    }
+
+    /// Receive round `round` from each group rank in `sources`, in order,
+    /// handing each contribution — the buffer it arrived in — to
+    /// `take(src, part)`. `own` is this rank's part of the round, as
+    /// [`Comm::exchange_post`] sent it. Per-(src, tag) FIFO delivery keeps
+    /// rounds paired, so the complete half may run on another thread of the
+    /// rank (holding a cloned `Comm`) while the next round is posted.
+    ///
+    /// Without a controller a source whose connection dies with nothing
+    /// queued fails the call loudly (see [`Comm::recv`]). With one, the rank
+    /// degrades gracefully instead; for each round (strictly increasing):
+    ///
+    /// * a source inside a **planned absence window** (scripted by a
+    ///   [`crate::fault::FaultPlan`] kill) is never awaited: its part is
+    ///   substituted from the controller's cache of its last contribution.
+    ///   Substitution is plan-driven, not timing-driven, so a degraded run
+    ///   is a pure function of (seed, plan).
+    /// * at a planned window's end the rank blocks — up to 90 s — for the
+    ///   replacement's contribution, then posts `own` to it and treats it
+    ///   as live again.
+    /// * an **unplanned** death (connection gone, nothing queued) degrades
+    ///   the same way, bounded by `max_stale` consecutive substitutions
+    ///   before the rank escalates with a panic naming the world rank.
+    ///   Queued pre-death contributions always drain first, preserving
+    ///   round pairing; an alive-but-slow peer is never substituted.
+    ///
+    /// The controller also caches `own`, and the round a planned window
+    /// opens it first freezes this rank's share of the death-frame. A
+    /// fault-free round takes exactly what a plain receive would, which
+    /// keeps an armed run byte-identical to an unarmed one.
+    pub fn exchange_complete(
+        &self,
+        sources: &[usize],
+        own: &Payload,
+        round: usize,
+        mut ctl: Option<&mut DegradedGather>,
+        mut take: impl FnMut(usize, Payload),
+    ) {
+        if let Some(ctl) = ctl.as_deref_mut() {
+            assert_eq!(ctl.cache.len(), self.size(), "DegradedGather sized for another group");
+            ctl.open_round(self.my_rank, own, round);
+        }
+        for &src in sources {
+            let part = match ctl.as_deref_mut() {
+                None => self.recv_live(src, ReservedTags::ALLGATHER).payload,
+                Some(ctl) => self.recv_degraded(src, round, own, ctl),
+            };
+            take(src, part);
+        }
+    }
+
+    /// `src`'s contribution for `round`, received or substituted as the
+    /// controller's absence bookkeeping dictates.
+    fn recv_degraded(
+        &self,
+        src: usize,
+        round: usize,
+        own: &Payload,
+        ctl: &mut DegradedGather,
+    ) -> Payload {
+        let world = self.group[src];
+        let part = match ctl.availability(src, round) {
+            // A dead peer's queued contributions drain first: only a
+            // connection gone with nothing queued is a death.
+            Availability::Live => self.poll_part(src, || {
+                self.peer_connection_dead(src)
+                    && !self.probe(RecvFrom::Rank(src), ReservedTags::ALLGATHER)
+            }),
+            Availability::Absent => None,
+            // Polling the raw mailbox, a dead flag left set until the link
+            // swap cannot misfire as `PeerLost`.
+            Availability::Rejoining => {
+                let give_up = Instant::now() + REJOIN_DEADLINE;
+                let Some(part) = self.poll_part(src, || Instant::now() >= give_up) else {
+                    panic!(
+                        "replacement for world rank {world} missed the rejoin rendezvous at \
+                         round {round}"
+                    )
+                };
+                self.send_raw(src, ReservedTags::ALLGATHER, own.clone());
+                Some(part)
+            }
+        };
+        let Some(part) = part else {
+            ctl.note_stale(src, world, round);
+            return ctl.cache[src].clone().unwrap_or_else(|| {
+                panic!(
+                    "world rank {world} went missing at round {round} with no cached \
+                     snapshot to substitute"
+                )
+            });
+        };
+        ctl.note_live(src, round);
+        ctl.cache[src] = Some(part.clone());
+        part
+    }
+
+    /// `src`'s next exchange contribution, polled for until it arrives or
+    /// `give_up` says it never will.
+    fn poll_part(&self, src: usize, give_up: impl Fn() -> bool) -> Option<Payload> {
+        let poll = Duration::from_millis(25);
+        loop {
+            let mailbox = self.my_mailbox();
+            if let Some(env) =
+                mailbox.recv_timeout(self.context, Some(src), ReservedTags::ALLGATHER, poll)
+            {
+                return Some(env.payload);
+            }
+            if give_up() {
+                return None;
+            }
+        }
+    }
+
+    // ---- allgather ---------------------------------------------------------
+
+    /// Allgather: every rank receives all ranks' payloads in group-rank
+    /// order, each a slice of one broadcast body that group rank 0
+    /// assembles. The runtime exchanges snapshots with its neighbours
+    /// instead ([`Comm::exchange_post`]); this collective and its split
+    /// halves remain for the benchmark's `mpi.allgather_*` probes. It uses
+    /// the exchange's reserved tag, so the two must not be mixed on one
+    /// communicator.
     pub fn allgather_bytes(&self, payload: impl Into<Payload>) -> Vec<Payload> {
         let pending = self.allgather_bytes_split(payload);
         self.allgather_bytes_complete(pending)
     }
 
     /// The non-blocking *begin* half of a split allgather: a non-root posts
-    /// its contribution toward the fan-in root and returns immediately; the
-    /// root stashes its own contribution. The returned [`PendingAllgather`]
-    /// must be finished with [`Comm::allgather_bytes_complete`] (or the
-    /// degraded variant) before the next collective on this communicator
-    /// completes — at most one split allgather may be outstanding at a time
-    /// per rank, but the complete half may run on a *different thread* of
-    /// the same rank holding a cloned `Comm` (the async exchange pipeline):
-    /// per-(src, tag) FIFO mailbox matching keeps a begin posted for
-    /// generation `i` from crossing a complete still draining generation
-    /// `i-1`.
+    /// its contribution toward group rank 0 and returns immediately; the
+    /// root stashes its own contribution. At most one split allgather may
+    /// be outstanding per rank, but the complete half may run on another
+    /// thread of the rank holding a cloned `Comm`: per-(src, tag) FIFO
+    /// matching keeps a begin posted for generation `i` from crossing a
+    /// complete still draining generation `i-1`.
     pub fn allgather_bytes_split(&self, payload: impl Into<Payload>) -> PendingAllgather {
         if self.my_rank == 0 {
             PendingAllgather { payload: Some(payload.into()) }
@@ -439,184 +574,27 @@ impl Comm {
     }
 
     /// The blocking *complete* half of a split allgather: the root drains
-    /// every contribution and broadcasts the concatenation; a non-root
-    /// receives the broadcast. Byte-identical traffic to the second half of
-    /// [`Comm::allgather_bytes`].
-    ///
-    /// Every snapshot byte moves once per hop. The root copies each
-    /// contribution once into the broadcast body and hands that one buffer
-    /// to every destination — by reference count on the in-process fabric,
-    /// as the payload of a vectored write on a socket — and every rank,
-    /// root included, gets its parts back as slices of the body it holds.
-    /// The body therefore lives until the last rank has dropped its parts
-    /// (and, on a socket transport, until the last write of it returned);
-    /// nobody may hold it longer than that, or a 3×3 Table-I grid keeps
-    /// 20 MB per generation alive.
+    /// every contribution, copies each once into the broadcast body and
+    /// hands that one buffer to every other rank; every rank gets its parts
+    /// back as slices of the body, which therefore lives until the last
+    /// rank has dropped them.
     pub fn allgather_bytes_complete(&self, pending: PendingAllgather) -> Vec<Payload> {
-        self.complete_allgather(pending, None)
-    }
-
-    /// [`Comm::allgather_bytes_complete`] whose fan-in root degrades
-    /// gracefully when a contributor goes missing, instead of wedging or
-    /// tearing the whole group down.
-    ///
-    /// The collective fans in at group rank 0 and fans out by broadcast, so
-    /// only rank 0 ever receives from a non-root peer — degradation is
-    /// therefore pure root-side logic, and every other rank transparently
-    /// consumes whatever rank 0 places in the missing peer's slot. For each
-    /// round (the caller's logical iteration, strictly increasing):
-    ///
-    /// * a rank inside a **planned absence window** (scripted by a
-    ///   [`crate::fault::FaultPlan`] kill) is never awaited: its slot is
-    ///   substituted from the per-peer stale cache, and the fan-out skips
-    ///   it. Substitution is plan-driven, not timing-driven, so a degraded
-    ///   run is a pure function of (seed, plan).
-    /// * at a planned window's end the root blocks — up to 90 s — for the
-    ///   replacement rank's contribution, then resumes treating it as live.
-    /// * an **unplanned** death (connection gone, nothing queued) degrades
-    ///   the same way, bounded by `max_stale` consecutive substitutions
-    ///   before the root escalates with a panic naming the world rank.
-    ///   Queued pre-death contributions always drain first, preserving
-    ///   round pairing; an alive-but-slow peer is never substituted.
-    ///
-    /// Fault-free rounds send byte-identical traffic to
-    /// [`Comm::allgather_bytes_complete`], which keeps synchronous-mode
-    /// runs byte-identical across drivers.
-    pub fn allgather_bytes_complete_degraded(
-        &self,
-        pending: PendingAllgather,
-        round: usize,
-        ctl: &mut DegradedGather,
-    ) -> Vec<Payload> {
-        self.complete_allgather(pending, Some((round, ctl)))
-    }
-
-    /// The one completion routine: gather at 0, then broadcast the
-    /// concatenation — through the degradation controller when the root
-    /// has one.
-    fn complete_allgather(
-        &self,
-        pending: PendingAllgather,
-        mut degraded: Option<(usize, &mut DegradedGather)>,
-    ) -> Vec<Payload> {
         if self.my_rank != 0 {
             let env = self.recv_live(0, ReservedTags::ALLGATHER);
             return split_parts(&env.payload).expect("allgather parts");
         }
-        let own = pending.payload.expect("the root stashed its own part at begin");
-        if let Some((round, ctl)) = degraded.as_mut() {
-            assert_eq!(ctl.cache.len(), self.size(), "DegradedGather sized for another group");
-            // Freeze the death-frame — everyone's previous-round payload —
-            // before any of this round's updates, the moment a planned
-            // window opens. A replacement rank later streams this frame to
-            // replay its catch-up deterministically.
-            if ctl.planned_window_opens(*round) {
-                let frame: Option<Vec<Payload>> = ctl.cache.iter().cloned().collect();
-                *ctl.frozen.lock() = Some(frame.expect("full cache at planned window open"));
-            }
-            ctl.cache[0] = Some(own.clone());
-        }
         let mut parts: Vec<Payload> = Vec::with_capacity(self.size());
-        parts.push(own);
+        parts.push(pending.payload.expect("the root stashed its own part at begin"));
         for src in 1..self.size() {
-            parts.push(match degraded.as_mut() {
-                None => self.recv_live(src, ReservedTags::ALLGATHER).payload,
-                Some((round, ctl)) => self.recv_degraded(src, *round, ctl),
-            });
+            parts.push(self.recv_live(src, ReservedTags::ALLGATHER).payload);
         }
-        // The one copy of this hop: every contribution into the body, which
-        // is sized up front and then shared, never cloned.
         let mut body = Vec::with_capacity(4 + parts.iter().map(|p| 4 + p.len()).sum::<usize>());
         parts.encode(&mut body);
         let body = Payload::from(body);
         for r in 1..self.size() {
-            if degraded.as_ref().is_some_and(|(round, ctl)| ctl.skip_fanout(r, *round)) {
-                continue;
-            }
             self.send_raw(r, ReservedTags::ALLGATHER, body.clone());
         }
         split_parts(&body).expect("the root's own body")
-    }
-
-    /// Root-side: `src`'s contribution for `round`, received or substituted
-    /// as the controller's absence bookkeeping dictates.
-    fn recv_degraded(&self, src: usize, round: usize, ctl: &mut DegradedGather) -> Payload {
-        let part = match ctl.availability(src, round) {
-            Availability::Live => match self.recv_or_detect_death(src, ctl, round) {
-                Some(part) => part,
-                None => return self.substitute_stale(src, ctl, round),
-            },
-            Availability::Absent => return self.substitute_stale(src, ctl, round),
-            Availability::Rejoining => self.await_rejoin(src, round),
-        };
-        ctl.note_live(src, round);
-        ctl.cache[src] = Some(part.clone());
-        part
-    }
-
-    /// Root-side receive of one allgather contribution that detects an
-    /// unplanned death instead of wedging: returns `None` once `src`'s
-    /// connection is gone with nothing matching queued (and records the
-    /// absence in `ctl`). Queued pre-death frames drain first.
-    fn recv_or_detect_death(
-        &self,
-        src: usize,
-        ctl: &mut DegradedGather,
-        round: usize,
-    ) -> Option<Payload> {
-        loop {
-            if let Some(env) = self.my_mailbox().recv_timeout(
-                self.context,
-                Some(src),
-                ReservedTags::ALLGATHER,
-                Duration::from_millis(25),
-            ) {
-                return Some(env.payload);
-            }
-            if self.peer_connection_dead(src)
-                && !self.probe(RecvFrom::Rank(src), ReservedTags::ALLGATHER)
-            {
-                ctl.begin_unplanned(src, round);
-                return None;
-            }
-        }
-    }
-
-    /// Substitute `src`'s slot from the stale cache, enforcing the bound.
-    fn substitute_stale(&self, src: usize, ctl: &mut DegradedGather, round: usize) -> Payload {
-        let world = self.group[src];
-        ctl.note_stale(src, world, round);
-        ctl.cache[src].clone().unwrap_or_else(|| {
-            panic!(
-                "world rank {world} went missing at round {round} with no cached \
-                 snapshot to substitute"
-            )
-        })
-    }
-
-    /// Block — bounded by [`REJOIN_DEADLINE`] — for the replacement of `src`
-    /// to make its rendezvous contribution. Polls the raw mailbox so a
-    /// dead-flag left set until the link swap cannot misfire as [`PeerLost`].
-    ///
-    /// [`PeerLost`]: crate::endpoint::PeerLost
-    fn await_rejoin(&self, src: usize, round: usize) -> Payload {
-        let give_up = Instant::now() + REJOIN_DEADLINE;
-        loop {
-            if let Some(env) = self.my_mailbox().recv_timeout(
-                self.context,
-                Some(src),
-                ReservedTags::ALLGATHER,
-                Duration::from_millis(25),
-            ) {
-                return env.payload;
-            }
-            if Instant::now() >= give_up {
-                panic!(
-                    "replacement for world rank {} missed the rejoin rendezvous at round {round}",
-                    self.group[src]
-                );
-            }
-        }
     }
 
     // ---- fault injection -------------------------------------------------
@@ -642,10 +620,9 @@ impl Comm {
 
 /// The stashed local half of an in-flight split allgather: created by
 /// [`Comm::allgather_bytes_split`], consumed by
-/// [`Comm::allgather_bytes_complete`] (or the degraded variant). Carries no
-/// borrow of the communicator, so it can cross to a background exchange
-/// thread together with a cloned `Comm` of the same rank — which is how the
-/// async exchange pipeline overlaps the blocking half with compute.
+/// [`Comm::allgather_bytes_complete`]. Carries no borrow of the
+/// communicator, so it can cross to another thread of the same rank
+/// together with a cloned `Comm`.
 #[derive(Debug)]
 #[must_use = "an in-flight split allgather must be completed"]
 pub struct PendingAllgather {
@@ -676,18 +653,18 @@ fn split_parts(body: &Payload) -> Result<Vec<Payload>, WireError> {
     Ok(parts)
 }
 
-/// How long the root waits at a planned window's end for the replacement's
+/// How long a reader waits at a planned window's end for the replacement's
 /// rendezvous contribution.
 const REJOIN_DEADLINE: Duration = Duration::from_secs(90);
 
-/// Why a contributor is (or is not) awaited this round.
+/// Why a peer is (or is not) posted to and awaited this round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Availability {
-    /// Awaited normally.
+    /// Posted to and awaited normally.
     Live,
-    /// Inside an absence window: substitute, don't wait.
+    /// Inside an absence window: neither posted to nor awaited.
     Absent,
-    /// A planned window ends this round: block for the replacement.
+    /// A planned window ends this round: await the replacement, then post.
     Rejoining,
 }
 
@@ -702,31 +679,30 @@ enum Absence {
     Unplanned,
 }
 
-/// Root-side controller for [`Comm::allgather_bytes_complete_degraded`]: the per-peer
-/// stale cache, absence windows, substitution bounds, and the frozen
-/// death-frame a replacement rank streams for catch-up. Owned by the
-/// exchange caller of the group's rank 0; other ranks never need one.
+/// One rank's controller for a degrading [`Comm::exchange_complete`]: the
+/// stale cache of the peers it reads, their absence windows and
+/// substitution bounds, and this rank's share of the frozen death-frame a
+/// replacement fetches for its catch-up. Every rank of a run that degrades
+/// gracefully holds one; there is no rank that degrades for the others.
 ///
-/// Cache and death-frame hold [`Payload`] handles on the ranks' individual
-/// contributions — the buffers they arrived in — so keeping a round costs
-/// no copy, freezing a frame is one reference-count bump per rank, and
-/// neither ever pins a broadcast body (which would be the whole
-/// generation, not one rank's share of it).
+/// Cache and death-frame hold [`Payload`] handles on the contributions —
+/// the buffers they arrived in — so keeping a round costs no copy and
+/// freezing a slot is one reference-count bump.
 #[derive(Debug)]
 pub struct DegradedGather {
-    /// Last-known payload per group rank: a handle on the very buffer the
-    /// rank's contribution arrived in (caching a round is a reference-count
-    /// bump per rank, not a copy).
+    /// Last-known payload per group rank: this rank's own contribution and
+    /// those of the peers it receives from, `None` for everyone else.
     cache: Vec<Option<Payload>>,
     /// Consecutive substitutions per group rank.
     stale_runs: Vec<usize>,
     absences: Vec<Option<Absence>>,
     /// Bound on consecutive substitutions for one rank before escalation.
     max_stale: usize,
-    /// The death-frame: every rank's payload from the round before the
-    /// first planned window opened. Shared (`Arc`) so another thread — the
-    /// slave's communication thread — can serve it to a catching-up
-    /// replacement while this controller is mid-collective.
+    /// This rank's share of the death-frame: its own contribution and its
+    /// cached copy of each victim's, from the round before a planned window
+    /// opened. Shared (`Arc`) so another thread — the slave's main thread —
+    /// can serve it to a catching-up replacement while this controller is
+    /// mid-exchange.
     frozen: FrozenFrameHandle,
 }
 
@@ -740,7 +716,7 @@ impl DegradedGather {
             stale_runs: vec![0; size],
             absences: vec![None; size],
             max_stale,
-            frozen: Arc::new(Mutex::new(None)),
+            frozen: Arc::new(Mutex::new(vec![None; size])),
         }
     }
 
@@ -755,8 +731,8 @@ impl DegradedGather {
         self.absences[r] = Some(Absence::Planned { from, until });
     }
 
-    /// Handle to the frozen death-frame, for the thread that serves
-    /// catch-up requests.
+    /// Handle to this rank's share of the frozen death-frame, for the
+    /// thread that serves catch-up requests.
     pub fn frozen_frame(&self) -> FrozenFrameHandle {
         Arc::clone(&self.frozen)
     }
@@ -782,22 +758,22 @@ impl DegradedGather {
         }
     }
 
-    /// Does a planned window open exactly at `round` (freeze point)?
-    fn planned_window_opens(&self, round: usize) -> bool {
-        self.absences
-            .iter()
-            .any(|a| matches!(a, Some(Absence::Planned { from, .. }) if *from == round))
-    }
-
-    /// Skip the fan-out to an absent rank (nothing is listening).
-    fn skip_fanout(&self, r: usize, round: usize) -> bool {
-        self.availability(r, round) == Availability::Absent
-    }
-
-    fn begin_unplanned(&mut self, r: usize, _round: usize) {
-        if self.absences[r].is_none() {
-            self.absences[r] = Some(Absence::Unplanned);
+    /// The start of `round` on group rank `own`: the round a planned window
+    /// opens, freeze `own`'s contribution and the cached one of each rank
+    /// whose window it is — both still the round before, exactly the
+    /// death-frame slots a replacement needs — then cache `part`, `own`'s
+    /// contribution to this round.
+    fn open_round(&mut self, own: usize, part: &Payload, round: usize) {
+        let opens = |a: &Option<Absence>| matches!(a, Some(Absence::Planned { from, .. }) if *from == round);
+        if self.absences.iter().any(opens) {
+            let mut frozen = self.frozen.lock();
+            for r in 0..self.cache.len() {
+                if r == own || opens(&self.absences[r]) {
+                    frozen[r] = self.cache[r].clone();
+                }
+            }
         }
+        self.cache[own] = Some(part.clone());
     }
 
     fn note_live(&mut self, r: usize, round: usize) {
@@ -810,7 +786,10 @@ impl DegradedGather {
         }
     }
 
+    /// Group rank `r` (world rank `world`) is substituted at `round` — a
+    /// death detected outside any planned window opens an unplanned one.
     fn note_stale(&mut self, r: usize, world: usize, round: usize) {
+        self.absences[r].get_or_insert(Absence::Unplanned);
         self.stale_runs[r] += 1;
         if self.stale_runs[r] > self.max_stale {
             panic!(
@@ -1101,78 +1080,121 @@ mod tests {
         });
     }
 
+    /// One round of an all-to-all neighbour exchange on `comm`: post
+    /// `part` to every other rank, take every other rank's part for
+    /// `round`. Returns the parts by group rank (own slot: `part`).
+    fn exchange_round(
+        comm: &Comm,
+        part: Vec<u8>,
+        round: usize,
+        ctl: Option<&mut DegradedGather>,
+    ) -> Vec<Payload> {
+        let part = Payload::from(part);
+        let others: Vec<usize> = (0..comm.size()).filter(|&r| r != comm.rank()).collect();
+        comm.exchange_post(&others, &part, round, ctl.as_deref());
+        let mut parts = vec![part.clone(); comm.size()];
+        comm.exchange_complete(&others, &part, round, ctl, |src, p| parts[src] = p);
+        parts
+    }
+
     #[test]
-    fn degraded_allgather_substitutes_stale_and_takes_the_rejoin() {
-        use crate::fault::FaultPlan;
+    fn neighbour_exchange_delivers_each_round_to_its_readers_only() {
+        // A 5-rank ring: rank r reads r±1, and — the topology is symmetric —
+        // posts to exactly those. Two rounds back to back, the second
+        // posted before anyone completes the first: per-(src, tag) FIFO
+        // keeps them apart, and no rank receives a part it does not read.
+        let results = Universe::run(5, |comm| {
+            let n = comm.size();
+            let r = comm.rank();
+            let ring = [(r + n - 1) % n, (r + 1) % n];
+            let parts: Vec<Payload> =
+                (0..2).map(|round| Payload::from(vec![r as u8, round as u8])).collect();
+            for (round, part) in parts.iter().enumerate() {
+                comm.exchange_post(&ring, part, round, None);
+            }
+            let mut seen = Vec::new();
+            for (round, part) in parts.iter().enumerate() {
+                comm.exchange_complete(&ring, part, round, None, |src, p| {
+                    seen.push((src, p.to_vec()))
+                });
+            }
+            let stray = comm.probe(RecvFrom::Any, ReservedTags::ALLGATHER);
+            (seen, stray)
+        });
+        for (r, (seen, stray)) in results.iter().enumerate() {
+            let (lo, hi) = ((r + 4) % 5, (r + 1) % 5);
+            let want = [
+                (lo, vec![lo as u8, 0]),
+                (hi, vec![hi as u8, 0]),
+                (lo, vec![lo as u8, 1]),
+                (hi, vec![hi as u8, 1]),
+            ];
+            assert_eq!(seen, &want, "rank {r}");
+            assert!(!stray, "rank {r} was posted a part it does not read");
+        }
+    }
+
+    #[test]
+    fn degraded_exchange_substitutes_stale_and_takes_the_rejoin() {
         // Rank 2 is scripted dead for rounds 2..4 and "replaced" (here: the
-        // same thread coming back) at round 4. The fabric carries the plan
-        // so the test also exercises the transport-level kill bookkeeping.
+        // same thread coming back) at round 4. Ranks 0 and 1 read it, and
+        // each degrades on its own. The fabric carries the plan so the test
+        // also exercises the transport-level kill bookkeeping.
         let fabric = Fabric::with_faults(3, FaultPlan::parse("kill:2@2").unwrap());
         let payload = |r: usize, round: usize| vec![r as u8, round as u8];
         let results = Universe::run_on(fabric, |comm| {
-            let rounds = 6usize;
-            match comm.rank() {
-                0 => {
-                    let mut ctl = DegradedGather::new(3, 2);
-                    ctl.plan_absence(2, 2, 4);
-                    let frozen = ctl.frozen_frame();
-                    let mut seen = Vec::new();
-                    for round in 0..rounds {
-                        let pending = comm.allgather_bytes_split(payload(0, round));
-                        let parts =
-                            comm.allgather_bytes_complete_degraded(pending, round, &mut ctl);
-                        seen.push(parts[2].clone());
-                        assert_eq!(parts[1], payload(1, round), "live rank must stay fresh");
-                    }
-                    // Substituted rounds carried rank 2's round-1 payload.
-                    assert_eq!(seen[2], payload(2, 1));
-                    assert_eq!(seen[3], payload(2, 1));
-                    assert_eq!(seen[4], payload(2, 4), "rejoin contribution taken");
-                    assert_eq!(seen[5], payload(2, 5));
-                    assert_eq!(ctl.stale_run(2), 0, "rejoin resets the stale run");
-                    // The frozen death-frame is everyone's round-1 payload.
-                    let frame = frozen.lock().clone().expect("frame frozen at window open");
-                    assert_eq!(frame, vec![payload(0, 1), payload(1, 1), payload(2, 1)]);
+            let me = comm.rank();
+            if me == 2 {
+                // Nothing was posted to it while it was gone: its round-4
+                // receive is the survivors' round 4, sent after its own.
+                for round in [0usize, 1, 4, 5] {
+                    let parts = exchange_round(&comm, payload(2, round), round, None);
+                    assert_eq!(parts[0], payload(0, round));
+                    assert_eq!(parts[1], payload(1, round));
                 }
-                1 => {
-                    for round in 0..rounds {
-                        let parts = comm.allgather_bytes(payload(1, round));
-                        // Survivors transparently consume the substituted slot.
-                        let expect2 = if round == 2 || round == 3 { 1 } else { round as u8 };
-                        assert_eq!(parts[2], vec![2u8, expect2]);
-                    }
-                }
-                2 => {
-                    for round in [0usize, 1, 4, 5] {
-                        let parts = comm.allgather_bytes(payload(2, round));
-                        assert_eq!(parts[0], payload(0, round));
-                    }
-                }
-                _ => unreachable!(),
+                return;
             }
+            let mut ctl = DegradedGather::new(3, 2);
+            ctl.plan_absence(2, 2, 4);
+            let frozen = ctl.frozen_frame();
+            let mut seen = Vec::new();
+            for round in 0..6 {
+                let parts = exchange_round(&comm, payload(me, round), round, Some(&mut ctl));
+                assert_eq!(parts[1 - me], payload(1 - me, round), "live rank must stay fresh");
+                seen.push(parts[2].clone());
+            }
+            // Substituted rounds carried rank 2's round-1 payload.
+            assert_eq!(seen[2], payload(2, 1));
+            assert_eq!(seen[3], payload(2, 1));
+            assert_eq!(seen[4], payload(2, 4), "rejoin contribution taken");
+            assert_eq!(seen[5], payload(2, 5));
+            assert_eq!(ctl.stale_run(2), 0, "rejoin resets the stale run");
+            // This rank's share of the death-frame: its own round-1 payload
+            // and its copy of the victim's; nothing of the other survivor.
+            let frame = frozen.lock().clone();
+            let mut want: Vec<Option<Payload>> = vec![None; 3];
+            want[me] = Some(payload(me, 1).into());
+            want[2] = Some(payload(2, 1).into());
+            assert_eq!(frame, want);
         });
         assert_eq!(results.len(), 3);
     }
 
     #[test]
     #[should_panic(expected = "exceeding max_stale_iters")]
-    fn degraded_allgather_escalates_after_the_staleness_bound() {
+    fn degraded_exchange_escalates_after_the_staleness_bound() {
         let results = Universe::run(2, |comm| {
             if comm.rank() == 0 {
                 let mut ctl = DegradedGather::new(2, 2);
                 for round in 0..5 {
-                    let pending = comm.allgather_bytes_split(&[0, round]);
-                    let parts = comm.allgather_bytes_complete_degraded(
-                        pending,
-                        round as usize,
-                        &mut ctl,
-                    );
+                    let parts =
+                        exchange_round(&comm, vec![0, round as u8], round, Some(&mut ctl));
                     assert_eq!(parts.len(), 2);
                 }
             } else {
                 // Contribute twice, then die unannounced.
-                let _ = comm.allgather_bytes(&[1, 0]);
-                let _ = comm.allgather_bytes(&[1, 1]);
+                let _ = exchange_round(&comm, vec![1, 0], 0, None);
+                let _ = exchange_round(&comm, vec![1, 1], 1, None);
                 // Simulate the transport reader noticing the death.
                 std::thread::sleep(Duration::from_millis(30));
                 comm.transport.mailbox(0).mark_peer_dead(1);
@@ -1182,7 +1204,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_allgather_drains_queued_frames_before_substituting() {
+    fn degraded_exchange_drains_queued_frames_before_substituting() {
         // An alive-but-already-sent rank that dies must have its queued
         // contribution consumed, not substituted — round pairing depends
         // on it.
@@ -1192,9 +1214,7 @@ mod tests {
                 let mut ctl = DegradedGather::new(2, 3);
                 let mut got = Vec::new();
                 for round in 0..4usize {
-                    let pending = comm.allgather_bytes_split(&[0]);
-                    let parts =
-                        comm.allgather_bytes_complete_degraded(pending, round, &mut ctl);
+                    let parts = exchange_round(&comm, vec![0], round, Some(&mut ctl));
                     got.push(parts[1].clone());
                 }
                 // Rounds 0..2 drain the queued pre-death frames; round 3

@@ -21,8 +21,9 @@
 //! drop:A>B:T@I..J       black-hole tag-T messages from A to B for iterations I..J
 //! ```
 //!
-//! `T` is a decimal tag, `*` (any tag), or a collective name
-//! (`barrier`/`gather`/`allgather`).
+//! `T` is a decimal tag, `*` (any tag), or a reserved-tag name: `barrier`,
+//! `gather` (the result gather) or `allgather` — the snapshot exchange,
+//! whose traffic runs straight between ranks that read each other.
 
 use crate::message::{ReservedTags, Tag};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -318,9 +319,9 @@ impl FaultPlan {
 /// The fully-determined in-flight replacement schedule implied by a plan:
 /// which rank dies, when, where its replacement resumes, and the round at
 /// which it rendezvouses with the survivors. Pure arithmetic over the plan
-/// and the run shape, so every party — the master, the fan-in root, the
-/// replacement rank, and the cluster simulator — computes the identical
-/// schedule without exchanging a byte.
+/// and the run shape, so every party — the master, the victim's readers,
+/// the replacement rank, and the cluster simulator — computes the
+/// identical schedule without exchanging a byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplacementSchedule {
     /// World rank of the scripted victim.
@@ -343,10 +344,12 @@ pub struct ReplacementSchedule {
 /// back to coordinated recovery. Only the *earliest* kill is scheduled;
 /// additional kills degrade through the unplanned path and escalate.
 ///
-/// Not replaceable: the master (world rank 0) and the fan-in root (world
-/// rank 1, cell 0); kills at iteration 0 (no snapshot cached yet to
-/// substitute); rejoin rounds at or past the end of the run; any kill when
-/// `max_stale_iters` is 0 (degradation disabled).
+/// Every slave is replaceable; not replaceable are the master (world rank
+/// 0) and ranks that are no slave; kills at iteration 0 (no snapshot cached
+/// yet to substitute); rejoin rounds at or past the end of the run; any
+/// kill when `max_stale_iters` is 0 (degradation disabled); and the one
+/// slave of a one-cell grid, which has no neighbour to hold its
+/// death-frame.
 pub fn replacement_schedule(
     plan: &FaultPlan,
     max_stale_iters: usize,
@@ -354,11 +357,11 @@ pub fn replacement_schedule(
     target_iterations: usize,
     cells: usize,
 ) -> Option<ReplacementSchedule> {
-    if max_stale_iters == 0 {
+    if max_stale_iters == 0 || cells < 2 {
         return None;
     }
     let (rank, at) = plan.kills().min_by_key(|&(r, i)| (i, r))?;
-    if rank < 2 || rank > cells || at == 0 {
+    if rank == 0 || rank > cells || at == 0 {
         return None;
     }
     let rejoin_round = at + max_stale_iters;
@@ -523,9 +526,10 @@ mod tests {
         let kill = |s: &str| FaultPlan::parse(s).unwrap();
         // Degradation disabled.
         assert!(replacement_schedule(&kill("kill:3@6"), 0, 5, 20, 4).is_none());
-        // Master and fan-in root.
+        // The master.
         assert!(replacement_schedule(&kill("kill:0@6"), 3, 5, 20, 4).is_none());
-        assert!(replacement_schedule(&kill("kill:1@6"), 3, 5, 20, 4).is_none());
+        // The lone slave of a one-cell grid: no neighbour holds its frame.
+        assert!(replacement_schedule(&kill("kill:1@6"), 3, 5, 20, 1).is_none());
         // Kill before anything was cached.
         assert!(replacement_schedule(&kill("kill:3@0"), 3, 5, 20, 4).is_none());
         // Rejoin would land past the end of the run.
@@ -534,6 +538,21 @@ mod tests {
         assert!(replacement_schedule(&kill("kill:9@6"), 3, 5, 20, 4).is_none());
         // No kills scripted.
         assert!(replacement_schedule(&kill("sever:1-2@3"), 3, 5, 20, 4).is_none());
+    }
+
+    #[test]
+    fn every_slave_is_replaceable_including_cell_0() {
+        for rank in 1..=4 {
+            let s = replacement_schedule(
+                &FaultPlan::parse(&format!("kill:{rank}@6")).unwrap(),
+                3,
+                5,
+                20,
+                4,
+            )
+            .unwrap_or_else(|| panic!("world rank {rank} refused"));
+            assert_eq!((s.victim_world, s.cell), (rank, rank - 1));
+        }
     }
 
     #[test]

@@ -19,26 +19,34 @@
 //! | `MPI_COMM_WORLD`                  | [`universe::Universe::run`]'s root [`comm::Comm`] |
 //! | WORLD/LOCAL/GLOBAL communicators  | [`comm::Comm::subgroup`] context splits |
 //! | p2p send/recv with tags           | [`comm::Comm::send`] / [`comm::Comm::recv`] |
-//! | slave-to-slave gather of partial results | [`comm::Comm::allgather_bytes`] and its split halves |
+//! | slave-to-slave gather of partial results | [`comm::Comm::exchange_post`] / [`comm::Comm::exchange_complete`]: each rank posts to the ranks that read it |
 //! | final gather at the master        | [`comm::Comm::gather`] / [`comm::Comm::gather_abortable`] |
 //!
-//! That is the whole collective surface: the crate exports the calls the
-//! runtime makes, not an MPI look-alike (the grid topology lives in
-//! `lipiz-core`).
+//! That is the whole surface the runtime calls, not an MPI look-alike (who
+//! reads whom is the grid topology's, in `lipiz-core`); the root-assembled
+//! [`comm::Comm::allgather_bytes`] remains for the repo benchmark.
 //!
 //! Threading rules follow MPI: any thread of a rank may use a communicator
 //! (clone the `Comm`), but collectives on one communicator must not be
 //! called concurrently from two threads of the same rank.
-
 //!
 //! # Example
 //!
 //! ```
-//! use lipiz_mpi::{Comm, Universe};
+//! use lipiz_mpi::{Comm, Payload, Universe};
 //!
-//! // Three ranks, each contributing one byte; every rank receives all three.
-//! let results = Universe::run(3, |comm: Comm| comm.allgather_bytes(&[comm.rank() as u8 + 1]));
-//! assert!(results.iter().all(|parts| parts == &[vec![1u8], vec![2], vec![3]]));
+//! // A ring of four ranks, each reading its two neighbours: every rank
+//! // posts its byte to exactly those two and receives theirs.
+//! let results = Universe::run(4, |comm: Comm| {
+//!     let (r, n) = (comm.rank(), comm.size());
+//!     let ring = [(r + n - 1) % n, (r + 1) % n];
+//!     let mine = Payload::from(vec![r as u8]);
+//!     comm.exchange_post(&ring, &mine, 0, None);
+//!     let mut got = Vec::new();
+//!     comm.exchange_complete(&ring, &mine, 0, None, |src, part| got.push((src, part[0])));
+//!     got
+//! });
+//! assert_eq!(results[0], [(3, 3), (1, 1)]);
 //! ```
 
 pub mod comm;

@@ -18,15 +18,17 @@ impl ReservedTags {
     pub const BARRIER: Tag = Self::RESERVED_BASE;
     /// Gather fan-in.
     pub const GATHER: Tag = Self::RESERVED_BASE + 2;
-    /// Allgather: fan-in to group rank 0, then its broadcast of the body.
+    /// The snapshot exchange: each rank's contribution, posted straight to
+    /// the ranks that read it (and the benchmark-only allgather's fan-in
+    /// and broadcast).
     pub const ALLGATHER: Tag = Self::RESERVED_BASE + 3;
 }
 
 /// An immutable byte buffer shared by reference count: a view (`start..end`)
 /// into one heap buffer that any number of handles keep alive. Cloning and
 /// [`Payload::slice`] bump the count and copy nothing, which is what lets a
-/// broadcast body be assembled once and handed to every destination, and
-/// lets a receiver keep the parts of that body without copying them out.
+/// rank encode its snapshot once and post that one buffer to every rank
+/// that reads it, and lets a receiver cache a contribution without copying.
 /// The buffer is freed when its last handle drops. Dereferences to `[u8]`.
 #[derive(Clone)]
 pub struct Payload {

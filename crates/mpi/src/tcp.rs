@@ -21,10 +21,10 @@
 //! frames safe from RST-induced loss. Sends to an already-gone peer are
 //! dropped silently, and any receive with a deadline (the heartbeat path)
 //! times out instead of hanging — which is how the runtime *detects and
-//! reports* a dead peer. Untimed collectives keep MPI semantics: a rank
-//! that dies mid-collective stalls the group, exactly as `MPI_Allgather`
-//! would; acting on the heartbeat's verdict (abort, restart, re-rank) is
-//! the runtime's future-work territory, not the transport's (see ROADMAP).
+//! reports* a dead peer. An untimed receive pinned to a peer fails loudly
+//! once that peer's connection is gone with nothing queued; acting on the
+//! heartbeat's verdict (replace the rank, or tear down and resume) is the
+//! runtime's business, not the transport's.
 
 use crate::endpoint::Mailbox;
 use crate::fault::{FaultPlan, FaultState};
@@ -50,8 +50,11 @@ const MAGIC: u32 = 0x4C50_5A54;
 /// block. v4: telemetry summaries carry their histogram buckets as a fixed
 /// array, without the length prefix. v5: a slave's result ships one
 /// aggregate — the telemetry summary, now with the routine totals — in
-/// place of a profile report plus an optional summary.
-const VERSION: u32 = 5;
+/// place of a profile report plus an optional summary. v6: the snapshot
+/// exchange runs slave to slave between the ranks that read each other (no
+/// fan-in root, no broadcast body), and a replacement fetches its
+/// death-frame slot by slot from its neighbours.
+const VERSION: u32 = 6;
 /// Deadline for every handshake read (a stuck bootstrap fails loudly
 /// instead of hanging the suite).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
@@ -226,8 +229,9 @@ impl PeerLink {
 
     /// Frame and send `env`; returns false when the peer is gone. The
     /// frame is never assembled: its header and the (shared) payload go to
-    /// the socket as one vectored write, so a broadcast body is read in
-    /// place by every link it is sent on. The bytes on the wire are
+    /// the socket as one vectored write, so a snapshot posted to several
+    /// readers is read in place by every link it is sent on. The bytes on
+    /// the wire are
     /// [`crate::transport::encode_frame`]'s.
     ///
     /// # Panics
@@ -900,15 +904,18 @@ mod tests {
 
     #[test]
     fn slave_to_slave_mesh_traffic() {
-        // Exercises the mesh links that bypass the master entirely (the
-        // LOCAL communicator's allgather path).
+        // Exercises the mesh links that bypass the master entirely: the
+        // LOCAL communicator's neighbour exchange, every slave reading the
+        // other two.
         let results = tcp_universe(4, |comm, _| {
             let mut comm = comm;
-            let local = comm.subgroup(&[1, 2, 3]);
-            match local {
-                Some(local) => local.allgather_bytes(&[comm.rank() as u8 * 11]),
-                None => vec![],
-            }
+            let Some(local) = comm.subgroup(&[1, 2, 3]) else { return vec![] };
+            let others: Vec<usize> = (0..3).filter(|&r| r != local.rank()).collect();
+            let mine = Payload::from(vec![comm.rank() as u8 * 11]);
+            local.exchange_post(&others, &mine, 0, None);
+            let mut got = vec![mine.clone(); 3];
+            local.exchange_complete(&others, &mine, 0, None, |src, part| got[src] = part);
+            got
         });
         assert!(results[0].is_empty());
         for r in &results[1..] {

@@ -20,8 +20,8 @@
 //! ([`encode_frame`] is the definition). An envelope's payload is a shared
 //! [`crate::message::Payload`], and neither side of a socket stages a
 //! frame: the sender writes the 22 header bytes and the payload — wherever
-//! it lives, typically inside a broadcast body other links are sending too
-//! — with one vectored write, and [`FrameDecoder`] copies arriving payload
+//! it lives, typically a snapshot other links are sending too — with one
+//! vectored write, and [`FrameDecoder`] copies arriving payload
 //! bytes straight into the buffer the decoded envelope will own, growing it
 //! only as bytes arrive. [`MAX_FRAME_LEN`] is enforced by both ends.
 
@@ -76,10 +76,11 @@ pub trait Transport: fmt::Debug + Send + Sync {
 
 /// Upper bound on a frame body, enforced on both sides: a sender refuses to
 /// write a larger frame ([`encode_frame`] panics) and a receiver rejects a
-/// larger length prefix before buffering anything for it. The frame that
-/// matters is the snapshot exchange's broadcast body — one 2,203,757-byte
-/// Table-I snapshot per cell — so this ceiling is a 22×22 grid (484 cells,
-/// 1.07 GB would be the 23×23 body).
+/// larger length prefix before buffering anything for it. The largest
+/// message a run sends is one encoded snapshot (2,203,757 bytes at Table-I
+/// size) or one slave's `SlaveResult` — neither grows with the grid, so
+/// this bound limits no grid size; it exists to refuse a hostile or corrupt
+/// length prefix.
 pub const MAX_FRAME_LEN: usize = 1 << 30;
 
 /// Bytes of a frame that precede the payload: the `u32` body length, then

@@ -4,8 +4,8 @@
 //! Three communicators are used, exactly as §III-D describes:
 //!
 //! * **WORLD** — global configuration, run-task messages, status control;
-//! * **LOCAL** — slave-only collectives (the per-iteration allgather of
-//!   center snapshots), so gathers never involve the master or inactive
+//! * **LOCAL** — slave-to-slave traffic (the per-iteration exchange of
+//!   center snapshots), so it never involves the master or inactive
 //!   processes;
 //! * **GLOBAL** — collectives involving all processes (the final result
 //!   gather at the master).
@@ -16,41 +16,36 @@
 //! logic (the decoupling the paper calls out).
 //!
 //! The per-iteration snapshot exchange ([`CommExchange`]) is the one path
-//! here that moves megabytes, and it copies each snapshot byte once per
-//! hop: `begin` encodes straight into the buffer the transport takes
-//! ownership of, the fan-in root copies every contribution once into the
-//! broadcast body that all ranks then share, and `complete` decodes the
-//! parts the rank's cells read — slices of that body, and only those — in
-//! place into frame slots that keep their genome buffers from generation
-//! to generation; every other slot stays an empty shell. Frames are never
+//! here that moves megabytes. A cell reads only its neighbourhood (§III-B),
+//! and every neighbourhood pattern is symmetric on the torus, so the ranks
+//! a rank reads are exactly the ranks that read it. `begin` encodes the
+//! snapshot once, straight into the buffer the transport takes ownership
+//! of, and posts that one buffer to each of them; `complete` receives
+//! their contributions and decodes each in place into a frame slot that
+//! keeps its genome buffers from generation to generation. No rank relays
+//! another's snapshot, none waits on a rank it does not read, and every
+//! slot outside the read set stays an empty shell. Frames are never
 //! allocated per generation: sync mode refills the pipeline's own buffer,
 //! async mode rotates three frames between the training thread and the
 //! exchange thread (README, "Where a snapshot byte is copied").
+//!
+//! Graceful degradation follows the same lines: every rank holds its own
+//! [`DegradedGather`] for the peers it reads, substitutes a dead one from
+//! its cache, and serves its share of the death-frame to the replacement.
 
-use crate::protocol::{
-    tags, CacheResponse, NodeAnnouncement, RunTask, SlaveResult, StatusReport,
-};
+use crate::protocol::{tags, NodeAnnouncement, RunTask, SlaveResult, StatusReport};
 use lipiz_core::{CellSnapshot, Exchange, ExchangeMode};
-use lipiz_mpi::{
-    Comm, DegradedGather, FaultPlan, FrozenFrameHandle, Payload, PendingAllgather, RecvFrom,
-    Wire,
-};
+use lipiz_mpi::{Comm, DegradedGather, FaultPlan, FrozenFrameHandle, Payload, RecvFrom, Wire};
 use lipiz_telemetry::{EventKind, Telemetry, TelemetrySummary};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often the master's announcement collector re-checks for arrivals
-/// (and, when idle, for dead connections) during the Fig. 3 bootstrap.
-const ANNOUNCE_POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// How often the master re-polls for a respawned replacement's
 /// announcement while waiting out the rejoin deadline.
 const REPLACEMENT_POLL_INTERVAL: Duration = Duration::from_millis(25);
-/// How long one frozen-frame response wait runs before re-checking the
-/// fetch deadline.
-const FROZEN_FRAME_POLL_INTERVAL: Duration = Duration::from_millis(50);
-/// Pause between frozen-frame re-requests while the root has not frozen a
-/// frame yet.
+/// Pause between death-frame re-requests while the neighbour has not
+/// frozen its share yet.
 const FROZEN_FRAME_RETRY_DELAY: Duration = Duration::from_millis(20);
 
 /// Typed communication facade for one rank.
@@ -118,23 +113,13 @@ impl CommManager {
         self.world.send(Self::MASTER, tags::NODE_NAME, &msg);
     }
 
-    /// Master: collect every slave's announcement (any arrival order).
-    ///
-    /// # Panics
-    /// Panics if a slave's connection dies before it announces (the
-    /// monitored master uses [`CommManager::collect_announcements_monitored`]
-    /// to turn that into a recoverable abort instead).
-    pub fn collect_announcements(&self) -> Vec<NodeAnnouncement> {
-        self.collect_announcements_monitored(ANNOUNCE_POLL_INTERVAL)
-            .unwrap_or_else(|rank| panic!("slave rank {rank} died before announcing"))
-    }
-
-    /// [`CommManager::collect_announcements`] that fails with the dead
-    /// WORLD rank instead of wedging when a slave's connection dies before
-    /// its announcement arrives — this phase runs *before* the heartbeat
-    /// thread exists, so without the check a slave killed in the
-    /// bootstrap-to-announce window would hang the master forever.
-    pub fn collect_announcements_monitored(
+    /// Master: collect every slave's announcement (any arrival order),
+    /// polling every `poll`. Fails with the dead WORLD rank instead of
+    /// wedging when a slave's connection dies before its announcement
+    /// arrives — this phase runs *before* the heartbeat thread exists, so
+    /// without the check a slave killed in the bootstrap-to-announce window
+    /// would hang the master forever.
+    pub fn collect_announcements(
         &self,
         poll: Duration,
     ) -> Result<Vec<NodeAnnouncement>, usize> {
@@ -266,130 +251,125 @@ impl CommManager {
         self.world.recv_timeout(RecvFrom::Any, tags::TELEMETRY, timeout).map(|(m, _)| m)
     }
 
-    // ---- training collectives ----------------------------------------------
+    // ---- snapshot exchange --------------------------------------------------
 
-    /// Slave: per-iteration allgather of center snapshots on LOCAL.
-    /// Returns all cells' snapshots in cell order — the blocking form of
-    /// the exchange: begin and complete back to back. The returned frame is
-    /// this manager's own, refilled in place by the next call.
+    /// Slave: one generation of the exchange with every slot read — post
+    /// this rank's snapshot to every other slave, receive theirs. Returns
+    /// all cells' snapshots in cell order; the frame is this manager's own,
+    /// refilled in place by the next call. The same path as
+    /// [`CommManager::exchange`] for a rank that reads the whole grid.
     pub fn exchange_centers(&mut self, snapshot: &CellSnapshot) -> &[CellSnapshot] {
-        let pending = self.begin_exchange(snapshot);
-        let local = self.local.as_ref().expect("master has no LOCAL communicator");
-        let every: Vec<usize> = (0..local.size()).collect();
-        complete_exchange(local, pending, 0, None, &every, &mut self.centers, &mut Vec::new());
+        let every: Vec<usize> = (0..self.num_slaves()).collect();
+        let mut links = Links::new(self.local().clone(), &every, None);
+        let part = encode(snapshot);
+        links.post(&part, 0);
+        links.complete(&part, 0, &mut self.centers, &mut Vec::new());
         &self.centers
     }
 
-    /// Post this rank's contribution to a generation's snapshot allgather
-    /// without waiting for it (non-root ranks send to the fan-in root; the
-    /// root just stashes its own part). The snapshot is encoded once,
-    /// straight into the buffer the transport takes ownership of — the one
-    /// allocation a steady-state exchange costs a non-root rank.
-    fn begin_exchange(&self, snapshot: &CellSnapshot) -> PendingAllgather {
-        let mut wire = Vec::with_capacity(snapshot.wire_size());
-        snapshot.encode(&mut wire);
-        self.local().allgather_bytes_split(wire)
-    }
-
-    /// Slave: this rank's [`Exchange`] for the iteration pipeline,
-    /// delivering the frame slots `reads` (the pipeline's
-    /// `Pipeline::read_set`) and no others. In sync mode every generation
-    /// completes inline; under `--exchange async` the blocking half runs on
-    /// a background `AsyncExchanger` thread so root assembly + broadcast
-    /// overlap the train step. `ctl` is the fan-in root's degraded-gather
-    /// controller, when graceful degradation is on (clone its frozen-frame
-    /// handle *before* passing it in if another thread must keep serving
-    /// death-frame requests).
+    /// Slave: this rank's [`Exchange`] for the iteration pipeline, reading
+    /// the frame slots `reads` (the pipeline's `Pipeline::read_set`) and no
+    /// others — and, by the symmetry of the neighbourhood, posting to
+    /// exactly the ranks behind them. In sync mode every generation is
+    /// posted in `begin` and received in `complete`; under
+    /// `--exchange async` a background `AsyncExchanger` thread does both,
+    /// so the exchange overlaps the train step. `ctl` is this rank's
+    /// degraded-gather controller, when graceful degradation is on (clone
+    /// its frozen-frame handle *before* passing it in if another thread
+    /// must keep serving death-frame requests).
     pub fn exchange(
         &self,
         mode: ExchangeMode,
         ctl: Option<DegradedGather>,
         reads: &[usize],
     ) -> CommExchange {
-        let prev_stale = vec![0; self.num_slaves()];
-        let (ctl, exchanger) = match mode {
-            ExchangeMode::Sync => (ctl, None),
-            ExchangeMode::Async => {
-                let comm = self.local().clone();
-                (None, Some(AsyncExchanger::start(comm, ctl, reads.to_vec())))
-            }
+        let links = Links::new(self.local().clone(), reads, ctl);
+        let schedule = match mode {
+            ExchangeMode::Sync => Schedule::Inline { links, pending: None },
+            ExchangeMode::Async => Schedule::Overlapped(AsyncExchanger::start(links)),
         };
         CommExchange {
-            cm: self.clone(),
-            reads: reads.to_vec(),
-            pending: None,
-            ctl,
-            exchanger,
+            cell: self.local_rank() as u32,
+            schedule,
             stale_runs: Vec::new(),
-            prev_stale,
+            prev_stale: vec![0; self.num_slaves()],
         }
     }
 
-    /// Fan-in root's main thread: answer one pending death-frame request
-    /// from a catching-up replacement, if any is queued. The frame lives
-    /// behind the shared handle so this thread can serve it while the
-    /// execution thread is mid-collective. Returns whether a request was
+    /// Slave main thread: answer one queued death-frame request from a
+    /// catching-up replacement with the requested slot of this rank's
+    /// share, `None` while it is not frozen. Returns whether a request was
     /// answered.
     pub fn serve_frozen_frame(&self, frame: &FrozenFrameHandle) -> bool {
-        let Some(((), src)) =
-            self.world.recv_timeout::<()>(RecvFrom::Any, tags::CACHE_REQ, Duration::ZERO)
+        let Some((slot, src)) =
+            self.world.recv_timeout::<usize>(RecvFrom::Any, tags::CACHE_REQ, Duration::ZERO)
         else {
             return false;
         };
-        let resp = CacheResponse { frame: frame.lock().clone() };
-        self.world.send(src, tags::CACHE_RESP, &resp);
+        let part: Option<Payload> = frame.lock().get(slot).cloned().flatten();
+        self.world.send(src, tags::CACHE_RESP, &part);
         true
     }
 
-    /// Replacement slave: fetch the frozen death-frame from the fan-in root
-    /// (WORLD rank 1) — every cell's encoded snapshot, of which the caller
-    /// decodes the ones it reads — polling until the root has frozen one or
-    /// `timeout` passes. One request is answered by exactly one response,
-    /// so the request/response pairing never skews.
+    /// Replacement slave: fetch the death-frame slots `reads` from the
+    /// neighbours that froze them, decoded into a grid-sized frame. Each
+    /// slot comes from the rank it belongs to; the replacement's own slot
+    /// (a one-row or one-column torus reads it) from another neighbour's
+    /// cached copy. Each is re-requested until frozen; `None` once `timeout`
+    /// passes — every wait is capped at the time remaining, so nothing that
+    /// arrives after the deadline is accepted.
     ///
-    /// The deadline is authoritative: every wait below is capped at the
-    /// time remaining, and nothing — not a response poll, not the retry
-    /// pause, not a late response from a slow root — is accepted once it
-    /// has passed. (The previous version let a full poll interval and retry
-    /// sleep run past the deadline and would take a frame that arrived
-    /// after it, so the fetch could overshoot its budget by whole poll
-    /// rounds.)
-    pub fn fetch_frozen_frame(&self, timeout: Duration) -> Option<Vec<Payload>> {
-        const ROOT_WORLD: usize = 1;
+    /// # Panics
+    /// Panics if the rank reads nothing but itself (a one-cell grid, which
+    /// has no neighbour to hold its frame).
+    pub fn fetch_death_frame(
+        &self,
+        reads: &[usize],
+        timeout: Duration,
+    ) -> Option<Vec<CellSnapshot>> {
+        let own = self.local_rank();
         let deadline = Instant::now() + timeout;
-        loop {
-            self.world.send(ROOT_WORLD, tags::CACHE_REQ, &());
-            // One response per request; a root that never answers (it died
-            // too) bounds out instead of wedging the replacement.
-            let resp = loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break None;
-                }
-                if let Some((resp, _)) = self.world.recv_timeout::<CacheResponse>(
-                    RecvFrom::Rank(ROOT_WORLD),
-                    tags::CACHE_RESP,
-                    remaining.min(FROZEN_FRAME_POLL_INTERVAL),
-                ) {
-                    break Some(resp);
-                }
+        let mut frame = vec![CellSnapshot::empty(); self.num_slaves()];
+        for &slot in reads {
+            let holder = if slot != own {
+                slot
+            } else {
+                *reads.iter().find(|&&r| r != own).expect("a neighbour holds the own slot")
             };
-            match resp {
-                Some(CacheResponse { frame: Some(frame) }) => return Some(frame),
-                Some(CacheResponse { frame: None }) => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return None;
-                    }
-                    std::thread::sleep(remaining.min(FROZEN_FRAME_RETRY_DELAY));
-                    if Instant::now() >= deadline {
-                        return None;
-                    }
-                }
-                None => return None,
+            let part =
+                self.fetch_frozen_slot(self.local().world_rank_of(holder), slot, deadline)?;
+            frame[slot].decode_from(&part).expect("snapshot decode");
+        }
+        Some(frame)
+    }
+
+    /// One slot of the death-frame from WORLD rank `holder`, re-requested
+    /// until it has been frozen. One request is answered by exactly one
+    /// response, so the request/response pairing never skews.
+    fn fetch_frozen_slot(
+        &self,
+        holder: usize,
+        slot: usize,
+        deadline: Instant,
+    ) -> Option<Payload> {
+        let remaining = || deadline.saturating_duration_since(Instant::now());
+        loop {
+            self.world.send(holder, tags::CACHE_REQ, &slot);
+            // A holder that never answers (it died too) bounds out instead
+            // of wedging the replacement.
+            let (part, _) = self.world.recv_timeout::<Option<Payload>>(
+                RecvFrom::Rank(holder),
+                tags::CACHE_RESP,
+                remaining(),
+            )?;
+            if part.is_some() {
+                return part;
             }
+            std::thread::sleep(remaining().min(FROZEN_FRAME_RETRY_DELAY));
         }
     }
+
+    // ---- final gather ---------------------------------------------------------
 
     /// Final gather of results on GLOBAL: slaves pass `Some(result)`, the
     /// master passes `None` and receives every slave's result (cell order).
@@ -438,74 +418,82 @@ impl CommManager {
     }
 }
 
-/// The blocking half of one generation's exchange on `comm` (a LOCAL
-/// communicator): complete the allgather — through the degraded fan-in
-/// when this rank is the root and holds a controller — and decode the parts
-/// `reads` names into `frame` ([`decode_slots`]). `round` is the
-/// generation's iteration index, which the controller keys its staleness
-/// accounting on; `stale_runs` receives the controller's per-rank
-/// consecutive-substitution counts after this round (left empty without a
-/// controller).
-///
-/// The parts are slices of the one broadcast body; dropping them on return
-/// is this rank letting go of that body.
-fn complete_exchange(
-    comm: &Comm,
-    pending: PendingAllgather,
-    round: usize,
-    ctl: Option<&mut DegradedGather>,
-    reads: &[usize],
-    frame: &mut Vec<CellSnapshot>,
-    stale_runs: &mut Vec<usize>,
-) {
-    stale_runs.clear();
-    let parts = match ctl {
-        Some(ctl) => {
-            let parts = comm.allgather_bytes_complete_degraded(pending, round, ctl);
-            stale_runs.extend((0..parts.len()).map(|r| ctl.stale_run(r)));
-            parts
-        }
-        None => comm.allgather_bytes_complete(pending),
-    };
-    decode_slots(&parts, reads, frame);
+/// `snapshot` encoded once, straight into the buffer the transport takes
+/// ownership of — the one allocation a steady-state exchange costs a rank.
+fn encode(snapshot: &CellSnapshot) -> Payload {
+    let mut wire = Vec::with_capacity(snapshot.wire_size());
+    snapshot.encode(&mut wire);
+    Payload::from(wire)
 }
 
-/// Decode the encoded snapshots `reads` names — `parts[slot]` for each, and
-/// no other part — **in place** into their slots of `frame`, which keep
-/// their genome buffers from the generation they held before. `frame` is
-/// sized to one slot per part; a slot outside `reads` is left as it is,
-/// an empty shell on a frame that was never anything else. The one decode
-/// of the exchange: a live generation and a replacement's death-frame
-/// alike.
-///
-/// # Panics
-/// Panics on a part that is not an encoded snapshot.
-pub(crate) fn decode_slots(parts: &[Payload], reads: &[usize], frame: &mut Vec<CellSnapshot>) {
-    frame.resize_with(parts.len(), CellSnapshot::empty);
-    for &slot in reads {
-        frame[slot].decode_from(&parts[slot]).expect("snapshot decode");
+/// One rank's side of the exchange on LOCAL, with its degraded-gather
+/// controller when graceful degradation is on.
+#[derive(Debug)]
+struct Links {
+    comm: Comm,
+    own: usize,
+    /// Does this rank read its own slot (a one-row or one-column torus)?
+    reads_own: bool,
+    /// The other slots read — and so, the neighbourhood being symmetric,
+    /// the ranks that read this one: whom it receives from and posts to.
+    peers: Vec<usize>,
+    ctl: Option<DegradedGather>,
+}
+
+impl Links {
+    fn new(comm: Comm, reads: &[usize], ctl: Option<DegradedGather>) -> Self {
+        let own = comm.rank();
+        let peers = reads.iter().copied().filter(|&slot| slot != own).collect();
+        Self { own, reads_own: reads.contains(&own), peers, ctl, comm }
+    }
+
+    /// Post this rank's `part` of generation `round` to its readers.
+    fn post(&self, part: &Payload, round: usize) {
+        self.comm.exchange_post(&self.peers, part, round, self.ctl.as_ref());
+    }
+
+    /// Receive generation `round` from the peers and decode each part in
+    /// place into its slot of `frame` (grid-sized; slots outside the read
+    /// set are left as they are) — and this rank's own `part` too when it
+    /// reads its own slot. `stale_runs` receives the controller's per-rank
+    /// consecutive-substitution counts after this round (left empty without
+    /// a controller).
+    fn complete(
+        &mut self,
+        part: &Payload,
+        round: usize,
+        frame: &mut Vec<CellSnapshot>,
+        stale_runs: &mut Vec<usize>,
+    ) {
+        frame.resize_with(self.comm.size(), CellSnapshot::empty);
+        let decode = |slot: &mut CellSnapshot, bytes: &[u8]| {
+            slot.decode_from(bytes).expect("snapshot decode");
+        };
+        self.comm.exchange_complete(&self.peers, part, round, self.ctl.as_mut(), |src, p| {
+            decode(&mut frame[src], &p)
+        });
+        if self.reads_own {
+            decode(&mut frame[self.own], part);
+        }
+        stale_runs.clear();
+        if let Some(ctl) = &self.ctl {
+            stale_runs.extend((0..self.comm.size()).map(|r| ctl.stale_run(r)));
+        }
     }
 }
 
 /// The `Comm`-backed [`Exchange`] of one slave rank (see
-/// [`CommManager::exchange`]): `begin` posts the rank's snapshot toward
-/// the fan-in root, `complete` decodes the generation's read slots into the
-/// frame it is given (sync) or swaps in the frame the exchange thread
-/// decoded them into and sends the spent one back to be refilled (async) —
+/// [`CommManager::exchange`]): `begin` encodes the rank's snapshot and
+/// posts it to the ranks that read it, `complete` decodes the generation's
+/// read slots into the frame it is given (sync) or swaps in the frame the
+/// exchange thread decoded them into and sends the spent one back (async) —
 /// either way no frame is allocated once the first generations have sized
 /// the buffers, and no slot outside the read set is ever filled.
 #[derive(Debug)]
 pub struct CommExchange {
-    cm: CommManager,
-    /// The frame slots this rank's cells read.
-    reads: Vec<usize>,
-    /// Sync: the generation begun and not yet completed.
-    pending: Option<PendingAllgather>,
-    /// Sync fan-in root under graceful degradation (the async controller
-    /// lives on the exchange thread, which reports its stale runs with
-    /// every generation).
-    ctl: Option<DegradedGather>,
-    exchanger: Option<AsyncExchanger>,
+    /// This rank's cell, which its journal events name.
+    cell: u32,
+    schedule: Schedule,
     /// Per-rank stale-run counts after the generation just completed
     /// (empty on a rank without a controller).
     stale_runs: Vec<usize>,
@@ -514,30 +502,40 @@ pub struct CommExchange {
     prev_stale: Vec<usize>,
 }
 
+/// Where a generation's blocking half runs.
+#[derive(Debug)]
+enum Schedule {
+    /// Sync: on the training thread, `pending` holding the generation
+    /// begun and not yet completed.
+    Inline { links: Links, pending: Option<Payload> },
+    /// Async: on the exchange thread, which also does the posting.
+    Overlapped(AsyncExchanger),
+}
+
 impl Exchange for CommExchange {
     fn begin(&mut self, gen: usize, frame: &[CellSnapshot], _costs: &[Duration]) {
-        let pending = self.cm.begin_exchange(&frame[self.cm.local_rank()]);
-        match self.exchanger.as_mut() {
-            Some(ex) => ex.submit(pending, gen),
-            None => self.pending = Some(pending),
+        let part = encode(&frame[self.cell as usize]);
+        match &mut self.schedule {
+            Schedule::Inline { links, pending } => {
+                links.post(&part, gen);
+                *pending = Some(part);
+            }
+            Schedule::Overlapped(ex) => ex.submit(part, gen),
         }
     }
 
     fn complete(&mut self, gen: usize, frame: &mut Vec<CellSnapshot>, tel: &mut Telemetry) {
-        match self.exchanger.as_mut() {
-            Some(ex) => ex.retrieve(frame, &mut self.stale_runs),
-            None => {
-                let pending = self.pending.take().expect("complete follows begin");
-                let (local, ctl) = (self.cm.local(), self.ctl.as_mut());
-                let stale_runs = &mut self.stale_runs;
-                complete_exchange(local, pending, gen, ctl, &self.reads, frame, stale_runs);
+        match &mut self.schedule {
+            Schedule::Inline { links, pending } => {
+                let part = pending.take().expect("complete follows begin");
+                links.complete(&part, gen, frame, &mut self.stale_runs);
             }
+            Schedule::Overlapped(ex) => ex.retrieve(frame, &mut self.stale_runs),
         }
-        let cell = self.cm.local_rank() as u32;
         let mut degraded = false;
         for (r, (prev, &run)) in self.prev_stale.iter_mut().zip(&self.stale_runs).enumerate() {
             if run > *prev {
-                tel.instant(EventKind::Degraded, cell, gen as u32, r as u64);
+                tel.instant(EventKind::Degraded, self.cell, gen as u32, r as u64);
                 degraded = true;
             }
             *prev = run;
@@ -554,20 +552,20 @@ impl Exchange for CommExchange {
 struct Generation {
     /// One slot per cell, the rank's read set decoded.
     frame: Vec<CellSnapshot>,
-    /// See [`complete_exchange`].
+    /// See [`Links::complete`].
     stale_runs: Vec<usize>,
 }
 
-/// Background half of the `--exchange async` pipeline (tentpole of the
-/// overlap work): the training thread *begins* generation `i`'s allgather
-/// (a non-blocking contribution send), submits the pending collective
-/// here, and trains iteration `i` against the already-completed generation
-/// `i-1` while this thread runs the blocking completion.
+/// Background half of the `--exchange async` pipeline: the training thread
+/// encodes generation `i` and submits it here, then trains iteration `i`
+/// against the already-completed generation `i-1` while this thread posts
+/// generation `i` to the rank's readers and receives theirs.
 ///
-/// Exactly one completion is outstanding at a time and per-(peer, tag)
-/// delivery is FIFO on every transport, so the consumed frames — and
-/// therefore the run's result — are a pure function of (seed, config),
-/// never of how the exchange thread is scheduled.
+/// Jobs run one at a time, in order, and per-(peer, tag) delivery is FIFO
+/// on every transport, so the consumed frames — and therefore the run's
+/// result — are a pure function of (seed, config), never of how the
+/// exchange thread is scheduled. Every rank posts a generation before it
+/// waits for that generation, so no rank's wait can depend on its own.
 ///
 /// One [`Generation`] of buffers belongs to the thread. It decodes the
 /// rank's read set into them, hands them over, and takes its next job only
@@ -576,12 +574,12 @@ struct Generation {
 /// and this one), each holding the read set and nothing else of the grid,
 /// and they rotate instead of being allocated per generation.
 ///
-/// Dropping the exchanger completes any still-queued collective first and
-/// joins the thread: every rank must finish the final generation or its
-/// peers' completions would wedge mid-broadcast.
+/// Dropping the exchanger completes any still-queued generation first and
+/// joins the thread: every rank must post and receive the final generation
+/// or its readers' exchange threads would wedge.
 #[derive(Debug)]
 struct AsyncExchanger {
-    jobs: Option<mpsc::Sender<(PendingAllgather, usize)>>,
+    jobs: Option<mpsc::Sender<(Payload, usize)>>,
     done: mpsc::Receiver<Generation>,
     spent: Option<mpsc::Sender<Generation>>,
     in_flight: usize,
@@ -589,27 +587,17 @@ struct AsyncExchanger {
 }
 
 impl AsyncExchanger {
-    /// Spawn the exchange thread over `comm` (a clone of the LOCAL
-    /// communicator), decoding the frame slots `reads`; on the fan-in root
-    /// under degraded gathers it also owns the [`DegradedGather`] control
-    /// block.
-    fn start(comm: Comm, mut ctl: Option<DegradedGather>, reads: Vec<usize>) -> Self {
-        let (job_tx, job_rx) = mpsc::channel::<(PendingAllgather, usize)>();
+    /// Spawn the exchange thread over `links` (a clone of the LOCAL
+    /// communicator, and the controller when degradation is on).
+    fn start(mut links: Links) -> Self {
+        let (job_tx, job_rx) = mpsc::channel::<(Payload, usize)>();
         let (done_tx, done_rx) = mpsc::channel::<Generation>();
         let (spent_tx, spent_rx) = mpsc::channel::<Generation>();
         let handle = std::thread::spawn(move || {
             let mut gen = Generation::default();
-            for (pending, round) in job_rx {
-                let (frame, stale_runs) = (&mut gen.frame, &mut gen.stale_runs);
-                complete_exchange(
-                    &comm,
-                    pending,
-                    round,
-                    ctl.as_mut(),
-                    &reads,
-                    frame,
-                    stale_runs,
-                );
+            for (part, round) in job_rx {
+                links.post(&part, round);
+                links.complete(&part, round, &mut gen.frame, &mut gen.stale_runs);
                 if done_tx.send(gen).is_err() {
                     break;
                 }
@@ -627,13 +615,13 @@ impl AsyncExchanger {
         }
     }
 
-    /// Hand a begun collective to the exchange thread for completion.
-    /// `round` is the generation's iteration index.
-    fn submit(&mut self, pending: PendingAllgather, round: usize) {
+    /// Hand this rank's encoded part of generation `round` to the exchange
+    /// thread.
+    fn submit(&mut self, part: Payload, round: usize) {
         self.jobs
             .as_ref()
             .expect("exchanger not stopped")
-            .send((pending, round))
+            .send((part, round))
             .expect("exchange thread alive");
         self.in_flight += 1;
     }
@@ -700,7 +688,8 @@ mod tests {
         let results = Universe::run(3, |world| {
             let cm = CommManager::new(world);
             if cm.is_master() {
-                let announcements = cm.collect_announcements();
+                let announcements =
+                    cm.collect_announcements(Duration::from_millis(50)).expect("all announce");
                 for (i, a) in announcements.iter().enumerate() {
                     assert_eq!(a.rank, i + 1);
                     let task = RunTask {
@@ -915,12 +904,13 @@ mod tests {
     }
 
     #[test]
-    fn substituted_rounds_are_journaled_in_sync_and_async_mode() {
+    fn substituted_rounds_are_journaled_by_every_reader_in_sync_and_async_mode() {
         // LOCAL rank 2 is absent for rounds 2..4 and rejoins at round 4
-        // (here: the same thread coming back with a fresh exchange). The
-        // fan-in root must journal one `Degraded` event per substituted
-        // round naming the absent rank — whether its controller sits on the
-        // training thread (sync) or on the exchange thread (async).
+        // (here: the same thread coming back with a fresh exchange). Both
+        // other ranks read it, and each must substitute on its own and
+        // journal one `Degraded` event per substituted round naming the
+        // absent rank — whether its controller sits on the training thread
+        // (sync) or on the exchange thread (async).
         const ROUNDS: usize = 6;
         /// Every rank reads every slot here.
         const ALL: &[usize] = &[0, 1, 2];
@@ -960,37 +950,18 @@ mod tests {
                 }
                 let cell = cm.local_rank();
                 let mut tel = Telemetry::enabled(cm.world_rank() as u32, 256);
-                let seen = match cell {
-                    0 => {
-                        let mut ctl = DegradedGather::new(3, 2);
-                        ctl.plan_absence(2, 2, 4);
-                        let mut ex = cm.exchange(mode, Some(ctl), ALL);
-                        drive(&mut ex, mode, cell, 0..ROUNDS, &mut tel)
-                    }
-                    1 => drive(
-                        &mut cm.exchange(mode, None, ALL),
-                        mode,
-                        cell,
-                        0..ROUNDS,
-                        &mut tel,
-                    ),
-                    _ => {
-                        let mut seen = drive(
-                            &mut cm.exchange(mode, None, ALL),
-                            mode,
-                            cell,
-                            0..2,
-                            &mut tel,
-                        );
-                        seen.extend(drive(
-                            &mut cm.exchange(mode, None, ALL),
-                            mode,
-                            cell,
-                            4..ROUNDS,
-                            &mut tel,
-                        ));
-                        seen
-                    }
+                let seen = if cell < 2 {
+                    let mut ctl = DegradedGather::new(3, 2);
+                    ctl.plan_absence(2, 2, 4);
+                    let mut ex = cm.exchange(mode, Some(ctl), ALL);
+                    drive(&mut ex, mode, cell, 0..ROUNDS, &mut tel)
+                } else {
+                    let mut ex = cm.exchange(mode, None, ALL);
+                    let mut seen = drive(&mut ex, mode, cell, 0..2, &mut tel);
+                    drop(ex);
+                    let mut ex = cm.exchange(mode, None, ALL);
+                    seen.extend(drive(&mut ex, mode, cell, 4..ROUNDS, &mut tel));
+                    seen
                 };
                 let degraded: Vec<(u32, u32, u64)> = tel
                     .events()
@@ -999,20 +970,143 @@ mod tests {
                     .collect();
                 Some((seen, degraded, tel.metrics.degraded_iters.get()))
             });
-            let (seen, degraded, degraded_iters) = results[1].as_ref().expect("root");
-            assert_eq!(degraded, &[(0, 2, 2), (0, 3, 2)], "{mode:?}");
-            assert_eq!(*degraded_iters, 2, "{mode:?}");
-            for (gen, slots) in seen {
-                // Rounds 2 and 3 carry the victim's round-1 snapshot.
-                let stale = if (2..4).contains(gen) { 1 } else { *gen };
-                let want = [*gen as f32, (100 + gen) as f32, (200 + stale) as f32];
-                assert_eq!(slots, &want, "{mode:?} generation {gen}");
+            for cell in 0..2u32 {
+                let (seen, degraded, degraded_iters) =
+                    results[cell as usize + 1].as_ref().unwrap();
+                assert_eq!(degraded, &[(cell, 2, 2), (cell, 3, 2)], "{mode:?} cell {cell}");
+                assert_eq!(*degraded_iters, 2, "{mode:?} cell {cell}");
+                for (gen, slots) in seen {
+                    // Rounds 2 and 3 carry the victim's round-1 snapshot.
+                    let stale = if (2..4).contains(gen) { 1 } else { *gen };
+                    let want = [*gen as f32, (100 + gen) as f32, (200 + stale) as f32];
+                    assert_eq!(slots, &want, "{mode:?} cell {cell} generation {gen}");
+                }
             }
-            for r in &results[2..] {
-                let (_, degraded, degraded_iters) = r.as_ref().expect("slave");
-                assert!(degraded.is_empty() && *degraded_iters == 0, "only the root journals");
+            let (seen, degraded, degraded_iters) = results[3].as_ref().expect("the victim");
+            assert!(
+                degraded.is_empty() && *degraded_iters == 0,
+                "{mode:?}: the victim journals"
+            );
+            for (gen, slots) in seen {
+                let want = [*gen as f32, (100 + gen) as f32, (200 + gen) as f32];
+                assert_eq!(slots, &want, "{mode:?} victim generation {gen}");
             }
         }
+    }
+
+    #[test]
+    fn one_generation_moves_one_snapshot_per_read_neighbour_and_no_body() {
+        // The exchange's traffic, counted at the transport: on a 3×3 and a
+        // 1×2 grid, one sync generation delivers to each rank exactly one
+        // exchange envelope per slot it reads other than its own, each
+        // carrying one snapshot — never a multi-snapshot body.
+        use lipiz_core::{CellEngine, Grid, Pipeline, TrainConfig};
+        use lipiz_mpi::comm::Fabric;
+        use lipiz_mpi::message::{Envelope, ReservedTags};
+        use lipiz_mpi::Transport;
+        use std::sync::Mutex;
+
+        /// The in-process fabric, recording `(dst, payload length)` of
+        /// every exchange envelope it delivers.
+        #[derive(Debug)]
+        struct Counting(std::sync::Arc<Fabric>, Mutex<Vec<(usize, usize)>>);
+        impl Transport for Counting {
+            fn world_size(&self) -> usize {
+                self.0.world_size()
+            }
+            fn deliver(&self, dst: usize, env: Envelope) {
+                if env.tag == ReservedTags::ALLGATHER {
+                    self.1.lock().unwrap().push((dst, env.payload.len()));
+                }
+                self.0.deliver(dst, env);
+            }
+            fn mailbox(&self, r: usize) -> &lipiz_mpi::endpoint::Mailbox {
+                self.0.mailbox(r)
+            }
+        }
+
+        for (rows, cols) in [(3, 3), (1, 2)] {
+            let mut cfg = TrainConfig::smoke(rows);
+            cfg.grid.cols = cols;
+            let grid = Grid::from_config(&cfg.grid);
+            let cells = grid.cell_count();
+            let mut rng = lipiz_tensor::Rng64::seed_from(cfg.training.data_seed);
+            let data =
+                rng.uniform_matrix(cfg.training.dataset_size, cfg.network.data_dim, -0.9, 0.9);
+            let wire = CellEngine::new(0, &cfg, data.clone()).snapshot().wire_size();
+            let counting =
+                std::sync::Arc::new(Counting(Fabric::new(cells + 1), Mutex::default()));
+            std::thread::scope(|s| {
+                for rank in 0..=cells {
+                    let (cfg, data, transport) = (&cfg, data.clone(), counting.clone());
+                    s.spawn(move || {
+                        let cm = CommManager::new(Comm::world(transport, rank));
+                        if cm.is_master() {
+                            return;
+                        }
+                        let engine = CellEngine::new(cm.local_rank(), cfg, data);
+                        let mut pipeline =
+                            Pipeline::new(cfg, vec![engine], Telemetry::disabled());
+                        let mut ex = cm.exchange(ExchangeMode::Sync, None, pipeline.read_set());
+                        pipeline.step(&mut ex);
+                    });
+                }
+            });
+            let delivered = counting.1.lock().unwrap();
+            for cell in 0..cells {
+                let mut reads = grid.neighbors(cell);
+                reads.sort_unstable();
+                reads.dedup();
+                reads.retain(|&slot| slot != cell);
+                let got: Vec<usize> =
+                    delivered.iter().filter(|(dst, _)| *dst == cell + 1).map(|d| d.1).collect();
+                assert_eq!(got, vec![wire; reads.len()], "{rows}x{cols} cell {cell}");
+            }
+            let per_generation: usize = delivered.iter().map(|d| d.1).sum();
+            let readers: usize = (0..cells).map(|c| grid.overlapping(c).len() - 1).sum();
+            assert_eq!(per_generation, readers * wire, "{rows}x{cols}: bytes on the wire");
+        }
+    }
+
+    #[test]
+    fn death_frame_is_fetched_slot_by_slot_from_the_neighbours() {
+        // A 1×3 ring whose cell 2 is the replacement: it reads all three
+        // slots. Slot 0 comes from cell 0, slot 1 from cell 1 — which has
+        // not frozen its share yet when first asked — and the replacement's
+        // own slot from cell 0's copy.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let done = AtomicBool::new(false);
+        let results = Universe::run(4, |world| {
+            let cm = CommManager::new(world);
+            if cm.is_master() {
+                return None;
+            }
+            let cell = cm.local_rank();
+            if cell == 2 {
+                let frame = cm.fetch_death_frame(&[0, 1, 2], Duration::from_secs(10));
+                done.store(true, Ordering::Release);
+                return frame;
+            }
+            let (share, nothing_yet) = (
+                DegradedGather::new(3, 1).frozen_frame(),
+                DegradedGather::new(3, 1).frozen_frame(),
+            );
+            share.lock()[cell] = Some(encode(&marked(cell, 1)));
+            if cell == 0 {
+                share.lock()[2] = Some(encode(&marked(2, 1)));
+            }
+            let start = Instant::now();
+            while !done.load(Ordering::Acquire) {
+                // Cell 1 answers "nothing frozen yet" for its first 60 ms.
+                let early = cell == 1 && start.elapsed() < Duration::from_millis(60);
+                while cm.serve_frozen_frame(if early { &nothing_yet } else { &share }) {}
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            None
+        });
+        let frame = results[3].as_ref().expect("the replacement's frame");
+        let want: Vec<CellSnapshot> = (0..3).map(|c| marked(c, 1)).collect();
+        assert_eq!(frame, &want);
     }
 
     #[test]
@@ -1021,29 +1115,30 @@ mod tests {
             let cm = CommManager::new(world);
             match cm.world_rank() {
                 1 => {
-                    // A root slower than the replacement's budget: the
-                    // first answer (no frame yet) comes quickly, the second
-                    // carries a frame but lands after the deadline — it
-                    // must not be accepted.
+                    // A neighbour slower than the replacement's budget: the
+                    // first answer (not frozen yet) comes quickly, the
+                    // second carries the slot but lands after the deadline
+                    // — it must not be accepted.
                     for i in 0..2 {
-                        let Some(((), src)) = cm.world.recv_timeout::<()>(
+                        let Some((slot, src)) = cm.world.recv_timeout::<usize>(
                             RecvFrom::Any,
                             tags::CACHE_REQ,
                             Duration::from_secs(5),
                         ) else {
                             break;
                         };
+                        assert_eq!(slot, 0);
                         std::thread::sleep(Duration::from_millis(if i == 0 { 30 } else { 80 }));
-                        let frame = (i > 0).then(|| vec![Payload::from(vec![1u8, 2, 3])]);
-                        cm.world.send(src, tags::CACHE_RESP, &CacheResponse { frame });
+                        let part = (i > 0).then(|| encode(&marked(0, 1)));
+                        cm.world.send(src, tags::CACHE_RESP, &part);
                     }
                     None
                 }
                 2 => {
                     let start = Instant::now();
-                    let got = cm.fetch_frozen_frame(Duration::from_millis(120));
+                    let got = cm.fetch_death_frame(&[0], Duration::from_millis(120));
                     let elapsed = start.elapsed();
-                    assert!(got.is_none(), "accepted a frame that arrived after the deadline");
+                    assert!(got.is_none(), "accepted a slot that arrived after the deadline");
                     assert!(
                         elapsed < Duration::from_millis(360),
                         "fetch overshot its deadline: {elapsed:?}"

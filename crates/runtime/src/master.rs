@@ -132,9 +132,10 @@ pub fn assign_workload(num_slaves: usize) -> Vec<(usize, usize)> {
 /// the master then awaits its announcement and hands it a [`RunTask`]
 /// carrying the dead cell's newest committed checkpoint cut plus the
 /// rejoin round at which it must be back in the exchange. Survivors never
-/// leave iteration cadence: the fan-in root bridges the gap from its stale
-/// cache while the replacement catches up solo. A failed replacement
-/// (spawn, handshake, or announcement) falls back to the abort.
+/// leave iteration cadence: each rank that reads the victim bridges the gap
+/// from its own stale cache while the replacement catches up solo. A
+/// failed replacement (spawn, handshake, or announcement) falls back to the
+/// abort.
 pub fn run_master(
     cm: &CommManager,
     cfg: &TrainConfig,
@@ -190,7 +191,7 @@ pub fn run_master(
     // announces (the heartbeat thread does not exist yet) aborts here with
     // its rank instead of wedging the master.
     let announcements = cm
-        .collect_announcements_monitored(heartbeat_interval.max(Duration::from_millis(10)))
+        .collect_announcements(heartbeat_interval.max(Duration::from_millis(10)))
         .map_err(|world_rank| MasterAbort::SlaveDead {
             world_rank,
             cell: world_rank - 1,

@@ -1,17 +1,19 @@
 //! Tags and typed messages of the master/slave protocol.
 //!
 //! The paper's master sends every slave "config + cell assignment" and
-//! gets a result back (Fig. 3, §III-D). Five messages carry that: a
+//! gets a result back (Fig. 3, §III-D). Four messages carry that: a
 //! [`NodeAnnouncement`] and a [`RunTask`] at start-up, [`StatusReport`]
-//! heartbeats, a [`CacheResponse`] when a replacement rank bootstraps from
-//! the frozen death-frame, and the final [`SlaveResult`]. What they carry —
+//! heartbeats, and the final [`SlaveResult`]. What they carry —
 //! [`TrainConfig`], [`TelemetrySummary`], snapshots — travels as the real
 //! type: each declares its own [`Wire`] encoding where
-//! it is defined, so this module defines no copies of them.
+//! it is defined, so this module defines no copies of them. A replacement
+//! rank's death-frame fetch needs no type of its own: it asks a neighbour
+//! for one slot by index and gets back that slot's frozen encoded snapshot,
+//! or nothing yet ([`tags::CACHE_REQ`] / [`tags::CACHE_RESP`]).
 
 use lipiz_core::{CellSnapshot, TrainConfig};
 use lipiz_mpi::wire::{Wire, WireError};
-use lipiz_mpi::{wire_struct, Payload};
+use lipiz_mpi::wire_struct;
 use lipiz_telemetry::TelemetrySummary;
 
 /// User-tag allocations on the WORLD communicator.
@@ -24,10 +26,13 @@ pub mod tags {
     pub const STATUS_REQ: u32 = 12;
     /// Slave → master: heartbeat status response.
     pub const STATUS_RESP: u32 = 13;
-    /// Replacement slave → fan-in root: request for the frozen death-frame
-    /// snapshot cache (the rejoin bootstrap when no checkpoint exists).
+    /// Replacement slave → a neighbour: request for one slot of the frozen
+    /// death-frame (a `usize` cell index) — the snapshots its catch-up
+    /// trains against.
     pub const CACHE_REQ: u32 = 14;
-    /// Fan-in root → replacement slave: frozen death-frame response.
+    /// Neighbour → replacement slave: that slot's frozen encoded snapshot
+    /// (an `Option<Payload>`, `None` while the neighbour has not frozen it
+    /// yet — the requester polls).
     pub const CACHE_RESP: u32 = 15;
     /// Slave → master: telemetry summary (commit boundaries + final).
     pub const TELEMETRY: u32 = 16;
@@ -64,16 +69,6 @@ pub struct RunTask {
     pub rejoin_round: Option<usize>,
 }
 wire_struct!(RunTask { config, cell_index, resume_from, rejoin_round });
-
-/// Fan-in root → replacement: the frozen death-frame, one encoded
-/// [`CellSnapshot`] per LOCAL group rank (= cell index). `None` while the
-/// root has not frozen a frame yet — the requester polls.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheResponse {
-    /// Encoded per-cell snapshots, or `None` when nothing is frozen.
-    pub frame: Option<Vec<Payload>>,
-}
-wire_struct!(CacheResponse { frame });
 
 /// Heartbeat status response.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,17 +187,6 @@ mod tests {
         assert_eq!(wire[16], 0, "Cross5");
         wire[16] = 9;
         assert!(RunTask::from_bytes(&wire).is_err());
-    }
-
-    #[test]
-    fn cache_response_round_trips() {
-        for frame in [None, Some(vec![vec![1u8, 2, 3], vec![], vec![9u8; 5]])] {
-            let as_vecs = frame.clone().to_bytes();
-            let frame = frame.map(|parts| parts.into_iter().map(Payload::from).collect());
-            let resp = CacheResponse { frame };
-            assert_eq!(resp.to_bytes(), as_vecs, "same bytes as Option<Vec<Vec<u8>>>");
-            assert_eq!(CacheResponse::from_bytes(&resp.to_bytes()).unwrap(), resp);
-        }
     }
 
     fn result_with(telemetry: TelemetrySummary) -> SlaveResult {

@@ -5,17 +5,19 @@
 //! heartbeat status requests), while the *execution thread* performs the
 //! training. The execution thread is one rank of the iteration
 //! [`Pipeline`] (`lipiz_core::pipeline`): it hosts this rank's single cell
-//! and exchanges snapshots with the other slaves through
-//! [`CommManager::exchange`] on the LOCAL communicator — communication with
-//! peers overlaps the master's monitoring traffic without interference
-//! because they use different communicators. The schedule itself (frame
-//! choice, async double-buffer, checkpoint-cut frame, a replacement's solo
-//! catch-up) is the pipeline's; this file wires the rank up — fault plan,
-//! restore, checkpoint writer, journal — drives the loop and ships the
-//! result.
+//! and exchanges snapshots with the slaves its cell reads — and only those
+//! — through [`CommManager::exchange`] on the LOCAL communicator;
+//! communication with peers overlaps the master's monitoring traffic
+//! without interference because they use different communicators. The
+//! schedule itself (frame choice, async double-buffer, checkpoint-cut
+//! frame, a replacement's solo catch-up) is the pipeline's; this file wires
+//! the rank up — fault plan, restore, checkpoint writer, journal — drives
+//! the loop and ships the result. Every slave is alike: under graceful
+//! degradation each degrades for the neighbours it reads and serves its
+//! share of a death-frame to their replacement.
 
 use crate::checkpoint::{self, CheckpointWriter};
-use crate::comm_manager::{decode_slots, CommManager};
+use crate::comm_manager::CommManager;
 use crate::protocol::{SlaveResult, StatusReport};
 use crate::state::SlaveState;
 use lipiz_core::{CellEngine, CellResult, Grid, Pipeline, TrainConfig};
@@ -72,13 +74,17 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
     } else {
         None
     };
-    // The fan-in root (cell 0) owns the degraded-gather controller whenever
-    // graceful degradation is enabled; the *planned* absence window is
-    // armed only when the kill will really happen (process faults on), so
-    // threaded runs carrying a kill-bearing plan stay synchronous.
-    let mut gather_ctl = (cm.world_rank() == 1 && cfg.fault.degradation_enabled())
+    // Every rank holds a degraded-gather controller for the neighbours it
+    // reads whenever graceful degradation is enabled. The *planned* absence
+    // window is armed only when the kill will really happen (process faults
+    // on), so threaded runs carrying a kill-bearing plan stay synchronous —
+    // and only by the victim's readers, never by its replacement.
+    let mut gather_ctl = cfg
+        .fault
+        .degradation_enabled()
         .then(|| DegradedGather::new(cfg.cells(), cfg.fault.max_stale_iters));
     if let Some(ctl) = gather_ctl.as_mut().filter(|_| process_faults_enabled()) {
+        let reads = Grid::from_config(&cfg.grid).neighbors(cell_index);
         let sched = fault_plan.as_ref().and_then(|plan| {
             replacement_schedule(
                 plan,
@@ -88,7 +94,7 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                 cfg.cells(),
             )
         });
-        if let Some(sched) = sched {
+        if let Some(sched) = sched.filter(|s| s.cell != cell_index && reads.contains(&s.cell)) {
             ctl.plan_absence(sched.cell, sched.kill_iter, sched.rejoin_round);
         }
     }
@@ -208,23 +214,21 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                 let mut pipeline = Pipeline::new(&exec_cfg, vec![engine], telemetry);
                 match rejoin_round {
                     // In-flight replacement: catch up solo against the
-                    // frozen death-frame, streamed from the fan-in root —
-                    // of which this rank decodes the slots its cell reads.
+                    // frozen death-frame — the slots its cell reads, each
+                    // fetched from a neighbour that froze it.
                     Some(rejoin) => {
-                        let parts = exec_cm
-                            .fetch_frozen_frame(Duration::from_secs(60))
+                        let frozen = exec_cm
+                            .fetch_death_frame(pipeline.read_set(), Duration::from_secs(60))
                             .unwrap_or_else(|| {
                                 panic!(
                                     "cell {cell_index}: no frozen death-frame to catch up from"
                                 )
                             });
-                        let mut frozen = Vec::new();
-                        decode_slots(&parts, pipeline.read_set(), &mut frozen);
                         pipeline.rejoin(0, rejoin, frozen);
                     }
                     None => pipeline.resume_from(resume_frame),
                 }
-                // The async exchange thread also owns the degraded fan-in
+                // The async exchange thread also owns the degraded-gather
                 // controller — the death-frame handle was cloned for the
                 // main thread before this move.
                 let mut exchange =
@@ -276,9 +280,8 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                         exec_cm.send_telemetry(&tel.summary(cell_u32));
                     }
                 }
-                // Finish the final generation collectively — every rank
-                // must complete it or its peers' exchange threads would
-                // wedge mid-broadcast.
+                // Finish the final generation — every rank must post and
+                // receive it or its readers' exchange threads would wedge.
                 drop(exchange);
                 if let Some(w) = writer.take() {
                     // Drain the queue so every committed cut is durable
@@ -307,10 +310,10 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
         });
 
         // Main thread: answer the master's heartbeats until training ends.
-        // The fan-in root also serves the frozen death-frame to a
-        // catching-up replacement here — the execution thread may be
-        // mid-collective, which is exactly why the frame sits behind a
-        // shared handle.
+        // A degrading rank also serves its share of the frozen death-frame
+        // to a catching-up replacement here — the execution thread may be
+        // mid-exchange, which is exactly why the share sits behind a shared
+        // handle.
         while !done.load(Ordering::Acquire) {
             if let Some(h) = &frame_handle {
                 while cm.serve_frozen_frame(h) {}

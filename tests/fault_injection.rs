@@ -19,7 +19,7 @@ mod common;
 
 use common::{read, run, spawn_to_completion, toy_data, workdir};
 use lipizzaner::cluster::{SimulatedCluster, SimulationOptions};
-use lipizzaner::core::{ExchangeMode, TrainConfig};
+use lipizzaner::core::{ExchangeMode, Grid, NeighborhoodPattern, TrainConfig};
 use lipizzaner::data::DataPartition;
 use lipizzaner::mpi::{replacement_schedule, FaultPlan};
 use lipizzaner::runtime::{run_distributed, DistributedOptions};
@@ -45,7 +45,7 @@ proptest! {
     /// staleness bound, and replays deterministically.
     #[test]
     fn scripted_kills_replay_deterministically(
-        victim in 2usize..=4,
+        victim in 1usize..=4,
         kill in 1usize..5,
         max_stale in 1usize..=3,
         iterations in 6usize..=8,
@@ -201,12 +201,21 @@ fn assert_monotonic_survivor_counters(stdout: &str, victim: usize) {
 #[test]
 fn sigkilled_slave_is_replaced_in_flight_and_replay_is_byte_identical() {
     // The acceptance bar: a 2×2 grid of real slave OS processes; the fault
-    // plan SIGKILLs world rank 3 at iteration 2. The master must replace
-    // exactly that rank mid-run — survivors never leave iteration cadence —
-    // and the whole degraded run must be a pure function of (seed, plan):
-    // a rerun and the virtual-cluster model both land on the same bytes.
-    let dir = workdir("inflight");
+    // plan SIGKILLs one slave at iteration 2 — world rank 3, and world rank
+    // 1, which holds cell 0 and is in no way special. The master must
+    // replace exactly that rank mid-run — survivors never leave iteration
+    // cadence — and the whole degraded run must be a pure function of
+    // (seed, plan): a rerun and the virtual-cluster model both land on the
+    // same bytes.
+    for victim in [3, 1] {
+        sigkill_is_replaced_in_flight_and_replays_byte_identically(victim);
+    }
+}
+
+fn sigkill_is_replaced_in_flight_and_replays_byte_identically(victim: usize) {
+    let dir = workdir(&format!("inflight_{victim}"));
     let tel_dir = dir.join("tel");
+    let plan = format!("kill:{victim}@2");
     let fault_flags = [
         "--tiny",
         "--grid",
@@ -218,7 +227,7 @@ fn sigkilled_slave_is_replaced_in_flight_and_replay_is_byte_identical() {
         "--checkpoint-every",
         "2",
         "--fault-plan",
-        "kill:3@2",
+        &plan,
         "--max-stale-iters",
         "2",
         "--heartbeat-interval-ms",
@@ -254,8 +263,8 @@ fn sigkilled_slave_is_replaced_in_flight_and_replay_is_byte_identical() {
 
         // The victim was replaced in-flight — and only the victim.
         assert!(
-            stdout.contains("replacing slave world rank 3 in-flight"),
-            "no in-flight replacement:\n{stdout}"
+            stdout.contains(&format!("replacing slave world rank {victim} in-flight")),
+            "no in-flight replacement of rank {victim}:\n{stdout}"
         );
         assert_eq!(
             stdout.matches("replacing slave world rank").count(),
@@ -265,7 +274,7 @@ fn sigkilled_slave_is_replaced_in_flight_and_replay_is_byte_identical() {
         // The full-teardown recovery path must never fire.
         assert!(
             !stdout.contains("recovering: respawning"),
-            "fell back to full-teardown recovery:\n{stdout}"
+            "rank {victim}: fell back to full-teardown recovery:\n{stdout}"
         );
         // 4 original slaves + exactly 1 replacement process.
         assert_eq!(
@@ -273,56 +282,62 @@ fn sigkilled_slave_is_replaced_in_flight_and_replay_is_byte_identical() {
             5,
             "unexpected process count:\n{stdout}"
         );
-        assert_monotonic_survivor_counters(&stdout, 3);
+        assert_monotonic_survivor_counters(&stdout, victim);
         outputs.push(read(&lpz));
     }
-    assert_eq!(outputs[0], outputs[1], "degraded rerun is not byte-identical");
+    assert_eq!(outputs[0], outputs[1], "rank {victim}: degraded rerun is not byte-identical");
 
     // The fault left a paper trail in the per-rank journals. Journals are
     // keyed by node name, so the victim's evidence survives its replacement
-    // (which announces itself as `node03r`).
+    // (which announces itself as `node0Nr`).
     let journal = |file: &str| -> RankJournal {
         let path = tel_dir.join(file);
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read journal {}: {e}", path.display()));
         parse_journal(&text).unwrap_or_else(|e| panic!("parse {}: {e}", path.display()))
     };
+    let cell = victim - 1;
 
-    // The victim records its own scripted death: cell 2, iteration 2.
-    let victim = journal("node03.jsonl");
+    // The victim records its own scripted death at iteration 2.
+    let dead = journal(&format!("node{victim:02}.jsonl"));
     assert!(
-        victim.events.iter().any(|e| e.kind == EventKind::Kill && e.cell == 2 && e.iter == 2),
-        "victim journal missing the kill event at cell 2, iteration 2: {:?}",
-        victim.events
+        dead.events
+            .iter()
+            .any(|e| e.kind == EventKind::Kill && e.cell == cell as u32 && e.iter == 2),
+        "victim journal missing the kill event at cell {cell}, iteration 2: {:?}",
+        dead.events
     );
 
     // The replacement process journals its rejoin under its own node name.
-    let replacement = journal("node03r.jsonl");
+    let replacement = journal(&format!("node{victim:02}r.jsonl"));
     assert!(
         replacement.events.iter().any(|e| e.kind == EventKind::Rejoin),
         "replacement journal missing the rejoin event: {:?}",
         replacement.events
     );
 
-    // The fan-in root substituted the victim's slot for exactly the planned
-    // absence window — rounds 2 and 3, the replacement rendezvousing at
-    // round 4 — and journaled each round, naming cell 2. (Which events the
-    // master's heartbeat path records for rank 3 is a race between the
-    // doomed-gather signal and the miss counter; the substitutions are a
-    // function of the fault plan alone.)
-    let root = journal("node01.jsonl");
-    let substituted: Vec<(u32, u64)> = root
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::Degraded)
-        .map(|e| (e.iter, e.arg))
-        .collect();
-    assert_eq!(
-        substituted,
-        [(2, 2), (3, 2)],
-        "fan-in root journal does not show the planned absence rounds: {:?}",
-        root.events
-    );
+    // Every rank that reads the victim substituted its slot for exactly the
+    // planned absence window — rounds 2 and 3, the replacement
+    // rendezvousing at round 4 — and journaled each round, naming the
+    // victim's cell; a rank that does not read it never noticed. (Which
+    // events the master's heartbeat path records for the victim is a race
+    // between the doomed-gather signal and the miss counter; the
+    // substitutions are a function of the fault plan alone.)
+    let grid = Grid::new(2, 2, NeighborhoodPattern::Cross5);
+    for reader in (0..4).filter(|&c| c != cell) {
+        let substituted: Vec<(u32, u64)> = journal(&format!("node{:02}.jsonl", reader + 1))
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Degraded)
+            .map(|e| (e.iter, e.arg))
+            .collect();
+        let want: &[(u32, u64)] = if grid.neighbors(reader).contains(&cell) {
+            &[(2, cell as u64), (3, cell as u64)]
+        } else {
+            &[]
+        };
+        assert_eq!(substituted, want, "cell {reader}'s journal, victim rank {victim}");
+    }
 
     // The journals merge into a Perfetto-loadable trace with the fault
     // events on the right rank tracks.
@@ -336,15 +351,22 @@ fn sigkilled_slave_is_replaced_in_flight_and_replay_is_byte_identical() {
     ]);
     let trace = String::from_utf8(read(&trace_path)).expect("trace is UTF-8");
     assert!(trace.contains("\"traceEvents\""), "not a Chrome trace: {trace}");
-    // One event per line; the kill and the rejoin must sit on rank 3's track
-    // (the replacement keeps the victim's world rank).
-    let on_rank3_track = |name: &str| {
-        trace
-            .lines()
-            .any(|l| l.contains("\"tid\":3") && l.contains(&format!("\"name\":\"{name}\"")))
+    // One event per line; the kill and the rejoin must sit on the victim's
+    // track (the replacement keeps the victim's world rank).
+    let on_victim_track = |name: &str| {
+        trace.lines().any(|l| {
+            l.contains(&format!("\"tid\":{victim}"))
+                && l.contains(&format!("\"name\":\"{name}\""))
+        })
     };
-    assert!(on_rank3_track("kill"), "kill instant missing from rank 3's track:\n{trace}");
-    assert!(on_rank3_track("rejoin"), "rejoin instant missing from rank 3's track:\n{trace}");
+    assert!(
+        on_victim_track("kill"),
+        "kill instant missing from rank {victim}'s track:\n{trace}"
+    );
+    assert!(
+        on_victim_track("rejoin"),
+        "rejoin instant missing from rank {victim}'s track:\n{trace}"
+    );
 
     // The virtual cluster models the same kill, byte-for-byte.
     let sim_lpz = dir.join("sim.lpz");
@@ -363,7 +385,7 @@ fn sigkilled_slave_is_replaced_in_flight_and_replay_is_byte_identical() {
     assert_eq!(
         outputs[0],
         read(&sim_lpz),
-        "virtual-cluster model disagrees with the real degraded run"
+        "rank {victim}: virtual-cluster model disagrees with the real degraded run"
     );
 }
 

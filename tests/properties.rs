@@ -1,16 +1,19 @@
 //! Property-based tests (proptest) over the workspace's core data
 //! structures and invariants.
 
+mod common;
+
 use lipizzaner::core::{
-    AdversaryStrategy, CellSnapshot, CellState, ExchangeMode, Grid, Individual, LossMode,
-    MixtureWeights, NeighborhoodPattern, TrainConfig,
+    AdversaryStrategy, CellEngine, CellSnapshot, CellState, ExchangeMode, Grid, Individual,
+    LossMode, MixtureWeights, NeighborhoodPattern, Pipeline, TrainConfig,
 };
 use lipizzaner::data::BatchLoaderState;
 use lipizzaner::mpi::comm::Fabric;
 use lipizzaner::mpi::wire::Wire;
-use lipizzaner::mpi::{FaultPlan, Payload, Universe};
+use lipizzaner::mpi::{FaultPlan, Universe};
 use lipizzaner::nn::{Activation, AdamState, GanLoss, Mlp};
-use lipizzaner::runtime::checkpoint;
+use lipizzaner::runtime::{checkpoint, CommManager};
+use lipizzaner::telemetry::Telemetry;
 use lipizzaner::tensor::{ops, reduce, Matrix, Pool, Rng64, Rng64State};
 use proptest::prelude::*;
 
@@ -270,38 +273,6 @@ proptest! {
         }
     }
 
-    // ---- async exchange pipeline ---------------------------------------------
-
-    #[test]
-    fn async_pipeline_is_invariant_to_exchange_jitter(
-        delays in proptest::collection::vec(
-            (0usize..4, 0usize..4, 1u64..12),
-            0..5,
-        ),
-        iters in 2usize..5,
-    ) {
-        // The overlapped exchange completes on a background thread, so
-        // scheduling jitter moves *when* a generation lands but must never
-        // change *what* any iteration consumes: scripted per-link delivery
-        // delays (the `delay:` fault grammar end-to-end, including the
-        // allgather's root fan-in and broadcast legs) stretch wall time
-        // while every rank's folded result stays bit-identical to the
-        // undelayed run.
-        const RANKS: usize = 4;
-        let plan: String = delays
-            .iter()
-            .filter(|(src, dst, _)| src != dst)
-            .map(|(src, dst, ms)| format!("delay:{src}>{dst}:*@0:{ms}"))
-            .collect::<Vec<_>>()
-            .join(";");
-        let reference = async_pipeline_results(Fabric::new(RANKS), iters);
-        let jittered = async_pipeline_results(
-            Fabric::with_faults(RANKS, FaultPlan::parse(&plan).expect("delay plan")),
-            iters,
-        );
-        prop_assert_eq!(jittered, reference);
-    }
-
     #[test]
     fn corrupted_checkpoint_files_fail_loudly_never_partially(
         seed in 0u64..500,
@@ -347,6 +318,77 @@ proptest! {
     }
 }
 
+proptest! {
+    // Every case trains four small grids twice, real rank threads and all.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // ---- the snapshot exchange ------------------------------------------------
+
+    #[test]
+    fn async_pipeline_is_invariant_to_exchange_jitter(
+        delays in proptest::collection::vec(
+            (1usize..=9, 1usize..=9, 1u64..12),
+            0..5,
+        ),
+        iters in 2usize..5,
+    ) {
+        // The exchange the runtime ships — `CommManager::exchange` under
+        // `Pipeline::step`, sync and async, on a 2×2 and a 3×3 grid — with
+        // scripted per-link delivery delays (the `delay:` fault grammar end
+        // to end, on the slave-to-slave links the snapshots travel): delays
+        // move *when* a generation lands, on a background thread in async
+        // mode, but never *what* any iteration consumes, so every rank's
+        // engine ends byte-identical to the undelayed run.
+        for (m, mode) in [
+            (2, ExchangeMode::Sync),
+            (2, ExchangeMode::Async),
+            (3, ExchangeMode::Sync),
+            (3, ExchangeMode::Async),
+        ] {
+            let mut cfg = TrainConfig::smoke(m).with_exchange(mode);
+            cfg.coevolution.iterations = iters;
+            let slaves = cfg.cells();
+            let plan: String = delays
+                .iter()
+                .filter(|&&(src, dst, _)| src != dst && src <= slaves && dst <= slaves)
+                .map(|(src, dst, ms)| format!("delay:{src}>{dst}:*@0:{ms}"))
+                .collect::<Vec<_>>()
+                .join(";");
+            let reference = exchanged_engines(&cfg, Fabric::new(slaves + 1));
+            let jittered = exchanged_engines(
+                &cfg,
+                Fabric::with_faults(slaves + 1, FaultPlan::parse(&plan).expect("delay plan")),
+            );
+            prop_assert_eq!(jittered, reference, "{}x{} {:?}", m, m, mode);
+        }
+    }
+}
+
+/// Run `cfg` on every slave rank of `fabric` (world rank 0, the master, sits
+/// out) as the runtime does — one engine per rank, a [`Pipeline`] stepping
+/// it over the rank's `CommExchange` — and return each rank's captured
+/// engine state, encoded.
+fn exchanged_engines(cfg: &TrainConfig, fabric: std::sync::Arc<Fabric>) -> Vec<Vec<u8>> {
+    let data = common::toy_data(cfg);
+    let ranks = Universe::run_on(fabric, |world| {
+        let cm = CommManager::new(world);
+        if cm.is_master() {
+            return None;
+        }
+        let engine = CellEngine::new(cm.local_rank(), cfg, data.clone());
+        let mut pipeline = Pipeline::new(cfg, vec![engine], Telemetry::disabled());
+        let mut exchange = cm.exchange(cfg.exchange, None, pipeline.read_set());
+        for _ in 0..cfg.coevolution.iterations {
+            pipeline.step(&mut exchange);
+        }
+        // Under async the final generation is still with the exchange
+        // thread, which must complete it — readers block on it.
+        drop(exchange);
+        Some(pipeline.engines_mut()[0].capture_state().to_bytes())
+    });
+    ranks.into_iter().flatten().collect()
+}
+
 #[test]
 fn every_truncation_of_a_state_or_a_config_is_refused() {
     let state = arb_cell_state(11, 2, 5, 3, 4);
@@ -363,48 +405,6 @@ fn every_truncation_of_a_state_or_a_config_is_refused() {
     for cut in 0..wire.len() {
         assert!(TrainConfig::from_bytes(&wire[..cut]).is_err(), "config cut at {cut}");
     }
-}
-
-/// Run the double-buffered async exchange pipeline on every rank of
-/// `fabric` — begin generation `i`, complete it on a background exchange
-/// thread, train iteration `i ≥ 1` against generation `i-1` (the runtime's
-/// exact shape) — and return each rank's folded state after `iters`
-/// iterations.
-fn async_pipeline_results(fabric: std::sync::Arc<Fabric>, iters: usize) -> Vec<u64> {
-    Universe::run_on(fabric, |comm| {
-        let (job_tx, job_rx) = std::sync::mpsc::channel();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let worker = comm.clone();
-        let thread = std::thread::spawn(move || {
-            for pending in job_rx {
-                if done_tx.send(worker.allgather_bytes_complete(pending)).is_err() {
-                    break;
-                }
-            }
-        });
-        let mut state: u64 = comm.rank() as u64 + 1;
-        let mut ready: Option<Vec<Payload>> = None;
-        for iter in 0..iters {
-            job_tx.send(comm.allgather_bytes_split(state.to_bytes())).expect("worker alive");
-            // Generation `iter-1` (bootstrap: generation 0, consumed twice).
-            let frame = match ready.take() {
-                Some(frame) => frame,
-                None => done_rx.recv().expect("worker alive"),
-            };
-            for part in &frame {
-                let v = u64::from_bytes(part).expect("decode contribution");
-                state = state.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(v);
-            }
-            if iter == 0 {
-                ready = Some(frame);
-            }
-        }
-        // The final generation stays with the exchange thread, which must
-        // still complete it — peers block on it in their own final round.
-        drop(job_tx);
-        thread.join().expect("exchange worker");
-        state
-    })
 }
 
 /// Deterministically build a structurally arbitrary [`CellState`] (sizes
