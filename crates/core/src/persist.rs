@@ -129,11 +129,11 @@ pub fn load_ensemble(path: &Path) -> Result<EnsembleModel, PersistError> {
     Ok(EnsembleModel::new(network, genomes, MixtureWeights::from_raw(&weights)))
 }
 
+/// Ids 1 and 2 once named activations no network uses; a file carrying
+/// one is refused as corrupt.
 fn activation_id(a: Activation) -> u32 {
     match a {
         Activation::Tanh => 0,
-        Activation::Sigmoid => 1,
-        Activation::LeakyRelu(_) => 2,
         Activation::Identity => 3,
     }
 }
@@ -141,8 +141,6 @@ fn activation_id(a: Activation) -> u32 {
 fn activation_from_id(id: u32) -> Option<Activation> {
     match id {
         0 => Some(Activation::Tanh),
-        1 => Some(Activation::Sigmoid),
-        2 => Some(Activation::LeakyRelu(0.2)),
         3 => Some(Activation::Identity),
         _ => None,
     }
@@ -240,6 +238,40 @@ mod tests {
         bytes[36] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(load_ensemble(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn removed_activation_ids_are_refused() {
+        let path = tmp("activation_id.lpz");
+        save_ensemble(&path, &demo_model()).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        // Magic, version and the four dims precede the activation id word.
+        assert_eq!(saved[24..28], 0u32.to_le_bytes(), "tanh is id 0");
+        for removed in [1u32, 2] {
+            let mut bytes = saved.clone();
+            bytes[24..28].copy_from_slice(&removed.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(load_ensemble(&path), Err(PersistError::Corrupt("activation id"))),
+                "activation id {removed} was not refused"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A tanh model (4 → 8 → 16, five components) written by the tree that
+    /// still declared four activation ids: it loads, and saving it again
+    /// reproduces the file byte for byte.
+    #[test]
+    fn tanh_file_from_the_four_activation_format_resaves_byte_equal() {
+        let fixture = include_bytes!("../tests/fixtures/tanh_4x8x16.lpz");
+        let path = tmp("four_activation_format.lpz");
+        std::fs::write(&path, fixture).unwrap();
+        let model = load_ensemble(&path).unwrap();
+        assert_eq!(model.network.activation, Activation::Tanh);
+        save_ensemble(&path, &model).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), fixture);
         std::fs::remove_file(&path).ok();
     }
 }

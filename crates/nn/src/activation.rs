@@ -1,130 +1,41 @@
-//! Elementwise activation functions.
+//! Elementwise activations of the dense layers.
+//!
+//! Table I's networks need exactly two, so this is the tensor crate's
+//! [`ActKind`](lipiz_tensor::ActKind) under the nn name: `Tanh` on the
+//! hidden layers and the generator output, `Identity` on the
+//! discriminator's logit (the losses work on logits). One enum serves the
+//! fused forward kernel, the vectorized activation pass and the backward
+//! pass, whose derivative is evaluated from the activated output
+//! ([`Activation::scale_by_derivative`]: `tanh'(z) = 1 − a²`), so no
+//! pre-activation matrix is ever cached.
 
-use lipiz_tensor::{ActKind, Matrix};
-
-/// Activation functions supported by [`crate::mlp::Mlp`].
-///
-/// All of them can compute their derivative *from the activated output*
-/// (rather than the pre-activation), which lets the backward pass avoid
-/// caching pre-activation matrices:
-/// `tanh'(z) = 1 - a²`, `σ'(z) = a(1-a)`, and for leaky-ReLU the sign of the
-/// output equals the sign of the input because the slope is positive.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Activation {
-    /// Hyperbolic tangent (the paper's Table I activation).
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Leaky rectified linear unit with the given negative-side slope.
-    LeakyRelu(f32),
-    /// Pass-through; used for logit outputs so losses can be computed stably.
-    Identity,
-}
-
-impl Activation {
-    /// The tensor-level activation kind the fused kernel epilogues apply.
-    /// Fused and unfused paths share this one scalar implementation per
-    /// function, which is what makes them bit-equal by construction.
-    #[inline]
-    pub fn kind(&self) -> ActKind {
-        match *self {
-            Activation::Tanh => ActKind::Tanh,
-            Activation::Sigmoid => ActKind::Sigmoid,
-            Activation::LeakyRelu(slope) => ActKind::LeakyRelu(slope),
-            Activation::Identity => ActKind::Identity,
-        }
-    }
-
-    /// Apply the activation to every element of `m` in place (vectorized
-    /// slice kernel; bit-identical to an elementwise [`ActKind::apply`]).
-    pub fn apply_inplace(&self, m: &mut Matrix) {
-        lipiz_tensor::ops::apply_act(self.kind(), m.as_mut_slice());
-    }
-
-    /// Multiply `delta` in place by the activation derivative, evaluated from
-    /// the activated output `out` (same shape as `delta`).
-    pub fn scale_by_derivative(&self, out: &Matrix, delta: &mut Matrix) {
-        debug_assert_eq!(out.shape(), delta.shape());
-        match *self {
-            Activation::Tanh => {
-                for (d, &a) in delta.as_mut_slice().iter_mut().zip(out.as_slice()) {
-                    *d *= 1.0 - a * a;
-                }
-            }
-            Activation::Sigmoid => {
-                for (d, &a) in delta.as_mut_slice().iter_mut().zip(out.as_slice()) {
-                    *d *= a * (1.0 - a);
-                }
-            }
-            Activation::LeakyRelu(slope) => {
-                for (d, &a) in delta.as_mut_slice().iter_mut().zip(out.as_slice()) {
-                    if a < 0.0 {
-                        *d *= slope;
-                    }
-                }
-            }
-            Activation::Identity => {}
-        }
-    }
-
-    /// Short name used in config dumps.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Activation::Tanh => "tanh",
-            Activation::Sigmoid => "sigmoid",
-            Activation::LeakyRelu(_) => "leaky_relu",
-            Activation::Identity => "identity",
-        }
-    }
-}
-
-/// Numerically stable logistic sigmoid (shared with the tensor crate's
-/// fused kernel epilogues — one implementation, bit-equal everywhere).
-#[inline]
-pub fn sigmoid(z: f32) -> f32 {
-    lipiz_tensor::ops::sigmoid(z)
-}
-
-/// Numerically stable softplus `ln(1 + e^z)`.
-#[inline]
-pub fn softplus(z: f32) -> f32 {
-    if z > 0.0 {
-        z + (-z).exp().ln_1p()
-    } else {
-        z.exp().ln_1p()
-    }
-}
+pub use lipiz_tensor::ActKind as Activation;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lipiz_tensor::{ops::apply_act, Matrix};
+
+    fn activated(act: Activation, z: f32) -> Matrix {
+        let mut m = Matrix::full(1, 1, z);
+        apply_act(act, m.as_mut_slice());
+        m
+    }
 
     fn numeric_derivative(act: Activation, z: f32) -> f32 {
         let h = 1e-3;
-        let f = |z: f32| {
-            let mut m = Matrix::full(1, 1, z);
-            act.apply_inplace(&mut m);
-            m[(0, 0)]
-        };
-        (f(z + h) - f(z - h)) / (2.0 * h)
+        (activated(act, z + h)[(0, 0)] - activated(act, z - h)[(0, 0)]) / (2.0 * h)
     }
 
     fn analytic_derivative(act: Activation, z: f32) -> f32 {
-        let mut out = Matrix::full(1, 1, z);
-        act.apply_inplace(&mut out);
         let mut delta = Matrix::full(1, 1, 1.0);
-        act.scale_by_derivative(&out, &mut delta);
+        act.scale_by_derivative(&activated(act, z), &mut delta);
         delta[(0, 0)]
     }
 
     #[test]
     fn derivatives_match_finite_differences() {
-        for act in [
-            Activation::Tanh,
-            Activation::Sigmoid,
-            Activation::LeakyRelu(0.2),
-            Activation::Identity,
-        ] {
+        for act in [Activation::Tanh, Activation::Identity] {
             for &z in &[-2.0f32, -0.5, 0.3, 1.7] {
                 let num = numeric_derivative(act, z);
                 let ana = analytic_derivative(act, z);
@@ -137,34 +48,17 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_is_stable_at_extremes() {
-        assert!(sigmoid(100.0) <= 1.0);
-        assert!(sigmoid(-100.0) >= 0.0);
-        assert!((sigmoid(100.0) - 1.0).abs() < 1e-6);
-        assert!(sigmoid(-100.0) < 1e-6);
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
-    }
-
-    #[test]
-    fn softplus_is_stable_and_positive() {
-        assert!(softplus(-200.0) >= 0.0);
-        assert!((softplus(200.0) - 200.0).abs() < 1e-3);
-        assert!((softplus(0.0) - std::f32::consts::LN_2).abs() < 1e-6);
-    }
-
-    #[test]
     fn tanh_bounds_outputs() {
         let mut m = Matrix::from_rows(&[&[-50.0, 0.0, 50.0]]);
-        Activation::Tanh.apply_inplace(&mut m);
+        apply_act(Activation::Tanh, m.as_mut_slice());
         assert!(m.as_slice().iter().all(|v| v.abs() <= 1.0));
         assert_eq!(m[(0, 1)], 0.0);
     }
 
     #[test]
-    fn leaky_relu_negative_side() {
+    fn identity_passes_values_through() {
         let mut m = Matrix::from_rows(&[&[-2.0, 3.0]]);
-        Activation::LeakyRelu(0.1).apply_inplace(&mut m);
-        assert!((m[(0, 0)] + 0.2).abs() < 1e-6);
-        assert_eq!(m[(0, 1)], 3.0);
+        apply_act(Activation::Identity, m.as_mut_slice());
+        assert_eq!(m.as_slice(), &[-2.0, 3.0]);
     }
 }

@@ -13,14 +13,6 @@ pub fn glorot_uniform(rng: &mut Rng64, fan_in: usize, fan_out: usize) -> Matrix 
     rng.uniform_matrix(fan_in, fan_out, -a, a)
 }
 
-/// Scaled normal initialization: `N(0, sqrt(2 / fan_in))` (He et al.).
-///
-/// Offered for the leaky-ReLU ablation configurations.
-pub fn he_normal(rng: &mut Rng64, fan_in: usize, fan_out: usize) -> Matrix {
-    let std = (2.0 / fan_in as f32).sqrt();
-    rng.normal_matrix(fan_in, fan_out, 0.0, std)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,15 +34,6 @@ mod tests {
         assert!(mean.abs() < 0.02, "mean {mean}");
         let nonzero = w.as_slice().iter().filter(|v| v.abs() > 1e-9).count();
         assert_eq!(nonzero, w.len());
-    }
-
-    #[test]
-    fn he_normal_scale() {
-        let mut rng = Rng64::seed_from(5);
-        let w = he_normal(&mut rng, 200, 100);
-        let var: f32 = w.as_slice().iter().map(|v| v * v).sum::<f32>() / w.len() as f32;
-        let expected = 2.0 / 200.0;
-        assert!((var - expected).abs() < expected * 0.3, "var {var}");
     }
 
     #[test]

@@ -9,9 +9,31 @@
 //! the non-saturating heuristic, and least-squares. Plain **Lipizzaner**
 //! training fixes the loss to [`GanLoss::Heuristic`] for every step.
 
-use crate::activation::{sigmoid, softplus};
 use lipiz_tensor::Matrix;
 use lipiz_wire::{Wire, WireError};
+
+/// Numerically stable logistic sigmoid (never exponentiates a positive
+/// argument).
+#[inline]
+fn sigmoid(z: f32) -> f32 {
+    if z >= 0.0 {
+        let e = (-z).exp();
+        1.0 / (1.0 + e)
+    } else {
+        let e = z.exp();
+        e / (1.0 + e)
+    }
+}
+
+/// Numerically stable softplus `ln(1 + e^z)`.
+#[inline]
+fn softplus(z: f32) -> f32 {
+    if z > 0.0 {
+        z + (-z).exp().ln_1p()
+    } else {
+        z.exp().ln_1p()
+    }
+}
 
 /// Generator objective variants (the Mustangs mutation set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -208,6 +230,22 @@ mod tests {
             "z={z0}: numeric {numeric} vs analytic {}",
             g[(0, 0)]
         );
+    }
+
+    #[test]
+    fn sigmoid_is_stable_at_extremes() {
+        assert!(sigmoid(100.0) <= 1.0);
+        assert!(sigmoid(-100.0) >= 0.0);
+        assert!((sigmoid(100.0) - 1.0).abs() < 1e-6);
+        assert!(sigmoid(-100.0) < 1e-6);
+        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
+    }
+
+    #[test]
+    fn softplus_is_stable_and_positive() {
+        assert!(softplus(-200.0) >= 0.0);
+        assert!((softplus(200.0) - 200.0).abs() < 1e-3);
+        assert!((softplus(0.0) - std::f32::consts::LN_2).abs() < 1e-6);
     }
 
     #[test]

@@ -241,7 +241,7 @@ impl Mlp {
             self.weight(i),
             spec.fan_out,
             self.bias(i),
-            spec.act.kind(),
+            spec.act,
             dst,
             pool,
         );
@@ -510,7 +510,7 @@ mod tests {
         // (dirty) buffers must be bit-identical to the same passes over
         // fresh ones, round after round.
         let mut rng = Rng64::seed_from(13);
-        let net = Mlp::from_dims(&[6, 9, 4], Activation::Tanh, Activation::Sigmoid, &mut rng);
+        let net = Mlp::from_dims(&[6, 9, 4], Activation::Tanh, Activation::Tanh, &mut rng);
         let pool = Pool::serial();
         let mut cache = LayerCache::default();
         let mut scratch = DeltaScratch::default();
@@ -621,12 +621,8 @@ mod tests {
     #[test]
     fn deep_network_gradient_flows() {
         let mut rng = Rng64::seed_from(20);
-        let net = Mlp::from_dims(
-            &[4, 8, 8, 8, 2],
-            Activation::LeakyRelu(0.2),
-            Activation::Sigmoid,
-            &mut rng,
-        );
+        let net =
+            Mlp::from_dims(&[4, 8, 8, 8, 2], Activation::Tanh, Activation::Tanh, &mut rng);
         let x = rng.uniform_matrix(5, 4, -1.0, 1.0);
         let (_, grads, dx) =
             forward_backward(&net, &x, |_| Matrix::full(5, 2, 1.0), &Pool::serial());

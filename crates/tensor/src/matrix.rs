@@ -199,11 +199,6 @@ impl Matrix {
         out
     }
 
-    /// Overwrite every element with zero (reuses the allocation).
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
     /// Reshape to `rows × cols`, reusing the backing allocation.
     ///
     /// The contents are unspecified afterwards — this is the workspace

@@ -14,23 +14,24 @@
 //! * `Aᵀ·B`  — both operands are already in canonical layout, zero packing;
 //! * `A·Bᵀ`  — both operands are packed transposes.
 //!
-//! The micro-kernel holds an `MR×NR` accumulator tile in registers and walks
-//! the shared dimension `p` innermost, so each `p` step touches one
-//! contiguous `MR`-wide segment of `A'` and one `NR`-wide segment of `B'`
-//! and performs `MR·NR` independent multiply-adds — a clean FMA chain for
-//! LLVM with no data-dependent branches.
+//! There is one kernel per ISA: a scalar `MR×NR` full tile, its AVX2 twin,
+//! and a scalar edge tile for the ragged remainders. Every tile starts its
+//! accumulators at `+0.0` (it never loads the output), walks the shared
+//! dimension `p` innermost — each `p` step touches one contiguous `MR`-wide
+//! segment of `A'` and one `NR`-wide segment of `B'` and performs `MR·NR`
+//! independent multiply-adds — and stores each element exactly once, so no
+//! product pre-zeroes its output.
 //!
 //! # Fused epilogues
 //!
-//! The dense-layer forward pass is `act(x·W + b)`. The fused entry point
-//! [`matmul_bias_act_into`] folds the bias add and the activation into the
-//! micro-kernel's writeback: the accumulator tile starts at zero (no output
-//! load, no `fill_zero` pre-pass), and each element is stored exactly once
-//! as `act(acc + bias[j])`. That removes two full passes over the output
-//! matrix per layer. Per element the FP sequence is identical to
-//! `matmul` → `add_row_vector` → `apply_inplace` (same adds, same scalar
-//! activation function, same order), so fused and unfused are bit-equal —
-//! property-tested, not assumed.
+//! The dense-layer forward pass is `act(x·W + b)`. The tile's only epilogue
+//! is an optional bias add: [`matmul_bias_act_into`] stores `acc + bias[j]`,
+//! then runs the activation as one vectorized [`apply_act`] pass over each
+//! row chunk while it is still cache-warm. The gradient products store the
+//! bare `acc`. Per element the FP sequence is identical to `matmul` →
+//! `add_row_vector` → `apply_act` (same adds, same activation function,
+//! same order), so fused and unfused are bit-equal — property-tested, not
+//! assumed.
 //!
 //! # Scratch reuse
 //!
@@ -40,13 +41,13 @@
 //!
 //! # Determinism
 //!
-//! Every kernel — serial, blocked, fused, and pooled at any worker count —
+//! Every product — serial, fused, and pooled at any worker count —
 //! accumulates each output element in a single `f32` accumulator over `p`
 //! in ascending order. Tiling only regroups *independent* elements, so all
-//! variants are bit-identical to the naive triple loop; the distributed
+//! of them are bit-identical to the naive triple loop; the distributed
 //! drivers rely on this to stay byte-identical across worker counts. The
-//! AVX2 micro-kernels use separate `vmulps`/`vaddps` — never FMA — for the
-//! same reason.
+//! AVX2 tile uses separate `vmulps`/`vaddps` — never FMA — for the same
+//! reason.
 
 use crate::matrix::Matrix;
 use crate::pool::Pool;
@@ -71,23 +72,18 @@ fn chunk_limit(madds: usize) -> usize {
     (madds / MIN_MADDS_PER_WORKER).max(1)
 }
 
-// ---- activation epilogues ---------------------------------------------------
+// ---- activations ------------------------------------------------------------
 
-/// Elementwise activation applied by a fused kernel epilogue.
+/// Elementwise activation of a dense layer (the nn crate's `Activation`).
 ///
-/// This is the tensor-level mirror of the nn crate's activation enum; the
-/// nn crate maps onto it so the fused and unfused paths share one scalar
-/// implementation per function (bit-equality by construction).
+/// Table I's networks need exactly two: tanh on the hidden layers and the
+/// generator output, identity on the discriminator's logit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ActKind {
-    /// Pass-through.
+    /// Pass-through; used for logit outputs so losses can be computed stably.
     Identity,
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent (the paper's Table I activation).
     Tanh,
-    /// Numerically stable logistic sigmoid.
-    Sigmoid,
-    /// Leaky rectified linear unit with the given negative-side slope.
-    LeakyRelu(f32),
 }
 
 impl ActKind {
@@ -97,12 +93,20 @@ impl ActKind {
         match self {
             ActKind::Identity => v,
             ActKind::Tanh => fast_tanh(v),
-            ActKind::Sigmoid => sigmoid(v),
-            ActKind::LeakyRelu(slope) => {
-                if v >= 0.0 {
-                    v
-                } else {
-                    slope * v
+        }
+    }
+
+    /// Multiply `delta` in place by the activation's derivative, evaluated
+    /// from the activated output `out` (same shape as `delta`):
+    /// `tanh'(z) = 1 − a²`, so the backward pass never needs the
+    /// pre-activation.
+    pub fn scale_by_derivative(self, out: &Matrix, delta: &mut Matrix) {
+        debug_assert_eq!(out.shape(), delta.shape());
+        match self {
+            ActKind::Identity => {}
+            ActKind::Tanh => {
+                for (d, &a) in delta.as_mut_slice().iter_mut().zip(out.as_slice()) {
+                    *d *= 1.0 - a * a;
                 }
             }
         }
@@ -125,16 +129,6 @@ pub fn apply_act(act: ActKind, xs: &mut [f32]) {
             }
             for v in xs {
                 *v = fast_tanh(*v);
-            }
-        }
-        ActKind::Sigmoid => {
-            for v in xs {
-                *v = sigmoid(*v);
-            }
-        }
-        ActKind::LeakyRelu(slope) => {
-            for v in xs {
-                *v = if *v >= 0.0 { *v } else { slope * *v };
             }
         }
     }
@@ -260,19 +254,6 @@ unsafe fn tanh_slice_avx2(xs: &mut [f32]) {
     }
 }
 
-/// Numerically stable logistic sigmoid (never exponentiates a positive
-/// argument).
-#[inline]
-pub fn sigmoid(z: f32) -> f32 {
-    if z >= 0.0 {
-        let e = (-z).exp();
-        1.0 / (1.0 + e)
-    } else {
-        let e = z.exp();
-        e / (1.0 + e)
-    }
-}
-
 // ---- pack-buffer recycling --------------------------------------------------
 
 thread_local! {
@@ -331,7 +312,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(m, n);
     with_pack_bufs(|at, _| {
         pack_transpose_into(a, at);
-        blocked_tn(k, m, n, at, b.as_slice(), 0, m, out.as_mut_slice());
+        blocked_tn(k, m, n, at, b.as_slice(), 0, m, out.as_mut_slice(), None);
     });
     out
 }
@@ -339,11 +320,12 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 // ---- blocked canonical kernel ----------------------------------------------
 
 /// Canonical blocked product over output rows `[r0, r0 + rows)`:
-/// `out[i][j] += Σ_p at[p·m + i] · bp[p·n + j]`.
+/// `out[i][j] = Σ_p at[p·m + i] · bp[p·n + j]`, plus `bias[j]` when given.
 ///
 /// `at` is the `k×m` left panel ("A transposed"), `bp` the `k×n` right
 /// panel, and `out` the chunk of the output covering exactly the given row
-/// range (`rows·n` elements). Accumulates on top of whatever `out` holds.
+/// range (`rows·n` elements). Every element of `out` is written exactly
+/// once; its prior contents are never read.
 #[allow(clippy::too_many_arguments)] // flat panel-geometry signature, kept register-friendly
 fn blocked_tn(
     k: usize,
@@ -354,72 +336,34 @@ fn blocked_tn(
     r0: usize,
     rows: usize,
     out: &mut [f32],
+    bias: Option<&[f32]>,
 ) {
     debug_assert_eq!(at.len(), k * m);
     debug_assert_eq!(bp.len(), k * n);
     debug_assert_eq!(out.len(), rows * n);
+    debug_assert!(bias.is_none_or(|b| b.len() == n));
     debug_assert!(r0 + rows <= m);
     let wide = have_wide_simd();
     let mut i = 0;
     while i < rows {
         let mr = MR.min(rows - i);
+        let out_rows = &mut out[i * n..];
         let mut j = 0;
         while j < n {
             let nr = NR.min(n - j);
-            if mr == MR && nr == NR {
-                micro_full_dispatch(wide, k, m, n, at, bp, r0 + i, j, &mut out[i * n..]);
+            if mr < MR || nr < NR {
+                micro_edge(k, m, n, at, bp, r0 + i, mr, j, nr, out_rows, bias);
+            } else if wide {
+                // SAFETY: `wide` is true only where AVX2 was detected at
+                // runtime; this is a full tile (`r0 + i + MR <= m`,
+                // `j + NR <= n`, `MR` rows of `out_rows` left) over the
+                // `k×m` / `k×n` panels and width-`n` bias the callers size.
+                #[cfg(target_arch = "x86_64")]
+                unsafe {
+                    micro_full_avx2(k, m, n, at, bp, r0 + i, j, out_rows, bias)
+                };
             } else {
-                micro_edge(k, m, n, at, bp, r0 + i, mr, j, nr, &mut out[i * n..]);
-            }
-            j += nr;
-        }
-        i += mr;
-    }
-}
-
-/// Fused variant of [`blocked_tn`]: accumulators start at zero (no output
-/// load) and every element is stored exactly once as `act(acc + bias[j])`.
-#[allow(clippy::too_many_arguments)] // flat panel-geometry signature, kept register-friendly
-fn blocked_tn_fused(
-    k: usize,
-    m: usize,
-    n: usize,
-    at: &[f32],
-    bp: &[f32],
-    r0: usize,
-    rows: usize,
-    out: &mut [f32],
-    bias: &[f32],
-    act: ActKind,
-) {
-    debug_assert_eq!(at.len(), k * m);
-    debug_assert_eq!(bp.len(), k * n);
-    debug_assert_eq!(out.len(), rows * n);
-    debug_assert_eq!(bias.len(), n);
-    debug_assert!(r0 + rows <= m);
-    let wide = have_wide_simd();
-    let mut i = 0;
-    while i < rows {
-        let mr = MR.min(rows - i);
-        let mut j = 0;
-        while j < n {
-            let nr = NR.min(n - j);
-            if mr == MR && nr == NR {
-                fused_full_dispatch(
-                    wide,
-                    k,
-                    m,
-                    n,
-                    at,
-                    bp,
-                    r0 + i,
-                    j,
-                    &mut out[i * n..],
-                    bias,
-                    act,
-                );
-            } else {
-                fused_edge(k, m, n, at, bp, r0 + i, mr, j, nr, &mut out[i * n..], bias, act);
+                micro_full(k, m, n, at, bp, r0 + i, j, out_rows, bias);
             }
             j += nr;
         }
@@ -440,66 +384,16 @@ fn have_wide_simd() -> bool {
     false
 }
 
-/// Pick the widest micro-kernel the host supports. Both paths perform the
-/// identical sequence of individually-rounded IEEE multiplies and adds per
-/// output element, so the choice never changes a single bit of the result.
-#[inline]
-#[allow(clippy::too_many_arguments)] // flat panel-geometry signature, kept register-friendly
-fn micro_full_dispatch(
-    wide: bool,
-    k: usize,
-    m: usize,
-    n: usize,
-    at: &[f32],
-    bp: &[f32],
-    gi: usize,
-    j: usize,
-    out_rows: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if wide {
-        // SAFETY: `wide` asserts AVX2 support at runtime.
-        unsafe { micro_full_avx2(k, m, n, at, bp, gi, j, out_rows) };
-        return;
-    }
-    let _ = wide;
-    micro_full(k, m, n, at, bp, gi, j, out_rows);
-}
-
-/// Fused-epilogue counterpart of [`micro_full_dispatch`].
-#[inline]
-#[allow(clippy::too_many_arguments)] // flat panel-geometry signature, kept register-friendly
-fn fused_full_dispatch(
-    wide: bool,
-    k: usize,
-    m: usize,
-    n: usize,
-    at: &[f32],
-    bp: &[f32],
-    gi: usize,
-    j: usize,
-    out_rows: &mut [f32],
-    bias: &[f32],
-    act: ActKind,
-) {
-    #[cfg(target_arch = "x86_64")]
-    // Transcendental epilogues never take the AVX2 tile (calling scalar
-    // libm from inside an AVX2 region pays SSE-transition stalls per call;
-    // `matmul_bias_act_into` routes them through a vectorized post pass
-    // instead, so this arm only exists as the correct fallback for direct
-    // kernel users).
-    if wide && !matches!(act, ActKind::Tanh | ActKind::Sigmoid) {
-        // SAFETY: `wide` asserts AVX2 support at runtime.
-        unsafe { fused_full_avx2(k, m, n, at, bp, gi, j, out_rows, bias, act) };
-        return;
-    }
-    let _ = wide;
-    fused_full(k, m, n, at, bp, gi, j, out_rows, bias, act);
-}
-
 /// AVX2 variant of [`micro_full`]: the 4×16 accumulator tile lives in eight
 /// 256-bit registers. Uses separate `vmulps`/`vaddps` — *not* FMA — because
-/// fused rounding would break bit-exactness against the scalar kernel.
+/// fused rounding would break bit-exactness against the scalar kernel; the
+/// bias add is one `vaddps`, the same single IEEE add the scalar tile does.
+///
+/// # Safety
+/// The host must support AVX2, and the whole tile must be in bounds:
+/// `gi + MR <= m`, `j + NR <= n`, `out_rows` holds `MR` rows of width `n`
+/// from the tile's first row, `at`/`bp` hold at least `k·m`/`k·n` values,
+/// and `bias`, when given, at least `n`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)] // flat panel-geometry signature, kept register-friendly
@@ -512,6 +406,7 @@ unsafe fn micro_full_avx2(
     gi: usize,
     j: usize,
     out_rows: &mut [f32],
+    bias: Option<&[f32]>,
 ) {
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps,
@@ -520,11 +415,6 @@ unsafe fn micro_full_avx2(
     debug_assert!(k * m <= at.len() && k * n <= bp.len());
     let out_ptr = out_rows.as_mut_ptr();
     let mut acc = [[_mm256_set1_ps(0.0); 2]; MR];
-    for (r, accr) in acc.iter_mut().enumerate() {
-        let o = out_ptr.add(r * n + j);
-        accr[0] = _mm256_loadu_ps(o);
-        accr[1] = _mm256_loadu_ps(o.add(8));
-    }
     let at_ptr = at.as_ptr();
     let bp_ptr = bp.as_ptr();
     for p in 0..k {
@@ -536,85 +426,21 @@ unsafe fn micro_full_avx2(
             let av = _mm256_set1_ps(*aq.add(r));
             accr[0] = _mm256_add_ps(accr[0], _mm256_mul_ps(av, b0));
             accr[1] = _mm256_add_ps(accr[1], _mm256_mul_ps(av, b1));
+        }
+    }
+    if let Some(bias) = bias {
+        debug_assert!(j + NR <= bias.len());
+        let bq = bias.as_ptr().add(j);
+        let (bias0, bias1) = (_mm256_loadu_ps(bq), _mm256_loadu_ps(bq.add(8)));
+        for accr in &mut acc {
+            accr[0] = _mm256_add_ps(accr[0], bias0);
+            accr[1] = _mm256_add_ps(accr[1], bias1);
         }
     }
     for (r, accr) in acc.iter().enumerate() {
         let o = out_ptr.add(r * n + j);
         _mm256_storeu_ps(o, accr[0]);
         _mm256_storeu_ps(o.add(8), accr[1]);
-    }
-}
-
-/// AVX2 fused micro-kernel: zero-started accumulator tile, then
-/// `act(acc + bias)` at writeback. The bias add is one `vaddps` (the same
-/// single IEEE add the scalar path performs). Identity and leaky-ReLU
-/// epilogues stay vectorized (`vcmpps`/`vblendvps` reproduce the scalar
-/// branch exactly, including the NaN case); transcendental epilogues are
-/// kept out of this kernel entirely by [`fused_full_dispatch`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)] // flat panel-geometry signature, kept register-friendly
-unsafe fn fused_full_avx2(
-    k: usize,
-    m: usize,
-    n: usize,
-    at: &[f32],
-    bp: &[f32],
-    gi: usize,
-    j: usize,
-    out_rows: &mut [f32],
-    bias: &[f32],
-    act: ActKind,
-) {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_mul_ps,
-        _mm256_set1_ps, _mm256_storeu_ps, _CMP_GE_OQ,
-    };
-    debug_assert!(gi + MR <= m && j + NR <= n && (MR - 1) * n + j + NR <= out_rows.len());
-    debug_assert!(k * m <= at.len() && k * n <= bp.len() && j + NR <= bias.len());
-    let out_ptr = out_rows.as_mut_ptr();
-    let mut acc = [[_mm256_set1_ps(0.0); 2]; MR];
-    let at_ptr = at.as_ptr();
-    let bp_ptr = bp.as_ptr();
-    for p in 0..k {
-        let bq = bp_ptr.add(p * n + j);
-        let b0 = _mm256_loadu_ps(bq);
-        let b1 = _mm256_loadu_ps(bq.add(8));
-        let aq = at_ptr.add(p * m + gi);
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*aq.add(r));
-            accr[0] = _mm256_add_ps(accr[0], _mm256_mul_ps(av, b0));
-            accr[1] = _mm256_add_ps(accr[1], _mm256_mul_ps(av, b1));
-        }
-    }
-    let bias_ptr = bias.as_ptr().add(j);
-    let bias0 = _mm256_loadu_ps(bias_ptr);
-    let bias1 = _mm256_loadu_ps(bias_ptr.add(8));
-    for (r, accr) in acc.iter().enumerate() {
-        let o = out_ptr.add(r * n + j);
-        let mut v0 = _mm256_add_ps(accr[0], bias0);
-        let mut v1 = _mm256_add_ps(accr[1], bias1);
-        match act {
-            ActKind::Identity => {}
-            ActKind::LeakyRelu(slope) => {
-                let s = _mm256_set1_ps(slope);
-                let zero = _mm256_set1_ps(0.0);
-                // Mirrors the scalar `if v >= 0 { v } else { slope * v }`
-                // (GE is false for NaN, matching the scalar else-branch).
-                let ge0 = _mm256_cmp_ps::<_CMP_GE_OQ>(v0, zero);
-                let ge1 = _mm256_cmp_ps::<_CMP_GE_OQ>(v1, zero);
-                v0 = _mm256_blendv_ps(_mm256_mul_ps(v0, s), v0, ge0);
-                v1 = _mm256_blendv_ps(_mm256_mul_ps(v1, s), v1, ge1);
-            }
-            // Transcendental epilogues never reach this kernel — the
-            // dispatcher keeps them out of the AVX2 region (see
-            // `fused_full_dispatch`).
-            ActKind::Tanh | ActKind::Sigmoid => {
-                debug_assert!(false, "transcendental epilogue dispatched to the AVX2 tile");
-            }
-        }
-        _mm256_storeu_ps(o, v0);
-        _mm256_storeu_ps(o.add(8), v1);
     }
 }
 
@@ -631,11 +457,9 @@ fn micro_full(
     gi: usize,
     j: usize,
     out_rows: &mut [f32],
+    bias: Option<&[f32]>,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
-    for (r, accr) in acc.iter_mut().enumerate() {
-        accr.copy_from_slice(&out_rows[r * n + j..r * n + j + NR]);
-    }
     for p in 0..k {
         let arow = &at[p * m + gi..p * m + gi + MR];
         let brow = &bp[p * n + j..p * n + j + NR];
@@ -643,6 +467,13 @@ fn micro_full(
             let av = arow[r];
             for (o, &bv) in accr.iter_mut().zip(brow) {
                 *o += av * bv;
+            }
+        }
+    }
+    if let Some(bias) = bias {
+        for accr in &mut acc {
+            for (o, &b) in accr.iter_mut().zip(&bias[j..j + NR]) {
+                *o += b;
             }
         }
     }
@@ -651,43 +482,9 @@ fn micro_full(
     }
 }
 
-/// Scalar fused micro-kernel: zero-started tile, `act(acc + bias)` at store.
-#[inline]
-#[allow(clippy::too_many_arguments)] // flat panel-geometry signature, kept register-friendly
-fn fused_full(
-    k: usize,
-    m: usize,
-    n: usize,
-    at: &[f32],
-    bp: &[f32],
-    gi: usize,
-    j: usize,
-    out_rows: &mut [f32],
-    bias: &[f32],
-    act: ActKind,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..k {
-        let arow = &at[p * m + gi..p * m + gi + MR];
-        let brow = &bp[p * n + j..p * n + j + NR];
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let av = arow[r];
-            for (o, &bv) in accr.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-    let biasj = &bias[j..j + NR];
-    for (r, accr) in acc.iter().enumerate() {
-        let orow = &mut out_rows[r * n + j..r * n + j + NR];
-        for ((o, &a), &b) in orow.iter_mut().zip(accr).zip(biasj) {
-            *o = act.apply(a + b);
-        }
-    }
-}
-
 /// Edge-tile kernel for ragged `mr×nr` remainders; same per-element
-/// accumulation order as the full tile (single accumulator, `p` ascending).
+/// accumulation order and epilogue as the full tile (single accumulator
+/// from `+0.0`, `p` ascending, then the optional bias add).
 #[allow(clippy::too_many_arguments)] // flat panel-geometry signature, kept register-friendly
 fn micro_edge(
     k: usize,
@@ -700,33 +497,7 @@ fn micro_edge(
     j: usize,
     nr: usize,
     out_rows: &mut [f32],
-) {
-    for r in 0..mr {
-        for c in 0..nr {
-            let mut s = out_rows[r * n + j + c];
-            for p in 0..k {
-                s += at[p * m + gi + r] * bp[p * n + j + c];
-            }
-            out_rows[r * n + j + c] = s;
-        }
-    }
-}
-
-/// Fused edge-tile kernel (zero-started accumulator, epilogue at store).
-#[allow(clippy::too_many_arguments)] // flat panel-geometry signature, kept register-friendly
-fn fused_edge(
-    k: usize,
-    m: usize,
-    n: usize,
-    at: &[f32],
-    bp: &[f32],
-    gi: usize,
-    mr: usize,
-    j: usize,
-    nr: usize,
-    out_rows: &mut [f32],
-    bias: &[f32],
-    act: ActKind,
+    bias: Option<&[f32]>,
 ) {
     for r in 0..mr {
         for c in 0..nr {
@@ -734,7 +505,7 @@ fn fused_edge(
             for p in 0..k {
                 s += at[p * m + gi + r] * bp[p * n + j + c];
             }
-            out_rows[r * n + j + c] = act.apply(s + bias[j + c]);
+            out_rows[r * n + j + c] = bias.map_or(s, |b| s + b[j + c]);
         }
     }
 }
@@ -744,10 +515,11 @@ fn fused_edge(
 /// `out = act(a · W + bias)` — the fused dense-layer forward step.
 ///
 /// `w` is a row-major `k×n` weight slice (`k = a.cols()`), `bias` has length
-/// `n`. `out` is resized to `(a.rows(), n)` reusing its allocation. Bias add
-/// and activation happen in the micro-kernel writeback, so the output is
-/// touched exactly once; the result is bit-identical to
-/// `matmul` → `add_row_vector` → activation for every worker count.
+/// `n`. `out` is resized to `(a.rows(), n)` reusing its allocation. The
+/// tiles store `acc + bias` and the activation follows as one vectorized
+/// pass over each row chunk while it is cache-warm; the result is
+/// bit-identical to `matmul` → `add_row_vector` → activation for every
+/// worker count.
 ///
 /// # Panics
 /// Panics if `w.len() != a.cols() * n` or `bias.len() != n`.
@@ -764,25 +536,12 @@ pub fn matmul_bias_act_into(
     assert_eq!(w.len(), k * n, "matmul_bias_act weight slice size");
     assert_eq!(bias.len(), n, "matmul_bias_act bias width");
     out.resize_buffer(m, n);
-    // Transcendental activations run as a separate cache-warm pass over
-    // each chunk instead of inside the micro-kernel: calling scalar libm
-    // routines from within an AVX2 region pays SSE-transition stalls per
-    // call, and the standalone pass dispatches to the vectorized tanh. The
-    // per-element arithmetic is identical either way (store `acc + bias`,
-    // then `act` on exactly that value), so the result does not change by
-    // a single bit.
-    let (store_act, post_act) = match act {
-        ActKind::Tanh | ActKind::Sigmoid => (ActKind::Identity, Some(act)),
-        other => (other, None),
-    };
     with_pack_bufs(|at, _| {
         pack_transpose_into(a, at);
         let limit = chunk_limit(m * k * n);
         pool.run_rows_limited(m, n, out.as_mut_slice(), limit, &|r0, rows, chunk| {
-            blocked_tn_fused(k, m, n, at, w, r0, rows, chunk, bias, store_act);
-            if let Some(post) = post_act {
-                apply_act(post, chunk);
-            }
+            blocked_tn(k, m, n, at, w, r0, rows, chunk, Some(bias));
+            apply_act(act, chunk);
         });
     });
 }
@@ -798,10 +557,9 @@ pub fn matmul_at_b_slice_into(a: &Matrix, b: &Matrix, out: &mut [f32], pool: &Po
     let (k, m) = a.shape();
     let n = b.cols();
     assert_eq!(out.len(), m * n, "matmul_at_b output size");
-    out.fill(0.0);
     let limit = chunk_limit(m * k * n);
     pool.run_rows_limited(m, n, out, limit, &|r0, rows, chunk| {
-        blocked_tn(k, m, n, a.as_slice(), b.as_slice(), r0, rows, chunk);
+        blocked_tn(k, m, n, a.as_slice(), b.as_slice(), r0, rows, chunk, None);
     });
 }
 
@@ -823,13 +581,12 @@ pub fn matmul_a_bt_view_into(
     assert_eq!(b.len(), b_rows * k, "matmul_a_bt weight slice size");
     let n = b_rows;
     out.resize_buffer(m, n);
-    out.fill_zero();
     with_pack_bufs(|at, bt| {
         pack_transpose_into(a, at);
         pack_transpose_slice_into(b, n, k, bt);
         let limit = chunk_limit(m * k * n);
         pool.run_rows_limited(m, n, out.as_mut_slice(), limit, &|r0, rows, chunk| {
-            blocked_tn(k, m, n, at, bt, r0, rows, chunk);
+            blocked_tn(k, m, n, at, bt, r0, rows, chunk, None);
         });
     });
 }
@@ -1000,9 +757,7 @@ mod tests {
             let a = rng.uniform_matrix(m, k, -2.0, 2.0);
             let w = rng.uniform_matrix(k, n, -1.0, 1.0);
             let bias: Vec<f32> = (0..n).map(|_| rng.uniform(-0.5, 0.5)).collect();
-            for act in
-                [ActKind::Identity, ActKind::Tanh, ActKind::Sigmoid, ActKind::LeakyRelu(0.2)]
-            {
+            for act in [ActKind::Identity, ActKind::Tanh] {
                 // Unfused reference: matmul, then bias, then activation.
                 let mut expect = matmul(&a, &w);
                 add_row_vector(&mut expect, &bias);
@@ -1213,14 +968,5 @@ mod tests {
         apply_act(ActKind::Tanh, &mut xs);
         let got: Vec<u32> = xs.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, expect, "vector tanh drifted from the scalar reference");
-    }
-
-    #[test]
-    fn sigmoid_is_stable_at_extremes() {
-        assert!(sigmoid(100.0) <= 1.0);
-        assert!(sigmoid(-100.0) >= 0.0);
-        assert!((sigmoid(100.0) - 1.0).abs() < 1e-6);
-        assert!(sigmoid(-100.0) < 1e-6);
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
     }
 }

@@ -56,6 +56,12 @@ fn reference_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// The bit patterns of `xs`: `prop_assert_eq!` on `f32`s would let `−0.0`
+/// pass for `+0.0` and fail every `NaN`, so "bit-exact" compares these.
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
 /// `a · b` through the production forward kernel (zero bias, identity
 /// epilogue) into a dirty buffer.
 fn forward_kernel(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
@@ -121,47 +127,43 @@ proptest! {
 
     #[test]
     fn blocked_matmul_is_bit_exact_for_any_shape(
-        seed in 0u64..10_000, m in 1usize..40, k in 1usize..40, n in 1usize..40,
+        seed in 0u64..10_000, m in 1usize..40, k in 0usize..40, n in 1usize..40,
     ) {
         // Arbitrary shapes hit every full-tile/edge-tile combination of the
         // blocked kernel; results must be bit-identical to the reference.
         let mut rng = Rng64::seed_from(seed);
         let a = rng.uniform_matrix(m, k, -1.0, 1.0);
         let b = rng.uniform_matrix(k, n, -1.0, 1.0);
-        prop_assert_eq!(ops::matmul(&a, &b).as_slice(), reference_matmul(&a, &b).as_slice());
+        let reference = bits(reference_matmul(&a, &b).as_slice());
+        prop_assert_eq!(bits(ops::matmul(&a, &b).as_slice()), reference);
     }
 
     #[test]
     fn at_b_is_bit_exact_for_any_shape_and_workers(
-        seed in 0u64..10_000, k in 1usize..40, m in 1usize..40, n in 1usize..40,
+        seed in 0u64..10_000, k in 0usize..40, m in 1usize..40, n in 1usize..40,
         workers in 1usize..5,
     ) {
         let mut rng = Rng64::seed_from(seed);
         let a = rng.uniform_matrix(k, m, -1.0, 1.0);
         let b = rng.uniform_matrix(k, n, -1.0, 1.0);
-        let reference = reference_at_b(&a, &b);
-        prop_assert_eq!(at_b_kernel(&a, &b, &Pool::serial()), reference.as_slice());
-        prop_assert_eq!(at_b_kernel(&a, &b, &Pool::uncapped(workers)), reference.as_slice());
+        let reference = bits(reference_at_b(&a, &b).as_slice());
+        prop_assert_eq!(bits(&at_b_kernel(&a, &b, &Pool::serial())), reference.clone());
+        prop_assert_eq!(bits(&at_b_kernel(&a, &b, &Pool::uncapped(workers))), reference);
     }
 
-    /// Fused bias+activation epilogues must match the unfused pipeline
-    /// bit-for-bit for arbitrary shapes (every full/edge tile mix), every
-    /// activation, and every worker count.
+    /// The bias epilogue and the activation pass must match the unfused
+    /// pipeline bit-for-bit for arbitrary shapes (every full/edge tile mix),
+    /// both activations, and every worker count.
     #[test]
     fn fused_epilogue_is_bit_exact_for_any_shape(
         seed in 0u64..10_000, m in 1usize..40, k in 0usize..40, n in 1usize..40,
-        workers in 1usize..5, act_id in 0usize..4,
+        workers in 1usize..5, tanh in any::<bool>(),
     ) {
-        let act = [
-            ActKind::Identity,
-            ActKind::Tanh,
-            ActKind::Sigmoid,
-            ActKind::LeakyRelu(0.2),
-        ][act_id];
+        let act = if tanh { ActKind::Tanh } else { ActKind::Identity };
         let mut rng = Rng64::seed_from(seed);
         let a = rng.uniform_matrix(m, k, -2.0, 2.0);
-        let w = rng.uniform_matrix(k.max(1), n, -1.0, 1.0);
-        let wslice = &w.as_slice()[..k * n];
+        let w = rng.uniform_matrix(k, n, -1.0, 1.0);
+        let wslice = w.as_slice();
         let bias: Vec<f32> = (0..n).map(|_| rng.uniform(-0.5, 0.5)).collect();
         // Unfused reference over the same canonical accumulation order.
         let mut expect = Matrix::zeros(m, n);
@@ -174,9 +176,9 @@ proptest! {
                 expect[(i, j)] = act.apply(s + bias[j]);
             }
         }
-        let mut fused = Matrix::default();
+        let mut fused = Matrix::full(2, 3, 7.7);
         ops::matmul_bias_act_into(&a, wslice, n, &bias, act, &mut fused, &Pool::uncapped(workers));
-        prop_assert_eq!(fused.as_slice(), expect.as_slice());
+        prop_assert_eq!(bits(fused.as_slice()), bits(expect.as_slice()));
     }
 
     /// The slice-writing gradient kernels (weight gradients landing
@@ -184,7 +186,7 @@ proptest! {
     /// view) must be bit-exact against the references.
     #[test]
     fn slice_kernels_are_bit_exact(
-        seed in 0u64..10_000, m in 1usize..24, k in 1usize..24, n in 1usize..24,
+        seed in 0u64..10_000, m in 1usize..24, k in 0usize..40, n in 1usize..24,
         workers in 1usize..5,
     ) {
         let mut rng = Rng64::seed_from(seed);
@@ -193,39 +195,39 @@ proptest! {
         let delta = rng.uniform_matrix(k, n, -1.0, 1.0);
         let mut dw = vec![7.7f32; m * n];
         ops::matmul_at_b_slice_into(&x, &delta, &mut dw, &pool);
-        prop_assert_eq!(&dw, reference_at_b(&x, &delta).as_slice());
+        prop_assert_eq!(bits(&dw), bits(reference_at_b(&x, &delta).as_slice()));
 
         let d2 = rng.uniform_matrix(m, k, -1.0, 1.0);
         let wmat = rng.uniform_matrix(n, k, -1.0, 1.0);
-        let mut dx = Matrix::default();
+        let mut dx = Matrix::full(m, n, 7.7);
         ops::matmul_a_bt_view_into(&d2, wmat.as_slice(), n, &mut dx, &pool);
-        prop_assert_eq!(dx.as_slice(), reference_a_bt(&d2, &wmat).as_slice());
+        prop_assert_eq!(bits(dx.as_slice()), bits(reference_a_bt(&d2, &wmat).as_slice()));
     }
 
     #[test]
     fn a_bt_is_bit_exact_for_any_shape_and_workers(
-        seed in 0u64..10_000, m in 1usize..40, k in 1usize..40, n in 1usize..40,
+        seed in 0u64..10_000, m in 1usize..40, k in 0usize..40, n in 1usize..40,
         workers in 1usize..5,
     ) {
         let mut rng = Rng64::seed_from(seed);
         let a = rng.uniform_matrix(m, k, -1.0, 1.0);
         let b = rng.uniform_matrix(n, k, -1.0, 1.0);
-        let reference = reference_a_bt(&a, &b);
-        prop_assert_eq!(a_bt_kernel(&a, &b, &Pool::serial()).as_slice(), reference.as_slice());
+        let reference = bits(reference_a_bt(&a, &b).as_slice());
+        prop_assert_eq!(bits(a_bt_kernel(&a, &b, &Pool::serial()).as_slice()), reference.clone());
         let pooled = a_bt_kernel(&a, &b, &Pool::uncapped(workers));
-        prop_assert_eq!(pooled.as_slice(), reference.as_slice());
+        prop_assert_eq!(bits(pooled.as_slice()), reference);
     }
 
     #[test]
     fn pooled_matmul_is_bit_exact_for_any_shape_and_workers(
-        seed in 0u64..10_000, m in 1usize..40, k in 1usize..40, n in 1usize..40,
+        seed in 0u64..10_000, m in 1usize..40, k in 0usize..40, n in 1usize..40,
         workers in 1usize..5,
     ) {
         let mut rng = Rng64::seed_from(seed);
         let a = rng.uniform_matrix(m, k, -1.0, 1.0);
         let b = rng.uniform_matrix(k, n, -1.0, 1.0);
         let pooled = forward_kernel(&a, &b, &Pool::uncapped(workers));
-        prop_assert_eq!(pooled.as_slice(), reference_matmul(&a, &b).as_slice());
+        prop_assert_eq!(bits(pooled.as_slice()), bits(reference_matmul(&a, &b).as_slice()));
     }
 
     #[test]

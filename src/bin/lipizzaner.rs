@@ -102,6 +102,11 @@ fn cli_config(args: &[String]) -> TrainConfig {
     let grid: usize = parsed_flag(args, "--grid").unwrap_or(2);
     let rows: usize = parsed_flag(args, "--rows").unwrap_or(grid);
     let cols: usize = parsed_flag(args, "--cols").unwrap_or(grid);
+    for (flag, size) in [("--grid", grid), ("--rows", rows), ("--cols", cols)] {
+        if size == 0 {
+            fail(&format!("{flag}: a grid needs at least one row and one column, got 0"));
+        }
+    }
     let tiny = flag_present(args, "--tiny");
     let iterations: usize =
         parsed_flag(args, "--iterations").unwrap_or(if tiny { 2 } else { 6 });
@@ -804,6 +809,9 @@ fn cmd_sample(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let count: usize = parsed_flag(args, "--count").unwrap_or(4);
+    if count == 0 {
+        fail("--count: sample at least one image, got 0");
+    }
     let model = match persist::load_ensemble(std::path::Path::new(model_path)) {
         Ok(m) => m,
         Err(e) => {

@@ -13,14 +13,19 @@
 //!    the journals hold, the gather histogram holds exactly one sample per
 //!    rank-iteration on the threaded and TCP drivers, and a checkpoint
 //!    capture shows up as an "other" span.
-//! 5. **Flags**: a malformed numeric flag is refused, not defaulted.
+//! 5. **Flags**: a malformed numeric flag, a zero-size grid and an empty
+//!    sample are refused (exit 1, naming the flag), not defaulted or
+//!    panicked on.
 
 mod common;
 
 use common::{read, run, spawn_to_completion, toy_data, workdir};
-use lipizzaner::core::{ExchangeMode, Routine, TrainConfig};
+use lipizzaner::core::persist::save_ensemble;
+use lipizzaner::core::{EnsembleModel, ExchangeMode, MixtureWeights, Routine, TrainConfig};
+use lipizzaner::nn::{Generator, NetworkConfig};
 use lipizzaner::runtime::{run_distributed, DistributedOptions};
 use lipizzaner::telemetry::{parse_journal, read_journal_dir, EventKind, RankJournal};
+use lipizzaner::tensor::Rng64;
 use std::path::{Path, PathBuf};
 
 const FLAGS: [&str; 7] = ["--tiny", "--grid", "2", "--iterations", "3", "--batches", "2"];
@@ -261,26 +266,46 @@ fn tcp_ranks_sample_one_gather_wait_per_iteration() {
 fn malformed_numeric_flags_are_refused_not_defaulted() {
     let dir = workdir("bad_flags");
     let out = dir.join("x.lpz");
-    for (flag, value) in [
+    let out = out.to_str().unwrap();
+    // A digit-shaped model (784-wide output) for `sample` to refuse to read.
+    let model = dir.join("digits.lpz");
+    let cfg = NetworkConfig::tiny(lipizzaner::data::IMAGE_DIM);
+    let genome = Generator::new(&cfg, &mut Rng64::seed_from(1)).net.genome().to_vec();
+    let ensemble = EnsembleModel::new(cfg, vec![genome], MixtureWeights::from_raw(&[1.0]));
+    save_ensemble(&model, &ensemble).unwrap();
+    let model = model.to_str().unwrap();
+
+    let mut cases: Vec<(Vec<&str>, &str, &str)> = [
         ("--iterations", "abc"),
         ("--heartbeat-interval-ms", "-5"),
         ("--fault-plan", "kill:banana@x"),
-    ] {
-        let done = spawn_to_completion(&[
-            "train",
-            "--tiny",
-            "--grid",
-            "2",
-            "--driver",
-            "distributed",
-            flag,
-            value,
-            "--out",
-            out.to_str().unwrap(),
-        ]);
+    ]
+    .into_iter()
+    .map(|(flag, value)| {
+        let args =
+            vec!["train", "--tiny", "--grid", "2", "--driver", "distributed", flag, value];
+        (args, flag, value)
+    })
+    .collect();
+    // A zero-size grid or an empty sample is a usage error, not a panic.
+    cases.extend([
+        (vec!["train", "--tiny", "--grid", "0"], "--grid", "0"),
+        (
+            vec!["train", "--tiny", "--rows", "0", "--cols", "3", "--driver", "distributed"],
+            "--rows",
+            "0",
+        ),
+        (vec!["launch", "--tiny", "--grid", "0"], "--grid", "0"),
+        (vec!["sample", "--model", model, "--count", "0"], "--count", "0"),
+    ]);
+    for (mut args, flag, value) in cases {
+        args.extend(["--out", out]);
+        let done = spawn_to_completion(&args);
         let stderr = String::from_utf8_lossy(&done.stderr);
-        assert!(!done.status.success(), "`{flag} {value}` trained anyway: {stderr}");
+        let cmd = args.join(" ");
+        assert_eq!(done.status.code(), Some(1), "`{cmd}` was not refused: {stderr}");
         assert!(stderr.contains(flag) && stderr.contains(value), "unhelpful: {stderr}");
-        assert!(!out.exists(), "`{flag} {value}` still wrote a model");
+        assert!(done.stdout.is_empty(), "`{cmd}` started work before refusing it");
+        assert!(!Path::new(out).exists(), "`{cmd}` still wrote a model");
     }
 }
