@@ -66,8 +66,8 @@ fn push(
 
 /// The three kernels training runs, called the way `Mlp` calls them: fused
 /// forward with the Table I tanh epilogue, weight gradient into a flat
-/// slice, input gradient against a flat weight view — serial pool, outputs
-/// recycled across calls.
+/// slice, input gradient against a flat weight view — outputs recycled
+/// across calls.
 fn kernel_benches(entries: &mut Vec<Entry>, reps: usize) {
     let mut rng = Rng64::seed_from(1);
     let pool = Pool::serial();

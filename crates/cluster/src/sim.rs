@@ -24,7 +24,7 @@ use lipiz_core::{
 };
 use lipiz_mpi::{scheduled_replacement, ReplacementSchedule};
 use lipiz_telemetry::{EventKind, Telemetry, TelemetrySummary};
-use lipiz_tensor::{Matrix, Pool};
+use lipiz_tensor::Matrix;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -120,8 +120,8 @@ impl SimulatedCluster {
         // slaves are placements 1..=cells).
         let placement = Placement::allocate(&self.spec, cells + 1, self.opts.run_seed);
 
-        // All simulated slaves run in this one host process, so they share
-        // one resident pool. The pipeline's own recorder goes unread: the
+        // All simulated slaves run in this one host process, one cell after
+        // another on this thread. The pipeline's own recorder goes unread: the
         // simulator's ledgers and journals live on the virtual clocks below.
         let mut pipeline =
             Pipeline::whole_grid(cfg, &mut make_data, resume, Telemetry::disabled());
@@ -189,10 +189,9 @@ impl SimulatedCluster {
                 let now = vns(vx.clocks[cell].now());
                 vx.tels[cell].record_at(EventKind::Kill, cell as u32, iter as u32, 0, now);
                 let data = make_data(cell);
-                let pool = Pool::new(cfg.training.workers_per_cell);
                 let replacement = match &victim_cut {
-                    Some(state) => CellEngine::from_state(cfg, data, pool, state),
-                    None => CellEngine::with_pool(cell, cfg, data, pool),
+                    Some(state) => CellEngine::from_state(cfg, data, state),
+                    None => CellEngine::new(cell, cfg, data),
                 };
                 // The kill lands before this round's snapshot, so the most
                 // recent frame is round kill_iter-1 — exactly the death-frame

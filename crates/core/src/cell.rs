@@ -45,9 +45,6 @@ pub struct CellEngine {
     rng_mixture: Rng64,
     batch_counter: u64,
     iteration: usize,
-    /// Intra-rank worker pool: every matrix product of the iteration —
-    /// generation, evaluation, and both backward passes — fans out here.
-    pool: Pool,
     /// Recycled per-cell scratch. Together with the engine's workspace, a
     /// steady-state iteration performs zero heap allocations — asserted by
     /// the counting-allocator integration test.
@@ -115,15 +112,6 @@ impl CellEngine {
     /// Panics if the dataset width does not match the configured data
     /// dimension, or the dataset is smaller than the eval batch.
     pub fn new(cell_index: usize, cfg: &TrainConfig, data: Matrix) -> Self {
-        let pool = Pool::new(cfg.training.workers_per_cell);
-        Self::with_pool(cell_index, cfg, data, pool)
-    }
-
-    /// Like [`CellEngine::new`] but sharing an existing worker pool —
-    /// drivers that host several engines in one process (the sequential
-    /// baseline, the virtual cluster) hand every engine a clone of one pool
-    /// so the resident threads are spawned once.
-    pub fn with_pool(cell_index: usize, cfg: &TrainConfig, data: Matrix, pool: Pool) -> Self {
         let net_cfg = cfg.network.to_network_config();
         assert_eq!(data.cols(), net_cfg.data_dim, "dataset width vs network data_dim");
         assert!(data.rows() >= cfg.training.eval_batch, "dataset smaller than eval batch");
@@ -182,14 +170,13 @@ impl CellEngine {
             rng_mixture,
             batch_counter: 0,
             iteration: 0,
-            pool,
             scratch: CellScratch::new(subpop),
         }
     }
 
     /// Rebuild an engine from a captured [`CellState`] — the
     /// checkpoint-restore path. The dataset is supplied exactly as in
-    /// [`CellEngine::with_pool`] (every rank re-derives it from the config);
+    /// [`CellEngine::new`] (every rank re-derives it from the config);
     /// everything else comes from the state. A restored engine continues
     /// the run bit-identically to the engine the state was captured from.
     ///
@@ -197,7 +184,7 @@ impl CellEngine {
     /// Panics if the state fails [`CellState::validate`] against `cfg`, or
     /// the dataset shape disagrees with the configuration — a corrupt or
     /// mismatched checkpoint must never restore partially.
-    pub fn from_state(cfg: &TrainConfig, data: Matrix, pool: Pool, state: &CellState) -> Self {
+    pub fn from_state(cfg: &TrainConfig, data: Matrix, state: &CellState) -> Self {
         state.validate(cfg).expect("cell state validates against config");
         let net_cfg = cfg.network.to_network_config();
         assert_eq!(data.cols(), net_cfg.data_dim, "dataset width vs network data_dim");
@@ -239,7 +226,6 @@ impl CellEngine {
             rng_mixture: Rng64::from_state(state.rng_mixture),
             batch_counter: state.batch_counter,
             iteration: state.iteration,
-            pool,
             scratch: CellScratch::new(subpop),
         }
     }
@@ -531,7 +517,7 @@ impl CellEngine {
             lr,
             kind,
             &mut self.scratch.ws,
-            &self.pool,
+            &Pool,
         );
     }
 
@@ -549,7 +535,7 @@ impl CellEngine {
                 &self.scratch.z,
                 &mut self.scratch.fake,
                 &mut self.scratch.fwd,
-                &self.pool,
+                &Pool,
             );
         } else {
             self.scratch_gen.net.load_genome(&self.gen_pop.members()[g_idx].genome);
@@ -557,7 +543,7 @@ impl CellEngine {
                 &self.scratch.z,
                 &mut self.scratch.fake,
                 &mut self.scratch.fwd,
-                &self.pool,
+                &Pool,
             );
         }
         let lr = self.disc_pop.center().lr;
@@ -568,7 +554,7 @@ impl CellEngine {
             &self.scratch.fake,
             lr,
             &mut self.scratch.ws,
-            &self.pool,
+            &Pool,
         );
     }
 
@@ -595,7 +581,7 @@ impl CellEngine {
                 &self.scratch.z,
                 &mut self.scratch.fakes[i],
                 &mut self.scratch.fwd,
-                &self.pool,
+                &Pool,
             );
         }
 
@@ -610,14 +596,14 @@ impl CellEngine {
                 &self.eval_real,
                 &mut self.scratch.logits_real,
                 &mut self.scratch.fwd,
-                &self.pool,
+                &Pool,
             );
             for i in 0..s {
                 self.scratch_disc.logits_into(
                     &self.scratch.fakes[i],
                     &mut self.scratch.logits_fake,
                     &mut self.scratch.fwd,
-                    &self.pool,
+                    &Pool,
                 );
                 let g_loss = loss::g_loss_value(GanLoss::Heuristic, &self.scratch.logits_fake);
                 let d_loss = loss::d_bce_loss_value(
@@ -664,7 +650,6 @@ impl CellEngine {
         let assignment_seed = self.rng_mixture.derive(self.iteration as u64);
         let fakes = &self.scratch.fakes;
         let disc = &self.disc;
-        let pool = &self.pool;
         let blended = &mut self.scratch.blended;
         let logits = &mut self.scratch.logits_fake;
         let fwd_scratch = &mut self.scratch.fwd;
@@ -675,7 +660,7 @@ impl CellEngine {
                 let c = w.sample_component(&mut rng);
                 blended.row_mut(r).copy_from_slice(fakes[c].row(r));
             }
-            disc.logits_into(blended, logits, fwd_scratch, pool);
+            disc.logits_into(blended, logits, fwd_scratch, &Pool);
             loss::g_loss_value(GanLoss::Heuristic, logits) as f64
         };
         self.mixture.es_step_with(
@@ -779,24 +764,21 @@ mod tests {
     }
 
     #[test]
-    fn multithreaded_engine_is_bit_identical_to_serial() {
-        // The intra-rank pool must never change results — only wall-clock.
-        // Run the full four-phase iteration at several worker counts and
-        // require byte-identical snapshots.
+    fn reserved_workers_per_cell_slot_is_inert() {
+        // `workers_per_cell` is a reserved wire slot that nothing reads: any
+        // value must train the exact bytes of the default.
         let run_with = |workers: usize| {
-            let cfg = TrainConfig::smoke(2).with_workers(workers);
-            let data = toy_data(&cfg);
-            // Uncapped pool: the chunked kernel paths must be exercised
-            // even when the test host has fewer cores than `workers`.
-            let mut e = CellEngine::with_pool(0, &cfg, data, Pool::uncapped(workers));
+            let mut cfg = TrainConfig::smoke(2);
+            cfg.training.workers_per_cell = workers;
+            let mut e = CellEngine::new(0, &cfg, toy_data(&cfg));
             let snaps = neighbor_snaps(&mut e, 4);
             e.run_iteration(&snaps, &mut Telemetry::disabled());
             e.run_iteration(&snaps, &mut Telemetry::disabled());
             e.snapshot()
         };
-        let serial = run_with(1);
-        for workers in [2, 3, 4] {
-            assert_eq!(run_with(workers), serial, "drift at {workers} workers");
+        let reference = run_with(1);
+        for workers in 2..=4 {
+            assert_eq!(run_with(workers), reference, "drift at workers_per_cell = {workers}");
         }
     }
 
@@ -979,7 +961,7 @@ mod tests {
         first_half.run_iteration(&snaps, &mut Telemetry::disabled());
         let state = first_half.capture_state();
         drop(first_half);
-        let mut resumed = CellEngine::from_state(&cfg, toy_data(&cfg), Pool::new(1), &state);
+        let mut resumed = CellEngine::from_state(&cfg, toy_data(&cfg), &state);
         assert_eq!(resumed.iterations_done(), 2);
         resumed.run_iteration(&snaps, &mut Telemetry::disabled());
         resumed.run_iteration(&snaps, &mut Telemetry::disabled());
@@ -1016,7 +998,7 @@ mod tests {
         let state = e.capture_state();
         let mut other = cfg.clone();
         other.network.hidden_units += 1;
-        let _ = CellEngine::from_state(&other, toy_data(&other), Pool::new(1), &state);
+        let _ = CellEngine::from_state(&other, toy_data(&other), &state);
     }
 
     #[test]

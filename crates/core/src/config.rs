@@ -256,11 +256,10 @@ pub struct TrainingConfig {
     pub data_seed: u64,
     /// Rows of the fixed evaluation batch used for fitness.
     pub eval_batch: usize,
-    /// Worker threads per cell engine for the intra-rank level of the
-    /// paper's two-level parallelism (§III-A). Every matrix product of the
-    /// training iteration — forward, backward, and evaluation — fans out to
-    /// this many threads; results are bit-identical for every value.
-    /// `1` (the default) runs fully inline.
+    /// Reserved and inert: nothing reads it, since the cell is the only unit
+    /// of parallelism (one rank thread per cell). It stays so the wire
+    /// format, and manifests written with any value, still decode. `1` by
+    /// convention.
     pub workers_per_cell: usize,
     /// Partition the dataset into per-cell shards instead of replicating it
     /// (the data-dieting setup). Carried in the configuration — not as a
@@ -550,14 +549,6 @@ impl TrainConfig {
         self
     }
 
-    /// Same config with `workers` threads per cell engine (min 1). Training
-    /// results are bit-identical for every worker count; only wall-clock
-    /// changes.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.training.workers_per_cell = workers.max(1);
-        self
-    }
-
     /// Same config with per-cell data sharding toggled.
     pub fn with_shards(mut self, shard: bool) -> Self {
         self.training.shard_data = shard;
@@ -688,13 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn workers_toggle_clamps_to_one() {
-        assert_eq!(TrainConfig::smoke(2).with_workers(4).training.workers_per_cell, 4);
-        assert_eq!(TrainConfig::smoke(2).with_workers(0).training.workers_per_cell, 1);
-        assert_eq!(TrainConfig::smoke(2).training.workers_per_cell, 1);
-    }
-
-    #[test]
     fn transport_kind_parses_and_displays() {
         use std::str::FromStr;
         assert_eq!(TransportKind::from_str("tcp"), Ok(TransportKind::Tcp));
@@ -789,7 +773,6 @@ mod tests {
             TrainConfig::paper_table1(),
             TrainConfig::smoke(2),
             TrainConfig::smoke(3).with_mustangs(),
-            TrainConfig::smoke(2).with_workers(4),
             TrainConfig::smoke(2).with_shards(true),
             TrainConfig::smoke(2).with_checkpoints("/tmp/ckpt", 3).with_pause_after(1),
             TrainConfig::smoke(2).with_fault_plan("kill:3@2;delay:1>2:*@4:50", 2),
@@ -799,6 +782,18 @@ mod tests {
         ] {
             assert_eq!(TrainConfig::from_bytes(&cfg.to_bytes()).unwrap(), cfg);
         }
+    }
+
+    #[test]
+    fn reserved_workers_slot_round_trips() {
+        // Nothing reads the slot, but a config holding any value must still
+        // decode to itself (manifests written with it keep resuming).
+        let mut cfg = TrainConfig::smoke(2);
+        assert_eq!(cfg.training.workers_per_cell, 1);
+        cfg.training.workers_per_cell = 4;
+        let back = TrainConfig::from_bytes(&cfg.to_bytes()).unwrap();
+        assert_eq!(back.training.workers_per_cell, 4);
+        assert_eq!(back, cfg);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::profiling::Routine;
 use crate::resume::CellState;
 use crate::snapshot::CellSnapshot;
 use lipiz_telemetry::{EventKind, Telemetry, NO_CELL};
-use lipiz_tensor::{Matrix, Pool};
+use lipiz_tensor::Matrix;
 use std::time::{Duration, Instant};
 
 /// How one generation of center snapshots travels between the ranks of a
@@ -227,13 +227,12 @@ impl Pipeline {
         }
     }
 
-    /// The whole grid as one rank, every engine on one shared worker pool
-    /// (the cells run one after another, so they can share the resident
-    /// threads): fresh engines, or — the resume path — engines restored from
-    /// `resume`, the captured per-cell states in flat grid order, whose
-    /// exchange frames — each holding the slots its own cell reads —
-    /// merged re-prime the pipeline. `make_data` supplies each cell's
-    /// dataset either way.
+    /// The whole grid as one rank, its cells run one after another on the
+    /// calling thread: fresh engines, or — the resume path — engines
+    /// restored from `resume`, the captured per-cell states in flat grid
+    /// order, whose exchange frames — each holding the slots its own cell
+    /// reads — merged re-prime the pipeline. `make_data` supplies each
+    /// cell's dataset either way.
     ///
     /// # Panics
     /// Panics if `resume` disagrees with the grid: wrong count, out of cell
@@ -245,18 +244,16 @@ impl Pipeline {
         resume: Option<&[CellState]>,
         telemetry: Telemetry,
     ) -> Self {
-        let pool = Pool::new(cfg.training.workers_per_cell);
         let Some(states) = resume else {
-            let engines = (0..cfg.cells())
-                .map(|i| CellEngine::with_pool(i, cfg, make_data(i), pool.clone()))
-                .collect();
+            let engines =
+                (0..cfg.cells()).map(|i| CellEngine::new(i, cfg, make_data(i))).collect();
             return Self::new(cfg, engines, telemetry);
         };
         crate::resume::assert_grid_states(states, cfg.cells());
         let engines = states
             .iter()
             .enumerate()
-            .map(|(i, s)| CellEngine::from_state(cfg, make_data(i), pool.clone(), s))
+            .map(|(i, s)| CellEngine::from_state(cfg, make_data(i), s))
             .collect();
         let mut pipeline = Self::new(cfg, engines, telemetry);
         // Each cut carries the slots its cell reads, all of one generation.
@@ -731,7 +728,7 @@ mod tests {
         let engines = (0..4)
             .map(|k| {
                 let cut = first.capture_cut(k, None);
-                CellEngine::from_state(&cfg, toy_data(&cfg), lipiz_tensor::Pool::new(1), &cut)
+                CellEngine::from_state(&cfg, toy_data(&cfg), &cut)
             })
             .collect();
         Pipeline::new(&cfg, engines, Telemetry::disabled()).resume_from(Vec::new());
@@ -873,7 +870,7 @@ mod tests {
     fn resume_drops_the_slots_an_older_cut_carries_beyond_the_read_set() {
         let (cfg, mut grid, full) = grid_4x4_after_one_iteration();
         let cut = grid.capture_cut(5, None);
-        let engine = CellEngine::from_state(&cfg, toy_data(&cfg), Pool::new(1), &cut);
+        let engine = CellEngine::from_state(&cfg, toy_data(&cfg), &cut);
         let mut rank = Pipeline::new(&cfg, vec![engine], Telemetry::disabled());
         rank.resume_from(full.clone());
         assert_eq!(rank.latest_frame(), only(&full, rank.read_set()));
@@ -886,7 +883,7 @@ mod tests {
     fn resume_refuses_a_frame_that_lacks_a_read_slot() {
         let (cfg, mut grid, full) = grid_4x4_after_one_iteration();
         let cut = grid.capture_cut(5, None);
-        let engine = CellEngine::from_state(&cfg, toy_data(&cfg), Pool::new(1), &cut);
+        let engine = CellEngine::from_state(&cfg, toy_data(&cfg), &cut);
         let mut rank = Pipeline::new(&cfg, vec![engine], Telemetry::disabled());
         rank.resume_from(only(&full, &[1, 4, 6]));
     }

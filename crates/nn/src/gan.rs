@@ -121,7 +121,7 @@ impl Generator {
 
     /// Generate images from a latent batch into recycled buffers: the
     /// images land in `out`, `scratch` holds intermediate activations. Zero
-    /// allocations once warmed up; bit-identical for every worker count.
+    /// allocations once warmed up.
     pub fn generate_into(
         &self,
         z: &Matrix,
@@ -162,8 +162,7 @@ impl Discriminator {
     }
 
     /// Real/fake logits `(batch, 1)` for a data batch, into recycled
-    /// buffers (zero allocations once warmed up; bit-identical for every
-    /// worker count).
+    /// buffers (zero allocations once warmed up).
     pub fn logits_into(&self, x: &Matrix, out: &mut Matrix, scratch: &mut Matrix, pool: &Pool) {
         self.net.forward_into(x, out, scratch, pool);
     }
@@ -182,9 +181,7 @@ pub fn latent_batch_into(rng: &mut Rng64, n: usize, dim: usize, out: &mut Matrix
 
 /// One discriminator Adam step against a batch of real samples and a batch
 /// of fake samples, over a recycled [`TrainWorkspace`] (zero allocations in
-/// steady state). Every matrix product fans out to `pool` (the paper's
-/// two-level parallelism); the result is bit-identical for every worker
-/// count. Returns the BCE loss before the update.
+/// steady state). Returns the BCE loss before the update.
 pub fn train_discriminator_step_ws(
     d: &mut Discriminator,
     adam: &mut Adam,
@@ -227,9 +224,8 @@ pub fn train_discriminator_step_ws(
 
 /// One generator Adam step against a (frozen) discriminator for the latent
 /// batch `z`, under the given loss variant, over a recycled
-/// [`TrainWorkspace`] (zero allocations in steady state; bit-identical for
-/// every worker count of `pool`). Returns the generator loss before the
-/// update. Backprop through the frozen discriminator uses the
+/// [`TrainWorkspace`] (zero allocations in steady state). Returns the
+/// generator loss before the update. Backprop through the frozen discriminator uses the
 /// input-gradient-only pass — its weight gradients would be discarded, so
 /// skipping the `xᵀ·δ` product of every D layer changes nothing observable
 /// and removes ~a third of the step's flops.

@@ -17,9 +17,10 @@
 //!
 //! Every forward, backward and training step takes its buffers from the
 //! caller ([`LayerCache`], [`Grads`], [`DeltaScratch`], or a whole
-//! [`TrainWorkspace`]) and a [`lipiz_tensor::Pool`] for the matrix products:
-//! one entry point per step, zero allocations once the buffers are warm, and
-//! results that are bit-identical for every worker count.
+//! [`TrainWorkspace`]): one entry point per step, zero allocations once the
+//! buffers are warm. Every step runs on the calling thread — the cell, not
+//! the kernel, is the unit of parallelism — and the [`lipiz_tensor::Pool`]
+//! argument is the zero-sized serial marker.
 //!
 //! Networks expose their parameters as a flat `Vec<f32>` *genome*: the
 //! coevolutionary layer (crate `lipiz-core`) treats networks as individuals,
@@ -40,7 +41,7 @@
 //! let z = gan::latent_batch(&mut rng, 16, g.latent_dim());
 //! let mut adam = Adam::new(g.net.param_count());
 //!
-//! // One workspace and one pool serve every step; the caller owns both.
+//! // One workspace serves every step; the caller owns it.
 //! let (mut ws, pool) = (TrainWorkspace::default(), Pool::serial());
 //! let kind = GanLoss::Heuristic;
 //! let before = gan::train_generator_step_ws(&mut g, &d, &mut adam, &z, 1e-2, kind, &mut ws, &pool);

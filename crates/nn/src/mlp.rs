@@ -208,9 +208,8 @@ impl Mlp {
 
     /// Forward pass without caching (inference) into recycled buffers: the
     /// result lands in `out`, `scratch` holds intermediate activations
-    /// (ping-pong). `pool` fans the matrix products out (two-level
-    /// parallelism inside a rank). Performs zero heap allocations once both
-    /// buffers have warmed up to the network's widest layer.
+    /// (ping-pong). Performs zero heap allocations once both buffers have
+    /// warmed up to the network's widest layer.
     pub fn forward_into(
         &self,
         x: &Matrix,
@@ -250,7 +249,6 @@ impl Mlp {
     /// Forward pass that caches every layer's activation in a recycled
     /// [`LayerCache`] for [`Mlp::backward_ws`]. The input batch is *not*
     /// copied (pass it to the backward pass alongside the cache).
-    /// Bit-identical for every worker count of `pool`.
     pub fn forward_cached_ws(&self, x: &Matrix, cache: &mut LayerCache, pool: &Pool) {
         assert_eq!(x.cols(), self.input_dim(), "input width");
         let ln = self.specs.len();
@@ -271,8 +269,7 @@ impl Mlp {
     /// intermediate matrix, no copy). When `dx` is `Some`, `∂L/∂input` is
     /// written into it (needed to continue backpropagation into another
     /// network). The two transposed gradient products dominate the train
-    /// routine (Table IV); they fan out to `pool` and are bit-identical for
-    /// every worker count.
+    /// routine (Table IV).
     ///
     /// # Panics
     /// Panics if the cache depth does not match the network.
@@ -473,35 +470,6 @@ mod tests {
         assert_eq!(y.shape(), (4, 2));
         assert_eq!(cache.layer(0).shape(), (4, 5));
         assert_eq!(cache.layer(1).as_slice(), cache.output().as_slice());
-    }
-
-    #[test]
-    fn pooled_forward_matches_serial() {
-        let mut rng = Rng64::seed_from(11);
-        let net =
-            Mlp::from_dims(&[32, 64, 16], Activation::Tanh, Activation::Identity, &mut rng);
-        let x = rng.uniform_matrix(32, 32, -1.0, 1.0);
-        let serial = forward(&net, &x, &Pool::serial());
-        let pooled = forward(&net, &x, &Pool::uncapped(3));
-        assert!(serial.max_abs_diff(&pooled) < 1e-6);
-    }
-
-    #[test]
-    fn pooled_backward_is_bit_identical_to_serial() {
-        // The drivers assert bit-identical genomes across worker counts, so
-        // the pooled backward pass must not drift by a single bit.
-        let mut rng = Rng64::seed_from(12);
-        let net =
-            Mlp::from_dims(&[24, 48, 32], Activation::Tanh, Activation::Identity, &mut rng);
-        let x = rng.uniform_matrix(16, 24, -1.0, 1.0);
-        let (out, grads, dx) = forward_backward(&net, &x, Matrix::clone, &Pool::serial());
-        for workers in 1..=4 {
-            let pool = Pool::uncapped(workers);
-            let (pout, pg, pdx) = forward_backward(&net, &x, Matrix::clone, &pool);
-            assert_eq!(pout.as_slice(), out.as_slice());
-            assert_eq!(pg.as_slice(), grads.as_slice(), "grads drift at {workers} workers");
-            assert_eq!(pdx.as_slice(), dx.as_slice(), "dx drift at {workers} workers");
-        }
     }
 
     #[test]

@@ -124,7 +124,7 @@ proptest! {
     /// Full GAN training steps through one *recycled* workspace are
     /// bit-identical to the same steps through a fresh
     /// `TrainWorkspace::default()` each, for arbitrary topologies, batch
-    /// sizes, seeds and worker counts — after several steps, so buffer reuse
+    /// sizes and seeds — after several steps, so buffer reuse
     /// across steps is covered, and with one shared (dirty) workspace
     /// serving both networks.
     #[test]
@@ -132,9 +132,8 @@ proptest! {
         cfg in net_cfg_strategy(),
         batch in 1usize..9,
         seed in 0u64..1000,
-        workers in 1usize..4,
     ) {
-        let pool = Pool::uncapped(workers);
+        let pool = Pool::serial();
         let mut rng = Rng64::seed_from(seed);
         let mut g_fresh = Generator::new(&cfg, &mut rng);
         let mut d_fresh = Discriminator::new(&cfg, &mut rng);
@@ -199,13 +198,12 @@ proptest! {
 
     /// Fused bias+activation epilogues must be bit-identical to the unfused
     /// pipeline through the full network forward (tanh hidden layers, an
-    /// identity output, odd shapes, any worker count).
+    /// identity output, odd shapes).
     #[test]
     fn fused_forward_matches_unfused_pipeline(
         dims in dims_strategy(),
         batch in 1usize..8,
         seed in 0u64..1000,
-        workers in 1usize..4,
     ) {
         use lipiz_tensor::ops;
         let mut rng = Rng64::seed_from(seed);
@@ -220,7 +218,7 @@ proptest! {
             next.map_inplace(|v| spec.act.apply(v));
             a = next;
         }
-        let fused = forward(&net, &x, &Pool::uncapped(workers));
+        let fused = forward(&net, &x, &Pool::serial());
         prop_assert_eq!(fused.as_slice(), a.as_slice());
     }
 

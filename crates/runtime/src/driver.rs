@@ -239,18 +239,26 @@ mod tests {
     }
 
     #[test]
-    fn multithreaded_slaves_match_serial_slaves_exactly() {
-        // Two-level parallelism end-to-end: slaves running their engines on
-        // a multi-worker pool must produce byte-identical results to serial
-        // slaves (and therefore to the sequential baseline).
-        let serial_cfg = TrainConfig::smoke(2);
-        let threaded_cfg = TrainConfig::smoke(2).with_workers(2);
-        let serial = run_distributed(&serial_cfg, toy_data, DistributedOptions::default());
-        let threaded = run_distributed(&threaded_cfg, toy_data, DistributedOptions::default());
-        for (s, t) in serial.report.cells.iter().zip(&threaded.report.cells) {
-            assert_eq!(s.gen_fitness, t.gen_fitness, "cell {} gen fitness", s.cell);
-            assert_eq!(s.disc_fitness, t.disc_fitness, "cell {} disc fitness", s.cell);
-            assert_eq!(s.mixture_weights, t.mixture_weights, "cell {} mixture", s.cell);
+    fn reserved_workers_per_cell_slot_is_inert_end_to_end() {
+        // Nothing reads `workers_per_cell`: slaves handed any value in the
+        // wire config must train exactly what the default trains.
+        let reference_cfg = TrainConfig::smoke(2);
+        let reference =
+            run_distributed(&reference_cfg, toy_data, DistributedOptions::default());
+        for workers in 2..=4 {
+            let mut cfg = TrainConfig::smoke(2);
+            cfg.training.workers_per_cell = workers;
+            let run = run_distributed(&cfg, toy_data, DistributedOptions::default());
+            for (s, t) in reference.report.cells.iter().zip(&run.report.cells) {
+                assert_eq!(s.gen_fitness, t.gen_fitness, "cell {} gen fitness", s.cell);
+                assert_eq!(s.disc_fitness, t.disc_fitness, "cell {} disc fitness", s.cell);
+                assert_eq!(s.mixture_weights, t.mixture_weights, "cell {} mixture", s.cell);
+            }
+            assert_eq!(
+                run.best_ensemble(&cfg),
+                reference.best_ensemble(&reference_cfg),
+                "ensemble drift at workers_per_cell = {workers}"
+            );
         }
     }
 

@@ -23,7 +23,7 @@ use crate::state::SlaveState;
 use lipiz_core::{CellEngine, CellResult, Grid, Pipeline, TrainConfig};
 use lipiz_mpi::{process_faults_enabled, replacement_schedule, DegradedGather, FaultPlan};
 use lipiz_telemetry::{EventKind, Telemetry};
-use lipiz_tensor::{Matrix, Pool};
+use lipiz_tensor::Matrix;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
@@ -174,8 +174,7 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                         .unwrap_or_else(|e| {
                             panic!("cell {cell_index}: restore from iteration {iter}: {e}")
                         });
-                        let pool = Pool::new(exec_cfg.training.workers_per_cell);
-                        let engine = CellEngine::from_state(&exec_cfg, data, pool, &state);
+                        let engine = CellEngine::from_state(&exec_cfg, data, &state);
                         (engine, state.exchange_frame)
                     }
                 };

@@ -5,9 +5,10 @@
 //! transposed variants backpropagation needs, with a runtime-dispatched
 //! AVX2 micro-kernel that stays bit-identical to the portable path),
 //! elementwise kernels, axis reductions, a deterministic [`rng::Rng64`]
-//! with Gaussian sampling, and a resident worker [`pool::Pool`] that
-//! provides the *intra-process* level of the paper's two-level parallel
-//! model (threads inside a rank, message passing across ranks).
+//! with Gaussian sampling. Every kernel runs on the thread that calls it:
+//! the unit of parallelism is the grid cell, one rank thread per cell, and
+//! [`Pool`] is only the zero-sized serial marker the product signatures
+//! take.
 //!
 //! Everything is deliberately `f32`: the GANs reproduced here (MLPs from
 //! Table I of the paper) train in single precision, and half the memory
@@ -23,13 +24,12 @@
 //! let b = rng.uniform_matrix(3, 5, -1.0, 1.0);
 //! let c = ops::matmul(&a, &b);
 //! assert_eq!(c.shape(), (4, 5));
-//! // The training kernels write into caller-owned buffers and take a pool;
-//! // the result is bit-identical for every worker count.
-//! let (mut serial, mut pooled) = (Matrix::default(), Matrix::default());
-//! ops::matmul_a_bt_view_into(&c, b.as_slice(), 3, &mut serial, &Pool::serial());
-//! ops::matmul_a_bt_view_into(&c, b.as_slice(), 3, &mut pooled, &Pool::new(2));
-//! assert_eq!(serial.shape(), (4, 3));
-//! assert_eq!(pooled.as_slice(), serial.as_slice());
+//! // The training kernels write into caller-owned buffers; `c · bᵀ` is
+//! // bit-identical to the plain product against the explicit transpose.
+//! let mut out = Matrix::default();
+//! ops::matmul_a_bt_view_into(&c, b.as_slice(), 3, &mut out, &Pool::serial());
+//! assert_eq!(out.shape(), (4, 3));
+//! assert_eq!(out.as_slice(), ops::matmul(&c, &b.transpose()).as_slice());
 //! ```
 
 pub mod error;

@@ -26,8 +26,8 @@
 //!
 //! The dense-layer forward pass is `act(x·W + b)`. The tile's only epilogue
 //! is an optional bias add: [`matmul_bias_act_into`] stores `acc + bias[j]`,
-//! then runs the activation as one vectorized [`apply_act`] pass over each
-//! row chunk while it is still cache-warm. The gradient products store the
+//! then runs the activation as one vectorized [`apply_act`] pass over the
+//! output. The gradient products store the
 //! bare `acc`. Per element the FP sequence is identical to `matmul` →
 //! `add_row_vector` → `apply_act` (same adds, same activation function,
 //! same order), so fused and unfused are bit-equal — property-tested, not
@@ -35,19 +35,18 @@
 //!
 //! # Scratch reuse
 //!
-//! Panel packing writes into per-thread recycled buffers instead of fresh
-//! allocations, so a steady-state training step performs no heap allocation
-//! inside any kernel here.
+//! Panel packing writes into per-thread recycled buffers (one pair per rank
+//! thread) instead of fresh allocations, so a steady-state training step
+//! performs no heap allocation inside any kernel here.
 //!
 //! # Determinism
 //!
-//! Every product — serial, fused, and pooled at any worker count —
-//! accumulates each output element in a single `f32` accumulator over `p`
-//! in ascending order. Tiling only regroups *independent* elements, so all
-//! of them are bit-identical to the naive triple loop; the distributed
-//! drivers rely on this to stay byte-identical across worker counts. The
-//! AVX2 tile uses separate `vmulps`/`vaddps` — never FMA — for the same
-//! reason.
+//! Every product runs on the calling thread and, fused or not, accumulates
+//! each output element in a single `f32` accumulator over `p` in ascending
+//! order. Tiling only regroups *independent* elements, so all of them are
+//! bit-identical to the naive triple loop; the distributed drivers rely on
+//! this to stay byte-identical to the sequential one. The AVX2 tile uses
+//! separate `vmulps`/`vaddps` — never FMA — for the same reason.
 
 use crate::matrix::Matrix;
 use crate::pool::Pool;
@@ -57,20 +56,6 @@ use std::cell::RefCell;
 const MR: usize = 4;
 /// Register-tile width (columns of the output micro-tile).
 const NR: usize = 16;
-
-/// Minimum multiply-add count *per worker* before a pooled product fans a
-/// chunk out: below this, the condvar hand-off and the cache traffic of
-/// splitting cost more than the chunk saves, so small shapes run inline and
-/// mid-sized shapes cap their fan-out (`flops / MIN_MADDS_PER_WORKER`
-/// chunks at most).
-const MIN_MADDS_PER_WORKER: usize = 1 << 20;
-
-/// How many ways of parallelism a product of `madds` multiply-adds is
-/// worth. `1` means "run inline".
-#[inline]
-fn chunk_limit(madds: usize) -> usize {
-    (madds / MIN_MADDS_PER_WORKER).max(1)
-}
 
 // ---- activations ------------------------------------------------------------
 
@@ -312,58 +297,53 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(m, n);
     with_pack_bufs(|at, _| {
         pack_transpose_into(a, at);
-        blocked_tn(k, m, n, at, b.as_slice(), 0, m, out.as_mut_slice(), None);
+        blocked_tn(k, m, n, at, b.as_slice(), out.as_mut_slice(), None);
     });
     out
 }
 
 // ---- blocked canonical kernel ----------------------------------------------
 
-/// Canonical blocked product over output rows `[r0, r0 + rows)`:
+/// Canonical blocked product:
 /// `out[i][j] = Σ_p at[p·m + i] · bp[p·n + j]`, plus `bias[j]` when given.
 ///
 /// `at` is the `k×m` left panel ("A transposed"), `bp` the `k×n` right
-/// panel, and `out` the chunk of the output covering exactly the given row
-/// range (`rows·n` elements). Every element of `out` is written exactly
-/// once; its prior contents are never read.
-#[allow(clippy::too_many_arguments)] // flat panel-geometry signature, kept register-friendly
+/// panel, and `out` the `m×n` output. Every element of `out` is written
+/// exactly once; its prior contents are never read.
 fn blocked_tn(
     k: usize,
     m: usize,
     n: usize,
     at: &[f32],
     bp: &[f32],
-    r0: usize,
-    rows: usize,
     out: &mut [f32],
     bias: Option<&[f32]>,
 ) {
     debug_assert_eq!(at.len(), k * m);
     debug_assert_eq!(bp.len(), k * n);
-    debug_assert_eq!(out.len(), rows * n);
+    debug_assert_eq!(out.len(), m * n);
     debug_assert!(bias.is_none_or(|b| b.len() == n));
-    debug_assert!(r0 + rows <= m);
     let wide = have_wide_simd();
     let mut i = 0;
-    while i < rows {
-        let mr = MR.min(rows - i);
+    while i < m {
+        let mr = MR.min(m - i);
         let out_rows = &mut out[i * n..];
         let mut j = 0;
         while j < n {
             let nr = NR.min(n - j);
             if mr < MR || nr < NR {
-                micro_edge(k, m, n, at, bp, r0 + i, mr, j, nr, out_rows, bias);
+                micro_edge(k, m, n, at, bp, i, mr, j, nr, out_rows, bias);
             } else if wide {
                 // SAFETY: `wide` is true only where AVX2 was detected at
-                // runtime; this is a full tile (`r0 + i + MR <= m`,
-                // `j + NR <= n`, `MR` rows of `out_rows` left) over the
-                // `k×m` / `k×n` panels and width-`n` bias the callers size.
+                // runtime; this is a full tile (`i + MR <= m`, `j + NR <= n`,
+                // `MR` rows of `out_rows` left) over the `k×m` / `k×n`
+                // panels and width-`n` bias the callers size.
                 #[cfg(target_arch = "x86_64")]
                 unsafe {
-                    micro_full_avx2(k, m, n, at, bp, r0 + i, j, out_rows, bias)
+                    micro_full_avx2(k, m, n, at, bp, i, j, out_rows, bias)
                 };
             } else {
-                micro_full(k, m, n, at, bp, r0 + i, j, out_rows, bias);
+                micro_full(k, m, n, at, bp, i, j, out_rows, bias);
             }
             j += nr;
         }
@@ -517,9 +497,8 @@ fn micro_edge(
 /// `w` is a row-major `k×n` weight slice (`k = a.cols()`), `bias` has length
 /// `n`. `out` is resized to `(a.rows(), n)` reusing its allocation. The
 /// tiles store `acc + bias` and the activation follows as one vectorized
-/// pass over each row chunk while it is cache-warm; the result is
-/// bit-identical to `matmul` → `add_row_vector` → activation for every
-/// worker count.
+/// pass over the output; the result is bit-identical to `matmul` →
+/// `add_row_vector` → activation.
 ///
 /// # Panics
 /// Panics if `w.len() != a.cols() * n` or `bias.len() != n`.
@@ -530,7 +509,7 @@ pub fn matmul_bias_act_into(
     bias: &[f32],
     act: ActKind,
     out: &mut Matrix,
-    pool: &Pool,
+    _pool: &Pool,
 ) {
     let (m, k) = a.shape();
     assert_eq!(w.len(), k * n, "matmul_bias_act weight slice size");
@@ -538,12 +517,9 @@ pub fn matmul_bias_act_into(
     out.resize_buffer(m, n);
     with_pack_bufs(|at, _| {
         pack_transpose_into(a, at);
-        let limit = chunk_limit(m * k * n);
-        pool.run_rows_limited(m, n, out.as_mut_slice(), limit, &|r0, rows, chunk| {
-            blocked_tn(k, m, n, at, w, r0, rows, chunk, Some(bias));
-            apply_act(act, chunk);
-        });
+        blocked_tn(k, m, n, at, w, out.as_mut_slice(), Some(bias));
     });
+    apply_act(act, out.as_mut_slice());
 }
 
 /// `out = aᵀ · b` written into a flat `a.cols() × b.cols()` slice — the
@@ -552,15 +528,12 @@ pub fn matmul_bias_act_into(
 ///
 /// # Panics
 /// Panics if the shared dimension or `out.len()` disagree.
-pub fn matmul_at_b_slice_into(a: &Matrix, b: &Matrix, out: &mut [f32], pool: &Pool) {
+pub fn matmul_at_b_slice_into(a: &Matrix, b: &Matrix, out: &mut [f32], _pool: &Pool) {
     assert_eq!(a.rows(), b.rows(), "matmul_at_b shared dim");
     let (k, m) = a.shape();
     let n = b.cols();
     assert_eq!(out.len(), m * n, "matmul_at_b output size");
-    let limit = chunk_limit(m * k * n);
-    pool.run_rows_limited(m, n, out, limit, &|r0, rows, chunk| {
-        blocked_tn(k, m, n, a.as_slice(), b.as_slice(), r0, rows, chunk, None);
-    });
+    blocked_tn(k, m, n, a.as_slice(), b.as_slice(), out, None);
 }
 
 /// `out = a · Bᵀ` where `B` is a row-major `b_rows × a.cols()` slice — the
@@ -575,7 +548,7 @@ pub fn matmul_a_bt_view_into(
     b: &[f32],
     b_rows: usize,
     out: &mut Matrix,
-    pool: &Pool,
+    _pool: &Pool,
 ) {
     let (m, k) = a.shape();
     assert_eq!(b.len(), b_rows * k, "matmul_a_bt weight slice size");
@@ -584,10 +557,7 @@ pub fn matmul_a_bt_view_into(
     with_pack_bufs(|at, bt| {
         pack_transpose_into(a, at);
         pack_transpose_slice_into(b, n, k, bt);
-        let limit = chunk_limit(m * k * n);
-        pool.run_rows_limited(m, n, out.as_mut_slice(), limit, &|r0, rows, chunk| {
-            blocked_tn(k, m, n, at, bt, r0, rows, chunk, None);
-        });
+        blocked_tn(k, m, n, at, bt, out.as_mut_slice(), None);
     });
 }
 
@@ -780,63 +750,38 @@ mod tests {
                     expect.as_slice(),
                     "{m}x{k}x{n} {act:?} fused drift"
                 );
-                // Pooled fused path must agree too.
-                let pool = Pool::uncapped(3);
-                let mut pooled = Matrix::zeros(0, 0);
-                matmul_bias_act_into(&a, w.as_slice(), n, &bias, act, &mut pooled, &pool);
-                assert_eq!(pooled.as_slice(), expect.as_slice(), "pooled fused drift");
             }
         }
     }
 
     #[test]
-    fn pooled_forward_kernel_is_bit_exact_for_any_worker_count() {
+    fn forward_kernel_is_bit_exact_vs_plain_product() {
         // Determinism, not mere closeness: the distributed drivers assert
-        // bit-identical genomes, so the row-partitioned kernel must produce
-        // exactly the serial result regardless of pool size or run order.
+        // bit-identical genomes, so the forward kernel must reproduce the
+        // plain product exactly, on every call into a dirty buffer.
         let mut rng = Rng64::seed_from(22);
         let a = rng.uniform_matrix(23, 17, -1.0, 1.0);
         let b = rng.uniform_matrix(17, 11, -1.0, 1.0);
         let serial = matmul(&a, &b);
-        for workers in 1..=4 {
-            let pool = Pool::uncapped(workers);
-            for _ in 0..3 {
-                assert_eq!(
-                    ab_fused(&a, &b, &pool).as_slice(),
-                    serial.as_slice(),
-                    "bit drift with {workers} workers"
-                );
-            }
+        for _ in 0..3 {
+            assert_eq!(ab_fused(&a, &b, &Pool::serial()).as_slice(), serial.as_slice());
         }
     }
 
     #[test]
-    fn pooled_backprop_kernels_are_bit_exact() {
+    fn backprop_kernels_are_bit_exact_on_full_tiles() {
         let mut rng = Rng64::seed_from(23);
         let x = rng.uniform_matrix(64, 48, -1.0, 1.0);
         let delta = rng.uniform_matrix(64, 56, -1.0, 1.0);
         let w = rng.uniform_matrix(48, 56, -1.0, 1.0);
-        let serial_at_b = at_b(&x, &delta, &Pool::serial());
-        let serial_a_bt = a_bt(&delta, &w, &Pool::serial());
-        for workers in 1..=4 {
-            let pool = Pool::uncapped(workers);
-            assert_eq!(at_b(&x, &delta, &pool).as_slice(), serial_at_b.as_slice());
-            assert_eq!(a_bt(&delta, &w, &pool).as_slice(), serial_a_bt.as_slice());
-        }
-    }
-
-    #[test]
-    fn work_size_gate_keeps_small_products_inline() {
-        // A product under the per-worker flop floor must produce the same
-        // result through the pooled entry points (the gate is a pure
-        // dispatch decision). 8×8×8 = 512 madds is far below the gate.
-        let mut rng = Rng64::seed_from(24);
-        let a = rng.uniform_matrix(8, 8, -1.0, 1.0);
-        let b = rng.uniform_matrix(8, 8, -1.0, 1.0);
-        let pool = Pool::uncapped(4);
-        assert_eq!(ab_fused(&a, &b, &pool).as_slice(), matmul(&a, &b).as_slice());
-        assert_eq!(chunk_limit(8 * 8 * 8), 1, "tiny product must stay inline");
-        assert!(chunk_limit(100 * 784 * 256) > 1, "paper-scale product may fan out");
+        assert_eq!(
+            at_b(&x, &delta, &Pool::serial()).as_slice(),
+            naive_matmul_at_b(&x, &delta).as_slice()
+        );
+        assert_eq!(
+            a_bt(&delta, &w, &Pool::serial()).as_slice(),
+            naive_matmul_a_bt(&delta, &w).as_slice()
+        );
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 
 /// `a · b` through the production forward kernel (zero bias, identity
 /// epilogue) into a dirty buffer.
-fn forward_kernel(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
+fn forward_kernel(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::full(2, 3, 7.7);
     let bias = vec![0.0; b.cols()];
     ops::matmul_bias_act_into(
@@ -74,22 +74,22 @@ fn forward_kernel(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
         &bias,
         ActKind::Identity,
         &mut out,
-        pool,
+        &Pool::serial(),
     );
     out
 }
 
 /// `aᵀ · b` through the production weight-gradient kernel into a dirty slice.
-fn at_b_kernel(a: &Matrix, b: &Matrix, pool: &Pool) -> Vec<f32> {
+fn at_b_kernel(a: &Matrix, b: &Matrix) -> Vec<f32> {
     let mut out = vec![7.7f32; a.cols() * b.cols()];
-    ops::matmul_at_b_slice_into(a, b, &mut out, pool);
+    ops::matmul_at_b_slice_into(a, b, &mut out, &Pool::serial());
     out
 }
 
 /// `a · bᵀ` through the production input-gradient kernel into a dirty buffer.
-fn a_bt_kernel(a: &Matrix, b: &Matrix, pool: &Pool) -> Matrix {
+fn a_bt_kernel(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::full(2, 3, 7.7);
-    ops::matmul_a_bt_view_into(a, b.as_slice(), b.rows(), &mut out, pool);
+    ops::matmul_a_bt_view_into(a, b.as_slice(), b.rows(), &mut out, &Pool::serial());
     out
 }
 
@@ -116,16 +116,6 @@ proptest! {
     }
 
     #[test]
-    fn pooled_matmul_equals_serial(seed in 0u64..10_000, workers in 1usize..4) {
-        let mut rng = Rng64::seed_from(seed);
-        let a = rng.uniform_matrix(17, 23, -1.0, 1.0);
-        let b = rng.uniform_matrix(23, 11, -1.0, 1.0);
-        let serial = ops::matmul(&a, &b);
-        let pooled = forward_kernel(&a, &b, &Pool::uncapped(workers));
-        prop_assert!(serial.max_abs_diff(&pooled) < 1e-5);
-    }
-
-    #[test]
     fn blocked_matmul_is_bit_exact_for_any_shape(
         seed in 0u64..10_000, m in 1usize..40, k in 0usize..40, n in 1usize..40,
     ) {
@@ -139,25 +129,23 @@ proptest! {
     }
 
     #[test]
-    fn at_b_is_bit_exact_for_any_shape_and_workers(
+    fn at_b_is_bit_exact_for_any_shape(
         seed in 0u64..10_000, k in 0usize..40, m in 1usize..40, n in 1usize..40,
-        workers in 1usize..5,
     ) {
         let mut rng = Rng64::seed_from(seed);
         let a = rng.uniform_matrix(k, m, -1.0, 1.0);
         let b = rng.uniform_matrix(k, n, -1.0, 1.0);
         let reference = bits(reference_at_b(&a, &b).as_slice());
-        prop_assert_eq!(bits(&at_b_kernel(&a, &b, &Pool::serial())), reference.clone());
-        prop_assert_eq!(bits(&at_b_kernel(&a, &b, &Pool::uncapped(workers))), reference);
+        prop_assert_eq!(bits(&at_b_kernel(&a, &b)), reference);
     }
 
     /// The bias epilogue and the activation pass must match the unfused
-    /// pipeline bit-for-bit for arbitrary shapes (every full/edge tile mix),
-    /// both activations, and every worker count.
+    /// pipeline bit-for-bit for arbitrary shapes (every full/edge tile mix)
+    /// and both activations.
     #[test]
     fn fused_epilogue_is_bit_exact_for_any_shape(
         seed in 0u64..10_000, m in 1usize..40, k in 0usize..40, n in 1usize..40,
-        workers in 1usize..5, tanh in any::<bool>(),
+        tanh in any::<bool>(),
     ) {
         let act = if tanh { ActKind::Tanh } else { ActKind::Identity };
         let mut rng = Rng64::seed_from(seed);
@@ -177,7 +165,7 @@ proptest! {
             }
         }
         let mut fused = Matrix::full(2, 3, 7.7);
-        ops::matmul_bias_act_into(&a, wslice, n, &bias, act, &mut fused, &Pool::uncapped(workers));
+        ops::matmul_bias_act_into(&a, wslice, n, &bias, act, &mut fused, &Pool::serial());
         prop_assert_eq!(bits(fused.as_slice()), bits(expect.as_slice()));
     }
 
@@ -187,10 +175,9 @@ proptest! {
     #[test]
     fn slice_kernels_are_bit_exact(
         seed in 0u64..10_000, m in 1usize..24, k in 0usize..40, n in 1usize..24,
-        workers in 1usize..5,
     ) {
         let mut rng = Rng64::seed_from(seed);
-        let pool = Pool::uncapped(workers);
+        let pool = Pool::serial();
         let x = rng.uniform_matrix(k, m, -1.0, 1.0);
         let delta = rng.uniform_matrix(k, n, -1.0, 1.0);
         let mut dw = vec![7.7f32; m * n];
@@ -205,29 +192,25 @@ proptest! {
     }
 
     #[test]
-    fn a_bt_is_bit_exact_for_any_shape_and_workers(
+    fn a_bt_is_bit_exact_for_any_shape(
         seed in 0u64..10_000, m in 1usize..40, k in 0usize..40, n in 1usize..40,
-        workers in 1usize..5,
     ) {
         let mut rng = Rng64::seed_from(seed);
         let a = rng.uniform_matrix(m, k, -1.0, 1.0);
         let b = rng.uniform_matrix(n, k, -1.0, 1.0);
         let reference = bits(reference_a_bt(&a, &b).as_slice());
-        prop_assert_eq!(bits(a_bt_kernel(&a, &b, &Pool::serial()).as_slice()), reference.clone());
-        let pooled = a_bt_kernel(&a, &b, &Pool::uncapped(workers));
-        prop_assert_eq!(bits(pooled.as_slice()), reference);
+        prop_assert_eq!(bits(a_bt_kernel(&a, &b).as_slice()), reference);
     }
 
     #[test]
-    fn pooled_matmul_is_bit_exact_for_any_shape_and_workers(
+    fn forward_kernel_is_bit_exact_for_any_shape(
         seed in 0u64..10_000, m in 1usize..40, k in 0usize..40, n in 1usize..40,
-        workers in 1usize..5,
     ) {
         let mut rng = Rng64::seed_from(seed);
         let a = rng.uniform_matrix(m, k, -1.0, 1.0);
         let b = rng.uniform_matrix(k, n, -1.0, 1.0);
-        let pooled = forward_kernel(&a, &b, &Pool::uncapped(workers));
-        prop_assert_eq!(bits(pooled.as_slice()), bits(reference_matmul(&a, &b).as_slice()));
+        let fused = forward_kernel(&a, &b);
+        prop_assert_eq!(bits(fused.as_slice()), bits(reference_matmul(&a, &b).as_slice()));
     }
 
     #[test]

@@ -89,6 +89,18 @@ fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     Some(value.parse().unwrap_or_else(|_| fail(&format!("{name}: not a number: {value:?}"))))
 }
 
+/// [`parsed_flag`] for a count that must be at least one (grid sides,
+/// iterations, cadences, samples). `0` would leave nothing to train, save
+/// or show, so it is refused naming the flag — never clamped up or run as
+/// a silent no-op.
+fn positive_flag(args: &[String], name: &str) -> Option<usize> {
+    let n = parsed_flag(args, name)?;
+    if n == 0 {
+        fail(&format!("{name}: must be at least 1, got 0"));
+    }
+    Some(n)
+}
+
 fn flag_present(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
@@ -99,17 +111,11 @@ fn flag_present(args: &[String], name: &str) -> bool {
 /// config (Table I shape, reduced capacity). Non-square grids come from
 /// `--rows`/`--cols`, which override `--grid`.
 fn cli_config(args: &[String]) -> TrainConfig {
-    let grid: usize = parsed_flag(args, "--grid").unwrap_or(2);
-    let rows: usize = parsed_flag(args, "--rows").unwrap_or(grid);
-    let cols: usize = parsed_flag(args, "--cols").unwrap_or(grid);
-    for (flag, size) in [("--grid", grid), ("--rows", rows), ("--cols", cols)] {
-        if size == 0 {
-            fail(&format!("{flag}: a grid needs at least one row and one column, got 0"));
-        }
-    }
+    let grid = positive_flag(args, "--grid").unwrap_or(2);
+    let rows = positive_flag(args, "--rows").unwrap_or(grid);
+    let cols = positive_flag(args, "--cols").unwrap_or(grid);
     let tiny = flag_present(args, "--tiny");
-    let iterations: usize =
-        parsed_flag(args, "--iterations").unwrap_or(if tiny { 2 } else { 6 });
+    let iterations = positive_flag(args, "--iterations").unwrap_or(if tiny { 2 } else { 6 });
     let batches: usize = parsed_flag(args, "--batches").unwrap_or(if tiny { 2 } else { 4 });
 
     let mut cfg = TrainConfig::smoke(2);
@@ -188,11 +194,11 @@ fn apply_fault_flags(cfg: &mut TrainConfig, args: &[String]) {
 /// per-host state — so every rank of a distributed run derives the same
 /// checkpoint behavior from the wire config alone.
 fn apply_checkpoint_flags(cfg: &mut TrainConfig, args: &[String]) {
+    let every = positive_flag(args, "--checkpoint-every").unwrap_or(1);
     if let Some(dir) = flag_value(args, "--checkpoint-dir") {
-        let every: usize = parsed_flag(args, "--checkpoint-every").unwrap_or(1);
         *cfg = cfg.clone().with_checkpoints(dir, every);
     }
-    if let Some(k) = parsed_flag(args, "--pause-after") {
+    if let Some(k) = positive_flag(args, "--pause-after") {
         *cfg = cfg.clone().with_pause_after(k);
     }
 }
@@ -255,7 +261,8 @@ fn cmd_resume(args: &[String]) -> ExitCode {
     // unless a new pause point is given.
     cfg.checkpoint.dir = Some(from.to_string());
     cfg.checkpoint.pause_after = None;
-    if let Some(k) = parsed_flag(args, "--pause-after") {
+    let pause_after = positive_flag(args, "--pause-after");
+    if let Some(k) = pause_after {
         cfg = cfg.with_pause_after(k);
     }
     // The manifest carries the interrupted run's telemetry settings; fresh
@@ -272,6 +279,13 @@ fn cmd_resume(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Some(k) = pause_after.filter(|&k| k <= resume_from) {
+        eprintln!(
+            "--pause-after {k}: the cut in {from} is already at iteration {resume_from}; \
+             a pause point must lie after it"
+        );
+        return ExitCode::FAILURE;
+    }
     println!("resuming from {from} at iteration {resume_from}");
     run_training(cfg, args, Some(resume_from))
 }
@@ -808,10 +822,7 @@ fn cmd_sample(args: &[String]) -> ExitCode {
         eprintln!("sample requires --model FILE.lpz");
         return ExitCode::FAILURE;
     };
-    let count: usize = parsed_flag(args, "--count").unwrap_or(4);
-    if count == 0 {
-        fail("--count: sample at least one image, got 0");
-    }
+    let count = positive_flag(args, "--count").unwrap_or(4);
     let model = match persist::load_ensemble(std::path::Path::new(model_path)) {
         Ok(m) => m,
         Err(e) => {

@@ -12,7 +12,7 @@
 //!
 //! | layer | crate | contents |
 //! |-------|-------|----------|
-//! | numerics | [`tensor`] | matrices, kernels, seeded RNG, worker pool |
+//! | numerics | [`tensor`] | matrices, kernels, seeded RNG |
 //! | networks | [`nn`] | MLPs with manual backprop, GAN losses, Adam |
 //! | data | [`data`] | synthetic MNIST-like digits, ring toy set, loaders |
 //! | metrics | [`metrics`] | classifier, inception score, FID, coverage |

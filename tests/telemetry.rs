@@ -13,9 +13,10 @@
 //!    the journals hold, the gather histogram holds exactly one sample per
 //!    rank-iteration on the threaded and TCP drivers, and a checkpoint
 //!    capture shows up as an "other" span.
-//! 5. **Flags**: a malformed numeric flag, a zero-size grid and an empty
-//!    sample are refused (exit 1, naming the flag), not defaulted or
-//!    panicked on.
+//! 5. **Flags**: a malformed numeric flag, a zero-size grid, an empty
+//!    sample, a zero iteration / pause / checkpoint count and a resume pause
+//!    point at or before the cut are refused (exit 1, naming the flag), not
+//!    defaulted, clamped or panicked on.
 
 mod common;
 
@@ -274,6 +275,28 @@ fn malformed_numeric_flags_are_refused_not_defaulted() {
     let ensemble = EnsembleModel::new(cfg, vec![genome], MixtureWeights::from_raw(&[1.0]));
     save_ensemble(&model, &ensemble).unwrap();
     let model = model.to_str().unwrap();
+    let ck = dir.join("ck");
+    let ck = ck.to_str().unwrap();
+    // A committed cut at iteration 4 for `resume` to refuse stale pause points.
+    let cut = dir.join("cut");
+    let cut = cut.to_str().unwrap();
+    let paused = dir.join("paused.lpz");
+    run(&[
+        "train",
+        "--tiny",
+        "--grid",
+        "2",
+        "--iterations",
+        "6",
+        "--checkpoint-dir",
+        cut,
+        "--checkpoint-every",
+        "2",
+        "--pause-after",
+        "4",
+        "--out",
+        paused.to_str().unwrap(),
+    ]);
 
     let mut cases: Vec<(Vec<&str>, &str, &str)> = [
         ("--iterations", "abc"),
@@ -297,6 +320,39 @@ fn malformed_numeric_flags_are_refused_not_defaulted() {
         ),
         (vec!["launch", "--tiny", "--grid", "0"], "--grid", "0"),
         (vec!["sample", "--model", model, "--count", "0"], "--count", "0"),
+    ]);
+    // A count that leaves nothing to train, save or commit is refused on every
+    // driver, before any rank or slave process starts.
+    for driver in ["sequential", "distributed", "cluster-sim"] {
+        let args =
+            vec!["train", "--tiny", "--grid", "2", "--driver", driver, "--iterations", "0"];
+        cases.push((args, "--iterations", "0"));
+    }
+    cases.extend([
+        (vec!["launch", "--tiny", "--grid", "2", "--iterations", "0"], "--iterations", "0"),
+        (
+            vec![
+                "train",
+                "--tiny",
+                "--iterations",
+                "4",
+                "--checkpoint-dir",
+                ck,
+                "--pause-after",
+                "0",
+            ],
+            "--pause-after",
+            "0",
+        ),
+        (
+            vec!["train", "--tiny", "--checkpoint-dir", ck, "--checkpoint-every", "0"],
+            "--checkpoint-every",
+            "0",
+        ),
+        // A pause point at or before the cut would train nothing.
+        (vec!["resume", "--from", cut, "--pause-after", "2"], "--pause-after 2", "iteration 4"),
+        (vec!["resume", "--from", cut, "--pause-after", "4"], "--pause-after 4", "iteration 4"),
+        (vec!["resume", "--from", cut, "--pause-after", "0"], "--pause-after", "0"),
     ]);
     for (mut args, flag, value) in cases {
         args.extend(["--out", out]);

@@ -45,7 +45,6 @@ use lipizzaner::mpi::Comm;
 use lipizzaner::runtime::checkpoint::write_cell_state_with;
 use lipizzaner::runtime::comm_manager::{CommExchange, CommManager};
 use lipizzaner::telemetry::Telemetry;
-use lipizzaner::tensor::Pool;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,10 +136,7 @@ fn steady_state_iteration_allocates_nothing() {
     // evolution) runs inside the measured window.
     let mut cfg = TrainConfig::smoke(2);
     cfg.coevolution.iterations = 64; // never reached; engine driven manually
-    let data = toy_data(&cfg);
-
-    // --- serial pool: the strict assertion --------------------------------
-    let mut engine = CellEngine::new(0, &cfg, data.clone());
+    let mut engine = CellEngine::new(0, &cfg, toy_data(&cfg));
     let snaps: Vec<CellSnapshot> = (0..4).map(|_| engine.snapshot()).collect();
 
     // Warmup sizes every recycled buffer (and crosses a loader epoch).
@@ -150,7 +146,7 @@ fn steady_state_iteration_allocates_nothing() {
     let steady = allocations_over(&mut engine, &snaps, 6, &mut Telemetry::disabled());
     assert_eq!(
         steady, 0,
-        "steady-state serial training iterations must perform zero heap allocations"
+        "steady-state training iterations must perform zero heap allocations"
     );
 
     // Recycled snapshot capture is allocation-free too.
@@ -164,22 +160,6 @@ fn steady_state_iteration_allocates_nothing() {
     let before = allocations();
     engine.capture_state_into(&mut state);
     assert_eq!(allocations() - before, 0, "capture_state_into must not allocate");
-
-    // --- pooled engine: dispatch must not allocate either -----------------
-    // (Uncapped so the chunked kernel paths actually run on a 1-core CI
-    // host; the job hand-off is a condvar wake, not an allocation.)
-    let mut pooled = CellEngine::with_pool(0, &cfg, data, Pool::uncapped(2));
-    let psnaps: Vec<CellSnapshot> = (0..4).map(|_| pooled.snapshot()).collect();
-    // A long warm-up: the kernels' pack buffers are thread-local, and which
-    // worker draws which chunk is up to the scheduler — on a multi-core host
-    // a worker can meet its largest panel late. (With 4 warm-up iterations
-    // this assertion failed about every third run on two cores.)
-    allocations_over(&mut pooled, &psnaps, 64, &mut Telemetry::disabled());
-    let steady = allocations_over(&mut pooled, &psnaps, 6, &mut Telemetry::disabled());
-    assert_eq!(
-        steady, 0,
-        "steady-state pooled training iterations must perform zero heap allocations"
-    );
 }
 
 /// `--telemetry` must keep the invariant: journaling span events into the
@@ -188,10 +168,7 @@ fn steady_state_iteration_allocates_nothing() {
 fn steady_state_with_telemetry_allocates_nothing() {
     let mut cfg = TrainConfig::smoke(2);
     cfg.coevolution.iterations = 64; // never reached; engine driven manually
-    let data = toy_data(&cfg);
-
-    // --- serial, telemetry on --------------------------------------------
-    let mut engine = CellEngine::new(0, &cfg, data.clone());
+    let mut engine = CellEngine::new(0, &cfg, toy_data(&cfg));
     let snaps: Vec<CellSnapshot> = (0..4).map(|_| engine.snapshot()).collect();
     let mut tel = Telemetry::enabled(1, 64); // small ring: overwrites mid-window
     allocations_over(&mut engine, &snaps, 4, &mut tel);
@@ -206,17 +183,6 @@ fn steady_state_with_telemetry_allocates_nothing() {
     // The overflow path (ring overwrite + dropped counter) is part of the
     // steady state: a 64-slot ring has wrapped by now.
     assert!(tel.dropped() > 0, "ring should have wrapped inside the window");
-
-    // --- pooled, telemetry on --------------------------------------------
-    let mut pooled = CellEngine::with_pool(0, &cfg, data, Pool::uncapped(2));
-    let psnaps: Vec<CellSnapshot> = (0..4).map(|_| pooled.snapshot()).collect();
-    let mut ptel = Telemetry::enabled(1, 64);
-    allocations_over(&mut pooled, &psnaps, 64, &mut ptel); // see the untraced pooled case
-    let steady = allocations_over(&mut pooled, &psnaps, 6, &mut ptel);
-    assert_eq!(
-        steady, 0,
-        "steady-state pooled iterations with telemetry enabled must perform zero heap allocations"
-    );
 }
 
 /// The loop around the engines: a steady-state [`Pipeline::step`] of the
