@@ -19,7 +19,7 @@ use crate::platform::ClusterSpec;
 use crate::report::{CommStats, SimOutcome};
 use crate::vtime::RankClock;
 use lipiz_core::{
-    CellEngine, CellResult, CellSnapshot, CellState, Exchange, Grid, Pipeline, ProfileReport,
+    CellEngine, CellResult, CellState, Exchange, FrameSlot, Grid, Pipeline, ProfileReport,
     Routine, TrainConfig, TrainReport,
 };
 use lipiz_mpi::{scheduled_replacement, ReplacementSchedule};
@@ -98,7 +98,7 @@ impl SimulatedCluster {
         cfg: &TrainConfig,
         make_data: impl FnMut(usize) -> Matrix,
         resume: Option<&[CellState]>,
-        on_iteration: impl FnMut(usize, &mut [CellEngine], &[CellSnapshot]),
+        on_iteration: impl FnMut(usize, &mut [CellEngine], &[FrameSlot]),
     ) -> SimOutcome {
         self.simulate(cfg, make_data, resume, on_iteration).0
     }
@@ -111,7 +111,7 @@ impl SimulatedCluster {
         cfg: &TrainConfig,
         mut make_data: impl FnMut(usize) -> Matrix,
         resume: Option<&[CellState]>,
-        mut on_iteration: impl FnMut(usize, &mut [CellEngine], &[CellSnapshot]),
+        mut on_iteration: impl FnMut(usize, &mut [CellEngine], &[FrameSlot]),
     ) -> (SimOutcome, Vec<TelemetrySummary>) {
         let host_start = Instant::now();
         let grid = Grid::from_config(&cfg.grid);
@@ -333,7 +333,7 @@ impl Exchange for VirtualExchange<'_> {
     /// Gather accounting for iteration `iter`: snapshot cost, then the
     /// allgather — a sync point in sync mode and at the async bootstrap, the
     /// exposed wait on the in-flight generation otherwise.
-    fn begin(&mut self, iter: usize, frame: &[CellSnapshot], costs: &[Duration]) {
+    fn begin(&mut self, iter: usize, frame: &[FrameSlot], costs: &[Duration]) {
         let cells = self.clocks.len();
         let live: Vec<usize> = (0..cells).filter(|&c| !self.absent(c, iter)).collect();
         let mut posted_at = vec![0.0f64; cells];
@@ -342,7 +342,7 @@ impl Exchange for VirtualExchange<'_> {
             let virt = costs[c].as_secs_f64() * self.speed_of(c);
             self.clocks[c].advance(virt + self.opts.per_iteration_overhead);
             posted_at[c] = self.clocks[c].now();
-            max_bytes = max_bytes.max(frame[c].wire_size());
+            max_bytes = max_bytes.max(frame[c].as_ref().map_or(0, |s| s.wire_size()));
         }
         // Allgather: every *live* rank waits for the slowest of them, then
         // pays the transfer cost (a dead rank neither delays the sync nor
@@ -406,7 +406,7 @@ impl Exchange for VirtualExchange<'_> {
         }
     }
 
-    fn complete(&mut self, _gen: usize, _frame: &mut Vec<CellSnapshot>, _tel: &mut Telemetry) {}
+    fn complete(&mut self, _gen: usize, _frame: &mut [FrameSlot], _tel: &mut Telemetry) {}
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use crate::individual::{Individual, SubPopulation};
 use crate::mixture::{EnsembleModel, MixtureWeights};
 use crate::profiling::Routine;
 use crate::resume::CellState;
-use crate::snapshot::CellSnapshot;
+use crate::snapshot::{CellSnapshot, EncodedSnapshot, Genome, SnapshotRef};
 use crate::topology::Grid;
 use lipiz_data::BatchLoader;
 use lipiz_nn::{
@@ -316,43 +316,62 @@ impl CellEngine {
         snap
     }
 
-    /// [`CellEngine::snapshot`] into a recycled snapshot — the
-    /// zero-allocation path the drivers use every iteration (genome buffers
-    /// are reused in place).
+    /// [`CellEngine::snapshot`] into a recycled snapshot (genome buffers
+    /// are reused in place, so it allocates nothing).
     pub fn snapshot_into(&mut self, out: &mut CellSnapshot) {
         self.sync_center_genomes();
+        out.copy_from(self.center_pair());
+    }
+
+    /// The center pair encoded into `slot` — the cell's own exchange-frame
+    /// slot, whose buffer is what the exchange posts to the cell's readers.
+    /// The buffer is rewritten in place when no reader still holds the
+    /// previous generation ([`EncodedSnapshot::refill`]); this is the path
+    /// every driver takes every iteration.
+    pub fn encode_snapshot_into(&mut self, slot: &mut Option<EncodedSnapshot>) {
+        self.sync_center_genomes();
+        let pair = self.center_pair();
+        match slot {
+            Some(encoded) => encoded.refill(pair),
+            None => *slot = Some(EncodedSnapshot::new(pair)),
+        }
+    }
+
+    /// The center pair, borrowed.
+    fn center_pair(&self) -> SnapshotRef<'_> {
         let g = self.gen_pop.center();
         let d = self.disc_pop.center();
-        out.cell = self.cell_index;
-        out.gen_genome.clear();
-        out.gen_genome.extend_from_slice(&g.genome);
-        out.gen_lr = g.lr;
-        out.gen_loss = g.loss;
-        out.gen_fitness = g.fitness;
-        out.disc_genome.clear();
-        out.disc_genome.extend_from_slice(&d.genome);
-        out.disc_lr = d.lr;
-        out.disc_fitness = d.fitness;
+        SnapshotRef {
+            cell: self.cell_index,
+            gen_genome: Genome::Floats(&g.genome),
+            gen_lr: g.lr,
+            gen_loss: g.loss,
+            gen_fitness: g.fitness,
+            disc_genome: Genome::Floats(&d.genome),
+            disc_lr: d.lr,
+            disc_fitness: d.fitness,
+        }
     }
 
     /// Run one full training iteration given this round's neighbor
-    /// snapshots (in neighbor-slot order) — a contiguous slice, or the
+    /// snapshots (in neighbor-slot order) — decoded snapshots, or the
     /// pipeline's view of the exchange-frame slots this cell reads, imported
-    /// straight from the frame. Each Table IV phase runs under a span of
-    /// `tel` — the rank's recorder, or `Telemetry::disabled()` when nobody
-    /// reads the timing — and the measured host time of the four phases
-    /// comes back in execution order: ingest (the cell's share of *gather*),
-    /// mutate, train, update genomes.
+    /// straight from the bytes they arrived in. Each Table IV phase runs
+    /// under a span of `tel` — the rank's recorder, or
+    /// `Telemetry::disabled()` when nobody reads the timing — and the
+    /// measured host time of the four phases comes back in execution order:
+    /// ingest (the cell's share of *gather*), mutate, train, update genomes.
     pub fn run_iteration<'a, I>(&mut self, neighbors: I, tel: &mut Telemetry) -> [Duration; 4]
     where
-        I: IntoIterator<Item = &'a CellSnapshot>,
+        I: IntoIterator,
+        I::Item: Into<SnapshotRef<'a>>,
         I::IntoIter: ExactSizeIterator,
     {
         let (cell, iter) = (self.cell_index as u32, self.iteration as u32);
         // The ingest copy is gather time but not a gather latency sample:
         // that is the rank's blocking exchange wait alone.
         let start = tel.begin(Routine::Gather, cell, iter).unsampled();
-        self.ingest(neighbors.into_iter());
+        self.ingest(neighbors.into_iter().map(Into::into));
         let phases = [
             tel.end(Routine::Gather, cell, iter, start),
             self.timed(tel, Routine::Mutate, Self::mutate_phase),
@@ -379,14 +398,15 @@ impl CellEngine {
     /// Panics if the number of snapshots does not match the neighborhood,
     /// or one of them is empty or mis-sized.
     pub fn ingest_neighbors(&mut self, neighbors: &[CellSnapshot]) {
-        self.ingest(neighbors.iter());
+        self.ingest(neighbors.iter().map(SnapshotRef::from));
     }
 
     /// The one ingest routine: one copy of each neighbor's center pair into
-    /// its import slot. A snapshot that is not a full center pair — above
-    /// all the empty shell a frame slot outside the rank's read set holds —
-    /// is refused here, before it could train as a silent all-zero import.
-    fn ingest<'a>(&mut self, neighbors: impl ExactSizeIterator<Item = &'a CellSnapshot>) {
+    /// its import slot, from decoded floats or straight from the wire bytes.
+    /// A snapshot that is not a full center pair — above all the empty
+    /// slot of a frame outside the rank's read set — is refused here,
+    /// before it could train as a silent all-zero import.
+    fn ingest<'a>(&mut self, neighbors: impl ExactSizeIterator<Item = SnapshotRef<'a>>) {
         assert_eq!(
             neighbors.len(),
             self.gen_pop.len() - 1,
@@ -402,14 +422,14 @@ impl CellEngine {
             );
             self.gen_pop.assign_import(
                 slot + 1,
-                &snap.gen_genome,
+                snap.gen_genome,
                 snap.gen_lr,
                 snap.gen_loss,
                 snap.gen_fitness,
             );
             self.disc_pop.assign_import(
                 slot + 1,
-                &snap.disc_genome,
+                snap.disc_genome,
                 snap.disc_lr,
                 GanLoss::Heuristic,
                 snap.disc_fitness,

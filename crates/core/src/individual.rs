@@ -1,6 +1,7 @@
 //! Individuals (network genomes + evolvable hyperparameters) and
 //! sub-populations.
 
+use crate::snapshot::Genome;
 use lipiz_nn::GanLoss;
 use lipiz_tensor::Rng64;
 
@@ -101,22 +102,23 @@ impl SubPopulation {
 
     /// [`SubPopulation::set_import`] from borrowed fields, recycling the
     /// slot's genome buffer — the gather phase's zero-allocation path
-    /// (steady-state imports always have the same genome length).
+    /// (steady-state imports always have the same genome length). The
+    /// genome is copied once, from decoded floats or straight from the
+    /// bytes it arrived in.
     ///
     /// # Panics
     /// Panics when writing slot 0 or out of range.
     pub fn assign_import(
         &mut self,
         slot: usize,
-        genome: &[f32],
+        genome: Genome<'_>,
         lr: f32,
         loss: GanLoss,
         fitness: f64,
     ) {
         assert!(slot >= 1 && slot < self.members.len(), "import slot out of range");
         let m = &mut self.members[slot];
-        m.genome.clear();
-        m.genome.extend_from_slice(genome);
+        genome.copy_into(&mut m.genome);
         m.lr = lr;
         m.loss = loss;
         m.fitness = fitness;

@@ -76,9 +76,9 @@ pub use config::{
 };
 pub use individual::{Individual, SubPopulation};
 pub use mixture::{EnsembleModel, MixtureWeights};
-pub use pipeline::{Exchange, InMemoryExchange, Pipeline};
+pub use pipeline::{Exchange, FrameSlot, InMemoryExchange, Pipeline};
 pub use profiling::{ProfileReport, Routine};
 pub use report::{CellResult, TrainReport};
 pub use resume::CellState;
-pub use snapshot::CellSnapshot;
+pub use snapshot::{CellSnapshot, EncodedSnapshot, Genome, GenomeLens, SnapshotRef};
 pub use topology::{Grid, NeighborhoodPattern};

@@ -33,22 +33,33 @@
 //! rank populates only its **read set** ([`Pipeline::read_set`], the union
 //! of its engines' neighbour slots — a function of `(grid, local cells)`)
 //! plus the slots of its own cells, which it posts. Every other slot stays
-//! [`CellSnapshot::empty`] for the life of the run: the exchange decodes
-//! nothing into it, a checkpoint cut does not carry it, and each engine
-//! imports `frame[slot]` straight from the frame — one decode and one
-//! ingest copy per neighbour, no fan-out buffer in between. A rank's memory
-//! is therefore its engines plus `(|read set| + local cells) × snapshot ×
-//! {1 frame sync, 3 frames async}` (the pipeline's two and the exchange
-//! thread's one), whatever the size of the grid.
+//! `None` for the life of the run: the exchange fills nothing into it and a
+//! checkpoint cut does not carry it.
+//!
+//! A slot is a [`FrameSlot`]: a handle on the encoded snapshot in the
+//! buffer it was encoded or arrived in, never a decoded copy. Each local
+//! cell encodes straight from its engine into its own slot, and that buffer
+//! is the one the exchange posts to the cell's readers; a neighbour's slot
+//! holds the payload its snapshot arrived in, validated once on receipt;
+//! and each engine imports `frame[slot]` straight from those bytes. So a
+//! neighbour's byte is copied once between the wire and its import slot,
+//! on every driver, and a frame owns no genome memory: a rank's memory is
+//! its engines plus the payloads its frames and its readers still hold
+//! (its own last few generations), whatever the size of the grid.
 
 use crate::cell::CellEngine;
 use crate::config::{ExchangeMode, TrainConfig};
 use crate::profiling::Routine;
 use crate::resume::CellState;
-use crate::snapshot::CellSnapshot;
+use crate::snapshot::{CellSnapshot, EncodedSnapshot, SnapshotRef};
 use lipiz_telemetry::{EventKind, Telemetry, NO_CELL};
 use lipiz_tensor::Matrix;
 use std::time::{Duration, Instant};
+
+/// One exchange-frame slot: the snapshot of the cell with that flat index,
+/// encoded, in the buffer it was encoded or arrived in — `None` for a cell
+/// the rank neither hosts nor reads.
+pub type FrameSlot = Option<EncodedSnapshot>;
 
 /// How one generation of center snapshots travels between the ranks of a
 /// run. An exchange serves one rank and is built for that rank's read set
@@ -60,22 +71,20 @@ use std::time::{Duration, Instant};
 pub trait Exchange {
     /// Post generation `gen` without waiting for it. `frame` has one slot
     /// per grid cell; the slots of this rank's local cells hold their fresh
-    /// snapshots. `costs[k]` is the host time local engine `k` spent
-    /// producing its snapshot — the input of a cost-model exchange;
-    /// transports ignore it.
-    fn begin(&mut self, gen: usize, frame: &[CellSnapshot], costs: &[Duration]);
+    /// snapshots, each in the buffer a transport posts as it is.
+    /// `costs[k]` is the host time local engine `k` spent producing its
+    /// snapshot — the input of a cost-model exchange; transports ignore it.
+    fn begin(&mut self, gen: usize, frame: &[FrameSlot], costs: &[Duration]);
 
     /// Block until generation `gen` is complete and leave the snapshot of
-    /// every cell in the rank's read set in its slot of `frame` — the
-    /// buffer `begin(gen)` saw, its slots still holding whatever generation
-    /// they held last, genome buffers included: a transport decodes into
-    /// them in place (or swaps the whole buffer for one it filled
-    /// elsewhere) instead of allocating a frame. Slots outside the read set
-    /// are not the exchange's to fill: a transport leaves them as they are
-    /// — empty, but for the rank's own posted snapshots.
+    /// every cell in the rank's read set in its slot of `frame` (one slot
+    /// per grid cell): a handle on the buffer it arrived in, replacing the
+    /// handle the slot held — nothing is decoded or copied. Slots outside
+    /// the read set are not the exchange's to fill: a transport leaves them
+    /// as they are — `None`, but for the rank's own posted snapshots.
     /// `tel` is the rank's recorder, for what only the transport knows
     /// (which ranks it had to substitute).
-    fn complete(&mut self, gen: usize, frame: &mut Vec<CellSnapshot>, tel: &mut Telemetry);
+    fn complete(&mut self, gen: usize, frame: &mut [FrameSlot], tel: &mut Telemetry);
 }
 
 /// The exchange of a rank that hosts the whole grid: every slot is local,
@@ -84,9 +93,9 @@ pub trait Exchange {
 pub struct InMemoryExchange;
 
 impl Exchange for InMemoryExchange {
-    fn begin(&mut self, _gen: usize, _frame: &[CellSnapshot], _costs: &[Duration]) {}
+    fn begin(&mut self, _gen: usize, _frame: &[FrameSlot], _costs: &[Duration]) {}
 
-    fn complete(&mut self, _gen: usize, _frame: &mut Vec<CellSnapshot>, _tel: &mut Telemetry) {}
+    fn complete(&mut self, _gen: usize, _frame: &mut [FrameSlot], _tel: &mut Telemetry) {}
 }
 
 /// Which frame an engine trains against at a given iteration.
@@ -120,16 +129,16 @@ pub fn select_frame(
 /// Capture `engine`'s training state — into `recycled` when the caller has
 /// a spent buffer — and stamp the cut with the frame its next iteration
 /// consumes: of `frame` exactly the slots the cell reads (`Grid::neighbors`
-/// of its index), every other slot empty, so a cell's cut holds the same
-/// bytes whichever driver — and however large a frame — it was taken from.
-/// `frame` is empty in sync mode, which also clears a stale frame left in a
-/// recycled buffer.
+/// of its index), decoded, every other slot empty, so a cell's cut holds
+/// the same bytes whichever driver — and however large a frame — it was
+/// taken from. `frame` is empty in sync mode, which also clears a stale
+/// frame left in a recycled buffer.
 ///
 /// # Panics
 /// Panics if a non-empty `frame` lacks a slot the cell reads.
 pub fn capture_with_frame(
     engine: &mut CellEngine,
-    frame: &[CellSnapshot],
+    frame: &[FrameSlot],
     recycled: Option<CellState>,
 ) -> CellState {
     let mut state = match recycled {
@@ -145,10 +154,10 @@ pub fn capture_with_frame(
     }
     state.exchange_frame.resize_with(frame.len(), CellSnapshot::empty);
     for (slot, (dst, src)) in state.exchange_frame.iter_mut().zip(frame).enumerate() {
-        if reads.contains(&slot) {
-            dst.copy_from(src);
-        } else if !dst.is_empty() {
-            *dst = CellSnapshot::empty();
+        match src.as_ref().filter(|_| reads.contains(&slot)) {
+            Some(src) => dst.copy_from(src),
+            None if !dst.is_empty() => *dst = CellSnapshot::empty(),
+            None => {}
         }
     }
     state
@@ -159,7 +168,7 @@ pub fn capture_with_frame(
 struct Rejoin {
     local: usize,
     round: usize,
-    frozen: Vec<CellSnapshot>,
+    frozen: Vec<FrameSlot>,
 }
 
 /// The driver-agnostic iteration state machine (see the module docs).
@@ -172,10 +181,10 @@ pub struct Pipeline {
     /// The union of `neighbors`, ascending: every slot this rank reads.
     read_set: Vec<usize>,
     /// The generation being gathered (and, in sync mode, consumed).
-    cur: Vec<CellSnapshot>,
+    cur: Vec<FrameSlot>,
     /// Async only: the previous generation — what the next iteration
     /// consumes, and what a checkpoint cut carries.
-    prev: Vec<CellSnapshot>,
+    prev: Vec<FrameSlot>,
     /// Is `prev` complete (bootstrap, resume, or a commit-boundary drain)?
     prev_complete: bool,
     rejoin: Option<Rejoin>,
@@ -265,23 +274,32 @@ impl Pipeline {
                 }
             }
         }
-        pipeline.resume_from(frame);
+        pipeline.resume_from(&frame);
         pipeline
     }
 
     /// Re-enter the pipeline from a checkpoint cut: `frame` is the cut's
     /// [`CellState::exchange_frame`] — under async exchange the completed
     /// generation the first resumed iteration consumes (ignored in sync
-    /// mode, where every iteration gathers its own). Slots outside the
-    /// read set (a cut of an older build carries them all) are dropped.
+    /// mode, where every iteration gathers its own). The slots of the read
+    /// set are encoded into the pipeline's frame; the rest (a cut of an
+    /// older build carries them all) are dropped.
     ///
     /// # Panics
     /// Panics if an async run resumes past iteration 0 without a frame
     /// that covers the read set.
-    pub fn resume_from(&mut self, mut frame: Vec<CellSnapshot>) {
+    pub fn resume_from(&mut self, frame: &[CellSnapshot]) {
         if !self.cfg.exchange.is_async() {
             return;
         }
+        let read = |slot: usize, snap: &CellSnapshot| {
+            !snap.is_empty() && self.read_set.binary_search(&slot).is_ok()
+        };
+        let frame: Vec<FrameSlot> = frame
+            .iter()
+            .enumerate()
+            .map(|(slot, snap)| read(slot, snap).then(|| EncodedSnapshot::new(snap.into())))
+            .collect();
         if self.iteration() > 0 {
             assert_eq!(
                 frame.len(),
@@ -289,11 +307,6 @@ impl Pipeline {
                 "async resume needs the checkpointed exchange frame"
             );
             assert_covers(&frame, &self.read_set, "checkpointed exchange frame");
-        }
-        for (slot, snap) in frame.iter_mut().enumerate() {
-            if !snap.is_empty() && self.read_set.binary_search(&slot).is_err() {
-                *snap = CellSnapshot::empty();
-            }
         }
         self.prev = frame;
         self.prev_complete = true;
@@ -305,7 +318,7 @@ impl Pipeline {
     ///
     /// # Panics
     /// Panics if `frozen` is not grid-sized or lacks a slot the engine reads.
-    pub fn rejoin(&mut self, local: usize, round: usize, frozen: Vec<CellSnapshot>) {
+    pub fn rejoin(&mut self, local: usize, round: usize, frozen: Vec<FrameSlot>) {
         assert_eq!(frozen.len(), self.cfg.cells(), "death-frame size vs grid");
         assert_covers(&frozen, &self.neighbors[local], "death-frame");
         self.rejoin = Some(Rejoin { local, round, frozen });
@@ -326,7 +339,7 @@ impl Pipeline {
 
     /// The frame buffers this pipeline owns (the second is unused in sync
     /// mode) — for memory accounting.
-    pub fn frames(&self) -> [&[CellSnapshot]; 2] {
+    pub fn frames(&self) -> [&[FrameSlot]; 2] {
         [&self.cur, &self.prev]
     }
 
@@ -353,22 +366,22 @@ impl Pipeline {
         // Everything up to the consumed frame being in hand is the gather
         // routine, exactly as Table IV charges the allgather.
         let span = self.telemetry.begin(Routine::Gather, self.span_cell, it);
-        // Slots in the read set keep the generation they held last:
-        // `complete` overwrites them in place, reusing their buffers. No
-        // other slot of a cell hosted elsewhere is ever filled.
-        self.cur.resize_with(cells, CellSnapshot::empty);
+        // Slots in the read set keep the generation they held last until
+        // `complete` replaces their handles. No other slot of a cell hosted
+        // elsewhere is ever filled.
+        self.cur.resize_with(cells, FrameSlot::default);
         for (k, engine) in self.engines.iter_mut().enumerate() {
             let cell = engine.cell_index();
             if engine.iterations_done() > iter {
                 let frozen =
                     &self.rejoin.as_ref().expect("only a replacement runs ahead").frozen;
-                assert!(!frozen[cell].is_empty(), "death-frame lacks the rejoiner's own slot");
-                self.cur[cell].copy_from(&frozen[cell]);
+                assert!(frozen[cell].is_some(), "death-frame lacks the rejoiner's own slot");
+                self.cur[cell].clone_from(&frozen[cell]);
                 self.snapshot_costs[k] = Duration::ZERO;
                 continue;
             }
             let t0 = Instant::now();
-            engine.snapshot_into(&mut self.cur[cell]);
+            engine.encode_snapshot_into(&mut self.cur[cell]);
             self.snapshot_costs[k] = t0.elapsed();
         }
         self.telemetry.instant(EventKind::ExchangeBegin, self.span_cell, it, iter as u64);
@@ -404,7 +417,7 @@ impl Pipeline {
                     FrameChoice::DeathFrame => &self.rejoin.as_ref().expect("rejoiner").frozen,
                 };
             assert_eq!(frame.len(), cells, "exchange frame lost a generation");
-            let imports = self.neighbors[k].iter().map(|&slot| &frame[slot]);
+            let imports = self.neighbors[k].iter().map(|&slot| import(&frame[slot]));
             self.step_phases[k] = engine.run_iteration(imports, &mut self.telemetry);
         }
 
@@ -443,7 +456,7 @@ impl Pipeline {
         let iter = engine.iterations_done() as u32;
         self.telemetry.instant(EventKind::Degraded, cell, iter, cell as u64);
         self.telemetry.metrics.degraded_iters.inc();
-        let imports = self.neighbors[r.local].iter().map(|&slot| &r.frozen[slot]);
+        let imports = self.neighbors[r.local].iter().map(|&slot| import(&r.frozen[slot]));
         self.step_phases[r.local] = engine.run_iteration(imports, &mut self.telemetry);
         if engine.iterations_done() == r.round {
             self.telemetry.metrics.rejoined.inc();
@@ -465,7 +478,7 @@ impl Pipeline {
     /// consumes — what a per-iteration driver hook sees. The frame is empty
     /// in sync mode (the next iteration gathers its own) and complete
     /// whenever the config commits a checkpoint at this boundary.
-    pub fn engines_and_next_frame(&mut self) -> (&mut [CellEngine], &[CellSnapshot]) {
+    pub fn engines_and_next_frame(&mut self) -> (&mut [CellEngine], &[FrameSlot]) {
         let lead = self.iteration();
         let k = self.engines.iter().position(|e| e.iterations_done() == lead).unwrap_or(0);
         let frame = next_frame(self.cfg.exchange, &self.rejoin, &self.prev, k, lead);
@@ -475,7 +488,7 @@ impl Pipeline {
     /// The most recently gathered generation, as far as this rank reads it
     /// — all of it on a rank that hosts the whole grid, where it is the
     /// death-frame of a rank dying at the top of the next iteration.
-    pub fn latest_frame(&self) -> &[CellSnapshot] {
+    pub fn latest_frame(&self) -> &[FrameSlot] {
         if self.cfg.exchange.is_async() {
             &self.prev
         } else {
@@ -527,10 +540,10 @@ fn rejoin_round(rejoin: &Option<Rejoin>, k: usize) -> Option<usize> {
 fn next_frame<'a>(
     mode: ExchangeMode,
     rejoin: &'a Option<Rejoin>,
-    prev: &'a [CellSnapshot],
+    prev: &'a [FrameSlot],
     k: usize,
     next_iter: usize,
-) -> &'a [CellSnapshot] {
+) -> &'a [FrameSlot] {
     if !mode.is_async() {
         return &[];
     }
@@ -540,11 +553,18 @@ fn next_frame<'a>(
     }
 }
 
+/// What an engine imports from a frame slot: the snapshot, read straight
+/// from its buffer — or, for a slot the rank does not read, a pair without
+/// genomes, which the ingest refuses by its length.
+fn import(slot: &FrameSlot) -> SnapshotRef<'_> {
+    slot.as_ref().map_or(SnapshotRef::EMPTY, EncodedSnapshot::view)
+}
+
 /// Assert `frame` holds a snapshot in every one of `slots`.
-fn assert_covers(frame: &[CellSnapshot], slots: &[usize], what: &str) {
+fn assert_covers(frame: &[FrameSlot], slots: &[usize], what: &str) {
     for &slot in slots {
         assert!(
-            frame.get(slot).is_some_and(|snap| !snap.is_empty()),
+            frame.get(slot).is_some_and(Option::is_some),
             "{what} lacks slot {slot}, which this rank reads"
         );
     }
@@ -587,29 +607,43 @@ mod tests {
     struct Script(Vec<Call>);
 
     impl Exchange for Script {
-        fn begin(&mut self, gen: usize, frame: &[CellSnapshot], costs: &[Duration]) {
+        fn begin(&mut self, gen: usize, frame: &[FrameSlot], costs: &[Duration]) {
             assert_eq!((frame.len(), costs.len()), (4, 4));
             self.0.push(Begin(gen));
         }
 
-        fn complete(&mut self, gen: usize, _: &mut Vec<CellSnapshot>, _: &mut Telemetry) {
+        fn complete(&mut self, gen: usize, _: &mut [FrameSlot], _: &mut Telemetry) {
             self.0.push(Complete(gen));
         }
     }
 
-    /// Stands in for the other ranks of a lone rank's grid: completes with a
-    /// fixed frame.
-    struct Peers(Vec<Call>, Vec<CellSnapshot>);
+    /// Stands in for the other ranks of a lone rank's grid: completes by
+    /// filling every slot of a fixed frame into the rank's.
+    struct Peers(Vec<Call>, Vec<FrameSlot>);
 
     impl Exchange for Peers {
-        fn begin(&mut self, gen: usize, _: &[CellSnapshot], _: &[Duration]) {
+        fn begin(&mut self, gen: usize, _: &[FrameSlot], _: &[Duration]) {
             self.0.push(Begin(gen));
         }
 
-        fn complete(&mut self, gen: usize, frame: &mut Vec<CellSnapshot>, _: &mut Telemetry) {
+        fn complete(&mut self, gen: usize, frame: &mut [FrameSlot], _: &mut Telemetry) {
             self.0.push(Complete(gen));
-            *frame = self.1.clone();
+            for (dst, src) in frame.iter_mut().zip(&self.1).filter(|(_, src)| src.is_some()) {
+                dst.clone_from(src);
+            }
         }
+    }
+
+    /// `frame` decoded, as a checkpoint cut carries it.
+    fn decoded(frame: &[FrameSlot]) -> Vec<CellSnapshot> {
+        let decode = |slot: &FrameSlot| {
+            let mut snap = CellSnapshot::empty();
+            if let Some(encoded) = slot {
+                snap.copy_from(encoded);
+            }
+            snap
+        };
+        frame.iter().map(decode).collect()
     }
 
     fn steps(pipeline: &mut Pipeline, script: &mut Script, n: usize) {
@@ -695,7 +729,7 @@ mod tests {
         assert_eq!(script.0, want);
         let (_, frame) = pipeline.engines_and_next_frame();
         assert_eq!(frame.len(), 4, "an async cut carries the next frame");
-        assert!(frame.iter().enumerate().all(|(c, snap)| snap.cell == c));
+        assert!(frame.iter().enumerate().all(|(c, snap)| snap.as_ref().unwrap().cell() == c));
     }
 
     #[test]
@@ -731,7 +765,7 @@ mod tests {
                 CellEngine::from_state(&cfg, toy_data(&cfg), &cut)
             })
             .collect();
-        Pipeline::new(&cfg, engines, Telemetry::disabled()).resume_from(Vec::new());
+        Pipeline::new(&cfg, engines, Telemetry::disabled()).resume_from(&[]);
     }
 
     /// Replace cell 2 at the top of iteration 3 by a fresh engine that
@@ -787,8 +821,9 @@ mod tests {
         // to round 2, then under async consume the death-frame — never
         // completing generation 1, which this rank did not begin.
         let cfg = async_cfg();
-        let frozen: Vec<CellSnapshot> =
-            (0..4).map(|c| fresh_engine(&cfg, c).snapshot()).collect();
+        let frozen: Vec<FrameSlot> = (0..4)
+            .map(|c| Some(EncodedSnapshot::new((&fresh_engine(&cfg, c).snapshot()).into())))
+            .collect();
         let mut pipeline =
             Pipeline::new(&cfg, vec![fresh_engine(&cfg, 3)], Telemetry::disabled());
         pipeline.rejoin(0, 2, frozen.clone());
@@ -805,24 +840,19 @@ mod tests {
 
     /// Generation 0 of a 4×4 async grid — every cell's initial snapshot —
     /// and the grid one iteration in, holding it as its next frame.
-    fn grid_4x4_after_one_iteration() -> (TrainConfig, Pipeline, Vec<CellSnapshot>) {
+    fn grid_4x4_after_one_iteration() -> (TrainConfig, Pipeline, Vec<FrameSlot>) {
         let cfg = TrainConfig::smoke(4).with_exchange(ExchangeMode::Async);
         let mut grid = whole_grid(&cfg);
         grid.step(&mut InMemoryExchange);
         let full = grid.latest_frame().to_vec();
-        assert!(full.iter().all(|snap| !snap.is_empty()), "a whole grid reads every slot");
+        assert!(full.iter().all(Option::is_some), "a whole grid reads every slot");
         (cfg, grid, full)
     }
 
     /// `frame` with every slot outside `keep` emptied.
-    fn only(frame: &[CellSnapshot], keep: &[usize]) -> Vec<CellSnapshot> {
-        let sparse = |(slot, snap): (usize, &CellSnapshot)| {
-            if keep.contains(&slot) {
-                snap.clone()
-            } else {
-                CellSnapshot::empty()
-            }
-        };
+    fn only(frame: &[FrameSlot], keep: &[usize]) -> Vec<FrameSlot> {
+        let sparse =
+            |(slot, snap): (usize, &FrameSlot)| snap.clone().filter(|_| keep.contains(&slot));
         frame.iter().enumerate().map(sparse).collect()
     }
 
@@ -832,13 +862,13 @@ mod tests {
         for k in [0, 5, 15] {
             let reads = crate::topology::Grid::from_config(&cfg.grid).neighbors(k);
             let cut = grid.capture_cut(k, None);
-            assert_eq!(cut.exchange_frame, only(&full, &reads), "cell {k}");
+            assert_eq!(cut.exchange_frame, decoded(&only(&full, &reads)), "cell {k}");
             assert_eq!(cut.validate(&cfg), Ok(()));
 
             // The hook form the sequential and simulated drivers commit
             // through, into a recycled buffer that held all sixteen slots.
             let mut recycled = cut.clone();
-            recycled.exchange_frame = full.clone();
+            recycled.exchange_frame = decoded(&full);
             let (engines, frame) = grid.engines_and_next_frame();
             assert_eq!(capture_with_frame(&mut engines[k], frame, Some(recycled)), cut);
 
@@ -860,7 +890,11 @@ mod tests {
     fn whole_grid_resume_merges_the_sparse_cuts_of_its_cells() {
         let (cfg, mut grid, full) = grid_4x4_after_one_iteration();
         let cuts: Vec<CellState> = (0..16).map(|k| grid.capture_cut(k, None)).collect();
-        assert!(cuts.iter().all(|cut| cut.exchange_frame != full), "no cut is the whole frame");
+        let full_cut = decoded(&full);
+        assert!(
+            cuts.iter().all(|cut| cut.exchange_frame != full_cut),
+            "no cut is the whole frame"
+        );
         let resumed =
             Pipeline::whole_grid(&cfg, |_| toy_data(&cfg), Some(&cuts), Telemetry::disabled());
         assert_eq!(resumed.latest_frame(), full);
@@ -872,7 +906,7 @@ mod tests {
         let cut = grid.capture_cut(5, None);
         let engine = CellEngine::from_state(&cfg, toy_data(&cfg), &cut);
         let mut rank = Pipeline::new(&cfg, vec![engine], Telemetry::disabled());
-        rank.resume_from(full.clone());
+        rank.resume_from(&decoded(&full));
         assert_eq!(rank.latest_frame(), only(&full, rank.read_set()));
     }
 
@@ -885,7 +919,7 @@ mod tests {
         let cut = grid.capture_cut(5, None);
         let engine = CellEngine::from_state(&cfg, toy_data(&cfg), &cut);
         let mut rank = Pipeline::new(&cfg, vec![engine], Telemetry::disabled());
-        rank.resume_from(only(&full, &[1, 4, 6]));
+        rank.resume_from(&decoded(&only(&full, &[1, 4, 6])));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::config::TrainConfig;
 use crate::individual::Individual;
-use crate::snapshot::CellSnapshot;
+use crate::snapshot::{CellSnapshot, GenomeLens, SnapshotRef};
 use crate::topology::Grid;
 use lipiz_data::BatchLoaderState;
 use lipiz_nn::AdamState;
@@ -136,19 +136,17 @@ impl CellState {
         if !self.mixture.iter().all(|w| w.is_finite() && *w >= 0.0) {
             return err("mixture weights not finite and non-negative");
         }
-        let net = cfg.network.to_network_config();
-        let gen_params = param_count(&net.generator_dims());
-        let disc_params = param_count(&net.discriminator_dims());
-        if self.gen_members.iter().any(|m| m.genome.len() != gen_params) {
+        let lens = GenomeLens::of(cfg);
+        if self.gen_members.iter().any(|m| m.genome.len() != lens.gen) {
             return err("generator genome length vs topology");
         }
-        if self.disc_members.iter().any(|m| m.genome.len() != disc_params) {
+        if self.disc_members.iter().any(|m| m.genome.len() != lens.disc) {
             return err("discriminator genome length vs topology");
         }
-        if self.adam_g.m.len() != gen_params || self.adam_g.v.len() != gen_params {
+        if self.adam_g.m.len() != lens.gen || self.adam_g.v.len() != lens.gen {
             return err("generator Adam width vs topology");
         }
-        if self.adam_d.m.len() != disc_params || self.adam_d.v.len() != disc_params {
+        if self.adam_d.m.len() != lens.disc || self.adam_d.v.len() != lens.disc {
             return err("discriminator Adam width vs topology");
         }
         if self.loader.cursor > self.loader.order.len() {
@@ -158,9 +156,7 @@ impl CellState {
             if self.exchange_frame.len() != cfg.cells() {
                 return err("exchange frame size vs grid");
             }
-            let sized = |s: &CellSnapshot| {
-                s.gen_genome.len() == gen_params && s.disc_genome.len() == disc_params
-            };
+            let sized = |s: &CellSnapshot| SnapshotRef::from(s).genome_lens() == lens;
             for slot in Grid::from_config(&cfg.grid).neighbors(self.cell) {
                 if !sized(&self.exchange_frame[slot]) {
                     return Err(StateError::MissingNeighbor { cell: self.cell, slot });
@@ -174,11 +170,6 @@ impl CellState {
         }
         Ok(())
     }
-}
-
-/// Flat parameter count of an MLP with the given layer dims.
-fn param_count(dims: &[usize]) -> usize {
-    dims.windows(2).map(|w| w[0] * w[1] + w[1]).sum()
 }
 
 /// Assert a whole grid's captured states form a resumable set: one state

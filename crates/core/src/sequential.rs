@@ -11,11 +11,10 @@
 use crate::cell::CellEngine;
 use crate::config::TrainConfig;
 use crate::mixture::EnsembleModel;
-use crate::pipeline::{InMemoryExchange, Pipeline};
+use crate::pipeline::{FrameSlot, InMemoryExchange, Pipeline};
 use crate::profiling::ProfileReport;
 use crate::report::{CellResult, TrainReport};
 use crate::resume::CellState;
-use crate::snapshot::CellSnapshot;
 use crate::topology::Grid;
 use lipiz_telemetry::{Telemetry, TelemetrySummary, NO_CELL};
 use lipiz_tensor::Matrix;
@@ -116,7 +115,7 @@ impl SequentialTrainer {
     /// cell reads — the same cut a distributed rank writes for the cell).
     pub fn run_hooked(
         &mut self,
-        mut on_iteration: impl FnMut(usize, &mut [CellEngine], &[CellSnapshot]),
+        mut on_iteration: impl FnMut(usize, &mut [CellEngine], &[FrameSlot]),
     ) -> TrainReport {
         let start = Instant::now();
         let target = self.cfg.checkpoint.effective_iterations(self.cfg.coevolution.iterations);

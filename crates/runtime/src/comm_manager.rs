@@ -18,24 +18,25 @@
 //! The per-iteration snapshot exchange ([`CommExchange`]) is the one path
 //! here that moves megabytes. A cell reads only its neighbourhood (§III-B),
 //! and every neighbourhood pattern is symmetric on the torus, so the ranks
-//! a rank reads are exactly the ranks that read it. `begin` encodes the
-//! snapshot once, straight into the buffer the transport takes ownership
-//! of, and posts that one buffer to each of them; `complete` receives
-//! their contributions and decodes each in place into a frame slot that
-//! keeps its genome buffers from generation to generation. No rank relays
-//! another's snapshot, none waits on a rank it does not read, and every
-//! slot outside the read set stays an empty shell. Frames are never
-//! allocated per generation: sync mode refills the pipeline's own buffer,
-//! async mode rotates three frames between the training thread and the
-//! exchange thread (README, "Where a snapshot byte is copied").
+//! a rank reads are exactly the ranks that read it. `begin` posts the
+//! rank's own frame slot — the buffer its engine encoded the snapshot into
+//! — to each of them by reference count; `complete` receives their
+//! contributions, validates each once (header and genome lengths, naming
+//! the source rank and round when it refuses one) and puts a handle on the
+//! buffer it arrived in into its frame slot. Nothing is decoded: the
+//! engines import straight from those bytes. No rank relays another's
+//! snapshot, none waits on a rank it does not read, and every slot outside
+//! the read set stays `None` (README, "Where a snapshot byte is copied").
 //!
 //! Graceful degradation follows the same lines: every rank holds its own
 //! [`DegradedGather`] for the peers it reads, substitutes a dead one from
 //! its cache, and serves its share of the death-frame to the replacement.
 
 use crate::protocol::{tags, NodeAnnouncement, RunTask, SlaveResult, StatusReport};
-use lipiz_core::{CellSnapshot, Exchange, ExchangeMode};
-use lipiz_mpi::{Comm, DegradedGather, FaultPlan, FrozenFrameHandle, Payload, RecvFrom, Wire};
+use lipiz_core::{
+    CellSnapshot, EncodedSnapshot, Exchange, ExchangeMode, FrameSlot, GenomeLens, SnapshotRef,
+};
+use lipiz_mpi::{Comm, DegradedGather, FaultPlan, FrozenFrameHandle, Payload, RecvFrom};
 use lipiz_telemetry::{EventKind, Telemetry, TelemetrySummary};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
@@ -54,8 +55,8 @@ pub struct CommManager {
     world: Comm,
     local: Option<Comm>,
     global: Comm,
-    /// The frame [`CommManager::exchange_centers`] decodes into, recycled
-    /// from call to call.
+    /// The snapshots [`CommManager::exchange_centers`] returns, decoded,
+    /// recycled from call to call.
     centers: Vec<CellSnapshot>,
 }
 
@@ -255,23 +256,32 @@ impl CommManager {
 
     /// Slave: one generation of the exchange with every slot read — post
     /// this rank's snapshot to every other slave, receive theirs. Returns
-    /// all cells' snapshots in cell order; the frame is this manager's own,
-    /// refilled in place by the next call. The same path as
-    /// [`CommManager::exchange`] for a rank that reads the whole grid.
+    /// all cells' snapshots in cell order, decoded into this manager's own
+    /// buffers, which the next call refills in place. The same path as
+    /// [`CommManager::exchange`] for a rank that reads the whole grid, with
+    /// one decode added; every snapshot must carry the genome lengths of
+    /// this rank's own.
     pub fn exchange_centers(&mut self, snapshot: &CellSnapshot) -> &[CellSnapshot] {
+        let own_cell = self.local_rank();
         let every: Vec<usize> = (0..self.num_slaves()).collect();
-        let mut links = Links::new(self.local().clone(), &every, None);
-        let part = encode(snapshot);
-        links.post(&part, 0);
-        links.complete(&part, 0, &mut self.centers, &mut Vec::new());
+        let lens = SnapshotRef::from(snapshot).genome_lens();
+        let mut links = Links::new(self.local().clone(), &every, lens, None);
+        let own = EncodedSnapshot::new(snapshot.into());
+        links.post(own.payload(), 0);
+        self.centers.resize_with(self.num_slaves(), CellSnapshot::empty);
+        let centers = &mut self.centers;
+        links.complete(own.payload(), 0, |src, part| centers[src].copy_from(&part));
+        self.centers[own_cell].copy_from(snapshot);
         &self.centers
     }
 
     /// Slave: this rank's [`Exchange`] for the iteration pipeline, reading
     /// the frame slots `reads` (the pipeline's `Pipeline::read_set`) and no
     /// others — and, by the symmetry of the neighbourhood, posting to
-    /// exactly the ranks behind them. In sync mode every generation is
-    /// posted in `begin` and received in `complete`; under
+    /// exactly the ranks behind them. Every snapshot received must carry
+    /// genomes of `lens` (the run's, [`GenomeLens::of`]); one that does
+    /// not, or does not parse, is refused on receipt. In sync mode every
+    /// generation is posted in `begin` and received in `complete`; under
     /// `--exchange async` a background `AsyncExchanger` thread does both,
     /// so the exchange overlaps the train step. `ctl` is this rank's
     /// degraded-gather controller, when graceful degradation is on (clone
@@ -282,8 +292,9 @@ impl CommManager {
         mode: ExchangeMode,
         ctl: Option<DegradedGather>,
         reads: &[usize],
+        lens: GenomeLens,
     ) -> CommExchange {
-        let links = Links::new(self.local().clone(), reads, ctl);
+        let links = Links::new(self.local().clone(), reads, lens, ctl);
         let schedule = match mode {
             ExchangeMode::Sync => Schedule::Inline { links, pending: None },
             ExchangeMode::Async => Schedule::Overlapped(AsyncExchanger::start(links)),
@@ -312,33 +323,37 @@ impl CommManager {
     }
 
     /// Replacement slave: fetch the death-frame slots `reads` from the
-    /// neighbours that froze them, decoded into a grid-sized frame. Each
-    /// slot comes from the rank it belongs to; the replacement's own slot
-    /// (a one-row or one-column torus reads it) from another neighbour's
-    /// cached copy. Each is re-requested until frozen; `None` once `timeout`
-    /// passes — every wait is capped at the time remaining, so nothing that
-    /// arrives after the deadline is accepted.
+    /// neighbours that froze them into a grid-sized frame, each slot the
+    /// buffer it arrived in. Each slot comes from the rank it belongs to;
+    /// the replacement's own slot (a one-row or one-column torus reads it)
+    /// from another neighbour's cached copy. Each is re-requested until
+    /// frozen; `None` once `timeout` passes — every wait is capped at the
+    /// time remaining, so nothing that arrives after the deadline is
+    /// accepted.
     ///
     /// # Panics
     /// Panics if the rank reads nothing but itself (a one-cell grid, which
-    /// has no neighbour to hold its frame).
+    /// has no neighbour to hold its frame), or on a slot that does not parse.
     pub fn fetch_death_frame(
         &self,
         reads: &[usize],
         timeout: Duration,
-    ) -> Option<Vec<CellSnapshot>> {
+    ) -> Option<Vec<FrameSlot>> {
         let own = self.local_rank();
         let deadline = Instant::now() + timeout;
-        let mut frame = vec![CellSnapshot::empty(); self.num_slaves()];
+        let mut frame = vec![None; self.num_slaves()];
         for &slot in reads {
             let holder = if slot != own {
                 slot
             } else {
                 *reads.iter().find(|&&r| r != own).expect("a neighbour holds the own slot")
             };
-            let part =
-                self.fetch_frozen_slot(self.local().world_rank_of(holder), slot, deadline)?;
-            frame[slot].decode_from(&part).expect("snapshot decode");
+            let world = self.local().world_rank_of(holder);
+            let part = self.fetch_frozen_slot(world, slot, deadline)?;
+            let snap = EncodedSnapshot::parse(part).unwrap_or_else(|e| {
+                panic!("death-frame slot {slot} from world rank {world} refused: {e}")
+            });
+            frame[slot] = Some(snap);
         }
         Some(frame)
     }
@@ -418,33 +433,25 @@ impl CommManager {
     }
 }
 
-/// `snapshot` encoded once, straight into the buffer the transport takes
-/// ownership of — the one allocation a steady-state exchange costs a rank.
-fn encode(snapshot: &CellSnapshot) -> Payload {
-    let mut wire = Vec::with_capacity(snapshot.wire_size());
-    snapshot.encode(&mut wire);
-    Payload::from(wire)
-}
-
 /// One rank's side of the exchange on LOCAL, with its degraded-gather
 /// controller when graceful degradation is on.
 #[derive(Debug)]
 struct Links {
     comm: Comm,
-    own: usize,
-    /// Does this rank read its own slot (a one-row or one-column torus)?
-    reads_own: bool,
-    /// The other slots read — and so, the neighbourhood being symmetric,
-    /// the ranks that read this one: whom it receives from and posts to.
+    /// The slots read other than the rank's own — and so, the neighbourhood
+    /// being symmetric, the ranks that read this one: whom it receives from
+    /// and posts to.
     peers: Vec<usize>,
+    /// The genome lengths every received snapshot must carry.
+    lens: GenomeLens,
     ctl: Option<DegradedGather>,
 }
 
 impl Links {
-    fn new(comm: Comm, reads: &[usize], ctl: Option<DegradedGather>) -> Self {
+    fn new(comm: Comm, reads: &[usize], lens: GenomeLens, ctl: Option<DegradedGather>) -> Self {
         let own = comm.rank();
         let peers = reads.iter().copied().filter(|&slot| slot != own).collect();
-        Self { own, reads_own: reads.contains(&own), peers, ctl, comm }
+        Self { comm, peers, lens, ctl }
     }
 
     /// Post this rank's `part` of generation `round` to its readers.
@@ -452,43 +459,61 @@ impl Links {
         self.comm.exchange_post(&self.peers, part, round, self.ctl.as_ref());
     }
 
-    /// Receive generation `round` from the peers and decode each part in
-    /// place into its slot of `frame` (grid-sized; slots outside the read
-    /// set are left as they are) — and this rank's own `part` too when it
-    /// reads its own slot. `stale_runs` receives the controller's per-rank
-    /// consecutive-substitution counts after this round (left empty without
-    /// a controller).
+    /// Receive generation `round` from the peers and hand each part to
+    /// `put(src, snapshot)` in the buffer it arrived in, validated once
+    /// (see [`accept`]). `own` is this rank's part of the round.
     fn complete(
         &mut self,
-        part: &Payload,
+        own: &Payload,
         round: usize,
-        frame: &mut Vec<CellSnapshot>,
-        stale_runs: &mut Vec<usize>,
+        mut put: impl FnMut(usize, EncodedSnapshot),
     ) {
-        frame.resize_with(self.comm.size(), CellSnapshot::empty);
-        let decode = |slot: &mut CellSnapshot, bytes: &[u8]| {
-            slot.decode_from(bytes).expect("snapshot decode");
-        };
-        self.comm.exchange_complete(&self.peers, part, round, self.ctl.as_mut(), |src, p| {
-            decode(&mut frame[src], &p)
+        let (comm, lens) = (&self.comm, self.lens);
+        comm.exchange_complete(&self.peers, own, round, self.ctl.as_mut(), |src, part| {
+            put(src, accept(comm, lens, src, round, part))
         });
-        if self.reads_own {
-            decode(&mut frame[self.own], part);
-        }
-        stale_runs.clear();
+    }
+
+    /// The controller's per-rank consecutive-substitution counts after the
+    /// round just completed (left empty without a controller).
+    fn stale_runs_into(&self, out: &mut Vec<usize>) {
+        out.clear();
         if let Some(ctl) = &self.ctl {
-            stale_runs.extend((0..self.comm.size()).map(|r| ctl.stale_run(r)));
+            out.extend((0..self.comm.size()).map(|r| ctl.stale_run(r)));
         }
     }
 }
 
+/// LOCAL rank `src`'s part of `round`, validated once, on receipt: its
+/// header must parse and cover the bytes exactly, and its genomes must be
+/// `lens` long. A part that fails is refused loudly —
+/// naming its source and round — and never reaches a frame slot, let alone
+/// an import slot.
+fn accept(
+    comm: &Comm,
+    lens: GenomeLens,
+    src: usize,
+    round: usize,
+    part: Payload,
+) -> EncodedSnapshot {
+    let refuse = |why: String| -> ! {
+        let world = comm.world_rank_of(src);
+        panic!("snapshot from LOCAL rank {src} (world rank {world}) for round {round} refused: {why}")
+    };
+    let snap = EncodedSnapshot::parse(part).unwrap_or_else(|e| refuse(e.to_string()));
+    let got = snap.view().genome_lens();
+    if got != lens {
+        refuse(format!("genome lengths {got:?}, the run's network needs {lens:?}"));
+    }
+    snap
+}
+
 /// The `Comm`-backed [`Exchange`] of one slave rank (see
-/// [`CommManager::exchange`]): `begin` encodes the rank's snapshot and
-/// posts it to the ranks that read it, `complete` decodes the generation's
-/// read slots into the frame it is given (sync) or swaps in the frame the
-/// exchange thread decoded them into and sends the spent one back (async) —
-/// either way no frame is allocated once the first generations have sized
-/// the buffers, and no slot outside the read set is ever filled.
+/// [`CommManager::exchange`]): `begin` posts the rank's own frame slot to
+/// the ranks that read it, `complete` puts a handle on each received
+/// snapshot into its frame slot — received on the training thread (sync)
+/// or handed over by the exchange thread (async). No snapshot is decoded or
+/// copied on the way, and no slot outside the read set is ever filled.
 #[derive(Debug)]
 pub struct CommExchange {
     /// This rank's cell, which its journal events name.
@@ -513,8 +538,10 @@ enum Schedule {
 }
 
 impl Exchange for CommExchange {
-    fn begin(&mut self, gen: usize, frame: &[CellSnapshot], _costs: &[Duration]) {
-        let part = encode(&frame[self.cell as usize]);
+    fn begin(&mut self, gen: usize, frame: &[FrameSlot], _costs: &[Duration]) {
+        let own =
+            frame[self.cell as usize].as_ref().expect("the rank's own snapshot is in its slot");
+        let part = own.payload().clone();
         match &mut self.schedule {
             Schedule::Inline { links, pending } => {
                 links.post(&part, gen);
@@ -524,11 +551,12 @@ impl Exchange for CommExchange {
         }
     }
 
-    fn complete(&mut self, gen: usize, frame: &mut Vec<CellSnapshot>, tel: &mut Telemetry) {
+    fn complete(&mut self, gen: usize, frame: &mut [FrameSlot], tel: &mut Telemetry) {
         match &mut self.schedule {
             Schedule::Inline { links, pending } => {
                 let part = pending.take().expect("complete follows begin");
-                links.complete(&part, gen, frame, &mut self.stale_runs);
+                links.complete(&part, gen, |src, snap| frame[src] = Some(snap));
+                links.stale_runs_into(&mut self.stale_runs);
             }
             Schedule::Overlapped(ex) => ex.retrieve(frame, &mut self.stale_runs),
         }
@@ -546,20 +574,15 @@ impl Exchange for CommExchange {
     }
 }
 
-/// One completed generation as it crosses from the exchange thread to the
-/// training thread — and, spent, back again to be refilled.
-#[derive(Debug, Default)]
-struct Generation {
-    /// One slot per cell, the rank's read set decoded.
-    frame: Vec<CellSnapshot>,
-    /// See [`Links::complete`].
-    stale_runs: Vec<usize>,
-}
+/// One generation as the exchange thread completed it: the read set's
+/// snapshots (each with its slot, in the buffer it arrived in) and the
+/// controller's stale runs after it.
+type Completed = (Vec<(usize, EncodedSnapshot)>, Vec<usize>);
 
 /// Background half of the `--exchange async` pipeline: the training thread
-/// encodes generation `i` and submits it here, then trains iteration `i`
-/// against the already-completed generation `i-1` while this thread posts
-/// generation `i` to the rank's readers and receives theirs.
+/// submits generation `i` — its own slot's buffer — here, then trains
+/// iteration `i` against the already-completed generation `i-1` while this
+/// thread posts generation `i` to the rank's readers and receives theirs.
 ///
 /// Jobs run one at a time, in order, and per-(peer, tag) delivery is FIFO
 /// on every transport, so the consumed frames — and therefore the run's
@@ -567,12 +590,9 @@ struct Generation {
 /// exchange thread is scheduled. Every rank posts a generation before it
 /// waits for that generation, so no rank's wait can depend on its own.
 ///
-/// One [`Generation`] of buffers belongs to the thread. It decodes the
-/// rank's read set into them, hands them over, and takes its next job only
-/// once [`AsyncExchanger::retrieve`] has swapped the frame out and sent the
-/// spent buffers back — so three frames exist per rank (the pipeline's two
-/// and this one), each holding the read set and nothing else of the grid,
-/// and they rotate instead of being allocated per generation.
+/// What crosses back to the training thread is handles only: the received
+/// buffers, which [`AsyncExchanger::retrieve`] puts into the pipeline's
+/// frame. There is no frame of the thread's own and nothing to recycle.
 ///
 /// Dropping the exchanger completes any still-queued generation first and
 /// joins the thread: every rank must post and receive the final generation
@@ -580,8 +600,7 @@ struct Generation {
 #[derive(Debug)]
 struct AsyncExchanger {
     jobs: Option<mpsc::Sender<(Payload, usize)>>,
-    done: mpsc::Receiver<Generation>,
-    spent: Option<mpsc::Sender<Generation>>,
+    done: mpsc::Receiver<Completed>,
     in_flight: usize,
     handle: Option<JoinHandle<()>>,
 }
@@ -591,28 +610,20 @@ impl AsyncExchanger {
     /// communicator, and the controller when degradation is on).
     fn start(mut links: Links) -> Self {
         let (job_tx, job_rx) = mpsc::channel::<(Payload, usize)>();
-        let (done_tx, done_rx) = mpsc::channel::<Generation>();
-        let (spent_tx, spent_rx) = mpsc::channel::<Generation>();
+        let (done_tx, done_rx) = mpsc::channel::<Completed>();
         let handle = std::thread::spawn(move || {
-            let mut gen = Generation::default();
             for (part, round) in job_rx {
                 links.post(&part, round);
-                links.complete(&part, round, &mut gen.frame, &mut gen.stale_runs);
-                if done_tx.send(gen).is_err() {
+                let mut parts = Vec::with_capacity(links.peers.len());
+                links.complete(&part, round, |src, snap| parts.push((src, snap)));
+                let mut stale_runs = Vec::new();
+                links.stale_runs_into(&mut stale_runs);
+                if done_tx.send((parts, stale_runs)).is_err() {
                     break;
                 }
-                // A closed channel is the exchanger being dropped with the
-                // final generation unconsumed: nothing reads what follows.
-                gen = spent_rx.recv().unwrap_or_default();
             }
         });
-        Self {
-            jobs: Some(job_tx),
-            done: done_rx,
-            spent: Some(spent_tx),
-            in_flight: 0,
-            handle: Some(handle),
-        }
+        Self { jobs: Some(job_tx), done: done_rx, in_flight: 0, handle: Some(handle) }
     }
 
     /// Hand this rank's encoded part of generation `round` to the exchange
@@ -626,32 +637,27 @@ impl AsyncExchanger {
         self.in_flight += 1;
     }
 
-    /// Block until the oldest submitted exchange completes, swap its frame
-    /// (the read set's snapshots, each in its cell's slot) into `frame` and
-    /// copy its stale runs into `stale_runs`; the frame swapped out goes
-    /// back to the exchange thread as the buffers of its next generation.
+    /// Block until the oldest submitted exchange completes, put each of its
+    /// snapshots into its slot of `frame` and its stale runs into
+    /// `stale_runs`.
     ///
     /// # Panics
     /// Panics when nothing is in flight — the pipeline invariant (begin
     /// generation `i` before retrieving `i-1`) has been broken.
-    fn retrieve(&mut self, frame: &mut Vec<CellSnapshot>, stale_runs: &mut Vec<usize>) {
+    fn retrieve(&mut self, frame: &mut [FrameSlot], stale_runs: &mut Vec<usize>) {
         assert!(self.in_flight > 0, "no exchange in flight to retrieve");
-        let mut gen = self.done.recv().expect("exchange thread alive");
+        let (parts, runs) = self.done.recv().expect("exchange thread alive");
         self.in_flight -= 1;
-        std::mem::swap(frame, &mut gen.frame);
-        stale_runs.clone_from(&gen.stale_runs);
-        self.spent
-            .as_ref()
-            .expect("exchanger not stopped")
-            .send(gen)
-            .expect("exchange thread alive");
+        for (src, snap) in parts {
+            frame[src] = Some(snap);
+        }
+        *stale_runs = runs;
     }
 }
 
 impl Drop for AsyncExchanger {
     fn drop(&mut self) {
         self.jobs.take();
-        self.spent.take();
         if std::thread::panicking() {
             // Avoid a double panic (and a wedge on a dead peer) while
             // unwinding; leak the thread instead.
@@ -767,21 +773,22 @@ mod tests {
                 return vec![];
             }
             let cell = cm.local_rank();
-            let mut ex = cm.exchange(ExchangeMode::Async, None, &[0, 1, 2]);
+            let mut ex = cm.exchange(ExchangeMode::Async, None, &[0, 1, 2], MARKED);
             let mut tel = Telemetry::disabled();
-            let mut completed: Vec<(usize, Vec<f32>)> = Vec::new();
+            let mut completed: Vec<(usize, Vec<Option<f32>>)> = Vec::new();
             for call in script {
                 match call {
                     Begin(gen) => {
-                        let mut frame = vec![CellSnapshot::empty(); 3];
-                        frame[cell].gen_genome = vec![(cell * 100 + gen) as f32];
-                        frame[cell].disc_genome = vec![0.0];
+                        let mut frame = vec![None; 3];
+                        frame[cell] = slot(&marked(cell, gen));
                         ex.begin(gen, &frame, &[]);
                     }
                     Complete(gen) => {
-                        let mut frame = Vec::new();
+                        // The exchange fills the read set and leaves the
+                        // rank's own slot to the pipeline.
+                        let mut frame = vec![None; 3];
                         ex.complete(gen, &mut frame, &mut tel);
-                        completed.push((gen, frame.iter().map(|s| s.gen_genome[0]).collect()));
+                        completed.push((gen, firsts(&frame)));
                     }
                 }
             }
@@ -793,7 +800,8 @@ mod tests {
         for (rank, completed) in results.iter().enumerate().skip(1) {
             assert_eq!(completed.len(), 4);
             for (gen, frame) in completed {
-                let want: Vec<f32> = (0..3).map(|c| (c * 100 + gen) as f32).collect();
+                let want: Vec<Option<f32>> =
+                    (0..3).map(|c| (c != rank - 1).then_some((c * 100 + gen) as f32)).collect();
                 assert_eq!(frame, &want, "rank {rank} generation {gen}");
             }
         }
@@ -802,12 +810,16 @@ mod tests {
     #[test]
     fn exchange_frames_hold_exactly_the_read_set_on_a_4x4_grid() {
         // Sixteen one-cell ranks, three pipeline steps each. Every frame a
-        // rank owns — the pipeline's, and under async the exchange thread's —
-        // holds a snapshot in the four slots its cell reads, at most its own
-        // posted one besides, and not one byte of the other eleven cells.
+        // rank owns holds a snapshot in the four slots its cell reads, its
+        // own posted one besides, and nothing of the other eleven cells —
+        // and holds it as a handle: each read slot is the very buffer its
+        // sender encoded into and posted (the same allocation, on the
+        // in-process fabric), so no frame owns a genome byte of its own.
         use lipiz_core::{CellEngine, Grid, Pipeline};
         for mode in [ExchangeMode::Sync, ExchangeMode::Async] {
-            let cfg = TrainConfig::smoke(4).with_exchange(mode);
+            let mut cfg = TrainConfig::smoke(4).with_exchange(mode);
+            // Wide enough that one snapshot outweighs a table of 16 handles.
+            cfg.network.hidden_units = 64;
             let grid = Grid::from_config(&cfg.grid);
             let mut rng = lipiz_tensor::Rng64::seed_from(cfg.training.data_seed);
             let (rows, cols) = (cfg.training.dataset_size, cfg.network.data_dim);
@@ -817,63 +829,86 @@ mod tests {
                 if cm.is_master() {
                     return None;
                 }
-                let cell = cm.local_rank();
-                let mut engine = CellEngine::new(cell, &cfg, data.clone());
-                let snapshot_bytes = {
-                    let snap = engine.snapshot();
-                    4 * (snap.gen_genome.len() + snap.disc_genome.len())
-                };
+                let engine = CellEngine::new(cm.local_rank(), &cfg, data.clone());
                 let mut pipeline = Pipeline::new(&cfg, vec![engine], Telemetry::disabled());
-                let mut ex = cm.exchange(mode, None, pipeline.read_set());
+                let lens = GenomeLens::of(&cfg);
+                let mut ex = cm.exchange(mode, None, pipeline.read_set(), lens);
                 for _ in 0..3 {
                     pipeline.step(&mut ex);
                 }
-                // Under async, generation 2 is still with the exchange
-                // thread: take the frame it decoded into.
-                let mut third = Vec::new();
+                // The frames as the pipeline holds them — sync: generation
+                // 2; async: generation 1 consumed, and generation 2 begun
+                // and (completed here, as the next step would) in flight.
+                let [cur, prev] = pipeline.frames().map(<[FrameSlot]>::to_vec);
+                let mut next = prev;
                 if mode.is_async() {
-                    ex.complete(2, &mut third, &mut Telemetry::disabled());
+                    ex.complete(2, &mut next, &mut Telemetry::disabled());
                 }
                 drop(ex);
-                let [cur, prev] = pipeline.frames();
-                let account = |frame: &[CellSnapshot]| {
-                    let held: Vec<usize> =
-                        (0..frame.len()).filter(|&slot| !frame[slot].is_empty()).collect();
-                    let floats =
-                        |s: &CellSnapshot| s.gen_genome.capacity() + s.disc_genome.capacity();
-                    (held, 4 * frame.iter().map(floats).sum::<usize>())
-                };
-                Some(([cur, prev, &third].map(account), snapshot_bytes))
+                Some([cur, next])
             });
-            for (cell, result) in results.iter().skip(1).enumerate() {
-                let (frames, snapshot_bytes) = result.as_ref().expect("slave");
+            let frames = |cell: usize| results[cell + 1].as_ref().expect("slave");
+            let snapshot_bytes = frames(0)[0][0].as_ref().expect("own slot").wire_size();
+            for cell in 0..16 {
                 let mut reads = grid.neighbors(cell);
                 reads.sort_unstable();
                 assert_eq!(reads.len(), 4, "4×4 Cross5 has four distinct neighbours");
-                let mut in_use = 0;
-                for (held, heap) in frames {
-                    assert_eq!(*heap, held.len() * snapshot_bytes, "cell {cell} {mode:?}");
-                    if held.is_empty() {
-                        continue;
+                let complete =
+                    if mode.is_async() { &frames(cell)[..] } else { &frames(cell)[..1] };
+                for (f, frame) in complete.iter().enumerate() {
+                    let held: Vec<usize> =
+                        (0..frame.len()).filter(|&s| frame[s].is_some() && s != cell).collect();
+                    assert_eq!(held, reads, "cell {cell} {mode:?} frame {f}");
+                    for &slot in &reads {
+                        let (mine, senders) = (&frame[slot], &frames(slot)[f][slot]);
+                        let ptr =
+                            |s: &FrameSlot| s.as_ref().expect("filled").payload().as_ptr();
+                        assert_eq!(
+                            ptr(mine),
+                            ptr(senders),
+                            "cell {cell} {mode:?}: slot {slot} is not its sender's buffer"
+                        );
                     }
-                    in_use += 1;
-                    let others: Vec<usize> =
-                        held.iter().copied().filter(|&slot| slot != cell).collect();
-                    assert_eq!(others, reads, "cell {cell} {mode:?}: slots held {held:?}");
+                    // What the frame itself owns is its table of handles:
+                    // less than one snapshot, let alone five.
+                    let owned = frame.capacity() * std::mem::size_of::<FrameSlot>();
+                    assert!(owned < snapshot_bytes, "cell {cell} {mode:?}: {owned} B frame");
                 }
-                // One frame in sync mode, three rotating under async.
-                assert_eq!(in_use, if mode.is_async() { 3 } else { 1 }, "cell {cell} {mode:?}");
             }
         }
     }
 
-    /// A one-float-per-genome snapshot of `cell` at generation `gen`.
+    /// The genome lengths of every [`marked`] snapshot.
+    const MARKED: GenomeLens = GenomeLens { gen: 1, disc: 2 };
+
+    /// A tiny snapshot of `cell` at generation `gen`, its one generator
+    /// float `cell * 100 + gen`.
     fn marked(cell: usize, gen: usize) -> CellSnapshot {
         let mut snap = CellSnapshot::empty();
         snap.cell = cell;
         snap.gen_genome = vec![(cell * 100 + gen) as f32];
-        snap.disc_genome = vec![-(gen as f32); cell + 1];
+        snap.disc_genome = vec![-(gen as f32); MARKED.disc];
         snap
+    }
+
+    /// `snap` as a frame slot holds it.
+    fn slot(snap: &CellSnapshot) -> FrameSlot {
+        Some(EncodedSnapshot::new(snap.into()))
+    }
+
+    /// `snap` as the exchange posts it.
+    fn payload(snap: &CellSnapshot) -> Payload {
+        EncodedSnapshot::new(snap.into()).payload().clone()
+    }
+
+    /// Each slot's first generator float (`None` for an empty slot).
+    fn firsts(frame: &[FrameSlot]) -> Vec<Option<f32>> {
+        let first = |s: &EncodedSnapshot| {
+            let mut snap = CellSnapshot::empty();
+            snap.copy_from(s);
+            snap.gen_genome[0]
+        };
+        frame.iter().map(|s| s.as_ref().map(first)).collect()
     }
 
     #[test]
@@ -922,21 +957,27 @@ mod tests {
             cell: usize,
             rounds: std::ops::Range<usize>,
             tel: &mut Telemetry,
-        ) -> Vec<(usize, Vec<f32>)> {
-            let mut frame = vec![CellSnapshot::empty(); 3];
+        ) -> Vec<(usize, Vec<Option<f32>>)> {
+            // One frame per generation, as the pipeline begins and then
+            // completes it.
+            let first = rounds.start;
+            let mut frames: Vec<Vec<FrameSlot>> = Vec::new();
             let mut seen = Vec::new();
-            let mut next = rounds.start;
+            let mut next = first;
             for gen in rounds {
-                frame[cell] = marked(cell, gen);
+                let mut frame = vec![None; 3];
+                frame[cell] = slot(&marked(cell, gen));
                 ex.begin(gen, &frame, &[]);
+                frames.push(frame);
                 let complete = match mode {
                     ExchangeMode::Sync => Some(gen),
                     ExchangeMode::Async if gen == 0 => Some(0),
                     ExchangeMode::Async => (next < gen).then_some(next),
                 };
                 if let Some(g) = complete {
-                    ex.complete(g, &mut frame, tel);
-                    seen.push((g, frame.iter().map(|s| s.gen_genome[0]).collect()));
+                    let frame = &mut frames[g - first];
+                    ex.complete(g, frame, tel);
+                    seen.push((g, firsts(frame)));
                     next = g + 1;
                 }
             }
@@ -953,13 +994,13 @@ mod tests {
                 let seen = if cell < 2 {
                     let mut ctl = DegradedGather::new(3, 2);
                     ctl.plan_absence(2, 2, 4);
-                    let mut ex = cm.exchange(mode, Some(ctl), ALL);
+                    let mut ex = cm.exchange(mode, Some(ctl), ALL, MARKED);
                     drive(&mut ex, mode, cell, 0..ROUNDS, &mut tel)
                 } else {
-                    let mut ex = cm.exchange(mode, None, ALL);
+                    let mut ex = cm.exchange(mode, None, ALL, MARKED);
                     let mut seen = drive(&mut ex, mode, cell, 0..2, &mut tel);
                     drop(ex);
-                    let mut ex = cm.exchange(mode, None, ALL);
+                    let mut ex = cm.exchange(mode, None, ALL, MARKED);
                     seen.extend(drive(&mut ex, mode, cell, 4..ROUNDS, &mut tel));
                     seen
                 };
@@ -978,7 +1019,7 @@ mod tests {
                 for (gen, slots) in seen {
                     // Rounds 2 and 3 carry the victim's round-1 snapshot.
                     let stale = if (2..4).contains(gen) { 1 } else { *gen };
-                    let want = [*gen as f32, (100 + gen) as f32, (200 + stale) as f32];
+                    let want = [*gen, 100 + gen, 200 + stale].map(|v| Some(v as f32));
                     assert_eq!(slots, &want, "{mode:?} cell {cell} generation {gen}");
                 }
             }
@@ -988,7 +1029,7 @@ mod tests {
                 "{mode:?}: the victim journals"
             );
             for (gen, slots) in seen {
-                let want = [*gen as f32, (100 + gen) as f32, (200 + gen) as f32];
+                let want = [*gen, 100 + gen, 200 + gen].map(|v| Some(v as f32));
                 assert_eq!(slots, &want, "{mode:?} victim generation {gen}");
             }
         }
@@ -1047,7 +1088,9 @@ mod tests {
                         let engine = CellEngine::new(cm.local_rank(), cfg, data);
                         let mut pipeline =
                             Pipeline::new(cfg, vec![engine], Telemetry::disabled());
-                        let mut ex = cm.exchange(ExchangeMode::Sync, None, pipeline.read_set());
+                        let lens = GenomeLens::of(cfg);
+                        let mut ex =
+                            cm.exchange(ExchangeMode::Sync, None, pipeline.read_set(), lens);
                         pipeline.step(&mut ex);
                     });
                 }
@@ -1065,6 +1108,55 @@ mod tests {
             let per_generation: usize = delivered.iter().map(|d| d.1).sum();
             let readers: usize = (0..cells).map(|c| grid.overlapping(c).len() - 1).sum();
             assert_eq!(per_generation, readers * wire, "{rows}x{cols}: bytes on the wire");
+        }
+    }
+
+    #[test]
+    fn a_malformed_or_mis_sized_snapshot_is_refused_on_receipt_naming_its_source() {
+        // LOCAL rank 1 (world rank 2) posts its part of round 3 to LOCAL
+        // rank 0, which reads it: a truncated snapshot, one with a trailing
+        // byte, and a well-formed one whose genomes are not the run's. Each
+        // is refused in `complete`, naming the source and the round, and
+        // the slot it was meant for stays empty.
+        let good = payload(&marked(1, 3)).to_vec();
+        let mut long_disc = marked(1, 3);
+        long_disc.disc_genome.push(0.5);
+        let cases = [
+            (good[..good.len() / 2].to_vec(), "wire decode error"),
+            ([&good[..], &[0]].concat(), "wire decode error: trailing bytes"),
+            (payload(&long_disc).to_vec(), "genome lengths GenomeLens { gen: 1, disc: 3 }"),
+        ];
+        for (bad, why) in cases {
+            let results = Universe::run(3, |world| {
+                let cm = CommManager::new(world);
+                match cm.world_rank() {
+                    0 => None,
+                    2 => {
+                        cm.local().exchange_post(&[0], &Payload::from(&bad), 3, None);
+                        None
+                    }
+                    _ => {
+                        let mut ex = cm.exchange(ExchangeMode::Sync, None, &[0, 1], MARKED);
+                        let mut frame = vec![slot(&marked(0, 3)), None];
+                        let refused =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                ex.begin(3, &frame, &[]);
+                                ex.complete(3, &mut frame, &mut Telemetry::disabled());
+                            }))
+                            .expect_err("a malformed part is refused");
+                        let msg = refused.downcast_ref::<String>().cloned().unwrap_or_default();
+                        Some((msg, frame[1].is_none()))
+                    }
+                }
+            });
+            let (msg, empty) = results[1].as_ref().expect("the reader");
+            assert!(
+                msg.starts_with(
+                    "snapshot from LOCAL rank 1 (world rank 2) for round 3 refused: "
+                ) && msg.contains(why),
+                "{msg}"
+            );
+            assert!(empty, "a refused part reached its frame slot");
         }
     }
 
@@ -1091,9 +1183,9 @@ mod tests {
                 DegradedGather::new(3, 1).frozen_frame(),
                 DegradedGather::new(3, 1).frozen_frame(),
             );
-            share.lock()[cell] = Some(encode(&marked(cell, 1)));
+            share.lock()[cell] = Some(payload(&marked(cell, 1)));
             if cell == 0 {
-                share.lock()[2] = Some(encode(&marked(2, 1)));
+                share.lock()[2] = Some(payload(&marked(2, 1)));
             }
             let start = Instant::now();
             while !done.load(Ordering::Acquire) {
@@ -1105,7 +1197,7 @@ mod tests {
             None
         });
         let frame = results[3].as_ref().expect("the replacement's frame");
-        let want: Vec<CellSnapshot> = (0..3).map(|c| marked(c, 1)).collect();
+        let want: Vec<FrameSlot> = (0..3).map(|c| slot(&marked(c, 1))).collect();
         assert_eq!(frame, &want);
     }
 
@@ -1129,7 +1221,7 @@ mod tests {
                         };
                         assert_eq!(slot, 0);
                         std::thread::sleep(Duration::from_millis(if i == 0 { 30 } else { 80 }));
-                        let part = (i > 0).then(|| encode(&marked(0, 1)));
+                        let part = (i > 0).then(|| payload(&marked(0, 1)));
                         cm.world.send(src, tags::CACHE_RESP, &part);
                     }
                     None

@@ -20,7 +20,7 @@ use crate::checkpoint::{self, CheckpointWriter};
 use crate::comm_manager::CommManager;
 use crate::protocol::{SlaveResult, StatusReport};
 use crate::state::SlaveState;
-use lipiz_core::{CellEngine, CellResult, Grid, Pipeline, TrainConfig};
+use lipiz_core::{CellEngine, CellResult, GenomeLens, Grid, Pipeline, TrainConfig};
 use lipiz_mpi::{process_faults_enabled, replacement_schedule, DegradedGather, FaultPlan};
 use lipiz_telemetry::{EventKind, Telemetry};
 use lipiz_tensor::Matrix;
@@ -225,13 +225,17 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                             });
                         pipeline.rejoin(0, rejoin, frozen);
                     }
-                    None => pipeline.resume_from(resume_frame),
+                    None => pipeline.resume_from(&resume_frame),
                 }
                 // The async exchange thread also owns the degraded-gather
                 // controller — the death-frame handle was cloned for the
                 // main thread before this move.
-                let mut exchange =
-                    exec_cm.exchange(exec_cfg.exchange, gather_ctl.take(), pipeline.read_set());
+                let mut exchange = exec_cm.exchange(
+                    exec_cfg.exchange,
+                    gather_ctl.take(),
+                    pipeline.read_set(),
+                    GenomeLens::of(&exec_cfg),
+                );
 
                 while pipeline.iteration() < target {
                     let iter = pipeline.iteration();

@@ -3,10 +3,15 @@
 //! Every value that crosses a rank boundary or lands in a checkpoint
 //! implements [`Wire`]. The format is little-endian, length-prefixed, and
 //! self-contained — the moral equivalent of an MPI derived datatype. This
-//! crate holds the trait and its impls for primitives and containers and
+//! crate holds the trait and its impls for primitives and containers, and
+//! [`Payload`], the shared buffer encoded bytes travel and rest in. It
 //! depends on nothing, so every other crate of the workspace can declare a
-//! type's encoding next to the type itself (usually with [`wire_struct!`]).
+//! type's encoding next to the type itself (usually with [`wire_struct!`]),
+//! and name the buffer its bytes arrive in.
 
+mod payload;
+
+pub use payload::Payload;
 use std::fmt;
 
 /// Decoding error: truncated or malformed buffer.

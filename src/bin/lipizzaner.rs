@@ -13,7 +13,7 @@
 //! ```
 
 use lipizzaner::core::pipeline::capture_with_frame;
-use lipizzaner::core::{persist, CellState, TransportKind};
+use lipizzaner::core::{persist, CellState, FrameSlot, TransportKind};
 use lipizzaner::data::image;
 use lipizzaner::mpi::{enable_process_faults, scheduled_replacement};
 use lipizzaner::prelude::*;
@@ -493,7 +493,7 @@ fn sequential_trainer(
 }
 
 /// Per-iteration hook of the in-process drivers: `(iter, engines, frame)`.
-type IterationHook<'a> = &'a mut dyn FnMut(usize, &mut [CellEngine], &[CellSnapshot]);
+type IterationHook<'a> = &'a mut dyn FnMut(usize, &mut [CellEngine], &[FrameSlot]);
 
 /// Run an in-process driver with the CLI as its checkpoint coordinator:
 /// `drive` receives the per-iteration hook, which — when checkpointing is

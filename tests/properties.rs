@@ -4,13 +4,14 @@
 mod common;
 
 use lipizzaner::core::{
-    AdversaryStrategy, CellEngine, CellSnapshot, CellState, ExchangeMode, Grid, Individual,
-    LossMode, MixtureWeights, NeighborhoodPattern, Pipeline, TrainConfig,
+    AdversaryStrategy, CellEngine, CellSnapshot, CellState, EncodedSnapshot, ExchangeMode,
+    GenomeLens, Grid, Individual, LossMode, MixtureWeights, NeighborhoodPattern, Pipeline,
+    SnapshotRef, SubPopulation, TrainConfig,
 };
 use lipizzaner::data::BatchLoaderState;
 use lipizzaner::mpi::comm::Fabric;
 use lipizzaner::mpi::wire::Wire;
-use lipizzaner::mpi::{FaultPlan, Universe};
+use lipizzaner::mpi::{FaultPlan, Payload, Universe};
 use lipizzaner::nn::{Activation, AdamState, GanLoss, Mlp};
 use lipizzaner::runtime::{checkpoint, CommManager};
 use lipizzaner::telemetry::Telemetry;
@@ -85,6 +86,42 @@ proptest! {
         for (a, b) in v.iter().zip(&back) {
             prop_assert!(a.to_bits() == b.to_bits());
         }
+
+        // The same floats as a snapshot's genomes: importing straight from
+        // the wire bytes fills import slots bit for bit as importing the
+        // decoded snapshot does — NaN payloads, −0.0 and subnormals among
+        // the floats, and an odd-length discriminator genome.
+        let specials = [0x7FC0_0001u32, 0xFFC0_1234, 0x8000_0000, 1, 0x807F_FFFF];
+        let gen: Vec<f32> = specials.map(f32::from_bits).iter().chain(&v).copied().collect();
+        let disc: Vec<f32> = gen.iter().rev().take(v.len() | 1).copied().collect();
+        let snap = CellSnapshot {
+            cell: v.len(),
+            gen_genome: gen,
+            gen_lr: f32::from_bits(0x7FA0_0003),
+            gen_loss: GanLoss::LeastSquares,
+            gen_fitness: -0.0,
+            disc_genome: disc,
+            disc_lr: f32::from_bits(1),
+            disc_fitness: f64::from_bits(0x7FF0_0000_0000_0009),
+        };
+        let wire = EncodedSnapshot::parse(Payload::from(snap.to_bytes())).unwrap();
+        let decoded = CellSnapshot::from_bytes(wire.payload()).unwrap();
+        let import = |view: SnapshotRef<'_>| {
+            let center = Individual::new(vec![9.0; 3], 1e-3, GanLoss::Heuristic);
+            let mut pop = SubPopulation::bootstrap(center, 2);
+            pop.assign_import(1, view.gen_genome, view.gen_lr, view.gen_loss, view.gen_fitness);
+            pop.assign_import(2, view.disc_genome, view.disc_lr, GanLoss::Minimax, view.disc_fitness);
+            pop.members()
+                .iter()
+                .map(|m| {
+                    let genome: Vec<u32> = m.genome.iter().map(|f| f.to_bits()).collect();
+                    (genome, m.lr.to_bits(), m.loss, m.fitness.to_bits())
+                })
+                .collect::<Vec<_>>()
+        };
+        let from_wire = import(wire.view());
+        prop_assert_eq!(&from_wire, &import(SnapshotRef::from(&decoded)));
+        prop_assert_eq!(&from_wire, &import(SnapshotRef::from(&snap)));
     }
 
     #[test]
@@ -377,7 +414,8 @@ fn exchanged_engines(cfg: &TrainConfig, fabric: std::sync::Arc<Fabric>) -> Vec<V
         }
         let engine = CellEngine::new(cm.local_rank(), cfg, data.clone());
         let mut pipeline = Pipeline::new(cfg, vec![engine], Telemetry::disabled());
-        let mut exchange = cm.exchange(cfg.exchange, None, pipeline.read_set());
+        let lens = GenomeLens::of(cfg);
+        let mut exchange = cm.exchange(cfg.exchange, None, pipeline.read_set(), lens);
         for _ in 0..cfg.coevolution.iterations {
             pipeline.step(&mut exchange);
         }

@@ -15,12 +15,13 @@
 //!
 //! And one level further out, where snapshots really move: a 2×2 grid of
 //! rank threads over the in-process `Fabric`, each a one-cell pipeline on a
-//! `CommExchange`. There an iteration cannot be free — the rank's encoded
-//! snapshot has to live in a buffer the transport owns — but that buffer
-//! is all a steady-state exchange may allocate, on every rank alike: it
-//! travels to each reader by reference count, frames are decoded in place,
-//! and the async exchange thread rotates its frames instead of allocating
-//! one per generation.
+//! `CommExchange`. There an iteration cannot be free — the rank's readers
+//! still hold its previous snapshot when it encodes the next, so the new one
+//! needs a buffer of its own — but that buffer is all a steady-state
+//! exchange may allocate, on every rank alike: it travels to each reader by
+//! reference count and sits in their frames as it arrived, nothing is
+//! decoded into a frame, and under async only handles cross back from the
+//! exchange thread — so `complete` allocates nothing in either mode.
 //!
 //! Last, the checkpoint commit: with its scratch warm it encodes the
 //! captured state by reference, so what it allocates is paths and file
@@ -38,7 +39,8 @@ mod common;
 
 use common::toy_data;
 use lipizzaner::core::{
-    CellEngine, CellSnapshot, Exchange, ExchangeMode, InMemoryExchange, Pipeline, TrainConfig,
+    CellEngine, CellSnapshot, Exchange, ExchangeMode, FrameSlot, GenomeLens, InMemoryExchange,
+    Pipeline, TrainConfig,
 };
 use lipizzaner::mpi::comm::Fabric;
 use lipizzaner::mpi::Comm;
@@ -149,11 +151,17 @@ fn steady_state_iteration_allocates_nothing() {
         "steady-state training iterations must perform zero heap allocations"
     );
 
-    // Recycled snapshot capture is allocation-free too.
+    // Recycled snapshot capture is allocation-free too, and so is encoding
+    // into an own frame slot that no reader still holds.
     let mut snap = engine.snapshot();
     let before = allocations();
     engine.snapshot_into(&mut snap);
     assert_eq!(allocations() - before, 0, "snapshot_into must not allocate");
+    let mut own: FrameSlot = None;
+    engine.encode_snapshot_into(&mut own);
+    let before = allocations();
+    engine.encode_snapshot_into(&mut own);
+    assert_eq!(allocations() - before, 0, "re-encoding a sole own slot must not allocate");
 
     // Recycled checkpoint capture: warm once, then allocation-free.
     let mut state = engine.capture_state();
@@ -187,7 +195,8 @@ fn steady_state_with_telemetry_allocates_nothing() {
 
 /// The loop around the engines: a steady-state [`Pipeline::step`] of the
 /// whole grid over [`InMemoryExchange`] performs zero allocations — the
-/// neighbour table is precomputed and both frame buffers are recycled.
+/// neighbour table is precomputed, both frame tables are recycled, and each
+/// cell re-encodes into its own slot's buffer, which nothing else holds.
 fn steady_state_pipeline_step_allocates_nothing() {
     for mode in [ExchangeMode::Sync, ExchangeMode::Async] {
         for traced in [false, true] {
@@ -227,11 +236,11 @@ struct Metered {
 }
 
 impl Exchange for Metered {
-    fn begin(&mut self, gen: usize, frame: &[CellSnapshot], costs: &[Duration]) {
+    fn begin(&mut self, gen: usize, frame: &[FrameSlot], costs: &[Duration]) {
         self.inner.begin(gen, frame, costs);
     }
 
-    fn complete(&mut self, gen: usize, frame: &mut Vec<CellSnapshot>, tel: &mut Telemetry) {
+    fn complete(&mut self, gen: usize, frame: &mut [FrameSlot], tel: &mut Telemetry) {
         let before = my_allocations();
         self.inner.complete(gen, frame, tel);
         let after = my_allocations();
@@ -244,9 +253,10 @@ impl Exchange for Metered {
 /// grid) over the in-process fabric, each stepping a one-cell pipeline on
 /// its `CommExchange`. Per iteration a rank — any rank, there is no root —
 /// may allocate its one outgoing payload; the only other allocations left
-/// are the payload's reference count and, in async mode, a channel block
-/// every 31 messages. Nothing is allocated per decoded frame, per reader
-/// posted to, or per snapshot byte received.
+/// are the payload's reference count and, in async mode, the exchange
+/// thread's list of received handles and a channel block every 31 messages.
+/// Nothing is allocated per frame slot, per reader posted to, or per
+/// snapshot byte received, and nothing at all inside `complete`.
 fn steady_state_exchange_allocates_one_payload_per_rank() {
     const WARM: usize = 8;
     const WINDOW: u64 = 8;
@@ -284,7 +294,12 @@ fn steady_state_exchange_allocates_one_payload_per_rank() {
                             let engine = CellEngine::new(cell, cfg, data.clone());
                             let mut pipeline = Pipeline::new(cfg, vec![engine], tel);
                             let mut ex = Metered {
-                                inner: cm.exchange(mode, None, pipeline.read_set()),
+                                inner: cm.exchange(
+                                    mode,
+                                    None,
+                                    pipeline.read_set(),
+                                    GenomeLens::of(cfg),
+                                ),
                                 in_complete: (0, 0),
                             };
                             for _ in 0..WARM {
@@ -332,13 +347,13 @@ fn steady_state_exchange_allocates_one_payload_per_rank() {
                     *allocs <= WINDOW * 3 + 2,
                     "cell {cell}: {allocs} allocations over {WINDOW} iterations {what}"
                 );
-                // Inside `complete` a rank allocates nothing in sync mode —
-                // each part is decoded where it arrived — and at most a
-                // channel block in async mode, where the exchange thread
-                // does the receiving.
-                let budget = if mode.is_async() { (1, 4096) } else { (0, 0) };
-                assert!(
-                    in_complete.0 <= budget.0 && in_complete.1 <= budget.1,
+                // Inside `complete` a rank allocates nothing in either
+                // mode: each part stays in the buffer it arrived in, and
+                // under async the handles the exchange thread hands over
+                // are moved into the frame — no spent frame travels back.
+                assert_eq!(
+                    *in_complete,
+                    (0, 0),
                     "cell {cell} allocated {in_complete:?} inside complete {what}"
                 );
             }
