@@ -68,8 +68,8 @@ impl Placement {
 }
 
 /// Estimated resident memory per rank in bytes, from first principles:
-/// network parameters (center + scratch + Adam moments), the two
-/// sub-populations of genomes, the local dataset copy, and batch buffers.
+/// the two sub-populations of genomes (the centers train in their slots),
+/// their Adam moments, the local dataset copy, and batch buffers.
 /// Used to regenerate Table II's memory column.
 pub fn estimate_rank_memory_bytes(cfg: &TrainConfig) -> usize {
     let net = cfg.network;
@@ -87,12 +87,12 @@ pub fn estimate_rank_memory_bytes(cfg: &TrainConfig) -> usize {
         + 1;
     let s = cfg.subpopulation_size();
     let f32s = 4usize;
-    // working nets + scratch nets + 2 Adam moment vectors each.
-    let networks = (g_params + d_params) * (2 + 2) * f32s;
+    // Two Adam moment vectors per network.
+    let moments = (g_params + d_params) * 2 * f32s;
     let subpops = s * (g_params + d_params) * f32s;
     let dataset = cfg.training.dataset_size * net.data_dim * f32s;
     let batches = 4 * cfg.training.batch_size * net.data_dim * f32s;
-    networks + subpops + dataset + batches
+    moments + subpops + dataset + batches
 }
 
 /// Total memory for an `m×m` grid job (all slaves + master), in MB —

@@ -26,6 +26,7 @@ use lipiz_mpi::{scheduled_replacement, ReplacementSchedule};
 use lipiz_telemetry::{EventKind, Telemetry, TelemetrySummary};
 use lipiz_tensor::Matrix;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Simulation knobs.
@@ -73,7 +74,9 @@ impl SimulatedCluster {
     /// Every cell engine runs for real on the host; the returned report's
     /// `wall_seconds` is the *virtual* distributed wall-clock. Training
     /// results are bit-identical to `SequentialTrainer` under the same
-    /// config.
+    /// config. `make_data` is called as `lipiz_core::Pipeline::whole_grid`
+    /// calls it: once for the whole grid, or once per cell under
+    /// `shard_data`.
     pub fn run(&self, cfg: &TrainConfig, make_data: impl FnMut(usize) -> Matrix) -> SimOutcome {
         self.run_resumable(cfg, make_data, None, |_, _, _| {})
     }
@@ -109,7 +112,7 @@ impl SimulatedCluster {
     fn simulate(
         &self,
         cfg: &TrainConfig,
-        mut make_data: impl FnMut(usize) -> Matrix,
+        make_data: impl FnMut(usize) -> Matrix,
         resume: Option<&[CellState]>,
         mut on_iteration: impl FnMut(usize, &mut [CellEngine], &[FrameSlot]),
     ) -> (SimOutcome, Vec<TelemetrySummary>) {
@@ -121,10 +124,11 @@ impl SimulatedCluster {
         let placement = Placement::allocate(&self.spec, cells + 1, self.opts.run_seed);
 
         // All simulated slaves run in this one host process, one cell after
-        // another on this thread. The pipeline's own recorder goes unread: the
-        // simulator's ledgers and journals live on the virtual clocks below.
-        let mut pipeline =
-            Pipeline::whole_grid(cfg, &mut make_data, resume, Telemetry::disabled());
+        // another on this thread, over one dataset and one iteration scratch
+        // (what a real slave holds once per rank). The pipeline's own
+        // recorder goes unread: the simulator's ledgers and journals live on
+        // the virtual clocks below.
+        let mut pipeline = Pipeline::whole_grid(cfg, make_data, resume, Telemetry::disabled());
 
         let start_iter = pipeline.iteration();
         let target = cfg.checkpoint.effective_iterations(cfg.coevolution.iterations);
@@ -188,7 +192,9 @@ impl SimulatedCluster {
                 let cell = sched.cell;
                 let now = vns(vx.clocks[cell].now());
                 vx.tels[cell].record_at(EventKind::Kill, cell as u32, iter as u32, 0, now);
-                let data = make_data(cell);
+                // The replacement re-derives the victim's data; on this host
+                // that is the dataset the victim's engine already holds.
+                let data = Arc::clone(pipeline.engines()[cell].dataset());
                 let replacement = match &victim_cut {
                     Some(state) => CellEngine::from_state(cfg, data, state),
                     None => CellEngine::new(cell, cfg, data),

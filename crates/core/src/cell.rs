@@ -9,11 +9,10 @@ use crate::resume::CellState;
 use crate::snapshot::{CellSnapshot, EncodedSnapshot, Genome, SnapshotRef};
 use crate::topology::Grid;
 use lipiz_data::BatchLoader;
-use lipiz_nn::{
-    gan, loss, Adam, Discriminator, GanLoss, Generator, NetworkConfig, TrainWorkspace,
-};
+use lipiz_nn::{gan, loss, Adam, GanLoss, MlpShape, NetworkConfig, TrainWorkspace};
 use lipiz_telemetry::Telemetry;
 use lipiz_tensor::{Matrix, Pool, Rng64};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One grid cell's complete training state.
@@ -23,18 +22,20 @@ use std::time::Duration;
 /// genomes. The sequential baseline, the threaded distributed runtime and
 /// the virtual-time cluster simulator all drive this same struct — the
 /// integration suite asserts their outputs are equal.
+///
+/// It holds each genome once: the two networks are shapes, and every
+/// member of both sub-populations is trained (the centers) and scored (all
+/// of them) in the slot it lives in. The dataset is shared with any other
+/// engine built over the same `Arc`, and the per-iteration buffers are a
+/// [`CellScratch`] the caller lends to [`CellEngine::run_iteration`].
 pub struct CellEngine {
     cell_index: usize,
     cfg: TrainConfig,
     net_cfg: NetworkConfig,
+    gen_shape: MlpShape,
+    disc_shape: MlpShape,
     gen_pop: SubPopulation,
     disc_pop: SubPopulation,
-    /// Working center networks (always mirror the center genomes).
-    gen: Generator,
-    disc: Discriminator,
-    /// Scratch networks for evaluating imported genomes.
-    scratch_gen: Generator,
-    scratch_disc: Discriminator,
     adam_g: Adam,
     adam_d: Adam,
     mixture: MixtureWeights,
@@ -45,15 +46,15 @@ pub struct CellEngine {
     rng_mixture: Rng64,
     batch_counter: u64,
     iteration: usize,
-    /// Recycled per-cell scratch. Together with the engine's workspace, a
-    /// steady-state iteration performs zero heap allocations — asserted by
-    /// the counting-allocator integration test.
-    scratch: CellScratch,
 }
 
-/// Every recycled buffer of one cell's training iteration, grouped so the
-/// constructors initialize them in exactly one place.
-struct CellScratch {
+/// Every recycled buffer of one cell iteration. None of it carries state
+/// from one iteration to the next, so a rank owns one and lends it to each
+/// of its engines in turn; once it has warmed up to the rank's shapes, a
+/// steady-state iteration performs zero heap allocations — asserted by the
+/// counting-allocator integration test.
+#[derive(Debug)]
+pub struct CellScratch {
     /// Reusable step workspace (forward caches, loss gradients, delta
     /// ping-pong, gradient accumulators).
     ws: TrainWorkspace,
@@ -78,14 +79,13 @@ struct CellScratch {
     d_fit: Vec<f64>,
     /// Tournament draw buffer.
     tourney: Vec<usize>,
-    /// Mixture-ES candidate buffer.
+    /// Mixture-ES candidate buffer (resized by every mutation).
     mixture: MixtureWeights,
 }
 
-impl CellScratch {
-    /// Empty scratch for a cell with `subpop` sub-population members;
-    /// every buffer sizes itself lazily on first use.
-    fn new(subpop: usize) -> Self {
+impl Default for CellScratch {
+    /// Empty scratch; every buffer sizes itself on first use.
+    fn default() -> Self {
         Self {
             ws: TrainWorkspace::default(),
             z: Matrix::default(),
@@ -99,22 +99,22 @@ impl CellScratch {
             g_fit: Vec::new(),
             d_fit: Vec::new(),
             tourney: Vec::new(),
-            mixture: MixtureWeights::uniform(subpop),
+            mixture: MixtureWeights::uniform(1),
         }
     }
 }
 
 impl CellEngine {
     /// Build the engine for grid cell `cell_index` over its local dataset
-    /// (row-per-sample, values in `[-1, 1]`).
+    /// (row-per-sample, values in `[-1, 1]`): an owned matrix, or one
+    /// shared with the other engines of the rank.
     ///
     /// # Panics
     /// Panics if the dataset width does not match the configured data
     /// dimension, or the dataset is smaller than the eval batch.
-    pub fn new(cell_index: usize, cfg: &TrainConfig, data: Matrix) -> Self {
-        let net_cfg = cfg.network.to_network_config();
-        assert_eq!(data.cols(), net_cfg.data_dim, "dataset width vs network data_dim");
-        assert!(data.rows() >= cfg.training.eval_batch, "dataset smaller than eval batch");
+    pub fn new(cell_index: usize, cfg: &TrainConfig, data: impl Into<Arc<Matrix>>) -> Self {
+        let data = data.into();
+        let net_cfg = check_data(cfg, &data);
         let mut root = Rng64::seed_from(cfg.cell_seed(cell_index));
         let mut rng_init = root.derive(0);
         let rng_mutate = root.derive(1);
@@ -122,25 +122,21 @@ impl CellEngine {
         let rng_mixture = root.derive(3);
         let loader_seed_rng = root.derive(4);
 
-        let gen = Generator::new(&net_cfg, &mut rng_init);
-        let disc = Discriminator::new(&net_cfg, &mut rng_init);
-        let scratch_gen = gen.clone();
-        let scratch_disc = disc.clone();
-        let adam_g = Adam::new(gen.net.param_count());
-        let adam_d = Adam::new(disc.net.param_count());
+        let (gen_shape, disc_shape) =
+            (net_cfg.generator_shape(), net_cfg.discriminator_shape());
+        let gen_genome = gen_shape.glorot_genome(&mut rng_init);
+        let disc_genome = disc_shape.glorot_genome(&mut rng_init);
+        let adam_g = Adam::new(gen_shape.param_count());
+        let adam_d = Adam::new(disc_shape.param_count());
 
         let initial_loss = match cfg.mutation.loss_mode {
             LossMode::Fixed(l) => l,
             LossMode::Mutate => GanLoss::Heuristic,
         };
         let imports = cfg.subpopulation_size() - 1;
-        let gen_center =
-            Individual::new(gen.net.genome().to_vec(), cfg.mutation.initial_lr, initial_loss);
-        let disc_center = Individual::new(
-            disc.net.genome().to_vec(),
-            cfg.mutation.initial_lr,
-            GanLoss::Heuristic,
-        );
+        let gen_center = Individual::new(gen_genome, cfg.mutation.initial_lr, initial_loss);
+        let disc_center =
+            Individual::new(disc_genome, cfg.mutation.initial_lr, GanLoss::Heuristic);
         let gen_pop = SubPopulation::bootstrap(gen_center, imports);
         let disc_pop = SubPopulation::bootstrap(disc_center, imports);
         let mixture = MixtureWeights::uniform(gen_pop.len());
@@ -148,18 +144,15 @@ impl CellEngine {
         let eval_real = data.slice_rows(0, cfg.training.eval_batch);
         let mut loader_seed = loader_seed_rng;
         let loader = BatchLoader::new(data, cfg.training.batch_size, loader_seed.next_u64());
-        let subpop = gen_pop.len();
 
         Self {
             cell_index,
             cfg: cfg.clone(),
             net_cfg,
+            gen_shape,
+            disc_shape,
             gen_pop,
             disc_pop,
-            gen,
-            disc,
-            scratch_gen,
-            scratch_disc,
             adam_g,
             adam_d,
             mixture,
@@ -170,7 +163,6 @@ impl CellEngine {
             rng_mixture,
             batch_counter: 0,
             iteration: 0,
-            scratch: CellScratch::new(subpop),
         }
     }
 
@@ -184,38 +176,26 @@ impl CellEngine {
     /// Panics if the state fails [`CellState::validate`] against `cfg`, or
     /// the dataset shape disagrees with the configuration — a corrupt or
     /// mismatched checkpoint must never restore partially.
-    pub fn from_state(cfg: &TrainConfig, data: Matrix, state: &CellState) -> Self {
+    pub fn from_state(
+        cfg: &TrainConfig,
+        data: impl Into<Arc<Matrix>>,
+        state: &CellState,
+    ) -> Self {
         state.validate(cfg).expect("cell state validates against config");
-        let net_cfg = cfg.network.to_network_config();
-        assert_eq!(data.cols(), net_cfg.data_dim, "dataset width vs network data_dim");
-        assert!(data.rows() >= cfg.training.eval_batch, "dataset smaller than eval batch");
-
-        // Materialize network shells, then overwrite with the center
-        // genomes (at an iteration boundary the working nets always mirror
-        // the centers — `update_phase` re-syncs them before it returns).
-        let mut shell_rng = Rng64::seed_from(0);
-        let mut gen = Generator::new(&net_cfg, &mut shell_rng);
-        let mut disc = Discriminator::new(&net_cfg, &mut shell_rng);
-        gen.net.load_genome(&state.gen_members[0].genome);
-        disc.net.load_genome(&state.disc_members[0].genome);
-        let scratch_gen = gen.clone();
-        let scratch_disc = disc.clone();
-
+        let data = data.into();
+        let net_cfg = check_data(cfg, &data);
         let eval_real = data.slice_rows(0, cfg.training.eval_batch);
         let loader =
             BatchLoader::from_state(data, cfg.training.batch_size, state.loader.clone());
-        let subpop = state.gen_members.len();
 
         Self {
             cell_index: state.cell,
             cfg: cfg.clone(),
             net_cfg,
+            gen_shape: net_cfg.generator_shape(),
+            disc_shape: net_cfg.discriminator_shape(),
             gen_pop: SubPopulation::from_members(state.gen_members.clone()),
             disc_pop: SubPopulation::from_members(state.disc_members.clone()),
-            gen,
-            disc,
-            scratch_gen,
-            scratch_disc,
             adam_g: Adam::from_state(state.adam_g.clone()),
             adam_d: Adam::from_state(state.adam_d.clone()),
             mixture: MixtureWeights::from_normalized(&state.mixture),
@@ -226,16 +206,12 @@ impl CellEngine {
             rng_mixture: Rng64::from_state(state.rng_mixture),
             batch_counter: state.batch_counter,
             iteration: state.iteration,
-            scratch: CellScratch::new(subpop),
         }
     }
 
     /// Capture the engine's complete training state (see [`CellState`]).
-    /// Meant to be called at an iteration boundary; syncs the working
-    /// center networks into the population first, exactly like
-    /// [`CellEngine::snapshot`].
-    pub fn capture_state(&mut self) -> CellState {
-        self.sync_center_genomes();
+    /// Meant to be called at an iteration boundary.
+    pub fn capture_state(&self) -> CellState {
         CellState {
             cell: self.cell_index,
             iteration: self.iteration,
@@ -261,8 +237,7 @@ impl CellEngine {
     /// `state.exchange_frame` belongs to the driver, not the engine: the
     /// caller fills (or clears) it after capture, because only the driver
     /// knows which gathered frame the next iteration will consume.
-    pub fn capture_state_into(&mut self, state: &mut CellState) {
-        self.sync_center_genomes();
+    pub fn capture_state_into(&self, state: &mut CellState) {
         state.cell = self.cell_index;
         state.iteration = self.iteration;
         state.batch_counter = self.batch_counter;
@@ -281,6 +256,12 @@ impl CellEngine {
     /// This cell's flat grid index.
     pub fn cell_index(&self) -> usize {
         self.cell_index
+    }
+
+    /// The dataset this cell trains on — shared with every engine built
+    /// over the same `Arc`.
+    pub fn dataset(&self) -> &Arc<Matrix> {
+        self.loader.data()
     }
 
     /// The exchange-frame slots this cell imports — its grid neighbours, in
@@ -310,7 +291,7 @@ impl CellEngine {
     }
 
     /// Snapshot of the current center pair for migration to neighbors.
-    pub fn snapshot(&mut self) -> CellSnapshot {
+    pub fn snapshot(&self) -> CellSnapshot {
         let mut snap = CellSnapshot::empty();
         self.snapshot_into(&mut snap);
         snap
@@ -318,8 +299,7 @@ impl CellEngine {
 
     /// [`CellEngine::snapshot`] into a recycled snapshot (genome buffers
     /// are reused in place, so it allocates nothing).
-    pub fn snapshot_into(&mut self, out: &mut CellSnapshot) {
-        self.sync_center_genomes();
+    pub fn snapshot_into(&self, out: &mut CellSnapshot) {
         out.copy_from(self.center_pair());
     }
 
@@ -328,8 +308,7 @@ impl CellEngine {
     /// The buffer is rewritten in place when no reader still holds the
     /// previous generation ([`EncodedSnapshot::refill`]); this is the path
     /// every driver takes every iteration.
-    pub fn encode_snapshot_into(&mut self, slot: &mut Option<EncodedSnapshot>) {
-        self.sync_center_genomes();
+    pub fn encode_snapshot_into(&self, slot: &mut Option<EncodedSnapshot>) {
         let pair = self.center_pair();
         match slot {
             Some(encoded) => encoded.refill(pair),
@@ -356,12 +335,18 @@ impl CellEngine {
     /// Run one full training iteration given this round's neighbor
     /// snapshots (in neighbor-slot order) — decoded snapshots, or the
     /// pipeline's view of the exchange-frame slots this cell reads, imported
-    /// straight from the bytes they arrived in. Each Table IV phase runs
+    /// straight from the bytes they arrived in. `scratch` is the rank's
+    /// iteration scratch, lent for the call. Each Table IV phase runs
     /// under a span of `tel` — the rank's recorder, or
     /// `Telemetry::disabled()` when nobody reads the timing — and the
     /// measured host time of the four phases comes back in execution order:
     /// ingest (the cell's share of *gather*), mutate, train, update genomes.
-    pub fn run_iteration<'a, I>(&mut self, neighbors: I, tel: &mut Telemetry) -> [Duration; 4]
+    pub fn run_iteration<'a, I>(
+        &mut self,
+        neighbors: I,
+        scratch: &mut CellScratch,
+        tel: &mut Telemetry,
+    ) -> [Duration; 4]
     where
         I: IntoIterator,
         I::Item: Into<SnapshotRef<'a>>,
@@ -372,21 +357,20 @@ impl CellEngine {
         // that is the rank's blocking exchange wait alone.
         let start = tel.begin(Routine::Gather, cell, iter).unsampled();
         self.ingest(neighbors.into_iter().map(Into::into));
+        let gather = tel.end(Routine::Gather, cell, iter, start);
+        let mut timed = |kind: Routine, phase: &mut dyn FnMut()| {
+            let start = tel.begin(kind, cell, iter);
+            phase();
+            tel.end(kind, cell, iter, start)
+        };
         let phases = [
-            tel.end(Routine::Gather, cell, iter, start),
-            self.timed(tel, Routine::Mutate, Self::mutate_phase),
-            self.timed(tel, Routine::Train, Self::train_phase),
-            self.timed(tel, Routine::UpdateGenomes, Self::update_phase),
+            gather,
+            timed(Routine::Mutate, &mut || self.mutate_phase()),
+            timed(Routine::Train, &mut || self.train_phase(scratch)),
+            timed(Routine::UpdateGenomes, &mut || self.update_phase(scratch)),
         ];
         self.iteration += 1;
         phases
-    }
-
-    fn timed(&mut self, tel: &mut Telemetry, kind: Routine, phase: fn(&mut Self)) -> Duration {
-        let (cell, iter) = (self.cell_index as u32, self.iteration as u32);
-        let start = tel.begin(kind, cell, iter);
-        phase(self);
-        tel.end(kind, cell, iter, start)
     }
 
     // ---- phase 1: gather --------------------------------------------------
@@ -412,8 +396,8 @@ impl CellEngine {
             self.gen_pop.len() - 1,
             "snapshot count vs neighborhood size"
         );
-        let gen_len = self.gen_pop.center().genome.len();
-        let disc_len = self.disc_pop.center().genome.len();
+        let gen_len = self.gen_shape.param_count();
+        let disc_len = self.disc_shape.param_count();
         for (slot, snap) in neighbors.enumerate() {
             assert!(
                 snap.gen_genome.len() == gen_len && snap.disc_genome.len() == disc_len,
@@ -461,44 +445,36 @@ impl CellEngine {
 
     // ---- phase 3: train ---------------------------------------------------
 
-    /// Mini-batch adversarial training of the center pair against
-    /// sub-population adversaries.
-    pub fn train_phase(&mut self) {
+    /// Mini-batch adversarial training of the center pair, in place in
+    /// their member slots, against sub-population adversaries.
+    fn train_phase(&mut self, s: &mut CellScratch) {
         for _ in 0..self.cfg.training.batches_per_iteration {
-            // The real batch lives in a recycled buffer; it is moved out of
-            // `self` for the duration of the steps (a pointer swap, not a
-            // copy) so the step methods can borrow the engine mutably.
-            self.loader.next_batch_into(&mut self.scratch.real);
-            let real = std::mem::take(&mut self.scratch.real);
+            self.loader.next_batch_into(&mut s.real);
             match self.cfg.coevolution.adversary {
                 AdversaryStrategy::Tournament(k) => {
-                    let d_idx = self.disc_pop.tournament_with(
-                        &mut self.rng_train,
-                        k,
-                        &mut self.scratch.tourney,
-                    );
-                    self.generator_step(d_idx);
+                    let d_idx =
+                        self.disc_pop.tournament_with(&mut self.rng_train, k, &mut s.tourney);
+                    self.generator_step(d_idx, s);
                     if self.should_train_disc() {
                         let g_idx = self.gen_pop.tournament_with(
                             &mut self.rng_train,
                             k,
-                            &mut self.scratch.tourney,
+                            &mut s.tourney,
                         );
-                        self.discriminator_step(g_idx, &real);
+                        self.discriminator_step(g_idx, s);
                     }
                 }
                 AdversaryStrategy::All => {
                     for d_idx in 0..self.disc_pop.len() {
-                        self.generator_step(d_idx);
+                        self.generator_step(d_idx, s);
                     }
                     if self.should_train_disc() {
                         for g_idx in 0..self.gen_pop.len() {
-                            self.discriminator_step(g_idx, &real);
+                            self.discriminator_step(g_idx, s);
                         }
                     }
                 }
             }
-            self.scratch.real = real;
             self.batch_counter += 1;
         }
     }
@@ -510,70 +486,51 @@ impl CellEngine {
         self.batch_counter.is_multiple_of(period)
     }
 
-    /// One generator Adam step against discriminator sub-population member
-    /// `d_idx`.
-    fn generator_step(&mut self, d_idx: usize) {
+    /// One generator Adam step of the center against discriminator
+    /// sub-population member `d_idx` (the center itself at 0).
+    fn generator_step(&mut self, d_idx: usize, s: &mut CellScratch) {
         gan::latent_batch_into(
             &mut self.rng_train,
             self.cfg.training.batch_size,
             self.net_cfg.latent_dim,
-            &mut self.scratch.z,
+            &mut s.z,
         );
-        let (lr, kind) = {
-            let c = self.gen_pop.center();
-            (c.lr, c.loss)
-        };
-        let adversary: &Discriminator = if d_idx == 0 {
-            &self.disc
-        } else {
-            self.scratch_disc.net.load_genome(&self.disc_pop.members()[d_idx].genome);
-            &self.scratch_disc
-        };
-        gan::train_generator_step_ws(
-            &mut self.gen,
-            adversary,
+        let center = self.gen_pop.center_mut();
+        gan::train_generator_step(
+            &self.gen_shape,
+            &mut center.genome,
+            &self.disc_shape,
+            &self.disc_pop.members()[d_idx].genome,
             &mut self.adam_g,
-            &self.scratch.z,
-            lr,
-            kind,
-            &mut self.scratch.ws,
+            &s.z,
+            center.lr,
+            center.loss,
+            &mut s.ws,
             &Pool,
         );
     }
 
-    /// One discriminator Adam step against generator sub-population member
-    /// `g_idx` using a real batch.
-    fn discriminator_step(&mut self, g_idx: usize, real: &Matrix) {
+    /// One discriminator Adam step of the center against generator
+    /// sub-population member `g_idx` (the center itself at 0) on the real
+    /// batch in `s`.
+    fn discriminator_step(&mut self, g_idx: usize, s: &mut CellScratch) {
         gan::latent_batch_into(
             &mut self.rng_train,
             self.cfg.training.batch_size,
             self.net_cfg.latent_dim,
-            &mut self.scratch.z,
+            &mut s.z,
         );
-        if g_idx == 0 {
-            self.gen.generate_into(
-                &self.scratch.z,
-                &mut self.scratch.fake,
-                &mut self.scratch.fwd,
-                &Pool,
-            );
-        } else {
-            self.scratch_gen.net.load_genome(&self.gen_pop.members()[g_idx].genome);
-            self.scratch_gen.generate_into(
-                &self.scratch.z,
-                &mut self.scratch.fake,
-                &mut self.scratch.fwd,
-                &Pool,
-            );
-        }
-        let lr = self.disc_pop.center().lr;
-        gan::train_discriminator_step_ws(
-            &mut self.disc,
+        let g_genome = &self.gen_pop.members()[g_idx].genome;
+        self.gen_shape.forward_into(g_genome, &s.z, &mut s.fake, &mut s.fwd, &Pool);
+        let center = self.disc_pop.center_mut();
+        gan::train_discriminator_step(
+            &self.disc_shape,
+            &mut center.genome,
             &mut self.adam_d,
-            real,
-            &self.scratch.fake,
-            lr,
-            &mut self.scratch.ws,
+            &s.real,
+            &s.fake,
+            center.lr,
+            &mut s.ws,
             &Pool,
         );
     }
@@ -582,131 +539,93 @@ impl CellEngine {
 
     /// Re-evaluate every individual against the opposing sub-population,
     /// promote the best to center, and periodically evolve the mixture.
-    #[allow(clippy::needless_range_loop)] // index couples two parallel arrays
-    pub fn update_phase(&mut self) {
-        self.sync_center_genomes();
-        let s = self.gen_pop.len();
+    fn update_phase(&mut self, s: &mut CellScratch) {
+        let n = self.gen_pop.len();
         gan::latent_batch_into(
             &mut self.rng_train,
             self.cfg.training.eval_batch,
             self.net_cfg.latent_dim,
-            &mut self.scratch.z,
+            &mut s.z,
         );
 
         // Generate each component's fake batch once (recycled buffers).
-        self.scratch.fakes.resize_with(s, Matrix::default);
-        for i in 0..s {
-            self.scratch_gen.net.load_genome(&self.gen_pop.members()[i].genome);
-            self.scratch_gen.generate_into(
-                &self.scratch.z,
-                &mut self.scratch.fakes[i],
-                &mut self.scratch.fwd,
-                &Pool,
-            );
+        s.fakes.resize_with(n, Matrix::default);
+        for (member, fake) in self.gen_pop.members().iter().zip(&mut s.fakes) {
+            self.gen_shape.forward_into(&member.genome, &s.z, fake, &mut s.fwd, &Pool);
         }
 
         // Pairwise logits: discriminator j scores real batch + all fakes.
-        self.scratch.g_fit.clear();
-        self.scratch.g_fit.resize(s, 0.0);
-        self.scratch.d_fit.clear();
-        self.scratch.d_fit.resize(s, 0.0);
-        for j in 0..s {
-            self.scratch_disc.net.load_genome(&self.disc_pop.members()[j].genome);
-            self.scratch_disc.logits_into(
+        s.g_fit.clear();
+        s.g_fit.resize(n, 0.0);
+        s.d_fit.clear();
+        s.d_fit.resize(n, 0.0);
+        for (j, disc) in self.disc_pop.members().iter().enumerate() {
+            let d = &disc.genome;
+            self.disc_shape.forward_into(
+                d,
                 &self.eval_real,
-                &mut self.scratch.logits_real,
-                &mut self.scratch.fwd,
+                &mut s.logits_real,
+                &mut s.fwd,
                 &Pool,
             );
-            for i in 0..s {
-                self.scratch_disc.logits_into(
-                    &self.scratch.fakes[i],
-                    &mut self.scratch.logits_fake,
-                    &mut self.scratch.fwd,
-                    &Pool,
-                );
-                let g_loss = loss::g_loss_value(GanLoss::Heuristic, &self.scratch.logits_fake);
-                let d_loss = loss::d_bce_loss_value(
-                    &self.scratch.logits_real,
-                    &self.scratch.logits_fake,
-                );
-                self.scratch.g_fit[i] += g_loss as f64 / s as f64;
-                self.scratch.d_fit[j] += d_loss as f64 / s as f64;
+            for (i, fake) in s.fakes.iter().enumerate() {
+                self.disc_shape.forward_into(d, fake, &mut s.logits_fake, &mut s.fwd, &Pool);
+                let g_loss = loss::g_loss_value(GanLoss::Heuristic, &s.logits_fake);
+                let d_loss = loss::d_bce_loss_value(&s.logits_real, &s.logits_fake);
+                s.g_fit[i] += g_loss as f64 / n as f64;
+                s.d_fit[j] += d_loss as f64 / n as f64;
             }
         }
-        for i in 0..s {
-            self.gen_pop.members_mut()[i].fitness = self.scratch.g_fit[i];
-            self.disc_pop.members_mut()[i].fitness = self.scratch.d_fit[i];
+        for i in 0..n {
+            self.gen_pop.members_mut()[i].fitness = s.g_fit[i];
+            self.disc_pop.members_mut()[i].fitness = s.d_fit[i];
         }
 
-        // Replacement: promote the sub-population best to the center slot.
-        let g_changed = self.gen_pop.promote_best();
-        let d_changed = self.disc_pop.promote_best();
-        if g_changed {
-            self.gen.net.load_genome(&self.gen_pop.center().genome);
+        // Replacement: promote the sub-population best to the center slot;
+        // a new center starts its optimizer afresh.
+        if self.gen_pop.promote_best() {
             self.adam_g.reset();
         }
-        if d_changed {
-            self.disc.net.load_genome(&self.disc_pop.center().genome);
+        if self.disc_pop.promote_best() {
             self.adam_d.reset();
         }
 
         // Mixture-weight evolution ((1+1)-ES, Table I scale 0.01).
         let every = self.cfg.coevolution.mixture_every;
         if every > 0 && (self.iteration + 1).is_multiple_of(every) {
-            self.evolve_mixture();
+            self.evolve_mixture(s);
         }
     }
 
     /// One ES step on the mixture weights over the update phase's fake
     /// batches: candidate mixtures are scored by how well the blended
     /// batch fools the center discriminator.
-    fn evolve_mixture(&mut self) {
+    fn evolve_mixture(&mut self, s: &mut CellScratch) {
         let sigma = self.cfg.coevolution.mixture_sigma;
-        let n = self.scratch.fakes[0].rows();
-        let cols = self.scratch.fakes[0].cols();
+        let rows = s.fakes[0].rows();
+        let cols = s.fakes[0].cols();
         // Pre-draw one component assignment stream per candidate scoring so
         // both candidates see the same randomness (common random numbers).
         let assignment_seed = self.rng_mixture.derive(self.iteration as u64);
-        let fakes = &self.scratch.fakes;
-        let disc = &self.disc;
-        let blended = &mut self.scratch.blended;
-        let logits = &mut self.scratch.logits_fake;
-        let fwd_scratch = &mut self.scratch.fwd;
+        let disc = &self.disc_pop.center().genome;
+        let (shape, fakes) = (&self.disc_shape, &s.fakes);
+        let (blended, logits, fwd) = (&mut s.blended, &mut s.logits_fake, &mut s.fwd);
         let score = |w: &MixtureWeights| -> f64 {
             let mut rng = assignment_seed.clone();
-            blended.resize_buffer(n, cols);
-            for r in 0..n {
+            blended.resize_buffer(rows, cols);
+            for r in 0..rows {
                 let c = w.sample_component(&mut rng);
                 blended.row_mut(r).copy_from_slice(fakes[c].row(r));
             }
-            disc.logits_into(blended, logits, fwd_scratch, &Pool);
+            shape.forward_into(disc, blended, logits, fwd, &Pool);
             loss::g_loss_value(GanLoss::Heuristic, logits) as f64
         };
-        self.mixture.es_step_with(
-            sigma,
-            &mut self.rng_mixture,
-            score,
-            &mut self.scratch.mixture,
-        );
-    }
-
-    /// Copy the working center networks back into the population slots
-    /// (recycling the center genome buffers — `genome()` is a zero-copy
-    /// borrow of the contiguous parameter storage).
-    fn sync_center_genomes(&mut self) {
-        let c = self.gen_pop.center_mut();
-        c.genome.clear();
-        c.genome.extend_from_slice(self.gen.net.genome());
-        let c = self.disc_pop.center_mut();
-        c.genome.clear();
-        c.genome.extend_from_slice(self.disc.net.genome());
+        self.mixture.es_step_with(sigma, &mut self.rng_mixture, score, &mut s.mixture);
     }
 
     /// The cell's final generative model: its generator sub-population
     /// under the evolved mixture weights.
-    pub fn ensemble(&mut self) -> EnsembleModel {
-        self.sync_center_genomes();
+    pub fn ensemble(&self) -> EnsembleModel {
         let genomes: Vec<Vec<f32>> =
             self.gen_pop.members().iter().map(|m| m.genome.clone()).collect();
         EnsembleModel::new(self.net_cfg, genomes, self.mixture.clone())
@@ -716,6 +635,15 @@ impl CellEngine {
     pub fn best_gen_fitness(&self) -> f64 {
         self.gen_pop.members()[self.gen_pop.best_index()].fitness
     }
+}
+
+/// The network topology `data` must match, checked: the dataset's width is
+/// the configured data dimension and it holds at least one eval batch.
+fn check_data(cfg: &TrainConfig, data: &Matrix) -> NetworkConfig {
+    let net_cfg = cfg.network.to_network_config();
+    assert_eq!(data.cols(), net_cfg.data_dim, "dataset width vs network data_dim");
+    assert!(data.rows() >= cfg.training.eval_batch, "dataset smaller than eval batch");
+    net_cfg
 }
 
 /// Clone a member slice into a recycled buffer, reusing genome capacity.
@@ -771,10 +699,11 @@ mod tests {
         let mut e = smoke_engine(0);
         let snaps = neighbor_snaps(&mut e, 4);
         let mut tel = Telemetry::disabled();
-        let phases = e.run_iteration(&snaps, &mut tel);
+        let phases = e.run_iteration(&snaps, &mut CellScratch::default(), &mut tel);
         assert_eq!(e.iterations_done(), 1);
-        assert!(e.gen.net.all_finite(), "generator diverged");
-        assert!(e.disc.net.all_finite(), "discriminator diverged");
+        let finite = |pop: &SubPopulation| pop.center().genome.iter().all(|v| v.is_finite());
+        assert!(finite(e.gen_population()), "generator diverged");
+        assert!(finite(e.disc_population()), "discriminator diverged");
         // All four phases recorded their time, in execution order.
         let order = [Routine::Gather, Routine::Mutate, Routine::Train, Routine::UpdateGenomes];
         for (r, took) in order.into_iter().zip(phases) {
@@ -792,8 +721,8 @@ mod tests {
             cfg.training.workers_per_cell = workers;
             let mut e = CellEngine::new(0, &cfg, toy_data(&cfg));
             let snaps = neighbor_snaps(&mut e, 4);
-            e.run_iteration(&snaps, &mut Telemetry::disabled());
-            e.run_iteration(&snaps, &mut Telemetry::disabled());
+            e.run_iteration(&snaps, &mut CellScratch::default(), &mut Telemetry::disabled());
+            e.run_iteration(&snaps, &mut CellScratch::default(), &mut Telemetry::disabled());
             e.snapshot()
         };
         let reference = run_with(1);
@@ -807,8 +736,8 @@ mod tests {
         let run = || {
             let mut e = smoke_engine(0);
             let snaps = neighbor_snaps(&mut e, 4);
-            e.run_iteration(&snaps, &mut Telemetry::disabled());
-            e.run_iteration(&snaps, &mut Telemetry::disabled());
+            e.run_iteration(&snaps, &mut CellScratch::default(), &mut Telemetry::disabled());
+            e.run_iteration(&snaps, &mut CellScratch::default(), &mut Telemetry::disabled());
             e.snapshot()
         };
         let a = run();
@@ -821,7 +750,7 @@ mod tests {
         let snap_of = |off: u64| {
             let mut e = smoke_engine(off);
             let snaps = neighbor_snaps(&mut e, 4);
-            e.run_iteration(&snaps, &mut Telemetry::disabled());
+            e.run_iteration(&snaps, &mut CellScratch::default(), &mut Telemetry::disabled());
             e.snapshot()
         };
         assert_ne!(snap_of(0).gen_genome, snap_of(1).gen_genome);
@@ -832,7 +761,7 @@ mod tests {
         let mut e = smoke_engine(0);
         let before = e.snapshot().gen_genome;
         let snaps = neighbor_snaps(&mut e, 4);
-        e.run_iteration(&snaps, &mut Telemetry::disabled());
+        e.run_iteration(&snaps, &mut CellScratch::default(), &mut Telemetry::disabled());
         let after = e.snapshot().gen_genome;
         assert_ne!(before, after, "training was a no-op");
     }
@@ -845,13 +774,17 @@ mod tests {
         let mut donor = smoke_engine(7);
         let donor_snaps = neighbor_snaps(&mut donor, 4);
         for _ in 0..3 {
-            donor.run_iteration(&donor_snaps, &mut Telemetry::disabled());
+            donor.run_iteration(
+                &donor_snaps,
+                &mut CellScratch::default(),
+                &mut Telemetry::disabled(),
+            );
         }
         let donor_snap = donor.snapshot();
         // Feed the donor as all four neighbors; if it evaluates better it
         // must be promoted to center.
         let snaps = vec![donor_snap.clone(); 4];
-        e.run_iteration(&snaps, &mut Telemetry::disabled());
+        e.run_iteration(&snaps, &mut CellScratch::default(), &mut Telemetry::disabled());
         let center = e.gen_population().center();
         let donor_fit = e.gen_population().members()[1].fitness;
         assert!(
@@ -880,7 +813,11 @@ mod tests {
         let mut e = smoke_engine(0);
         let mut frame = neighbor_snaps(&mut e, 4);
         frame[2] = CellSnapshot::empty();
-        e.run_iteration([0, 1, 2, 3].map(|slot| &frame[slot]), &mut Telemetry::disabled());
+        e.run_iteration(
+            [0, 1, 2, 3].map(|slot| &frame[slot]),
+            &mut CellScratch::default(),
+            &mut Telemetry::disabled(),
+        );
     }
 
     #[test]
@@ -920,7 +857,7 @@ mod tests {
 
     #[test]
     fn ensemble_matches_subpopulation() {
-        let mut e = smoke_engine(0);
+        let e = smoke_engine(0);
         let model = e.ensemble();
         assert_eq!(model.components(), 5);
         let mut rng = Rng64::seed_from(9);
@@ -945,7 +882,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_ingest() {
-        let mut a = smoke_engine(0);
+        let a = smoke_engine(0);
         let mut b = smoke_engine(3);
         let snap_a = a.snapshot();
         let snaps = vec![snap_a.clone(); 4];
@@ -965,26 +902,38 @@ mod tests {
 
         // Uninterrupted reference: 4 iterations against a fixed donor snap.
         let mut donor = {
-            let mut e = CellEngine::new(0, &cfg, toy_data(&cfg));
+            let e = CellEngine::new(0, &cfg, toy_data(&cfg));
             e.snapshot()
         };
         donor.cell = 1;
         let snaps = vec![donor; 4];
         let mut reference = make_engine();
         for _ in 0..4 {
-            reference.run_iteration(&snaps, &mut Telemetry::disabled());
+            reference.run_iteration(
+                &snaps,
+                &mut CellScratch::default(),
+                &mut Telemetry::disabled(),
+            );
         }
 
         // Interrupted run: 2 iterations, capture, restore, 2 more.
         let mut first_half = make_engine();
-        first_half.run_iteration(&snaps, &mut Telemetry::disabled());
-        first_half.run_iteration(&snaps, &mut Telemetry::disabled());
+        first_half.run_iteration(
+            &snaps,
+            &mut CellScratch::default(),
+            &mut Telemetry::disabled(),
+        );
+        first_half.run_iteration(
+            &snaps,
+            &mut CellScratch::default(),
+            &mut Telemetry::disabled(),
+        );
         let state = first_half.capture_state();
         drop(first_half);
         let mut resumed = CellEngine::from_state(&cfg, toy_data(&cfg), &state);
         assert_eq!(resumed.iterations_done(), 2);
-        resumed.run_iteration(&snaps, &mut Telemetry::disabled());
-        resumed.run_iteration(&snaps, &mut Telemetry::disabled());
+        resumed.run_iteration(&snaps, &mut CellScratch::default(), &mut Telemetry::disabled());
+        resumed.run_iteration(&snaps, &mut CellScratch::default(), &mut Telemetry::disabled());
 
         // Snapshots (genomes, lrs, fitness) and final states must agree
         // bit-for-bit.
@@ -997,10 +946,10 @@ mod tests {
     fn capture_into_reuses_buffers_and_matches_fresh_capture() {
         let mut e = smoke_engine(0);
         let snaps = neighbor_snaps(&mut e, 4);
-        e.run_iteration(&snaps, &mut Telemetry::disabled());
+        e.run_iteration(&snaps, &mut CellScratch::default(), &mut Telemetry::disabled());
         let mut recycled = e.capture_state();
         let genome_ptr = recycled.gen_members[0].genome.as_ptr();
-        e.run_iteration(&snaps, &mut Telemetry::disabled());
+        e.run_iteration(&snaps, &mut CellScratch::default(), &mut Telemetry::disabled());
         e.capture_state_into(&mut recycled);
         assert_eq!(recycled, e.capture_state(), "recycled capture drifted");
         assert_eq!(
@@ -1014,7 +963,7 @@ mod tests {
     #[should_panic(expected = "cell state validates")]
     fn restore_rejects_mismatched_config() {
         let cfg = TrainConfig::smoke(2);
-        let mut e = CellEngine::new(0, &cfg, toy_data(&cfg));
+        let e = CellEngine::new(0, &cfg, toy_data(&cfg));
         let state = e.capture_state();
         let mut other = cfg.clone();
         other.network.hidden_units += 1;
@@ -1034,7 +983,7 @@ mod tests {
         let data = SynthDigits::generate(40, cfg.training.data_seed).images;
         let mut e = CellEngine::new(0, &cfg, data);
         let snaps: Vec<CellSnapshot> = (0..4).map(|_| e.snapshot()).collect();
-        e.run_iteration(&snaps, &mut Telemetry::disabled());
+        e.run_iteration(&snaps, &mut CellScratch::default(), &mut Telemetry::disabled());
         assert!(e.best_gen_fitness().is_finite());
     }
 }

@@ -68,7 +68,7 @@ pub mod sequential;
 pub mod snapshot;
 pub mod topology;
 
-pub use cell::CellEngine;
+pub use cell::{CellEngine, CellScratch};
 pub use config::{
     AdversaryStrategy, CheckpointConfig, CoevolutionConfig, ExchangeMode, FaultConfig,
     GridConfig, LossMode, MutationConfig, TelemetryConfig, TrainConfig, TrainingConfig,

@@ -6,7 +6,7 @@
 //! (Table I: mixture mutation scale 0.01), accepting a mutant that improves
 //! the ensemble's quality score.
 
-use lipiz_nn::{Generator, NetworkConfig};
+use lipiz_nn::NetworkConfig;
 use lipiz_tensor::{Matrix, Pool, Rng64};
 
 /// Normalized mixture weights over a sub-population.
@@ -174,16 +174,10 @@ impl EnsembleModel {
     }
 
     /// Sample `n` images from the mixture: for each sample, draw a
-    /// component by weight, then a latent vector, then generate.
+    /// component by weight, then a latent vector, then generate — each
+    /// component straight from its genome.
     pub fn sample(&self, n: usize, rng: &mut Rng64) -> Matrix {
-        // Materialize the component generators once.
-        let mut proto_rng = Rng64::seed_from(0);
-        let mut gens: Vec<Generator> = Vec::with_capacity(self.genomes.len());
-        for g in &self.genomes {
-            let mut gen = Generator::new(&self.network, &mut proto_rng);
-            gen.net.load_genome(g);
-            gens.push(gen);
-        }
+        let shape = self.network.generator_shape();
         // Group draws by component so each forward pass is batched.
         let mut assignment: Vec<usize> = Vec::with_capacity(n);
         for _ in 0..n {
@@ -193,13 +187,13 @@ impl EnsembleModel {
         let pool = Pool::serial();
         let (mut z, mut images, mut scratch) =
             (Matrix::default(), Matrix::default(), Matrix::default());
-        for (c, gen) in gens.iter().enumerate() {
+        for (c, genome) in self.genomes.iter().enumerate() {
             let rows: Vec<usize> = (0..n).filter(|&i| assignment[i] == c).collect();
             if rows.is_empty() {
                 continue;
             }
             lipiz_nn::gan::latent_batch_into(rng, rows.len(), self.network.latent_dim, &mut z);
-            gen.generate_into(&z, &mut images, &mut scratch, &pool);
+            shape.forward_into(genome, &z, &mut images, &mut scratch, &pool);
             for (bi, &row) in rows.iter().enumerate() {
                 out.row_mut(row).copy_from_slice(images.row(bi));
             }
@@ -211,6 +205,7 @@ impl EnsembleModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lipiz_nn::Generator;
 
     #[test]
     fn uniform_weights_sum_to_one() {

@@ -46,14 +46,21 @@
 //! on every driver, and a frame owns no genome memory: a rank's memory is
 //! its engines plus the payloads its frames and its readers still hold
 //! (its own last few generations), whatever the size of the grid.
+//!
+//! An engine holds only its cell's own state (members, Adam moments, loader
+//! cursor, eval batch). What a cell iteration needs besides — the training
+//! workspace, the fake batches, the logits — is one [`CellScratch`] per
+//! rank, lent to each local engine in turn; and a whole-grid rank builds
+//! its engines over one shared dataset unless the config shards it.
 
-use crate::cell::CellEngine;
+use crate::cell::{CellEngine, CellScratch};
 use crate::config::{ExchangeMode, TrainConfig};
 use crate::profiling::Routine;
 use crate::resume::CellState;
 use crate::snapshot::{CellSnapshot, EncodedSnapshot, SnapshotRef};
 use lipiz_telemetry::{EventKind, Telemetry, NO_CELL};
 use lipiz_tensor::Matrix;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One exchange-frame slot: the snapshot of the cell with that flat index,
@@ -137,7 +144,7 @@ pub fn select_frame(
 /// # Panics
 /// Panics if a non-empty `frame` lacks a slot the cell reads.
 pub fn capture_with_frame(
-    engine: &mut CellEngine,
+    engine: &CellEngine,
     frame: &[FrameSlot],
     recycled: Option<CellState>,
 ) -> CellState {
@@ -193,6 +200,8 @@ pub struct Pipeline {
     /// What [`CellEngine::run_iteration`] measured for each local engine
     /// in the last step it ran.
     step_phases: Vec<[Duration; 4]>,
+    /// The rank's one iteration scratch, lent to each local engine in turn.
+    scratch: CellScratch,
     /// The rank's recorder — and, through its routine totals, the rank's
     /// Table IV profile.
     telemetry: Telemetry,
@@ -229,6 +238,7 @@ impl Pipeline {
             rejoin: None,
             snapshot_costs: vec![Duration::ZERO; engines.len()],
             step_phases: vec![[Duration::ZERO; 4]; engines.len()],
+            scratch: CellScratch::default(),
             engines,
             telemetry,
             span_cell,
@@ -240,8 +250,12 @@ impl Pipeline {
     /// calling thread: fresh engines, or — the resume path — engines
     /// restored from `resume`, the captured per-cell states in flat grid
     /// order, whose exchange frames — each holding the slots its own cell
-    /// reads — merged re-prime the pipeline. `make_data` supplies each
-    /// cell's dataset either way.
+    /// reads — merged re-prime the pipeline.
+    ///
+    /// `make_data(cell)` supplies the data either way. Unless the config
+    /// shards the dataset (`training.shard_data`), it is called **once**, for
+    /// cell 0, and every engine shares that one dataset; with shards it is
+    /// called once per cell, in cell order, and each engine owns its shard.
     ///
     /// # Panics
     /// Panics if `resume` disagrees with the grid: wrong count, out of cell
@@ -253,16 +267,20 @@ impl Pipeline {
         resume: Option<&[CellState]>,
         telemetry: Telemetry,
     ) -> Self {
+        let shared = (!cfg.training.shard_data).then(|| Arc::new(make_data(0)));
+        let mut data = |cell| match &shared {
+            Some(data) => Arc::clone(data),
+            None => Arc::new(make_data(cell)),
+        };
         let Some(states) = resume else {
-            let engines =
-                (0..cfg.cells()).map(|i| CellEngine::new(i, cfg, make_data(i))).collect();
+            let engines = (0..cfg.cells()).map(|i| CellEngine::new(i, cfg, data(i))).collect();
             return Self::new(cfg, engines, telemetry);
         };
         crate::resume::assert_grid_states(states, cfg.cells());
         let engines = states
             .iter()
             .enumerate()
-            .map(|(i, s)| CellEngine::from_state(cfg, make_data(i), s))
+            .map(|(i, s)| CellEngine::from_state(cfg, data(i), s))
             .collect();
         let mut pipeline = Self::new(cfg, engines, telemetry);
         // Each cut carries the slots its cell reads, all of one generation.
@@ -418,7 +436,8 @@ impl Pipeline {
                 };
             assert_eq!(frame.len(), cells, "exchange frame lost a generation");
             let imports = self.neighbors[k].iter().map(|&slot| import(&frame[slot]));
-            self.step_phases[k] = engine.run_iteration(imports, &mut self.telemetry);
+            self.step_phases[k] =
+                engine.run_iteration(imports, &mut self.scratch, &mut self.telemetry);
         }
 
         if self.cfg.exchange.is_async() {
@@ -457,7 +476,8 @@ impl Pipeline {
         self.telemetry.instant(EventKind::Degraded, cell, iter, cell as u64);
         self.telemetry.metrics.degraded_iters.inc();
         let imports = self.neighbors[r.local].iter().map(|&slot| import(&r.frozen[slot]));
-        self.step_phases[r.local] = engine.run_iteration(imports, &mut self.telemetry);
+        self.step_phases[r.local] =
+            engine.run_iteration(imports, &mut self.scratch, &mut self.telemetry);
         if engine.iterations_done() == r.round {
             self.telemetry.metrics.rejoined.inc();
             self.telemetry.instant(EventKind::Rejoin, cell, r.round as u32, 0);
@@ -500,7 +520,7 @@ impl Pipeline {
     /// cut carrying the frame its next iteration consumes. An "other"
     /// span: capture is the only checkpoint cost on the training thread.
     pub fn capture_cut(&mut self, k: usize, recycled: Option<CellState>) -> CellState {
-        let engine = &mut self.engines[k];
+        let engine = &self.engines[k];
         let (cell, next_iter) = (engine.cell_index() as u32, engine.iterations_done());
         let span = self.telemetry.begin(Routine::Other, cell, next_iter as u32);
         let frame = next_frame(self.cfg.exchange, &self.rejoin, &self.prev, k, next_iter);
@@ -870,7 +890,7 @@ mod tests {
             let mut recycled = cut.clone();
             recycled.exchange_frame = decoded(&full);
             let (engines, frame) = grid.engines_and_next_frame();
-            assert_eq!(capture_with_frame(&mut engines[k], frame, Some(recycled)), cut);
+            assert_eq!(capture_with_frame(&engines[k], frame, Some(recycled)), cut);
 
             // One rank of the same grid, as a slave runs it: its frames never
             // hold more than the read set, and its cut is the same bytes.

@@ -202,7 +202,7 @@ mod tests {
 
     fn captured_state() -> (TrainConfig, CellState) {
         let cfg = TrainConfig::smoke(2);
-        let mut engine = CellEngine::new(1, &cfg, toy_data(&cfg));
+        let engine = CellEngine::new(1, &cfg, toy_data(&cfg));
         (cfg.clone(), engine.capture_state())
     }
 

@@ -28,16 +28,16 @@ pub struct SequentialTrainer {
 }
 
 impl SequentialTrainer {
-    /// Build engines for every cell. `make_data` supplies each cell's local
-    /// dataset (cells may share content; each engine owns its copy, mirroring
-    /// the distributed-memory layout).
+    /// Build engines for every cell. `make_data` supplies the data as
+    /// [`Pipeline::whole_grid`] asks for it: once, shared by every cell,
+    /// unless the config shards the dataset — then once per cell.
     pub fn new(cfg: &TrainConfig, make_data: impl FnMut(usize) -> Matrix) -> Self {
         Self::over(cfg, make_data, None)
     }
 
     /// Rebuild a whole-grid trainer from captured per-cell states (flat
-    /// grid order) — the resume path. `make_data` re-derives each cell's
-    /// dataset exactly as at run start; everything else comes from the
+    /// grid order) — the resume path. `make_data` re-derives the data
+    /// exactly as at run start; everything else comes from the
     /// states. The resumed run is bit-identical to the uninterrupted one.
     ///
     /// # Panics

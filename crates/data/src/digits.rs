@@ -140,6 +140,19 @@ pub fn render_digit(d: u8, jitter: &Jitter, rng: &mut Rng64) -> Vec<f32> {
 /// # Panics
 /// Panics if the buffer has the wrong length.
 pub fn render_digit_into(d: u8, jitter: &Jitter, rng: &mut Rng64, out: &mut [f32]) {
+    render_glyph_into(&strokes(d), jitter, rng, out, &mut Vec::new());
+}
+
+/// [`render_digit_into`] for a digit whose strokes the caller already
+/// holds: `pts` is the reused buffer each transformed polyline lands in, so
+/// a batch of renders over prebuilt glyphs allocates nothing per image.
+pub(crate) fn render_glyph_into(
+    glyph: &[Vec<Pt>],
+    jitter: &Jitter,
+    rng: &mut Rng64,
+    out: &mut [f32],
+    pts: &mut Vec<Pt>,
+) {
     assert_eq!(out.len(), IMAGE_DIM, "image buffer length");
     // Intensity accumulator in [0, 1].
     out.iter_mut().for_each(|v| *v = 0.0);
@@ -163,8 +176,9 @@ pub fn render_digit_into(d: u8, jitter: &Jitter, rng: &mut Rng64, out: &mut [f32
     let side = IMAGE_SIDE as f32;
     let feather = 1.5 / side; // anti-alias band beyond the stroke core
     let reach = half_t + feather;
-    for poly in strokes(d) {
-        let pts: Vec<Pt> = poly.into_iter().map(transform).collect();
+    for poly in glyph {
+        pts.clear();
+        pts.extend(poly.iter().copied().map(transform));
         for seg in pts.windows(2) {
             let (a, b) = (seg[0], seg[1]);
             // Only touch pixels inside the segment's inflated bounding box.

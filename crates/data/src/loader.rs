@@ -1,6 +1,7 @@
 //! Seeded mini-batch loader.
 
 use lipiz_tensor::{Matrix, Rng64, Rng64State};
+use std::sync::Arc;
 
 /// The position of a [`BatchLoader`] inside its shuffled epoch stream — the
 /// "data-ring cursor" a checkpoint must carry. The dataset itself is *not*
@@ -24,10 +25,12 @@ lipiz_wire::wire_struct!(BatchLoaderState { order, cursor, epoch, rng });
 ///
 /// Each epoch draws a fresh permutation from the loader's own RNG stream, so
 /// batch sequences are reproducible given `(data, batch_size, seed)` and
-/// independent of any other random draws in the trainer.
+/// independent of any other random draws in the trainer. The dataset is
+/// shared, not owned: loaders over the same `Arc<Matrix>` — the cells of a
+/// rank that hosts many — hold one copy of it between them.
 #[derive(Debug, Clone)]
 pub struct BatchLoader {
-    data: Matrix,
+    data: Arc<Matrix>,
     batch_size: usize,
     order: Vec<usize>,
     cursor: usize,
@@ -39,11 +42,13 @@ pub struct BatchLoader {
 }
 
 impl BatchLoader {
-    /// Create a loader over `data` (row-per-sample).
+    /// Create a loader over `data` (row-per-sample): an owned matrix, or a
+    /// dataset shared with other loaders.
     ///
     /// # Panics
     /// Panics if `batch_size == 0` or the dataset is empty.
-    pub fn new(data: Matrix, batch_size: usize, seed: u64) -> Self {
+    pub fn new(data: impl Into<Arc<Matrix>>, batch_size: usize, seed: u64) -> Self {
+        let data = data.into();
         assert!(batch_size > 0, "batch size must be positive");
         assert!(data.rows() > 0, "empty dataset");
         let mut rng = Rng64::seed_from(seed);
@@ -80,7 +85,12 @@ impl BatchLoader {
     /// Panics if the state is inconsistent with the dataset: the permutation
     /// must cover exactly `data.rows()` samples and the cursor must lie
     /// within it (a corrupt checkpoint must never restore partially).
-    pub fn from_state(data: Matrix, batch_size: usize, state: BatchLoaderState) -> Self {
+    pub fn from_state(
+        data: impl Into<Arc<Matrix>>,
+        batch_size: usize,
+        state: BatchLoaderState,
+    ) -> Self {
+        let data = data.into();
         assert!(batch_size > 0, "batch size must be positive");
         assert_eq!(state.order.len(), data.rows(), "loader state permutation length");
         assert!(state.cursor <= state.order.len(), "loader state cursor out of range");
@@ -97,6 +107,11 @@ impl BatchLoader {
             rng: Rng64::from_state(state.rng),
             idx_scratch: Vec::new(),
         }
+    }
+
+    /// The dataset this loader draws from.
+    pub fn data(&self) -> &Arc<Matrix> {
+        &self.data
     }
 
     /// Number of samples in the underlying dataset.

@@ -1,6 +1,6 @@
 //! The synthetic MNIST-like dataset (labelled digit images).
 
-use crate::digits::{render_digit_into, Jitter};
+use crate::digits::{render_glyph_into, strokes, Jitter};
 use crate::{IMAGE_DIM, NUM_CLASSES};
 use lipiz_tensor::{Matrix, Rng64};
 
@@ -31,8 +31,12 @@ impl SynthDigits {
         let mut labels: Vec<u8> = (0..n).map(|i| (i % NUM_CLASSES) as u8).collect();
         rng.shuffle(&mut labels);
         let mut images = Matrix::zeros(n, IMAGE_DIM);
+        // The ten stroke sets once, and one point buffer for every image.
+        let glyphs: Vec<_> = (0..NUM_CLASSES as u8).map(strokes).collect();
+        let mut pts = Vec::new();
         for (i, &d) in labels.iter().enumerate() {
-            render_digit_into(d, jitter, &mut rng, images.row_mut(i));
+            let glyph = &glyphs[d as usize];
+            render_glyph_into(glyph, jitter, &mut rng, images.row_mut(i), &mut pts);
         }
         Self { images, labels }
     }
@@ -80,6 +84,23 @@ impl SynthDigits {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a 64 over the little-endian bytes of `v`.
+    fn fnv64(v: &[f32]) -> u64 {
+        v.iter().flat_map(|x| x.to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn generated_images_keep_their_bytes() {
+        // The benchmark's dataset shape: prebuilt glyphs and a reused point
+        // buffer must rasterize exactly what per-image stroke sets did.
+        for (seed, want) in [(1, 0xa37c_161d_9556_a1ee), (42, 0xc501_5fa8_479d_bb3f)] {
+            let images = SynthDigits::generate(2000, seed).images;
+            assert_eq!(fnv64(images.as_slice()), want, "seed {seed}");
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

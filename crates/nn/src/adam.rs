@@ -286,6 +286,55 @@ mod tests {
         backward(net, x, &cache, &d_out, &pool).0
     }
 
+    /// The portable update run side by side with the AVX2 one on the same
+    /// inputs — on an AVX2 host the dispatch never runs it. Skipped only
+    /// where AVX2 is absent (there it is what every other test runs).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn portable_update_matches_avx2_bitwise() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut rng = Rng64::seed_from(65);
+        let edge = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 2.0,
+            -f32::from_bits(1),
+            f32::from_bits(0x7FC0_1234),
+            1e30,
+            -1e-30,
+            f32::INFINITY,
+        ];
+        for (t, len) in (1..).zip((0..40).chain([1001])) {
+            let draw = |rng: &mut Rng64, scale: f32| -> Vec<f32> {
+                let mut v: Vec<f32> = (0..len).map(|_| rng.uniform(-scale, scale)).collect();
+                v.iter_mut().zip(edge).for_each(|(x, e)| *x = e);
+                v
+            };
+            let (params, g, m) =
+                (draw(&mut rng, 1.0), draw(&mut rng, 0.1), draw(&mut rng, 0.01));
+            let v: Vec<f32> = draw(&mut rng, 1e-4).iter().map(|x| x.abs()).collect();
+            let c = UpdateCoeffs {
+                beta1: 0.9,
+                beta2: 0.999,
+                b1t: 1.0 - 0.9f32.powi(t),
+                b2t: 1.0 - 0.999f32.powi(t),
+                eps: 1e-8,
+                lr: 2e-4,
+            };
+            let mut portable = (params.clone(), m.clone(), v.clone());
+            let mut wide = (params, m, v);
+            update_scalar(&mut portable.0, &g, &mut portable.1, &mut portable.2, &c);
+            // SAFETY: AVX2 was detected above.
+            unsafe { update_avx2(&mut wide.0, &g, &mut wide.1, &mut wide.2, &c) };
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&portable.0), bits(&wide.0), "params, length {len}");
+            assert_eq!(bits(&portable.1), bits(&wide.1), "m, length {len}");
+            assert_eq!(bits(&portable.2), bits(&wide.2), "v, length {len}");
+        }
+    }
+
     /// Adam should minimize a simple quadratic fit much faster than no
     /// training at all: fit y = 0 from random weights.
     #[test]

@@ -8,13 +8,14 @@
 use crate::activation::Activation;
 use crate::adam::Adam;
 use crate::loss::{self, GanLoss};
-use crate::mlp::{DeltaScratch, Grads, LayerCache, Mlp};
+use crate::mlp::{DeltaScratch, Grads, LayerCache, Mlp, MlpShape};
 use lipiz_tensor::{Matrix, Pool, Rng64};
 
 /// Reusable scratch memory for the GAN training steps.
 ///
 /// One workspace serves generator *and* discriminator steps of any shape
-/// (every buffer resizes in place), so a cell engine owns exactly one.
+/// (every buffer resizes in place), so a rank owns exactly one and lends it
+/// to each of its cells in turn.
 /// After the first step at a given shape, a training step performs **zero
 /// heap allocations** — asserted by the workspace's counting-allocator
 /// integration test. A recycled workspace never changes a result: a step
@@ -96,6 +97,16 @@ impl NetworkConfig {
         dims.push(1);
         dims
     }
+
+    /// Shape of the generator network: tanh output in `[-1, 1]`.
+    pub fn generator_shape(&self) -> MlpShape {
+        MlpShape::from_dims(&self.generator_dims(), self.activation, Activation::Tanh)
+    }
+
+    /// Shape of the discriminator network: one identity (logit) output.
+    pub fn discriminator_shape(&self) -> MlpShape {
+        MlpShape::from_dims(&self.discriminator_dims(), self.activation, Activation::Identity)
+    }
 }
 
 /// A generator network: maps latent batches to data-space batches in
@@ -110,8 +121,7 @@ pub struct Generator {
 impl Generator {
     /// Fresh generator for `cfg` with Glorot-initialized weights.
     pub fn new(cfg: &NetworkConfig, rng: &mut Rng64) -> Self {
-        let net = Mlp::from_dims(&cfg.generator_dims(), cfg.activation, Activation::Tanh, rng);
-        Self { net, latent_dim: cfg.latent_dim }
+        Self { net: Mlp::init(cfg.generator_shape(), rng), latent_dim: cfg.latent_dim }
     }
 
     /// Latent input dimension.
@@ -152,13 +162,7 @@ pub struct Discriminator {
 impl Discriminator {
     /// Fresh discriminator for `cfg` with Glorot-initialized weights.
     pub fn new(cfg: &NetworkConfig, rng: &mut Rng64) -> Self {
-        let net = Mlp::from_dims(
-            &cfg.discriminator_dims(),
-            cfg.activation,
-            Activation::Identity,
-            rng,
-        );
-        Self { net }
+        Self { net: Mlp::init(cfg.discriminator_shape(), rng) }
     }
 
     /// Real/fake logits `(batch, 1)` for a data batch, into recycled
@@ -191,15 +195,34 @@ pub fn train_discriminator_step_ws(
     ws: &mut TrainWorkspace,
     pool: &Pool,
 ) -> f32 {
-    d.net.forward_cached_ws(real, &mut ws.cache_a, pool);
-    d.net.forward_cached_ws(fake, &mut ws.cache_b, pool);
+    let (shape, genome) = d.net.parts_mut();
+    train_discriminator_step(shape, genome, adam, real, fake, lr, ws, pool)
+}
+
+/// [`train_discriminator_step_ws`] on a genome slice: trains the
+/// discriminator genome `genome` of shape `shape` in place — a
+/// sub-population member in the slot it lives in.
+#[allow(clippy::too_many_arguments)] // the full surface of one step: net, optimizer, batches, workspace
+pub fn train_discriminator_step(
+    shape: &MlpShape,
+    genome: &mut [f32],
+    adam: &mut Adam,
+    real: &Matrix,
+    fake: &Matrix,
+    lr: f32,
+    ws: &mut TrainWorkspace,
+    pool: &Pool,
+) -> f32 {
+    shape.forward_cached_ws(genome, real, &mut ws.cache_a, pool);
+    shape.forward_cached_ws(genome, fake, &mut ws.cache_b, pool);
     let loss_val = loss::d_bce_loss_into(
         ws.cache_a.output(),
         ws.cache_b.output(),
         &mut ws.d_real,
         &mut ws.d_fake,
     );
-    d.net.backward_ws(
+    shape.backward_ws(
+        genome,
         real,
         &ws.cache_a,
         &ws.d_real,
@@ -208,7 +231,8 @@ pub fn train_discriminator_step_ws(
         None,
         pool,
     );
-    d.net.backward_ws(
+    shape.backward_ws(
+        genome,
         fake,
         &ws.cache_b,
         &ws.d_fake,
@@ -218,17 +242,14 @@ pub fn train_discriminator_step_ws(
         pool,
     );
     ws.grads.accumulate(&ws.grads_aux);
-    adam.step(&mut d.net, &ws.grads, lr);
+    adam.step_slice(genome, ws.grads.as_slice(), lr);
     loss_val
 }
 
 /// One generator Adam step against a (frozen) discriminator for the latent
 /// batch `z`, under the given loss variant, over a recycled
 /// [`TrainWorkspace`] (zero allocations in steady state). Returns the
-/// generator loss before the update. Backprop through the frozen discriminator uses the
-/// input-gradient-only pass — its weight gradients would be discarded, so
-/// skipping the `xᵀ·δ` product of every D layer changes nothing observable
-/// and removes ~a third of the step's flops.
+/// generator loss before the update.
 #[allow(clippy::too_many_arguments)] // the full surface of one step: two nets, optimizer, batch, workspace
 pub fn train_generator_step_ws(
     g: &mut Generator,
@@ -240,13 +261,63 @@ pub fn train_generator_step_ws(
     ws: &mut TrainWorkspace,
     pool: &Pool,
 ) -> f32 {
-    g.net.forward_cached_ws(z, &mut ws.cache_a, pool);
-    d.net.forward_cached_ws(ws.cache_a.output(), &mut ws.cache_b, pool);
+    let (shape, genome) = g.net.parts_mut();
+    train_generator_step(
+        shape,
+        genome,
+        d.net.shape(),
+        d.net.genome(),
+        adam,
+        z,
+        lr,
+        kind,
+        ws,
+        pool,
+    )
+}
+
+/// [`train_generator_step_ws`] on genome slices: trains the generator
+/// genome `g_genome` in place against the discriminator genome
+/// `d_genome`. Backprop through the frozen discriminator uses the
+/// input-gradient-only pass — its weight gradients would be discarded, so
+/// skipping the `xᵀ·δ` product of every D layer changes nothing observable
+/// and removes ~a third of the step's flops.
+#[allow(clippy::too_many_arguments)] // the full surface of one step: two nets, optimizer, batch, workspace
+pub fn train_generator_step(
+    g_shape: &MlpShape,
+    g_genome: &mut [f32],
+    d_shape: &MlpShape,
+    d_genome: &[f32],
+    adam: &mut Adam,
+    z: &Matrix,
+    lr: f32,
+    kind: GanLoss,
+    ws: &mut TrainWorkspace,
+    pool: &Pool,
+) -> f32 {
+    g_shape.forward_cached_ws(g_genome, z, &mut ws.cache_a, pool);
+    d_shape.forward_cached_ws(d_genome, ws.cache_a.output(), &mut ws.cache_b, pool);
     let loss_val = loss::g_loss_into(kind, ws.cache_b.output(), &mut ws.d_fake);
     // Backprop through the discriminator to images, then through G.
-    d.net.backward_input_ws(&ws.cache_b, &ws.d_fake, &mut ws.scratch, &mut ws.dx, pool);
-    g.net.backward_ws(z, &ws.cache_a, &ws.dx, &mut ws.grads, &mut ws.scratch, None, pool);
-    adam.step(&mut g.net, &ws.grads, lr);
+    d_shape.backward_input_ws(
+        d_genome,
+        &ws.cache_b,
+        &ws.d_fake,
+        &mut ws.scratch,
+        &mut ws.dx,
+        pool,
+    );
+    g_shape.backward_ws(
+        g_genome,
+        z,
+        &ws.cache_a,
+        &ws.dx,
+        &mut ws.grads,
+        &mut ws.scratch,
+        None,
+        pool,
+    );
+    adam.step_slice(g_genome, ws.grads.as_slice(), lr);
     loss_val
 }
 
@@ -403,7 +474,7 @@ mod tests {
         let cfg = NetworkConfig::paper_mnist();
         let g = Generator::new(&cfg, &mut rng);
         let d = Discriminator::new(&cfg, &mut rng);
-        assert_eq!(g.net.output_dim(), d.net.input_dim());
+        assert_eq!(g.net.shape().output_dim(), d.net.shape().input_dim());
         assert_eq!(g.net.param_count(), 64 * 256 + 256 + 256 * 256 + 256 + 256 * 784 + 784);
     }
 }

@@ -4,8 +4,10 @@
 //! layers of 256 units, 784-dim output, tanh activations) with Adam. This
 //! crate implements exactly that, from scratch:
 //!
-//! * [`mlp::Mlp`] — dense multi-layer perceptron with exact manual
-//!   backpropagation (verified against finite differences in tests),
+//! * [`mlp::MlpShape`] — a dense multi-layer perceptron's shape, with
+//!   forward and exact manual backpropagation over any genome slice
+//!   (verified against finite differences in tests), and [`mlp::Mlp`], a
+//!   shape with an owned genome,
 //! * [`loss`] — the GAN objectives used by Lipizzaner/Mustangs: binary
 //!   cross-entropy for the discriminator, and the three generator objectives
 //!   the Mustangs loss-mutation operator draws from (minimax/saturating,
@@ -25,7 +27,11 @@
 //! Networks expose their parameters as a flat `Vec<f32>` *genome*: the
 //! coevolutionary layer (crate `lipiz-core`) treats networks as individuals,
 //! and the distributed layer (`lipiz-runtime`) ships genomes between cells as
-//! byte buffers.
+//! byte buffers. Every pass and both training steps run on a shape plus a
+//! genome slice ([`gan::train_generator_step`],
+//! [`gan::train_discriminator_step`]), so a cell trains and scores its
+//! members where they live; the [`Generator`]/[`Discriminator`] entry
+//! points are thin wrappers over the same path.
 //!
 //! # Example
 //!
@@ -70,4 +76,4 @@ pub use activation::Activation;
 pub use adam::{Adam, AdamState};
 pub use gan::{Discriminator, Generator, NetworkConfig, TrainWorkspace};
 pub use loss::GanLoss;
-pub use mlp::{DeltaScratch, Grads, LayerCache, LayerSpec, Mlp};
+pub use mlp::{DeltaScratch, Grads, LayerCache, LayerSpec, Mlp, MlpShape};

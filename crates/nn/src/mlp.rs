@@ -1,4 +1,13 @@
 //! Dense multi-layer perceptron with exact manual backpropagation.
+//!
+//! A network is a **shape** ([`MlpShape`]: layer specs and their genome
+//! offsets) applied to a **genome** (any `&[f32]` of the shape's
+//! `param_count()` floats, in genome order). Forward, backward and the
+//! optimizer step all run on a shape plus a genome slice — the one
+//! arithmetic path — so a cell trains and scores the members of its
+//! sub-populations in the slots they live in, with no network copy.
+//! [`Mlp`] is that pair with an owned genome, for the callers that want a
+//! standalone network.
 
 use crate::activation::Activation;
 use crate::init;
@@ -15,30 +24,37 @@ pub struct LayerSpec {
     pub act: Activation,
 }
 
-/// A feed-forward network of dense layers: `a_{i+1} = act_i(a_i W_i + b_i)`.
+/// The shape of a feed-forward network of dense layers,
+/// `a_{i+1} = act_i(a_i W_i + b_i)`: its layer specs and each layer's
+/// offsets into a genome laid out `[W_0 (row-major), b_0, W_1, b_1, ...]`.
 ///
-/// All parameters live in **one contiguous `Vec<f32>` in genome order**
-/// (`[W_0 (row-major), b_0, W_1, b_1, ...]`), with per-layer offsets into
-/// it. The coevolutionary layer exchanges and replaces networks through
-/// that flat view: [`Mlp::genome`] is a zero-copy borrow, [`Mlp::load_genome`]
-/// a single `copy_from_slice`, and the optimizer updates the whole network
-/// as one flat slice ([`Mlp::params_mut`]) — no per-layer gather or
-/// scatter anywhere on the training path.
+/// A shape owns no parameters. Every pass takes the genome it runs on as a
+/// slice, so one shape serves every genome of that topology.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MlpShape {
+    specs: Vec<LayerSpec>,
+    /// Per-layer `(weight_offset, bias_offset)` into a genome.
+    offsets: Vec<(usize, usize)>,
+    param_count: usize,
+}
+
+/// A standalone network: an [`MlpShape`] with an owned genome — one
+/// contiguous `Vec<f32>`, so [`Mlp::genome`] is a zero-copy borrow,
+/// [`Mlp::load_genome`] a single `copy_from_slice`, and the optimizer
+/// updates the whole network as one flat slice ([`Mlp::params_mut`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
-    specs: Vec<LayerSpec>,
+    shape: MlpShape,
     /// All weights and biases, flat in genome order.
     params: Vec<f32>,
-    /// Per-layer `(weight_offset, bias_offset)` into `params`.
-    offsets: Vec<(usize, usize)>,
 }
 
 /// Reusable per-layer output activations, filled by
-/// [`Mlp::forward_cached_ws`] for the backward pass.
+/// [`MlpShape::forward_cached_ws`] for the backward pass.
 ///
 /// It does **not** store a copy of the input batch (the backward pass
 /// receives it by reference), and its buffers are recycled across steps:
-/// after the first use at a given shape, [`Mlp::forward_cached_ws`] performs
+/// after the first use at a given shape, the cached forward pass performs
 /// zero heap allocations.
 #[derive(Debug, Clone, Default)]
 pub struct LayerCache {
@@ -64,15 +80,15 @@ impl LayerCache {
     }
 }
 
-/// Reusable delta ping-pong buffers for [`Mlp::backward_ws`]. One scratch
-/// serves networks of any shape (buffers are resized in place).
+/// Reusable delta ping-pong buffers for [`MlpShape::backward_ws`]. One
+/// scratch serves networks of any shape (buffers are resized in place).
 #[derive(Debug, Clone, Default)]
 pub struct DeltaScratch {
     cur: Matrix,
     next: Matrix,
 }
 
-/// Flat gradient vector aligned with the genome layout of an [`Mlp`].
+/// Flat gradient vector aligned with the genome layout of an [`MlpShape`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Grads {
     flat: Vec<f32>,
@@ -116,12 +132,13 @@ impl Grads {
     }
 }
 
-impl Mlp {
-    /// Build a network from layer specs with Glorot-uniform weights.
+impl MlpShape {
+    /// The shape of a network with these layers.
     ///
     /// # Panics
-    /// Panics if consecutive specs do not chain (`fan_out != next fan_in`).
-    pub fn new(specs: Vec<LayerSpec>, rng: &mut Rng64) -> Self {
+    /// Panics if `specs` is empty or consecutive specs do not chain
+    /// (`fan_out != next fan_in`).
+    pub fn new(specs: Vec<LayerSpec>) -> Self {
         assert!(!specs.is_empty(), "Mlp needs at least one layer");
         for w in specs.windows(2) {
             assert_eq!(
@@ -130,26 +147,21 @@ impl Mlp {
                 w[0].fan_out, w[1].fan_in
             );
         }
-        let offsets = compute_offsets(&specs);
-        let total: usize = specs.iter().map(|s| s.fan_in * s.fan_out + s.fan_out).sum();
-        let mut params = vec![0.0f32; total];
-        // Fill weights layer by layer in genome order (biases stay zero);
-        // the RNG draw sequence is identical to per-layer initialization.
-        for (spec, &(w_off, _)) in specs.iter().zip(&offsets) {
-            let w = init::glorot_uniform(rng, spec.fan_in, spec.fan_out);
-            params[w_off..w_off + w.len()].copy_from_slice(w.as_slice());
+        let mut offsets = Vec::with_capacity(specs.len());
+        let mut off = 0;
+        for s in &specs {
+            let w_off = off;
+            off += s.fan_in * s.fan_out;
+            offsets.push((w_off, off));
+            off += s.fan_out;
         }
-        Self { specs, params, offsets }
+        Self { specs, offsets, param_count: off }
     }
 
-    /// Build from a width list: `dims = [in, h1, ..., out]`, using `hidden`
-    /// activation everywhere except the final layer which uses `output`.
-    pub fn from_dims(
-        dims: &[usize],
-        hidden: Activation,
-        output: Activation,
-        rng: &mut Rng64,
-    ) -> Self {
+    /// The shape of a width list: `dims = [in, h1, ..., out]`, using
+    /// `hidden` activation everywhere except the final layer which uses
+    /// `output`.
+    pub fn from_dims(dims: &[usize], hidden: Activation, output: Activation) -> Self {
         assert!(dims.len() >= 2, "need at least input and output widths");
         let n = dims.len() - 1;
         let specs = (0..n)
@@ -159,7 +171,18 @@ impl Mlp {
                 act: if i + 1 == n { output } else { hidden },
             })
             .collect();
-        Self::new(specs, rng)
+        Self::new(specs)
+    }
+
+    /// A fresh genome of this shape: Glorot-uniform weights drawn layer by
+    /// layer in genome order, zero biases.
+    pub fn glorot_genome(&self, rng: &mut Rng64) -> Vec<f32> {
+        let mut params = vec![0.0f32; self.param_count];
+        for (spec, &(w_off, _)) in self.specs.iter().zip(&self.offsets) {
+            let w = init::glorot_uniform(rng, spec.fan_in, spec.fan_out);
+            params[w_off..w_off + w.len()].copy_from_slice(w.as_slice());
+        }
+        params
     }
 
     /// Layer specifications.
@@ -182,23 +205,9 @@ impl Mlp {
         self.specs.last().unwrap().fan_out
     }
 
-    /// Total number of parameters (weights + biases).
+    /// Genome length: total number of parameters (weights + biases).
     pub fn param_count(&self) -> usize {
-        self.params.len()
-    }
-
-    /// Row-major weight block of layer `i` (`fan_in × fan_out`).
-    #[inline]
-    pub fn weight(&self, i: usize) -> &[f32] {
-        let (w_off, b_off) = self.offsets[i];
-        &self.params[w_off..b_off]
-    }
-
-    /// Bias vector of layer `i` (length `fan_out`).
-    #[inline]
-    pub fn bias(&self, i: usize) -> &[f32] {
-        let (_, b_off) = self.offsets[i];
-        &self.params[b_off..b_off + self.specs[i].fan_out]
+        self.param_count
     }
 
     /// Genome offsets of each layer: `(weight_offset, bias_offset)`.
@@ -206,18 +215,38 @@ impl Mlp {
         &self.offsets
     }
 
-    /// Forward pass without caching (inference) into recycled buffers: the
-    /// result lands in `out`, `scratch` holds intermediate activations
-    /// (ping-pong). Performs zero heap allocations once both buffers have
-    /// warmed up to the network's widest layer.
+    /// Row-major weight block of layer `i` (`fan_in × fan_out`) in `genome`.
+    #[inline]
+    pub fn weight<'g>(&self, genome: &'g [f32], i: usize) -> &'g [f32] {
+        let (w_off, b_off) = self.offsets[i];
+        &genome[w_off..b_off]
+    }
+
+    /// Bias vector of layer `i` (length `fan_out`) in `genome`.
+    #[inline]
+    pub fn bias<'g>(&self, genome: &'g [f32], i: usize) -> &'g [f32] {
+        let (_, b_off) = self.offsets[i];
+        &genome[b_off..b_off + self.specs[i].fan_out]
+    }
+
+    fn check(&self, genome: &[f32], x_cols: usize) {
+        assert_eq!(genome.len(), self.param_count, "genome length");
+        assert_eq!(x_cols, self.input_dim(), "input width");
+    }
+
+    /// Forward pass of `genome` without caching (inference) into recycled
+    /// buffers: the result lands in `out`, `scratch` holds intermediate
+    /// activations (ping-pong). Performs zero heap allocations once both
+    /// buffers have warmed up to the network's widest layer.
     pub fn forward_into(
         &self,
+        genome: &[f32],
         x: &Matrix,
         out: &mut Matrix,
         scratch: &mut Matrix,
         pool: &Pool,
     ) {
-        assert_eq!(x.cols(), self.input_dim(), "input width");
+        self.check(genome, x.cols());
         let ln = self.specs.len();
         // Alternate targets so the final layer writes `out`.
         let mut a: &mut Matrix = scratch;
@@ -225,42 +254,56 @@ impl Mlp {
         if ln % 2 == 1 {
             std::mem::swap(&mut a, &mut b);
         }
-        self.layer_fused(0, x, a, pool);
+        self.layer_fused(genome, 0, x, a, pool);
         for i in 1..ln {
-            self.layer_fused(i, a, b, pool);
+            self.layer_fused(genome, i, a, b, pool);
             std::mem::swap(&mut a, &mut b);
         }
     }
 
     /// One fused dense layer: `dst = act_i(src · W_i + b_i)`.
-    fn layer_fused(&self, i: usize, src: &Matrix, dst: &mut Matrix, pool: &Pool) {
+    fn layer_fused(
+        &self,
+        genome: &[f32],
+        i: usize,
+        src: &Matrix,
+        dst: &mut Matrix,
+        pool: &Pool,
+    ) {
         let spec = self.specs[i];
         ops::matmul_bias_act_into(
             src,
-            self.weight(i),
+            self.weight(genome, i),
             spec.fan_out,
-            self.bias(i),
+            self.bias(genome, i),
             spec.act,
             dst,
             pool,
         );
     }
 
-    /// Forward pass that caches every layer's activation in a recycled
-    /// [`LayerCache`] for [`Mlp::backward_ws`]. The input batch is *not*
-    /// copied (pass it to the backward pass alongside the cache).
-    pub fn forward_cached_ws(&self, x: &Matrix, cache: &mut LayerCache, pool: &Pool) {
-        assert_eq!(x.cols(), self.input_dim(), "input width");
+    /// Forward pass of `genome` that caches every layer's activation in a
+    /// recycled [`LayerCache`] for [`MlpShape::backward_ws`]. The input
+    /// batch is *not* copied (pass it to the backward pass alongside the
+    /// cache).
+    pub fn forward_cached_ws(
+        &self,
+        genome: &[f32],
+        x: &Matrix,
+        cache: &mut LayerCache,
+        pool: &Pool,
+    ) {
+        self.check(genome, x.cols());
         let ln = self.specs.len();
         cache.outs.resize_with(ln, Matrix::default);
         for i in 0..ln {
             let (head, tail) = cache.outs.split_at_mut(i);
             let src = if i == 0 { x } else { &head[i - 1] };
-            self.layer_fused(i, src, &mut tail[0], pool);
+            self.layer_fused(genome, i, src, &mut tail[0], pool);
         }
     }
 
-    /// Backward pass into recycled buffers.
+    /// Backward pass of `genome` into recycled buffers.
     ///
     /// `x` is the input batch the cache was filled from and `d_out` is
     /// `∂L/∂output` (same shape as the network output). Each layer's
@@ -276,6 +319,7 @@ impl Mlp {
     #[allow(clippy::too_many_arguments)] // the full workspace surface of one backward pass
     pub fn backward_ws(
         &self,
+        genome: &[f32],
         x: &Matrix,
         cache: &LayerCache,
         d_out: &Matrix,
@@ -284,9 +328,10 @@ impl Mlp {
         mut dx: Option<&mut Matrix>,
         pool: &Pool,
     ) {
+        assert_eq!(genome.len(), self.param_count, "genome length");
         assert_eq!(cache.outs.len(), self.specs.len(), "cache does not match network depth");
         let outs = &cache.outs;
-        grads.flat.resize(self.param_count(), 0.0);
+        grads.flat.resize(self.param_count, 0.0);
         scratch.cur.copy_from(d_out);
         for i in (0..self.specs.len()).rev() {
             self.specs[i].act.scale_by_derivative(&outs[i], &mut scratch.cur);
@@ -313,23 +358,123 @@ impl Mlp {
             if i > 0 {
                 ops::matmul_a_bt_view_into(
                     &scratch.cur,
-                    self.weight(i),
+                    self.weight(genome, i),
                     spec.fan_in,
                     &mut scratch.next,
                     pool,
                 );
                 std::mem::swap(&mut scratch.cur, &mut scratch.next);
             } else if let Some(dx) = dx.take() {
-                ops::matmul_a_bt_view_into(&scratch.cur, self.weight(0), spec.fan_in, dx, pool);
+                ops::matmul_a_bt_view_into(
+                    &scratch.cur,
+                    self.weight(genome, 0),
+                    spec.fan_in,
+                    dx,
+                    pool,
+                );
             }
         }
     }
 
-    /// Input-gradient-only backward pass: computes `∂L/∂input` without
-    /// materializing any parameter gradients. This is what the generator
-    /// step needs from the (frozen) discriminator — skipping the weight
-    /// gradients drops the `xᵀ·δ` product of every layer. The produced `dx`
-    /// is bit-identical to the one [`Mlp::backward_ws`] writes.
+    /// Input-gradient-only backward pass of `genome`: computes
+    /// `∂L/∂input` without materializing any parameter gradients. This is
+    /// what the generator step needs from the (frozen) discriminator —
+    /// skipping the weight gradients drops the `xᵀ·δ` product of every
+    /// layer. The produced `dx` is bit-identical to the one
+    /// [`MlpShape::backward_ws`] writes.
+    pub fn backward_input_ws(
+        &self,
+        genome: &[f32],
+        cache: &LayerCache,
+        d_out: &Matrix,
+        scratch: &mut DeltaScratch,
+        dx: &mut Matrix,
+        pool: &Pool,
+    ) {
+        assert_eq!(genome.len(), self.param_count, "genome length");
+        assert_eq!(cache.outs.len(), self.specs.len(), "cache does not match network depth");
+        scratch.cur.copy_from(d_out);
+        for i in (0..self.specs.len()).rev() {
+            self.specs[i].act.scale_by_derivative(&cache.outs[i], &mut scratch.cur);
+            let fan_in = self.specs[i].fan_in;
+            let dst = if i > 0 { &mut scratch.next } else { &mut *dx };
+            ops::matmul_a_bt_view_into(&scratch.cur, self.weight(genome, i), fan_in, dst, pool);
+            if i > 0 {
+                std::mem::swap(&mut scratch.cur, &mut scratch.next);
+            }
+        }
+    }
+}
+
+impl Mlp {
+    /// Build a network from layer specs with Glorot-uniform weights
+    /// ([`MlpShape::glorot_genome`]).
+    ///
+    /// # Panics
+    /// Panics if consecutive specs do not chain (`fan_out != next fan_in`).
+    pub fn new(specs: Vec<LayerSpec>, rng: &mut Rng64) -> Self {
+        Self::init(MlpShape::new(specs), rng)
+    }
+
+    /// A network of `shape` with a fresh Glorot-uniform genome.
+    pub fn init(shape: MlpShape, rng: &mut Rng64) -> Self {
+        let params = shape.glorot_genome(rng);
+        Self { shape, params }
+    }
+
+    /// Build from a width list (see [`MlpShape::from_dims`]) with
+    /// Glorot-uniform weights.
+    pub fn from_dims(
+        dims: &[usize],
+        hidden: Activation,
+        output: Activation,
+        rng: &mut Rng64,
+    ) -> Self {
+        Self::init(MlpShape::from_dims(dims, hidden, output), rng)
+    }
+
+    /// The network's shape.
+    pub fn shape(&self) -> &MlpShape {
+        &self.shape
+    }
+
+    /// Total number of parameters (weights + biases).
+    pub fn param_count(&self) -> usize {
+        self.params.len()
+    }
+
+    /// [`MlpShape::forward_into`] on this network's genome.
+    pub fn forward_into(
+        &self,
+        x: &Matrix,
+        out: &mut Matrix,
+        scratch: &mut Matrix,
+        pool: &Pool,
+    ) {
+        self.shape.forward_into(&self.params, x, out, scratch, pool);
+    }
+
+    /// [`MlpShape::forward_cached_ws`] on this network's genome.
+    pub fn forward_cached_ws(&self, x: &Matrix, cache: &mut LayerCache, pool: &Pool) {
+        self.shape.forward_cached_ws(&self.params, x, cache, pool);
+    }
+
+    /// [`MlpShape::backward_ws`] on this network's genome.
+    #[allow(clippy::too_many_arguments)] // the full workspace surface of one backward pass
+    pub fn backward_ws(
+        &self,
+        x: &Matrix,
+        cache: &LayerCache,
+        d_out: &Matrix,
+        grads: &mut Grads,
+        scratch: &mut DeltaScratch,
+        dx: Option<&mut Matrix>,
+        pool: &Pool,
+    ) {
+        self.shape.backward_ws(&self.params, x, cache, d_out, grads, scratch, dx, pool);
+    }
+
+    /// [`MlpShape::backward_input_ws`] on this network's genome.
     pub fn backward_input_ws(
         &self,
         cache: &LayerCache,
@@ -338,28 +483,10 @@ impl Mlp {
         dx: &mut Matrix,
         pool: &Pool,
     ) {
-        assert_eq!(cache.outs.len(), self.specs.len(), "cache does not match network depth");
-        scratch.cur.copy_from(d_out);
-        for i in (0..self.specs.len()).rev() {
-            self.specs[i].act.scale_by_derivative(&cache.outs[i], &mut scratch.cur);
-            let spec = self.specs[i];
-            if i > 0 {
-                ops::matmul_a_bt_view_into(
-                    &scratch.cur,
-                    self.weight(i),
-                    spec.fan_in,
-                    &mut scratch.next,
-                    pool,
-                );
-                std::mem::swap(&mut scratch.cur, &mut scratch.next);
-            } else {
-                ops::matmul_a_bt_view_into(&scratch.cur, self.weight(0), spec.fan_in, dx, pool);
-            }
-        }
+        self.shape.backward_input_ws(&self.params, cache, d_out, scratch, dx, pool);
     }
 
-    /// The flat parameter vector in genome order — **zero-copy**: snapshot,
-    /// checkpoint capture, and selection exchange borrow this directly.
+    /// The flat parameter vector in genome order — **zero-copy**.
     pub fn genome(&self) -> &[f32] {
         &self.params
     }
@@ -367,6 +494,12 @@ impl Mlp {
     /// Mutable flat parameter vector (the optimizer's update surface).
     pub fn params_mut(&mut self) -> &mut [f32] {
         &mut self.params
+    }
+
+    /// The shape together with the mutable genome — what a slice-based
+    /// training step takes.
+    pub fn parts_mut(&mut self) -> (&MlpShape, &mut [f32]) {
+        (&self.shape, &mut self.params)
     }
 
     /// Overwrite all parameters from a flat genome vector (one
@@ -383,20 +516,6 @@ impl Mlp {
     pub fn all_finite(&self) -> bool {
         self.params.iter().all(|v| v.is_finite())
     }
-}
-
-/// Genome offsets for a spec list: `(weight_offset, bias_offset)` per layer.
-fn compute_offsets(specs: &[LayerSpec]) -> Vec<(usize, usize)> {
-    let mut offsets = Vec::with_capacity(specs.len());
-    let mut off = 0;
-    for s in specs {
-        let w_off = off;
-        off += s.fan_in * s.fan_out;
-        let b_off = off;
-        off += s.fan_out;
-        offsets.push((w_off, b_off));
-    }
-    offsets
 }
 
 #[cfg(test)]
@@ -426,10 +545,10 @@ mod tests {
     #[test]
     fn shapes_and_param_count() {
         let net = tiny_net(1);
-        assert_eq!(net.input_dim(), 3);
-        assert_eq!(net.output_dim(), 2);
+        assert_eq!(net.shape().input_dim(), 3);
+        assert_eq!(net.shape().output_dim(), 2);
         assert_eq!(net.param_count(), 3 * 5 + 5 + 5 * 2 + 2);
-        assert_eq!(net.num_layers(), 2);
+        assert_eq!(net.shape().num_layers(), 2);
     }
 
     #[test]
@@ -437,12 +556,12 @@ mod tests {
         let net = tiny_net(1);
         // weight(0) ∥ bias(0) ∥ weight(1) ∥ bias(1) must tile the genome.
         let mut rebuilt: Vec<f32> = Vec::new();
-        for i in 0..net.num_layers() {
-            rebuilt.extend_from_slice(net.weight(i));
-            rebuilt.extend_from_slice(net.bias(i));
+        for i in 0..net.shape().num_layers() {
+            rebuilt.extend_from_slice(net.shape().weight(net.genome(), i));
+            rebuilt.extend_from_slice(net.shape().bias(net.genome(), i));
         }
         assert_eq!(rebuilt, net.genome());
-        assert_eq!(net.layer_offsets(), &[(0, 15), (20, 30)]);
+        assert_eq!(net.shape().layer_offsets(), &[(0, 15), (20, 30)]);
     }
 
     #[test]

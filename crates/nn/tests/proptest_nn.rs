@@ -211,10 +211,12 @@ proptest! {
         let x = rng.uniform_matrix(batch, dims[0], -1.0, 1.0);
         // Unfused reference: explicit matmul → bias → activation per layer.
         let mut a = x.clone();
-        for (i, spec) in net.specs().iter().enumerate() {
-            let w = Matrix::from_vec(spec.fan_in, spec.fan_out, net.weight(i).to_vec()).unwrap();
+        let shape = net.shape();
+        for (i, spec) in shape.specs().iter().enumerate() {
+            let w = shape.weight(net.genome(), i).to_vec();
+            let w = Matrix::from_vec(spec.fan_in, spec.fan_out, w).unwrap();
             let mut next = ops::matmul(&a, &w);
-            ops::add_row_vector(&mut next, net.bias(i));
+            ops::add_row_vector(&mut next, shape.bias(net.genome(), i));
             next.map_inplace(|v| spec.act.apply(v));
             a = next;
         }

@@ -540,8 +540,13 @@ mod tests {
         let mut engine = CellEngine::new(cell, cfg, toy_data(cfg));
         let snaps: Vec<_> =
             (0..cfg.subpopulation_size() - 1).map(|_| engine.snapshot()).collect();
+        let mut scratch = lipiz_core::CellScratch::default();
         for _ in 0..iters {
-            engine.run_iteration(&snaps, &mut lipiz_telemetry::Telemetry::disabled());
+            engine.run_iteration(
+                &snaps,
+                &mut scratch,
+                &mut lipiz_telemetry::Telemetry::disabled(),
+            );
         }
         engine.capture_state()
     }
@@ -570,7 +575,7 @@ mod tests {
         // state, and a frame that disagrees with the grid must be rejected.
         let cfg = TrainConfig::smoke(2);
         let mut state = captured(&cfg, 1, 1);
-        let mut donor = CellEngine::new(0, &cfg, toy_data(&cfg));
+        let donor = CellEngine::new(0, &cfg, toy_data(&cfg));
         state.exchange_frame = (0..cfg.cells()).map(|_| donor.snapshot()).collect();
         let dir = tmpdir("exchange_frame");
         let path = write_cell_state(&dir, &state).unwrap();

@@ -7,10 +7,11 @@
 //! background."
 
 use crate::comm_manager::CommManager;
+use crate::protocol::StatusReport;
 use crate::state::SlaveState;
 use lipiz_telemetry::{EventKind, SharedTelemetry};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One slave's status at one heartbeat round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,11 +125,11 @@ pub fn run_heartbeat_loop_with_deadline(
                 });
                 continue;
             }
-            if stop.load(Ordering::Acquire) {
-                return log;
-            }
             let misses = &mut consecutive_misses[slave];
-            match cm.await_status(slave, response_timeout) {
+            let Some(reply) = await_status_or_stop(cm, slave, response_timeout, stop) else {
+                return log;
+            };
+            match reply {
                 Some(status) => {
                     *misses = 0;
                     last_reported[slave] = status.iterations_done;
@@ -195,14 +196,39 @@ pub fn run_heartbeat_loop_with_deadline(
         log.rounds.push(round);
         // Sleep in small slices so a stop request is honored promptly.
         let mut remaining = interval;
-        let slice = Duration::from_millis(5);
         while remaining > Duration::ZERO && !stop.load(Ordering::Acquire) {
-            let nap = remaining.min(slice);
+            let nap = remaining.min(STOP_SLICE);
             std::thread::sleep(nap);
             remaining = remaining.saturating_sub(nap);
         }
     }
     log
+}
+
+/// The longest the heartbeat loop goes without looking at its stop flag.
+const STOP_SLICE: Duration = Duration::from_millis(5);
+
+/// Wait up to `timeout` for `slave`'s status reply, in [`STOP_SLICE`]
+/// waits: `None` once `stop` is set, else the reply, or `Some(None)` when
+/// none came in time. So the loop returns within a slice of a stop request
+/// instead of waiting out a whole response time-out on a quiet slave.
+fn await_status_or_stop(
+    cm: &CommManager,
+    slave: usize,
+    timeout: Duration,
+    stop: &AtomicBool,
+) -> Option<Option<StatusReport>> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        if stop.load(Ordering::Acquire) {
+            return None;
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        let reply = cm.await_status(slave, left.min(STOP_SLICE));
+        if reply.is_some() || left <= STOP_SLICE {
+            return Some(reply);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -301,7 +327,7 @@ mod tests {
         use crate::master::run_master;
         use crate::protocol::SlaveResult;
         use crate::slave::run_slave;
-        use lipiz_core::{CellEngine, CellSnapshot, Grid, TrainConfig};
+        use lipiz_core::{CellEngine, CellScratch, CellSnapshot, Grid, TrainConfig};
         use lipiz_telemetry::Telemetry;
 
         let mut cfg = TrainConfig::smoke(2);
@@ -334,7 +360,7 @@ mod tests {
             let slave_cfg = task.config;
             let grid = Grid::from_config(&slave_cfg.grid);
             let mut engine = CellEngine::new(task.cell_index, &slave_cfg, toy_data(&slave_cfg));
-            let mut tel = Telemetry::disabled();
+            let (mut scratch, mut tel) = (CellScratch::default(), Telemetry::disabled());
             for _ in 0..slave_cfg.coevolution.iterations {
                 std::thread::sleep(Duration::from_millis(60));
                 let snapshot = engine.snapshot();
@@ -344,7 +370,7 @@ mod tests {
                     .into_iter()
                     .map(|n| all[n].clone())
                     .collect();
-                engine.run_iteration(&neighbors, &mut tel);
+                engine.run_iteration(&neighbors, &mut scratch, &mut tel);
             }
             let ensemble = engine.ensemble();
             let disc_pop = engine.disc_population();
@@ -588,6 +614,42 @@ mod tests {
             teardown < 2 * RESPONSE_TIMEOUT,
             "loop waited out quiet slaves after stop: {teardown:?}"
         );
+    }
+
+    #[test]
+    fn stop_cuts_a_status_wait_short() {
+        // A slave that never answers, under a response time-out far longer
+        // than the test: the loop is mid-wait on it when `stop` lands, and
+        // must return within a stop slice or so, not wait the time-out out.
+        let results = Universe::run(2, |world| {
+            let cm = CommManager::new(world);
+            if !cm.is_master() {
+                while cm.poll_status_request(Duration::from_millis(400)) {}
+                return None;
+            }
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                let handle = s.spawn(|| {
+                    run_heartbeat_loop_with_deadline(
+                        &cm,
+                        Duration::from_millis(1),
+                        Duration::from_secs(10),
+                        0,
+                        &stop,
+                        &AtomicI64::new(NO_DEAD_SLAVE),
+                        None,
+                    )
+                });
+                std::thread::sleep(Duration::from_millis(50));
+                stop.store(true, Ordering::Release);
+                let stopped = Instant::now();
+                let log = handle.join().unwrap();
+                Some((stopped.elapsed(), log.len()))
+            })
+        });
+        let (teardown, rounds) = results[0].expect("master measured the teardown");
+        assert!(teardown < Duration::from_secs(1), "loop waited after stop: {teardown:?}");
+        assert_eq!(rounds, 0, "the one round never finished its wait");
     }
 
     #[test]

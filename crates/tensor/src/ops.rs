@@ -112,10 +112,15 @@ pub fn apply_act(act: ActKind, xs: &mut [f32]) {
                 unsafe { tanh_slice_avx2(xs) };
                 return;
             }
-            for v in xs {
-                *v = fast_tanh(*v);
-            }
+            tanh_slice(xs);
         }
+    }
+}
+
+/// Portable tanh over a slice: [`fast_tanh`] per element.
+fn tanh_slice(xs: &mut [f32]) {
+    for v in xs {
+        *v = fast_tanh(*v);
     }
 }
 
@@ -234,9 +239,7 @@ unsafe fn tanh_slice_avx2(xs: &mut [f32]) {
         _mm256_storeu_ps(ptr.add(i), _mm256_blendv_ps(result, x, is_nan));
         i += 8;
     }
-    for v in &mut xs[lanes..] {
-        *v = fast_tanh(*v);
-    }
+    tanh_slice(&mut xs[lanes..]);
 }
 
 // ---- pack-buffer recycling --------------------------------------------------
@@ -886,6 +889,86 @@ mod tests {
         for x in [1e-6f32, 1e-4, -3e-5, 1e-9] {
             let t = fast_tanh(x);
             assert!((t - x).abs() <= x.abs() * 1e-3, "tiny input {x} -> {t}");
+        }
+    }
+
+    /// The portable kernels, run side by side with their AVX2 twins on
+    /// the same inputs — on an AVX2 host nothing else ever runs them.
+    /// Skipped only where AVX2 is absent (there the portable kernels are
+    /// what every other test runs).
+    #[cfg(target_arch = "x86_64")]
+    fn avx2() -> bool {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn portable_full_tile_matches_avx2_bitwise() {
+        if !avx2() {
+            return;
+        }
+        let mut rng = Rng64::seed_from(63);
+        // Two tiles' room each way, so the tile also runs off the origin.
+        let (m, n) = (2 * MR, 2 * NR);
+        for k in 0..40 {
+            let at: Vec<f32> = (0..k * m).map(|_| rng.uniform(-2.0, 2.0)).collect();
+            let bp: Vec<f32> = (0..k * n).map(|_| rng.uniform(-2.0, 2.0)).collect();
+            let bias: Vec<f32> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            for bias in [None, Some(bias.as_slice())] {
+                for (gi, j) in [(0, 0), (MR, NR), (1, 3)] {
+                    let mut portable = vec![f32::NAN; m * n];
+                    let mut wide = portable.clone();
+                    micro_full(k, m, n, &at, &bp, gi, j, &mut portable[gi * n..], bias);
+                    // SAFETY: AVX2 was detected above; the tile at (gi, j)
+                    // lies inside the m×n output and the k×m / k×n panels.
+                    unsafe {
+                        micro_full_avx2(k, m, n, &at, &bp, gi, j, &mut wide[gi * n..], bias)
+                    };
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&portable),
+                        bits(&wide),
+                        "k {k}, tile ({gi}, {j}), bias {}",
+                        bias.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn portable_tanh_matches_avx2_bitwise() {
+        if !avx2() {
+            return;
+        }
+        let mut rng = Rng64::seed_from(64);
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 3.0,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x7FC0_1234),
+            f32::from_bits(0xFFC0_5678),
+            f32::from_bits(0x7F80_0001), // signalling-NaN payload
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            TANH_CLAMP,
+            -8.999_999,
+        ];
+        xs.extend((0..997).map(|_| rng.uniform(-12.0, 12.0)));
+        // The edge values lead, so every length 0..40 runs them through the
+        // AVX2 body and its tail; the full slice is mostly body.
+        for len in (0..40).chain([xs.len()]) {
+            let mut portable = xs[..len].to_vec();
+            let mut wide = portable.clone();
+            tanh_slice(&mut portable);
+            // SAFETY: AVX2 was detected above.
+            unsafe { tanh_slice_avx2(&mut wide) };
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&portable), bits(&wide), "length {len}");
         }
     }
 

@@ -31,8 +31,11 @@ fn config() -> TrainConfig {
 fn run(scheme: DataPartition, label: &str, full: &Matrix, cfg: &TrainConfig) {
     let cells = cfg.cells();
     let local_rows = scheme.rows_for_cell(full.rows(), cells, 0, 5).len();
+    // Per-cell data is what the shard switch means to the trainer: with it
+    // off, every cell shares the one dataset `make_data` returns first.
+    let cfg = cfg.clone().with_shards(scheme != DataPartition::Full);
     let mut trainer =
-        SequentialTrainer::new(cfg, |cell| scheme.slice_for_cell(full, cells, cell, 5));
+        SequentialTrainer::new(&cfg, |cell| scheme.slice_for_cell(full, cells, cell, 5));
     let report = trainer.run();
     println!(
         "{label:<22} {local_rows:>4} rows/cell | {:.2}s | best G fitness {:.4}",

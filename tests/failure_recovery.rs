@@ -102,17 +102,23 @@ fn sigkilled_slave_is_replaced_and_the_run_completes_bit_exactly() {
         });
     }
 
-    // Wait until at least one checkpoint is committed, so the recovery has
-    // a real cut to restore from — then SIGKILL the first slave.
+    // Wait until at least one checkpoint is committed — every cell of the
+    // 2×2 grid has written its file for the same iteration — so the
+    // recovery has a real cut to restore from; then SIGKILL the first
+    // slave. (One cell's file alone is not a cut: under load the kill could
+    // land before the other three and leave nothing to restore.)
     let deadline = Instant::now() + DEADLINE;
     loop {
-        let committed = std::fs::read_dir(&ckpt)
-            .map(|entries| {
-                entries
-                    .flatten()
-                    .any(|e| e.file_name().to_str().is_some_and(|n| n.ends_with(".ckpt")))
-            })
-            .unwrap_or(false);
+        let mut cells_per_iteration = std::collections::HashMap::<String, usize>::new();
+        for entry in std::fs::read_dir(&ckpt).into_iter().flatten().flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if let Some(iter) =
+                name.strip_suffix(".ckpt").and_then(|n| n.split("_iter_").nth(1))
+            {
+                *cells_per_iteration.entry(iter.to_string()).or_default() += 1;
+            }
+        }
+        let committed = cells_per_iteration.values().any(|&cells| cells == 4);
         if committed {
             break;
         }

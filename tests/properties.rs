@@ -320,7 +320,7 @@ proptest! {
         let cfg = TrainConfig::smoke(2);
         let dir = std::env::temp_dir().join("lipiz_properties_ckpt");
         std::fs::create_dir_all(&dir).unwrap();
-        let mut engine = lipizzaner::core::CellEngine::new(0, &cfg, {
+        let engine = lipizzaner::core::CellEngine::new(0, &cfg, {
             let mut rng = Rng64::seed_from(cfg.training.data_seed);
             rng.uniform_matrix(cfg.training.dataset_size, cfg.network.data_dim, -0.9, 0.9)
         });

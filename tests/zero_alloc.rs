@@ -39,8 +39,8 @@ mod common;
 
 use common::toy_data;
 use lipizzaner::core::{
-    CellEngine, CellSnapshot, Exchange, ExchangeMode, FrameSlot, GenomeLens, InMemoryExchange,
-    Pipeline, TrainConfig,
+    CellEngine, CellScratch, CellSnapshot, Exchange, ExchangeMode, FrameSlot, GenomeLens,
+    InMemoryExchange, Pipeline, TrainConfig,
 };
 use lipizzaner::mpi::comm::Fabric;
 use lipizzaner::mpi::Comm;
@@ -106,19 +106,20 @@ fn my_allocations() -> (u64, u64) {
     MINE.with(Cell::get)
 }
 
-/// Run `iters` full iterations against fixed neighbor snapshots, timing
-/// into `tel` — a disabled recorder (totals only), or an *enabled* one
-/// (span events + latency histograms) — and return the allocation count
-/// observed across them.
+/// Run `iters` full iterations against fixed neighbor snapshots over the
+/// recycled `scratch`, timing into `tel` — a disabled recorder (totals
+/// only), or an *enabled* one (span events + latency histograms) — and
+/// return the allocation count observed across them.
 fn allocations_over(
     engine: &mut CellEngine,
     snaps: &[CellSnapshot],
     iters: usize,
+    scratch: &mut CellScratch,
     tel: &mut Telemetry,
 ) -> u64 {
     let before = allocations();
     for _ in 0..iters {
-        engine.run_iteration(snaps, tel);
+        engine.run_iteration(snaps, scratch, tel);
     }
     allocations() - before
 }
@@ -142,10 +143,12 @@ fn steady_state_iteration_allocates_nothing() {
     let snaps: Vec<CellSnapshot> = (0..4).map(|_| engine.snapshot()).collect();
 
     // Warmup sizes every recycled buffer (and crosses a loader epoch).
-    let warm = allocations_over(&mut engine, &snaps, 4, &mut Telemetry::disabled());
+    let mut scratch = CellScratch::default();
+    let mut tel = Telemetry::disabled();
+    let warm = allocations_over(&mut engine, &snaps, 4, &mut scratch, &mut tel);
     assert!(warm > 0, "warmup pass should have sized the workspace buffers");
 
-    let steady = allocations_over(&mut engine, &snaps, 6, &mut Telemetry::disabled());
+    let steady = allocations_over(&mut engine, &snaps, 6, &mut scratch, &mut tel);
     assert_eq!(
         steady, 0,
         "steady-state training iterations must perform zero heap allocations"
@@ -179,8 +182,9 @@ fn steady_state_with_telemetry_allocates_nothing() {
     let mut engine = CellEngine::new(0, &cfg, toy_data(&cfg));
     let snaps: Vec<CellSnapshot> = (0..4).map(|_| engine.snapshot()).collect();
     let mut tel = Telemetry::enabled(1, 64); // small ring: overwrites mid-window
-    allocations_over(&mut engine, &snaps, 4, &mut tel);
-    let steady = allocations_over(&mut engine, &snaps, 6, &mut tel);
+    let mut scratch = CellScratch::default();
+    allocations_over(&mut engine, &snaps, 4, &mut scratch, &mut tel);
+    let steady = allocations_over(&mut engine, &snaps, 6, &mut scratch, &mut tel);
     assert_eq!(
         steady, 0,
         "steady-state iterations with telemetry enabled must perform zero heap allocations"
@@ -372,7 +376,7 @@ fn steady_state_exchange_allocates_one_payload_per_rank() {
 
 fn checkpoint_commit_encodes_the_state_in_place() {
     let cfg = TrainConfig::smoke(2).with_exchange(ExchangeMode::Async);
-    let mut engine = CellEngine::new(0, &cfg, toy_data(&cfg));
+    let engine = CellEngine::new(0, &cfg, toy_data(&cfg));
     let mut state = engine.capture_state();
     state.exchange_frame = (0..cfg.cells()).map(|_| engine.snapshot()).collect();
     let genome_bytes =
