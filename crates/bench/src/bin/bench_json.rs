@@ -247,12 +247,17 @@ fn communication_benches(entries: &mut Vec<Entry>, reps: usize, smoke: bool) {
 /// parameters plus the discriminator's 267,009.
 const TABLE1_SNAPSHOT_FLOATS: usize = 283_920 + 267_009;
 
-/// `--exchange async` overlap at paper scale: one full iteration — a
-/// 9-rank allgather of a Table I snapshot plus a ~7 ms train step — with
-/// the exchange either *ahead* of the compute (sync: blocking gather, then
-/// train) or *behind* it (async: begin the gather, train, then complete
-/// it). The gap between the two rows is the exchange time the overlap
-/// hides. Smoke runs a twentieth of the payload, under a name of its own.
+/// Exchange/compute overlap at paper scale: one full iteration — a 9-rank
+/// allgather of a Table I snapshot plus a ~7 ms train step — with the
+/// exchange either *ahead* of the compute (blocking gather, then train) or
+/// *behind* it (begin the gather, train, then complete it on a helper
+/// thread). The gap between the two rows is the exchange time a background
+/// completion hides. The runtime completes nothing in the background —
+/// under `--exchange async` each rank completes a generation on its
+/// training thread one iteration after posting it — so these rows measure
+/// a shape it does not run; they stay comparable with their committed
+/// baseline. Smoke runs a twentieth of the payload, under a name
+/// of its own.
 fn overlap_benches(entries: &mut Vec<Entry>, reps: usize, smoke: bool) {
     let slaves = 9usize;
     let floats = if smoke { 28_392 } else { TABLE1_SNAPSHOT_FLOATS };
@@ -270,9 +275,9 @@ fn overlap_benches(entries: &mut Vec<Entry>, reps: usize, smoke: bool) {
                 // Warmup round doubles as a barrier so every rank starts hot.
                 black_box(comm.allgather_bytes(&payload).len());
                 if asynchronous {
-                    // The runtime's exchange-thread shape: begin on the main
-                    // thread, complete on a background thread while the
-                    // train step runs.
+                    // Background completion: begin on the main thread,
+                    // complete on a helper thread while the train step
+                    // runs.
                     let (job_tx, job_rx) = std::sync::mpsc::channel();
                     let (done_tx, done_rx) = std::sync::mpsc::channel();
                     let worker = comm.clone();

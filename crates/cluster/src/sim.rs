@@ -403,8 +403,8 @@ impl Exchange for VirtualExchange<'_> {
         }
         if self.async_mode {
             // Generation `iter` completes once every contribution is in
-            // and the exchange thread (busy until `pending_complete`) has
-            // shipped it.
+            // and the transfer of the generation before it (busy until
+            // `pending_complete`) has finished.
             self.pending_complete = sync.max(self.pending_complete) + xfer;
             for &c in &live {
                 self.prev_submit[c] = posted_at[c];

@@ -79,8 +79,8 @@ pub enum ExchangeMode {
     #[default]
     Sync,
     /// Iteration `i` (for `i ≥ 1`) trains against generation-`i-1`
-    /// snapshots while the generation-`i` exchange completes in the
-    /// background. The staleness bound is *fixed* at exactly 1 (iteration 0
+    /// snapshots while the transport delivers generation `i`, which the
+    /// next iteration completes. The staleness bound is *fixed* at exactly 1 (iteration 0
     /// bootstraps synchronously), so the result is still a pure function of
     /// `(seed, config)` — just a different one than sync mode's.
     Async,
@@ -105,7 +105,7 @@ impl Wire for ExchangeMode {
 }
 
 impl ExchangeMode {
-    /// Is the background-exchange pipeline active?
+    /// Does each iteration consume the previous generation?
     pub fn is_async(&self) -> bool {
         matches!(self, ExchangeMode::Async)
     }

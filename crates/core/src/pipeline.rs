@@ -16,15 +16,21 @@
 //! there is no second copy of the schedule to drift.
 //!
 //! ```text
-//!            ┌────────────── step(iter = i) ──────────────┐
-//!  snapshot local cells ─► begin(i) ─► frame for i ─► train local cells
-//!                                        │
-//!      sync, or i = 0 ......... complete(i)   → generation i
-//!      async, i ≥ 1 ........... complete(i-1) → generation i-1  (unless a
-//!                               commit boundary already drained it)
+//!            ┌─────────────────────── step(iter = i) ───────────────────────┐
+//!  [complete(i-1)] ─► snapshot local cells ─► begin(i) ─► [complete(i)] ─► train
+//!
+//!  the frame iteration i trains against:
+//!      sync, or i = 0 ......... complete(i) after begin(i)     → generation i
+//!      async, i ≥ 1 ........... complete(i-1) before begin(i) → generation i-1
+//!                               (unless a commit boundary already drained it)
 //!      catch-up, or a rejoiner's
-//!      first live async iteration ........... → the frozen death-frame
+//!      first live async iteration ............................ → the frozen death-frame
 //! ```
+//!
+//! Either way at most one generation is in flight, and every call runs on
+//! the rank's own thread: under async a generation is simply completed one
+//! iteration after it was posted, by which time the transport has
+//! delivered it.
 //!
 //! # What a rank holds
 //!
@@ -73,8 +79,9 @@ pub type FrameSlot = Option<EncodedSnapshot>;
 /// ([`Pipeline::read_set`]): the slots it delivers are the slots the rank's
 /// cells read, nothing else. `begin` and `complete` are called by
 /// [`Pipeline::step`] only: `begin(g)` exactly once per live iteration `g`,
-/// in order; `complete(g)` at most once per generation, after `begin(g)`,
-/// and never for a generation the rank did not begin.
+/// in order, and at most one generation in flight — `begin(g)`, then at
+/// most one `complete(g)`, before `begin(g + 1)`. A generation the rank did
+/// not begin is never completed.
 pub trait Exchange {
     /// Post generation `gen` without waiting for it. `frame` has one slot
     /// per grid cell; the slots of this rank's local cells hold their fresh
@@ -384,6 +391,14 @@ impl Pipeline {
         // Everything up to the consumed frame being in hand is the gather
         // routine, exactly as Table IV charges the allgather.
         let span = self.telemetry.begin(Routine::Gather, self.span_cell, it);
+        // Async: the in-flight generation `iter - 1` lands before generation
+        // `iter` is posted, so at most one is ever in flight — and a
+        // replacement that rejoined at `iter - 1` is live again (its
+        // rendezvous done) by the time this generation is posted to it.
+        if stale && !self.prev_complete && self.consumes_previous(iter) {
+            ex.complete(iter - 1, &mut self.prev, &mut self.telemetry);
+            self.prev_complete = true;
+        }
         // Slots in the read set keep the generation they held last until
         // `complete` replaces their handles. No other slot of a cell hosted
         // elsewhere is ever filled.
@@ -408,9 +423,6 @@ impl Pipeline {
         let prev_submit = self.inflight_submit.replace(submit);
         if !stale {
             ex.complete(iter, &mut self.cur, &mut self.telemetry);
-        } else if !self.prev_complete && self.consumes_previous(iter) {
-            ex.complete(iter - 1, &mut self.prev, &mut self.telemetry);
-            self.prev_complete = true;
         }
         // Submit-to-consume wall of the consumed generation.
         let since = if stale { prev_submit.unwrap_or(submit) } else { submit };
@@ -724,7 +736,7 @@ mod tests {
         let mut script = Script::default();
         steps(&mut whole_grid(&async_cfg()), &mut script, 4);
         let want =
-            [Begin(0), Complete(0), Begin(1), Begin(2), Complete(1), Begin(3), Complete(2)];
+            [Begin(0), Complete(0), Begin(1), Complete(1), Begin(2), Complete(2), Begin(3)];
         assert_eq!(script.0, want);
     }
 
@@ -742,8 +754,8 @@ mod tests {
             Begin(1),
             Complete(1),
             Begin(2),
-            Begin(3),
             Complete(2),
+            Begin(3),
             Complete(3),
         ];
         assert_eq!(script.0, want);
@@ -769,7 +781,7 @@ mod tests {
         let mut script = Script::default();
         steps(&mut resumed, &mut script, 2);
         // Iteration 2 trains against the checkpointed generation 1.
-        assert_eq!(script.0, [Begin(2), Begin(3), Complete(2), Complete(3)]);
+        assert_eq!(script.0, [Begin(2), Complete(2), Begin(3), Complete(3)]);
         assert_eq!(genomes(&mut resumed), genomes(&mut reference));
     }
 
@@ -831,7 +843,7 @@ mod tests {
         assert_eq!(during_catch_up, []);
         assert_eq!(
             after,
-            [Begin(3), Complete(2), Begin(4), Complete(3), Begin(5), Complete(4)]
+            [Complete(2), Begin(3), Complete(3), Begin(4), Complete(4), Begin(5)]
         );
     }
 
@@ -839,7 +851,8 @@ mod tests {
     fn a_lone_rejoiner_skips_the_generation_it_never_began() {
         // One rank of a 2×2 grid, as a replacement slave runs it: catch up
         // to round 2, then under async consume the death-frame — never
-        // completing generation 1, which this rank did not begin.
+        // completing generation 1, which this rank did not begin — and
+        // complete generation 2 before posting generation 3.
         let cfg = async_cfg();
         let frozen: Vec<FrameSlot> = (0..4)
             .map(|c| Some(EncodedSnapshot::new((&fresh_engine(&cfg, c).snapshot()).into())))
@@ -855,7 +868,7 @@ mod tests {
             pipeline.step(&mut peers);
         }
         assert_eq!(pipeline.iteration(), 4);
-        assert_eq!(peers.0, [Begin(2), Begin(3), Complete(2)]);
+        assert_eq!(peers.0, [Begin(2), Complete(2), Begin(3)]);
     }
 
     /// Generation 0 of a 4×4 async grid — every cell's initial snapshot —

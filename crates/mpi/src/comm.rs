@@ -434,8 +434,8 @@ impl Comm {
     /// handing each contribution — the buffer it arrived in — to
     /// `take(src, part)`. `own` is this rank's part of the round, as
     /// [`Comm::exchange_post`] sent it. Per-(src, tag) FIFO delivery keeps
-    /// rounds paired, so the complete half may run on another thread of the
-    /// rank (holding a cloned `Comm`) while the next round is posted.
+    /// rounds paired: a rank completes each round it posted, in order,
+    /// before posting the next — or never, for the last one it posts.
     ///
     /// Without a controller a source whose connection dies with nothing
     /// queued fails the call loudly (see [`Comm::recv`]). With one, the rank

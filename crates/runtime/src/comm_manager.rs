@@ -33,13 +33,9 @@
 //! its cache, and serves its share of the death-frame to the replacement.
 
 use crate::protocol::{tags, NodeAnnouncement, RunTask, SlaveResult, StatusReport};
-use lipiz_core::{
-    CellSnapshot, EncodedSnapshot, Exchange, ExchangeMode, FrameSlot, GenomeLens, SnapshotRef,
-};
+use lipiz_core::{CellSnapshot, EncodedSnapshot, Exchange, FrameSlot, GenomeLens, SnapshotRef};
 use lipiz_mpi::{Comm, DegradedGather, FaultPlan, FrozenFrameHandle, Payload, RecvFrom};
 use lipiz_telemetry::{EventKind, Telemetry, TelemetrySummary};
-use std::sync::mpsc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How often the master re-polls for a respawned replacement's
@@ -280,28 +276,24 @@ impl CommManager {
     /// others — and, by the symmetry of the neighbourhood, posting to
     /// exactly the ranks behind them. Every snapshot received must carry
     /// genomes of `lens` (the run's, [`GenomeLens::of`]); one that does
-    /// not, or does not parse, is refused on receipt. In sync mode every
-    /// generation is posted in `begin` and received in `complete`; under
-    /// `--exchange async` a background `AsyncExchanger` thread does both,
-    /// so the exchange overlaps the train step. `ctl` is this rank's
+    /// not, or does not parse, is refused on receipt. Sync and async runs
+    /// share it: each generation is posted in `begin` and received in
+    /// `complete`, both on the calling thread; under `--exchange async` the
+    /// pipeline merely completes a generation one iteration later, by which
+    /// time the transport has delivered it. `ctl` is this rank's
     /// degraded-gather controller, when graceful degradation is on (clone
     /// its frozen-frame handle *before* passing it in if another thread
     /// must keep serving death-frame requests).
     pub fn exchange(
         &self,
-        mode: ExchangeMode,
         ctl: Option<DegradedGather>,
         reads: &[usize],
         lens: GenomeLens,
     ) -> CommExchange {
-        let links = Links::new(self.local().clone(), reads, lens, ctl);
-        let schedule = match mode {
-            ExchangeMode::Sync => Schedule::Inline { links, pending: None },
-            ExchangeMode::Async => Schedule::Overlapped(AsyncExchanger::start(links)),
-        };
         CommExchange {
             cell: self.local_rank() as u32,
-            schedule,
+            links: Links::new(self.local().clone(), reads, lens, ctl),
+            pending: None,
             stale_runs: Vec::new(),
             prev_stale: vec![0; self.num_slaves()],
         }
@@ -509,16 +501,25 @@ fn accept(
 }
 
 /// The `Comm`-backed [`Exchange`] of one slave rank (see
-/// [`CommManager::exchange`]): `begin` posts the rank's own frame slot to
-/// the ranks that read it, `complete` puts a handle on each received
-/// snapshot into its frame slot — received on the training thread (sync)
-/// or handed over by the exchange thread (async). No snapshot is decoded or
-/// copied on the way, and no slot outside the read set is ever filled.
+/// [`CommManager::exchange`]), in both modes: `begin` posts the rank's own
+/// frame slot to the ranks that read it, `complete` receives their
+/// snapshots on the same (training) thread and puts a handle on each into
+/// its frame slot. No snapshot is decoded or copied on the way, and no
+/// slot outside the read set is ever filled.
+///
+/// At most one generation is in flight: `begin(g)`, then at most one
+/// `complete(g)`, before `begin(g + 1)`. A post never waits for a reader,
+/// and each reader's mailbox holds what it has not yet received, so a
+/// generation begun and never completed — the last one of an async run —
+/// leaves no peer waiting.
 #[derive(Debug)]
 pub struct CommExchange {
     /// This rank's cell, which its journal events name.
     cell: u32,
-    schedule: Schedule,
+    links: Links,
+    /// The generation begun and not yet completed, with the rank's own
+    /// part of it.
+    pending: Option<(usize, Payload)>,
     /// Per-rank stale-run counts after the generation just completed
     /// (empty on a rank without a controller).
     stale_runs: Vec<usize>,
@@ -527,39 +528,24 @@ pub struct CommExchange {
     prev_stale: Vec<usize>,
 }
 
-/// Where a generation's blocking half runs.
-#[derive(Debug)]
-enum Schedule {
-    /// Sync: on the training thread, `pending` holding the generation
-    /// begun and not yet completed.
-    Inline { links: Links, pending: Option<Payload> },
-    /// Async: on the exchange thread, which also does the posting.
-    Overlapped(AsyncExchanger),
-}
-
 impl Exchange for CommExchange {
     fn begin(&mut self, gen: usize, frame: &[FrameSlot], _costs: &[Duration]) {
         let own =
             frame[self.cell as usize].as_ref().expect("the rank's own snapshot is in its slot");
         let part = own.payload().clone();
-        match &mut self.schedule {
-            Schedule::Inline { links, pending } => {
-                links.post(&part, gen);
-                *pending = Some(part);
-            }
-            Schedule::Overlapped(ex) => ex.submit(part, gen),
-        }
+        self.links.post(&part, gen);
+        self.pending = Some((gen, part));
     }
 
+    /// # Panics
+    /// Panics unless `gen` is the generation in flight.
     fn complete(&mut self, gen: usize, frame: &mut [FrameSlot], tel: &mut Telemetry) {
-        match &mut self.schedule {
-            Schedule::Inline { links, pending } => {
-                let part = pending.take().expect("complete follows begin");
-                links.complete(&part, gen, |src, snap| frame[src] = Some(snap));
-                links.stale_runs_into(&mut self.stale_runs);
-            }
-            Schedule::Overlapped(ex) => ex.retrieve(frame, &mut self.stale_runs),
-        }
+        let Some((_, part)) = self.pending.take_if(|(begun, _)| *begun == gen) else {
+            let in_flight = self.pending.as_ref().map(|(begun, _)| begun);
+            panic!("complete({gen}) refused: the generation in flight is {in_flight:?}");
+        };
+        self.links.complete(&part, gen, |src, snap| frame[src] = Some(snap));
+        self.links.stale_runs_into(&mut self.stale_runs);
         let mut degraded = false;
         for (r, (prev, &run)) in self.prev_stale.iter_mut().zip(&self.stale_runs).enumerate() {
             if run > *prev {
@@ -574,105 +560,10 @@ impl Exchange for CommExchange {
     }
 }
 
-/// One generation as the exchange thread completed it: the read set's
-/// snapshots (each with its slot, in the buffer it arrived in) and the
-/// controller's stale runs after it.
-type Completed = (Vec<(usize, EncodedSnapshot)>, Vec<usize>);
-
-/// Background half of the `--exchange async` pipeline: the training thread
-/// submits generation `i` — its own slot's buffer — here, then trains
-/// iteration `i` against the already-completed generation `i-1` while this
-/// thread posts generation `i` to the rank's readers and receives theirs.
-///
-/// Jobs run one at a time, in order, and per-(peer, tag) delivery is FIFO
-/// on every transport, so the consumed frames — and therefore the run's
-/// result — are a pure function of (seed, config), never of how the
-/// exchange thread is scheduled. Every rank posts a generation before it
-/// waits for that generation, so no rank's wait can depend on its own.
-///
-/// What crosses back to the training thread is handles only: the received
-/// buffers, which [`AsyncExchanger::retrieve`] puts into the pipeline's
-/// frame. There is no frame of the thread's own and nothing to recycle.
-///
-/// Dropping the exchanger completes any still-queued generation first and
-/// joins the thread: every rank must post and receive the final generation
-/// or its readers' exchange threads would wedge.
-#[derive(Debug)]
-struct AsyncExchanger {
-    jobs: Option<mpsc::Sender<(Payload, usize)>>,
-    done: mpsc::Receiver<Completed>,
-    in_flight: usize,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl AsyncExchanger {
-    /// Spawn the exchange thread over `links` (a clone of the LOCAL
-    /// communicator, and the controller when degradation is on).
-    fn start(mut links: Links) -> Self {
-        let (job_tx, job_rx) = mpsc::channel::<(Payload, usize)>();
-        let (done_tx, done_rx) = mpsc::channel::<Completed>();
-        let handle = std::thread::spawn(move || {
-            for (part, round) in job_rx {
-                links.post(&part, round);
-                let mut parts = Vec::with_capacity(links.peers.len());
-                links.complete(&part, round, |src, snap| parts.push((src, snap)));
-                let mut stale_runs = Vec::new();
-                links.stale_runs_into(&mut stale_runs);
-                if done_tx.send((parts, stale_runs)).is_err() {
-                    break;
-                }
-            }
-        });
-        Self { jobs: Some(job_tx), done: done_rx, in_flight: 0, handle: Some(handle) }
-    }
-
-    /// Hand this rank's encoded part of generation `round` to the exchange
-    /// thread.
-    fn submit(&mut self, part: Payload, round: usize) {
-        self.jobs
-            .as_ref()
-            .expect("exchanger not stopped")
-            .send((part, round))
-            .expect("exchange thread alive");
-        self.in_flight += 1;
-    }
-
-    /// Block until the oldest submitted exchange completes, put each of its
-    /// snapshots into its slot of `frame` and its stale runs into
-    /// `stale_runs`.
-    ///
-    /// # Panics
-    /// Panics when nothing is in flight — the pipeline invariant (begin
-    /// generation `i` before retrieving `i-1`) has been broken.
-    fn retrieve(&mut self, frame: &mut [FrameSlot], stale_runs: &mut Vec<usize>) {
-        assert!(self.in_flight > 0, "no exchange in flight to retrieve");
-        let (parts, runs) = self.done.recv().expect("exchange thread alive");
-        self.in_flight -= 1;
-        for (src, snap) in parts {
-            frame[src] = Some(snap);
-        }
-        *stale_runs = runs;
-    }
-}
-
-impl Drop for AsyncExchanger {
-    fn drop(&mut self) {
-        self.jobs.take();
-        if std::thread::panicking() {
-            // Avoid a double panic (and a wedge on a dead peer) while
-            // unwinding; leak the thread instead.
-            return;
-        }
-        if let Some(handle) = self.handle.take() {
-            handle.join().expect("exchange thread panicked");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lipiz_core::TrainConfig;
+    use lipiz_core::{ExchangeMode, TrainConfig};
     use lipiz_mpi::Universe;
 
     #[test]
@@ -745,65 +636,72 @@ mod tests {
     }
 
     #[test]
-    fn async_exchange_completes_generations_in_order_behind_the_begins() {
-        // The call order the pipeline makes under `--exchange async`, with
-        // a commit-boundary drain after iteration 2: every completed frame
-        // must hold exactly the generation asked for, from every cell, no
-        // matter how far the begins have run ahead.
-        use Call::{Begin, Complete};
-        #[derive(Clone, Copy)]
-        enum Call {
-            Begin(usize),
-            Complete(usize),
-        }
-        let script = [
-            Begin(0),
-            Complete(0),
-            Begin(1),
-            Begin(2),
-            Complete(1),
-            Complete(2), // drain
-            Begin(3),
-            Begin(4),
-            Complete(3),
-        ];
+    fn one_generation_is_in_flight_and_a_complete_for_any_other_is_refused() {
+        // The call order the pipeline makes under `--exchange async`: each
+        // completed frame holds exactly its generation, from every cell.
+        // Cell 0 begins generation 4 and never completes it, as a rank does
+        // with the last generation of a run; its readers still complete it,
+        // because the post went out in `begin`. And a `complete` for any
+        // generation but the one in flight is refused.
+        const LAST: usize = 4;
         let results = Universe::run(4, |world| {
             let cm = CommManager::new(world);
             if cm.is_master() {
-                return vec![];
+                return None;
             }
             let cell = cm.local_rank();
-            let mut ex = cm.exchange(ExchangeMode::Async, None, &[0, 1, 2], MARKED);
+            let mut ex = cm.exchange(None, &[0, 1, 2], MARKED);
             let mut tel = Telemetry::disabled();
             let mut completed: Vec<(usize, Vec<Option<f32>>)> = Vec::new();
-            for call in script {
-                match call {
-                    Begin(gen) => {
-                        let mut frame = vec![None; 3];
-                        frame[cell] = slot(&marked(cell, gen));
-                        ex.begin(gen, &frame, &[]);
-                    }
-                    Complete(gen) => {
-                        // The exchange fills the read set and leaves the
-                        // rank's own slot to the pipeline.
-                        let mut frame = vec![None; 3];
-                        ex.complete(gen, &mut frame, &mut tel);
-                        completed.push((gen, firsts(&frame)));
-                    }
+            for gen in 0..=LAST {
+                let mut frame = vec![None; 3];
+                frame[cell] = slot(&marked(cell, gen));
+                ex.begin(gen, &frame, &[]);
+                if gen < LAST || cell != 0 {
+                    // The exchange fills the read set and leaves the
+                    // rank's own slot to the pipeline.
+                    let mut frame = vec![None; 3];
+                    ex.complete(gen, &mut frame, &mut tel);
+                    completed.push((gen, firsts(&frame)));
                 }
             }
-            // Generation 4 stays with the exchange thread, which must still
-            // complete it — peers block on it in their own final round.
-            drop(ex);
-            completed
+            let mut refusal = |gen: usize| {
+                let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    ex.complete(gen, &mut [None, None, None], &mut Telemetry::disabled());
+                }))
+                .expect_err("a generation not in flight is refused");
+                refused.downcast_ref::<String>().cloned().unwrap_or_default()
+            };
+            // Cell 0 still has the last generation in flight; the others
+            // have nothing in flight, and complete it a second time.
+            let refusals = if cell == 0 {
+                vec![refusal(LAST - 1), refusal(LAST + 1)]
+            } else {
+                vec![refusal(LAST)]
+            };
+            Some((completed, refusals))
         });
-        for (rank, completed) in results.iter().enumerate().skip(1) {
-            assert_eq!(completed.len(), 4);
+        for (rank, result) in results.iter().enumerate().skip(1) {
+            let (completed, refusals) = result.as_ref().expect("a slave");
+            let cell = rank - 1;
+            let gens: Vec<usize> = completed.iter().map(|(gen, _)| *gen).collect();
+            let want_gens: Vec<usize> = (0..=LAST).filter(|&g| g < LAST || cell != 0).collect();
+            assert_eq!(gens, want_gens, "cell {cell}");
             for (gen, frame) in completed {
                 let want: Vec<Option<f32>> =
-                    (0..3).map(|c| (c != rank - 1).then_some((c * 100 + gen) as f32)).collect();
-                assert_eq!(frame, &want, "rank {rank} generation {gen}");
+                    (0..3).map(|c| (c != cell).then_some((c * 100 + gen) as f32)).collect();
+                assert_eq!(frame, &want, "cell {cell} generation {gen}");
             }
+            let want: Vec<String> = if cell == 0 {
+                [LAST - 1, LAST + 1]
+                    .map(|g| {
+                        format!("complete({g}) refused: the generation in flight is Some(4)")
+                    })
+                    .to_vec()
+            } else {
+                vec![format!("complete({LAST}) refused: the generation in flight is None")]
+            };
+            assert_eq!(refusals, &want, "cell {cell}");
         }
     }
 
@@ -832,7 +730,7 @@ mod tests {
                 let engine = CellEngine::new(cm.local_rank(), &cfg, data.clone());
                 let mut pipeline = Pipeline::new(&cfg, vec![engine], Telemetry::disabled());
                 let lens = GenomeLens::of(&cfg);
-                let mut ex = cm.exchange(mode, None, pipeline.read_set(), lens);
+                let mut ex = cm.exchange(None, pipeline.read_set(), lens);
                 for _ in 0..3 {
                     pipeline.step(&mut ex);
                 }
@@ -844,7 +742,6 @@ mod tests {
                 if mode.is_async() {
                     ex.complete(2, &mut next, &mut Telemetry::disabled());
                 }
-                drop(ex);
                 Some([cur, next])
             });
             let frames = |cell: usize| results[cell + 1].as_ref().expect("slave");
@@ -944,13 +841,16 @@ mod tests {
         // (here: the same thread coming back with a fresh exchange). Both
         // other ranks read it, and each must substitute on its own and
         // journal one `Degraded` event per substituted round naming the
-        // absent rank — whether its controller sits on the training thread
-        // (sync) or on the exchange thread (async).
+        // absent rank. Under async the rejoiner's first round consumes the
+        // death-frame, so it completes nothing before posting round 4; and
+        // its readers complete round 4 — their rendezvous with it — before
+        // they post round 5, or the rejoiner would wait for round 5 forever.
         const ROUNDS: usize = 6;
         /// Every rank reads every slot here.
         const ALL: &[usize] = &[0, 1, 2];
-        /// Drive `ex` through rounds `from..ROUNDS` in the pipeline's call
-        /// order; returns `(gen, slot values)` of every completed frame.
+        /// Drive `ex` through `rounds` in the pipeline's call order, the
+        /// last generation drained as at a commit boundary; returns
+        /// `(gen, slot values)` of every completed frame.
         fn drive(
             ex: &mut CommExchange,
             mode: ExchangeMode,
@@ -963,23 +863,27 @@ mod tests {
             let first = rounds.start;
             let mut frames: Vec<Vec<FrameSlot>> = Vec::new();
             let mut seen = Vec::new();
-            let mut next = first;
-            for gen in rounds {
+            let mut complete = |ex: &mut CommExchange, frames: &mut [Vec<FrameSlot>], g| {
+                let frame = &mut frames[g - first];
+                ex.complete(g, frame, tel);
+                seen.push((g, firsts(frame)));
+            };
+            for gen in rounds.clone() {
+                // The bootstrap round 0 is completed inline, so round 1
+                // finds nothing in flight.
+                if mode.is_async() && gen > first.max(1) {
+                    complete(ex, &mut frames, gen - 1);
+                }
                 let mut frame = vec![None; 3];
                 frame[cell] = slot(&marked(cell, gen));
                 ex.begin(gen, &frame, &[]);
                 frames.push(frame);
-                let complete = match mode {
-                    ExchangeMode::Sync => Some(gen),
-                    ExchangeMode::Async if gen == 0 => Some(0),
-                    ExchangeMode::Async => (next < gen).then_some(next),
-                };
-                if let Some(g) = complete {
-                    let frame = &mut frames[g - first];
-                    ex.complete(g, frame, tel);
-                    seen.push((g, firsts(frame)));
-                    next = g + 1;
+                if !mode.is_async() || gen == 0 {
+                    complete(ex, &mut frames, gen);
                 }
+            }
+            if mode.is_async() {
+                complete(ex, &mut frames, rounds.end - 1);
             }
             seen
         }
@@ -994,13 +898,12 @@ mod tests {
                 let seen = if cell < 2 {
                     let mut ctl = DegradedGather::new(3, 2);
                     ctl.plan_absence(2, 2, 4);
-                    let mut ex = cm.exchange(mode, Some(ctl), ALL, MARKED);
+                    let mut ex = cm.exchange(Some(ctl), ALL, MARKED);
                     drive(&mut ex, mode, cell, 0..ROUNDS, &mut tel)
                 } else {
-                    let mut ex = cm.exchange(mode, None, ALL, MARKED);
+                    let mut ex = cm.exchange(None, ALL, MARKED);
                     let mut seen = drive(&mut ex, mode, cell, 0..2, &mut tel);
-                    drop(ex);
-                    let mut ex = cm.exchange(mode, None, ALL, MARKED);
+                    let mut ex = cm.exchange(None, ALL, MARKED);
                     seen.extend(drive(&mut ex, mode, cell, 4..ROUNDS, &mut tel));
                     seen
                 };
@@ -1011,9 +914,13 @@ mod tests {
                     .collect();
                 Some((seen, degraded, tel.metrics.degraded_iters.get()))
             });
+            let gens = |seen: &[(usize, Vec<Option<f32>>)]| -> Vec<usize> {
+                seen.iter().map(|(gen, _)| *gen).collect()
+            };
             for cell in 0..2u32 {
                 let (seen, degraded, degraded_iters) =
                     results[cell as usize + 1].as_ref().unwrap();
+                assert_eq!(gens(seen), (0..ROUNDS).collect::<Vec<_>>(), "{mode:?} cell {cell}");
                 assert_eq!(degraded, &[(cell, 2, 2), (cell, 3, 2)], "{mode:?} cell {cell}");
                 assert_eq!(*degraded_iters, 2, "{mode:?} cell {cell}");
                 for (gen, slots) in seen {
@@ -1024,6 +931,7 @@ mod tests {
                 }
             }
             let (seen, degraded, degraded_iters) = results[3].as_ref().expect("the victim");
+            assert_eq!(gens(seen), [0, 1, 4, 5], "{mode:?} victim");
             assert!(
                 degraded.is_empty() && *degraded_iters == 0,
                 "{mode:?}: the victim journals"
@@ -1089,8 +997,7 @@ mod tests {
                         let mut pipeline =
                             Pipeline::new(cfg, vec![engine], Telemetry::disabled());
                         let lens = GenomeLens::of(cfg);
-                        let mut ex =
-                            cm.exchange(ExchangeMode::Sync, None, pipeline.read_set(), lens);
+                        let mut ex = cm.exchange(None, pipeline.read_set(), lens);
                         pipeline.step(&mut ex);
                     });
                 }
@@ -1136,7 +1043,7 @@ mod tests {
                         None
                     }
                     _ => {
-                        let mut ex = cm.exchange(ExchangeMode::Sync, None, &[0, 1], MARKED);
+                        let mut ex = cm.exchange(None, &[0, 1], MARKED);
                         let mut frame = vec![slot(&marked(0, 3)), None];
                         let refused =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -1,14 +1,16 @@
 //! Slave process logic (Fig. 3, right side).
 //!
-//! Each slave runs two threads, exactly like the paper's design: the *main
-//! thread* is the communication interface with the master (it answers
-//! heartbeat status requests), while the *execution thread* performs the
-//! training. The execution thread is one rank of the iteration
-//! [`Pipeline`] (`lipiz_core::pipeline`): it hosts this rank's single cell
-//! and exchanges snapshots with the slaves its cell reads — and only those
-//! — through [`CommManager::exchange`] on the LOCAL communicator;
-//! communication with peers overlaps the master's monitoring traffic
-//! without interference because they use different communicators. The
+//! Each slave runs two threads, exactly like the paper's design, under sync
+//! and async exchange alike: the *main thread* is the communication
+//! interface with the master (it answers heartbeat status requests), while
+//! the *execution thread* performs the training. (A checkpointing slave adds
+//! its checkpoint writer; a socket transport, its readers.) The execution
+//! thread is one rank of the iteration [`Pipeline`] (`lipiz_core::pipeline`):
+//! it hosts this rank's single cell and exchanges snapshots with the slaves
+//! its cell reads — and only those — through [`CommManager::exchange`] on
+//! the LOCAL communicator, posting and receiving them itself; that traffic
+//! overlaps the master's monitoring traffic without interference because
+//! they use different communicators. The
 //! schedule itself (frame choice, async double-buffer, checkpoint-cut
 //! frame, a replacement's solo catch-up) is the pipeline's; this file wires
 //! the rank up — fault plan, restore, checkpoint writer, journal — drives
@@ -227,11 +229,10 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                     }
                     None => pipeline.resume_from(&resume_frame),
                 }
-                // The async exchange thread also owns the degraded-gather
-                // controller — the death-frame handle was cloned for the
-                // main thread before this move.
+                // The exchange owns the degraded-gather controller — the
+                // death-frame handle was cloned for the main thread before
+                // this move.
                 let mut exchange = exec_cm.exchange(
-                    exec_cfg.exchange,
                     gather_ctl.take(),
                     pipeline.read_set(),
                     GenomeLens::of(&exec_cfg),
@@ -283,9 +284,6 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                         exec_cm.send_telemetry(&tel.summary(cell_u32));
                     }
                 }
-                // Finish the final generation — every rank must post and
-                // receive it or its readers' exchange threads would wedge.
-                drop(exchange);
                 if let Some(w) = writer.take() {
                     // Drain the queue so every committed cut is durable
                     // before the result ships; a failed commit is fatal.

@@ -29,8 +29,8 @@ pub enum EventKind {
     OtherBegin = 8,
     /// Other span closed.
     OtherEnd = 9,
-    /// Neighbor exchange posted (async: handed to the exchange thread;
-    /// sync: the blocking allgather started). `arg` = generation.
+    /// This rank's snapshot posted to its readers, without waiting for
+    /// them, in either exchange mode. `arg` = generation.
     ExchangeBegin = 10,
     /// A gathered neighbor frame became available to compute.
     /// `arg` = the generation consumed.

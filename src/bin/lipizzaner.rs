@@ -217,22 +217,39 @@ fn cli_full_data(cfg: &TrainConfig) -> Matrix {
     }
 }
 
-/// Carve one cell's view out of the full dataset: its shard when the config
-/// says the data is partitioned, a full copy otherwise. The shard switch
-/// rides in the wire config, so hand-started slaves on other machines can
-/// never disagree with the master about the data layout.
-fn cli_slice(full: &Matrix, cfg: &TrainConfig, cell: usize) -> Matrix {
+/// Carve one cell's shard out of the full dataset (the config partitions
+/// it). The shard switch rides in the wire config, so hand-started slaves on
+/// other machines can never disagree with the master about the data layout.
+fn cli_shard(full: &Matrix, cfg: &TrainConfig, cell: usize) -> Matrix {
+    lipizzaner::data::DataPartition::Shards.slice_for_cell(full, cfg.cells(), cell, 0)
+}
+
+/// One cell's dataset from scratch — the per-rank path, where each OS
+/// process builds exactly one cell's data anyway: its shard, or the
+/// synthesized set itself.
+fn cli_make_data(cell: usize, cfg: &TrainConfig) -> Matrix {
+    let full = cli_full_data(cfg);
     if cfg.training.shard_data {
-        lipizzaner::data::DataPartition::Shards.slice_for_cell(full, cfg.cells(), cell, 0)
+        cli_shard(&full, cfg, cell)
     } else {
-        full.clone()
+        full
     }
 }
 
-/// One cell's dataset from scratch (full synthesis + slice) — the per-rank
-/// path, where each OS process builds exactly one cell's data anyway.
-fn cli_make_data(cell: usize, cfg: &TrainConfig) -> Matrix {
-    cli_slice(&cli_full_data(cfg), cfg, cell)
+/// The `make_data` of a whole-grid driver over `full`: each cell's shard,
+/// or — unsharded, where [`Pipeline::whole_grid`] asks once and shares the
+/// answer — `full` itself, handed over without a copy.
+///
+/// [`Pipeline::whole_grid`]: lipizzaner::core::Pipeline::whole_grid
+fn cli_whole_grid_data(full: Matrix, cfg: &TrainConfig) -> impl FnMut(usize) -> Matrix + '_ {
+    let mut full = Some(full);
+    move |cell| {
+        if cfg.training.shard_data {
+            cli_shard(full.as_ref().expect("shards are cut from the full set"), cfg, cell)
+        } else {
+            full.take().expect("an unsharded whole grid asks for its data once")
+        }
+    }
 }
 
 fn cmd_train(args: &[String]) -> ExitCode {
@@ -360,7 +377,7 @@ fn run_training(cfg: TrainConfig, args: &[String], resume_from: Option<usize>) -
         "sequential" => {
             // Synthesize the dataset once; cells share it (or their shard).
             let full = cli_full_data(&cfg);
-            let mut t = sequential_trainer(&cfg, &full, resume_states.as_deref());
+            let mut t = sequential_trainer(&cfg, full, resume_states.as_deref());
             let report = with_checkpoint_commits(&cfg, |hook| t.run_hooked(hook));
             let telemetry = cfg.telemetry.is_enabled().then(|| t.telemetry_summary());
             let mut ensembles = t.ensembles();
@@ -373,7 +390,7 @@ fn run_training(cfg: TrainConfig, args: &[String], resume_from: Option<usize>) -
             let mut outcome = with_checkpoint_commits(&cfg, |hook| {
                 sim.run_resumable(
                     &cfg,
-                    |cell| cli_slice(&full, &cfg, cell),
+                    cli_whole_grid_data(full, &cfg),
                     resume_states.as_deref(),
                     hook,
                 )
@@ -477,18 +494,17 @@ fn write_run_summary(
     std::fs::write(path, out)
 }
 
-/// Whole-grid trainer over the shared dataset — fresh, or restored from
+/// Whole-grid trainer over the dataset `full` — fresh, or restored from
 /// captured states.
 fn sequential_trainer(
     cfg: &TrainConfig,
-    full: &Matrix,
+    full: Matrix,
     states: Option<&[CellState]>,
 ) -> SequentialTrainer {
+    let data = cli_whole_grid_data(full, cfg);
     match states {
-        Some(states) => {
-            SequentialTrainer::from_states(cfg, |cell| cli_slice(full, cfg, cell), states)
-        }
-        None => SequentialTrainer::new(cfg, |cell| cli_slice(full, cfg, cell)),
+        Some(states) => SequentialTrainer::from_states(cfg, data, states),
+        None => SequentialTrainer::new(cfg, data),
     }
 }
 
@@ -905,5 +921,42 @@ fn cmd_info(args: &[String]) -> ExitCode {
             eprintln!("failed to load {model_path}: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unsharded_whole_grid_trains_on_the_synthesized_set_itself() {
+        // Every engine of an unsharded sequential trainer reads the very
+        // buffer `cli_full_data` produced, and the saved ensemble has the
+        // bytes of a trainer handed a freshly synthesized set of its own.
+        let cfg = TrainConfig::smoke(2);
+        let full = cli_full_data(&cfg);
+        let buffer = full.as_slice().as_ptr();
+        let mut shared = sequential_trainer(&cfg, full, None);
+        for engine in shared.engines_mut() {
+            assert_eq!(
+                engine.dataset().as_slice().as_ptr(),
+                buffer,
+                "cell {}",
+                engine.cell_index()
+            );
+        }
+        let mut own = SequentialTrainer::new(&cfg, |_| cli_full_data(&cfg));
+        let dir = std::env::temp_dir().join(format!("lipiz_cli_data_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let lpz = |trainer: &mut SequentialTrainer, name: &str| {
+            let best = trainer.run().best_cell;
+            let path = dir.join(name);
+            persist::save_ensemble(&path, &trainer.ensembles().swap_remove(best))
+                .expect("save");
+            std::fs::read(&path).expect("read back")
+        };
+        let (shared, own) = (lpz(&mut shared, "shared.lpz"), lpz(&mut own, "own.lpz"));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(shared == own, "sharing the synthesized set moved the .lpz bytes");
     }
 }

@@ -206,17 +206,23 @@ fn sigkilled_slave_is_replaced_in_flight_and_replay_is_byte_identical() {
     // replace exactly that rank mid-run — survivors never leave iteration
     // cadence — and the whole degraded run must be a pure function of
     // (seed, plan): a rerun and the virtual-cluster model both land on the
-    // same bytes.
-    for victim in [3, 1] {
-        sigkill_is_replaced_in_flight_and_replays_byte_identically(victim);
+    // same bytes. Under `--exchange async` too, where the survivors must
+    // complete the replacement's rendezvous round before they post the next
+    // one to it.
+    for exchange in ["sync", "async"] {
+        for victim in [3, 1] {
+            sigkill_is_replaced_in_flight_and_replays_byte_identically(exchange, victim);
+        }
     }
 }
 
-fn sigkill_is_replaced_in_flight_and_replays_byte_identically(victim: usize) {
-    let dir = workdir(&format!("inflight_{victim}"));
+fn sigkill_is_replaced_in_flight_and_replays_byte_identically(exchange: &str, victim: usize) {
+    let dir = workdir(&format!("inflight_{exchange}_{victim}"));
     let tel_dir = dir.join("tel");
     let plan = format!("kill:{victim}@2");
     let fault_flags = [
+        "--exchange",
+        exchange,
         "--tiny",
         "--grid",
         "2",
@@ -264,28 +270,31 @@ fn sigkill_is_replaced_in_flight_and_replays_byte_identically(victim: usize) {
         // The victim was replaced in-flight — and only the victim.
         assert!(
             stdout.contains(&format!("replacing slave world rank {victim} in-flight")),
-            "no in-flight replacement of rank {victim}:\n{stdout}"
+            "{exchange}: no in-flight replacement of rank {victim}:\n{stdout}"
         );
         assert_eq!(
             stdout.matches("replacing slave world rank").count(),
             1,
-            "more than one replacement:\n{stdout}"
+            "{exchange}: more than one replacement:\n{stdout}"
         );
         // The full-teardown recovery path must never fire.
         assert!(
             !stdout.contains("recovering: respawning"),
-            "rank {victim}: fell back to full-teardown recovery:\n{stdout}"
+            "{exchange} rank {victim}: fell back to full-teardown recovery:\n{stdout}"
         );
         // 4 original slaves + exactly 1 replacement process.
         assert_eq!(
             stdout.matches("spawned slave pid=").count(),
             5,
-            "unexpected process count:\n{stdout}"
+            "{exchange}: unexpected process count:\n{stdout}"
         );
         assert_monotonic_survivor_counters(&stdout, victim);
         outputs.push(read(&lpz));
     }
-    assert_eq!(outputs[0], outputs[1], "rank {victim}: degraded rerun is not byte-identical");
+    assert_eq!(
+        outputs[0], outputs[1],
+        "{exchange} rank {victim}: degraded rerun is not byte-identical"
+    );
 
     // The fault left a paper trail in the per-rank journals. Journals are
     // keyed by node name, so the victim's evidence survives its replacement
@@ -336,7 +345,10 @@ fn sigkill_is_replaced_in_flight_and_replays_byte_identically(victim: usize) {
         } else {
             &[]
         };
-        assert_eq!(substituted, want, "cell {reader}'s journal, victim rank {victim}");
+        assert_eq!(
+            substituted, want,
+            "{exchange}: cell {reader}'s journal, victim rank {victim}"
+        );
     }
 
     // The journals merge into a Perfetto-loadable trace with the fault
@@ -385,7 +397,7 @@ fn sigkill_is_replaced_in_flight_and_replays_byte_identically(victim: usize) {
     assert_eq!(
         outputs[0],
         read(&sim_lpz),
-        "rank {victim}: virtual-cluster model disagrees with the real degraded run"
+        "{exchange} rank {victim}: virtual-cluster model disagrees with the real degraded run"
     );
 }
 

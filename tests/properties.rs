@@ -373,9 +373,10 @@ proptest! {
         // `Pipeline::step`, sync and async, on a 2×2 and a 3×3 grid — with
         // scripted per-link delivery delays (the `delay:` fault grammar end
         // to end, on the slave-to-slave links the snapshots travel): delays
-        // move *when* a generation lands, on a background thread in async
-        // mode, but never *what* any iteration consumes, so every rank's
-        // engine ends byte-identical to the undelayed run.
+        // move *when* a generation lands in a reader's mailbox, and so how
+        // long its `complete` waits, but never *what* any iteration
+        // consumes, so every rank's engine ends byte-identical to the
+        // undelayed run.
         for (m, mode) in [
             (2, ExchangeMode::Sync),
             (2, ExchangeMode::Async),
@@ -415,13 +416,10 @@ fn exchanged_engines(cfg: &TrainConfig, fabric: std::sync::Arc<Fabric>) -> Vec<V
         let engine = CellEngine::new(cm.local_rank(), cfg, data.clone());
         let mut pipeline = Pipeline::new(cfg, vec![engine], Telemetry::disabled());
         let lens = GenomeLens::of(cfg);
-        let mut exchange = cm.exchange(cfg.exchange, None, pipeline.read_set(), lens);
+        let mut exchange = cm.exchange(None, pipeline.read_set(), lens);
         for _ in 0..cfg.coevolution.iterations {
             pipeline.step(&mut exchange);
         }
-        // Under async the final generation is still with the exchange
-        // thread, which must complete it — readers block on it.
-        drop(exchange);
         Some(pipeline.engines_mut()[0].capture_state().to_bytes())
     });
     ranks.into_iter().flatten().collect()

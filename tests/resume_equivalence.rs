@@ -178,9 +178,10 @@ fn async_simulated_cluster_resume_is_byte_identical() {
 
 #[test]
 fn async_tcp_multi_process_resume_is_byte_identical() {
-    // Async over real OS processes: the exchange thread overlaps the TCP
-    // allgather with training in every slave, each slave checkpoints the
-    // live frame, and a fresh set of processes resumes mid-pipeline.
+    // Async over real OS processes: each slave's socket readers take in a
+    // generation while it trains, the slave completes it an iteration
+    // later and checkpoints the live frame, and a fresh set of processes
+    // resumes mid-pipeline.
     let dir = workdir("async_tcp");
     let reference = reference_async(&dir);
     let resumed = interrupt_and_resume(

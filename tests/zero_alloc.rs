@@ -19,9 +19,10 @@
 //! still hold its previous snapshot when it encodes the next, so the new one
 //! needs a buffer of its own — but that buffer is all a steady-state
 //! exchange may allocate, on every rank alike: it travels to each reader by
-//! reference count and sits in their frames as it arrived, nothing is
-//! decoded into a frame, and under async only handles cross back from the
-//! exchange thread — so `complete` allocates nothing in either mode.
+//! reference count and sits in their frames as it arrived, and nothing is
+//! decoded into a frame — so `complete` allocates nothing in either mode.
+//! Both modes post and receive on the rank's own thread, so every byte the
+//! process allocates over the window is a rank thread's.
 //!
 //! Last, the checkpoint commit: with its scratch warm it encodes the
 //! captured state by reference, so what it allocates is paths and file
@@ -256,11 +257,11 @@ impl Exchange for Metered {
 /// The distributed exchange in steady state: four rank threads (a 2×2
 /// grid) over the in-process fabric, each stepping a one-cell pipeline on
 /// its `CommExchange`. Per iteration a rank — any rank, there is no root —
-/// may allocate its one outgoing payload; the only other allocations left
-/// are the payload's reference count and, in async mode, the exchange
-/// thread's list of received handles and a channel block every 31 messages.
-/// Nothing is allocated per frame slot, per reader posted to, or per
-/// snapshot byte received, and nothing at all inside `complete`.
+/// may allocate its one outgoing payload; the only other allocation left is
+/// the payload's reference count. Nothing is allocated per frame slot, per
+/// reader posted to, or per snapshot byte received, nothing at all inside
+/// `complete`, and nothing off the rank threads: sync and async alike post
+/// and receive on the thread that trains.
 fn steady_state_exchange_allocates_one_payload_per_rank() {
     const WARM: usize = 8;
     const WINDOW: u64 = 8;
@@ -299,7 +300,6 @@ fn steady_state_exchange_allocates_one_payload_per_rank() {
                             let mut pipeline = Pipeline::new(cfg, vec![engine], tel);
                             let mut ex = Metered {
                                 inner: cm.exchange(
-                                    mode,
                                     None,
                                     pipeline.read_set(),
                                     GenomeLens::of(cfg),
@@ -353,21 +353,26 @@ fn steady_state_exchange_allocates_one_payload_per_rank() {
                 );
                 // Inside `complete` a rank allocates nothing in either
                 // mode: each part stays in the buffer it arrived in, and
-                // under async the handles the exchange thread hands over
-                // are moved into the frame — no spent frame travels back.
+                // only its handle moves into the frame.
                 assert_eq!(
                     *in_complete,
                     (0, 0),
                     "cell {cell} allocated {in_complete:?} inside complete {what}"
                 );
             }
-            // Every thread of every rank together — the async exchange
-            // threads included, with a generation of slack for the one in
-            // flight when the window closes: one payload per rank per
-            // generation, and no body.
+            // Every thread of the process together is the rank threads
+            // alone — no other thread moves a snapshot — and they allocate
+            // one payload per rank per generation, and no body.
             let total = window_total.load(Ordering::SeqCst);
+            let on_ranks: u64 = per_rank.iter().map(|((_, bytes), _)| bytes).sum();
+            assert_eq!(
+                total,
+                on_ranks,
+                "{} B allocated off the rank threads over {WINDOW} iterations {what}",
+                total.abs_diff(on_ranks)
+            );
             assert!(
-                total * 10 <= (WINDOW + 1) * cells as u64 * wire * 11,
+                total * 10 <= WINDOW * cells as u64 * wire * 11,
                 "the grid allocated {total} B over {WINDOW} iterations {what}"
             );
         }
