@@ -239,93 +239,11 @@ fn communication_benches(entries: &mut Vec<Entry>, reps: usize, smoke: bool) {
     let name = format!("slaves_{slaves}_floats_{floats}");
     println!("bench allgather/{name:<40} {best:>12.0} ns/op (best of {BATCHES}x{inner_reps})");
     entries.push(Entry { group: "allgather", name, ns_per_op: best, reps: inner_reps });
-
-    overlap_benches(entries, reps, smoke);
 }
 
 /// One Table I center snapshot in `f32`s: the generator's 283,920
 /// parameters plus the discriminator's 267,009.
 const TABLE1_SNAPSHOT_FLOATS: usize = 283_920 + 267_009;
-
-/// Exchange/compute overlap at paper scale: one full iteration — a 9-rank
-/// allgather of a Table I snapshot plus a ~7 ms train step — with the
-/// exchange either *ahead* of the compute (blocking gather, then train) or
-/// *behind* it (begin the gather, train, then complete it on a helper
-/// thread). The gap between the two rows is the exchange time a background
-/// completion hides. The runtime completes nothing in the background —
-/// under `--exchange async` each rank completes a generation on its
-/// training thread one iteration after posting it — so these rows measure
-/// a shape it does not run; they stay comparable with their committed
-/// baseline. Smoke runs a twentieth of the payload, under a name
-/// of its own.
-fn overlap_benches(entries: &mut Vec<Entry>, reps: usize, smoke: bool) {
-    let slaves = 9usize;
-    let floats = if smoke { 28_392 } else { TABLE1_SNAPSHOT_FLOATS };
-    // Stand-in for the measured ~7 ms Table-I train step: sleeping (rather
-    // than burning the ALU) keeps the figure stable on small CI hosts where
-    // nine busy ranks would contend for two cores — the overlap being
-    // measured is wait-vs-wait, not FLOPs.
-    let train_step = std::time::Duration::from_millis(7);
-    let inner_reps = reps.max(2);
-    for asynchronous in [false, true] {
-        let mut best = f64::INFINITY;
-        for _ in 0..BATCHES {
-            let per_rank_ns = Universe::run(slaves, move |comm: Comm| {
-                let payload = vec![comm.rank() as f32; floats].to_bytes();
-                // Warmup round doubles as a barrier so every rank starts hot.
-                black_box(comm.allgather_bytes(&payload).len());
-                if asynchronous {
-                    // Background completion: begin on the main thread,
-                    // complete on a helper thread while the train step
-                    // runs.
-                    let (job_tx, job_rx) = std::sync::mpsc::channel();
-                    let (done_tx, done_rx) = std::sync::mpsc::channel();
-                    let worker = comm.clone();
-                    let thread = std::thread::spawn(move || {
-                        for pending in job_rx {
-                            if done_tx.send(worker.allgather_bytes_complete(pending)).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                    let start = Instant::now();
-                    for _ in 0..inner_reps {
-                        job_tx
-                            .send(comm.allgather_bytes_split(&payload))
-                            .expect("worker alive");
-                        std::thread::sleep(train_step);
-                        black_box(done_rx.recv().expect("worker alive").len());
-                    }
-                    let ns = start.elapsed().as_nanos() as f64 / inner_reps as f64;
-                    drop(job_tx);
-                    thread.join().expect("exchange worker");
-                    ns
-                } else {
-                    let start = Instant::now();
-                    for _ in 0..inner_reps {
-                        black_box(comm.allgather_bytes(&payload).len());
-                        std::thread::sleep(train_step);
-                    }
-                    start.elapsed().as_nanos() as f64 / inner_reps as f64
-                }
-            });
-            best = best.min(per_rank_ns[0]);
-        }
-        let name = format!(
-            "slaves_{slaves}_floats_{floats}_iter_{}",
-            if asynchronous { "async" } else { "sync" }
-        );
-        println!(
-            "bench allgather_overlap/{name:<32} {best:>12.0} ns/op (best of {BATCHES}x{inner_reps})"
-        );
-        entries.push(Entry {
-            group: "allgather_overlap",
-            name,
-            ns_per_op: best,
-            reps: inner_reps,
-        });
-    }
-}
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -334,7 +252,7 @@ fn json_escape(s: &str) -> String {
 /// Groups whose workload depends on `--smoke` (payload sizes differ between
 /// modes), so a smoke run cannot be compared against the committed
 /// full-mode baseline.
-const MODE_DEPENDENT_GROUPS: &[&str] = &["snapshot", "wire", "allgather", "allgather_overlap"];
+const MODE_DEPENDENT_GROUPS: &[&str] = &["snapshot", "wire", "allgather"];
 
 /// Regression gate: any baseline group slower by more than this factor
 /// (geometric mean over matching entries) fails the check.

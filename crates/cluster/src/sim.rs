@@ -374,7 +374,12 @@ impl Exchange for VirtualExchange<'_> {
         // transfer. Overlapped: generation `iter` is merely *begun* here;
         // the rank blocks only until the in-flight generation `iter-1`
         // completes — whatever part of that exchange the previous compute
-        // phase failed to hide, usually nothing.
+        // phase failed to hide, usually nothing. The model charges the post
+        // nothing: it assumes a post does not block, which holds in process
+        // (a reference-count hand-off). A TCP rank writes each post to the
+        // socket on its own thread; on loopback that cost 3×3 ranks about
+        // 0.6 % of an iteration, but on a slow link it would take up to
+        // `xfer` of the rank's time, which this model leaves out.
         let blocking = !self.async_mode || iter == 0;
         self.comm.allgather_seconds += if blocking {
             xfer + (sync - min_live)
