@@ -2,7 +2,8 @@
 //!
 //! Runs the hot-path kernels (the three Table-I forward shapes and the two
 //! backprop products, through the three production kernels with recycled
-//! outputs) plus the train steps and the snapshot-exchange micro-costs,
+//! outputs) plus the train steps, the update phase's per-block against
+//! stacked scoring, and the snapshot-exchange micro-costs,
 //! and writes `BENCH_kernels.json` with
 //! ns/op per entry. CI runs `--smoke` on every PR and uploads the file as
 //! an artifact, so kernel regressions are visible per-change; full runs
@@ -178,6 +179,33 @@ fn train_step_benches(entries: &mut Vec<Entry>, reps: usize) {
             adam.step(&mut net, black_box(&grads), 2e-4);
         });
     }
+}
+
+/// The update phase's scoring at Table I shapes (`eval_batch` 10, a
+/// five-member sub-population): one discriminator's six 10-row forwards
+/// (the real batch and five fake batches, as the per-block loop ran them)
+/// against one forward over the same 60 rows stacked — the layout
+/// `CellEngine` scores a generation in.
+fn score_benches(entries: &mut Vec<Entry>, reps: usize) {
+    let cfg = NetworkConfig::paper_mnist();
+    let (batch, blocks) = (10usize, 6usize);
+    let mut rng = Rng64::seed_from(4);
+    let d = Discriminator::new(&cfg, &mut rng);
+    let stacked = rng.uniform_matrix(blocks * batch, cfg.data_dim, -0.9, 0.9);
+    let parts: Vec<Matrix> =
+        (0..blocks).map(|b| stacked.slice_rows(b * batch, (b + 1) * batch)).collect();
+    let (mut logits, mut scratch) = (Matrix::default(), Matrix::default());
+    let pool = Pool::serial();
+    push(entries, "score_serial", format!("disc_b{batch}x{blocks}"), reps, || {
+        for part in &parts {
+            d.logits_into(black_box(part), &mut logits, &mut scratch, &pool);
+            black_box(logits.as_slice());
+        }
+    });
+    push(entries, "score_serial", format!("disc_b{}", blocks * batch), reps, || {
+        d.logits_into(black_box(&stacked), &mut logits, &mut scratch, &pool);
+        black_box(logits.as_slice());
+    });
 }
 
 fn communication_benches(entries: &mut Vec<Entry>, reps: usize, smoke: bool) {
@@ -380,6 +408,7 @@ fn main() {
     let mut entries = Vec::new();
     kernel_benches(&mut entries, reps);
     train_step_benches(&mut entries, reps);
+    score_benches(&mut entries, reps);
     communication_benches(&mut entries, reps, smoke);
     write_json(&out_path, &entries, smoke);
 

@@ -40,7 +40,6 @@ pub struct CellEngine {
     adam_d: Adam,
     mixture: MixtureWeights,
     loader: BatchLoader,
-    eval_real: Matrix,
     rng_mutate: Rng64,
     rng_train: Rng64,
     rng_mixture: Rng64,
@@ -60,18 +59,19 @@ pub struct CellScratch {
     ws: TrainWorkspace,
     /// Latent batches (training and evaluation sizes share the buffer).
     z: Matrix,
-    /// Generated fakes for discriminator steps.
+    /// Generated fakes: a discriminator step's batch, and each member's
+    /// update-phase batch on its way into `stacked`.
     fake: Matrix,
     /// Current real mini-batch.
     real: Matrix,
     /// Forward-pass ping-pong scratch for `forward_into`.
     fwd: Matrix,
-    /// Per-member fake batches of the update phase.
-    fakes: Vec<Matrix>,
-    /// Update-phase logits over the real evaluation batch.
-    logits_real: Matrix,
-    /// Update-phase logits over one fake batch / the blended batch.
-    logits_fake: Matrix,
+    /// The update phase's scoring input, `eval_batch` rows per block: the
+    /// real evaluation batch in block 0, member i's fake batch in block
+    /// i + 1.
+    stacked: Matrix,
+    /// Logits of `stacked` under one discriminator / of the blended batch.
+    logits: Matrix,
     /// Mixture-ES blended evaluation batch.
     blended: Matrix,
     /// Per-member fitness accumulators.
@@ -92,9 +92,8 @@ impl Default for CellScratch {
             fake: Matrix::default(),
             real: Matrix::default(),
             fwd: Matrix::default(),
-            fakes: Vec::new(),
-            logits_real: Matrix::default(),
-            logits_fake: Matrix::default(),
+            stacked: Matrix::default(),
+            logits: Matrix::default(),
             blended: Matrix::default(),
             g_fit: Vec::new(),
             d_fit: Vec::new(),
@@ -141,7 +140,6 @@ impl CellEngine {
         let disc_pop = SubPopulation::bootstrap(disc_center, imports);
         let mixture = MixtureWeights::uniform(gen_pop.len());
 
-        let eval_real = data.slice_rows(0, cfg.training.eval_batch);
         let mut loader_seed = loader_seed_rng;
         let loader = BatchLoader::new(data, cfg.training.batch_size, loader_seed.next_u64());
 
@@ -157,7 +155,6 @@ impl CellEngine {
             adam_d,
             mixture,
             loader,
-            eval_real,
             rng_mutate,
             rng_train,
             rng_mixture,
@@ -184,7 +181,6 @@ impl CellEngine {
         state.validate(cfg).expect("cell state validates against config");
         let data = data.into();
         let net_cfg = check_data(cfg, &data);
-        let eval_real = data.slice_rows(0, cfg.training.eval_batch);
         let loader =
             BatchLoader::from_state(data, cfg.training.batch_size, state.loader.clone());
 
@@ -200,7 +196,6 @@ impl CellEngine {
             adam_d: Adam::from_state(state.adam_d.clone()),
             mixture: MixtureWeights::from_normalized(&state.mixture),
             loader,
-            eval_real,
             rng_mutate: Rng64::from_state(state.rng_mutate),
             rng_train: Rng64::from_state(state.rng_train),
             rng_mixture: Rng64::from_state(state.rng_mixture),
@@ -539,39 +534,47 @@ impl CellEngine {
 
     /// Re-evaluate every individual against the opposing sub-population,
     /// promote the best to center, and periodically evolve the mixture.
+    ///
+    /// The whole generation is scored in one pass per discriminator: its
+    /// forward runs once over the scratch's `stacked` input (the real batch
+    /// and every fake batch), and each pair's losses read the logits' row
+    /// blocks. A row's logits do not depend on the rows that share its
+    /// batch, so the fitnesses are those of one forward per block.
     fn update_phase(&mut self, s: &mut CellScratch) {
         let n = self.gen_pop.len();
-        gan::latent_batch_into(
-            &mut self.rng_train,
-            self.cfg.training.eval_batch,
-            self.net_cfg.latent_dim,
-            &mut s.z,
-        );
+        let (eb, dim) = (self.cfg.training.eval_batch, self.net_cfg.data_dim);
+        gan::latent_batch_into(&mut self.rng_train, eb, self.net_cfg.latent_dim, &mut s.z);
 
-        // Generate each component's fake batch once (recycled buffers).
-        s.fakes.resize_with(n, Matrix::default);
-        for (member, fake) in self.gen_pop.members().iter().zip(&mut s.fakes) {
-            self.gen_shape.forward_into(&member.genome, &s.z, fake, &mut s.fwd, &Pool);
+        // Block 0 is the dataset's first `eb` rows; each member's fake batch
+        // is generated once into its block.
+        s.stacked.resize_buffer((n + 1) * eb, dim);
+        let (real, fakes) = s.stacked.as_mut_slice().split_at_mut(eb * dim);
+        real.copy_from_slice(&self.loader.data().as_slice()[..eb * dim]);
+        for (member, block) in
+            self.gen_pop.members().iter().zip(fakes.chunks_exact_mut(eb * dim))
+        {
+            self.gen_shape.forward_into(&member.genome, &s.z, &mut s.fake, &mut s.fwd, &Pool);
+            block.copy_from_slice(s.fake.as_slice());
         }
 
-        // Pairwise logits: discriminator j scores real batch + all fakes.
+        // Pairwise losses: discriminator j scores the real block against
+        // every fake block.
         s.g_fit.clear();
         s.g_fit.resize(n, 0.0);
         s.d_fit.clear();
         s.d_fit.resize(n, 0.0);
         for (j, disc) in self.disc_pop.members().iter().enumerate() {
-            let d = &disc.genome;
             self.disc_shape.forward_into(
-                d,
-                &self.eval_real,
-                &mut s.logits_real,
+                &disc.genome,
+                &s.stacked,
+                &mut s.logits,
                 &mut s.fwd,
                 &Pool,
             );
-            for (i, fake) in s.fakes.iter().enumerate() {
-                self.disc_shape.forward_into(d, fake, &mut s.logits_fake, &mut s.fwd, &Pool);
-                let g_loss = loss::g_loss_value(GanLoss::Heuristic, &s.logits_fake);
-                let d_loss = loss::d_bce_loss_value(&s.logits_real, &s.logits_fake);
+            let (real, fakes) = s.logits.as_slice().split_at(eb);
+            for (i, fake) in fakes.chunks_exact(eb).enumerate() {
+                let g_loss = loss::g_loss_value(GanLoss::Heuristic, fake);
+                let d_loss = loss::d_bce_loss_value(real, fake);
                 s.g_fit[i] += g_loss as f64 / n as f64;
                 s.d_fit[j] += d_loss as f64 / n as f64;
             }
@@ -602,23 +605,23 @@ impl CellEngine {
     /// batch fools the center discriminator.
     fn evolve_mixture(&mut self, s: &mut CellScratch) {
         let sigma = self.cfg.coevolution.mixture_sigma;
-        let rows = s.fakes[0].rows();
-        let cols = s.fakes[0].cols();
+        let (rows, cols) = (self.cfg.training.eval_batch, self.net_cfg.data_dim);
         // Pre-draw one component assignment stream per candidate scoring so
         // both candidates see the same randomness (common random numbers).
         let assignment_seed = self.rng_mixture.derive(self.iteration as u64);
         let disc = &self.disc_pop.center().genome;
-        let (shape, fakes) = (&self.disc_shape, &s.fakes);
-        let (blended, logits, fwd) = (&mut s.blended, &mut s.logits_fake, &mut s.fwd);
+        let (shape, stacked) = (&self.disc_shape, &s.stacked);
+        let (blended, logits, fwd) = (&mut s.blended, &mut s.logits, &mut s.fwd);
         let score = |w: &MixtureWeights| -> f64 {
             let mut rng = assignment_seed.clone();
             blended.resize_buffer(rows, cols);
             for r in 0..rows {
+                // Component c's fake batch is row block c + 1.
                 let c = w.sample_component(&mut rng);
-                blended.row_mut(r).copy_from_slice(fakes[c].row(r));
+                blended.row_mut(r).copy_from_slice(stacked.row((c + 1) * rows + r));
             }
             shape.forward_into(disc, blended, logits, fwd, &Pool);
-            loss::g_loss_value(GanLoss::Heuristic, logits) as f64
+            loss::g_loss_value(GanLoss::Heuristic, logits.as_slice()) as f64
         };
         self.mixture.es_step_with(sigma, &mut self.rng_mixture, score, &mut s.mixture);
     }
@@ -667,6 +670,7 @@ fn clone_members_into(src: &[Individual], dst: &mut Vec<Individual>) {
 mod tests {
     use super::*;
     use lipiz_data::SynthDigits;
+    use lipiz_wire::Wire;
 
     fn smoke_engine(seed_offset: u64) -> CellEngine {
         let mut cfg = TrainConfig::smoke(2);
@@ -793,6 +797,112 @@ mod tests {
             center.fitness,
             donor_fit
         );
+    }
+
+    /// The update phase as it ran before stacked scoring: each
+    /// discriminator runs one forward on the real evaluation batch and one
+    /// per fake batch, and the mixture blends rows of separate fake
+    /// matrices. Kept as the oracle the one-pass phase must equal bitwise.
+    fn per_block_update_phase(e: &mut CellEngine) {
+        let n = e.gen_pop.len();
+        let eb = e.cfg.training.eval_batch;
+        let (mut z, mut fwd) = (Matrix::default(), Matrix::default());
+        gan::latent_batch_into(&mut e.rng_train, eb, e.net_cfg.latent_dim, &mut z);
+        let batches: Vec<Matrix> = e
+            .gen_pop
+            .members()
+            .iter()
+            .map(|m| {
+                let mut fake = Matrix::default();
+                e.gen_shape.forward_into(&m.genome, &z, &mut fake, &mut fwd, &Pool);
+                fake
+            })
+            .collect();
+        let real_batch = e.loader.data().slice_rows(0, eb);
+        let (mut real_logits, mut fake_logits) = (Matrix::default(), Matrix::default());
+        let (mut g_fit, mut d_fit) = (vec![0.0f64; n], vec![0.0f64; n]);
+        for (j, disc) in e.disc_pop.members().iter().enumerate() {
+            let d = &disc.genome;
+            e.disc_shape.forward_into(d, &real_batch, &mut real_logits, &mut fwd, &Pool);
+            for (i, fake) in batches.iter().enumerate() {
+                e.disc_shape.forward_into(d, fake, &mut fake_logits, &mut fwd, &Pool);
+                let (real, fake) = (real_logits.as_slice(), fake_logits.as_slice());
+                g_fit[i] += loss::g_loss_value(GanLoss::Heuristic, fake) as f64 / n as f64;
+                d_fit[j] += loss::d_bce_loss_value(real, fake) as f64 / n as f64;
+            }
+        }
+        for i in 0..n {
+            e.gen_pop.members_mut()[i].fitness = g_fit[i];
+            e.disc_pop.members_mut()[i].fitness = d_fit[i];
+        }
+        if e.gen_pop.promote_best() {
+            e.adam_g.reset();
+        }
+        if e.disc_pop.promote_best() {
+            e.adam_d.reset();
+        }
+        let every = e.cfg.coevolution.mixture_every;
+        if every > 0 && (e.iteration + 1).is_multiple_of(every) {
+            let assignment_seed = e.rng_mixture.derive(e.iteration as u64);
+            let disc = &e.disc_pop.center().genome;
+            let mut blended = Matrix::zeros(eb, e.net_cfg.data_dim);
+            let score = |w: &MixtureWeights| -> f64 {
+                let mut rng = assignment_seed.clone();
+                for r in 0..eb {
+                    let c = w.sample_component(&mut rng);
+                    blended.row_mut(r).copy_from_slice(batches[c].row(r));
+                }
+                e.disc_shape.forward_into(disc, &blended, &mut fake_logits, &mut fwd, &Pool);
+                loss::g_loss_value(GanLoss::Heuristic, fake_logits.as_slice()) as f64
+            };
+            let sigma = e.cfg.coevolution.mixture_sigma;
+            let mut candidate = MixtureWeights::uniform(1);
+            e.mixture.es_step_with(sigma, &mut e.rng_mixture, score, &mut candidate);
+        }
+    }
+
+    #[test]
+    fn stacked_update_phase_equals_the_per_block_oracle_bitwise() {
+        // Batch heights with every 4-row remainder in the per-block and
+        // the stacked forwards (6 blocks: 6, 18 and 60 rows).
+        let mut promotions = 0;
+        for eb in [1, 3, 10] {
+            let mut cfg = TrainConfig::smoke(2);
+            cfg.training.eval_batch = eb;
+            let data = toy_data(&cfg);
+            let mut e = CellEngine::new(0, &cfg, data.clone());
+            // Distinct neighbours, so scores differ and a promotion can
+            // happen.
+            let snaps: Vec<CellSnapshot> =
+                (1..=4).map(|k| smoke_engine(k).snapshot()).collect();
+            let mut scratch = CellScratch::default();
+            for round in 0..3 {
+                e.ingest_neighbors(&snaps);
+                e.mutate_phase();
+                e.train_phase(&mut scratch);
+                let centers =
+                    (e.gen_pop.center().genome.clone(), e.disc_pop.center().genome.clone());
+                let mut oracle = CellEngine::from_state(&cfg, data.clone(), &e.capture_state());
+                e.update_phase(&mut scratch);
+                per_block_update_phase(&mut oracle);
+                let fits = |p: &SubPopulation| -> Vec<u64> {
+                    p.members().iter().map(|m| m.fitness.to_bits()).collect()
+                };
+                assert_eq!(fits(&e.gen_pop), fits(&oracle.gen_pop), "eb {eb} round {round}");
+                assert_eq!(fits(&e.disc_pop), fits(&oracle.disc_pop), "eb {eb} round {round}");
+                // Genomes in their slots (promotions), optimiser resets,
+                // mixture weights and RNG streams: the whole cell state.
+                assert_eq!(
+                    e.capture_state().to_bytes(),
+                    oracle.capture_state().to_bytes(),
+                    "eb {eb} round {round}"
+                );
+                promotions += usize::from(e.gen_pop.center().genome != centers.0)
+                    + usize::from(e.disc_pop.center().genome != centers.1);
+                e.iteration += 1;
+            }
+        }
+        assert!(promotions > 0, "no promotion ran: the oracle compared scores only");
     }
 
     #[test]

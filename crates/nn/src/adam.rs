@@ -165,8 +165,8 @@ fn update_dispatch(
     c: &UpdateCoeffs,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the detection macro asserts AVX2 support at runtime.
+    if lipiz_tensor::ops::has_avx2() {
+        // SAFETY: `has_avx2` asserts AVX2 support at runtime.
         unsafe { update_avx2(params, g, m, v, c) };
         return;
     }
@@ -292,7 +292,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn portable_update_matches_avx2_bitwise() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
+        if !lipiz_tensor::ops::has_avx2() {
             return;
         }
         let mut rng = Rng64::seed_from(65);

@@ -333,14 +333,14 @@ mod tests {
 
     /// Discriminator BCE loss on given batches without updating anything.
     fn discriminator_loss(d: &Discriminator, real: &Matrix, fake: &Matrix) -> f32 {
-        loss::d_bce_loss_value(&logits(d, real), &logits(d, fake))
+        loss::d_bce_loss_value(logits(d, real).as_slice(), logits(d, fake).as_slice())
     }
 
     /// Generator loss against a discriminator without updating anything.
     fn generator_loss(g: &Generator, d: &Discriminator, z: &Matrix, kind: GanLoss) -> f32 {
         let (mut fake, mut scratch) = (Matrix::default(), Matrix::default());
         g.generate_into(z, &mut fake, &mut scratch, &Pool::serial());
-        loss::g_loss_value(kind, &logits(d, &fake))
+        loss::g_loss_value(kind, logits(d, &fake).as_slice())
     }
 
     #[test]

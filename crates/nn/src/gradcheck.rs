@@ -74,8 +74,10 @@ mod tests {
         grads.accumulate(&grads_fake);
 
         let mut loss_fn = |net: &Mlp| -> f64 {
-            loss::d_bce_loss_value(&forward(net, &real, &pool), &forward(net, &fake, &pool))
-                as f64
+            loss::d_bce_loss_value(
+                forward(net, &real, &pool).as_slice(),
+                forward(net, &fake, &pool).as_slice(),
+            ) as f64
         };
         let err = max_gradient_error(&d.net, grads.as_slice(), 5, 1e-2, &mut loss_fn);
         assert!(err < 2e-3, "D BCE gradcheck error {err}");
@@ -101,8 +103,10 @@ mod tests {
             let (g_grads, _) = backward(&g.net, &z, &g_cache, &d_images, &pool);
 
             let mut loss_fn = |net: &Mlp| -> f64 {
-                loss::g_loss_value(kind, &forward(&d.net, &forward(net, &z, &pool), &pool))
-                    as f64
+                loss::g_loss_value(
+                    kind,
+                    forward(&d.net, &forward(net, &z, &pool), &pool).as_slice(),
+                ) as f64
             };
             let err = max_gradient_error(&g.net, g_grads.as_slice(), 7, 1e-2, &mut loss_fn);
             assert!(err < 2e-3, "{kind:?} G gradcheck error {err}");

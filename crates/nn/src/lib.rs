@@ -58,7 +58,7 @@
 //! let (mut fake, mut logits, mut scratch) = (Matrix::default(), Matrix::default(), Matrix::default());
 //! g.generate_into(&z, &mut fake, &mut scratch, &pool);
 //! d.logits_into(&fake, &mut logits, &mut scratch, &pool);
-//! let after = loss::g_loss_value(kind, &logits);
+//! let after = loss::g_loss_value(kind, logits.as_slice());
 //! assert!(after < before, "G failed to fool the frozen D: {before} -> {after}");
 //! ```
 

@@ -122,15 +122,17 @@ pub fn d_bce_loss_into(
 
 /// The loss value of [`d_bce_loss_into`] without materializing the gradients —
 /// the fitness-evaluation path (identical accumulation order, so the value
-/// matches the gradient-producing version bit for bit).
-pub fn d_bce_loss_value(z_real: &Matrix, z_fake: &Matrix) -> f32 {
-    let mr = z_real.rows().max(1) as f32;
-    let mf = z_fake.rows().max(1) as f32;
+/// matches the gradient-producing version bit for bit). The logits are
+/// one-column, so a slice's length is its batch size: any row block of a
+/// larger logit matrix scores as the batch it is.
+pub fn d_bce_loss_value(z_real: &[f32], z_fake: &[f32]) -> f32 {
+    let mr = z_real.len().max(1) as f32;
+    let mf = z_fake.len().max(1) as f32;
     let mut loss = 0.0f32;
-    for &z in z_real.as_slice() {
+    for &z in z_real {
         loss += softplus(-z) / mr;
     }
-    for &z in z_fake.as_slice() {
+    for &z in z_fake {
         loss += softplus(z) / mf;
     }
     loss
@@ -175,23 +177,24 @@ pub fn g_loss_into(kind: GanLoss, z_fake: &Matrix, d: &mut Matrix) -> f32 {
 
 /// The loss value of [`g_loss_into`] without materializing the gradient —
 /// the fitness-evaluation path (identical accumulation order, so the value
-/// matches the gradient-producing version bit for bit).
-pub fn g_loss_value(kind: GanLoss, z_fake: &Matrix) -> f32 {
-    let m = z_fake.rows().max(1) as f32;
+/// matches the gradient-producing version bit for bit). `z_fake` is a
+/// one-column logit batch, as in [`d_bce_loss_value`].
+pub fn g_loss_value(kind: GanLoss, z_fake: &[f32]) -> f32 {
+    let m = z_fake.len().max(1) as f32;
     let mut loss = 0.0f32;
     match kind {
         GanLoss::Heuristic => {
-            for &z in z_fake.as_slice() {
+            for &z in z_fake {
                 loss += softplus(-z) / m;
             }
         }
         GanLoss::Minimax => {
-            for &z in z_fake.as_slice() {
+            for &z in z_fake {
                 loss += -softplus(z) / m;
             }
         }
         GanLoss::LeastSquares => {
-            for &z in z_fake.as_slice() {
+            for &z in z_fake {
                 let p = sigmoid(z);
                 loss += 0.5 * (p - 1.0) * (p - 1.0) / m;
             }
@@ -320,10 +323,13 @@ mod tests {
             Matrix::from_vec(5, 1, (0..5).map(|_| rng.uniform(-6.0, 6.0)).collect()).unwrap();
         let zf =
             Matrix::from_vec(7, 1, (0..7).map(|_| rng.uniform(-6.0, 6.0)).collect()).unwrap();
-        assert_eq!(d_bce_loss_value(&zr, &zf).to_bits(), d_bce_loss(&zr, &zf).0.to_bits());
+        assert_eq!(
+            d_bce_loss_value(zr.as_slice(), zf.as_slice()).to_bits(),
+            d_bce_loss(&zr, &zf).0.to_bits()
+        );
         for kind in GanLoss::ALL {
             assert_eq!(
-                g_loss_value(kind, &zf).to_bits(),
+                g_loss_value(kind, zf.as_slice()).to_bits(),
                 g_loss(kind, &zf).0.to_bits(),
                 "{kind:?}"
             );

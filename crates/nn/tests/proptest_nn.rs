@@ -224,6 +224,31 @@ proptest! {
         prop_assert_eq!(fused.as_slice(), a.as_slice());
     }
 
+    /// One forward over k stacked row blocks is k per-block forwards, bit
+    /// for bit: every output element is one accumulator over the same
+    /// products whichever tile (full, AVX2 or edge) computes it, so the
+    /// update phase may score a whole generation in one pass. Widths reach
+    /// past one 16-column tile; heights cover every 4-row remainder.
+    #[test]
+    fn stacked_forward_equals_per_block_forwards_bitwise(
+        dims in proptest::collection::vec(1usize..40, 2..5),
+        blocks in 1usize..=7,
+        height in 1usize..=13,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = Rng64::seed_from(seed);
+        let net = Mlp::from_dims(&dims, Activation::Tanh, Activation::Identity, &mut rng);
+        let x = rng.uniform_matrix(blocks * height, dims[0], -1.0, 1.0);
+        let pool = Pool::serial();
+        let stacked = forward(&net, &x, &pool);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for b in 0..blocks {
+            let rows = (b * height, (b + 1) * height);
+            let alone = forward(&net, &x.slice_rows(rows.0, rows.1), &pool);
+            prop_assert_eq!(bits(&stacked.slice_rows(rows.0, rows.1)), bits(&alone), "block {}", b);
+        }
+    }
+
     #[test]
     fn genome_load_is_idempotent(dims in dims_strategy(), seed in 0u64..1000) {
         let mut rng = Rng64::seed_from(seed);

@@ -107,8 +107,8 @@ pub fn apply_act(act: ActKind, xs: &mut [f32]) {
         ActKind::Identity => {}
         ActKind::Tanh => {
             #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the detection macro asserts AVX2 support.
+            if has_avx2() {
+                // SAFETY: `has_avx2` asserts AVX2 support.
                 unsafe { tanh_slice_avx2(xs) };
                 return;
             }
@@ -326,7 +326,7 @@ fn blocked_tn(
     debug_assert_eq!(bp.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     debug_assert!(bias.is_none_or(|b| b.len() == n));
-    let wide = have_wide_simd();
+    let wide = has_avx2();
     let mut i = 0;
     while i < m {
         let mr = MR.min(m - i);
@@ -354,17 +354,20 @@ fn blocked_tn(
     }
 }
 
-/// Does the host support the 256-bit micro-kernel? (Cached by the stdlib
-/// feature-detection macro; one relaxed atomic load per call.)
-#[cfg(target_arch = "x86_64")]
-fn have_wide_simd() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// Non-x86 hosts always take the portable scalar micro-kernel.
-#[cfg(not(target_arch = "x86_64"))]
-fn have_wide_simd() -> bool {
-    false
+/// Does the host run the AVX2 kernels? The workspace's one ISA check: the
+/// product tile, [`apply_act`]'s tanh and `nn`'s Adam update all read it.
+/// Each AVX2 kernel is bit-identical to its portable twin, so the answer
+/// moves time, never bytes. Non-x86 hosts always answer no. (Cached by the
+/// stdlib feature-detection macro; one relaxed atomic load per call.)
+pub fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
 }
 
 /// AVX2 variant of [`micro_full`]: the 4×16 accumulator tile lives in eight
@@ -894,17 +897,12 @@ mod tests {
 
     /// The portable kernels, run side by side with their AVX2 twins on
     /// the same inputs — on an AVX2 host nothing else ever runs them.
-    /// Skipped only where AVX2 is absent (there the portable kernels are
-    /// what every other test runs).
-    #[cfg(target_arch = "x86_64")]
-    fn avx2() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-
+    /// Skipped only where [`has_avx2`] says no (there the portable kernels
+    /// are what every other test runs).
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn portable_full_tile_matches_avx2_bitwise() {
-        if !avx2() {
+        if !has_avx2() {
             return;
         }
         let mut rng = Rng64::seed_from(63);
@@ -939,7 +937,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn portable_tanh_matches_avx2_bitwise() {
-        if !avx2() {
+        if !has_avx2() {
             return;
         }
         let mut rng = Rng64::seed_from(64);

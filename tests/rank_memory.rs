@@ -2,16 +2,16 @@
 //!
 //! A cell's own state is its two sub-populations (the centers train in
 //! their member slots), the Adam moments of its two centers, its loader's
-//! sample order, its fixed evaluation batch and the snapshot it posts to
-//! the frame. Everything else a rank holds it holds once, however many
-//! cells it hosts: the dataset (unless the config shards it), the training
-//! workspace with its fake batches, the kernels' pack buffers. This binary
-//! installs an allocator that tracks live bytes, builds
-//! [`Pipeline::whole_grid`] at `TrainConfig::smoke` shapes for 1, 4 and 9
-//! cells, steps each twice so every buffer is warm, and checks that each
-//! extra cell adds its own state and nothing more — within a slack smaller
-//! than the smallest thing that must not be repeated per cell (one
-//! discriminator genome).
+//! sample order and the snapshot it posts to the frame. Everything else a
+//! rank holds it holds once, however many cells it hosts: the dataset
+//! (unless the config shards it), the training workspace with the update
+//! phase's stacked scoring input (the evaluation batch and every fake
+//! batch), the kernels' pack buffers. This binary installs an allocator
+//! that tracks live bytes, builds [`Pipeline::whole_grid`] at
+//! `TrainConfig::smoke` shapes for 1, 4 and 9 cells, steps each twice so
+//! every buffer is warm, and checks that each extra cell adds its own
+//! state and nothing more — within a slack smaller than the smallest thing
+//! that must not be repeated per cell (one discriminator genome).
 //!
 //! With `shard_data` the dataset is per cell by definition: there the
 //! pipeline asks for one dataset per cell and the run keeps the bytes it
@@ -128,16 +128,15 @@ fn each_extra_cell_adds_only_its_own_state() {
     let t = &cfg.training;
     // A cell's own state: the engine itself with its two network shapes,
     // both sub-populations, the two centers' Adam moments, the loader's
-    // order, the eval batch, its posted snapshot.
+    // order, its posted snapshot.
     let engine = std::mem::size_of::<CellEngine>() as i64
         + shape_bytes(&g_shape)
         + shape_bytes(&d_shape);
     let members = s * (2 * std::mem::size_of::<Individual>() as i64 + (g + d) * F32);
     let moments = 2 * (g + d) * F32;
     let order = t.dataset_size as i64 * USIZE;
-    let eval_real = (t.eval_batch * cfg.network.data_dim) as i64 * F32;
     let posted = (g + d) * F32;
-    let own = engine + members + moments + order + eval_real + posted;
+    let own = engine + members + moments + order + posted;
     // Bookkeeping around that state (the neighbour table, frame and timing
     // slots, the loader's batch indices, the mixture weights, the
     // snapshot's header) — less than one discriminator genome, the
@@ -160,9 +159,9 @@ fn each_extra_cell_adds_only_its_own_state() {
         assert!(
             per_cell >= own && per_cell <= own + slack,
             "{c0} → {c1} cells: {per_cell} B per extra cell, own state is {own} B \
-             (+{slack} B slack); a dataset is {} B, a fake-batch set {} B",
+             (+{slack} B slack); a dataset is {} B, a stacked scoring input {} B",
             t.dataset_size as i64 * cfg.network.data_dim as i64 * F32,
-            s * eval_real,
+            (s + 1) * (t.eval_batch * cfg.network.data_dim) as i64 * F32,
         );
     }
 }
