@@ -50,8 +50,12 @@
 //! and each engine imports `frame[slot]` straight from those bytes. So a
 //! neighbour's byte is copied once between the wire and its import slot,
 //! on every driver, and a frame owns no genome memory: a rank's memory is
-//! its engines plus the payloads its frames and its readers still hold
-//! (its own last few generations), whatever the size of the grid.
+//! its engines plus the payloads its frames, its readers and its pending
+//! checkpoint cuts still hold (its own last few generations), whatever the
+//! size of the grid. A cut clones the handles of the slots its cell reads
+//! ([`capture_with_frame`]), its file holds their bytes verbatim, and a
+//! resume hands the loaded handles back to the pipeline as they are
+//! ([`Pipeline::resume_from`]): a snapshot is never decoded on a run path.
 //!
 //! An engine holds only its cell's own state (members, Adam moments, loader
 //! cursor, eval batch). What a cell iteration needs besides — the training
@@ -63,7 +67,7 @@ use crate::cell::{CellEngine, CellScratch};
 use crate::config::{ExchangeMode, TrainConfig};
 use crate::profiling::Routine;
 use crate::resume::CellState;
-use crate::snapshot::{CellSnapshot, EncodedSnapshot, SnapshotRef};
+use crate::snapshot::{EncodedSnapshot, SnapshotRef};
 use lipiz_telemetry::{EventKind, Telemetry, NO_CELL};
 use lipiz_tensor::Matrix;
 use std::sync::Arc;
@@ -143,10 +147,11 @@ pub fn select_frame(
 /// Capture `engine`'s training state — into `recycled` when the caller has
 /// a spent buffer — and stamp the cut with the frame its next iteration
 /// consumes: of `frame` exactly the slots the cell reads (`Grid::neighbors`
-/// of its index), decoded, every other slot empty, so a cell's cut holds
-/// the same bytes whichever driver — and however large a frame — it was
-/// taken from. `frame` is empty in sync mode, which also clears a stale
-/// frame left in a recycled buffer.
+/// of its index), as handles on the same buffers, every other slot `None`,
+/// so a cell's cut holds the same bytes whichever driver — and however
+/// large a frame — it was taken from. Nothing is decoded or copied. `frame`
+/// is empty in sync mode, which also clears a stale frame left in a
+/// recycled buffer.
 ///
 /// # Panics
 /// Panics if a non-empty `frame` lacks a slot the cell reads.
@@ -166,14 +171,9 @@ pub fn capture_with_frame(
     if !frame.is_empty() {
         assert_covers(frame, &reads, "the frame of a checkpoint cut");
     }
-    state.exchange_frame.resize_with(frame.len(), CellSnapshot::empty);
-    for (slot, (dst, src)) in state.exchange_frame.iter_mut().zip(frame).enumerate() {
-        match src.as_ref().filter(|_| reads.contains(&slot)) {
-            Some(src) => dst.copy_from(src),
-            None if !dst.is_empty() => *dst = CellSnapshot::empty(),
-            None => {}
-        }
-    }
+    state.exchange_frame.clear();
+    let read = |(slot, src): (usize, &FrameSlot)| src.clone().filter(|_| reads.contains(&slot));
+    state.exchange_frame.extend(frame.iter().enumerate().map(read));
     state
 }
 
@@ -291,40 +291,37 @@ impl Pipeline {
             .collect();
         let mut pipeline = Self::new(cfg, engines, telemetry);
         // Each cut carries the slots its cell reads, all of one generation.
-        let mut frame = vec![CellSnapshot::empty(); states[0].exchange_frame.len()];
-        for state in states {
-            for (dst, src) in frame.iter_mut().zip(&state.exchange_frame) {
-                if dst.is_empty() && !src.is_empty() {
-                    dst.copy_from(src);
+        let mut frame = vec![None; states[0].exchange_frame.len()];
+        for (state, reads) in states.iter().zip(&pipeline.neighbors) {
+            for &slot in reads {
+                if let Some(Some(src)) = state.exchange_frame.get(slot) {
+                    frame[slot] = Some(src.clone());
                 }
             }
         }
-        pipeline.resume_from(&frame);
+        pipeline.resume_from(frame);
         pipeline
     }
 
     /// Re-enter the pipeline from a checkpoint cut: `frame` is the cut's
     /// [`CellState::exchange_frame`] — under async exchange the completed
     /// generation the first resumed iteration consumes (ignored in sync
-    /// mode, where every iteration gathers its own). The slots of the read
-    /// set are encoded into the pipeline's frame; the rest (a cut of an
-    /// older build carries them all) are dropped.
+    /// mode, where every iteration gathers its own). The handles of the
+    /// read set become the pipeline's frame as they are; the rest (a cut of
+    /// an older build carries them all) are dropped.
     ///
     /// # Panics
     /// Panics if an async run resumes past iteration 0 without a frame
     /// that covers the read set.
-    pub fn resume_from(&mut self, frame: &[CellSnapshot]) {
+    pub fn resume_from(&mut self, mut frame: Vec<FrameSlot>) {
         if !self.cfg.exchange.is_async() {
             return;
         }
-        let read = |slot: usize, snap: &CellSnapshot| {
-            !snap.is_empty() && self.read_set.binary_search(&slot).is_ok()
-        };
-        let frame: Vec<FrameSlot> = frame
-            .iter()
-            .enumerate()
-            .map(|(slot, snap)| read(slot, snap).then(|| EncodedSnapshot::new(snap.into())))
-            .collect();
+        for (slot, snap) in frame.iter_mut().enumerate() {
+            if self.read_set.binary_search(&slot).is_err() {
+                *snap = None;
+            }
+        }
         if self.iteration() > 0 {
             assert_eq!(
                 frame.len(),
@@ -666,18 +663,6 @@ mod tests {
         }
     }
 
-    /// `frame` decoded, as a checkpoint cut carries it.
-    fn decoded(frame: &[FrameSlot]) -> Vec<CellSnapshot> {
-        let decode = |slot: &FrameSlot| {
-            let mut snap = CellSnapshot::empty();
-            if let Some(encoded) = slot {
-                snap.copy_from(encoded);
-            }
-            snap
-        };
-        frame.iter().map(decode).collect()
-    }
-
     fn steps(pipeline: &mut Pipeline, script: &mut Script, n: usize) {
         for _ in 0..n {
             pipeline.step(script);
@@ -797,7 +782,7 @@ mod tests {
                 CellEngine::from_state(&cfg, toy_data(&cfg), &cut)
             })
             .collect();
-        Pipeline::new(&cfg, engines, Telemetry::disabled()).resume_from(&[]);
+        Pipeline::new(&cfg, engines, Telemetry::disabled()).resume_from(Vec::new());
     }
 
     /// Replace cell 2 at the top of iteration 3 by a fresh engine that
@@ -895,13 +880,18 @@ mod tests {
         for k in [0, 5, 15] {
             let reads = crate::topology::Grid::from_config(&cfg.grid).neighbors(k);
             let cut = grid.capture_cut(k, None);
-            assert_eq!(cut.exchange_frame, decoded(&only(&full, &reads)), "cell {k}");
+            assert_eq!(cut.exchange_frame, only(&full, &reads), "cell {k}");
             assert_eq!(cut.validate(&cfg), Ok(()));
+            // The cut shares the frame's buffers: nothing was copied.
+            for &slot in &reads {
+                let at = |frame: &[FrameSlot]| frame[slot].as_ref().unwrap().payload().as_ptr();
+                assert_eq!(at(&cut.exchange_frame), at(&full), "cell {k} slot {slot}");
+            }
 
             // The hook form the sequential and simulated drivers commit
             // through, into a recycled buffer that held all sixteen slots.
             let mut recycled = cut.clone();
-            recycled.exchange_frame = decoded(&full);
+            recycled.exchange_frame = full.clone();
             let (engines, frame) = grid.engines_and_next_frame();
             assert_eq!(capture_with_frame(&engines[k], frame, Some(recycled)), cut);
 
@@ -923,11 +913,7 @@ mod tests {
     fn whole_grid_resume_merges_the_sparse_cuts_of_its_cells() {
         let (cfg, mut grid, full) = grid_4x4_after_one_iteration();
         let cuts: Vec<CellState> = (0..16).map(|k| grid.capture_cut(k, None)).collect();
-        let full_cut = decoded(&full);
-        assert!(
-            cuts.iter().all(|cut| cut.exchange_frame != full_cut),
-            "no cut is the whole frame"
-        );
+        assert!(cuts.iter().all(|cut| cut.exchange_frame != full), "no cut is the whole frame");
         let resumed =
             Pipeline::whole_grid(&cfg, |_| toy_data(&cfg), Some(&cuts), Telemetry::disabled());
         assert_eq!(resumed.latest_frame(), full);
@@ -939,7 +925,7 @@ mod tests {
         let cut = grid.capture_cut(5, None);
         let engine = CellEngine::from_state(&cfg, toy_data(&cfg), &cut);
         let mut rank = Pipeline::new(&cfg, vec![engine], Telemetry::disabled());
-        rank.resume_from(&decoded(&full));
+        rank.resume_from(full.clone());
         assert_eq!(rank.latest_frame(), only(&full, rank.read_set()));
     }
 
@@ -952,7 +938,7 @@ mod tests {
         let cut = grid.capture_cut(5, None);
         let engine = CellEngine::from_state(&cfg, toy_data(&cfg), &cut);
         let mut rank = Pipeline::new(&cfg, vec![engine], Telemetry::disabled());
-        rank.resume_from(&decoded(&only(&full, &[1, 4, 6])));
+        rank.resume_from(only(&full, &[1, 4, 6]));
     }
 
     #[test]

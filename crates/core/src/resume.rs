@@ -21,11 +21,13 @@
 
 use crate::config::TrainConfig;
 use crate::individual::Individual;
-use crate::snapshot::{CellSnapshot, GenomeLens, SnapshotRef};
+use crate::pipeline::FrameSlot;
+use crate::snapshot::{EncodedSnapshot, GenomeLens, SnapshotRef};
 use crate::topology::Grid;
 use lipiz_data::BatchLoaderState;
 use lipiz_nn::AdamState;
 use lipiz_tensor::Rng64State;
+use lipiz_wire::{sequence_len, Wire, WireError};
 use std::fmt;
 
 /// Validation failure for a captured cell state against a configuration.
@@ -92,26 +94,85 @@ pub struct CellState {
     /// under `--exchange async` the run is one snapshot generation behind,
     /// so a checkpoint cut must carry the completed frame along — one slot
     /// per grid cell, of which exactly the slots this cell reads
-    /// ([`crate::Grid::neighbors`]) are populated and the rest are
-    /// [`CellSnapshot::empty`], whichever driver wrote the cut. Empty in
+    /// ([`crate::Grid::neighbors`]) are populated and the rest are `None`,
+    /// whichever driver wrote the cut. Each populated slot is a handle on
+    /// the buffer the snapshot was encoded or arrived in, written to disk
+    /// verbatim; a `None` slot is written as an empty snapshot. Empty in
     /// sync mode (the next iteration gathers its own frame).
-    pub exchange_frame: Vec<CellSnapshot>,
+    pub exchange_frame: Vec<FrameSlot>,
 }
-lipiz_wire::wire_struct!(CellState {
-    cell,
-    iteration,
-    batch_counter,
-    gen_members,
-    disc_members,
-    mixture,
-    adam_g,
-    adam_d,
-    rng_mutate,
-    rng_train,
-    rng_mixture,
-    loader,
-    exchange_frame,
-});
+
+/// Every field in declaration order, each through its own [`Wire`] impl but
+/// the exchange frame, which has a codec of its own (`encode_frame`).
+impl Wire for CellState {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.cell.encode(buf);
+        self.iteration.encode(buf);
+        self.batch_counter.encode(buf);
+        self.gen_members.encode(buf);
+        self.disc_members.encode(buf);
+        self.mixture.encode(buf);
+        self.adam_g.encode(buf);
+        self.adam_d.encode(buf);
+        self.rng_mutate.encode(buf);
+        self.rng_train.encode(buf);
+        self.rng_mixture.encode(buf);
+        self.loader.encode(buf);
+        encode_frame(&self.exchange_frame, buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(Self {
+            cell: Wire::decode(buf)?,
+            iteration: Wire::decode(buf)?,
+            batch_counter: Wire::decode(buf)?,
+            gen_members: Wire::decode(buf)?,
+            disc_members: Wire::decode(buf)?,
+            mixture: Wire::decode(buf)?,
+            adam_g: Wire::decode(buf)?,
+            adam_d: Wire::decode(buf)?,
+            rng_mutate: Wire::decode(buf)?,
+            rng_train: Wire::decode(buf)?,
+            rng_mixture: Wire::decode(buf)?,
+            loader: Wire::decode(buf)?,
+            exchange_frame: decode_frame(buf)?,
+        })
+    }
+}
+
+/// Append a frame as a `u32` slot count and one snapshot encoding per slot:
+/// a held slot's payload verbatim, and for a `None` slot the encoding of
+/// [`SnapshotRef::EMPTY`] — the bytes a frame of decoded snapshots, empty
+/// where the cell does not read, always had.
+fn encode_frame(frame: &[FrameSlot], buf: &mut Vec<u8>) {
+    (frame.len() as u32).encode(buf);
+    for slot in frame {
+        match slot {
+            Some(snap) => snap.encode(buf),
+            None => SnapshotRef::EMPTY.encode(buf),
+        }
+    }
+}
+
+/// Read a frame [`encode_frame`] wrote: a slot is `None` exactly when its
+/// bytes are the empty snapshot's encoding, and every other slot is kept
+/// verbatim in a buffer of its own — so any frame, a fully populated one
+/// an older build wrote included, re-encodes to the bytes it was read from.
+fn decode_frame(buf: &mut &[u8]) -> Result<Vec<FrameSlot>, WireError> {
+    let mut empty = Vec::new();
+    SnapshotRef::EMPTY.encode(&mut empty);
+    let len = sequence_len(buf, 1)?;
+    (0..len)
+        .map(|_| match buf.strip_prefix(empty.as_slice()) {
+            // The empty encoding has no genome, so it spans exactly these
+            // bytes: the same split a snapshot decode would make.
+            Some(rest) => {
+                *buf = rest;
+                Ok(None)
+            }
+            None => EncodedSnapshot::decode(buf).map(Some),
+        })
+        .collect()
+}
 
 impl CellState {
     /// Check the state against the configuration it claims to belong to.
@@ -156,15 +217,19 @@ impl CellState {
             if self.exchange_frame.len() != cfg.cells() {
                 return err("exchange frame size vs grid");
             }
-            let sized = |s: &CellSnapshot| SnapshotRef::from(s).genome_lens() == lens;
+            // Read from the slot headers; an unread slot holds no genome.
+            let held = |slot: &FrameSlot| {
+                slot.as_ref().map_or(SnapshotRef::EMPTY, EncodedSnapshot::view).genome_lens()
+            };
             for slot in Grid::from_config(&cfg.grid).neighbors(self.cell) {
-                if !sized(&self.exchange_frame[slot]) {
+                if held(&self.exchange_frame[slot]) != lens {
                     return Err(StateError::MissingNeighbor { cell: self.cell, slot });
                 }
             }
             // Slots the cell does not read are empty in a cut of this build
             // and populated in one an older build wrote; either is fine.
-            if !self.exchange_frame.iter().all(|s| s.is_empty() || sized(s)) {
+            let unread = SnapshotRef::EMPTY.genome_lens();
+            if !self.exchange_frame.iter().map(held).all(|l| l == unread || l == lens) {
                 return err("exchange frame genome length vs topology");
             }
         }
@@ -193,6 +258,7 @@ pub fn assert_grid_states(states: &[CellState], cells: usize) {
 mod tests {
     use super::*;
     use crate::cell::CellEngine;
+    use crate::snapshot::CellSnapshot;
     use lipiz_tensor::{Matrix, Rng64};
 
     fn toy_data(cfg: &TrainConfig) -> Matrix {
@@ -254,11 +320,20 @@ mod tests {
     fn async_cut(populated: &[usize]) -> (TrainConfig, CellState) {
         let (cfg, mut state) = captured_state();
         let snap = CellEngine::new(0, &cfg, toy_data(&cfg)).snapshot();
-        state.exchange_frame = vec![CellSnapshot::empty(); cfg.cells()];
+        state.exchange_frame = vec![None; cfg.cells()];
         for &slot in populated {
-            state.exchange_frame[slot] = snap.clone();
+            state.exchange_frame[slot] = Some(EncodedSnapshot::new((&snap).into()));
         }
         (cfg, state)
+    }
+
+    /// Slot `slot` of `state`'s frame, decoded, edited by `edit` and encoded
+    /// again.
+    fn edit_slot(state: &mut CellState, slot: usize, edit: impl FnOnce(&mut CellSnapshot)) {
+        let mut snap = CellSnapshot::empty();
+        snap.copy_from(state.exchange_frame[slot].as_ref().expect("a held slot"));
+        edit(&mut snap);
+        state.exchange_frame[slot] = Some(EncodedSnapshot::new((&snap).into()));
     }
 
     #[test]
@@ -275,19 +350,61 @@ mod tests {
         let (cfg, state) = async_cut(&[0, 1, 2]);
         assert_eq!(state.validate(&cfg), Err(missing.clone()), "empty read slot");
         let (cfg, mut state) = async_cut(&[0, 3]);
-        state.exchange_frame[3].gen_genome.pop();
+        edit_slot(&mut state, 3, |s| {
+            s.gen_genome.pop();
+        });
         assert_eq!(state.validate(&cfg), Err(missing.clone()), "mis-sized read slot");
+        let (cfg, mut state) = async_cut(&[0, 3]);
+        edit_slot(&mut state, 3, |s| *s = CellSnapshot { cell: 3, ..CellSnapshot::empty() });
+        assert_eq!(state.validate(&cfg), Err(missing.clone()), "read slot without genomes");
         assert_eq!(
             missing.to_string(),
             "invalid cell state: exchange frame lacks neighbour slot 3 of cell 1"
         );
         // A slot nobody reads may be empty, but not half a snapshot.
         let (cfg, mut state) = async_cut(&[0, 2, 3]);
-        state.exchange_frame[2].disc_genome.clear();
+        edit_slot(&mut state, 2, |s| s.disc_genome.clear());
         assert_eq!(
             state.validate(&cfg),
             Err(StateError::Invariant("exchange frame genome length vs topology"))
         );
+        edit_slot(&mut state, 2, |s| s.gen_genome.clear());
+        assert_eq!(state.validate(&cfg), Ok(()), "an unread slot without genomes");
+    }
+
+    #[test]
+    fn a_frame_of_handles_encodes_as_a_frame_of_decoded_snapshots() {
+        // The bytes a cut of decoded snapshots had — `CellSnapshot::empty`
+        // where the cell does not read — whichever slots are held.
+        let (_, mut state) = async_cut(&[0, 3]);
+        edit_slot(&mut state, 0, |s| s.cell = 2);
+        let decoded: Vec<CellSnapshot> = state
+            .exchange_frame
+            .iter()
+            .map(|slot| {
+                let mut snap = CellSnapshot::empty();
+                if let Some(held) = slot {
+                    snap.copy_from(held);
+                }
+                snap
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        encode_frame(&state.exchange_frame, &mut bytes);
+        assert_eq!(bytes, decoded.to_bytes());
+
+        // Decoding gives the handles back, and an unread slot that is not
+        // the empty snapshot — here one without genomes — stays held.
+        let mut other = state.clone();
+        other.exchange_frame[1] = Some(EncodedSnapshot::new(
+            (&CellSnapshot { cell: 1, ..CellSnapshot::empty() }).into(),
+        ));
+        for state in [state, other] {
+            let wire = state.to_bytes();
+            let back = CellState::from_bytes(&wire).expect("decode");
+            assert_eq!(back, state);
+            assert_eq!(back.to_bytes(), wire);
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! arrived in ([`EncodedSnapshot`]).
 
 use crate::config::TrainConfig;
-use crate::individual::Individual;
 use lipiz_nn::GanLoss;
 use lipiz_wire::{sequence_len, Payload, Wire, WireError};
 use std::fmt;
@@ -15,9 +14,11 @@ use std::ops::Range;
 /// This is exactly what the gather phase moves between cells: its [`Wire`]
 /// encoding is what a rank posts to the ranks that read it and how it sits
 /// in a checkpoint's exchange frame, and in the cluster simulator its byte
-/// size drives the communication cost model. An exchange frame holds it
-/// encoded ([`EncodedSnapshot`]); this decoded form is what a checkpoint cut
-/// carries.
+/// size drives the communication cost model. A run holds it only encoded
+/// ([`EncodedSnapshot`]) — in exchange frames and checkpoint cuts alike;
+/// this decoded form is what tests compare against, and what the surface
+/// `benchmark/` pins (`CellEngine::snapshot_into`, `ingest_neighbors`, the
+/// runtime's `exchange_centers`) still takes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSnapshot {
     /// Flat grid index of the originating cell.
@@ -82,13 +83,6 @@ impl CellSnapshot {
         }
     }
 
-    /// True for a snapshot that holds no genomes: the shell
-    /// [`CellSnapshot::empty`] returns, which is what every slot of a
-    /// checkpoint's exchange frame that its cell does not read holds.
-    pub fn is_empty(&self) -> bool {
-        self.gen_genome.is_empty() && self.disc_genome.is_empty()
-    }
-
     /// Overwrite `self` with `src` — another decoded snapshot, or an
     /// encoded one decoded straight from its bytes — reusing both genome
     /// buffers: the zero-allocation analogue of `clone`.
@@ -108,26 +102,6 @@ impl CellSnapshot {
     /// 4 bytes per f32 plus fixed header fields.
     pub fn wire_size(&self) -> usize {
         SnapshotRef::from(self).wire_size()
-    }
-
-    /// View the generator half as an [`Individual`].
-    pub fn gen_individual(&self) -> Individual {
-        Individual {
-            genome: self.gen_genome.clone(),
-            lr: self.gen_lr,
-            loss: self.gen_loss,
-            fitness: self.gen_fitness,
-        }
-    }
-
-    /// View the discriminator half as an [`Individual`].
-    pub fn disc_individual(&self) -> Individual {
-        Individual {
-            genome: self.disc_genome.clone(),
-            lr: self.disc_lr,
-            loss: GanLoss::Heuristic,
-            fitness: self.disc_fitness,
-        }
     }
 }
 
@@ -347,6 +321,22 @@ impl EncodedSnapshot {
     }
 }
 
+/// The payload, verbatim: the same bytes as the decoded snapshot's
+/// encoding. Decoding copies the one snapshot at the front of the input into
+/// a buffer of its own, refusing what [`EncodedSnapshot::parse`] refuses but
+/// trailing bytes, which belong to whatever follows.
+impl Wire for EncodedSnapshot {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.payload);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let bytes = *buf;
+        let layout = Layout::read(bytes)?;
+        *buf = &bytes[layout.end..];
+        Ok(Self { payload: Payload::from(&bytes[..layout.end]), layout })
+    }
+}
+
 impl<'a> From<&'a EncodedSnapshot> for SnapshotRef<'a> {
     fn from(s: &'a EncodedSnapshot) -> Self {
         s.view()
@@ -466,6 +456,15 @@ mod tests {
         let mut reencoded = Vec::new();
         encoded.view().encode(&mut reencoded);
         assert_eq!(reencoded, s.to_bytes());
+        // As a wire value: the payload verbatim, decoded off the front of a
+        // longer input.
+        assert_eq!(encoded.to_bytes(), s.to_bytes());
+        let mut stream = [s.to_bytes(), vec![7]].concat();
+        let mut rest = stream.as_slice();
+        assert_eq!(EncodedSnapshot::decode(&mut rest).unwrap(), encoded);
+        assert_eq!(rest, [7]);
+        stream.truncate(stream.len() - 2);
+        assert!(EncodedSnapshot::from_bytes(&stream).is_err(), "a cut snapshot decodes");
     }
 
     #[test]
@@ -528,7 +527,7 @@ mod tests {
         let refused = |bytes: &[u8]| {
             let mut target = CellSnapshot::empty();
             let decoded = target.decode_from(bytes).expect_err("decoded form refuses");
-            assert!(target.is_empty(), "a refused decode wrote into its target");
+            assert_eq!(target, CellSnapshot::empty(), "a refused decode wrote into its target");
             let parsed =
                 EncodedSnapshot::parse(Payload::from(bytes)).expect_err("parse refuses");
             assert_eq!(parsed, decoded);
@@ -591,17 +590,5 @@ mod tests {
         let mut bigger = s.clone();
         bigger.gen_genome.extend_from_slice(&[0.0; 5]);
         assert_eq!(bigger.wire_size(), base + 20);
-    }
-
-    #[test]
-    fn individual_views_carry_fields() {
-        let s = snap();
-        let g = s.gen_individual();
-        assert_eq!(g.genome, vec![1.0; 10]);
-        assert_eq!(g.loss, GanLoss::LeastSquares);
-        assert_eq!(g.fitness, 0.5);
-        let d = s.disc_individual();
-        assert_eq!(d.genome, vec![2.0; 6]);
-        assert_eq!(d.fitness, 0.25);
     }
 }

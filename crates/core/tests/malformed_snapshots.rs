@@ -19,7 +19,11 @@ fn every_malformed_payload_is_refused_alike_by_parse_and_decode() {
         let mut target = CellSnapshot::empty();
         let decoded = target.decode_from(&bytes).expect_err(name);
         assert_eq!(decoded.what, what.trim(), "{name}");
-        assert!(target.is_empty(), "{name}: a refused decode wrote into its target");
+        assert_eq!(
+            target,
+            CellSnapshot::empty(),
+            "{name}: a refused decode wrote into its target"
+        );
         assert_eq!(CellSnapshot::from_bytes(&bytes).expect_err(name), decoded, "{name}");
         let parsed = EncodedSnapshot::parse(Payload::from(bytes)).expect_err(name);
         assert_eq!(parsed, decoded, "{name}");

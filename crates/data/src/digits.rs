@@ -57,11 +57,16 @@ impl Jitter {
 }
 
 /// Sample `n` points along an elliptic arc (angles in radians, y down).
+///
+/// The cosine and sine are taken in `f64` and rounded once to `f32`, so
+/// every build profile computes the same points: the angles are constants,
+/// and an optimiser that folds `f32::cos` of a constant at compile time
+/// rounds differently from the `cosf` an unoptimised build calls.
 fn arc(cx: f32, cy: f32, rx: f32, ry: f32, a0: f32, a1: f32, n: usize) -> Vec<Pt> {
     (0..=n)
         .map(|i| {
-            let t = a0 + (a1 - a0) * i as f32 / n as f32;
-            (cx + rx * t.cos(), cy + ry * t.sin())
+            let t = f64::from(a0 + (a1 - a0) * i as f32 / n as f32);
+            (cx + rx * t.cos() as f32, cy + ry * t.sin() as f32)
         })
         .collect()
 }

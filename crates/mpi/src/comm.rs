@@ -3,11 +3,11 @@
 
 use crate::endpoint::Mailbox;
 use crate::fault::{DeliveryFate, FaultPlan, FaultState};
+use crate::lock;
 use crate::message::{Envelope, Payload, ReservedTags, Tag};
 use crate::transport::Transport;
 use crate::wire::{sequence_len, Wire, WireError};
-use parking_lot::Mutex;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Shared handle to a rank's share of a frozen death-frame (see
@@ -766,7 +766,7 @@ impl DegradedGather {
     fn open_round(&mut self, own: usize, part: &Payload, round: usize) {
         let opens = |a: &Option<Absence>| matches!(a, Some(Absence::Planned { from, .. }) if *from == round);
         if self.absences.iter().any(opens) {
-            let mut frozen = self.frozen.lock();
+            let mut frozen = lock(&self.frozen);
             for r in 0..self.cache.len() {
                 if r == own || opens(&self.absences[r]) {
                     frozen[r] = self.cache[r].clone();
@@ -1171,7 +1171,7 @@ mod tests {
             assert_eq!(ctl.stale_run(2), 0, "rejoin resets the stale run");
             // This rank's share of the death-frame: its own round-1 payload
             // and its copy of the victim's; nothing of the other survivor.
-            let frame = frozen.lock().clone();
+            let frame = lock(&frozen).clone();
             let mut want: Vec<Option<Payload>> = vec![None; 3];
             want[me] = Some(payload(me, 1).into());
             want[2] = Some(payload(2, 1).into());

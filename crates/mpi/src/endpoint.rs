@@ -6,10 +6,10 @@
 //! on different tags without stealing each other's messages — the property
 //! a raw channel cannot provide.
 
+use crate::lock;
 use crate::message::{Envelope, Tag};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A matching message can no longer arrive: the peer's connection is gone
@@ -49,7 +49,7 @@ impl Mailbox {
 
     /// Deliver an envelope (called by the *sending* rank's thread).
     pub fn deliver(&self, env: Envelope) {
-        let mut q = self.queue.lock();
+        let mut q = lock(&self.queue);
         q.push_back(env);
         // Multiple threads may be waiting on different matches.
         self.arrived.notify_all();
@@ -58,15 +58,15 @@ impl Mailbox {
     /// Record that the transport connection to `world_rank` is gone and
     /// wake every blocked receiver so waits on that peer can fail loudly.
     pub fn mark_peer_dead(&self, world_rank: usize) {
-        self.dead_peers.lock().insert(world_rank);
+        lock(&self.dead_peers).insert(world_rank);
         // Waiters re-check their source's liveness on wake.
-        let _q = self.queue.lock();
+        let _q = lock(&self.queue);
         self.arrived.notify_all();
     }
 
     /// Is `world_rank`'s connection known to be gone?
     pub fn peer_is_dead(&self, world_rank: usize) -> bool {
-        self.dead_peers.lock().contains(&world_rank)
+        lock(&self.dead_peers).contains(&world_rank)
     }
 
     /// Forget a peer's death after its connection has been replaced (the
@@ -74,8 +74,8 @@ impl Mailbox {
     /// block normally again. Wakes blocked receivers so anyone who observed
     /// the dead flag mid-wait re-evaluates.
     pub fn clear_peer_dead(&self, world_rank: usize) {
-        self.dead_peers.lock().remove(&world_rank);
-        let _q = self.queue.lock();
+        lock(&self.dead_peers).remove(&world_rank);
+        let _q = lock(&self.queue);
         self.arrived.notify_all();
     }
 
@@ -97,7 +97,7 @@ impl Mailbox {
         tag: Tag,
         src_world: Option<usize>,
     ) -> Result<Envelope, PeerLost> {
-        let mut q = self.queue.lock();
+        let mut q = lock(&self.queue);
         loop {
             if let Some(pos) = q.iter().position(|e| e.matches(context, src, tag)) {
                 return Ok(q.remove(pos).expect("position valid under lock"));
@@ -107,7 +107,7 @@ impl Mailbox {
                     return Err(PeerLost { world_rank });
                 }
             }
-            self.arrived.wait(&mut q);
+            q = self.arrived.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -120,7 +120,7 @@ impl Mailbox {
         timeout: Duration,
     ) -> Option<Envelope> {
         let deadline = Instant::now() + timeout;
-        let mut q = self.queue.lock();
+        let mut q = lock(&self.queue);
         loop {
             if let Some(pos) = q.iter().position(|e| e.matches(context, src, tag)) {
                 return Some(q.remove(pos).expect("position valid under lock"));
@@ -129,7 +129,12 @@ impl Mailbox {
             if now >= deadline {
                 return None;
             }
-            if self.arrived.wait_until(&mut q, deadline).timed_out() {
+            let (guard, waited) = self
+                .arrived
+                .wait_timeout(q, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner);
+            q = guard;
+            if waited.timed_out() {
                 // Check once more in case a message arrived exactly at the
                 // deadline boundary.
                 if let Some(pos) = q.iter().position(|e| e.matches(context, src, tag)) {
@@ -142,17 +147,17 @@ impl Mailbox {
 
     /// Non-blocking probe: is a matching message queued?
     pub fn probe(&self, context: u16, src: Option<usize>, tag: Tag) -> bool {
-        self.queue.lock().iter().any(|e| e.matches(context, src, tag))
+        lock(&self.queue).iter().any(|e| e.matches(context, src, tag))
     }
 
     /// Number of queued envelopes (diagnostics).
     pub fn len(&self) -> usize {
-        self.queue.lock().len()
+        lock(&self.queue).len()
     }
 
     /// True when no envelopes are queued.
     pub fn is_empty(&self) -> bool {
-        self.queue.lock().is_empty()
+        lock(&self.queue).is_empty()
     }
 }
 

@@ -49,6 +49,8 @@
 //! assert_eq!(results[0], [(3, 3), (1, 1)]);
 //! ```
 
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
 pub mod comm;
 pub mod endpoint;
 pub mod fault;
@@ -69,3 +71,20 @@ pub use tcp::TcpFabric;
 pub use transport::Transport;
 pub use universe::Universe;
 pub use wire::{wire_struct, Wire, WireError};
+
+/// Lock `m`. A poisoned lock hands back its guard: a rank thread that
+/// panicked while holding a shared mailbox or link must not turn every later
+/// lock on it into a second panic — its death is reported as a dead rank.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`]'s policy for shared access to a reader-writer lock.
+pub(crate) fn read_lock<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`]'s policy for exclusive access to a reader-writer lock.
+pub(crate) fn write_lock<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}

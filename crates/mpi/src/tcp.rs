@@ -32,11 +32,11 @@ use crate::message::Envelope;
 use crate::transport::{frame_header, FrameDecoder, Transport, MAX_FRAME_LEN};
 use crate::wire::Wire;
 use crate::wire_struct;
-use parking_lot::{Mutex, RwLock};
+use crate::{lock, read_lock, write_lock};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -247,7 +247,7 @@ impl PeerLink {
             )
         });
         let (mut head, mut body): (&[u8], &[u8]) = (&header, &env.payload);
-        let mut stream = self.stream.lock();
+        let mut stream = lock(&self.stream);
         while !head.is_empty() || !body.is_empty() {
             match stream.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
                 Ok(0) => return false,
@@ -264,7 +264,7 @@ impl PeerLink {
     }
 
     fn shutdown(&self, how: Shutdown) {
-        let _ = self.stream.lock().shutdown(how);
+        let _ = lock(&self.stream).shutdown(how);
     }
 }
 
@@ -477,7 +477,7 @@ impl TcpFabric {
             faults: OnceLock::new(),
         });
         for peer_rank in 0..world_size {
-            let link = fabric.peers[peer_rank].read().clone();
+            let link = read_lock(&fabric.peers[peer_rank]).clone();
             if let Some(link) = link {
                 fabric.spawn_reader(peer_rank, link);
             }
@@ -490,12 +490,12 @@ impl TcpFabric {
 
     /// Spawn the reader thread serving one peer link.
     fn spawn_reader(self: &Arc<Self>, peer_rank: usize, link: Arc<PeerLink>) {
-        let stream = link.stream.lock().try_clone().expect("clone stream read half");
+        let stream = lock(&link.stream).try_clone().expect("clone stream read half");
         let mailbox = Arc::clone(&self.mailbox);
         let fabric = Arc::downgrade(self);
         let handle =
             std::thread::spawn(move || read_loop(peer_rank, stream, &mailbox, &fabric, &link));
-        self.readers.lock().push(handle);
+        lock(&self.readers).push(handle);
     }
 
     /// Install a fresh connection to `peer_rank` over whatever link (live
@@ -506,7 +506,7 @@ impl TcpFabric {
         stream.set_read_timeout(None)?;
         stream.set_nodelay(true)?;
         let link = Arc::new(PeerLink::new(peer_rank, stream));
-        *self.peers[peer_rank].write() = Some(Arc::clone(&link));
+        *write_lock(&self.peers[peer_rank]) = Some(Arc::clone(&link));
         self.mailbox.clear_peer_dead(peer_rank);
         self.spawn_reader(peer_rank, link);
         Ok(())
@@ -547,7 +547,7 @@ impl TcpFabric {
             // races a strong reference held across the poll interval.
             std::thread::sleep(Duration::from_millis(25));
         });
-        *self.acceptor.lock() = Some(handle);
+        *lock(&self.acceptor) = Some(handle);
     }
 
     /// Master-side rejoin rendezvous: accept the replacement for
@@ -575,7 +575,7 @@ impl TcpFabric {
                 Err(_) => continue, // stray or hostile client: drop, re-accept
             };
             let welcome = {
-                let mut book = self.peer_addrs.lock();
+                let mut book = lock(&self.peer_addrs);
                 let addr = format!("{}:{}", remote.ip(), hello.listen_port);
                 if let Some(entry) = book.iter_mut().find(|(r, _)| *r == victim_rank) {
                     entry.1 = addr;
@@ -605,7 +605,7 @@ impl TcpFabric {
     pub fn shutdown(&self) {
         self.closing.store(true, Ordering::Release);
         for slot in &self.peers {
-            if let Some(link) = slot.read().as_ref() {
+            if let Some(link) = read_lock(slot).as_ref() {
                 link.shutdown(Shutdown::Both);
             }
         }
@@ -620,7 +620,7 @@ impl TcpFabric {
     pub fn shutdown_when_drained(&self) {
         self.closing.store(true, Ordering::Release);
         for slot in &self.peers {
-            if let Some(link) = slot.read().as_ref() {
+            if let Some(link) = read_lock(slot).as_ref() {
                 link.shutdown(Shutdown::Write);
             }
         }
@@ -628,10 +628,10 @@ impl TcpFabric {
     }
 
     fn join_background(&self) {
-        if let Some(acceptor) = self.acceptor.lock().take() {
+        if let Some(acceptor) = lock(&self.acceptor).take() {
             let _ = acceptor.join();
         }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.readers.lock());
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *lock(&self.readers));
         for h in handles {
             let _ = h.join();
         }
@@ -656,7 +656,7 @@ impl Transport for TcpFabric {
         }
         // Clone the link out of its slot so a concurrent rejoin swap never
         // waits behind a send blocked on TCP backpressure.
-        let link = self.peers[dst].read().clone();
+        let link = read_lock(&self.peers[dst]).clone();
         // A missing link (a dead rank whose replacement has not rejoined)
         // or a false return (peer disconnected) drops the envelope; the
         // receive side's deadline machinery takes over.
@@ -699,7 +699,9 @@ fn read_loop(
     let mut chunk = [0u8; 64 * 1024];
     let note_dead = || {
         let replaced = fabric.upgrade().is_some_and(|f| {
-            f.peers[peer_rank].read().as_ref().is_some_and(|cur| !Arc::ptr_eq(cur, my_link))
+            read_lock(&f.peers[peer_rank])
+                .as_ref()
+                .is_some_and(|cur| !Arc::ptr_eq(cur, my_link))
         });
         if !replaced {
             mailbox.mark_peer_dead(peer_rank);

@@ -473,10 +473,13 @@ impl CheckpointWriter {
         let commits_thread = Arc::clone(&commits);
         let handle = std::thread::spawn(move || {
             let mut done = 0u64;
-            for state in rx {
+            for mut state in rx {
                 sink.commit(&state)?;
                 commits_thread.fetch_add(1, Ordering::Release);
                 done += 1;
+                // The frame's handles share the run's exchange buffers; a
+                // committed state hands them back so it pins no payload.
+                state.exchange_frame.clear();
                 let _ = recycle_tx.try_send(state);
             }
             Ok(done)
@@ -495,7 +498,8 @@ impl CheckpointWriter {
     }
 
     /// Take back a committed state's buffers for the next capture
-    /// (double-buffering). `None` when no commit has drained yet.
+    /// (double-buffering), its exchange frame emptied: it holds no handle on
+    /// a snapshot payload. `None` when no commit has drained yet.
     pub fn recycled(&self) -> Option<CellState> {
         self.recycle.try_recv().ok()
     }
@@ -526,9 +530,9 @@ impl Drop for CheckpointWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lipiz_core::CellEngine;
+    use lipiz_core::{CellEngine, EncodedSnapshot};
     use lipiz_tensor::{Matrix, Rng64};
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
     use std::time::{Duration, Instant};
 
     fn toy_data(cfg: &TrainConfig) -> Matrix {
@@ -576,7 +580,9 @@ mod tests {
         let cfg = TrainConfig::smoke(2);
         let mut state = captured(&cfg, 1, 1);
         let donor = CellEngine::new(0, &cfg, toy_data(&cfg));
-        state.exchange_frame = (0..cfg.cells()).map(|_| donor.snapshot()).collect();
+        state.exchange_frame = (0..cfg.cells())
+            .map(|_| Some(EncodedSnapshot::new((&donor.snapshot()).into())))
+            .collect();
         let dir = tmpdir("exchange_frame");
         let path = write_cell_state(&dir, &state).unwrap();
         let back = read_cell_state(&path, &cfg).unwrap();
@@ -828,7 +834,7 @@ mod tests {
 
     impl CheckpointSink for GatedSink {
         fn commit(&mut self, _state: &CellState) -> Result<(), CheckpointError> {
-            let _open = self.gate.lock();
+            let _open = self.gate.lock().unwrap();
             self.committed.fetch_add(1, Ordering::Release);
             Ok(())
         }
@@ -848,7 +854,7 @@ mod tests {
 
         let cfg = TrainConfig::smoke(2);
         let state = captured(&cfg, 0, 0);
-        let stall = gate.lock(); // wedge the disk
+        let stall = gate.lock().unwrap(); // wedge the disk
         let start = Instant::now();
         for _ in 0..8 {
             writer.submit(state.clone());
@@ -885,6 +891,48 @@ mod tests {
         let back =
             read_cell_state(&dir.join(cell_file_name(2, state.iteration)), &cfg).unwrap();
         assert_eq!(back, state);
+    }
+
+    #[test]
+    fn a_recycled_state_pins_no_payload_of_the_cut_it_carried() {
+        // 1×2 async: each cell reads its own slot (N and S wrap onto it), so
+        // the cut holds a handle on the very buffer its rank re-encodes into
+        // two iterations on. Committed and handed back, the state holds no
+        // handle, and that re-encode happens in place while it waits.
+        let mut cfg = TrainConfig::smoke(2).with_exchange(lipiz_core::ExchangeMode::Async);
+        cfg.grid.rows = 1;
+        cfg.coevolution.iterations = 8;
+        let mut grid = lipiz_core::Pipeline::whole_grid(
+            &cfg,
+            |_| toy_data(&cfg),
+            None,
+            lipiz_telemetry::Telemetry::disabled(),
+        );
+        grid.step(&mut lipiz_core::InMemoryExchange);
+        let cut = grid.capture_cut(0, None);
+        let own = |frame: &[lipiz_core::FrameSlot]| {
+            frame[0].as_ref().expect("cell 0 reads its own slot").payload().as_ptr()
+        };
+        let at = own(&cut.exchange_frame);
+        assert_eq!(at, own(grid.latest_frame()), "the cut shares the frame's buffer");
+
+        let writer = CheckpointWriter::to_dir(tmpdir("recycled_frame"), cfg.cells());
+        writer.submit(cut);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let recycled = loop {
+            if let Some(state) = writer.recycled() {
+                break state;
+            }
+            assert!(Instant::now() < deadline, "commit never came back");
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        assert!(recycled.exchange_frame.is_empty(), "a recycled state holds frame handles");
+        for _ in 0..2 {
+            grid.step(&mut lipiz_core::InMemoryExchange);
+        }
+        assert_eq!(own(grid.latest_frame()), at, "the own slot was re-encoded elsewhere");
+        drop(recycled);
+        writer.finish().unwrap();
     }
 
     #[test]

@@ -36,6 +36,7 @@ use crate::protocol::{tags, NodeAnnouncement, RunTask, SlaveResult, StatusReport
 use lipiz_core::{CellSnapshot, EncodedSnapshot, Exchange, FrameSlot, GenomeLens, SnapshotRef};
 use lipiz_mpi::{Comm, DegradedGather, FaultPlan, FrozenFrameHandle, Payload, RecvFrom};
 use lipiz_telemetry::{EventKind, Telemetry, TelemetrySummary};
+use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
 /// How often the master re-polls for a respawned replacement's
@@ -309,7 +310,8 @@ impl CommManager {
         else {
             return false;
         };
-        let part: Option<Payload> = frame.lock().get(slot).cloned().flatten();
+        let part: Option<Payload> =
+            frame.lock().unwrap_or_else(PoisonError::into_inner).get(slot).cloned().flatten();
         self.world.send(src, tags::CACHE_RESP, &part);
         true
     }
@@ -1090,9 +1092,9 @@ mod tests {
                 DegradedGather::new(3, 1).frozen_frame(),
                 DegradedGather::new(3, 1).frozen_frame(),
             );
-            share.lock()[cell] = Some(payload(&marked(cell, 1)));
+            share.lock().unwrap()[cell] = Some(payload(&marked(cell, 1)));
             if cell == 0 {
-                share.lock()[2] = Some(payload(&marked(2, 1)));
+                share.lock().unwrap()[2] = Some(payload(&marked(2, 1)));
             }
             let start = Instant::now();
             while !done.load(Ordering::Acquire) {

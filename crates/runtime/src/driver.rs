@@ -207,10 +207,11 @@ mod tests {
     #[test]
     fn async_exchange_matches_sequential_async_exactly() {
         // The tentpole equivalence: under `--exchange async` the pipelined
-        // slaves (background completion thread, structural staleness 1)
-        // must be bit-identical to the sequential trainer running the same
-        // staleness schedule — async results are a pure function of
-        // (seed, config), never of exchange-thread scheduling.
+        // slaves (each completes generation i-1 on its own thread before it
+        // posts generation i: structural staleness 1) must be bit-identical
+        // to the sequential trainer running the same staleness schedule —
+        // async results are a pure function of (seed, config), never of
+        // delivery timing.
         let cfg = TrainConfig::smoke(2).with_exchange(lipiz_core::ExchangeMode::Async);
         let outcome = run_distributed(&cfg, toy_data, DistributedOptions::default());
         let mut seq =

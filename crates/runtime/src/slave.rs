@@ -227,7 +227,7 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                             });
                         pipeline.rejoin(0, rejoin, frozen);
                     }
-                    None => pipeline.resume_from(&resume_frame),
+                    None => pipeline.resume_from(resume_frame),
                 }
                 // The exchange owns the degraded-gather controller — the
                 // death-frame handle was cloned for the main thread before

@@ -259,9 +259,12 @@ proptest! {
         order_len in 1usize..30,
     ) {
         let state = arb_cell_state(seed, pop, gen_len, disc_len, order_len);
-        let back = CellState::from_bytes(&state.to_bytes()).expect("decode");
-        // Bit-exact: every float compared through its raw bits.
+        let wire = state.to_bytes();
+        let back = CellState::from_bytes(&wire).expect("decode");
+        // Bit-exact: every float compared through its raw bits, every frame
+        // slot through its bytes.
         prop_assert_eq!(state_bits(&back), state_bits(&state));
+        prop_assert_eq!(back.to_bytes(), wire);
         prop_assert_eq!(back, state);
     }
 
@@ -498,21 +501,32 @@ fn arb_cell_state(
             epoch: rng.next_u64(),
             rng: rng_state(&mut rng),
         },
-        // Half the states carry an async exchange frame, so the new wire
-        // field's encode/decode sees both shapes.
+        // Half the states carry an async exchange frame of handles, so the
+        // frame codec sees both shapes: slots the cell reads, slots it does
+        // not (`None`), and — last in every frame — an unread slot that is
+        // not the empty snapshot's encoding, which must stay held.
         exchange_frame: if rng.chance(0.5) {
-            (0..pop)
-                .map(|_| CellSnapshot {
-                    cell: rng.below(1024),
-                    gen_genome: (0..gen_len).map(|_| f32_bits(&mut rng)).collect(),
-                    gen_lr: f32_bits(&mut rng),
+            let snapshot = |rng: &mut Rng64, gen_len: usize, disc_len: usize| {
+                let snap = CellSnapshot {
+                    cell: 1 + rng.below(1023),
+                    gen_genome: (0..gen_len).map(|_| f32_bits(rng)).collect(),
+                    gen_lr: f32_bits(rng),
                     gen_loss: GanLoss::ALL[rng.below(GanLoss::ALL.len())],
                     gen_fitness: rng.unit_f64() * 1e9 - 5e8,
-                    disc_genome: (0..disc_len).map(|_| f32_bits(&mut rng)).collect(),
-                    disc_lr: f32_bits(&mut rng),
+                    disc_genome: (0..disc_len).map(|_| f32_bits(rng)).collect(),
+                    disc_lr: f32_bits(rng),
                     disc_fitness: rng.unit_f64() * 1e9 - 5e8,
+                };
+                Some(EncodedSnapshot::new((&snap).into()))
+            };
+            let mut frame: Vec<_> = (0..pop)
+                .map(|_| match rng.below(2) {
+                    0 => None,
+                    _ => snapshot(&mut rng, gen_len, disc_len),
                 })
-                .collect()
+                .collect();
+            frame.push(snapshot(&mut rng, 0, 0));
+            frame
         } else {
             Vec::new()
         },
@@ -543,13 +557,11 @@ fn state_bits(s: &CellState) -> Vec<u64> {
         bits.extend(r.words);
         bits.push(r.spare_gauss.map_or(0, f64::to_bits));
     }
-    for snap in &s.exchange_frame {
-        bits.extend(snap.gen_genome.iter().map(|v| v.to_bits() as u64));
-        bits.extend(snap.disc_genome.iter().map(|v| v.to_bits() as u64));
-        bits.push(snap.gen_lr.to_bits() as u64);
-        bits.push(snap.disc_lr.to_bits() as u64);
-        bits.push(snap.gen_fitness.to_bits());
-        bits.push(snap.disc_fitness.to_bits());
+    for slot in &s.exchange_frame {
+        match slot {
+            Some(snap) => bits.extend(snap.payload().iter().map(|&b| u64::from(b))),
+            None => bits.push(u64::MAX),
+        }
     }
     bits
 }

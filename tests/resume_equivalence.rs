@@ -202,21 +202,46 @@ fn resume_refuses_an_empty_directory() {
 
 #[test]
 fn async_cut_is_the_same_bytes_from_every_driver_and_resumes_on_any() {
-    // A cell's cut carries the frame slots that cell reads and no others,
-    // whichever driver wrote it: on 3×3 that is four of nine, so the
-    // threaded, sequential and simulated drivers must commit identical
-    // cell files — and a whole-grid driver resuming from the threaded
-    // run's files has to merge nine sparse frames back into one.
+    // 3×3: the centre cell reads N, W, E and S, four slots of nine, so a
+    // whole-grid driver resuming from a one-cell-per-rank run has to merge
+    // nine sparse frames back into one.
+    async_cut_round_trip("async_cross_driver", &["--grid", "3"], 9, 4, &[1, 3, 5, 7]);
+    // 1×2: N and S wrap onto the cell itself, so its cut holds a handle on
+    // the very buffer its own rank posts, next to its neighbour's.
+    async_cut_round_trip(
+        "async_cross_driver_1x2",
+        &["--rows", "1", "--cols", "2"],
+        2,
+        0,
+        &[0, 1],
+    );
+}
+
+/// Pause an async run of `grid` (`cells` cells) after `PAUSE_AT` iterations
+/// on every driver;
+/// check that they all commit the same cell files, that cell `cell`'s frame
+/// holds exactly the slots `reads`, and that each driver resumes the
+/// threaded run's cut to the uninterrupted bytes.
+fn async_cut_round_trip(name: &str, grid: &[&str], cells: usize, cell: usize, reads: &[usize]) {
     use lipizzaner::runtime::checkpoint::{read_cell_state, read_manifest};
-    let dir = workdir("async_cross_driver");
-    let flags = ["--tiny", "--grid", "3", "--iterations", "4", "--batches", "2"];
+    let dir = workdir(name);
+    let mut flags =
+        vec!["--tiny", "--iterations", "4", "--batches", "2", "--exchange", "async"];
+    flags.extend_from_slice(grid);
     let reference = dir.join("reference.lpz");
-    let mut args = vec!["train", "--driver", "sequential", "--exchange", "async"];
+    let mut args = vec!["train", "--driver", "sequential"];
     args.extend_from_slice(&["--out", reference.to_str().unwrap()]);
     args.extend_from_slice(&flags);
     run(&args);
     let reference = read(&reference);
 
+    // Each driver as the run's subcommand and flags.
+    let drivers: [(&str, &[&str]); 4] = [
+        ("distributed", &["train", "--driver", "distributed"]),
+        ("sequential", &["train", "--driver", "sequential"]),
+        ("cluster-sim", &["train", "--driver", "cluster-sim"]),
+        ("tcp", &["launch"]),
+    ];
     let cell_files = |ckpt: &Path| {
         let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(ckpt)
             .expect("list checkpoint dir")
@@ -227,10 +252,10 @@ fn async_cut_is_the_same_bytes_from_every_driver_and_resumes_on_any() {
         files.sort();
         files
     };
-    let pause_on = |driver: &str| {
+    let pause_on = |(driver, run_args): (&str, &[&str])| {
         let ckpt = dir.join(format!("ckpt_{driver}"));
         let paused = dir.join(format!("paused_{driver}.lpz"));
-        let mut args = vec!["train", "--driver", driver, "--exchange", "async"];
+        let mut args = run_args.to_vec();
         args.extend_from_slice(&["--checkpoint-dir", ckpt.to_str().unwrap()]);
         args.extend_from_slice(&["--checkpoint-every", "1", "--pause-after", PAUSE_AT]);
         args.extend_from_slice(&["--out", paused.to_str().unwrap()]);
@@ -238,25 +263,29 @@ fn async_cut_is_the_same_bytes_from_every_driver_and_resumes_on_any() {
         run(&args);
         ckpt
     };
-    let threaded_ckpt = &pause_on("distributed");
+    let threaded_ckpt = &pause_on(drivers[0]);
     let threaded_files = &cell_files(threaded_ckpt);
-    assert!(threaded_files.len() >= 9, "one committed cut per cell at least");
-    for driver in ["sequential", "cluster-sim"] {
-        let files = &cell_files(&pause_on(driver));
-        assert!(files == threaded_files, "{driver} wrote different cell files than threaded");
+    assert!(threaded_files.len() >= cells, "one committed cut per cell at least");
+    for driver in &drivers[1..] {
+        let files = &cell_files(&pause_on(*driver));
+        assert!(
+            files == threaded_files,
+            "{} wrote different cell files than threaded",
+            driver.0
+        );
     }
 
-    // The cut really is sparse: the centre cell's frame holds its four
-    // neighbours' slots and nothing else.
+    // The cut really is sparse: the cell's frame holds the slots it reads
+    // and nothing else.
     let cfg = read_manifest(threaded_ckpt).expect("manifest");
-    let (name, _) =
-        threaded_files.iter().rfind(|(name, _)| name.starts_with("cell_0004")).unwrap();
-    let state = read_cell_state(&threaded_ckpt.join(name), &cfg).expect("cell 4 state");
+    let prefix = format!("cell_{cell:04}");
+    let (file, _) = threaded_files.iter().rfind(|(file, _)| file.starts_with(&prefix)).unwrap();
+    let state = read_cell_state(&threaded_ckpt.join(file), &cfg).expect("cell state");
     let held: Vec<usize> =
-        (0..9).filter(|&slot| !state.exchange_frame[slot].is_empty()).collect();
-    assert_eq!(held, [1, 3, 5, 7], "cell 4 of a 3×3 torus reads N, W, E, S");
+        (0..cells).filter(|&slot| state.exchange_frame[slot].is_some()).collect();
+    assert_eq!(held, reads, "cell {cell} of {grid:?}");
 
-    for driver in ["sequential", "cluster-sim", "distributed"] {
+    for (driver, run_args) in drivers {
         // Each resume gets its own copy: a resumed run commits new cuts.
         let copy = dir.join(format!("resume_on_{driver}"));
         std::fs::create_dir_all(&copy).unwrap();
@@ -266,7 +295,14 @@ fn async_cut_is_the_same_bytes_from_every_driver_and_resumes_on_any() {
         }
         let resumed = dir.join(format!("resumed_{driver}.lpz"));
         let (copy_s, resumed_s) = (copy.to_str().unwrap(), resumed.to_str().unwrap());
-        run(&["resume", "--from", copy_s, "--driver", driver, "--out", resumed_s]);
+        let mut args = vec!["resume", "--from", copy_s, "--out", resumed_s];
+        match run_args {
+            ["launch"] => {
+                args.extend_from_slice(&["--driver", "distributed", "--transport", "tcp"])
+            }
+            _ => args.extend_from_slice(&run_args[1..]),
+        }
+        run(&args);
         assert!(read(&resumed) == reference, "threaded async cut resumed on {driver} diverged");
     }
 }

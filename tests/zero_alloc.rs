@@ -39,6 +39,7 @@
 mod common;
 
 use common::toy_data;
+use lipizzaner::core::pipeline::capture_with_frame;
 use lipizzaner::core::{
     CellEngine, CellScratch, CellSnapshot, Exchange, ExchangeMode, FrameSlot, GenomeLens,
     InMemoryExchange, Pipeline, TrainConfig,
@@ -131,6 +132,7 @@ fn main() {
     steady_state_pipeline_step_allocates_nothing();
     steady_state_exchange_allocates_one_payload_per_rank();
     checkpoint_commit_encodes_the_state_in_place();
+    checkpoint_cut_shares_the_frame_buffers();
     println!("zero_alloc: steady-state training iterations allocate nothing — ok");
 }
 
@@ -383,7 +385,9 @@ fn checkpoint_commit_encodes_the_state_in_place() {
     let cfg = TrainConfig::smoke(2).with_exchange(ExchangeMode::Async);
     let engine = CellEngine::new(0, &cfg, toy_data(&cfg));
     let mut state = engine.capture_state();
-    state.exchange_frame = (0..cfg.cells()).map(|_| engine.snapshot()).collect();
+    let mut own: FrameSlot = None;
+    engine.encode_snapshot_into(&mut own);
+    state.exchange_frame = vec![own; cfg.cells()];
     let genome_bytes =
         4 * state.gen_members[0].genome.len().min(state.disc_members[0].genome.len());
 
@@ -399,4 +403,44 @@ fn checkpoint_commit_encodes_the_state_in_place() {
         "a warm checkpoint commit allocated {bytes} B; one genome is {genome_bytes} B"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint cut carries the frame its next iteration consumes as
+/// handles on the frame's own buffers: each slot the cell reads points at
+/// the bytes the frame holds, and a capture into a recycled state allocates
+/// less than one genome (the cell's neighbour list) — nothing is decoded or
+/// copied.
+fn checkpoint_cut_shares_the_frame_buffers() {
+    let mut cfg = TrainConfig::smoke(2).with_exchange(ExchangeMode::Async);
+    cfg.coevolution.iterations = 64; // never reached; stepped manually
+    let mut grid = Pipeline::whole_grid(&cfg, |_| toy_data(&cfg), None, Telemetry::disabled());
+    for _ in 0..2 {
+        grid.step(&mut InMemoryExchange);
+    }
+    let (engines, frame) = grid.engines_and_next_frame();
+    let engine = &engines[1];
+    let recycled = capture_with_frame(engine, frame, None);
+    let genome_bytes =
+        4 * recycled.gen_members[0].genome.len().min(recycled.disc_members[0].genome.len());
+    let before = my_allocations();
+    let cut = capture_with_frame(engine, frame, Some(recycled));
+    let bytes = my_allocations().1 - before.1;
+    assert!(
+        bytes < genome_bytes as u64,
+        "a recycled cut capture allocated {bytes} B; one genome is {genome_bytes} B"
+    );
+
+    let reads = engine.neighbor_slots();
+    for (slot, (held, src)) in cut.exchange_frame.iter().zip(frame).enumerate() {
+        let at = |slot: &FrameSlot| slot.as_ref().map(|s| s.payload().as_ptr());
+        if reads.contains(&slot) {
+            assert!(at(held).is_some(), "the cut lacks slot {slot}");
+            assert_eq!(at(held), at(src), "slot {slot} is a copy, not the frame's buffer");
+        } else {
+            assert!(
+                held.is_none(),
+                "the cut carries slot {slot}, which its cell does not read"
+            );
+        }
+    }
 }
