@@ -168,7 +168,8 @@ pub fn table3(scale: Scale, runs: usize) -> String {
     let rows = run_table3(scale, runs, &[2, 3, 4]);
     let mut t = TextTable::new(
         &format!(
-            "TABLE III — EXECUTION TIMES OF GAN TRAINING (minutes, scaled workload, {runs} runs)"
+            "TABLE III — EXECUTION TIMES OF GAN TRAINING (minutes, scaled workload, {runs} runs; \
+             distributed = virtual cluster, each rank charged its own neighbour exchange)"
         ),
         &["grid size", "single core (min)", "distributed (min)", "speedup"],
     );
@@ -298,7 +299,7 @@ pub fn fig2() -> String {
 
 /// Fig. 3: live protocol trace from a real threaded master/slave run.
 pub fn fig3() -> String {
-    let cfg = scaled_config(2, Scale::Smoke);
+    let cfg = scaled_config(2, Scale::Smoke).with_heartbeat(5, 0);
     let outcome = lipiz_runtime::driver::run_distributed(
         &cfg,
         |cell, cfg| {
@@ -306,10 +307,7 @@ pub fn fig3() -> String {
             let mut rng = lipiz_tensor::Rng64::seed_from(cfg.training.data_seed);
             rng.uniform_matrix(cfg.training.dataset_size, cfg.network.data_dim, -0.9, 0.9)
         },
-        lipiz_runtime::DistributedOptions {
-            heartbeat_interval: std::time::Duration::from_millis(5),
-            ..lipiz_runtime::DistributedOptions::default()
-        },
+        lipiz_runtime::DistributedOptions::default(),
     );
     let mut out =
         String::from("FIG. 3 — MASTER/SLAVE FLOW (live trace of a real threaded run)\n\n");
@@ -324,7 +322,7 @@ pub fn fig3() -> String {
         outcome.heartbeat.any_delayed()
     ));
     out.push_str(&format!(
-        "4. training: {} iterations per slave, LOCAL allgather each iteration\n",
+        "4. training: {} iterations per slave, neighbour exchange on LOCAL each iteration\n",
         outcome.report.iterations
     ));
     out.push_str("5. final gather on GLOBAL + reduction at master\n");
@@ -453,8 +451,9 @@ pub fn fault_staleness(scale: Scale) -> String {
 /// Beyond the paper: the overlapped (`--exchange async`) neighbor exchange
 /// vs the paper's synchronous gather. Async trains iteration `i` against
 /// the completed generation-`i-1` frame, so the exchange hides behind
-/// compute: the virtual cluster reports how much gather time the overlap
-/// removes, and every configuration is run twice and must replay to
+/// compute: the virtual cluster, which charges each rank the wait and
+/// transfer of its own neighbourhood, reports how much gather time the
+/// overlap removes, and every configuration is run twice and must replay to
 /// byte-identical ensembles (the relaxation is structural, not a race). A
 /// final row composes async with an in-flight rank replacement — the dead
 /// rank's staleness budget counts on top of the pipeline's structural lag
@@ -467,7 +466,8 @@ pub fn async_exchange(scale: Scale) -> String {
     let sim = SimulatedCluster::cluster_uy(SimulationOptions::default());
 
     let mut t = TextTable::new(
-        "ASYNC EXCHANGE — OVERLAP vs QUALITY (2x2 grid)",
+        "ASYNC EXCHANGE — OVERLAP vs QUALITY (2x2 grid; gather = neighbour-exchange wait, \
+         max across ranks, summed over iterations)",
         &["exchange", "fault", "gather (s)", "virtual wall (s)", "best G fitness", "replay"],
     );
     let async_cfg = cfg.clone().with_exchange(lipiz_core::ExchangeMode::Async);

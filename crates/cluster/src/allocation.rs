@@ -61,7 +61,7 @@ impl Placement {
         self.ranks[rank].speed_factor
     }
 
-    /// Slowest speed factor in the placement (bounds the BSP critical path).
+    /// Slowest speed factor in the placement.
     pub fn worst_speed(&self) -> f64 {
         self.ranks.iter().map(|r| r.speed_factor).fold(1.0, f64::max)
     }

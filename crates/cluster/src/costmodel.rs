@@ -35,16 +35,6 @@ impl CommCost {
         }
         (p - 1) as f64 * self.p2p(bytes)
     }
-
-    /// Ring allgather: `p - 1` steps, each moving one rank's contribution —
-    /// the algorithm production MPI libraries (and the paper's testbed)
-    /// use for large payloads: `(p-1)·(α + β·bytes_each)`.
-    pub fn allgather(&self, p: usize, bytes_each: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        (p - 1) as f64 * self.p2p(bytes_each)
-    }
 }
 
 #[cfg(test)]
@@ -62,34 +52,20 @@ mod tests {
     fn collectives_vanish_for_single_rank() {
         let c = CommCost::cluster_uy();
         assert_eq!(c.gather(1, 1000), 0.0);
-        assert_eq!(c.allgather(1, 1000), 0.0);
-    }
-
-    #[test]
-    fn allgather_cost_grows_with_rank_count() {
-        // The overhead term of Table III: more ranks ⇒ more communication
-        // per iteration (ring allgather: linear in p for fixed per-rank
-        // contribution).
-        let c = CommCost::cluster_uy();
-        let t4 = c.allgather(4, 1_000_000);
-        let t16 = c.allgather(16, 1_000_000);
-        assert!(t16 > 3.0 * t4, "t4={t4}, t16={t16}");
-        assert!(c.allgather(2, 1_000_000) < t4);
     }
 
     #[test]
     fn free_model_is_free() {
-        let c = CommCost::free();
-        assert_eq!(c.allgather(16, 1 << 20), 0.0);
+        assert_eq!(CommCost::free().p2p(1 << 20), 0.0);
     }
 
     #[test]
     fn snapshot_scale_sanity() {
-        // A paper-scale snapshot (~2.2 MB) across 16 ranks should cost
-        // milliseconds-to-seconds, not hours — keeps gather in Table IV's
-        // observed ballpark relative to compute.
+        // A cell receiving four paper-scale snapshots (~2.2 MB each) should
+        // pay milliseconds-to-seconds, not hours — keeps gather in Table
+        // IV's observed ballpark relative to compute.
         let c = CommCost::cluster_uy();
-        let t = c.allgather(16, 2_200_000);
-        assert!(t > 1e-3 && t < 120.0, "allgather estimate {t}s");
+        let t = 4.0 * c.p2p(2_200_000);
+        assert!(t > 1e-3 && t < 120.0, "neighbour exchange estimate {t}s");
     }
 }

@@ -12,12 +12,13 @@
 //! * each rank's compute segments are **measured on the host** and charged
 //!   to a per-rank **virtual clock** ([`vtime`]), scaled by the node's
 //!   best-effort speed factor ([`allocation`]);
-//! * collectives synchronize the virtual clocks and charge a Hockney
-//!   (α + βn) communication cost ([`costmodel`]) sized by the actual
-//!   serialized snapshot bytes.
+//! * each generation of the neighbour exchange is charged per reader: a
+//!   rank waits for the posts of the cells it reads (§III-B) and receives
+//!   each of their snapshots over its link at a Hockney (α + βn) cost
+//!   ([`costmodel`]) sized by the actual serialized snapshot bytes.
 //!
-//! Virtual wall-clock = `max` over ranks of their clock at the end, which
-//! is precisely how a bulk-synchronous MPI program's wall time composes.
+//! Virtual wall-clock = `max` over ranks of their clock at the end, plus
+//! the final result gather to the master.
 //! The shape of Tables III/IV (who wins, how speedup scales with grid
 //! size, which routines parallelize) is therefore reproduced from real
 //! measurements, while absolute minutes depend on this host's single-core

@@ -6,9 +6,11 @@ use lipiz_core::{EnsembleModel, TrainReport};
 /// Communication statistics of a simulated run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommStats {
-    /// Total virtual seconds spent in allgather (max across ranks).
+    /// Exchange wait seconds, max across ranks, summed over the run's
+    /// iterations.
     pub allgather_seconds: f64,
-    /// Bytes moved through allgather per rank over the whole run.
+    /// Bytes received per rank, max across ranks, summed over the run's
+    /// iterations.
     pub allgather_bytes: usize,
     /// Virtual seconds of the final result gather.
     pub final_gather_seconds: f64,

@@ -1,12 +1,14 @@
-//! The bulk-synchronous virtual-time executor.
+//! The virtual-time executor.
 //!
 //! The simulated cluster is one host rank of the iteration [`Pipeline`]
 //! (`lipiz_core::pipeline`) that happens to hold every cell, so training is
 //! the same schedule — and the same bytes — as the sequential and
 //! distributed drivers. What is simulated is *time*: `VirtualExchange`
-//! charges each allgather to per-rank virtual clocks through the cost
-//! model, and each cell's measured compute (the pipeline's per-step phase
-//! durations) is scaled onto its rank's clock afterwards — every span
+//! charges each generation of the neighbour exchange to per-rank virtual
+//! clocks through the cost model — each rank waits only for the cells it
+//! reads and receives only their snapshots, as the runtime's exchange does
+//! (§III-B) — and each cell's measured compute (the pipeline's per-step
+//! phase durations) is scaled onto its rank's clock afterwards — every span
 //! through `Telemetry::span_at`, so Table IV, histograms and journal are one
 //! feed on the virtual clock. A scripted kill is modelled with the
 //! pipeline's own rejoin: the victim's engine is swapped for a restored
@@ -40,8 +42,10 @@ pub struct SimulationOptions {
     pub per_iteration_overhead: f64,
     /// Fault injection: slow one slave down by a factor, modeling a
     /// straggler on the best-effort queue (`(cell_index, slowdown)`).
-    /// The BSP allgather makes every rank wait for it — the failure mode
-    /// the paper's heartbeat monitoring is designed to surface.
+    /// Its readers wait for its posts, and their readers for theirs in
+    /// turn, so the delay spreads through the grid one neighbourhood per
+    /// iteration — the failure mode the paper's heartbeat monitoring is
+    /// designed to surface.
     pub straggler: Option<(usize, f64)>,
 }
 
@@ -89,9 +93,8 @@ impl SimulatedCluster {
     /// will consume — empty in sync mode; a committing driver stamps each
     /// cell's cut with it through `lipiz_core::pipeline::capture_with_frame`,
     /// which keeps the slots that cell reads, exactly as a slave's own cut
-    /// does). Virtual-time accounting restarts at
-    /// zero for a resumed run (wall clocks are not part of the training
-    /// state).
+    /// does). Virtual-time accounting restarts at zero for a resumed run
+    /// (wall clocks are not part of the training state).
     ///
     /// # Panics
     /// Panics if `resume` disagrees with the grid (count, cell order, or a
@@ -158,33 +161,7 @@ impl SimulatedCluster {
         let mut pending_kill = fault;
         let mut victim_cut: Option<CellState> = None;
 
-        let mut vx = VirtualExchange {
-            cost: &self.cost,
-            opts: &self.opts,
-            placement: &placement,
-            fault,
-            grid,
-            async_mode: cfg.exchange.is_async(),
-            clocks: vec![RankClock::new(); cells],
-            // One recorder per simulated slave rank, stamped with the rank
-            // clock — the real drivers' journal format and Table IV ledger.
-            tels: (0..cells)
-                .map(|c| {
-                    let mut tel = Telemetry::from_gate(
-                        cfg.telemetry.is_enabled(),
-                        (c + 1) as u32,
-                        cfg.telemetry.ring_capacity,
-                    );
-                    if cfg.exchange.is_async() {
-                        tel.metrics.staleness.set(1);
-                    }
-                    tel
-                })
-                .collect(),
-            comm: CommStats::default(),
-            pending_complete: 0.0,
-            prev_submit: vec![0.0; cells],
-        };
+        let mut vx = VirtualExchange::new(self, cfg, &placement, fault);
 
         while pipeline.iteration() < target {
             let iter = pipeline.iteration();
@@ -212,6 +189,7 @@ impl SimulatedCluster {
                 }
             }
             pipeline.step(&mut vx);
+            vx.gather(iter, pipeline.engines());
             for c in 0..cells {
                 if !vx.absent(c, iter) {
                     vx.charge_compute(iter, c, pipeline.step_phases(c));
@@ -274,29 +252,67 @@ fn vns(t: f64) -> u64 {
 
 /// The virtual-time [`Exchange`]: every cell is local to the simulating
 /// host, so a generation's snapshots are already where the pipeline reads
-/// them; what the allgather would *cost* on the cluster is charged to the
-/// rank clocks through the cost model, once per iteration, at `begin`.
+/// them; what the neighbour exchange would *cost* on the cluster is charged
+/// to the rank clocks through the cost model. `begin` charges each rank's
+/// post, [`VirtualExchange::gather`] each reader's wait and transfer.
 struct VirtualExchange<'a> {
     cost: &'a CommCost,
     opts: &'a SimulationOptions,
     placement: &'a Placement,
     fault: Option<ReplacementSchedule>,
-    grid: Grid,
     async_mode: bool,
     clocks: Vec<RankClock>,
     /// Per-rank recorders on the virtual clock (journal + Table IV totals).
     tels: Vec<Telemetry>,
     comm: CommStats,
-    /// Virtual completion time of the in-flight generation (the frame the
-    /// *next* iteration consumes); restarts at zero on resume, like every
+    /// When each rank posted the generation being gathered, and its size.
+    posts: Vec<(f64, usize)>,
+    /// When each reader holds all of the last generation it gathered — the
+    /// in-flight one under async; restarts at zero on resume, like every
     /// other clock.
-    pending_complete: f64,
+    ready: Vec<f64>,
     /// When each rank posted the in-flight generation, for the
     /// exchange-wall metric.
     prev_submit: Vec<f64>,
 }
 
-impl VirtualExchange<'_> {
+impl<'a> VirtualExchange<'a> {
+    fn new(
+        sim: &'a SimulatedCluster,
+        cfg: &TrainConfig,
+        placement: &'a Placement,
+        fault: Option<ReplacementSchedule>,
+    ) -> Self {
+        let cells = cfg.cells();
+        Self {
+            cost: &sim.cost,
+            opts: &sim.opts,
+            placement,
+            fault,
+            async_mode: cfg.exchange.is_async(),
+            clocks: vec![RankClock::new(); cells],
+            // One recorder per simulated slave rank, stamped with the rank
+            // clock — the real drivers' journal format and Table IV ledger.
+            tels: (0..cells)
+                .map(|c| {
+                    let mut tel = Telemetry::from_gate(
+                        cfg.telemetry.is_enabled(),
+                        (c + 1) as u32,
+                        cfg.telemetry.ring_capacity,
+                    );
+                    if cfg.exchange.is_async() {
+                        tel.metrics.staleness.set(1);
+                    }
+                    tel
+                })
+                .collect(),
+            comm: CommStats::default(),
+            posts: vec![(0.0, 0); cells],
+            ready: vec![0.0; cells],
+            prev_submit: vec![0.0; cells],
+        }
+    }
+
     /// Is `cell` the dead rank inside its absence window at `iter`?
     fn absent(&self, cell: usize, iter: usize) -> bool {
         self.fault
@@ -313,6 +329,67 @@ impl VirtualExchange<'_> {
         speed
     }
 
+    /// Charge each live rank's gather of generation `iter` over the slots
+    /// its engine reads: it waits for its own post and its live sources'
+    /// latest, then receives each source's snapshot in turn over its link;
+    /// a dead source costs nothing (the reader substitutes its frozen slot).
+    /// Sync mode and the async bootstrap block on that; otherwise a rank
+    /// blocks only until it holds the in-flight generation `iter - 1`. A
+    /// post is charged nothing: a hand-off in process, and a TCP rank writes
+    /// it on its own thread (0.6 % of a 3×3 loopback iteration).
+    fn gather(&mut self, iter: usize, engines: &[CellEngine]) {
+        let blocking = !self.async_mode || iter == 0;
+        let (mut wait, mut received) = (0.0f64, 0usize);
+        for (c, engine) in engines.iter().enumerate() {
+            if self.absent(c, iter) {
+                continue;
+            }
+            let reads = engine.neighbor_slots();
+            let (mut arrive, mut xfer, mut bytes) = (self.posts[c].0, 0.0, 0);
+            for (i, &s) in reads.iter().enumerate() {
+                // Each distinct source once, as the exchange links them.
+                if s != c && !reads[..i].contains(&s) && !self.absent(s, iter) {
+                    let (posted, wire) = self.posts[s];
+                    arrive = arrive.max(posted);
+                    xfer += self.cost.p2p(wire);
+                    bytes += wire;
+                }
+            }
+            let substituted = self
+                .fault
+                .map(|f| f.cell)
+                .filter(|&v| self.absent(v, iter) && reads.contains(&v));
+            let done = self.ready[c].max(arrive) + xfer;
+            let before = self.clocks[c].now();
+            let (until, consumed, exchange_wall) = if blocking {
+                (done, iter, done - before)
+            } else {
+                (self.ready[c], iter - 1, self.ready[c] - self.prev_submit[c])
+            };
+            self.ready[c] = done;
+            self.prev_submit[c] = before;
+            let clock = &mut self.clocks[c];
+            clock.sync_to(until);
+            wait = wait.max(clock.now() - before);
+            received = received.max(bytes);
+
+            // Gather time as a rank perceives it: wait (+ transfer).
+            let (t0, t1) = (vns(before), vns(clock.now()));
+            let (cell, it) = (c as u32, iter as u32);
+            let tel = &mut self.tels[c];
+            tel.record_at(EventKind::ExchangeBegin, cell, it, iter as u64, t0);
+            if let Some(victim) = substituted {
+                tel.record_at(EventKind::Degraded, cell, it, victim as u64, t0);
+                tel.metrics.degraded_iters.inc();
+            }
+            tel.span_at(Routine::Gather, cell, it, t0, t1 - t0);
+            tel.record_at(EventKind::ExchangeComplete, cell, it, consumed as u64, t1);
+            tel.metrics.exchange_wall_ns.add(vns(exchange_wall));
+        }
+        self.comm.allgather_seconds += wait;
+        self.comm.allgather_bytes += received;
+    }
+
     /// Charge `cell`'s compute phases of iteration `iter` — the host
     /// durations of [`Pipeline::step_phases`] — speed-scaled to its rank clock.
     fn charge_compute(&mut self, iter: usize, cell: usize, measured: [Duration; 4]) {
@@ -325,7 +402,7 @@ impl VirtualExchange<'_> {
             tel.metrics.rejoined.inc();
         }
         // The ingest copy (`measured[0]`) is not charged: on the cluster the
-        // gathered frame is consumed where the allgather left it.
+        // gathered frame is consumed where the exchange left it.
         let compute = [Routine::Mutate, Routine::Train, Routine::UpdateGenomes];
         for (routine, host) in compute.into_iter().zip(&measured[1..]) {
             let t0 = vns(clock.now());
@@ -336,84 +413,19 @@ impl VirtualExchange<'_> {
 }
 
 impl Exchange for VirtualExchange<'_> {
-    /// Gather accounting for iteration `iter`: snapshot cost, then the
-    /// allgather — a sync point in sync mode and at the async bootstrap, the
-    /// exposed wait on the in-flight generation otherwise.
+    /// Post generation `iter`: each live rank's clock pays its snapshot
+    /// cost and the per-iteration overhead; the gather is charged once the
+    /// step is done ([`VirtualExchange::gather`]), because only the engines
+    /// know who reads whom.
     fn begin(&mut self, iter: usize, frame: &[FrameSlot], costs: &[Duration]) {
-        let cells = self.clocks.len();
-        let live: Vec<usize> = (0..cells).filter(|&c| !self.absent(c, iter)).collect();
-        let mut posted_at = vec![0.0f64; cells];
-        let mut max_bytes = 0usize;
-        for &c in &live {
+        for c in 0..self.clocks.len() {
+            if self.absent(c, iter) {
+                continue;
+            }
             let virt = costs[c].as_secs_f64() * self.speed_of(c);
             self.clocks[c].advance(virt + self.opts.per_iteration_overhead);
-            posted_at[c] = self.clocks[c].now();
-            max_bytes = max_bytes.max(frame[c].as_ref().map_or(0, |s| s.wire_size()));
-        }
-        // Allgather: every *live* rank waits for the slowest of them, then
-        // pays the transfer cost (a dead rank neither delays the sync nor
-        // counts as the fastest participant).
-        let sync = live.iter().map(|&c| posted_at[c]).fold(0.0, f64::max);
-        let min_live = live.iter().map(|&c| posted_at[c]).fold(f64::INFINITY, f64::min);
-        let xfer = self.cost.allgather(cells, max_bytes);
-        self.comm.allgather_bytes += max_bytes * cells;
-        if let Some(sched) = self.fault.filter(|s| self.absent(s.cell, iter)) {
-            // Each cell that reads the victim substitutes its cached
-            // snapshot this round, as a real rank does.
-            let (victim, at) = (sched.cell, vns(sync));
-            for c in
-                (0..cells).filter(|&c| c != victim && self.grid.neighbors(c).contains(&victim))
-            {
-                let tel = &mut self.tels[c];
-                tel.record_at(EventKind::Degraded, c as u32, iter as u32, victim as u64, at);
-                tel.metrics.degraded_iters.inc();
-            }
-        }
-        // BSP (and the async bootstrap round, which blocks on its own
-        // generation): wait for the slowest live rank, then pay the
-        // transfer. Overlapped: generation `iter` is merely *begun* here;
-        // the rank blocks only until the in-flight generation `iter-1`
-        // completes — whatever part of that exchange the previous compute
-        // phase failed to hide, usually nothing. The model charges the post
-        // nothing: it assumes a post does not block, which holds in process
-        // (a reference-count hand-off). A TCP rank writes each post to the
-        // socket on its own thread; on loopback that cost 3×3 ranks about
-        // 0.6 % of an iteration, but on a slow link it would take up to
-        // `xfer` of the rank's time, which this model leaves out.
-        let blocking = !self.async_mode || iter == 0;
-        self.comm.allgather_seconds += if blocking {
-            xfer + (sync - min_live)
-        } else {
-            (self.pending_complete - min_live).max(0.0)
-        };
-        for &c in &live {
-            let clock = &mut self.clocks[c];
-            let before = clock.now();
-            let (posted, consumed, exchange_wall) = if blocking {
-                clock.sync_to(sync);
-                clock.advance(xfer);
-                (before, iter, clock.now() - before)
-            } else {
-                clock.sync_to(self.pending_complete);
-                (posted_at[c], iter - 1, self.pending_complete - self.prev_submit[c])
-            };
-            // Gather time as a rank perceives it: wait (+ transfer).
-            let (t0, t1) = (vns(before), vns(clock.now()));
-            let (cell, it) = (c as u32, iter as u32);
-            let tel = &mut self.tels[c];
-            tel.record_at(EventKind::ExchangeBegin, cell, it, iter as u64, vns(posted));
-            tel.span_at(Routine::Gather, cell, it, t0, t1 - t0);
-            tel.record_at(EventKind::ExchangeComplete, cell, it, consumed as u64, t1);
-            tel.metrics.exchange_wall_ns.add(vns(exchange_wall));
-        }
-        if self.async_mode {
-            // Generation `iter` completes once every contribution is in
-            // and the transfer of the generation before it (busy until
-            // `pending_complete`) has finished.
-            self.pending_complete = sync.max(self.pending_complete) + xfer;
-            for &c in &live {
-                self.prev_submit[c] = posted_at[c];
-            }
+            self.posts[c] =
+                (self.clocks[c].now(), frame[c].as_ref().map_or(0, |s| s.wire_size()));
         }
     }
 
@@ -430,140 +442,85 @@ mod tests {
         rng.uniform_matrix(cfg.training.dataset_size, cfg.network.data_dim, -0.9, 0.9)
     }
 
-    #[test]
-    fn sim_run_completes_with_virtual_wall() {
-        let cfg = TrainConfig::smoke(2);
-        let sim = SimulatedCluster::cluster_uy(SimulationOptions::default());
-        let outcome = sim.run(&cfg, |_| toy_data(&cfg));
-        assert_eq!(outcome.report.driver, "cluster-sim");
-        assert_eq!(outcome.report.cells.len(), 4);
-        assert!(outcome.virtual_wall() > 0.0);
-        assert!(outcome.host_seconds > 0.0);
-        assert_eq!(outcome.rank_clocks.len(), 4);
-        assert!(outcome.imbalance() >= 1.0);
-    }
-
-    #[test]
-    fn sim_results_match_sequential_exactly() {
-        let cfg = TrainConfig::smoke(2);
-        let sim = SimulatedCluster::new(
-            ClusterSpec::dedicated(1, 8),
-            CommCost::cluster_uy(),
-            SimulationOptions::default(),
-        );
-        let outcome = sim.run(&cfg, |_| toy_data(&cfg));
-
-        let mut seq = lipiz_core::sequential::SequentialTrainer::new(&cfg, |_| toy_data(&cfg));
-        let seq_report = seq.run();
-        for (a, b) in outcome.report.cells.iter().zip(&seq_report.cells) {
-            assert_eq!(a.gen_fitness, b.gen_fitness, "cell {}", a.cell);
-            assert_eq!(a.mixture_weights, b.mixture_weights, "cell {}", a.cell);
+    /// Two runs trained the same: every cell's fitnesses and mixture, and
+    /// the best cell.
+    fn assert_same_training(a: &TrainReport, b: &TrainReport) {
+        assert_eq!(a.cells.len(), b.cells.len());
+        for (x, y) in a.cells.iter().zip(&b.cells) {
+            assert_eq!(
+                (x.gen_fitness, x.disc_fitness, &x.mixture_weights),
+                (y.gen_fitness, y.disc_fitness, &y.mixture_weights),
+                "cell {}",
+                x.cell
+            );
         }
-        assert_eq!(outcome.report.best_cell, seq_report.best_cell);
+        assert_eq!(a.best_cell, b.best_cell);
     }
 
     #[test]
-    fn resumed_sim_matches_uninterrupted() {
-        // Pause the simulated cluster after one iteration (capturing through
-        // the per-iteration hook), resume from the states, and require the
-        // final training results to agree exactly with an uninterrupted run.
-        let mut cfg = TrainConfig::smoke(2);
-        cfg.coevolution.iterations = 3;
-        let sim = SimulatedCluster::cluster_uy(SimulationOptions::default());
-        let reference = sim.run(&cfg, |_| toy_data(&cfg));
-
-        let mut states: Vec<CellState> = Vec::new();
-        let paused_cfg = cfg.clone().with_pause_after(1);
-        let _ = sim.run_resumable(
-            &paused_cfg,
-            |_| toy_data(&paused_cfg),
-            None,
-            |iter, engines, _| {
-                if iter == 0 {
-                    states = engines.iter_mut().map(|e| e.capture_state()).collect();
-                }
-            },
-        );
-        assert_eq!(states.len(), 4, "pause hook never captured");
-
-        let resumed = sim.run_resumable(&cfg, |_| toy_data(&cfg), Some(&states), |_, _, _| {});
-        assert_eq!(resumed.report.iterations, 3);
-        for (a, b) in resumed.report.cells.iter().zip(&reference.report.cells) {
-            assert_eq!(a.gen_fitness, b.gen_fitness, "cell {}", a.cell);
-            assert_eq!(a.disc_fitness, b.disc_fitness, "cell {}", a.cell);
-            assert_eq!(a.mixture_weights, b.mixture_weights, "cell {}", a.cell);
-        }
-        assert_eq!(resumed.report.best_cell, reference.report.best_cell);
-    }
-
-    #[test]
-    fn async_sim_matches_sequential_async_exactly() {
+    fn sim_matches_sequential_exactly_sync_and_async() {
         // `--exchange async` is still a pure function of (seed, config):
         // the virtual cluster and the sequential trainer must agree
         // bit-for-bit — while both diverge from the sync trajectory.
-        let cfg = TrainConfig::smoke(2).with_exchange(lipiz_core::ExchangeMode::Async);
         let sim = SimulatedCluster::cluster_uy(SimulationOptions::default());
-        let outcome = sim.run(&cfg, |_| toy_data(&cfg));
-
-        let mut seq = lipiz_core::sequential::SequentialTrainer::new(&cfg, |_| toy_data(&cfg));
-        let seq_report = seq.run();
-        for (a, b) in outcome.report.cells.iter().zip(&seq_report.cells) {
-            assert_eq!(a.gen_fitness, b.gen_fitness, "cell {}", a.cell);
-            assert_eq!(a.disc_fitness, b.disc_fitness, "cell {}", a.cell);
-            assert_eq!(a.mixture_weights, b.mixture_weights, "cell {}", a.cell);
+        let mut reports = Vec::new();
+        for cfg in [
+            TrainConfig::smoke(2),
+            TrainConfig::smoke(2).with_exchange(lipiz_core::ExchangeMode::Async),
+        ] {
+            let outcome = sim.run(&cfg, |_| toy_data(&cfg));
+            let mut seq =
+                lipiz_core::sequential::SequentialTrainer::new(&cfg, |_| toy_data(&cfg));
+            assert_same_training(&outcome.report, &seq.run());
+            reports.push(outcome.report);
         }
-        assert_eq!(outcome.report.best_cell, seq_report.best_cell);
-
-        let sync_cfg = TrainConfig::smoke(2);
-        let sync = sim.run(&sync_cfg, |_| toy_data(&sync_cfg));
         assert!(
-            outcome
-                .report
+            reports[0]
                 .cells
                 .iter()
-                .zip(&sync.report.cells)
+                .zip(&reports[1].cells)
                 .any(|(a, b)| a.gen_fitness != b.gen_fitness),
             "async run did not diverge from sync — staleness never applied"
         );
     }
 
     #[test]
-    fn resumed_async_sim_matches_uninterrupted() {
-        // The checkpointed exchange frame must carry the one-generation
-        // pipeline across a pause: capture at iteration 0 (with the frame
-        // iteration 1 consumes), resume, and require bit-identical results.
-        let mut cfg = TrainConfig::smoke(2);
-        cfg.coevolution.iterations = 3;
-        let cfg = cfg.with_exchange(lipiz_core::ExchangeMode::Async);
-        let sim = SimulatedCluster::cluster_uy(SimulationOptions::default());
-        let reference = sim.run(&cfg, |_| toy_data(&cfg));
+    fn resumed_sim_matches_uninterrupted_sync_and_async() {
+        // Pause the simulated cluster after one iteration, capturing each
+        // cell through the per-iteration hook with the frame iteration 1
+        // consumes (none in sync mode; under async the checkpointed frame
+        // carries the one-generation pipeline across the pause), resume from
+        // the states, and require bit-identical results.
+        for exchange in [lipiz_core::ExchangeMode::Sync, lipiz_core::ExchangeMode::Async] {
+            let mut cfg = TrainConfig::smoke(2).with_exchange(exchange);
+            cfg.coevolution.iterations = 3;
+            let sim = SimulatedCluster::cluster_uy(SimulationOptions::default());
+            let reference = sim.run(&cfg, |_| toy_data(&cfg));
 
-        let mut states: Vec<CellState> = Vec::new();
-        let paused_cfg = cfg.clone().with_pause_after(1);
-        let _ = sim.run_resumable(
-            &paused_cfg,
-            |_| toy_data(&paused_cfg),
-            None,
-            |iter, engines, frame| {
-                if iter == 0 {
-                    assert_eq!(frame.len(), 4, "async hook must expose the frame");
-                    states = engines
-                        .iter_mut()
-                        .map(|e| lipiz_core::pipeline::capture_with_frame(e, frame, None))
-                        .collect();
-                }
-            },
-        );
-        assert_eq!(states.len(), 4, "pause hook never captured");
+            let mut states: Vec<CellState> = Vec::new();
+            let paused_cfg = cfg.clone().with_pause_after(1);
+            let _ = sim.run_resumable(
+                &paused_cfg,
+                |_| toy_data(&paused_cfg),
+                None,
+                |iter, engines, frame| {
+                    if iter == 0 {
+                        let want = if exchange.is_async() { 4 } else { 0 };
+                        assert_eq!(frame.len(), want, "{exchange:?} hook frame");
+                        states = engines
+                            .iter_mut()
+                            .map(|e| lipiz_core::pipeline::capture_with_frame(e, frame, None))
+                            .collect();
+                    }
+                },
+            );
+            assert_eq!(states.len(), 4, "pause hook never captured");
 
-        let resumed = sim.run_resumable(&cfg, |_| toy_data(&cfg), Some(&states), |_, _, _| {});
-        assert_eq!(resumed.report.iterations, 3);
-        for (a, b) in resumed.report.cells.iter().zip(&reference.report.cells) {
-            assert_eq!(a.gen_fitness, b.gen_fitness, "cell {}", a.cell);
-            assert_eq!(a.disc_fitness, b.disc_fitness, "cell {}", a.cell);
-            assert_eq!(a.mixture_weights, b.mixture_weights, "cell {}", a.cell);
+            let resumed =
+                sim.run_resumable(&cfg, |_| toy_data(&cfg), Some(&states), |_, _, _| {});
+            assert_eq!(resumed.report.iterations, 3);
+            assert_same_training(&resumed.report, &reference.report);
         }
-        assert_eq!(resumed.report.best_cell, reference.report.best_cell);
     }
 
     #[test]
@@ -617,6 +574,8 @@ mod tests {
         };
         let a = run(1);
         let b = run(2);
+        assert_eq!(a.report.driver, "cluster-sim");
+        assert!(a.virtual_wall() > 0.0 && a.host_seconds > 0.0 && a.imbalance() >= 1.0);
         // Different placements/jitter, same deterministic training results.
         for (x, y) in a.report.cells.iter().zip(&b.report.cells) {
             assert_eq!(x.gen_fitness, y.gen_fitness);
@@ -626,10 +585,11 @@ mod tests {
 
     #[test]
     fn straggler_stretches_wall_but_not_results() {
-        // Single iteration + zero comm cost: no BSP sync ever equalizes the
-        // clocks, so the victim's 100x slowdown must show up as within-run
-        // imbalance regardless of host-timing noise (all ranks are measured
-        // in the same run, and the factor dwarfs any contention skew).
+        // Single iteration + zero comm cost: the victim's readers wait only
+        // for its (short) post, never for its compute, so its 100x slowdown
+        // must show up as within-run imbalance regardless of host-timing
+        // noise (all ranks are measured in the same run, and the factor
+        // dwarfs any contention skew).
         let mut cfg = TrainConfig::smoke(2);
         cfg.coevolution.iterations = 1;
         let opts = SimulationOptions { per_iteration_overhead: 0.0, ..Default::default() };
@@ -794,12 +754,79 @@ mod tests {
         assert_eq!(summaries[2].rejoined, 1);
     }
 
+    /// Post and gather generation 0 of a 4×4 Cross5 grid on fresh virtual
+    /// clocks, every snapshot costing `post` of host time, and hand the
+    /// exchange and one snapshot's wire size to `check`.
+    fn gather_4x4(
+        cost: CommCost,
+        opts: SimulationOptions,
+        post: Duration,
+        check: impl FnOnce(&VirtualExchange, usize),
+    ) {
+        let mut cfg = TrainConfig::smoke(4);
+        cfg.telemetry.enabled = true;
+        let mut grid =
+            Pipeline::whole_grid(&cfg, |_| toy_data(&cfg), None, Telemetry::disabled());
+        grid.step(&mut lipiz_core::InMemoryExchange);
+        let sim = SimulatedCluster::new(ClusterSpec::dedicated(1, 32), cost, opts);
+        let placement = Placement::allocate(&sim.spec, 17, 1);
+        let mut vx = VirtualExchange::new(&sim, &cfg, &placement, None);
+        vx.begin(0, grid.latest_frame(), &[post; 16]);
+        vx.gather(0, grid.engines());
+        check(&vx, grid.latest_frame()[0].as_ref().unwrap().wire_size());
+    }
+
     #[test]
-    fn gather_time_includes_wait_and_transfer() {
-        let cfg = TrainConfig::smoke(2);
-        let sim = SimulatedCluster::cluster_uy(SimulationOptions::default());
-        let outcome = sim.run(&cfg, |_| toy_data(&cfg));
+    fn neighbour_exchange_receives_four_snapshots_per_rank() {
+        // β = 1 s/B and nothing else charged: a rank's clock after the
+        // gather is the bytes it received — its four neighbours' snapshots,
+        // not all fifteen other cells'.
+        let opts = SimulationOptions { per_iteration_overhead: 0.0, ..Default::default() };
+        gather_4x4(CommCost { alpha: 0.0, beta: 1.0 }, opts, Duration::ZERO, |vx, wire| {
+            for (c, clock) in vx.clocks.iter().enumerate() {
+                assert_eq!(clock.now(), (4 * wire) as f64, "rank {c}");
+            }
+            assert_eq!(vx.comm.allgather_bytes, 4 * wire);
+        });
+
+        let cfg = TrainConfig::smoke(4);
+        let outcome = SimulatedCluster::cluster_uy(SimulationOptions::default())
+            .run(&cfg, |_| toy_data(&cfg));
+        let mut slot = None;
+        CellEngine::new(0, &cfg, toy_data(&cfg)).encode_snapshot_into(&mut slot);
+        let wire = slot.unwrap().wire_size();
+        assert_eq!(outcome.comm.allgather_bytes, cfg.coevolution.iterations * 4 * wire);
         assert!(outcome.report.profile.seconds(Routine::Gather) > 0.0);
-        assert!(outcome.comm.allgather_bytes > 0);
+    }
+
+    #[test]
+    fn neighbour_exchange_charges_no_wait_on_an_unread_cell() {
+        // Cell 5 posts 100× late. Its four readers end their gather no
+        // earlier than its post; every other rank ends before it. (Driven
+        // with fixed snapshot costs, so no host timing decides it.)
+        let k = 5;
+        let opts = SimulationOptions {
+            per_iteration_overhead: 0.0,
+            straggler: Some((k, 100.0)),
+            ..Default::default()
+        };
+        gather_4x4(CommCost::free(), opts, Duration::from_millis(1), |vx, _| {
+            let at = |c: usize, kind: EventKind| {
+                vx.tels[c].events().find(|e| e.kind == kind).expect("journaled").t_ns
+            };
+            let k_posts = at(k, EventKind::ExchangeBegin);
+            let grid = Grid::from_config(&TrainConfig::smoke(4).grid);
+            let readers: Vec<usize> =
+                (0..16).filter(|&c| grid.neighbors(c).contains(&k)).collect();
+            assert_eq!(readers, [1, 4, 6, 9]);
+            for c in (0..16).filter(|&c| c != k) {
+                let end = at(c, Routine::Gather.end_kind());
+                if readers.contains(&c) {
+                    assert!(end >= k_posts, "reader {c} ended its gather at {end} < {k_posts}");
+                } else {
+                    assert!(end < k_posts, "rank {c} waited on cell {k}: {end} ≥ {k_posts}");
+                }
+            }
+        });
     }
 }

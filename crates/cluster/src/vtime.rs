@@ -36,16 +36,6 @@ impl RankClock {
     }
 }
 
-/// Synchronize a set of clocks at a barrier: all jump to the max.
-/// Returns the barrier time.
-pub fn barrier(clocks: &mut [RankClock]) -> f64 {
-    let t = clocks.iter().map(|c| c.now()).fold(0.0, f64::max);
-    for c in clocks.iter_mut() {
-        c.sync_to(t);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,17 +56,6 @@ mod tests {
         assert_eq!(c.now(), 5.0);
         c.sync_to(7.0);
         assert_eq!(c.now(), 7.0);
-    }
-
-    #[test]
-    fn barrier_aligns_all_clocks() {
-        let mut clocks = vec![RankClock::new(), RankClock::new(), RankClock::new()];
-        clocks[0].advance(1.0);
-        clocks[1].advance(3.0);
-        clocks[2].advance(2.0);
-        let t = barrier(&mut clocks);
-        assert_eq!(t, 3.0);
-        assert!(clocks.iter().all(|c| c.now() == 3.0));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::config::{AdversaryStrategy, LossMode, TrainConfig};
 use crate::individual::{Individual, SubPopulation};
 use crate::mixture::{EnsembleModel, MixtureWeights};
+use crate::pipeline::FrameSlot;
 use crate::profiling::Routine;
 use crate::resume::CellState;
 use crate::snapshot::{CellSnapshot, EncodedSnapshot, Genome, SnapshotRef};
@@ -30,6 +31,8 @@ use std::time::Duration;
 /// [`CellScratch`] the caller lends to [`CellEngine::run_iteration`].
 pub struct CellEngine {
     cell_index: usize,
+    /// [`CellEngine::neighbor_slots`], computed once.
+    neighbors: Vec<usize>,
     cfg: TrainConfig,
     net_cfg: NetworkConfig,
     gen_shape: MlpShape,
@@ -145,6 +148,7 @@ impl CellEngine {
 
         Self {
             cell_index,
+            neighbors: Grid::from_config(&cfg.grid).neighbors(cell_index),
             cfg: cfg.clone(),
             net_cfg,
             gen_shape,
@@ -186,6 +190,7 @@ impl CellEngine {
 
         Self {
             cell_index: state.cell,
+            neighbors: Grid::from_config(&cfg.grid).neighbors(state.cell),
             cfg: cfg.clone(),
             net_cfg,
             gen_shape: net_cfg.generator_shape(),
@@ -261,8 +266,8 @@ impl CellEngine {
 
     /// The exchange-frame slots this cell imports — its grid neighbours, in
     /// neighbour-slot order, wrap-around duplicates preserved.
-    pub fn neighbor_slots(&self) -> Vec<usize> {
-        Grid::from_config(&self.cfg.grid).neighbors(self.cell_index)
+    pub fn neighbor_slots(&self) -> &[usize] {
+        &self.neighbors
     }
 
     /// Iterations completed so far.
@@ -365,6 +370,23 @@ impl CellEngine {
             timed(Routine::UpdateGenomes, &mut || self.update_phase(scratch)),
         ];
         self.iteration += 1;
+        phases
+    }
+
+    /// [`CellEngine::run_iteration`] against an exchange frame (one slot
+    /// per grid cell), importing the slots this cell reads straight from
+    /// their bytes — the form [`crate::Pipeline`] runs.
+    pub fn run_iteration_on(
+        &mut self,
+        frame: &[FrameSlot],
+        scratch: &mut CellScratch,
+        tel: &mut Telemetry,
+    ) -> [Duration; 4] {
+        // Lent out while the ingest writes the import slots (no allocation).
+        let reads = std::mem::take(&mut self.neighbors);
+        let imports = reads.iter().map(|&slot| import(&frame[slot]));
+        let phases = self.run_iteration(imports, scratch, tel);
+        self.neighbors = reads;
         phases
     }
 
@@ -664,6 +686,13 @@ fn clone_members_into(src: &[Individual], dst: &mut Vec<Individual>) {
             None => dst.push(m.clone()),
         }
     }
+}
+
+/// What an engine imports from a frame slot: the snapshot, read straight
+/// from its buffer — or, for a slot the rank does not read, a pair without
+/// genomes, which the ingest refuses by its length.
+fn import(slot: &FrameSlot) -> SnapshotRef<'_> {
+    slot.as_ref().map_or(SnapshotRef::EMPTY, EncodedSnapshot::view)
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use lipiz_nn::{Activation, GanLoss, NetworkConfig};
 use lipiz_wire::{wire_struct, Wire, WireError};
+use std::time::Duration;
 
 /// Neighborhood shape; re-exported through [`crate::topology`].
 pub use crate::topology::NeighborhoodPattern;
@@ -361,10 +362,11 @@ impl CheckpointConfig {
 /// and a degraded run stays a pure function of `(seed, plan)`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultConfig {
-    /// Milliseconds between master heartbeat rounds (`0` = driver default).
+    /// Milliseconds between master heartbeat rounds (`0` = the default,
+    /// see [`FaultConfig::heartbeat_interval`]).
     pub heartbeat_interval_ms: u64,
     /// Consecutive missed heartbeat rounds that convict a slave as dead
-    /// (`0` = keep the driver's default policy).
+    /// (`0` = the default, see [`FaultConfig::convict_after`]).
     pub heartbeat_misses: usize,
     /// How many consecutive iterations a dead rank's neighbors may train
     /// against its last-known snapshot before the run escalates to
@@ -378,6 +380,22 @@ pub struct FaultConfig {
 wire_struct!(FaultConfig { heartbeat_interval_ms, heartbeat_misses, max_stale_iters, plan });
 
 impl FaultConfig {
+    /// Time between master heartbeat rounds ("Wait X seconds" in Fig. 3):
+    /// `heartbeat_interval_ms`, or 50 ms where it is 0.
+    pub fn heartbeat_interval(&self) -> Duration {
+        Duration::from_millis(match self.heartbeat_interval_ms {
+            0 => 50,
+            ms => ms,
+        })
+    }
+
+    /// Consecutive missed heartbeat rounds that convict a slave as dead:
+    /// `heartbeat_misses`, or `None` — never convict, monitoring only —
+    /// where it is 0.
+    pub fn convict_after(&self) -> Option<usize> {
+        (self.heartbeat_misses > 0).then_some(self.heartbeat_misses)
+    }
+
     /// Is stale-snapshot degradation armed?
     pub fn degradation_enabled(&self) -> bool {
         self.max_stale_iters > 0
@@ -717,6 +735,19 @@ mod tests {
         assert_eq!(cfg.fault, FaultConfig::default());
         assert!(!cfg.fault.degradation_enabled());
         assert!(cfg.fault.plan.is_none());
+    }
+
+    #[test]
+    fn unset_heartbeat_fields_resolve_to_the_defaults() {
+        // A manifest's zeros keep their meaning: 50 ms rounds, and no number
+        // of missed rounds convicts.
+        let fault = TrainConfig::smoke(2).fault;
+        assert_eq!((fault.heartbeat_interval_ms, fault.heartbeat_misses), (0, 0));
+        assert_eq!(fault.heartbeat_interval(), Duration::from_millis(50));
+        assert_eq!(fault.convict_after(), None);
+        let set = TrainConfig::smoke(2).with_heartbeat(25, 4).fault;
+        assert_eq!(set.heartbeat_interval(), Duration::from_millis(25));
+        assert_eq!(set.convict_after(), Some(4));
     }
 
     #[test]

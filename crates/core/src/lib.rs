@@ -10,8 +10,8 @@
 //! same four routines the paper profiles in Table IV:
 //!
 //! 1. **gather** — refresh the sub-populations with the neighbors' latest
-//!    centers (an allgather in the distributed runtime, a snapshot copy in
-//!    the sequential baseline);
+//!    centers (a neighbour exchange in the distributed runtime, a snapshot
+//!    copy in the sequential baseline);
 //! 2. **mutate** — Gaussian hyperparameter mutation of the learning rate
 //!    (Table I: rate 1e-4, probability 0.5) and, in Mustangs mode, mutation
 //!    of the generator's loss function over {minimax, heuristic,

@@ -5,8 +5,8 @@
 //! Table IV): snapshot the local centers, exchange them with the rest of
 //! the grid, then gather → mutate → train → update each local cell against
 //! the exchanged frame. [`Pipeline`] owns that schedule once — the local
-//! [`CellEngine`]s, the precomputed neighbour table and the rank's read
-//! set, the two recycled frame buffers, the frame-selection rule
+//! [`CellEngine`]s (each knows the slots it reads), the rank's read set,
+//! the two recycled frame buffers, the frame-selection rule
 //! ([`select_frame`]), the frame a checkpoint cut carries, resume
 //! re-entry, and a replacement's solo catch-up — and talks to the rest of
 //! the grid only through the small [`Exchange`] trait. The sequential
@@ -67,7 +67,7 @@ use crate::cell::{CellEngine, CellScratch};
 use crate::config::{ExchangeMode, TrainConfig};
 use crate::profiling::Routine;
 use crate::resume::CellState;
-use crate::snapshot::{EncodedSnapshot, SnapshotRef};
+use crate::snapshot::EncodedSnapshot;
 use lipiz_telemetry::{EventKind, Telemetry, NO_CELL};
 use lipiz_tensor::Matrix;
 use std::sync::Arc;
@@ -146,12 +146,12 @@ pub fn select_frame(
 
 /// Capture `engine`'s training state — into `recycled` when the caller has
 /// a spent buffer — and stamp the cut with the frame its next iteration
-/// consumes: of `frame` exactly the slots the cell reads (`Grid::neighbors`
-/// of its index), as handles on the same buffers, every other slot `None`,
-/// so a cell's cut holds the same bytes whichever driver — and however
-/// large a frame — it was taken from. Nothing is decoded or copied. `frame`
-/// is empty in sync mode, which also clears a stale frame left in a
-/// recycled buffer.
+/// consumes: of `frame` exactly the slots the cell reads
+/// ([`CellEngine::neighbor_slots`]), as handles on the same buffers, every
+/// other slot `None`, so a cell's cut holds the same bytes whichever driver
+/// — and however large a frame — it was taken from. Nothing is decoded or
+/// copied. `frame` is empty in sync mode, which also clears a stale frame
+/// left in a recycled buffer.
 ///
 /// # Panics
 /// Panics if a non-empty `frame` lacks a slot the cell reads.
@@ -169,7 +169,7 @@ pub fn capture_with_frame(
     };
     let reads = engine.neighbor_slots();
     if !frame.is_empty() {
-        assert_covers(frame, &reads, "the frame of a checkpoint cut");
+        assert_covers(frame, reads, "the frame of a checkpoint cut");
     }
     state.exchange_frame.clear();
     let read = |(slot, src): (usize, &FrameSlot)| src.clone().filter(|_| reads.contains(&slot));
@@ -189,10 +189,8 @@ struct Rejoin {
 pub struct Pipeline {
     cfg: TrainConfig,
     engines: Vec<CellEngine>,
-    /// `neighbors[k]`: the frame slots local engine `k` imports, in
-    /// neighbour-slot order.
-    neighbors: Vec<Vec<usize>>,
-    /// The union of `neighbors`, ascending: every slot this rank reads.
+    /// The union of the local engines' neighbour slots, ascending: every
+    /// slot this rank reads.
     read_set: Vec<usize>,
     /// The generation being gathered (and, in sync mode, consumed).
     cur: Vec<FrameSlot>,
@@ -223,9 +221,8 @@ impl Pipeline {
     /// grid, each at the same iteration). `telemetry` is the rank's
     /// recorder; pass a disabled one to total without journaling.
     pub fn new(cfg: &TrainConfig, engines: Vec<CellEngine>, mut telemetry: Telemetry) -> Self {
-        let neighbors: Vec<Vec<usize>> =
-            engines.iter().map(CellEngine::neighbor_slots).collect();
-        let mut read_set = neighbors.concat();
+        let mut read_set: Vec<usize> =
+            engines.iter().flat_map(|e| e.neighbor_slots().iter().copied()).collect();
         read_set.sort_unstable();
         read_set.dedup();
         let span_cell = match engines.as_slice() {
@@ -237,7 +234,6 @@ impl Pipeline {
         }
         Self {
             cfg: cfg.clone(),
-            neighbors,
             read_set,
             cur: Vec::new(),
             prev: Vec::new(),
@@ -292,8 +288,8 @@ impl Pipeline {
         let mut pipeline = Self::new(cfg, engines, telemetry);
         // Each cut carries the slots its cell reads, all of one generation.
         let mut frame = vec![None; states[0].exchange_frame.len()];
-        for (state, reads) in states.iter().zip(&pipeline.neighbors) {
-            for &slot in reads {
+        for (state, engine) in states.iter().zip(&pipeline.engines) {
+            for &slot in engine.neighbor_slots() {
                 if let Some(Some(src)) = state.exchange_frame.get(slot) {
                     frame[slot] = Some(src.clone());
                 }
@@ -342,7 +338,7 @@ impl Pipeline {
     /// Panics if `frozen` is not grid-sized or lacks a slot the engine reads.
     pub fn rejoin(&mut self, local: usize, round: usize, frozen: Vec<FrameSlot>) {
         assert_eq!(frozen.len(), self.cfg.cells(), "death-frame size vs grid");
-        assert_covers(&frozen, &self.neighbors[local], "death-frame");
+        assert_covers(&frozen, self.engines[local].neighbor_slots(), "death-frame");
         self.rejoin = Some(Rejoin { local, round, frozen });
     }
 
@@ -386,7 +382,7 @@ impl Pipeline {
         let stale = self.cfg.exchange.is_async() && iter >= 1;
 
         // Everything up to the consumed frame being in hand is the gather
-        // routine, exactly as Table IV charges the allgather.
+        // routine, exactly as Table IV charges the exchange.
         let span = self.telemetry.begin(Routine::Gather, self.span_cell, it);
         // Async: the in-flight generation `iter - 1` lands before generation
         // `iter` is posted, so at most one is ever in flight — and a
@@ -444,9 +440,8 @@ impl Pipeline {
                     FrameChoice::DeathFrame => &self.rejoin.as_ref().expect("rejoiner").frozen,
                 };
             assert_eq!(frame.len(), cells, "exchange frame lost a generation");
-            let imports = self.neighbors[k].iter().map(|&slot| import(&frame[slot]));
             self.step_phases[k] =
-                engine.run_iteration(imports, &mut self.scratch, &mut self.telemetry);
+                engine.run_iteration_on(frame, &mut self.scratch, &mut self.telemetry);
         }
 
         if self.cfg.exchange.is_async() {
@@ -484,9 +479,8 @@ impl Pipeline {
         let iter = engine.iterations_done() as u32;
         self.telemetry.instant(EventKind::Degraded, cell, iter, cell as u64);
         self.telemetry.metrics.degraded_iters.inc();
-        let imports = self.neighbors[r.local].iter().map(|&slot| import(&r.frozen[slot]));
         self.step_phases[r.local] =
-            engine.run_iteration(imports, &mut self.scratch, &mut self.telemetry);
+            engine.run_iteration_on(&r.frozen, &mut self.scratch, &mut self.telemetry);
         if engine.iterations_done() == r.round {
             self.telemetry.metrics.rejoined.inc();
             self.telemetry.instant(EventKind::Rejoin, cell, r.round as u32, 0);
@@ -580,13 +574,6 @@ fn next_frame<'a>(
         FrameChoice::DeathFrame => &rejoin.as_ref().expect("rejoiner").frozen,
         FrameChoice::Generation(_) => prev,
     }
-}
-
-/// What an engine imports from a frame slot: the snapshot, read straight
-/// from its buffer — or, for a slot the rank does not read, a pair without
-/// genomes, which the ingest refuses by its length.
-fn import(slot: &FrameSlot) -> SnapshotRef<'_> {
-    slot.as_ref().map_or(SnapshotRef::EMPTY, EncodedSnapshot::view)
 }
 
 /// Assert `frame` holds a snapshot in every one of `slots`.

@@ -3,7 +3,7 @@
 //! Runs every grid cell in one process, one after another: the whole grid
 //! is one rank of the iteration [`Pipeline`], so every cell is local and
 //! the exchange is [`InMemoryExchange`] — snapshotting all centers *is* the
-//! allgather. The schedule, the sync/async frame rule and the checkpoint
+//! exchange. The schedule, the sync/async frame rule and the checkpoint
 //! frame are the pipeline's, shared with the distributed runtime and the
 //! cluster simulator, which is why the three are bit-identical. This file
 //! only builds the engines, drives the loop and assembles the report.

@@ -14,35 +14,14 @@ use std::net::{TcpListener, ToSocketAddrs};
 use std::time::Duration;
 
 /// Knobs for the distributed runtime that are not part of the training
-/// configuration proper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// configuration proper. The heartbeat policy is part of it: see
+/// [`lipiz_core::config::FaultConfig`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DistributedOptions {
-    /// Delay between heartbeat rounds ("Wait X seconds" in Fig. 3) where
-    /// the config's `fault.heartbeat_interval_ms` is unset.
-    pub heartbeat_interval: Duration,
-    /// Per-round heartbeat response deadline; `None` derives
-    /// `max(heartbeat_interval, 50ms)`.
-    pub response_timeout: Option<Duration>,
-    /// Consecutive missed heartbeat rounds after which a slave is declared
-    /// dead and the run aborts for recovery, where the config's
-    /// `fault.heartbeat_misses` is unset. `0` (the default) never declares
-    /// death — monitoring only, the pre-elastic behavior.
-    pub deadline_misses: usize,
     /// Start every slave from this committed checkpoint iteration instead
     /// of initializing fresh (the config's checkpoint directory names the
     /// files). `None` = fresh run.
     pub resume_from: Option<usize>,
-}
-
-impl Default for DistributedOptions {
-    fn default() -> Self {
-        Self {
-            heartbeat_interval: Duration::from_millis(50),
-            response_timeout: None,
-            deadline_misses: 0,
-            resume_from: None,
-        }
-    }
 }
 
 /// Launch `cells + 1` ranks (Table II: an `m×m` grid uses `m² + 1` tasks),
@@ -320,14 +299,10 @@ mod tests {
 
     #[test]
     fn heartbeat_observes_progress() {
-        let mut cfg = TrainConfig::smoke(2);
+        let mut cfg = TrainConfig::smoke(2).with_heartbeat(5, 0);
         // Enough work that at least one heartbeat round lands mid-training.
         cfg.coevolution.iterations = 6;
-        let opts = DistributedOptions {
-            heartbeat_interval: Duration::from_millis(5),
-            ..DistributedOptions::default()
-        };
-        let outcome = run_distributed(&cfg, toy_data, opts);
+        let outcome = run_distributed(&cfg, toy_data, DistributedOptions::default());
         assert!(!outcome.heartbeat.is_empty(), "no heartbeat rounds ran");
     }
 }

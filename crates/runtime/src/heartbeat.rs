@@ -64,10 +64,10 @@ pub const NO_DEAD_SLAVE: i64 = -1;
 /// training for its status, waits up to `response_timeout` for each answer
 /// in turn, records the results, then sleeps `interval`.
 ///
-/// A slave that misses `deadline_misses` *consecutive* rounds is declared
+/// A slave that misses `convict_after` *consecutive* rounds is declared
 /// dead — its WORLD rank is published into `first_dead` (first death wins;
-/// the flag starts at [`NO_DEAD_SLAVE`]). `deadline_misses == 0` never
-/// declares anyone dead: monitoring only. The loop keeps observing after a
+/// the flag starts at [`NO_DEAD_SLAVE`]). `None` never declares anyone
+/// dead: monitoring only. The loop keeps observing after a
 /// declaration — the master aborts its gather on the flag and stops the
 /// loop itself.
 ///
@@ -98,7 +98,7 @@ pub fn run_heartbeat_loop_with_deadline(
     cm: &CommManager,
     interval: Duration,
     response_timeout: Duration,
-    deadline_misses: usize,
+    convict_after: Option<usize>,
     stop: &AtomicBool,
     first_dead: &AtomicI64,
     tel: Option<&SharedTelemetry>,
@@ -158,10 +158,7 @@ pub fn run_heartbeat_loop_with_deadline(
                         // the conviction of a rank that is genuinely wedged
                         // with its connection still open.
                         exempt[slave] = true;
-                    } else if !exempt[slave]
-                        && deadline_misses > 0
-                        && *misses >= deadline_misses
-                    {
+                    } else if !exempt[slave] && convict_after.is_some_and(|n| *misses >= n) {
                         // First declared death wins; later ones keep the log
                         // but not the flag.
                         if first_dead
@@ -330,7 +327,7 @@ mod tests {
         use lipiz_core::{CellEngine, CellScratch, CellSnapshot, Grid, TrainConfig};
         use lipiz_telemetry::Telemetry;
 
-        let mut cfg = TrainConfig::smoke(2);
+        let mut cfg = TrainConfig::smoke(2).with_heartbeat(2, 0);
         cfg.grid.rows = 1;
         cfg.grid.cols = 2;
         cfg.coevolution.iterations = 3;
@@ -342,10 +339,7 @@ mod tests {
         let results = Universe::run(3, |world| {
             let mut cm = CommManager::new(world);
             if cm.is_master() {
-                let opts = DistributedOptions {
-                    heartbeat_interval: Duration::from_millis(2),
-                    ..DistributedOptions::default()
-                };
+                let opts = DistributedOptions::default();
                 return Some(run_master(&cm, &cfg, &opts, None).expect("monitor-only run"));
             }
             if cm.world_rank() == 1 {
@@ -416,7 +410,7 @@ mod tests {
                             &cm,
                             Duration::from_millis(5),
                             Duration::from_millis(20),
-                            2,
+                            Some(2),
                             &stop,
                             &first_dead,
                             None,
@@ -470,7 +464,7 @@ mod tests {
                             &cm,
                             Duration::from_millis(5),
                             Duration::from_millis(20),
-                            2,
+                            Some(2),
                             &stop,
                             &first_dead,
                             None,
@@ -529,7 +523,7 @@ mod tests {
                             &cm,
                             Duration::from_millis(5),
                             Duration::from_millis(15),
-                            1, // the harshest possible deadline
+                            Some(1), // the harshest possible deadline
                             &stop,
                             &first_dead,
                             None,
@@ -593,7 +587,7 @@ mod tests {
                         &cm,
                         Duration::from_millis(1),
                         RESPONSE_TIMEOUT,
-                        0,
+                        None,
                         &stop,
                         &first_dead,
                         None,
@@ -634,7 +628,7 @@ mod tests {
                         &cm,
                         Duration::from_millis(1),
                         Duration::from_secs(10),
-                        0,
+                        None,
                         &stop,
                         &AtomicI64::new(NO_DEAD_SLAVE),
                         None,
@@ -665,7 +659,7 @@ mod tests {
                             &cm,
                             Duration::from_millis(10),
                             Duration::from_millis(50),
-                            0,
+                            None,
                             &stop,
                             &AtomicI64::new(NO_DEAD_SLAVE),
                             None,

@@ -162,14 +162,7 @@ pub fn run_master(
     )
     .map_err(MasterAbort::FaultPlan)?;
 
-    let heartbeat_interval = match cfg.fault.heartbeat_interval_ms {
-        0 => opts.heartbeat_interval,
-        ms => Duration::from_millis(ms),
-    };
-    let deadline_misses = match cfg.fault.heartbeat_misses {
-        0 => opts.deadline_misses,
-        misses => misses,
-    };
+    let heartbeat_interval = cfg.fault.heartbeat_interval();
 
     // Master-side telemetry: the heartbeat thread journals misses and
     // convictions, the gather thread journals cleared verdicts, and the
@@ -216,9 +209,7 @@ pub fn run_master(
 
     // Heartbeat thread monitors in the background while the master waits
     // for the final gather; the gather aborts once a death is declared.
-    let response_timeout = opts
-        .response_timeout
-        .unwrap_or_else(|| heartbeat_interval.max(Duration::from_millis(50)));
+    let response_timeout = heartbeat_interval.max(Duration::from_millis(50));
     let stop = AtomicBool::new(false);
     let first_dead = AtomicI64::new(NO_DEAD_SLAVE);
     // Once-only replacement latch — a second conviction of the same rank,
@@ -245,7 +236,7 @@ pub fn run_master(
                 &hb_cm,
                 heartbeat_interval,
                 response_timeout,
-                deadline_misses,
+                cfg.fault.convict_after(),
                 stop_ref,
                 dead_ref,
                 Some(tel_ref),
@@ -502,18 +493,13 @@ mod tests {
         // name the dead rank — never wedge. (1×1 grid so no surviving slave
         // is left blocked in a collective.)
         use lipiz_mpi::Universe;
-        let mut cfg = lipiz_core::TrainConfig::smoke(2);
+        let mut cfg = lipiz_core::TrainConfig::smoke(2).with_heartbeat(5, 3);
         cfg.grid.rows = 1;
         cfg.grid.cols = 1;
         let results = Universe::run(2, |world| {
             let cm = crate::comm_manager::CommManager::new(world);
             if cm.is_master() {
-                let opts = crate::driver::DistributedOptions {
-                    heartbeat_interval: Duration::from_millis(5),
-                    response_timeout: Some(Duration::from_millis(10)),
-                    deadline_misses: 3,
-                    resume_from: None,
-                };
+                let opts = crate::driver::DistributedOptions::default();
                 Some(run_master(&cm, &cfg, &opts, None))
             } else {
                 // Take the workload, then die without a word.
@@ -542,18 +528,14 @@ mod tests {
         // as stale — the run completes instead of aborting.
         use crate::protocol::StatusReport;
         use lipiz_mpi::Universe;
-        let mut cfg = lipiz_core::TrainConfig::smoke(2);
+        // Harsh: two missed rounds (about 110 ms of silence) convict.
+        let mut cfg = lipiz_core::TrainConfig::smoke(2).with_heartbeat(5, 2);
         cfg.grid.rows = 1;
         cfg.grid.cols = 2;
         let results = Universe::run(3, |world| {
             let cm = crate::comm_manager::CommManager::new(world);
             if cm.is_master() {
-                let opts = crate::driver::DistributedOptions {
-                    heartbeat_interval: Duration::from_millis(5),
-                    response_timeout: Some(Duration::from_millis(10)),
-                    deadline_misses: 2, // harsh: ~30ms of silence convicts
-                    resume_from: None,
-                };
+                let opts = crate::driver::DistributedOptions::default();
                 return Some(run_master(&cm, &cfg, &opts, None));
             }
             cm.announce_node(&format!("node{}", cm.world_rank()));

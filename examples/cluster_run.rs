@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Part 1 executes the real §III protocol: master + m² slaves as ranks,
-//! node announcements, run-task messages, per-iteration LOCAL allgather,
+//! node announcements, run-task messages, per-iteration neighbour exchange,
 //! heartbeat monitoring, final GLOBAL gather and reduction.
 //!
 //! Part 2 re-runs the identical training on the virtual-time Cluster-UY
@@ -14,10 +14,9 @@
 //! sequential baseline — and asserts all three agree on the results.
 
 use lipizzaner::prelude::*;
-use std::time::Duration;
 
 fn main() {
-    let mut cfg = TrainConfig::smoke(2);
+    let mut cfg = TrainConfig::smoke(2).with_heartbeat(5, 0);
     cfg.coevolution.iterations = 4;
     cfg.training.batches_per_iteration = 3;
 
@@ -28,14 +27,7 @@ fn main() {
 
     // ---- Part 1: real threaded master/slave run -------------------------
     println!("== part 1: threaded master/slave runtime (m²+1 = 5 ranks) ==");
-    let outcome = run_distributed(
-        &cfg,
-        make_data,
-        DistributedOptions {
-            heartbeat_interval: Duration::from_millis(5),
-            ..DistributedOptions::default()
-        },
-    );
+    let outcome = run_distributed(&cfg, make_data, DistributedOptions::default());
     println!("node announcements:");
     for a in &outcome.announcements {
         println!("  world rank {} -> {}", a.rank, a.node_name);

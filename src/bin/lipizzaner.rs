@@ -401,7 +401,7 @@ fn run_training(cfg: TrainConfig, args: &[String], resume_from: Option<usize>) -
             (outcome.report, best, None)
         }
         "distributed" => {
-            let opts = DistributedOptions { resume_from, ..DistributedOptions::default() };
+            let opts = DistributedOptions { resume_from };
             let outcome = match transport {
                 TransportKind::InProcess => {
                     lipizzaner::runtime::run_distributed(&cfg, cli_make_data, opts)
@@ -675,6 +675,16 @@ fn launch_tcp_run(
         )
         .map_err(std::io::Error::other)?
         .is_some();
+    // Recovery needs a death verdict: where the config sets no heartbeat
+    // deadline, an armed run convicts after `ELASTIC_DEADLINE_MISSES`.
+    let armed;
+    let cfg = if (elastic || in_flight) && cfg.fault.heartbeat_misses == 0 {
+        let interval = cfg.fault.heartbeat_interval_ms;
+        armed = cfg.clone().with_heartbeat(interval, ELASTIC_DEADLINE_MISSES);
+        &armed
+    } else {
+        cfg
+    };
     let mut resume_from = base_opts.resume_from;
     let attempts = if elastic { MAX_RECOVERY_ATTEMPTS } else { 1 };
 
@@ -702,12 +712,7 @@ fn launch_tcp_run(
             println!("waiting for {} slaves to connect", cfg.cells());
         }
 
-        let opts = DistributedOptions {
-            // The default where the config's `heartbeat_misses` is unset.
-            deadline_misses: if elastic || in_flight { ELASTIC_DEADLINE_MISSES } else { 0 },
-            resume_from,
-            ..base_opts
-        };
+        let opts = DistributedOptions { resume_from };
         let addr_str = addr.to_string();
         let spawn_replacement = |victim: usize| -> std::io::Result<()> {
             println!("replacing slave world rank {victim} in-flight");
