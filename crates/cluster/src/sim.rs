@@ -27,7 +27,6 @@ use lipiz_core::{
 use lipiz_mpi::{scheduled_replacement, ReplacementSchedule};
 use lipiz_telemetry::{EventKind, Telemetry, TelemetrySummary};
 use lipiz_tensor::Matrix;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -207,13 +206,11 @@ impl SimulatedCluster {
 
         // Flush the virtual-time journals (same per-rank JSONL layout as
         // the distributed drivers, so `lipizzaner trace` merges either).
-        if let Some(dir) = cfg.telemetry.dir.as_deref() {
-            for t in &vx.tels {
-                let path = Path::new(dir).join(format!("node{:02}.jsonl", t.rank()));
-                if let Err(e) = t.write_journal(&path) {
-                    eprintln!("[sim] telemetry journal write failed: {e}");
-                }
-            }
+        for t in &vx.tels {
+            t.flush_journal(
+                cfg.telemetry.dir.as_deref(),
+                &format!("node{:02}.jsonl", t.rank()),
+            );
         }
 
         // Final result gather to the master (GLOBAL): after the slowest

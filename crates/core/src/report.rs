@@ -86,11 +86,6 @@ impl TrainReport {
     pub fn best(&self) -> &CellResult {
         &self.cells[self.best_cell]
     }
-
-    /// Speedup of this run relative to a baseline wall time.
-    pub fn speedup_vs(&self, baseline_seconds: f64) -> f64 {
-        baseline_seconds / self.wall_seconds.max(1e-12)
-    }
 }
 
 #[cfg(test)]
@@ -128,13 +123,5 @@ mod tests {
     fn best_points_to_best_cell() {
         let r = dummy_report(10.0);
         assert_eq!(r.best().cell, 1);
-    }
-
-    #[test]
-    fn speedup_math() {
-        let r = dummy_report(25.0);
-        assert!((r.speedup_vs(100.0) - 4.0).abs() < 1e-9);
-        let degenerate = dummy_report(0.0);
-        assert!(degenerate.speedup_vs(1.0).is_finite());
     }
 }

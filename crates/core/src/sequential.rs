@@ -125,7 +125,9 @@ impl SequentialTrainer {
             let (engines, frame) = self.pipeline.engines_and_next_frame();
             on_iteration(iter, engines, frame);
         }
-        self.write_journal();
+        self.pipeline
+            .telemetry()
+            .flush_journal(self.cfg.telemetry.dir.as_deref(), "node00.jsonl");
         let cells =
             self.pipeline.engines().iter().map(|e| CellResult::of(e, &self.grid)).collect();
         TrainReport::assemble(
@@ -136,17 +138,6 @@ impl SequentialTrainer {
             ProfileReport::of(&self.pipeline.telemetry().metrics),
             cells,
         )
-    }
-
-    /// Flush the journal to `<telemetry.dir>/node00.jsonl` (no-op when
-    /// telemetry is off or no directory is configured).
-    fn write_journal(&self) {
-        if let Some(dir) = &self.cfg.telemetry.dir {
-            let path = std::path::Path::new(dir).join("node00.jsonl");
-            if let Err(e) = self.pipeline.telemetry().write_journal(&path) {
-                eprintln!("telemetry: journal write failed ({}): {e}", path.display());
-            }
-        }
     }
 
     /// The run's telemetry aggregate. `iterations` counts grid iterations

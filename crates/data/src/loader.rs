@@ -129,17 +129,6 @@ impl BatchLoader {
         self.batch_size
     }
 
-    /// Number of full epochs completed so far.
-    pub fn epochs_completed(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Number of batches per epoch (floor; a trailing partial batch wraps
-    /// into the next epoch's permutation, matching common GAN loaders).
-    pub fn batches_per_epoch(&self) -> usize {
-        (self.data.rows() / self.batch_size).max(1)
-    }
-
     /// Next mini-batch of exactly `batch_size` rows.
     pub fn next_batch(&mut self) -> Matrix {
         let mut out = Matrix::default();
@@ -214,9 +203,9 @@ mod tests {
         }
         seen.sort_unstable();
         assert_eq!(seen, (0..12).collect::<Vec<_>>());
-        assert_eq!(loader.epochs_completed(), 0);
+        assert_eq!(loader.state().epoch, 0);
         loader.next_batch();
-        assert_eq!(loader.epochs_completed(), 1);
+        assert_eq!(loader.state().epoch, 1);
     }
 
     #[test]
@@ -265,7 +254,7 @@ mod tests {
             a.next_batch(); // crosses into epoch 1 with a mid-epoch cursor
         }
         let mut b = BatchLoader::from_state(toy_data(10), 4, a.state());
-        assert_eq!(a.epochs_completed(), b.epochs_completed());
+        assert_eq!(a.state(), b.state());
         for _ in 0..12 {
             assert_eq!(a.next_batch(), b.next_batch());
         }
@@ -298,13 +287,5 @@ mod tests {
     #[should_panic(expected = "batch size")]
     fn zero_batch_panics() {
         BatchLoader::new(toy_data(4), 0, 1);
-    }
-
-    #[test]
-    fn batches_per_epoch_floor() {
-        let loader = BatchLoader::new(toy_data(10), 4, 1);
-        assert_eq!(loader.batches_per_epoch(), 2);
-        let loader = BatchLoader::new(toy_data(3), 4, 1);
-        assert_eq!(loader.batches_per_epoch(), 1);
     }
 }

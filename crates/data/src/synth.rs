@@ -70,15 +70,6 @@ impl SynthDigits {
             SynthDigits { images: test_images, labels: test_labels },
         )
     }
-
-    /// Count of samples per class.
-    pub fn class_histogram(&self) -> [usize; NUM_CLASSES] {
-        let mut h = [0usize; NUM_CLASSES];
-        for &l in &self.labels {
-            h[l as usize] += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +105,10 @@ mod tests {
     #[test]
     fn classes_are_balanced() {
         let d = SynthDigits::generate(100, 1);
-        let h = d.class_histogram();
+        let mut h = [0usize; NUM_CLASSES];
+        for &l in &d.labels {
+            h[l as usize] += 1;
+        }
         assert!(h.iter().all(|&c| c == 10), "histogram {h:?}");
     }
 

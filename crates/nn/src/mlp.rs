@@ -210,11 +210,6 @@ impl MlpShape {
         self.param_count
     }
 
-    /// Genome offsets of each layer: `(weight_offset, bias_offset)`.
-    pub fn layer_offsets(&self) -> &[(usize, usize)] {
-        &self.offsets
-    }
-
     /// Row-major weight block of layer `i` (`fan_in × fan_out`) in `genome`.
     #[inline]
     pub fn weight<'g>(&self, genome: &'g [f32], i: usize) -> &'g [f32] {
@@ -561,7 +556,15 @@ mod tests {
             rebuilt.extend_from_slice(net.shape().bias(net.genome(), i));
         }
         assert_eq!(rebuilt, net.genome());
-        assert_eq!(net.shape().layer_offsets(), &[(0, 15), (20, 30)]);
+        let lens: Vec<usize> = (0..net.shape().num_layers())
+            .flat_map(|i| {
+                [
+                    net.shape().weight(net.genome(), i).len(),
+                    net.shape().bias(net.genome(), i).len(),
+                ]
+            })
+            .collect();
+        assert_eq!(lens, [15, 5, 10, 2]);
     }
 
     #[test]

@@ -70,12 +70,12 @@ pub fn run_tcp_master(
 
 /// [`run_tcp_master`] exposing the abort outcome: the outer `Result` is
 /// transport bootstrap failure, the inner one a monitored-run abort (a
-/// heartbeat-declared slave death) that the caller can recover from by
+/// slave death the master's gather declared) that the caller can recover from by
 /// respawning slaves and rerunning from the last committed checkpoint.
 /// The fabric is shut down on every path before returning.
 ///
 /// With `spawn_replacement`, in-flight rank replacement is armed: when the
-/// config's fault plan scripts a replaceable kill and the heartbeat
+/// config's fault plan scripts a replaceable kill and the master's gather
 /// convicts that rank, the master calls `spawn_replacement(victim_rank)` —
 /// the caller respawns just that one OS process (pointing it at
 /// [`run_tcp_rejoin_slave`]) — then completes the rejoin handshake on its

@@ -10,7 +10,7 @@ use crate::comm_manager::CommManager;
 use crate::protocol::StatusReport;
 use crate::state::SlaveState;
 use lipiz_telemetry::{EventKind, SharedTelemetry};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// One slave's status at one heartbeat round.
@@ -49,91 +49,98 @@ impl HeartbeatLog {
     pub fn any_delayed(&self) -> bool {
         self.rounds.iter().flatten().any(|r| r.delayed)
     }
-
-    /// Highest iteration count ever reported by any slave.
-    pub fn max_reported_iteration(&self) -> u64 {
-        self.rounds.iter().flatten().map(|r| r.iterations_done).max().unwrap_or(0)
-    }
 }
 
-/// Sentinel for "no slave declared dead yet" in the dead-rank flag.
-pub const NO_DEAD_SLAVE: i64 = -1;
+/// What the heartbeat has seen of each slave, published for the master's
+/// gather to judge: per WORLD rank, the rounds it has missed in a row and
+/// the iteration count it last reported. The heartbeat thread is the only
+/// writer and decides nothing; the master's gather is the one place a
+/// death is declared.
+#[derive(Debug)]
+pub struct Liveness {
+    misses: Vec<AtomicUsize>,
+    last_reported: Vec<AtomicU64>,
+}
+
+impl Liveness {
+    /// No misses and no reports yet, for WORLD ranks `0..=slaves`.
+    pub fn new(slaves: usize) -> Self {
+        Self {
+            misses: (0..=slaves).map(|_| AtomicUsize::new(0)).collect(),
+            last_reported: (0..=slaves).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Consecutive heartbeat rounds `rank` has missed (0 once it answers).
+    pub fn misses(&self, rank: usize) -> usize {
+        self.misses[rank].load(Ordering::Acquire)
+    }
+
+    /// The iteration count `rank` last reported.
+    pub fn last_reported(&self, rank: usize) -> u64 {
+        self.last_reported[rank].load(Ordering::Acquire)
+    }
+}
 
 /// Run heartbeat rounds until `stop` is set — designed to run on its own
 /// thread of the master process. Each round asks every slave still
 /// training for its status, waits up to `response_timeout` for each answer
 /// in turn, records the results, then sleeps `interval`.
 ///
-/// A slave that misses `convict_after` *consecutive* rounds is declared
-/// dead — its WORLD rank is published into `first_dead` (first death wins;
-/// the flag starts at [`NO_DEAD_SLAVE`]). `None` never declares anyone
-/// dead: monitoring only. The loop keeps observing after a
-/// declaration — the master aborts its gather on the flag and stops the
-/// loop itself.
+/// The loop only observes: each slave's consecutive misses and last
+/// reported iteration go into `liveness`, where the master's gather judges
+/// them against the death deadline.
 ///
 /// A slave that reported the *finished* state is never polled again: its
 /// communication thread legitimately stops answering once training ends,
 /// while its result may sit in the gather queue for as long as slower
 /// cells keep training — waiting out a time-out on it every round would
 /// only delay the verdict on everyone behind it (its rounds are logged as
-/// finished, not delayed). A finished slave whose *connection* actually
-/// dies is still caught by the transport's doomed-peer check. And `stop`
-/// is honoured between the per-slave waits, so once the run is over the
-/// loop returns within one `response_timeout` instead of waiting out every
-/// slave that has gone quiet.
+/// finished, not delayed, and its misses stay where its last answer left
+/// them). A finished slave whose *connection* actually dies is still caught
+/// by the gather's dead-connection check. And `stop` is honoured between
+/// the per-slave waits, so once the run is over the loop returns within one
+/// `response_timeout` instead of waiting out every slave that has gone
+/// quiet.
 ///
-/// A conviction the master cleared as stale (the convicted rank's result
-/// had already arrived, or the rank was replaced in flight) exempts that
-/// rank for good: once cleared it is never convicted again, so a genuinely
-/// wedged rank behind it in round order still gets its death declared
-/// instead of being starved by an endless convict/clear cycle.
-///
-/// When `tel` is supplied, every miss and every conviction is journaled on
-/// the master's timeline: a miss event names the suspect rank and its
-/// consecutive-miss count; a conviction event names the convicted rank and
-/// the iteration it last reported — the forensic record the fault suite
-/// asserts against.
-#[allow(clippy::too_many_arguments)]
+/// When `tel` is supplied, every miss is journaled on the master's
+/// timeline, naming the suspect rank, the iteration it last reported and
+/// its consecutive-miss count.
 pub fn run_heartbeat_loop_with_deadline(
     cm: &CommManager,
     interval: Duration,
     response_timeout: Duration,
-    convict_after: Option<usize>,
     stop: &AtomicBool,
-    first_dead: &AtomicI64,
+    liveness: &Liveness,
     tel: Option<&SharedTelemetry>,
 ) -> HeartbeatLog {
     let mut log = HeartbeatLog::default();
     let slaves = cm.num_slaves();
-    let mut consecutive_misses = vec![0usize; slaves + 1];
     let mut finished = vec![false; slaves + 1];
-    let mut exempt = vec![false; slaves + 1];
-    let mut convicted = vec![false; slaves + 1];
-    let mut last_reported = vec![0u64; slaves + 1];
     while !stop.load(Ordering::Acquire) {
         let mut round = Vec::with_capacity(slaves);
         for slave in (1..=slaves).filter(|&s| !finished[s]) {
             cm.request_status(slave);
         }
-        for slave in 1..=slaves {
-            if finished[slave] {
+        for (slave, done) in finished.iter_mut().enumerate().skip(1) {
+            if *done {
                 round.push(HeartbeatRecord {
                     slave,
                     state: Some(SlaveState::Finished),
-                    iterations_done: last_reported[slave],
+                    iterations_done: liveness.last_reported(slave),
                     delayed: false,
                 });
                 continue;
             }
-            let misses = &mut consecutive_misses[slave];
             let Some(reply) = await_status_or_stop(cm, slave, response_timeout, stop) else {
                 return log;
             };
             match reply {
                 Some(status) => {
-                    *misses = 0;
-                    last_reported[slave] = status.iterations_done;
-                    finished[slave] = status.state == SlaveState::Finished.id();
+                    liveness.misses[slave].store(0, Ordering::Release);
+                    liveness.last_reported[slave]
+                        .store(status.iterations_done, Ordering::Release);
+                    *done = status.state == SlaveState::Finished.id();
                     round.push(HeartbeatRecord {
                         slave,
                         state: SlaveState::from_id(status.state),
@@ -142,44 +149,14 @@ pub fn run_heartbeat_loop_with_deadline(
                     });
                 }
                 None => {
-                    *misses += 1;
+                    let misses = liveness.misses[slave].fetch_add(1, Ordering::AcqRel) + 1;
                     if let Some(t) = tel {
                         t.instant(
                             EventKind::HeartbeatMiss,
                             slave as u32,
-                            last_reported[slave] as u32,
-                            *misses as u64,
+                            liveness.last_reported(slave) as u32,
+                            misses as u64,
                         );
-                    }
-                    if convicted[slave] && first_dead.load(Ordering::Acquire) != slave as i64 {
-                        // We convicted this rank and the master cleared the
-                        // verdict as stale. Re-convicting it every round
-                        // would win the first-death CAS forever and starve
-                        // the conviction of a rank that is genuinely wedged
-                        // with its connection still open.
-                        exempt[slave] = true;
-                    } else if !exempt[slave] && convict_after.is_some_and(|n| *misses >= n) {
-                        // First declared death wins; later ones keep the log
-                        // but not the flag.
-                        if first_dead
-                            .compare_exchange(
-                                NO_DEAD_SLAVE,
-                                slave as i64,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_ok()
-                        {
-                            convicted[slave] = true;
-                            if let Some(t) = tel {
-                                t.instant(
-                                    EventKind::Conviction,
-                                    slave as u32,
-                                    last_reported[slave] as u32,
-                                    *misses as u64,
-                                );
-                            }
-                        }
                     }
                     round.push(HeartbeatRecord {
                         slave,
@@ -267,7 +244,7 @@ mod tests {
         let log = results[0].as_ref().unwrap();
         assert_eq!(log.len(), 2);
         assert!(!log.any_delayed());
-        assert_eq!(log.max_reported_iteration(), 1);
+        assert_eq!(log.rounds.iter().flatten().map(|r| r.iterations_done).max(), Some(1));
         for round in &log.rounds {
             assert_eq!(round.len(), 2);
             assert!(round.iter().all(|r| r.state == Some(SlaveState::Processing)));
@@ -397,36 +374,38 @@ mod tests {
 
     #[test]
     fn deadline_declares_a_dead_slave_by_rank() {
-        // One silent slave: with a 2-miss deadline, the heartbeat must
-        // publish exactly that slave's WORLD rank into the dead flag.
+        // One silent slave next to a healthy one: the deaf rank's miss count
+        // must reach a 2-miss deadline while the healthy rank's stays 0, so
+        // the master's verdict (see `master.rs`) can only name the deaf one.
         let results = Universe::run(3, |world| {
             let cm = CommManager::new(world);
             if cm.is_master() {
                 let stop = AtomicBool::new(false);
-                let first_dead = AtomicI64::new(NO_DEAD_SLAVE);
+                let liveness = Liveness::new(cm.num_slaves());
                 let log = std::thread::scope(|s| {
                     let handle = s.spawn(|| {
                         run_heartbeat_loop_with_deadline(
                             &cm,
                             Duration::from_millis(5),
-                            Duration::from_millis(20),
-                            Some(2),
+                            Duration::from_millis(50),
                             &stop,
-                            &first_dead,
+                            &liveness,
                             None,
                         )
                     });
-                    // Wait for the declaration, then stop.
-                    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-                    while first_dead.load(Ordering::Acquire) == NO_DEAD_SLAVE {
-                        assert!(std::time::Instant::now() < deadline, "never declared dead");
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while liveness.misses(2) < 2 {
+                        assert!(
+                            Instant::now() < deadline,
+                            "deaf rank never reached the deadline"
+                        );
                         std::thread::sleep(Duration::from_millis(2));
                     }
                     stop.store(true, Ordering::Release);
                     handle.join().unwrap()
                 });
                 assert!(log.any_delayed());
-                Some(first_dead.load(Ordering::Acquire))
+                Some((liveness.misses(1), liveness.last_reported(1)))
             } else if cm.world_rank() == 1 {
                 // Healthy slave answers until the master goes quiet.
                 while cm.poll_status_request(Duration::from_millis(200)) {
@@ -442,90 +421,27 @@ mod tests {
                 None
             }
         });
-        assert_eq!(results[0], Some(2), "the deaf slave's rank must be declared");
-    }
-
-    #[test]
-    fn stale_cleared_conviction_cannot_starve_a_real_death() {
-        // Rank 1 finished, delivered its result, and went quiet before the
-        // loop ever saw a Finished report — so it keeps getting convicted,
-        // and the master keeps clearing the verdict as stale. Rank 2 is
-        // genuinely wedged (silent, connection open). Without the
-        // cleared-conviction exemption, rank 1 re-wins the first-death CAS
-        // every round and rank 2's conviction never lands.
-        let results = Universe::run(3, |world| {
-            let cm = CommManager::new(world);
-            if cm.is_master() {
-                let stop = AtomicBool::new(false);
-                let first_dead = AtomicI64::new(NO_DEAD_SLAVE);
-                let declared = std::thread::scope(|s| {
-                    let handle = s.spawn(|| {
-                        run_heartbeat_loop_with_deadline(
-                            &cm,
-                            Duration::from_millis(5),
-                            Duration::from_millis(20),
-                            Some(2),
-                            &stop,
-                            &first_dead,
-                            None,
-                        )
-                    });
-                    // The master's abort predicate, in miniature: rank 1 is
-                    // not pending (its result arrived), so its conviction is
-                    // stale and gets cleared; rank 2's must stick.
-                    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-                    let declared = loop {
-                        assert!(
-                            std::time::Instant::now() < deadline,
-                            "wedged rank 2 was never declared dead"
-                        );
-                        match first_dead.load(Ordering::Acquire) {
-                            1 => {
-                                let _ = first_dead.compare_exchange(
-                                    1,
-                                    NO_DEAD_SLAVE,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                );
-                            }
-                            NO_DEAD_SLAVE => {}
-                            rank => break rank,
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    };
-                    stop.store(true, Ordering::Release);
-                    handle.join().unwrap();
-                    declared
-                });
-                Some(declared)
-            } else {
-                // Both slaves are deaf: they drain requests, never answer.
-                while cm.poll_status_request(Duration::from_millis(200)) {}
-                None
-            }
-        });
-        assert_eq!(results[0], Some(2), "the wedged slave's rank must win eventually");
+        assert_eq!(results[0], Some((0, 3)), "the healthy rank must show no misses");
     }
 
     #[test]
     fn finished_slave_is_never_convicted_by_silence() {
         // A slave that reports Finished and then legitimately goes quiet
         // (its result is waiting in the gather while slower cells train)
-        // must NOT be declared dead, no matter how many rounds pass.
+        // must never run up a miss, no matter how many rounds pass.
         let results = Universe::run(2, |world| {
             let cm = CommManager::new(world);
             if cm.is_master() {
                 let stop = AtomicBool::new(false);
-                let first_dead = AtomicI64::new(NO_DEAD_SLAVE);
+                let liveness = Liveness::new(cm.num_slaves());
                 let log = std::thread::scope(|s| {
                     let handle = s.spawn(|| {
                         run_heartbeat_loop_with_deadline(
                             &cm,
                             Duration::from_millis(5),
                             Duration::from_millis(15),
-                            Some(1), // the harshest possible deadline
                             &stop,
-                            &first_dead,
+                            &liveness,
                             None,
                         )
                     });
@@ -541,7 +457,7 @@ mod tests {
                 let last = &log.rounds.last().expect("rounds ran")[0];
                 assert_eq!(last.state, Some(SlaveState::Finished));
                 assert_eq!(last.iterations_done, 9);
-                Some(first_dead.load(Ordering::Acquire))
+                Some(liveness.misses(1))
             } else {
                 // Answer exactly one request with Finished, then go silent.
                 assert!(cm.poll_status_request(Duration::from_secs(5)));
@@ -554,7 +470,53 @@ mod tests {
                 None
             }
         });
-        assert_eq!(results[0], Some(NO_DEAD_SLAVE), "finished slave was convicted");
+        assert_eq!(results[0], Some(0), "a finished slave ran up misses");
+    }
+
+    #[test]
+    fn an_answer_resets_the_miss_count() {
+        // Misses count *consecutive* silent rounds: a slave that lets two
+        // rounds expire and then answers is back at zero, so a slow patch
+        // never adds up to a death verdict.
+        let results = Universe::run(2, |world| {
+            let cm = CommManager::new(world);
+            if !cm.is_master() {
+                for _ in 0..2 {
+                    assert!(cm.poll_status_request(Duration::from_secs(5)));
+                }
+                while cm.poll_status_request(Duration::from_millis(200)) {
+                    cm.respond_status(&StatusReport {
+                        state: SlaveState::Processing.id(),
+                        iterations_done: 7,
+                    });
+                }
+                return None;
+            }
+            let stop = AtomicBool::new(false);
+            let liveness = Liveness::new(cm.num_slaves());
+            let log = std::thread::scope(|s| {
+                let handle = s.spawn(|| {
+                    run_heartbeat_loop_with_deadline(
+                        &cm,
+                        Duration::from_millis(5),
+                        Duration::from_millis(20),
+                        &stop,
+                        &liveness,
+                        None,
+                    )
+                });
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while liveness.last_reported(1) != 7 {
+                    assert!(Instant::now() < deadline, "the slave's answer never arrived");
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                stop.store(true, Ordering::Release);
+                handle.join().unwrap()
+            });
+            assert!(log.any_delayed(), "the first rounds were not missed");
+            Some(liveness.misses(1))
+        });
+        assert_eq!(results[0], Some(0), "an answer must reset the miss count");
     }
 
     #[test]
@@ -580,16 +542,15 @@ mod tests {
                 return None;
             }
             let stop = AtomicBool::new(false);
-            let first_dead = AtomicI64::new(NO_DEAD_SLAVE);
+            let liveness = Liveness::new(cm.num_slaves());
             std::thread::scope(|s| {
                 let handle = s.spawn(|| {
                     run_heartbeat_loop_with_deadline(
                         &cm,
                         Duration::from_millis(1),
                         RESPONSE_TIMEOUT,
-                        None,
                         &stop,
-                        &first_dead,
+                        &liveness,
                         None,
                     )
                 });
@@ -628,9 +589,8 @@ mod tests {
                         &cm,
                         Duration::from_millis(1),
                         Duration::from_secs(10),
-                        None,
                         &stop,
-                        &AtomicI64::new(NO_DEAD_SLAVE),
+                        &Liveness::new(1),
                         None,
                     )
                 });
@@ -659,9 +619,8 @@ mod tests {
                             &cm,
                             Duration::from_millis(10),
                             Duration::from_millis(50),
-                            None,
                             &stop,
-                            &AtomicI64::new(NO_DEAD_SLAVE),
+                            &Liveness::new(1),
                             None,
                         )
                     });

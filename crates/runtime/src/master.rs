@@ -8,7 +8,7 @@
 use crate::checkpoint::{self, CheckpointError};
 use crate::comm_manager::CommManager;
 use crate::driver::DistributedOptions;
-use crate::heartbeat::{run_heartbeat_loop_with_deadline, HeartbeatLog, NO_DEAD_SLAVE};
+use crate::heartbeat::{run_heartbeat_loop_with_deadline, HeartbeatLog, Liveness};
 use crate::protocol::{NodeAnnouncement, RunTask, SlaveResult};
 use lipiz_core::{
     CellResult, EnsembleModel, Grid, MixtureWeights, ProfileReport, TrainConfig, TrainReport,
@@ -16,9 +16,10 @@ use lipiz_core::{
 use lipiz_mpi::fault::FaultSpecError;
 use lipiz_mpi::scheduled_replacement;
 use lipiz_telemetry::{EventKind, SharedTelemetry, Telemetry, TelemetrySummary};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -116,20 +117,24 @@ pub fn assign_workload(num_slaves: usize) -> Vec<(usize, usize)> {
 
 /// Run the complete master lifecycle.
 ///
-/// The heartbeat thread monitors the slaves in the background; with a
-/// death deadline of `n > 0` missed rounds a declared death abandons the
-/// final gather and [`MasterAbort::SlaveDead`] names the failed rank — the
+/// The heartbeat thread monitors the slaves in the background and counts
+/// their missed rounds; the final gather is the one judge of a death (see
+/// `casualty`). With a death deadline of `n > 0` missed rounds, a pending
+/// slave that misses `n` in a row — or whose connection dies — abandons
+/// the gather and [`MasterAbort::SlaveDead`] names the failed rank: the
 /// caller (the `lipizzaner launch` recovery loop) respawns slaves and
 /// reruns from the last committed checkpoint cut. With `0` a silent slave
-/// is logged as delayed but never declared dead. Cadence and deadline are
-/// the config's (`cfg.fault.heartbeat_*`, which ride the wire) where it
-/// sets them, `opts`' otherwise.
+/// is logged as delayed but only a dead connection is declared dead.
+/// Cadence and deadline come from the config alone (`cfg.fault`'s
+/// [`heartbeat_interval`](lipiz_core::FaultConfig::heartbeat_interval) and
+/// [`convict_after`](lipiz_core::FaultConfig::convict_after), which ride
+/// the wire).
 ///
 /// With a `replacer`, the rank the config's fault plan scripts to die is
-/// replaced in flight instead: when the heartbeat convicts it (or its
-/// connection dies) the master respawns *only* that rank. The replacer
-/// brings a fresh process onto the transport (rejoin handshake included);
-/// the master then awaits its announcement and hands it a [`RunTask`]
+/// replaced in flight instead: when the gather convicts it the master
+/// respawns *only* that rank. The replacer brings a fresh process onto the
+/// transport (rejoin handshake included); the master then awaits its
+/// announcement and hands it a [`RunTask`]
 /// carrying the dead cell's newest committed checkpoint cut plus the
 /// rejoin round at which it must be back in the exchange. Survivors never
 /// leave iteration cadence: each rank that reads the victim bridges the gap
@@ -164,8 +169,8 @@ pub fn run_master(
 
     let heartbeat_interval = cfg.fault.heartbeat_interval();
 
-    // Master-side telemetry: the heartbeat thread journals misses and
-    // convictions, the gather thread journals cleared verdicts, and the
+    // Master-side telemetry: the heartbeat thread journals misses, the
+    // gather journals the convictions it acts on and the rejoins, and the
     // tag-16 drain below folds live slave summaries into a status line.
     let tel = SharedTelemetry::new(Telemetry::from_gate(
         cfg.telemetry.enabled,
@@ -207,39 +212,26 @@ pub fn run_master(
         );
     }
 
-    // Heartbeat thread monitors in the background while the master waits
-    // for the final gather; the gather aborts once a death is declared.
+    // The heartbeat thread observes in the background while the master
+    // waits for the final gather; the gather judges what it observed.
     let response_timeout = heartbeat_interval.max(Duration::from_millis(50));
     let stop = AtomicBool::new(false);
-    let first_dead = AtomicI64::new(NO_DEAD_SLAVE);
-    // Once-only replacement latch — a second conviction of the same rank,
-    // or of any other rank, aborts the old-fashioned way.
-    let replacement_started = AtomicBool::new(false);
-    // Withdraw a heartbeat verdict (journaled only if it was still standing;
-    // the heartbeat loop then exempts that rank for good).
-    let clear_conviction = |convicted: i64| {
-        if convicted != NO_DEAD_SLAVE
-            && first_dead
-                .compare_exchange(convicted, NO_DEAD_SLAVE, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            tel.instant(EventKind::ConvictionCleared, convicted as u32, 0, 0);
-        }
-    };
+    let liveness = Liveness::new(cm.num_slaves());
+    let convict_after = cfg.fault.convict_after();
+    // The verdict the gather last acted on, and the in-flight replacement:
+    // not tried, or tried with this outcome (one attempt per run — any
+    // later death aborts the old-fashioned way).
+    let verdict: Cell<Option<Verdict>> = Cell::new(None);
+    let replacement: Cell<Option<bool>> = Cell::new(None);
     let (gathered, heartbeat) = std::thread::scope(|s| {
-        let hb_cm = cm.clone();
-        let stop_ref = &stop;
-        let dead_ref = &first_dead;
-        let tel_ref = &tel;
-        let hb = s.spawn(move || {
+        let hb = s.spawn(|| {
             run_heartbeat_loop_with_deadline(
-                &hb_cm,
+                cm,
                 heartbeat_interval,
                 response_timeout,
-                cfg.fault.convict_after(),
-                stop_ref,
-                dead_ref,
-                Some(tel_ref),
+                &stop,
+                &liveness,
+                Some(&tel),
             )
         });
         let poll = heartbeat_interval.max(Duration::from_millis(10));
@@ -261,54 +253,26 @@ pub fn run_master(
                     eprintln!("[master] {}", merged.status_line());
                 }
             }
-            // Who do we believe is dead? A heartbeat conviction wins;
-            // absent one, a pending rank whose transport connection is gone
-            // (the doomed-gather signal — it fires within milliseconds of a
-            // process death, well before the heartbeat deadline can
-            // convict, and even with monitoring off).
-            let convicted = first_dead.load(Ordering::Acquire);
-            let suspect = if convicted != NO_DEAD_SLAVE {
-                if !pending.contains(&(convicted as usize)) {
-                    // Stale verdict: the convicted rank's result already
-                    // arrived — it finished, delivered, and legitimately
-                    // went quiet (a slave stops answering heartbeats once
-                    // training ends, and the Finished exemption is
-                    // best-effort: the master only observes that state if a
-                    // request lands in the slave's drain window). Clear the
-                    // flag so a *real* death can still be recorded.
-                    clear_conviction(convicted);
-                    return false;
-                }
-                convicted as usize
-            } else {
-                match pending.iter().copied().find(|&r| cm.connection_dead(r)) {
-                    Some(rank) => rank,
-                    None => return false,
-                }
+            let replaced =
+                sched.filter(|_| replacement.get() == Some(true)).map(|s| s.victim_world);
+            let Some(v) = casualty(cm, pending, &liveness, convict_after, replaced) else {
+                return false;
             };
+            if verdict.replace(Some(v)) != Some(v) && v.by_misses {
+                tel.instant(
+                    EventKind::Conviction,
+                    v.rank as u32,
+                    liveness.last_reported(v.rank) as u32,
+                    liveness.misses(v.rank) as u64,
+                );
+            }
             // The scripted victim died and a replacer is on hand: bring a
             // replacement onto the transport in-flight instead of aborting.
-            // On success any conviction is cleared, which the heartbeat
-            // loop treats as a permanent exemption for that rank — the
-            // replacement announces, restores, catches up solo, and rejoins
-            // the exchange at the scheduled round while the gather simply
-            // keeps waiting.
+            // The replacement announces, restores, catches up solo, and
+            // rejoins the exchange at the scheduled round while the gather
+            // simply keeps waiting.
             if let (Some(sched), Some(replace)) = (sched, replacer) {
-                if suspect == sched.victim_world {
-                    if replacement_started.swap(true, Ordering::AcqRel) {
-                        // Replacement already completed (the winning call
-                        // runs synchronously in this same thread). A live
-                        // replacement whose connection is *also* dead is a
-                        // real second death: give up the old-fashioned way.
-                        if cm.connection_dead(sched.victim_world) {
-                            return true;
-                        }
-                        // Otherwise this is a leftover heartbeat conviction
-                        // from the death window — clear it (the heartbeat
-                        // loop then exempts the rank for good).
-                        clear_conviction(convicted);
-                        return false;
-                    }
+                if v.rank == sched.victim_world && replacement.get().is_none() {
                     let connected = replace(sched.victim_world)
                         && cm
                             .await_announcement_from(
@@ -316,6 +280,7 @@ pub fn run_master(
                                 REJOIN_ANNOUNCE_TIMEOUT,
                             )
                             .is_some();
+                    replacement.set(Some(connected));
                     if connected {
                         cm.send_run_task(
                             sched.victim_world,
@@ -326,7 +291,6 @@ pub fn run_master(
                                 rejoin_round: Some(sched.rejoin_round),
                             },
                         );
-                        clear_conviction(convicted);
                         tel.instant(
                             EventKind::Rejoin,
                             sched.cell as u32,
@@ -346,42 +310,59 @@ pub fn run_master(
 
     // Flush the master's own journal (conviction evidence survives even an
     // aborted run) before deciding the outcome.
-    if let Some(dir) = cfg.telemetry.dir.as_deref() {
-        if let Err(e) = tel.write_journal(&Path::new(dir).join("master.jsonl")) {
-            eprintln!("[master] telemetry journal write failed: {e}");
-        }
-    }
+    tel.flush_journal(cfg.telemetry.dir.as_deref(), "master.jsonl");
 
     match gathered {
         Ok(slave_results) => {
             let wall_seconds = start.elapsed().as_secs_f64();
             let report = reduce_results(cfg, &slave_results, wall_seconds);
-            let telemetry = merge_telemetry(
-                cfg,
-                &slave_results,
-                replacement_started.load(Ordering::Acquire),
-            );
+            let telemetry =
+                merge_telemetry(cfg, &slave_results, replacement.get() == Some(true));
             if let Some(merged) = &telemetry {
                 eprintln!("[master] {}", merged.status_line());
             }
             Ok(MasterOutcome { report, announcements, heartbeat, slave_results, telemetry })
         }
-        Err(pending) => {
-            // Name the actual casualty: the heartbeat conviction if one
-            // landed, else the pending rank whose connection is really
-            // gone (the doomed-gather path fires well before the deadline
-            // can convict), else the first pending rank.
-            let world_rank = match first_dead.load(Ordering::Acquire) {
-                NO_DEAD_SLAVE => pending
-                    .iter()
-                    .copied()
-                    .find(|&r| cm.connection_dead(r))
-                    .unwrap_or(pending[0]),
-                rank => rank as usize,
-            };
+        Err(_) => {
+            // The gather aborts only on a verdict: it names the casualty.
+            let world_rank = verdict.get().expect("an aborted gather follows a verdict").rank;
             Err(MasterAbort::SlaveDead { world_rank, cell: world_rank - 1, heartbeat })
         }
     }
+}
+
+/// A death verdict: the dead slave's WORLD rank, and whether its heartbeat
+/// misses convicted it (rather than its dead connection).
+#[derive(Clone, Copy, PartialEq)]
+struct Verdict {
+    rank: usize,
+    by_misses: bool,
+}
+
+/// The one judge of a slave's death, over the ranks whose result has not
+/// arrived (`pending`; a rank that delivered is never judged, however quiet
+/// it went after): the lowest that missed `convict_after` heartbeat rounds
+/// in a row, else the lowest whose transport connection is gone (the
+/// doomed-gather signal — it fires within milliseconds of a process death,
+/// well before the deadline can convict, and even with monitoring off).
+/// `replaced`, the rank replaced in flight, is judged by its connection
+/// alone: the misses its predecessor ran up while dying are not its own.
+fn casualty(
+    cm: &CommManager,
+    pending: &[usize],
+    liveness: &Liveness,
+    convict_after: Option<usize>,
+    replaced: Option<usize>,
+) -> Option<Verdict> {
+    let missed = |&r: &usize| {
+        Some(r) != replaced && convict_after.is_some_and(|n| liveness.misses(r) >= n)
+    };
+    let silent =
+        pending.iter().copied().find(missed).map(|rank| Verdict { rank, by_misses: true });
+    silent.or_else(|| {
+        let rank = pending.iter().copied().find(|&r| cm.connection_dead(r))?;
+        Some(Verdict { rank, by_misses: false })
+    })
 }
 
 /// Fold the final per-slave telemetry summaries into the run-wide view
@@ -491,9 +472,16 @@ mod tests {
         // A slave that takes its task and then dies silently: with a death
         // deadline configured, the master must abandon the final gather and
         // name the dead rank — never wedge. (1×1 grid so no surviving slave
-        // is left blocked in a collective.)
+        // is left blocked in a collective.) The in-process connection never
+        // dies, so the heartbeat misses convict, and the master's journal
+        // records that verdict once.
         use lipiz_mpi::Universe;
-        let mut cfg = lipiz_core::TrainConfig::smoke(2).with_heartbeat(5, 3);
+        let tel_dir = std::env::temp_dir()
+            .join(format!("lipiz_master_conviction_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&tel_dir);
+        let mut cfg = lipiz_core::TrainConfig::smoke(2)
+            .with_heartbeat(5, 3)
+            .with_telemetry(tel_dir.to_str().expect("utf-8 temp dir"), 1024);
         cfg.grid.rows = 1;
         cfg.grid.cols = 1;
         let results = Universe::run(2, |world| {
@@ -514,6 +502,52 @@ mod tests {
                 assert_eq!(world_rank, 1);
                 assert_eq!(cell, 0);
                 assert!(heartbeat.any_delayed(), "death declared without evidence");
+            }
+            other => panic!("expected SlaveDead, got {other:?}"),
+        }
+        let text =
+            std::fs::read_to_string(tel_dir.join("master.jsonl")).expect("master journal");
+        let journal = lipiz_telemetry::parse_journal(&text).expect("journal parses");
+        let convictions: Vec<u32> = journal
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Conviction)
+            .map(|e| e.cell)
+            .collect();
+        assert_eq!(convictions, [1], "one conviction, naming world rank 1");
+        assert!(!text.contains("conviction_cleared"));
+        let _ = std::fs::remove_dir_all(&tel_dir);
+    }
+
+    #[test]
+    fn a_delivered_silent_slave_cannot_mask_a_real_death() {
+        // Slave 1 delivers its result and goes silent, so it runs up misses
+        // as fast as slave 2, which stays connected but never answers and
+        // never delivers. Only a pending rank is judged: the abort must
+        // name rank 2, not the quiet finisher ahead of it in rank order.
+        use lipiz_mpi::Universe;
+        let mut cfg = lipiz_core::TrainConfig::smoke(2).with_heartbeat(5, 2);
+        cfg.grid.rows = 1;
+        cfg.grid.cols = 2;
+        let results = Universe::run(3, |world| {
+            let cm = crate::comm_manager::CommManager::new(world);
+            if cm.is_master() {
+                let opts = crate::driver::DistributedOptions::default();
+                return Some(run_master(&cm, &cfg, &opts, None));
+            }
+            cm.announce_node(&format!("node{}", cm.world_rank()));
+            let task = cm.recv_run_task();
+            if cm.world_rank() == 1 {
+                cm.gather_results(Some(result(task.cell_index, 0.5, 1.0)));
+            }
+            // Both drain status requests without answering until the
+            // master stops asking.
+            while cm.poll_status_request(Duration::from_millis(300)) {}
+            None
+        });
+        match results.into_iter().next().unwrap().unwrap() {
+            Err(MasterAbort::SlaveDead { world_rank, cell, .. }) => {
+                assert_eq!((world_rank, cell), (2, 1), "the wedged rank must be named");
             }
             other => panic!("expected SlaveDead, got {other:?}"),
         }

@@ -140,17 +140,6 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                 let _done_on_exit = DoneGuard(done);
 
                 let cell_u32 = cell_index as u32;
-                let flush_journal = |tel: &Telemetry| {
-                    if let Some(dir) = exec_cfg.telemetry.dir.as_deref() {
-                        let path = Path::new(dir).join(&journal_file);
-                        if let Err(e) = tel.write_journal(&path) {
-                            eprintln!(
-                                "telemetry: journal write failed ({}): {e}",
-                                path.display()
-                            );
-                        }
-                    }
-                };
 
                 let start = Instant::now();
                 let data = make_data(cell_index, &exec_cfg);
@@ -258,7 +247,7 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                             // file must be durable before the signal.
                             let tel = pipeline.telemetry_mut();
                             tel.instant(EventKind::Kill, cell_u32, iter as u32, 0);
-                            flush_journal(tel);
+                            tel.flush_journal(exec_cfg.telemetry.dir.as_deref(), &journal_file);
                             fault_self_kill();
                         }
                     }
@@ -294,7 +283,7 @@ pub fn run_slave(cm: &CommManager, make_data: DataFactory<'_>, node_name: &str) 
                 state_atomic.store(SlaveState::Finished.id(), Ordering::Release);
                 done.store(true, Ordering::Release);
                 let tel = pipeline.telemetry();
-                flush_journal(tel);
+                tel.flush_journal(exec_cfg.telemetry.dir.as_deref(), &journal_file);
                 let telemetry = tel.summary(cell_u32);
                 let engine = &mut pipeline.engines_mut()[0];
                 let row = CellResult::of(engine, &Grid::from_config(&exec_cfg.grid));

@@ -40,12 +40,11 @@ pub enum EventKind {
     /// The master's heartbeat missed a slave's status response.
     /// `cell` = suspect world rank, `arg` = consecutive misses so far.
     HeartbeatMiss = 13,
-    /// The heartbeat convicted a slave as dead. `cell` = convicted world
-    /// rank, `iter` = its last reported iteration count.
+    /// The master's gather declared a slave dead on its heartbeat misses
+    /// and acted on it (abort or in-flight replacement). `cell` = convicted
+    /// world rank, `iter` = its last reported iteration count, `arg` = its
+    /// consecutive misses. (Discriminant 15 is retired.)
     Conviction = 14,
-    /// A conviction was cleared (stale verdict, or replacement done).
-    /// `cell` = the previously convicted world rank.
-    ConvictionCleared = 15,
     /// A gather substituted a dead rank's frozen death-frame.
     /// `arg` = the absent world rank.
     Degraded = 16,
@@ -59,7 +58,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [EventKind; 19] = [
+    pub const ALL: [EventKind; 18] = [
         EventKind::GatherBegin,
         EventKind::GatherEnd,
         EventKind::MutateBegin,
@@ -75,7 +74,6 @@ impl EventKind {
         EventKind::CheckpointCommit,
         EventKind::HeartbeatMiss,
         EventKind::Conviction,
-        EventKind::ConvictionCleared,
         EventKind::Degraded,
         EventKind::Rejoin,
         EventKind::Kill,
@@ -99,7 +97,6 @@ impl EventKind {
             EventKind::CheckpointCommit => "checkpoint_commit",
             EventKind::HeartbeatMiss => "heartbeat_miss",
             EventKind::Conviction => "conviction",
-            EventKind::ConvictionCleared => "conviction_cleared",
             EventKind::Degraded => "degraded",
             EventKind::Rejoin => "rejoin",
             EventKind::Kill => "kill",

@@ -192,11 +192,23 @@ impl Telemetry {
         }
         crate::journal::write_journal(path, self.rank, self.dropped(), self.events())
     }
+
+    /// Flush the journal to `<dir>/<file>` at the end of a run (no-op
+    /// without a directory, or when disabled). A failed write is reported
+    /// on stderr and never fails the run.
+    pub fn flush_journal(&self, dir: Option<&str>, file: &str) {
+        let Some(dir) = dir else { return };
+        let path = Path::new(dir).join(file);
+        if let Err(e) = self.write_journal(&path) {
+            eprintln!("telemetry: journal write failed ({}): {e}", path.display());
+        }
+    }
 }
 
 /// A mutex-wrapped recorder for the master process, where the heartbeat
-/// thread and the result-gathering thread both journal verdicts. Not for
-/// training hot paths — slaves own their [`Telemetry`] directly.
+/// thread journals misses and the result-gathering thread journals the
+/// verdicts it acts on. Not for training hot paths — slaves own their
+/// [`Telemetry`] directly.
 #[derive(Debug)]
 pub struct SharedTelemetry(Mutex<Telemetry>);
 
@@ -216,9 +228,9 @@ impl SharedTelemetry {
         self.0.lock().expect("telemetry lock").instant(kind, cell, iter, arg);
     }
 
-    /// Write the journal file (no-op when disabled).
-    pub fn write_journal(&self, path: &Path) -> std::io::Result<()> {
-        self.0.lock().expect("telemetry lock").write_journal(path)
+    /// Flush the journal to `<dir>/<file>` (see [`Telemetry::flush_journal`]).
+    pub fn flush_journal(&self, dir: Option<&str>, file: &str) {
+        self.0.lock().expect("telemetry lock").flush_journal(dir, file);
     }
 }
 
@@ -305,9 +317,8 @@ mod tests {
         });
         assert!(shared.is_enabled());
         let dir = std::env::temp_dir().join("lipiz_tel_shared");
-        let path = dir.join("master.jsonl");
-        shared.write_journal(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+        shared.flush_journal(dir.to_str(), "master.jsonl");
+        let text = std::fs::read_to_string(dir.join("master.jsonl")).unwrap();
         assert!(text.contains("\"kind\":\"conviction\""));
     }
 }
